@@ -17,7 +17,7 @@ BENCH_COUNT ?= 1
 BENCH_CPUS ?= 1,4,8
 BENCH_THRESHOLD ?= 15
 
-.PHONY: all build test check lint cover bench bench-text bench-smoke bench-record bench-compare bench-storage bench-rules bench-ged bench-query ged-smoke repl-smoke torture clean
+.PHONY: all build test check lint cover bench bench-build bench-text bench-smoke bench-record bench-compare bench-storage bench-rules bench-ged bench-query ged-smoke repl-smoke torture fuzz-smoke clean
 
 all: build
 
@@ -53,6 +53,22 @@ torture:
 	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) \
 		$(GO) test -count=1 -run TestReplTorture -v ./internal/faulttest
 	$(GO) test -count=1 -race -run TestQueryIndexRaceStress -v ./internal/faulttest
+
+# fuzz-smoke runs each native fuzz target briefly: long enough to replay
+# the seed corpus and mutate past it, short enough for every CI run. A
+# crasher lands in the package's testdata/fuzz/ — commit it with the fix.
+# (go test -fuzz takes one target and one package per invocation.)
+FUZZ_TIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenTornTail$$' -fuzztime $(FUZZ_TIME) ./internal/seglog
+	$(GO) test -run '^$$' -fuzz '^FuzzOccurrenceCodec$$' -fuzztime $(FUZZ_TIME) ./internal/event
+
+# bench-build compiles and tests the end-to-end benchmark. bench/ is its
+# own module (BENCHMARK.json's contract), so `go build ./... && go test
+# ./...` at the root never sees it: this target is what notices an
+# internal/* API or metric-name change that breaks `bash bench/run.sh`.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # lint runs the static analyzers beyond vet. The tools are not vendored;
 # CI installs them (see .github/workflows/ci.yml) and locally the target

@@ -1,92 +1,55 @@
 package detector
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/event"
+	"repro/internal/seglog"
 )
 
 // EventLog records primitive event occurrences so composite events can be
 // detected in batch mode, after the fact, over exactly the same graph that
-// online detection uses (§2.1 "online and batch detection of events").
-// Occurrences are gob-encoded, one stream per log.
+// online detection uses (§2.1 "online and batch detection of events"). A
+// log is one stream: an 8-byte magic, then one seglog record frame per
+// occurrence carrying the internal/event codec — the same frame and codec
+// the GED contribution log stores.
 type EventLog struct {
 	w   io.Writer
-	enc *gob.Encoder
+	buf []byte
 	n   int
 }
 
-// loggedOcc is the serialized form: composite constituents are never
-// logged (only primitives enter a log), so a flat record suffices.
-type loggedOcc struct {
-	Name     string
-	Kind     event.Kind
-	Class    string
-	Method   string
-	Modifier event.Modifier
-	Object   event.OID
-	Params   []loggedParam
-	Seq      uint64
-	Time     uint64
-	Txn      uint64
-	App      string
-}
-
-type loggedParam struct {
-	Name  string
-	Value any
-}
-
-func init() {
-	// Parameter values are restricted to atomic types; register them all
-	// so gob can round-trip the any-typed Value field.
-	gob.Register(int(0))
-	gob.Register(int8(0))
-	gob.Register(int16(0))
-	gob.Register(int32(0))
-	gob.Register(int64(0))
-	gob.Register(uint(0))
-	gob.Register(uint8(0))
-	gob.Register(uint16(0))
-	gob.Register(uint32(0))
-	gob.Register(uint64(0))
-	gob.Register(float32(0))
-	gob.Register(float64(0))
-	gob.Register(false)
-	gob.Register("")
-	gob.Register(event.OID(0))
-}
+// eventLogMagic starts every recorded stream; anything else (the gob
+// streams earlier versions wrote included) is rejected by Replay.
+const eventLogMagic = "SNTLEVT1"
 
 // NewEventLog creates a log writing to w.
 func NewEventLog(w io.Writer) *EventLog {
-	return &EventLog{w: w, enc: gob.NewEncoder(w)}
+	return &EventLog{w: w}
 }
 
-// Append records one primitive occurrence.
+// Append records one primitive occurrence. Composite constituents are
+// never logged (only primitives enter a log).
 func (l *EventLog) Append(occ *event.Occurrence) error {
 	if occ.IsComposite() {
 		return errors.New("detector: composite occurrences are not logged")
 	}
-	rec := loggedOcc{
-		Name:     occ.Name,
-		Kind:     occ.Kind,
-		Class:    occ.Class,
-		Method:   occ.Method,
-		Modifier: occ.Modifier,
-		Object:   occ.Object,
-		Seq:      occ.Seq,
-		Time:     occ.Time,
-		Txn:      occ.Txn,
-		App:      occ.App,
+	b := l.buf[:0]
+	if l.n == 0 {
+		b = append(b, eventLogMagic...)
 	}
-	for _, p := range occ.Params {
-		rec.Params = append(rec.Params, loggedParam{p.Name, p.Value})
+	start := len(b)
+	b, err := event.AppendOccurrence(seglog.BeginFrame(b), occ)
+	if err == nil {
+		seglog.EndFrame(b, start)
+		l.buf = b
+		_, err = l.w.Write(b)
 	}
-	if err := l.enc.Encode(&rec); err != nil {
+	if err != nil {
 		return fmt.Errorf("detector: append event log: %w", err)
 	}
 	l.n++
@@ -127,7 +90,13 @@ const replayChunk = 256
 // lock is taken once per chunk instead of once per occurrence. It returns
 // the number of occurrences replayed.
 func Replay(r io.Reader, d *Detector) (int, error) {
-	dec := gob.NewDecoder(r)
+	br := bufio.NewReader(r)
+	var magic [len(eventLogMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err == io.EOF {
+		return 0, nil // nothing was recorded
+	} else if err != nil || string(magic[:]) != eventLogMagic {
+		return 0, fmt.Errorf("detector: replay event log: not an event log (want magic %q)", eventLogMagic)
+	}
 	n := 0
 	batch := make([]event.Occurrence, 0, replayChunk)
 	flush := func() error {
@@ -136,39 +105,31 @@ func Replay(r io.Reader, d *Detector) (int, error) {
 		batch = batch[:0]
 		return err
 	}
+	var buf []byte
 	for {
-		var rec loggedOcc
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, flush()
-			}
+		payload, err := seglog.ReadFrame(br, buf)
+		if err == io.EOF {
+			return n, flush()
+		}
+		var occ *event.Occurrence
+		if err == nil {
+			buf = payload
+			dec := event.NewReader(payload)
+			occ, err = dec.Occurrence(), dec.Err()
+		}
+		if err != nil {
 			if ferr := flush(); ferr != nil {
 				return n, ferr
 			}
 			return n, fmt.Errorf("detector: replay event log: %w", err)
 		}
-		occ := event.Occurrence{
-			Name:     rec.Name,
-			Kind:     rec.Kind,
-			Class:    rec.Class,
-			Method:   rec.Method,
-			Modifier: rec.Modifier,
-			Object:   rec.Object,
-			Seq:      rec.Seq,
-			Time:     rec.Time,
-			Txn:      rec.Txn,
-			App:      rec.App,
-		}
-		if rec.Kind == event.KindMethod {
+		if occ.Kind == event.KindMethod {
 			// Logged method events replay through the signature path, as
 			// they were signalled originally (SignalBatch routes unnamed
 			// method occurrences through signalMethodLocked).
 			occ.Name = ""
 		}
-		for _, p := range rec.Params {
-			occ.Params = append(occ.Params, event.Param{Name: p.Name, Value: p.Value})
-		}
-		batch = append(batch, occ)
+		batch = append(batch, *occ)
 		if len(batch) == replayChunk {
 			if err := flush(); err != nil {
 				return n, err

@@ -2,11 +2,13 @@ package detector
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/event"
+	"repro/internal/seglog"
 )
 
 // buildGraph defines the standard test graph on a fresh detector and
@@ -88,6 +90,42 @@ func TestEventLogRoundTrip(t *testing.T) {
 	}
 	if v, _ := got.Params.Get("y"); v.(string) != "s" {
 		t.Fatalf("replayed params: %v", got.Params)
+	}
+}
+
+// Replay accepts only the recorded-stream layout: an empty stream is an
+// empty log, anything else without the magic (the gob streams earlier
+// versions wrote included) is an error, and a record cut short or damaged
+// stops the replay with an error after the intact records were delivered.
+func TestReplayRejectsForeignAndTornStreams(t *testing.T) {
+	if n, err := Replay(bytes.NewReader(nil), New()); n != 0 || err != nil {
+		t.Fatalf("empty stream: n=%d err=%v", n, err)
+	}
+	for _, foreign := range []string{"\x2b\xff\x81\x03\x01\x01\tloggedOcc", "SNTL", "SNTLEVT0 and more"} {
+		if _, err := Replay(bytes.NewReader([]byte(foreign)), New()); err == nil {
+			t.Fatalf("stream %q replayed", foreign)
+		}
+	}
+
+	var buf bytes.Buffer
+	log := NewEventLog(&buf)
+	for i := 0; i < 3; i++ {
+		if err := log.Append(&event.Occurrence{Name: "e", Kind: event.KindExplicit, Params: event.NewParams("i", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := buf.Bytes()
+	flipped := append([]byte(nil), whole...)
+	flipped[len(flipped)-1] ^= 1
+	for name, stream := range map[string][]byte{"cut": whole[:len(whole)-2], "flipped": flipped} {
+		d := New()
+		if _, err := d.DefineExplicit("e"); err != nil {
+			t.Fatal(err)
+		}
+		n, err := Replay(bytes.NewReader(stream), d)
+		if n != 2 || !errors.Is(err, seglog.ErrCorrupt) {
+			t.Fatalf("%s stream: n=%d err=%v, want 2 records and ErrCorrupt", name, n, err)
+		}
 	}
 }
 

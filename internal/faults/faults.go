@@ -50,11 +50,18 @@ const (
 	// WALAppend fires in WAL.Append before the record is buffered. Any
 	// fired error seals the WAL (fail-fast).
 	WALAppend Point = "storage.wal.append"
-	// WALFlush fires in WAL.Flush before the buffer flush.
+	// WALFlush fires in WAL.Flush before the buffer is written; its
+	// Fault.Partial supports torn (short) log writes.
 	WALFlush Point = "storage.wal.flush"
 	// WALFsync fires in WAL.Flush before the fsync (sync mode only). A
 	// fired error is sticky-fatal: the WAL seals.
 	WALFsync Point = "storage.wal.fsync"
+	// GEDLogAppend, GEDLogFlush and GEDLogFsync are the same three sites in
+	// the GED contribution log (its own seglog): arming the storage.wal
+	// points never fires inside a GED log, and vice versa.
+	GEDLogAppend Point = "ged.log.append"
+	GEDLogFlush  Point = "ged.log.flush"
+	GEDLogFsync  Point = "ged.log.fsync"
 	// StoreCommit fires in Store.Commit between appending the commit
 	// record and forcing the log — the classic "acknowledged or not?"
 	// kill window.

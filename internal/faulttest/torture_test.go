@@ -131,7 +131,7 @@ func TestTortureHarnessDetectsBrokenRecovery(t *testing.T) {
 // an unknown durability state.
 func TestWALStickySealAfterFsyncFault(t *testing.T) {
 	dir := t.TempDir()
-	w, err := storage.OpenWAL(filepath.Join(dir, "wal.log"), true)
+	w, err := storage.OpenWAL(filepath.Join(dir, "wal.log"), true, 0)
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/event"
+	"repro/internal/frame"
 )
 
 // Handler consumes live notifications of a global event at an application.
@@ -41,7 +42,7 @@ type Client struct {
 	conn net.Conn
 
 	wmu      sync.Mutex
-	fw       *frameWriter
+	fw       *frame.Writer
 	lastSeq  uint64 // last contribute seq sent (under wmu)
 	sendDead bool   // goodbye received or connection failed
 
@@ -104,7 +105,7 @@ func Dial(addr, app string) (*Client, error) {
 	c := &Client{
 		app:        app,
 		conn:       conn,
-		fw:         newFrameWriter(conn),
+		fw:         frame.NewWriter(conn, maxFrame),
 		subs:       make(map[uint32]*clientSub),
 		subAcks:    make(map[uint32]chan uint64),
 		helloReady: make(chan struct{}),
@@ -155,11 +156,11 @@ func (c *Client) send(kind frameKind, payload []byte) error {
 	if c.sendDead {
 		return ErrClosed
 	}
-	if err := c.fw.writeFrame(kind, payload); err != nil {
+	if err := c.fw.Write(uint8(kind), payload); err != nil {
 		c.sendDead = true
 		return err
 	}
-	return c.fw.flush()
+	return c.fw.Flush()
 }
 
 // Partition reports the server's slot in a partitioned deployment, as
@@ -234,13 +235,13 @@ func (c *Client) recvLoop() {
 		c.dispMu.Unlock()
 		c.dispCond.Signal()
 	}()
-	fr := newFrameReader(c.conn)
+	fr := frame.NewReader(c.conn, maxFrame)
 	for {
-		kind, payload, err := fr.readFrame()
+		kind, payload, err := fr.Read()
 		if err != nil {
 			return
 		}
-		switch kind {
+		switch frameKind(kind) {
 		case frHelloAck:
 			pt, pn, end, err := decodeHelloAck(payload)
 			if err != nil {
@@ -351,11 +352,11 @@ func (c *Client) ContributeBatch(occs []event.Occurrence) error {
 	if err != nil {
 		return err
 	}
-	if err := c.fw.writeFrame(frContribute, payload); err != nil {
+	if err := c.fw.Write(uint8(frContribute), payload); err != nil {
 		c.sendDead = true
 		return err
 	}
-	if err := c.fw.flush(); err != nil {
+	if err := c.fw.Flush(); err != nil {
 		c.sendDead = true
 		return err
 	}

@@ -4,25 +4,25 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/event"
+	"repro/internal/faults"
+	"repro/internal/seglog"
 )
 
-// EventLog is the GED's durable contribution log: an append-only,
-// segmented record of every occurrence the server accepted, addressed by
-// a dense uint64 offset (0, 1, 2, …). It follows the WAL's segment and
-// fsync discipline from internal/storage — buffered appends, an explicit
-// flush boundary per contribute batch, optional fsync behind a durable
-// watermark, and torn-tail truncation on open — but stores occurrences
-// in the wire codec so replay re-frames records without re-encoding.
+// EventLog is the GED's durable contribution log: an append-only record of
+// every occurrence the server accepted, addressed by a dense uint64 offset
+// (0, 1, 2, …). It is a thin client of internal/seglog — segments, the
+// record frame, buffered appends, torn-tail truncation on open, roll,
+// fsync and seal-on-error all live there — adding only the record payload
+//
+//	u64 offset (little endian) | occurrence (internal/event codec)
+//
+// and the map from those record offsets to seglog's byte offsets: the
+// first record offset of every segment, rebuilt at open from each
+// segment's first record.
 //
 // Readers follow the log through LogReader cursors: sequential decode
 // with segment hand-off, blocking on the log's condition variable at the
@@ -30,46 +30,31 @@ import (
 // naturally backpressured — a slow subscriber reads the log at its own
 // pace instead of growing a server-side queue.
 type EventLog struct {
-	dir      string
-	segBytes int64
-	fsync    bool
+	log   *seglog.Log
+	fsync bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	segs    []logSegment // sealed segments, ascending base offset
-	active  *os.File
-	actBase uint64 // first offset of the active segment
-	actN    uint64 // records in the active segment
-	actSize int64  // bytes written (and flushed) to the active segment
-	end     uint64 // next offset to assign; records < end are readable
-	durable uint64 // offsets < durable are fsynced
+	enc     []byte     // reused frame buffer for one Append batch
+	index   []segStart // non-empty segments, ascending
+	end     uint64     // next offset to assign; records < end are readable
+	durable uint64     // offsets < durable are fsynced
 	closed  bool
 }
 
-// logSegment is one sealed (no longer appended) segment file.
-type logSegment struct {
-	base  uint64 // offset of its first record
-	count uint64 // records it holds
-	path  string
+// segStart locates a segment in both address spaces.
+type segStart struct {
+	first uint64 // record offset of the segment's first record
+	pos   uint64 // seglog byte offset of that record (the segment base)
 }
 
-// Log file layout. Each segment file is
-//
-//	"GEDLOG01" | records…
-//
-// named <base offset, 16 hex digits>.seg, and each record is
-//
-//	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//
-// with the payload in the wire occurrence encoding. The CRC plus length
-// bound lets open detect a torn tail (crash mid-append) and truncate it,
-// exactly like the storage WAL treats zero or short tails as torn.
 const (
-	logMagic      = "GEDLOG01"
-	logRecHdr     = 8
-	defSegBytes   = 8 << 20
-	maxLogRecord  = maxFrame
-	logSegPattern = "%016x.seg"
+	// logMagic names the record layout above; GEDLOG01 (bare occurrence
+	// payloads, segments named by record offset) is rejected at open.
+	logMagic    = "GEDLOG02"
+	logExt      = ".seg"
+	defSegBytes = 8 << 20
+	readBatch   = 64 << 10 // bytes a LogReader pulls from its cursor at a time
 )
 
 // errLogClosed reports reads or appends on a closed log.
@@ -82,204 +67,112 @@ func OpenEventLog(dir string, segBytes int64, fsync bool) (*EventLog, error) {
 	if segBytes <= 0 {
 		segBytes = defSegBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ged: event log dir: %w", err)
+	log, err := seglog.Open(seglog.Config{
+		Dir: dir, Magic: logMagic, Ext: logExt, SegBytes: segBytes, Sync: fsync,
+		Faults: seglog.Faults{Append: faults.GEDLogAppend, Flush: faults.GEDLogFlush, Fsync: faults.GEDLogFsync},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ged: event log: %w", err)
 	}
-	l := &EventLog{dir: dir, segBytes: segBytes, fsync: fsync}
+	l := &EventLog{log: log, fsync: fsync}
 	l.cond = sync.NewCond(&l.mu)
-	if err := l.scan(); err != nil {
+	if err := l.buildIndex(); err != nil {
+		log.Close()
 		return nil, err
 	}
 	return l, nil
 }
 
-// scan inventories segment files, recovers the record count of the last
-// one (truncating a torn tail), and opens it for appending.
-func (l *EventLog) scan() error {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return fmt.Errorf("ged: event log scan: %w", err)
+// buildIndex reads the first record of every segment and walks the last
+// non-empty one to recover the end offset.
+func (l *EventLog) buildIndex() error {
+	_, sealed := l.log.Segments()
+	bases := make([]uint64, 0, len(sealed)+1)
+	for _, s := range sealed {
+		bases = append(bases, s.Base)
 	}
-	var bases []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".seg") || len(name) != 20 {
-			continue
-		}
-		base, err := strconv.ParseUint(strings.TrimSuffix(name, ".seg"), 16, 64)
-		if err != nil {
-			continue
-		}
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	if len(bases) == 0 {
-		return l.startSegment(0)
-	}
-	// Sealed segments: count = next base − base. The last segment's count
-	// (and any torn tail) comes from a scan.
-	for i, base := range bases[:len(bases)-1] {
-		l.segs = append(l.segs, logSegment{
-			base:  base,
-			count: bases[i+1] - base,
-			path:  l.segPath(base),
+	bases = append(bases, l.log.ActiveBase())
+	errStop := errors.New("stop")
+	for _, base := range bases {
+		err := l.log.Scan(base, func(_ uint64, payload []byte) error {
+			first, _, err := splitRecord(payload)
+			if err != nil {
+				return err
+			}
+			l.index = append(l.index, segStart{first: first, pos: base})
+			return errStop
 		})
+		if err != nil && err != errStop {
+			return fmt.Errorf("ged: event log index: %w", err)
+		}
 	}
-	last := bases[len(bases)-1]
-	count, good, err := scanSegment(l.segPath(last))
-	if err != nil {
+	if len(l.index) == 0 {
+		return nil
+	}
+	last := l.index[len(l.index)-1]
+	l.end = last.first
+	err := l.log.Scan(last.pos, func(_ uint64, payload []byte) error {
+		off, _, err := splitRecord(payload)
+		if err == nil && off != l.end {
+			err = fmt.Errorf("record offset %d where %d was expected", off, l.end)
+		}
+		l.end++
 		return err
-	}
-	f, err := os.OpenFile(l.segPath(last), os.O_RDWR, 0o644)
+	})
 	if err != nil {
-		return fmt.Errorf("ged: event log open: %w", err)
+		return fmt.Errorf("ged: event log index: %w", err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return fmt.Errorf("ged: event log truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return err
-	}
-	l.active = f
-	l.actBase = last
-	l.actN = count
-	l.actSize = good
-	l.end = last + count
 	l.durable = l.end
 	return nil
 }
 
-func (l *EventLog) segPath(base uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf(logSegPattern, base))
-}
-
-// scanSegment walks a segment file and returns how many intact records
-// it holds and the byte offset just past the last intact record. A bad
-// magic is fatal; a torn or corrupt tail record just ends the scan.
-func scanSegment(path string) (count uint64, good int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ged: event log open: %w", err)
+// splitRecord separates a record payload into its offset and occurrence.
+func splitRecord(payload []byte) (offset uint64, occ []byte, err error) {
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("ged: log record of %d bytes has no offset", len(payload))
 	}
-	defer f.Close()
-	var magic [len(logMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != logMagic {
-		return 0, 0, fmt.Errorf("ged: %s: bad segment magic", path)
-	}
-	good = int64(len(logMagic))
-	var hdr [logRecHdr]byte
-	buf := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return count, good, nil // clean end or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxLogRecord {
-			return count, good, nil // corrupt length: treat as torn
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return count, good, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(buf) != crc {
-			return count, good, nil // corrupt payload
-		}
-		good += logRecHdr + int64(n)
-		count++
-	}
-}
-
-// startSegment creates the segment whose first record is offset base and
-// makes it active. Caller holds mu (or is in single-threaded open).
-func (l *EventLog) startSegment(base uint64) error {
-	f, err := os.OpenFile(l.segPath(base), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("ged: event log segment: %w", err)
-	}
-	if _, err := f.Write([]byte(logMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	// Syncing the file makes its contents durable but not its name: until
-	// the directory entry is fsynced, a crash can forget the segment ever
-	// existed, leaving a replay hole after the previous sealed segment.
-	if err := syncDirEntry(l.dir); err != nil {
-		f.Close()
-		return err
-	}
-	l.active = f
-	l.actBase = base
-	l.actN = 0
-	l.actSize = int64(len(logMagic))
-	l.end = base
-	return nil
-}
-
-// roll seals the active segment and starts the next one. Caller holds mu.
-func (l *EventLog) roll() error {
-	if err := l.active.Sync(); err != nil {
-		return err
-	}
-	if err := l.active.Close(); err != nil {
-		return err
-	}
-	l.segs = append(l.segs, logSegment{base: l.actBase, count: l.actN, path: l.segPath(l.actBase)})
-	return l.startSegment(l.actBase + l.actN)
+	return binary.LittleEndian.Uint64(payload), payload[8:], nil
 }
 
 // Append encodes and appends the batch, returning the offset of its
 // first record. The batch becomes readable (and tail followers wake)
-// before Append returns; with fsync enabled it is also durable.
+// before Append returns; with fsync enabled it is also durable. After a
+// write error the log is sealed: every later Append fails with
+// seglog.ErrSealed rather than writing behind a possibly torn record.
 func (l *EventLog) Append(occs []event.Occurrence) (first uint64, err error) {
-	if len(occs) == 0 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.end, nil
-	}
-	var rec []byte
-	var hdr [logRecHdr]byte
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, errLogClosed
 	}
+	if len(occs) == 0 {
+		return l.end, nil
+	}
 	first = l.end
+	b := l.enc[:0]
 	for i := range occs {
-		if l.actSize >= l.segBytes {
-			if err := l.roll(); err != nil {
-				return 0, err
-			}
-		}
-		rec, err = appendOccurrence(rec[:0], &occs[i], 0)
-		if err != nil {
+		start := len(b)
+		b = binary.LittleEndian.AppendUint64(seglog.BeginFrame(b), first+uint64(i))
+		if b, err = event.AppendOccurrence(b, &occs[i]); err != nil {
 			return 0, err
 		}
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(rec))
-		if _, err := l.active.Write(hdr[:]); err != nil {
-			return 0, fmt.Errorf("ged: event log append: %w", err)
-		}
-		if _, err := l.active.Write(rec); err != nil {
-			return 0, fmt.Errorf("ged: event log append: %w", err)
-		}
-		l.actSize += logRecHdr + int64(len(rec))
-		l.actN++
-		l.end++
+		seglog.EndFrame(b, start)
 	}
+	l.enc = b
+	if _, err := l.log.Append(b, len(occs)); err != nil {
+		return 0, fmt.Errorf("ged: event log append: %w", err)
+	}
+	if err := l.log.Flush(^uint64(0)); err != nil {
+		return 0, fmt.Errorf("ged: event log append: %w", err)
+	}
+	// A batch is flushed whole, so it never straddles a roll: when the
+	// active segment has no index entry yet, this batch opened it.
+	active := l.log.ActiveBase()
+	if n := len(l.index); n == 0 || l.index[n-1].pos != active {
+		l.index = append(l.index, segStart{first: first, pos: active})
+	}
+	l.end += uint64(len(occs))
 	if l.fsync {
-		if err := l.active.Sync(); err != nil {
-			return 0, fmt.Errorf("ged: event log fsync: %w", err)
-		}
 		l.durable = l.end
 	}
 	l.cond.Broadcast()
@@ -301,16 +194,15 @@ func (l *EventLog) Durable() uint64 {
 	return l.durable
 }
 
-// Sync forces the active segment to disk and advances the durable
-// watermark — the explicit boundary for logs running without per-append
-// fsync.
+// Sync forces the log to disk and advances the durable watermark — the
+// explicit boundary for logs running without per-append fsync.
 func (l *EventLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errLogClosed
 	}
-	if err := l.active.Sync(); err != nil {
+	if err := l.log.Sync(); err != nil {
 		return err
 	}
 	l.durable = l.end
@@ -328,7 +220,7 @@ func (l *EventLog) WaitFor(offset uint64) bool {
 	return l.end > offset
 }
 
-// Close seals the log and wakes every waiting reader.
+// Close syncs and closes the log and wakes every waiting reader.
 func (l *EventLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -337,44 +229,34 @@ func (l *EventLog) Close() error {
 	}
 	l.closed = true
 	l.cond.Broadcast()
-	if l.active == nil {
-		return nil
+	serr := l.log.Sync()
+	if serr == nil {
+		l.durable = l.end
 	}
-	if err := l.active.Sync(); err != nil {
-		l.active.Close()
-		return err
+	if err := l.log.Close(); serr == nil {
+		serr = err
 	}
-	l.durable = l.end
-	return l.active.Close()
+	return serr
 }
 
-// locate returns the path and base of the segment holding offset, or
-// ok=false when the offset is past the end. Caller holds mu.
-func (l *EventLog) locate(offset uint64) (path string, base uint64, ok bool) {
-	if offset >= l.end {
-		return "", 0, false
+// segmentOf returns the start of the segment holding offset.
+func (l *EventLog) segmentOf(offset uint64) (segStart, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := sort.Search(len(l.index), func(i int) bool { return l.index[i].first > offset })
+	if i == 0 || offset >= l.end {
+		return segStart{}, false
 	}
-	if offset >= l.actBase {
-		return l.segPath(l.actBase), l.actBase, true
-	}
-	i := sort.Search(len(l.segs), func(i int) bool {
-		return l.segs[i].base+l.segs[i].count > offset
-	})
-	if i == len(l.segs) {
-		return "", 0, false
-	}
-	return l.segs[i].path, l.segs[i].base, true
+	return l.index[i-1], true
 }
 
 // LogReader is a sequential cursor over the log from a starting offset.
 // It is owned by one goroutine (each stream subscription runs its own).
 type LogReader struct {
-	log  *EventLog
-	next uint64 // offset of the record Next returns
-	f    *os.File
-	base uint64 // base offset of the open segment
-	pos  uint64 // next record index within the open segment
-	buf  []byte
+	log   *EventLog
+	next  uint64 // offset of the record Next returns
+	cur   *seglog.Cursor
+	batch []byte // frames read from cur and not yet returned
 }
 
 // ReaderAt opens a cursor positioned at offset. Offsets at or past the
@@ -388,111 +270,60 @@ func (r *LogReader) Offset() uint64 { return r.next }
 
 // Close releases the cursor's file handle.
 func (r *LogReader) Close() {
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
+	if r.cur != nil {
+		r.cur.Close()
+		r.cur = nil
 	}
-}
-
-// open positions the cursor's file handle at r.next, skipping records
-// from the segment base (sequential readers pay this once per segment).
-func (r *LogReader) open() error {
-	r.Close()
-	r.log.mu.Lock()
-	path, base, ok := r.log.locate(r.next)
-	r.log.mu.Unlock()
-	if !ok {
-		return io.EOF
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	var magic [len(logMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != logMagic {
-		f.Close()
-		return fmt.Errorf("ged: %s: bad segment magic", path)
-	}
-	r.f, r.base, r.pos = f, base, base
-	for r.pos < r.next {
-		if _, err := r.readRecord(); err != nil {
-			f.Close()
-			r.f = nil
-			return fmt.Errorf("ged: event log seek to %d: %w", r.next, err)
-		}
-	}
-	return nil
-}
-
-// readRecord reads and validates the record at r.pos from the open file.
-func (r *LogReader) readRecord() ([]byte, error) {
-	var hdr [logRecHdr]byte
-	if _, err := io.ReadFull(r.f, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxLogRecord {
-		return nil, fmt.Errorf("ged: log record of %d bytes at offset %d", n, r.pos)
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.f, r.buf); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(r.buf) != crc {
-		return nil, fmt.Errorf("ged: log record CRC mismatch at offset %d", r.pos)
-	}
-	r.pos++
-	return r.buf, nil
 }
 
 // Next returns the occurrence at the cursor and its offset, blocking at
 // the tail until an append arrives. It returns errLogClosed once the log
-// closes and the cursor has drained everything readable.
+// closes and the cursor has drained everything readable. The first call
+// starts at the base of the segment holding the offset and skips the
+// records before it (sequential readers pay this once).
 func (r *LogReader) Next() (*event.Occurrence, uint64, error) {
 	if !r.log.WaitFor(r.next) {
 		return nil, 0, errLogClosed
 	}
-	if r.f == nil || r.pos != r.next {
-		if err := r.open(); err != nil {
+	if r.cur == nil {
+		seg, ok := r.log.segmentOf(r.next)
+		if !ok {
+			return nil, 0, fmt.Errorf("ged: event log has no record %d", r.next)
+		}
+		r.cur = r.log.log.NewCursor(seg.pos)
+	}
+	for {
+		if len(r.batch) == 0 {
+			_, data, n, err := r.cur.ReadBatch(readBatch)
+			if err != nil {
+				return nil, 0, err
+			}
+			if n == 0 {
+				return nil, 0, fmt.Errorf("ged: event log ends before record %d", r.next)
+			}
+			r.batch = data
+		}
+		payload, n, err := seglog.NextFrame(r.batch)
+		if err != nil || n == 0 {
+			return nil, 0, fmt.Errorf("ged: event log record %d: %w", r.next, seglog.ErrCorrupt)
+		}
+		r.batch = r.batch[n:]
+		off, body, err := splitRecord(payload)
+		if err != nil {
 			return nil, 0, err
 		}
-	}
-	payload, err := r.readRecord()
-	if err != nil {
-		// The active segment may have rolled under us, or the flushed tail
-		// isn't visible through this handle yet: reopen once at the cursor.
-		if err2 := r.open(); err2 != nil {
-			return nil, 0, err2
+		if off < r.next {
+			continue // still seeking within the first segment
 		}
-		if payload, err = r.readRecord(); err != nil {
+		if off != r.next {
+			return nil, 0, fmt.Errorf("ged: event log record %d found where %d was expected", off, r.next)
+		}
+		p := event.NewReader(body)
+		occ := p.Occurrence()
+		if err := p.Err(); err != nil {
 			return nil, 0, err
 		}
+		r.next++
+		return occ, off, nil
 	}
-	p := &payloadReader{b: payload}
-	occ, err := p.occurrence(0)
-	if err != nil {
-		return nil, 0, err
-	}
-	off := r.next
-	r.next++
-	return occ, off, nil
-}
-
-// syncDirEntry fsyncs a directory, making a freshly created segment's
-// directory entry durable — fsyncing the file alone does not cover its
-// name.
-func syncDirEntry(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }

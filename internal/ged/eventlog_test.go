@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/faults"
+	"repro/internal/seglog"
 )
 
 func mkOccs(start, n int) []event.Occurrence {
@@ -297,5 +300,90 @@ func TestEventLogDurableWatermark(t *testing.T) {
 	}
 	if lsync.Durable() != 2 {
 		t.Fatalf("fsync log durable=%d", lsync.Durable())
+	}
+}
+
+// A write error seals the log: the half-written record is never followed
+// by another, so the next open — which truncates at it — keeps every
+// contribution that was acknowledged. Arming the storage WAL's points
+// fires nothing in here.
+func TestEventLogSealsAfterWriteError(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenEventLog(dir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const acked = 12
+	for i := 0; i < acked; i += 4 {
+		if first, err := l.Append(mkOccs(i, 4)); err != nil || first != uint64(i) {
+			t.Fatalf("first=%d err=%v", first, err)
+		}
+	}
+
+	boom := errors.New("short write")
+	in := faults.NewInjector(1,
+		faults.Trigger{Point: faults.WALAppend, On: 1, Every: 1},
+		faults.Trigger{Point: faults.WALFlush, On: 1, Every: 1},
+		faults.Trigger{Point: faults.GEDLogFlush, On: 2, Fault: faults.Fault{Partial: 21, Err: boom}})
+	faults.Arm(in)
+	if first, err := l.Append(mkOccs(acked, 1)); err != nil || first != acked {
+		t.Fatalf("append under the storage.wal faults: first=%d err=%v", first, err)
+	}
+	_, err = l.Append(mkOccs(acked+1, 3))
+	faults.Disarm()
+	if !errors.Is(err, boom) {
+		t.Fatalf("append over the short write: %v, want the injected error", err)
+	}
+	if in.Hits(faults.WALAppend)+in.Hits(faults.WALFlush) != 0 {
+		t.Fatal("the GED log consulted the storage WAL's fault points")
+	}
+	if _, err := l.Append(mkOccs(acked+4, 1)); !errors.Is(err, seglog.ErrSealed) {
+		t.Fatalf("append after the write error: %v, want seglog.ErrSealed", err)
+	}
+	if l.End() != acked+1 {
+		t.Fatalf("end=%d after the failed batch, want %d", l.End(), acked+1)
+	}
+	if err := l.Close(); !errors.Is(err, seglog.ErrSealed) {
+		t.Fatalf("close of the sealed log: %v", err)
+	}
+
+	l2, err := OpenEventLog(dir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.End() != acked+1 {
+		t.Fatalf("end after reopen=%d want %d", l2.End(), acked+1)
+	}
+	r := l2.ReaderAt(0)
+	defer r.Close()
+	for i := 0; i <= acked; i++ {
+		occ, off, err := r.Next()
+		if err != nil || off != uint64(i) {
+			t.Fatalf("acked record %d: off=%d err=%v", i, off, err)
+		}
+		if v, _ := occ.Params.Get("i"); v != i {
+			t.Fatalf("acked record %d carries i=%v", i, v)
+		}
+	}
+	if first, err := l2.Append(mkOccs(100, 1)); err != nil || first != acked+1 {
+		t.Fatalf("append after recovery: first=%d err=%v", first, err)
+	}
+}
+
+// A log directory in the previous record layout (GEDLOG01: bare occurrence
+// payloads, segments named by record offset) is refused, not truncated.
+func TestEventLogRejectsOldFormat(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, fmt.Sprintf("%016x.seg", 0))
+	old := append([]byte("GEDLOG01"), 3, 0, 0, 0, 0xaa, 0xbb, 0xcc, 0xdd, 1, 2, 3)
+	if err := os.WriteFile(seg, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenEventLog(dir, 0, false); err == nil {
+		t.Fatal("opened a GEDLOG01 directory")
+	}
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("rejected segment was modified (%v)", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/event"
+	"repro/internal/frame"
 )
 
 // fakeServer accepts one connection, completes the hello handshake, reads
@@ -26,15 +27,13 @@ func fakeServer(t *testing.T, n int) string {
 			return
 		}
 		defer conn.Close()
-		fr := newFrameReader(conn)
-		if kind, _, err := fr.readFrame(); err != nil || kind != frHello {
+		fr := frame.NewReader(conn, maxFrame)
+		if kind, _, err := fr.Read(); err != nil || frameKind(kind) != frHello {
 			return
 		}
-		fw := newFrameWriter(conn)
-		_ = fw.writeFrame(frHelloAck, encodeHelloAck(0, 1, 0))
-		_ = fw.flush()
+		_ = frame.NewWriter(conn, maxFrame).Send(uint8(frHelloAck), encodeHelloAck(0, 1, 0))
 		for i := 0; i < n; i++ {
-			if _, _, err := fr.readFrame(); err != nil {
+			if _, _, err := fr.Read(); err != nil {
 				return
 			}
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/event"
+	"repro/internal/frame"
 )
 
 // Options configures a Server beyond its detector.
@@ -204,13 +205,12 @@ func (c *serverConn) enqueue(kind frameKind, payload []byte, shedable bool) bool
 // so enqueuers never block on a dead connection.
 func (c *serverConn) writeLoop() {
 	defer close(c.wdone)
-	fw := newFrameWriter(c.conn)
+	fw := frame.NewWriter(c.conn, maxFrame)
 	broken := false
 	for f := range c.out {
 		if f.kind == 0 {
 			if !broken {
-				_ = fw.writeFrame(frGoodbye, nil)
-				_ = fw.flush()
+				_ = fw.Send(uint8(frGoodbye), nil)
 			}
 			return
 		}
@@ -218,12 +218,12 @@ func (c *serverConn) writeLoop() {
 			continue
 		}
 		c.srv.met.queueWait.ObserveDuration(time.Since(f.enq))
-		if err := fw.writeFrame(f.kind, f.payload); err != nil {
+		if err := fw.Write(uint8(f.kind), f.payload); err != nil {
 			broken = true
 			continue
 		}
 		if len(c.out) == 0 {
-			if err := fw.flush(); err != nil {
+			if err := fw.Flush(); err != nil {
 				broken = true
 			}
 		}
@@ -289,9 +289,9 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.preConns, conn)
 		s.mu.Unlock()
 	}
-	fr := newFrameReader(conn)
-	kind, payload, err := fr.readFrame()
-	if err != nil || kind != frHello {
+	fr := frame.NewReader(conn, maxFrame)
+	kind, payload, err := fr.Read()
+	if err != nil || frameKind(kind) != frHello {
 		dropPre()
 		conn.Close()
 		return
@@ -300,9 +300,7 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		dropPre()
 		// Pre-handshake: answer inline, no writer goroutine yet.
-		fw := newFrameWriter(conn)
-		_ = fw.writeFrame(frError, encodeError(err.Error()))
-		_ = fw.flush()
+		_ = frame.NewWriter(conn, maxFrame).Send(uint8(frError), encodeError(err.Error()))
 		s.met.protoErrors.Inc()
 		conn.Close()
 		return
@@ -337,14 +335,14 @@ func (s *Server) handle(conn net.Conn) {
 
 	var batch []event.Occurrence
 	for {
-		kind, payload, err := fr.readFrame()
+		k, payload, err := fr.Read()
 		if err != nil {
-			if errors.Is(err, ErrProtocol) {
+			if errors.Is(err, frame.ErrTooLarge) {
 				c.protoError(err)
 			}
 			return
 		}
-		switch kind {
+		switch kind := frameKind(k); kind {
 		case frContribute:
 			t0 := time.Now()
 			seq, occs, derr := decodeContribute(payload, batch[:0])

@@ -1,27 +1,17 @@
 package ged
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 
 	"repro/internal/event"
 )
 
-// Wire protocol: every message is a length-prefixed binary frame
-//
-//	u32 payload length (little endian) | u8 kind | payload
-//
-// so a reader always knows how many bytes to consume before touching the
-// payload, frames from one writer can be pipelined back to back, and a
-// partial (torn) frame is detected as an unexpected EOF instead of a
-// hang. Payload integers are unsigned varints, strings are varint-length
-// prefixed UTF-8, and occurrence parameter values carry a one-byte type
-// tag so the concrete Go type survives the round trip (the paper's
-// atomic parameter set). See DESIGN.md §13 for the full layout.
+// Wire protocol: every message is one internal/frame frame (u32 payload
+// length | u8 kind | payload). Payload integers are unsigned varints,
+// strings are varint-length prefixed UTF-8, and occurrences travel in the
+// internal/event codec. See DESIGN.md §13 for the full layout.
 
 // protoVersion is the wire protocol generation; Hello carries it and the
 // server rejects mismatches so both ends fail loudly instead of
@@ -30,15 +20,11 @@ const protoVersion = 1
 
 // Frame and payload hard limits. A frame that announces more than
 // maxFrame bytes is a protocol error (the connection is dropped before
-// any allocation), and the element limits bound what a single decoded
-// occurrence can make the server allocate.
+// any allocation); the event codec's element limits bound what a single
+// decoded occurrence can make the server allocate.
 const (
-	maxFrame        = 4 << 20 // bytes in one frame payload
-	maxString       = 64 << 10
-	maxParams       = 1 << 10
-	maxConstituents = 1 << 16
-	maxBatch        = 1 << 16 // occurrences in one contribute frame
-	maxDepth        = 32      // constituent nesting of one occurrence
+	maxFrame = 4 << 20 // bytes in one frame payload
+	maxBatch = 1 << 16 // occurrences in one contribute frame
 )
 
 // frameKind tags protocol frames.
@@ -92,390 +78,12 @@ func protoErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrProtocol, fmt.Sprintf(format, args...))
 }
 
-// frameWriter serializes frames onto one side of a connection. It is not
-// safe for concurrent use; callers hold their own write lock or funnel
-// frames through a single writer goroutine.
-type frameWriter struct {
-	w   *bufio.Writer
-	hdr [5]byte
-}
-
-func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{w: bufio.NewWriterSize(w, 64<<10)}
-}
-
-// writeFrame appends one frame to the buffer. Flush sends it.
-func (fw *frameWriter) writeFrame(kind frameKind, payload []byte) error {
-	if len(payload) > maxFrame {
-		return protoErrf("frame payload %d exceeds limit %d", len(payload), maxFrame)
+// done closes a payload decode: a malformed payload is a protocol error.
+func done(p *event.Reader) error {
+	if err := p.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrProtocol, err)
 	}
-	binary.LittleEndian.PutUint32(fw.hdr[:4], uint32(len(payload)))
-	fw.hdr[4] = byte(kind)
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(payload)
-	return err
-}
-
-func (fw *frameWriter) flush() error { return fw.w.Flush() }
-
-// frameReader reads length-prefixed frames. The returned payload is
-// valid until the next readFrame call (the buffer is reused).
-type frameReader struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 64<<10)}
-}
-
-// readFrame reads the next frame. An EOF mid-frame (a torn frame)
-// surfaces as io.ErrUnexpectedEOF; an announced length beyond maxFrame
-// is a protocol error reported before reading the body, so an abusive
-// or corrupt peer cannot make the reader allocate or hang.
-func (fr *frameReader) readFrame() (frameKind, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
-		return 0, nil, err // clean EOF between frames
-	}
-	if _, err := io.ReadFull(fr.r, hdr[1:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	kind := frameKind(hdr[4])
-	if n > maxFrame {
-		return kind, nil, protoErrf("frame announces %d bytes (limit %d)", n, maxFrame)
-	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return kind, nil, err
-	}
-	return kind, fr.buf, nil
-}
-
-// --- payload encoding ------------------------------------------------------
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// Param value type tags. The tag preserves the concrete Go type of the
-// any-typed value across the wire (rule conditions type-assert on
-// parameter values, so int must come back as int, not int64).
-const (
-	tagNil = iota
-	tagBool
-	tagInt
-	tagInt8
-	tagInt16
-	tagInt32
-	tagInt64
-	tagUint
-	tagUint8
-	tagUint16
-	tagUint32
-	tagUint64
-	tagFloat32
-	tagFloat64
-	tagString
-	tagOID
-)
-
-func appendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, tagNil), nil
-	case bool:
-		b = append(b, tagBool)
-		if x {
-			return append(b, 1), nil
-		}
-		return append(b, 0), nil
-	case int:
-		return binary.AppendVarint(append(b, tagInt), int64(x)), nil
-	case int8:
-		return binary.AppendVarint(append(b, tagInt8), int64(x)), nil
-	case int16:
-		return binary.AppendVarint(append(b, tagInt16), int64(x)), nil
-	case int32:
-		return binary.AppendVarint(append(b, tagInt32), int64(x)), nil
-	case int64:
-		return binary.AppendVarint(append(b, tagInt64), x), nil
-	case uint:
-		return binary.AppendUvarint(append(b, tagUint), uint64(x)), nil
-	case uint8:
-		return binary.AppendUvarint(append(b, tagUint8), uint64(x)), nil
-	case uint16:
-		return binary.AppendUvarint(append(b, tagUint16), uint64(x)), nil
-	case uint32:
-		return binary.AppendUvarint(append(b, tagUint32), uint64(x)), nil
-	case uint64:
-		return binary.AppendUvarint(append(b, tagUint64), x), nil
-	case float32:
-		return binary.LittleEndian.AppendUint32(append(b, tagFloat32), math.Float32bits(x)), nil
-	case float64:
-		return binary.LittleEndian.AppendUint64(append(b, tagFloat64), math.Float64bits(x)), nil
-	case string:
-		return appendString(append(b, tagString), x), nil
-	case event.OID:
-		return binary.AppendUvarint(append(b, tagOID), uint64(x)), nil
-	default:
-		return b, fmt.Errorf("ged: non-atomic parameter value %T", v)
-	}
-}
-
-// appendOccurrence encodes one occurrence, recursing into constituents
-// (composite notifications carry their full parameter tree).
-func appendOccurrence(b []byte, occ *event.Occurrence, depth int) ([]byte, error) {
-	if depth > maxDepth {
-		return b, fmt.Errorf("ged: occurrence nesting exceeds %d", maxDepth)
-	}
-	if len(occ.Params) > maxParams {
-		return b, fmt.Errorf("ged: %d parameters exceed limit %d", len(occ.Params), maxParams)
-	}
-	if len(occ.Constituents) > maxConstituents {
-		return b, fmt.Errorf("ged: %d constituents exceed limit %d", len(occ.Constituents), maxConstituents)
-	}
-	b = appendString(b, occ.Name)
-	b = append(b, byte(occ.Kind))
-	b = appendString(b, occ.Class)
-	b = appendString(b, occ.Method)
-	b = append(b, byte(occ.Modifier))
-	b = appendUvarint(b, uint64(occ.Object))
-	b = appendUvarint(b, occ.Seq)
-	b = appendUvarint(b, occ.Time)
-	b = appendUvarint(b, occ.Txn)
-	b = appendString(b, occ.App)
-	b = appendUvarint(b, uint64(len(occ.Params)))
-	var err error
-	for _, p := range occ.Params {
-		b = appendString(b, p.Name)
-		if b, err = appendValue(b, p.Value); err != nil {
-			return b, err
-		}
-	}
-	b = appendUvarint(b, uint64(len(occ.Constituents)))
-	for _, c := range occ.Constituents {
-		if b, err = appendOccurrence(b, c, depth+1); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-// payloadReader decodes a frame payload with bounds checks; every getter
-// fails on truncation instead of panicking, so a corrupt frame becomes
-// ErrProtocol, never a crash.
-type payloadReader struct {
-	b   []byte
-	pos int
-}
-
-func (p *payloadReader) remaining() int { return len(p.b) - p.pos }
-
-func (p *payloadReader) byte() (byte, error) {
-	if p.pos >= len(p.b) {
-		return 0, protoErrf("payload truncated at byte %d", p.pos)
-	}
-	v := p.b[p.pos]
-	p.pos++
-	return v, nil
-}
-
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.b[p.pos:])
-	if n <= 0 {
-		return 0, protoErrf("bad uvarint at byte %d", p.pos)
-	}
-	p.pos += n
-	return v, nil
-}
-
-func (p *payloadReader) varint() (int64, error) {
-	v, n := binary.Varint(p.b[p.pos:])
-	if n <= 0 {
-		return 0, protoErrf("bad varint at byte %d", p.pos)
-	}
-	p.pos += n
-	return v, nil
-}
-
-func (p *payloadReader) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxString {
-		return "", protoErrf("string of %d bytes exceeds limit %d", n, maxString)
-	}
-	if uint64(p.remaining()) < n {
-		return "", protoErrf("string of %d bytes overruns payload", n)
-	}
-	s := string(p.b[p.pos : p.pos+int(n)])
-	p.pos += int(n)
-	return s, nil
-}
-
-func (p *payloadReader) value() (any, error) {
-	tag, err := p.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagNil:
-		return nil, nil
-	case tagBool:
-		b, err := p.byte()
-		return b != 0, err
-	case tagInt:
-		v, err := p.varint()
-		return int(v), err
-	case tagInt8:
-		v, err := p.varint()
-		return int8(v), err
-	case tagInt16:
-		v, err := p.varint()
-		return int16(v), err
-	case tagInt32:
-		v, err := p.varint()
-		return int32(v), err
-	case tagInt64:
-		return p.varint()
-	case tagUint:
-		v, err := p.uvarint()
-		return uint(v), err
-	case tagUint8:
-		v, err := p.uvarint()
-		return uint8(v), err
-	case tagUint16:
-		v, err := p.uvarint()
-		return uint16(v), err
-	case tagUint32:
-		v, err := p.uvarint()
-		return uint32(v), err
-	case tagUint64:
-		return p.uvarint()
-	case tagFloat32:
-		if p.remaining() < 4 {
-			return nil, protoErrf("float32 overruns payload")
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(p.b[p.pos:]))
-		p.pos += 4
-		return v, nil
-	case tagFloat64:
-		if p.remaining() < 8 {
-			return nil, protoErrf("float64 overruns payload")
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(p.b[p.pos:]))
-		p.pos += 8
-		return v, nil
-	case tagString:
-		return p.str()
-	case tagOID:
-		v, err := p.uvarint()
-		return event.OID(v), err
-	default:
-		return nil, protoErrf("unknown value tag %d", tag)
-	}
-}
-
-func (p *payloadReader) occurrence(depth int) (*event.Occurrence, error) {
-	if depth > maxDepth {
-		return nil, protoErrf("occurrence nesting exceeds %d", maxDepth)
-	}
-	occ := &event.Occurrence{}
-	var err error
-	if occ.Name, err = p.str(); err != nil {
-		return nil, err
-	}
-	kind, err := p.byte()
-	if err != nil {
-		return nil, err
-	}
-	occ.Kind = event.Kind(kind)
-	if occ.Class, err = p.str(); err != nil {
-		return nil, err
-	}
-	if occ.Method, err = p.str(); err != nil {
-		return nil, err
-	}
-	mod, err := p.byte()
-	if err != nil {
-		return nil, err
-	}
-	occ.Modifier = event.Modifier(mod)
-	oid, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	occ.Object = event.OID(oid)
-	if occ.Seq, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if occ.Time, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if occ.Txn, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if occ.App, err = p.str(); err != nil {
-		return nil, err
-	}
-	nparams, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nparams > maxParams {
-		return nil, protoErrf("%d parameters exceed limit %d", nparams, maxParams)
-	}
-	if nparams > 0 {
-		occ.Params = make(event.ParamList, 0, nparams)
-		for i := uint64(0); i < nparams; i++ {
-			name, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			v, err := p.value()
-			if err != nil {
-				return nil, err
-			}
-			occ.Params = append(occ.Params, event.Param{Name: name, Value: v})
-		}
-	}
-	nconst, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nconst > maxConstituents {
-		return nil, protoErrf("%d constituents exceed limit %d", nconst, maxConstituents)
-	}
-	if nconst > 0 {
-		occ.Constituents = make([]*event.Occurrence, 0, nconst)
-		for i := uint64(0); i < nconst; i++ {
-			c, err := p.occurrence(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			occ.Constituents = append(occ.Constituents, c)
-		}
-	}
-	return occ, nil
+	return nil
 }
 
 // --- frame payload builders -------------------------------------------------
@@ -483,58 +91,49 @@ func (p *payloadReader) occurrence(depth int) (*event.Occurrence, error) {
 func encodeHello(app string) []byte {
 	b := make([]byte, 0, len(app)+4)
 	b = append(b, protoVersion)
-	return appendString(b, app)
+	return event.AppendString(b, app)
+}
+
+// version reads and checks the leading protocol version byte.
+func version(p *event.Reader, who string) error {
+	if ver := p.Byte(); p.Err() == nil && ver != protoVersion {
+		return protoErrf("%s speaks protocol v%d, this end v%d", who, ver, protoVersion)
+	}
+	return nil
 }
 
 func decodeHello(payload []byte) (app string, err error) {
-	p := &payloadReader{b: payload}
-	ver, err := p.byte()
-	if err != nil {
+	p := event.NewReader(payload)
+	if err := version(p, "peer"); err != nil {
 		return "", err
 	}
-	if ver != protoVersion {
-		return "", protoErrf("peer speaks protocol v%d, this end v%d", ver, protoVersion)
-	}
-	return p.str()
+	return p.Str(), done(p)
 }
 
 func encodeHelloAck(partition, partitions int, logEnd uint64) []byte {
 	b := make([]byte, 0, 16)
 	b = append(b, protoVersion)
-	b = appendUvarint(b, uint64(partition))
-	b = appendUvarint(b, uint64(partitions))
-	return appendUvarint(b, logEnd)
+	b = binary.AppendUvarint(b, uint64(partition))
+	b = binary.AppendUvarint(b, uint64(partitions))
+	return binary.AppendUvarint(b, logEnd)
 }
 
 func decodeHelloAck(payload []byte) (partition, partitions int, logEnd uint64, err error) {
-	p := &payloadReader{b: payload}
-	ver, err := p.byte()
-	if err != nil {
+	p := event.NewReader(payload)
+	if err := version(p, "server"); err != nil {
 		return 0, 0, 0, err
 	}
-	if ver != protoVersion {
-		return 0, 0, 0, protoErrf("server speaks protocol v%d, this end v%d", ver, protoVersion)
-	}
-	pt, err := p.uvarint()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	pn, err := p.uvarint()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	end, err := p.uvarint()
-	return int(pt), int(pn), end, err
+	return int(p.Uvarint()), int(p.Uvarint()), p.Uvarint(), done(p)
 }
 
 // encodeContribute frames a batch under one client-assigned ack sequence
 // number (0 = no ack requested).
 func encodeContribute(buf []byte, seq uint64, occs []event.Occurrence) ([]byte, error) {
-	b := appendUvarint(buf[:0], seq)
-	b = appendUvarint(b, uint64(len(occs)))
+	b := binary.AppendUvarint(buf[:0], seq)
+	b = binary.AppendUvarint(b, uint64(len(occs)))
 	var err error
 	for i := range occs {
-		if b, err = appendOccurrence(b, &occs[i], 0); err != nil {
+		if b, err = event.AppendOccurrence(b, &occs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -543,44 +142,36 @@ func encodeContribute(buf []byte, seq uint64, occs []event.Occurrence) ([]byte, 
 
 // decodeContribute appends the batch to dst and returns it with the seq.
 func decodeContribute(payload []byte, dst []event.Occurrence) (uint64, []event.Occurrence, error) {
-	p := &payloadReader{b: payload}
-	seq, err := p.uvarint()
-	if err != nil {
-		return 0, dst, err
-	}
-	n, err := p.uvarint()
-	if err != nil {
-		return 0, dst, err
-	}
+	p := event.NewReader(payload)
+	seq, n := p.Uvarint(), p.Uvarint()
 	if n > maxBatch {
 		return 0, dst, protoErrf("batch of %d occurrences exceeds limit %d", n, maxBatch)
 	}
 	for i := uint64(0); i < n; i++ {
-		occ, err := p.occurrence(0)
-		if err != nil {
-			return 0, dst, err
+		occ := p.Occurrence()
+		if p.Err() != nil {
+			break
 		}
 		dst = append(dst, *occ)
 	}
-	if p.remaining() != 0 {
-		return 0, dst, protoErrf("%d trailing bytes after contribute batch", p.remaining())
+	if err := done(p); err != nil {
+		return 0, dst, err
+	}
+	if p.Remaining() != 0 {
+		return 0, dst, protoErrf("%d trailing bytes after contribute batch", p.Remaining())
 	}
 	return seq, dst, nil
 }
 
 func encodeContributeAck(seq, offset uint64) []byte {
 	b := make([]byte, 0, 20)
-	b = appendUvarint(b, seq)
-	return appendUvarint(b, offset)
+	b = binary.AppendUvarint(b, seq)
+	return binary.AppendUvarint(b, offset)
 }
 
 func decodeContributeAck(payload []byte) (seq, offset uint64, err error) {
-	p := &payloadReader{b: payload}
-	if seq, err = p.uvarint(); err != nil {
-		return
-	}
-	offset, err = p.uvarint()
-	return
+	p := event.NewReader(payload)
+	return p.Uvarint(), p.Uvarint(), done(p)
 }
 
 // Subscription modes: live routes through the server's detector (the
@@ -593,102 +184,59 @@ const (
 
 func encodeSubscribe(id uint32, eventName string, ctx int, mode byte, from uint64) []byte {
 	b := make([]byte, 0, len(eventName)+24)
-	b = appendUvarint(b, uint64(id))
-	b = appendString(b, eventName)
-	b = appendUvarint(b, uint64(ctx))
+	b = binary.AppendUvarint(b, uint64(id))
+	b = event.AppendString(b, eventName)
+	b = binary.AppendUvarint(b, uint64(ctx))
 	b = append(b, mode)
-	return appendUvarint(b, from)
+	return binary.AppendUvarint(b, from)
 }
 
 func decodeSubscribe(payload []byte) (id uint32, eventName string, ctx int, mode byte, from uint64, err error) {
-	p := &payloadReader{b: payload}
-	v, err := p.uvarint()
-	if err != nil {
-		return
-	}
-	id = uint32(v)
-	if eventName, err = p.str(); err != nil {
-		return
-	}
-	c, err := p.uvarint()
-	if err != nil {
-		return
-	}
-	ctx = int(c)
-	if mode, err = p.byte(); err != nil {
-		return
-	}
-	from, err = p.uvarint()
-	return
+	p := event.NewReader(payload)
+	return uint32(p.Uvarint()), p.Str(), int(p.Uvarint()), p.Byte(), p.Uvarint(), done(p)
 }
 
 func encodeSubscribeAck(id uint32, logEnd uint64) []byte {
 	b := make([]byte, 0, 16)
-	b = appendUvarint(b, uint64(id))
-	return appendUvarint(b, logEnd)
+	b = binary.AppendUvarint(b, uint64(id))
+	return binary.AppendUvarint(b, logEnd)
 }
 
 func decodeSubscribeAck(payload []byte) (id uint32, logEnd uint64, err error) {
-	p := &payloadReader{b: payload}
-	v, err := p.uvarint()
-	if err != nil {
-		return
-	}
-	id = uint32(v)
-	logEnd, err = p.uvarint()
-	return
+	p := event.NewReader(payload)
+	return uint32(p.Uvarint()), p.Uvarint(), done(p)
 }
 
 func encodeNotify(buf []byte, id uint32, ctx int, occ *event.Occurrence) ([]byte, error) {
-	b := appendUvarint(buf[:0], uint64(id))
-	b = appendUvarint(b, uint64(ctx))
-	return appendOccurrence(b, occ, 0)
+	b := binary.AppendUvarint(buf[:0], uint64(id))
+	b = binary.AppendUvarint(b, uint64(ctx))
+	return event.AppendOccurrence(b, occ)
 }
 
 func decodeNotify(payload []byte) (id uint32, ctx int, occ *event.Occurrence, err error) {
-	p := &payloadReader{b: payload}
-	v, err := p.uvarint()
-	if err != nil {
-		return
-	}
-	id = uint32(v)
-	c, err := p.uvarint()
-	if err != nil {
-		return
-	}
-	ctx = int(c)
-	occ, err = p.occurrence(0)
-	return
+	p := event.NewReader(payload)
+	return uint32(p.Uvarint()), int(p.Uvarint()), p.Occurrence(), done(p)
 }
 
 func encodeStream(buf []byte, id uint32, offset uint64, occ *event.Occurrence) ([]byte, error) {
-	b := appendUvarint(buf[:0], uint64(id))
-	b = appendUvarint(b, offset)
-	return appendOccurrence(b, occ, 0)
+	b := binary.AppendUvarint(buf[:0], uint64(id))
+	b = binary.AppendUvarint(b, offset)
+	return event.AppendOccurrence(b, occ)
 }
 
 func decodeStream(payload []byte) (id uint32, offset uint64, occ *event.Occurrence, err error) {
-	p := &payloadReader{b: payload}
-	v, err := p.uvarint()
-	if err != nil {
-		return
-	}
-	id = uint32(v)
-	if offset, err = p.uvarint(); err != nil {
-		return
-	}
-	occ, err = p.occurrence(0)
-	return
+	p := event.NewReader(payload)
+	return uint32(p.Uvarint()), p.Uvarint(), p.Occurrence(), done(p)
 }
 
 func encodeError(msg string) []byte {
-	if len(msg) > maxString {
-		msg = msg[:maxString]
+	if len(msg) > event.MaxString {
+		msg = msg[:event.MaxString]
 	}
-	return appendString(make([]byte, 0, len(msg)+4), msg)
+	return event.AppendString(make([]byte, 0, len(msg)+4), msg)
 }
 
 func decodeError(payload []byte) (string, error) {
-	p := &payloadReader{b: payload}
-	return p.str()
+	p := event.NewReader(payload)
+	return p.Str(), done(p)
 }

@@ -1,16 +1,15 @@
 package ged
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/frame"
 )
 
 // fullOccurrence exercises every field and every atomic parameter type.
@@ -84,75 +83,6 @@ func TestWireOccurrenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if err := fw.writeFrame(frHello, encodeHello("app")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.writeFrame(frGoodbye, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr := newFrameReader(&buf)
-	kind, payload, err := fr.readFrame()
-	if err != nil || kind != frHello {
-		t.Fatalf("kind=%v err=%v", kind, err)
-	}
-	app, err := decodeHello(payload)
-	if err != nil || app != "app" {
-		t.Fatalf("app=%q err=%v", app, err)
-	}
-	if kind, payload, err = fr.readFrame(); err != nil || kind != frGoodbye || len(payload) != 0 {
-		t.Fatalf("kind=%v len=%d err=%v", kind, len(payload), err)
-	}
-	if _, _, err = fr.readFrame(); err != io.EOF {
-		t.Fatalf("want clean EOF between frames, got %v", err)
-	}
-}
-
-// A frame cut off mid-payload must surface as an unexpected EOF — a
-// decode error, never a hang or a clean end-of-stream.
-func TestWireTornFrame(t *testing.T) {
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	payload, err := encodeContribute(nil, 1, []event.Occurrence{fullOccurrence()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.writeFrame(frContribute, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	for _, cut := range []int{1, 3, 5, len(whole) / 2, len(whole) - 1} {
-		fr := newFrameReader(bytes.NewReader(whole[:cut]))
-		if _, _, err := fr.readFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d: want ErrUnexpectedEOF, got %v", cut, err)
-		}
-	}
-}
-
-// A header announcing more than maxFrame bytes is rejected before any
-// allocation or read of the body.
-func TestWireOversizedFrame(t *testing.T) {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], maxFrame+1)
-	hdr[4] = byte(frContribute)
-	fr := newFrameReader(bytes.NewReader(hdr[:]))
-	if _, _, err := fr.readFrame(); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("want ErrProtocol, got %v", err)
-	}
-	fw := newFrameWriter(io.Discard)
-	if err := fw.writeFrame(frContribute, make([]byte, maxFrame+1)); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("writer accepted oversized frame: %v", err)
-	}
-}
-
 // Every truncation of a valid payload must produce an error — never a
 // panic, never a bogus success.
 func TestWireTruncatedPayloads(t *testing.T) {
@@ -198,8 +128,8 @@ func TestWireNonAtomicParamRejected(t *testing.T) {
 type rawClient struct {
 	t    *testing.T
 	conn net.Conn
-	fw   *frameWriter
-	fr   *frameReader
+	fw   *frame.Writer
+	fr   *frame.Reader
 }
 
 func dialRaw(t *testing.T, addr string) *rawClient {
@@ -209,7 +139,7 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawClient{t: t, conn: conn, fw: newFrameWriter(conn), fr: newFrameReader(conn)}
+	return &rawClient{t: t, conn: conn, fw: frame.NewWriter(conn, maxFrame), fr: frame.NewReader(conn, maxFrame)}
 }
 
 func (rc *rawClient) hello(app string) {
@@ -223,17 +153,15 @@ func (rc *rawClient) hello(app string) {
 
 func (rc *rawClient) send(kind frameKind, payload []byte) {
 	rc.t.Helper()
-	if err := rc.fw.writeFrame(kind, payload); err != nil {
-		rc.t.Fatal(err)
-	}
-	if err := rc.fw.flush(); err != nil {
+	if err := rc.fw.Send(uint8(kind), payload); err != nil {
 		rc.t.Fatal(err)
 	}
 }
 
 func (rc *rawClient) read() (frameKind, []byte, error) {
 	_ = rc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	return rc.fr.readFrame()
+	kind, payload, err := rc.fr.Read()
+	return frameKind(kind), payload, err
 }
 
 // An oversized announced length from a client gets an error frame and a

@@ -121,7 +121,7 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 					break
 				}
 				// exclusive lower: skip past every okey extending this key
-				if !o.loInc {
+				if !o.loInc && !isStringKey(k) {
 					k = prefixEnd(k)
 				}
 				if lo == nil || bytesGreater(k, lo) {
@@ -136,7 +136,7 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 					break
 				}
 				// inclusive upper: include every okey extending this key
-				if o.hiInc {
+				if o.hiInc || isStringKey(k) {
 					k = prefixEnd(k)
 				}
 				if k != nil && (hi == nil || bytesGreater(hi, k)) {
@@ -156,6 +156,14 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 	}
 	return ext
 }
+
+// isStringKey reports whether k encodes a string. String keys are
+// unterminated, so the okeys extending k belong to k's own postings and to
+// every longer string that starts with it: an exclusive bound cannot step
+// over (or stop short of) that range without losing rows. Such a bound
+// scans the whole range and Verify drops the rows that only share the
+// prefix — the index narrows, it never decides.
+func isStringKey(k []byte) bool { return k[0] == kindStr }
 
 func bytesGreater(a, b []byte) bool {
 	return string(a) > string(b)

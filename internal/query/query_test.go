@@ -306,6 +306,51 @@ func TestOrderedRangeMatchesScan(t *testing.T) {
 	}
 }
 
+// String keys are unterminated, so the postings of "a" and of every
+// longer string starting with "a" share a key prefix: a string bound can
+// only narrow the scan to that prefix range and Verify must decide the
+// boundary rows (Gt("sym","a") once skipped "ab" and "abc").
+func TestOrderedRangeStringPrefixes(t *testing.T) {
+	e := newEnv(t)
+	defer e.close()
+	tx := e.begin()
+	for _, sym := range []string{"a", "a\x00", "ab", "abc", "b", "ba"} {
+		if _, err := e.reg.New(tx, "STOCK", map[string]any{"sym": sym}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.commit(tx)
+	tx = e.begin()
+	if _, err := e.qm.CreateIndex(tx, "STOCK", "sym", OrderedIndex); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(tx)
+
+	tx = e.begin()
+	defer e.commit(tx)
+	for _, p := range []Pred{
+		Gt("sym", "a"),
+		Ge("sym", "a"),
+		Ge("sym", "ab"),
+		Gt("sym", "ab"),
+		Lt("sym", "ab"),
+		Lt("sym", "a\x00"),
+		Le("sym", "a"),
+		Le("sym", "ab"),
+		Between("sym", "a", "ab"),
+		Between("sym", "ab", "b"),
+		And(Gt("sym", "a"), Lt("sym", "b")),
+	} {
+		e.checkOracle(tx, "STOCK", p)
+	}
+	if got := e.runOIDs(tx, Q{Class: "STOCK", Where: Gt("sym", "a")}); len(got) != 5 {
+		t.Fatalf("Gt(sym, a) returned %v, want 5 rows", got)
+	}
+	if _, ranges, _, _, _ := e.qm.Stats(); ranges == 0 {
+		t.Fatal("no range scans recorded")
+	}
+}
+
 func TestMaintenanceUpdateDeleteAbort(t *testing.T) {
 	e := newEnv(t)
 	defer e.close()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -189,12 +190,12 @@ func (f *Follower) run() {
 // reconnect can fix; progressed reports whether any batch applied (resets
 // backoff).
 func (f *Follower) stream(conn net.Conn) (fatal, progressed bool, err error) {
-	fw := newFrameWriter(conn)
-	fr := newFrameReader(conn)
-	if err := fw.writeFrame(frHello, encodeHello(f.st.LogEnd())); err != nil {
+	fw := frame.NewWriter(conn, maxFrame)
+	fr := frame.NewReader(conn, maxFrame)
+	if err := fw.Send(frHello, encodeHello(f.st.LogEnd())); err != nil {
 		return false, false, err
 	}
-	kind, payload, err := fr.readFrame()
+	kind, payload, err := fr.Read()
 	if err != nil {
 		return false, false, err
 	}
@@ -213,7 +214,7 @@ func (f *Follower) stream(conn net.Conn) (fatal, progressed bool, err error) {
 	f.connected.Store(true)
 	var sinceCkpt uint64
 	for {
-		kind, payload, err := fr.readFrame()
+		kind, payload, err := fr.Read()
 		if err != nil {
 			return false, progressed, err // connection died: reconnect
 		}
@@ -245,7 +246,7 @@ func (f *Follower) stream(conn net.Conn) (fatal, progressed bool, err error) {
 			f.applied.Add(uint64(n))
 			sinceCkpt += uint64(n)
 			progressed = true
-			if err := fw.writeFrame(frAck, encodeAck(f.st.LogFlushed(), f.applied.Load())); err != nil {
+			if err := fw.Send(frAck, encodeAck(f.st.LogFlushed(), f.applied.Load())); err != nil {
 				return false, progressed, err
 			}
 			if sinceCkpt >= checkpointEvery {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -146,11 +147,11 @@ func (s *Server) acceptLoop() {
 // connection dies or the server closes.
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
-	fr := newFrameReader(conn)
-	fw := newFrameWriter(conn)
+	fr := frame.NewReader(conn, maxFrame)
+	fw := frame.NewWriter(conn, maxFrame)
 
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	kind, payload, err := fr.readFrame()
+	kind, payload, err := fr.Read()
 	if err != nil || kind != frHello {
 		return
 	}
@@ -167,18 +168,18 @@ func (s *Server) serve(conn net.Conn) {
 		// diverged (e.g. it followed a promoted ex-follower). Refuse
 		// loudly; continuing would interleave two histories.
 		s.refused.Add(1)
-		_ = fw.writeFrame(frError, encodeError(fmt.Sprintf(
+		_ = fw.Send(frError, encodeError(fmt.Sprintf(
 			"follower at lsn %d is ahead of leader log end %d: diverged, rebuild required", from, end)))
 		return
 	case from < start:
 		// The bytes below the resume offset are pruned; the follower
 		// must rebuild from a fresh copy (no live-resync path yet).
 		s.refused.Add(1)
-		_ = fw.writeFrame(frError, encodeError(fmt.Sprintf(
+		_ = fw.Send(frError, encodeError(fmt.Sprintf(
 			"resync required: follower at lsn %d, leader log starts at %d", from, start)))
 		return
 	}
-	if err := fw.writeFrame(frHelloAck, encodeHelloAck(start, end)); err != nil {
+	if err := fw.Send(frHelloAck, encodeHelloAck(start, end)); err != nil {
 		return
 	}
 
@@ -202,9 +203,9 @@ func (s *Server) serve(conn net.Conn) {
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
-		afr := newFrameReader(conn)
+		afr := frame.NewReader(conn, maxFrame)
 		for {
-			kind, payload, err := afr.readFrame()
+			kind, payload, err := afr.Read()
 			if err != nil || kind != frAck {
 				return
 			}
@@ -219,7 +220,7 @@ func (s *Server) serve(conn net.Conn) {
 
 	cur := s.st.LogCursor(from)
 	defer cur.Close()
-	var frame []byte
+	var ship []byte
 	for {
 		select {
 		case <-s.quit:
@@ -232,7 +233,7 @@ func (s *Server) serve(conn net.Conn) {
 		if err != nil {
 			if errors.Is(err, storage.ErrWALTruncated) {
 				s.refused.Add(1)
-				_ = fw.writeFrame(frError, encodeError(
+				_ = fw.Send(frError, encodeError(
 					"resync required: log pruned below cursor"))
 			}
 			return
@@ -259,8 +260,8 @@ func (s *Server) serve(conn net.Conn) {
 			continue
 		}
 		conn.SetWriteDeadline(time.Now().Add(shipWriteTimeout))
-		frame = encodeData(frame, base, n, data)
-		if err := fw.writeFrame(frData, frame); err != nil {
+		ship = encodeData(ship, base, n, data)
+		if err := fw.Send(frData, ship); err != nil {
 			// Shed: the follower can't drain (or the conn died). Drop it;
 			// it reconnects and resumes from its own durable offset.
 			s.sheds.Add(1)

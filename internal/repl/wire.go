@@ -13,23 +13,18 @@
 package repl
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
-// Wire protocol: length-prefixed binary frames, in the style of the GED
-// bus (internal/ged/wire.go):
-//
-//	u32 payload length (little endian) | u8 kind | payload
-//
-// A torn frame surfaces as an unexpected EOF, an announced length beyond
-// maxFrame is a protocol error before any allocation. The conversation is
-// fixed-shape: follower sends hello{from}, leader answers helloAck{start,
-// end} or error, then data{base, raw WAL bytes} frames flow leader →
-// follower and ack{durable} frames flow back on the same connection.
+// Wire protocol: internal/frame frames (u32 payload length | u8 kind |
+// payload), the same framing the GED bus speaks. A torn frame surfaces as
+// an unexpected EOF, an announced length beyond maxFrame is rejected
+// before any allocation. The conversation is fixed-shape: follower sends
+// hello{from}, leader answers helloAck{start, end} or error, then
+// data{base, raw WAL bytes} frames flow leader → follower and ack{durable}
+// frames flow back on the same connection.
 const protoVersion = 1
 
 const (
@@ -44,14 +39,12 @@ const (
 	maxErrMsg = 4 << 10
 )
 
-type frameKind uint8
-
 const (
-	frHello    frameKind = iota + 1 // follower → leader: proto, resume LSN
-	frHelloAck                      // leader → follower: proto, log start, log end
-	frData                          // leader → follower: base LSN, record count, raw WAL bytes
-	frAck                           // follower → leader: durable LSN, records applied
-	frError                         // leader → follower: refusal message, then close
+	frHello    uint8 = iota + 1 // follower → leader: proto, resume LSN
+	frHelloAck                  // leader → follower: proto, log start, log end
+	frData                      // leader → follower: base LSN, record count, raw WAL bytes
+	frAck                       // follower → leader: durable LSN, records applied
+	frError                     // leader → follower: refusal message, then close
 )
 
 // ErrProtocol reports a malformed or oversized frame; connections close on
@@ -66,71 +59,6 @@ func protoErrf(format string, args ...any) error {
 // not serve this follower from its offset (e.g. the log below it was
 // pruned and a full resync is required).
 var ErrRefused = errors.New("repl: leader refused session")
-
-// frameWriter serializes frames; not safe for concurrent use.
-type frameWriter struct {
-	w   *bufio.Writer
-	hdr [5]byte
-}
-
-func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{w: bufio.NewWriterSize(w, 64<<10)}
-}
-
-func (fw *frameWriter) writeFrame(kind frameKind, payload []byte) error {
-	if len(payload) > maxFrame {
-		return protoErrf("frame payload %d exceeds limit %d", len(payload), maxFrame)
-	}
-	binary.LittleEndian.PutUint32(fw.hdr[:4], uint32(len(payload)))
-	fw.hdr[4] = byte(kind)
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := fw.w.Write(payload); err != nil {
-		return err
-	}
-	return fw.w.Flush()
-}
-
-// frameReader reads frames; the returned payload is valid until the next
-// call (the buffer is reused).
-type frameReader struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 64<<10)}
-}
-
-func (fr *frameReader) readFrame() (frameKind, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
-		return 0, nil, err // clean EOF between frames
-	}
-	if _, err := io.ReadFull(fr.r, hdr[1:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	kind := frameKind(hdr[4])
-	if n > maxFrame {
-		return kind, nil, protoErrf("frame announces %d bytes (limit %d)", n, maxFrame)
-	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return kind, nil, err
-	}
-	return kind, fr.buf, nil
-}
 
 // --- frame payloads ---------------------------------------------------------
 

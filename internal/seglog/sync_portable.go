@@ -1,6 +1,6 @@
 //go:build !linux
 
-package storage
+package seglog
 
 import (
 	"errors"
@@ -13,10 +13,10 @@ func syncFile(f *os.File) error {
 	return f.Sync()
 }
 
-// errNoPrealloc tells the WAL that this platform cannot preallocate; it
-// disables preallocation for the life of the WAL and appends grow the file
+// errNoPrealloc tells the log that this platform cannot preallocate; it
+// disables preallocation for the life of the log and appends grow the file
 // the ordinary way.
-var errNoPrealloc = errors.New("storage: preallocation unsupported")
+var errNoPrealloc = errors.New("seglog: preallocation unsupported")
 
 // allocateFile is unsupported off linux.
 func allocateFile(*os.File, int64, int64) error {

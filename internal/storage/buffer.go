@@ -228,8 +228,10 @@ func (b *BufferPool) Unpin(id PageID, dirty bool) {
 		sh.mu.Unlock()
 		panic(fmt.Sprintf("storage: Unpin of page %d that is not pinned", id))
 	}
-	fr.latch.Unlock()
+	// Set under the latch as well as the shard mutex: flushOne and
+	// DirtyPages read dirty holding only the latch.
 	fr.dirty = fr.dirty || dirty
+	fr.latch.Unlock()
 	fr.pins--
 	if fr.pins == 0 {
 		fr.lruElem = sh.lru.PushBack(id)

@@ -203,7 +203,7 @@ func (s *Store) followerCheckpoint() error {
 	if err := s.wal.Flush(^uint64(0)); err != nil {
 		return err
 	}
-	redo := s.wal.NextLSN()
+	redo := s.wal.End()
 	att := s.collectATT()
 	dpt := s.pool.DirtyPages()
 	for _, rec := range dpt {

@@ -62,7 +62,7 @@ func (s *Store) ReplIngest(base uint64, data []byte) (int, error) {
 			return i, err
 		}
 	}
-	s.replApplied.Store(s.wal.NextLSN())
+	s.replApplied.Store(s.wal.End())
 	return len(recs), nil
 }
 
@@ -467,7 +467,7 @@ func (s *Store) Promote() (PromoteStats, error) {
 		return PromoteStats{}, err
 	}
 	img := &ckptImage{
-		RedoLSN:  s.wal.NextLSN(),
+		RedoLSN:  s.wal.End(),
 		NextTxn:  s.nextTxn.Load(),
 		CommitTS: s.commitTS.Load(),
 	}

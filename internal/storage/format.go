@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/seglog"
 )
 
 // On-disk format versioning. The database file and the WAL are headerless
@@ -78,7 +80,7 @@ func dirHasData(dir string) bool {
 	}
 	if entries, err := os.ReadDir(filepath.Join(dir, "wal")); err == nil {
 		for _, e := range entries {
-			if info, err := e.Info(); err == nil && !e.IsDir() && info.Size() > walHeaderLen {
+			if info, err := e.Info(); err == nil && !e.IsDir() && info.Size() > seglog.SegHeaderLen {
 				return true
 			}
 		}

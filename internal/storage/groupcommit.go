@@ -247,7 +247,7 @@ func (g *groupCommitter) flushBatch(batch []gcWaiter) (crashed bool) {
 				// unknowable state (maybe on disk, maybe lost), so seal the
 				// log before anyone can retry over them, then let every
 				// waiter re-panic the crash where its commit was running.
-				g.wal.seal(c)
+				g.wal.Seal(c)
 				for _, w := range batch {
 					w.ch <- gcResult{crash: c}
 				}
@@ -257,7 +257,7 @@ func (g *groupCommitter) flushBatch(batch []gcWaiter) (crashed bool) {
 		// between "commit records appended" and "batch forced" — every
 		// transaction in the batch must recover all-or-nothing.
 		if err := faults.Check(faults.StoreGroupFlush); err != nil {
-			g.wal.seal(err)
+			g.wal.Seal(err)
 			return fmt.Errorf("storage: group commit flush: %w", err)
 		}
 		return g.wal.Flush(max)

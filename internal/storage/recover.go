@@ -75,11 +75,11 @@ func (s *Store) recover() error {
 	var img *ckptImage
 	if _, raw := s.wal.CheckpointInfo(); len(raw) > 0 {
 		if im, err := decodeCkptImage(raw); err == nil &&
-			im.RedoLSN <= s.wal.NextLSN() && im.RedoLSN >= s.wal.StartLSN() {
+			im.RedoLSN <= s.wal.End() && im.RedoLSN >= s.wal.Start() {
 			img = im
 		}
 	}
-	redoFrom := s.wal.StartLSN()
+	redoFrom := s.wal.Start()
 	var maxTxn, maxTS uint64
 	txns := map[uint64]*txnInfo{}
 	get := func(id uint64) *txnInfo {
@@ -299,7 +299,7 @@ func (s *Store) recover() error {
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
-	stats.LogEndLSN = s.wal.NextLSN()
+	stats.LogEndLSN = s.wal.End()
 	stats.Elapsed = time.Since(start)
 	s.recStats = stats
 	return nil

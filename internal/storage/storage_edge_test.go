@@ -101,7 +101,7 @@ func TestActiveTxnsAndPoolStats(t *testing.T) {
 
 func TestWALScanFromOffset(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(filepath.Join(dir, "x.log"), false)
+	w, err := OpenWAL(filepath.Join(dir, "x.log"), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWALScanFromOffset(t *testing.T) {
 
 func TestWALScanCallbackError(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := OpenWAL(filepath.Join(dir, "x.log"), false)
+	w, _ := OpenWAL(filepath.Join(dir, "x.log"), false, 0)
 	defer w.Close()
 	_, _ = w.Append(&LogRecord{Type: RecBegin, Txn: 1})
 	boom := errors.New("boom")

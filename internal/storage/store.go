@@ -231,7 +231,7 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, err := OpenWALSize(filepath.Join(opts.Dir, "wal"), opts.SyncWAL, opts.WALSegBytes)
+	wal, err := OpenWAL(filepath.Join(opts.Dir, "wal"), opts.SyncWAL, opts.WALSegBytes)
 	if err != nil {
 		disk.Close()
 		return nil, err
@@ -259,13 +259,13 @@ func Open(opts Options) (*Store, error) {
 		s.snaps[i].m = make(map[uint64]int)
 	}
 	s.pool = NewBufferPoolShards(disk, opts.PoolSize, opts.PoolShards, wal.Flush)
-	s.pool.SetLSNSource(wal.NextLSN)
+	s.pool.SetLSNSource(wal.End)
 	if err := s.recover(); err != nil {
 		wal.Close()
 		disk.Close()
 		return nil, err
 	}
-	s.replApplied.Store(wal.NextLSN())
+	s.replApplied.Store(wal.End())
 	if err := s.rebuildFSM(); err != nil {
 		wal.Close()
 		disk.Close()
@@ -1193,7 +1193,7 @@ func (s *Store) ActiveTxns() []uint64 {
 func (s *Store) IsFollower() bool { return s.follower.Load() }
 
 // LogEnd returns the LSN one past the last appended log record.
-func (s *Store) LogEnd() uint64 { return s.wal.NextLSN() }
+func (s *Store) LogEnd() uint64 { return s.wal.End() }
 
 // ReplApplied returns the log position whose effects are fully applied on
 // a follower: the log end as of the last completed ReplIngest batch (or
@@ -1203,10 +1203,10 @@ func (s *Store) LogEnd() uint64 { return s.wal.NextLSN() }
 func (s *Store) ReplApplied() uint64 { return s.replApplied.Load() }
 
 // LogFlushed returns the log's durability watermark.
-func (s *Store) LogFlushed() uint64 { return s.wal.FlushedLSN() }
+func (s *Store) LogFlushed() uint64 { return s.wal.Flushed() }
 
 // LogStart returns the earliest LSN still retained in the log.
-func (s *Store) LogStart() uint64 { return s.wal.StartLSN() }
+func (s *Store) LogStart() uint64 { return s.wal.Start() }
 
 // FlushLog forces the whole log buffer (follower ack path; leaders go
 // through the group committer).
@@ -1285,7 +1285,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		s.wal.Rolls)
 	r.GaugeFunc("sentinel_storage_wal_retained_bytes",
 		"Log bytes retained on disk (active tail plus sealed and archived segments).",
-		func() float64 { return float64(s.wal.NextLSN() - s.wal.StartLSN()) })
+		func() float64 { return float64(s.wal.End() - s.wal.Start()) })
 	r.CounterFunc("sentinel_storage_group_commit_batches_total",
 		"Group-commit forces issued on behalf of at least one waiter.",
 		s.gc.batches.Load)

@@ -124,7 +124,7 @@ func TestBufferPoolUnpinPanics(t *testing.T) {
 
 func TestWALAppendScan(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(filepath.Join(dir, "x.log"), false)
+	w, err := OpenWAL(filepath.Join(dir, "x.log"), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestWALAppendScan(t *testing.T) {
 	}
 
 	// Reopen: nextLSN continues after existing records.
-	w2, err := OpenWAL(filepath.Join(dir, "x.log"), false)
+	w2, err := OpenWAL(filepath.Join(dir, "x.log"), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if w2.NextLSN() == 0 {
+	if w2.End() == 0 {
 		t.Fatal("reopened WAL lost its records")
 	}
 	n := 0
@@ -181,7 +181,7 @@ func TestWALAppendScan(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.log")
-	w, err := OpenWAL(path, false)
+	w, err := OpenWAL(path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	w2, err := OpenWAL(path, false)
+	w2, err := OpenWAL(path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

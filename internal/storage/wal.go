@@ -1,22 +1,16 @@
 package storage
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
+	"repro/internal/seglog"
 )
 
 // RecType identifies the kind of a log record.
@@ -101,379 +95,86 @@ type LogRecord struct {
 	Active []uint64 // checkpoint only: transactions active at checkpoint
 }
 
-// ErrLogCorrupted marks a log entry that failed its checksum; recovery
-// treats it (and everything after) as a torn tail and stops.
-var ErrLogCorrupted = errors.New("storage: log record failed checksum")
+// The log's failure modes are seglog's; the storage names stay so callers
+// (repl, faulttest, the facade) keep matching on them.
+var (
+	// ErrLogCorrupted marks a log entry that failed its checksum; recovery
+	// treats it (and everything after) as a torn tail and stops.
+	ErrLogCorrupted = seglog.ErrCorrupt
+	// ErrWALSealed is returned by Append and Flush after any append, flush,
+	// or fsync failure: the WAL fails fast and stays failed.
+	ErrWALSealed = seglog.ErrSealed
+	// ErrWALTruncated is returned when a reader asks for an offset below the
+	// earliest retained segment — a lagging follower must resync.
+	ErrWALTruncated = seglog.ErrTruncated
+)
 
-// ErrWALSealed is returned by Append and Flush after any append, flush, or
-// fsync failure. A failed write leaves the log in an unknowable state — the
-// in-memory buffer may be partially drained, and after a failed fsync the kernel
-// may have dropped dirty log pages while clearing the error (the
-// "fsyncgate" class of bugs) — so the WAL fails fast and stays failed
-// rather than silently retrying over possibly-lost bytes.
-var ErrWALSealed = errors.New("storage: WAL sealed after write failure")
-
-// ErrWALTruncated is returned when a reader asks for an offset below the
-// earliest retained segment — the log there has been archived away and
-// pruned, so the reader (a lagging replication follower) must resync.
-var ErrWALTruncated = errors.New("storage: WAL truncated below requested offset")
-
-// Segmented log layout. The WAL lives in its own directory: one active
-// segment receiving appends plus zero or more sealed segments, each named
-// by the global LSN of its first record (16 hex digits). LSNs stay global
-// byte offsets — a record at LSN L lives in the segment with the greatest
-// base ≤ L, at file offset walHeaderLen + (L − base) — so segmentation is
-// invisible to everything addressing the log by LSN.
-//
-// Segments roll only between flush batches, and flush batches end on
-// record boundaries, so segments are record-aligned by construction (a
-// segment may exceed the size target by at most one batch). A rolled
-// segment is fdatasynced — even when the WAL itself runs in no-sync mode —
-// before the next segment is created, so only the active segment can ever
-// hold a torn tail. Each sealed segment's payload CRC is accumulated as
-// its batches are written and recorded in the manifest at seal time;
-// archival verifies it before moving the file out of the recovery path.
-//
-// The manifest (MANIFEST, written via temp-file + rename + directory
-// fsync) is the checkpoint master record: it carries the checkpoint's redo
-// LSN and serialized image plus the sealed-segment CRCs. The segment
-// *inventory* is deliberately reconstructed from the directory listing on
-// open — the files themselves are the source of truth for what log exists.
+// The WAL is a seglog (internal/seglog: segment files, record frame, torn
+// tail, roll, archive) whose record payload is a LogRecord and whose
+// offsets are the LSNs. What storage adds is the manifest (MANIFEST,
+// written via temp-file + rename + directory fsync): the checkpoint master
+// record, carrying the checkpoint's redo LSN and serialized image plus the
+// sealed-segment CRCs.
 const (
-	walSegMagic  = "SWALSEG3"
-	walHeaderLen = 8
+	walSegMagic = "SWALSEG3"
+	walSegExt   = ".log"
 	// DefaultWALSegBytes is the segment-roll threshold when the store does
 	// not choose one.
 	DefaultWALSegBytes = 4 << 20
 	walManifestName    = "MANIFEST"
-	walArchiveDir      = "archive"
 )
 
-// walSegment describes one sealed (or archived) segment: records with LSNs
-// in [base, end).
-type walSegment struct {
-	base, end uint64
-	crc       uint32
-	hasCRC    bool
-}
-
-func walSegName(base uint64) string { return fmt.Sprintf("%016x.log", base) }
-
-// WAL is the write-ahead log: an append-only sequence of checksummed
-// records over a directory of segments. Appends are buffered in memory;
-// Flush forces the buffer to the active segment (and optionally the OS
-// cache) so that every record up to a given LSN is durable before the
-// corresponding data page is written (the WAL rule).
-//
-// Two locks split the appender and flusher paths so group commit can
-// pipeline: mu guards the in-memory state (buffer, offsets, seal, segment
-// inventory) and is held only for memcpy-scale work; flushMu serializes
-// the file write, fsync, and segment roll and is held across the I/O. An
-// append never waits on an fsync in progress — it lands in the buffer and
-// is covered by the next force — which is what lets the group-commit
-// flusher build real batches while a force is in flight.
+// WAL is the write-ahead log. Appends are buffered in memory; Flush forces
+// the buffer to the active segment (and optionally the OS cache) so that
+// every record up to a given LSN is durable before the corresponding data
+// page is written (the WAL rule). LSNs are the log's byte offsets: End is
+// the LSN the next record will receive, Flushed the durability watermark
+// (replication ships only below it, so shipped bytes are always intact
+// frames) and Start the earliest LSN still retained, archive included.
 type WAL struct {
-	dir      string
-	segBytes int64
-
-	mu       sync.Mutex
-	buf      []byte // appended records not yet handed to the OS
-	spare    []byte // recycled flush buffer
-	nextLSN  uint64 // offset where the next record will be written
-	flushed  uint64 // all records below this offset are durable (per syncMode)
-	syncMode bool   // fsync on every Flush
-	sealErr  error  // first write failure; non-nil seals the WAL (fail-fast)
-	sealed   []walSegment
-	archived []walSegment
-	actBase  uint64 // base LSN of the active segment
-
-	flushMu    sync.Mutex // serializes file write + fsync + roll; never held under mu
-	f          *os.File   // active segment
-	actCRC     uint32     // running CRC of the active segment's flushed payload
-	allocated  int64      // active-file bytes reserved ahead of the append point (flushMu)
-	noPrealloc bool       // preallocation failed once; don't retry (flushMu)
+	*seglog.Log
+	dir string
 
 	manMu     sync.Mutex // guards the checkpoint fields and manifest writes
 	ckptLSN   uint64
 	ckptImage []byte
-	crcs      map[uint64]uint32 // sealed-segment CRCs from the manifest (open only)
-
-	// Always-on activity counters, readable without the mutex.
-	appends     atomic.Uint64 // records appended
-	appendBytes atomic.Uint64 // bytes appended (framing included)
-	flushes     atomic.Uint64 // Flush calls that did buffer work
-	fsyncs      atomic.Uint64 // fsyncs issued (sync mode only)
-	rolls       atomic.Uint64 // segment rolls
 }
 
-// Stats returns the WAL's activity counters: records appended, bytes
-// appended, buffer flushes performed, and fsyncs issued.
-func (w *WAL) Stats() (appends, appendBytes, flushes, fsyncs uint64) {
-	return w.appends.Load(), w.appendBytes.Load(), w.flushes.Load(), w.fsyncs.Load()
-}
-
-// Rolls returns how many segment rolls the WAL has performed since open.
-func (w *WAL) Rolls() uint64 { return w.rolls.Load() }
-
-// syncDir fsyncs a directory so a just-created (or renamed) entry in it
-// survives a crash. A file's contents being durable is worthless if the
-// directory entry pointing at it is not.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
-
-// createSegment creates (exclusively) a new segment file, writes its
-// header, fsyncs the file, and fsyncs the directory so the entry is
-// durable before any record lands in it.
-func createSegment(dir string, base uint64) (*os.File, error) {
-	path := filepath.Join(dir, walSegName(base))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create log segment: %w", err)
-	}
-	if _, err := f.WriteAt([]byte(walSegMagic), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: write segment header: %w", err)
-	}
-	if err := syncFile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: sync new segment: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: sync log directory: %w", err)
-	}
-	return f, nil
-}
-
-// OpenWAL opens (creating if necessary) the segmented log in directory dir
-// with the default segment size. When sync is true every Flush also
-// fsyncs, giving real durability; tests typically pass false.
-func OpenWAL(dir string, sync bool) (*WAL, error) {
-	return OpenWALSize(dir, sync, DefaultWALSegBytes)
-}
-
-// OpenWALSize opens the segmented log with an explicit segment-roll
-// threshold (bytes of payload per segment before the next flush rolls).
-func OpenWALSize(dir string, sync bool, segBytes int64) (*WAL, error) {
+// OpenWAL opens (creating if necessary) the segmented log in directory
+// dir. When sync is true every Flush also fsyncs, giving real durability;
+// tests typically pass false. segBytes is the segment-roll threshold
+// (payload bytes per segment before the next flush rolls; 0 = default).
+func OpenWAL(dir string, sync bool, segBytes int64) (*WAL, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultWALSegBytes
 	}
-	created := false
-	if _, err := os.Stat(dir); os.IsNotExist(err) {
-		created = true
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: create log directory: %w", err)
-	}
-	if created {
-		// Durability bugfix: the store directory must know about its new
-		// wal/ entry before anything inside it is trusted.
-		if err := syncDir(filepath.Dir(dir)); err != nil {
-			return nil, fmt.Errorf("storage: sync store directory: %w", err)
-		}
-	}
-	w := &WAL{dir: dir, segBytes: segBytes, syncMode: sync}
-	if err := w.loadManifest(); err != nil {
-		return nil, err
-	}
-	crcs := w.manifestCRCs()
-	bases, err := listSegments(dir)
+	w := &WAL{dir: dir}
+	crcs, err := w.loadManifest()
 	if err != nil {
 		return nil, err
 	}
-	if len(bases) == 0 {
-		f, err := createSegment(dir, 0)
-		if err != nil {
-			return nil, err
-		}
-		w.f = f
-		w.allocated = walHeaderLen
-		return w, nil
-	}
-	arBases, err := listSegments(filepath.Join(dir, walArchiveDir))
-	if err != nil && !os.IsNotExist(err) {
+	w.Log, err = seglog.Open(seglog.Config{
+		Dir: dir, Magic: walSegMagic, Ext: walSegExt, SegBytes: segBytes, Sync: sync,
+		Faults:   seglog.Faults{Append: faults.WALAppend, Flush: faults.WALFlush, Fsync: faults.WALFsync},
+		CRCs:     crcs,
+		OnChange: w.writeManifest,
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, base := range arBases {
-		st, err := os.Stat(filepath.Join(dir, walArchiveDir, walSegName(base)))
-		if err != nil {
-			return nil, fmt.Errorf("storage: stat archived segment: %w", err)
-		}
-		seg := walSegment{base: base, end: base + uint64(st.Size()-walHeaderLen)}
-		seg.crc, seg.hasCRC = crcs[base]
-		w.archived = append(w.archived, seg)
-	}
-	// All but the highest-based segment are sealed: contiguous, synced at
-	// seal time, trusted by size. The last one is the active segment and
-	// the only place a torn tail can live.
-	for i, base := range bases[:len(bases)-1] {
-		st, err := os.Stat(filepath.Join(dir, walSegName(base)))
-		if err != nil {
-			return nil, fmt.Errorf("storage: stat log segment: %w", err)
-		}
-		if st.Size() < walHeaderLen {
-			return nil, fmt.Errorf("%w: sealed segment %s shorter than its header", ErrLogCorrupted, walSegName(base))
-		}
-		seg := walSegment{base: base, end: base + uint64(st.Size()-walHeaderLen)}
-		seg.crc, seg.hasCRC = crcs[base]
-		if seg.end != bases[i+1] {
-			return nil, fmt.Errorf("%w: segment %s ends at %d but next segment starts at %d",
-				ErrLogCorrupted, walSegName(base), seg.end, bases[i+1])
-		}
-		w.sealed = append(w.sealed, seg)
-	}
-	actBase := bases[len(bases)-1]
-	f, err := os.OpenFile(filepath.Join(dir, walSegName(actBase)), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open log segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat log: %w", err)
-	}
-	if st.Size() < walHeaderLen {
-		// A crash between creating the segment and syncing its header can
-		// leave a short file; the segment is logically empty. Repair it.
-		if err := f.Truncate(0); err == nil {
-			_, err = f.WriteAt([]byte(walSegMagic), 0)
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: repair log segment header: %w", err)
-		}
-	} else {
-		var magic [walHeaderLen]byte
-		if _, err := f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != walSegMagic {
-			f.Close()
-			return nil, fmt.Errorf("%w: segment %s has a bad header", ErrLogCorrupted, walSegName(actBase))
-		}
-	}
-	valid, crc, err := scanSegEnd(f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Drop any torn tail so new records append after the last good one.
-	if err := f.Truncate(walHeaderLen + valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: truncate torn log tail: %w", err)
-	}
-	end := actBase + uint64(valid)
-	w.f = f
-	w.actBase = actBase
-	w.actCRC = crc
-	w.allocated = walHeaderLen + valid
-	w.nextLSN = end
-	w.flushed = end
 	return w, nil
 }
 
-// listSegments returns the segment base LSNs in dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var bases []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".log") || len(name) != 16+4 {
-			continue
-		}
-		base, err := strconv.ParseUint(name[:16], 16, 64)
-		if err != nil {
-			continue
-		}
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	return bases, nil
-}
-
-// preallocChunk is how far ahead of the append point the WAL reserves file
-// space. Within a reserved region an append changes neither the file size
-// nor the extent tree, so the per-batch fdatasync commits data only — no
-// journal transaction — which is a large fraction of the force cost on a
-// journaling filesystem.
-const preallocChunk = 1 << 22 // 4 MiB
-
-// preallocate ensures the active file has reserved space through upTo
-// (a file offset), growing in preallocChunk steps. Reservation is purely
-// an optimization: recovery treats the zero-filled tail beyond the last
-// intact record as torn (a zero length/CRC header fails record parsing),
-// so a failure here just disables preallocation rather than failing the
-// flush. Caller holds flushMu.
-func (w *WAL) preallocate(upTo int64) {
-	if w.noPrealloc || upTo <= w.allocated {
-		return
-	}
-	n := ((upTo-w.allocated)/preallocChunk + 1) * preallocChunk
-	if err := allocateFile(w.f, w.allocated, n); err != nil {
-		w.noPrealloc = true // e.g. filesystem without fallocate support
-		return
-	}
-	w.allocated += n
-}
-
-// scanSegEnd walks a segment validating checksums and returns the payload
-// length up to the last intact record plus the CRC over that region.
-func scanSegEnd(f *os.File, size int64) (int64, uint32, error) {
-	if size < walHeaderLen {
-		return 0, 0, nil
-	}
-	r := bufio.NewReaderSize(io.NewSectionReader(f, walHeaderLen, size-walHeaderLen), 1<<16)
-	off := int64(0)
-	for {
-		_, n, err := readRecord(r, uint64(off))
-		if err != nil {
-			break // torn or truncated tail: stop at last good record
-		}
-		off += n
-	}
-	crc := uint32(0)
-	if off > 0 {
-		cr := io.NewSectionReader(f, walHeaderLen, off)
-		h := crc32.NewIEEE()
-		if _, err := io.Copy(h, cr); err != nil {
-			return 0, 0, fmt.Errorf("storage: checksum log segment: %w", err)
-		}
-		crc = h.Sum32()
-	}
-	return off, crc, nil
-}
-
 // Append adds rec to the log and returns its LSN. The record is buffered;
-// call Flush to make it durable. The frame is marshalled before the mutex
-// is taken, so concurrent appenders only serialize on the buffer write
-// itself.
+// call Flush to make it durable. The frame is marshalled before the log's
+// mutex is taken, so concurrent appenders only serialize on the buffer
+// write itself.
 func (w *WAL) Append(rec *LogRecord) (uint64, error) {
-	frame := marshalRecord(rec)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealErr != nil {
-		return 0, fmt.Errorf("%w: %w", ErrWALSealed, w.sealErr)
+	lsn, err := w.Log.Append(marshalRecord(rec), 1)
+	if err != nil {
+		return 0, err
 	}
-	if err := faults.Check(faults.WALAppend); err != nil {
-		w.sealErr = err
-		return 0, fmt.Errorf("storage: append log record: %w", err)
-	}
-	lsn := w.nextLSN
 	rec.LSN = lsn
-	w.buf = append(w.buf, frame...)
-	w.nextLSN += uint64(len(frame))
-	w.appends.Add(1)
-	w.appendBytes.Add(uint64(len(frame)))
 	return lsn, nil
 }
 
@@ -483,467 +184,47 @@ func (w *WAL) Append(rec *LogRecord) (uint64, error) {
 // are its own (rolls happen at its flush boundaries), but the LSNs and
 // frame bytes are identical to the leader's.
 func (w *WAL) IngestRaw(base uint64, data []byte, nrecs int) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealErr != nil {
-		return fmt.Errorf("%w: %w", ErrWALSealed, w.sealErr)
-	}
-	if base != w.nextLSN {
-		return fmt.Errorf("storage: ingest at lsn %d but log ends at %d", base, w.nextLSN)
-	}
-	w.buf = append(w.buf, data...)
-	w.nextLSN += uint64(len(data))
-	w.appends.Add(uint64(nrecs))
-	w.appendBytes.Add(uint64(len(data)))
-	return nil
-}
-
-// Flush forces every appended record with LSN < upTo (use ^uint64(0) for
-// "everything") out of the buffer, fsyncing when the WAL was opened in sync
-// mode. The buffer is detached under mu and written under flushMu only, so
-// concurrent appenders keep appending while the force — fsync included —
-// is in flight. When the active segment has reached the size target the
-// flush seals it and rolls to a new one first; batches never split across
-// segments, so every segment ends on a record boundary.
-func (w *WAL) Flush(upTo uint64) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	if w.sealErr != nil {
-		err := w.sealErr
-		w.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrWALSealed, err)
-	}
-	// Re-checked after taking flushMu: a force we queued behind may have
-	// already covered us.
-	if upTo != ^uint64(0) && upTo <= w.flushed {
-		w.mu.Unlock()
-		return nil
-	}
-	buf := w.buf
-	w.buf = w.spare[:0]
-	w.spare = nil
-	target := w.nextLSN
-	base := w.actBase
-	durable := w.flushed
-	w.mu.Unlock()
-
-	err := faults.Check(faults.WALFlush)
-	if err == nil && len(buf) > 0 {
-		if int64(durable-base) >= w.segBytes {
-			if rerr := w.roll(durable); rerr != nil {
-				w.seal(rerr)
-				return fmt.Errorf("storage: roll log segment: %w", rerr)
-			}
-			base = durable
-		}
-		w.preallocate(walHeaderLen + int64(target-base))
-		_, err = w.f.WriteAt(buf, walHeaderLen+int64(durable-base))
-	}
-	if err != nil {
-		// The file may hold a torn frame now; seal so no later record can
-		// be appended after it. The detached buffer is dropped — its bytes
-		// are exactly the tail recovery will treat as lost.
-		w.seal(err)
-		return fmt.Errorf("storage: flush log: %w", err)
-	}
-	if len(buf) > 0 {
-		w.actCRC = crc32.Update(w.actCRC, crc32.IEEETable, buf)
-	}
-	w.flushes.Add(1)
-	if w.syncMode {
-		err := faults.Check(faults.WALFsync)
-		if err == nil {
-			err = syncFile(w.f)
-		}
-		if err != nil {
-			// Sticky-fatal: after a failed fsync the kernel may have
-			// dropped the dirty pages and cleared the error, so a retry
-			// would "succeed" without the data ever reaching disk.
-			w.seal(err)
-			return fmt.Errorf("storage: sync log: %w", err)
-		}
-		w.fsyncs.Add(1)
-	}
-	w.mu.Lock()
-	// Advance the durability watermark only after the flush — and, in sync
-	// mode, the fsync — actually succeeded. Advancing it earlier would let
-	// a failed fsync leave callers believing their records are durable.
-	w.flushed = target
-	if w.spare == nil {
-		w.spare = buf[:0] // recycle the drained buffer for the next force
-	}
-	w.mu.Unlock()
-	return nil
-}
-
-// roll seals the active segment at end and starts a new one based there.
-// Caller holds flushMu. The sealed file is truncated to its logical size,
-// fdatasynced regardless of sync mode (only the active segment may ever be
-// torn), and its accumulated CRC is recorded in the manifest.
-func (w *WAL) roll(end uint64) error {
-	w.mu.Lock()
-	base := w.actBase
-	w.mu.Unlock()
-	logical := walHeaderLen + int64(end-base)
-	if w.allocated > logical {
-		if err := w.f.Truncate(logical); err != nil {
-			return err
-		}
-	}
-	if err := syncFile(w.f); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	sealed := walSegment{base: base, end: end, crc: w.actCRC, hasCRC: true}
-	f, err := createSegment(w.dir, end)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	w.allocated = walHeaderLen
-	w.actCRC = 0
-	w.mu.Lock()
-	w.sealed = append(w.sealed, sealed)
-	w.actBase = end
-	w.mu.Unlock()
-	w.rolls.Add(1)
-	return w.writeManifest()
-}
-
-// Durable reports whether every record below upTo is already flushed (and
-// fsynced when the WAL is in sync mode). A sealed WAL reports its sealing
-// error. The group committer uses this as its fast path: a waiter whose
-// records were covered by a previous batch never queues at all.
-func (w *WAL) Durable(upTo uint64) (bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealErr != nil {
-		return false, fmt.Errorf("%w: %w", ErrWALSealed, w.sealErr)
-	}
-	return upTo <= w.flushed, nil
-}
-
-// seal records err as the WAL's sealing failure if it is not already
-// sealed. The group-commit flusher uses it when an injected crash kills a
-// flush mid-batch: the "process" died with the buffer state unknowable, so
-// nothing may append or flush afterwards.
-func (w *WAL) seal(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealErr == nil {
-		w.sealErr = err
-	}
-}
-
-// NextLSN returns the LSN the next record will receive.
-func (w *WAL) NextLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextLSN
-}
-
-// FlushedLSN returns the durability watermark: every record below it has
-// been handed to the OS (and fsynced in sync mode). Replication ships only
-// flushed bytes — the seal-before-advance discipline in Flush means a torn
-// frame can never sit below this watermark, so shipped bytes are always
-// intact frames.
-func (w *WAL) FlushedLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushed
-}
-
-// StartLSN returns the earliest LSN still retained (archive included).
-func (w *WAL) StartLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.archived) > 0 {
-		return w.archived[0].base
-	}
-	if len(w.sealed) > 0 {
-		return w.sealed[0].base
-	}
-	return w.actBase
-}
-
-// SegmentCounts reports the sealed and archived segment counts (tests).
-func (w *WAL) SegmentCounts() (sealed, archived int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sealed), len(w.archived)
-}
-
-// Close flushes and closes the log file. The file is closed even when the
-// final flush fails (or the WAL is sealed); the first error wins.
-func (w *WAL) Close() error {
-	flushErr := w.Flush(^uint64(0))
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	logical := walHeaderLen + int64(w.flushed-w.actBase)
-	if flushErr == nil && w.allocated > logical {
-		// Drop the preallocated tail so a cleanly closed log ends at its
-		// last record. Best-effort: recovery treats a zero tail as torn.
-		_ = w.f.Truncate(logical)
-		w.allocated = logical
-	}
-	if err := w.f.Close(); err != nil && flushErr == nil {
-		return err
-	}
-	return flushErr
-}
-
-// Sealed returns the error that sealed the WAL, or nil if it is healthy.
-func (w *WAL) Sealed() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sealErr
-}
-
-// segmentFor locates the segment holding lsn. For the active segment, end
-// is the current flushed watermark. ok is false when lsn is at or past the
-// flushed end of the log.
-func (w *WAL) segmentFor(lsn uint64) (seg walSegment, active, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if lsn >= w.actBase {
-		if lsn >= w.flushed {
-			return walSegment{}, false, false
-		}
-		return walSegment{base: w.actBase, end: w.flushed}, true, true
-	}
-	for _, s := range w.sealed {
-		if lsn >= s.base && lsn < s.end {
-			return s, false, true
-		}
-	}
-	for _, s := range w.archived {
-		if lsn >= s.base && lsn < s.end {
-			return s, false, true
-		}
-	}
-	return walSegment{}, false, false
-}
-
-// openSegment opens the file for a segment, looking in the main directory
-// first and the archive second (a concurrent checkpoint may move it).
-func (w *WAL) openSegment(base uint64) (*os.File, error) {
-	f, err := os.Open(filepath.Join(w.dir, walSegName(base)))
-	if os.IsNotExist(err) {
-		f, err = os.Open(filepath.Join(w.dir, walArchiveDir, walSegName(base)))
-	}
-	return f, err
+	return w.Log.AppendAt(base, data, nrecs)
 }
 
 // Scan replays the log from the given LSN, calling fn for every intact
-// record in order, walking segments as needed. Scanning stops at the end
-// of the flushed log; a torn record can only exist in the active segment's
-// unflushed region, which is never read.
+// record in order.
 func (w *WAL) Scan(from uint64, fn func(*LogRecord) error) error {
-	if err := w.Flush(^uint64(0)); err != nil {
-		return err
-	}
-	if start := w.StartLSN(); from < start {
-		return fmt.Errorf("%w: scan from %d, log starts at %d", ErrWALTruncated, from, start)
-	}
-	for {
-		seg, active, ok := w.segmentFor(from)
-		if !ok {
-			return nil
-		}
-		f, err := w.openSegment(seg.base)
-		if err != nil {
-			return fmt.Errorf("storage: open log segment: %w", err)
-		}
-		err = scanSegment(f, seg, from, fn)
-		f.Close()
-		if err != nil {
-			if errors.Is(err, ErrLogCorrupted) && active {
-				return nil // torn tail (out-of-band damage): stop at last good record
-			}
-			return err
-		}
-		from = seg.end
-	}
-}
-
-func scanSegment(f *os.File, seg walSegment, from uint64, fn func(*LogRecord) error) error {
-	r := bufio.NewReaderSize(io.NewSectionReader(f,
-		walHeaderLen+int64(from-seg.base), int64(seg.end-from)), 1<<16)
-	off := from
-	for off < seg.end {
-		rec, n, err := readRecord(r, off)
-		if err == io.EOF {
-			return nil
-		}
+	return w.Log.Scan(from, func(lsn uint64, payload []byte) error {
+		rec, err := unmarshalRecord(payload, lsn)
 		if err != nil {
 			return err
 		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		off += uint64(n)
-	}
-	return nil
+		return fn(rec)
+	})
 }
 
 // DecodeFrames parses a contiguous run of record frames starting at global
 // offset base, validating every checksum. Followers use it to validate a
 // shipped batch before ingesting it; any damage rejects the whole batch.
 func DecodeFrames(base uint64, data []byte) ([]*LogRecord, error) {
-	r := bytes.NewReader(data)
 	var recs []*LogRecord
-	off := base
-	for r.Len() > 0 {
-		rec, n, err := readRecord(r, off)
+	for off := 0; off < len(data); {
+		payload, n, err := seglog.NextFrame(data[off:])
+		if err == nil && n == 0 {
+			err = ErrLogCorrupted // partial trailing frame
+		}
 		if err != nil {
-			if err == io.EOF {
-				err = ErrLogCorrupted // partial trailing frame
-			}
+			return nil, err
+		}
+		rec, err := unmarshalRecord(payload, base+uint64(off))
+		if err != nil {
 			return nil, err
 		}
 		recs = append(recs, rec)
-		off += uint64(n)
+		off += n
 	}
 	return recs, nil
 }
 
-// ---------------------------------------------------------------------------
-// Shipping cursor
-// ---------------------------------------------------------------------------
-
 // LogCursor reads raw, record-aligned byte batches from the flushed log —
-// the leader side of WAL shipping. It follows segment hand-offs (archive
-// included) and never reads past the flushed watermark, so every byte it
-// returns is a durable, intact frame.
-type LogCursor struct {
-	w       *WAL
-	pos     uint64
-	f       *os.File
-	segBase uint64
-	open    bool
-}
-
-// NewCursor returns a cursor positioned at LSN from.
-func (w *WAL) NewCursor(from uint64) *LogCursor {
-	return &LogCursor{w: w, pos: from}
-}
-
-// Pos returns the cursor's current LSN.
-func (c *LogCursor) Pos() uint64 { return c.pos }
-
-// Close releases the cursor's file handle.
-func (c *LogCursor) Close() {
-	if c.open {
-		c.f.Close()
-		c.open = false
-	}
-}
-
-// ReadBatch returns up to maxBytes of whole record frames starting at the
-// cursor position, advancing the cursor. n is the number of complete
-// records in data; n == 0 with a nil error means the cursor is caught up
-// with the flushed log. A batch never spans segments. ErrWALTruncated
-// means the log below the cursor has been pruned (the reader must resync).
-func (c *LogCursor) ReadBatch(maxBytes int) (base uint64, data []byte, n int, err error) {
-	limit := c.w.FlushedLSN()
-	if c.pos >= limit {
-		return c.pos, nil, 0, nil
-	}
-	if start := c.w.StartLSN(); c.pos < start {
-		return c.pos, nil, 0, fmt.Errorf("%w: cursor at %d, log starts at %d", ErrWALTruncated, c.pos, start)
-	}
-	seg, _, ok := c.w.segmentFor(c.pos)
-	if !ok {
-		return c.pos, nil, 0, fmt.Errorf("storage: no segment covers lsn %d", c.pos)
-	}
-	if !c.open || c.segBase != seg.base {
-		c.Close()
-		f, err := c.w.openSegment(seg.base)
-		if os.IsNotExist(err) {
-			// Archived (or pruned) between locate and open; retry once.
-			if seg, _, ok = c.w.segmentFor(c.pos); ok {
-				f, err = c.w.openSegment(seg.base)
-			}
-		}
-		if err != nil {
-			return c.pos, nil, 0, fmt.Errorf("storage: open log segment: %w", err)
-		}
-		c.f, c.segBase, c.open = f, seg.base, true
-	}
-	readEnd := seg.end
-	if limit < readEnd {
-		readEnd = limit
-	}
-	avail := int64(readEnd - c.pos)
-	want := int64(maxBytes)
-	if want > avail {
-		want = avail
-	}
-	buf := make([]byte, want)
-	if _, err := io.ReadFull(io.NewSectionReader(c.f, walHeaderLen+int64(c.pos-seg.base), avail), buf); err != nil {
-		return c.pos, nil, 0, fmt.Errorf("storage: read log segment: %w", err)
-	}
-	off, count, err := alignFrames(buf)
-	if err != nil {
-		return c.pos, nil, 0, err
-	}
-	if count == 0 {
-		// A single record larger than maxBytes: read exactly that record.
-		if avail < 8 {
-			return c.pos, nil, 0, ErrLogCorrupted
-		}
-		var hdr [8]byte
-		if _, err := c.f.ReadAt(hdr[:], walHeaderLen+int64(c.pos-seg.base)); err != nil {
-			return c.pos, nil, 0, err
-		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[:4]))
-		if plen > 1<<24 || 8+plen > avail {
-			return c.pos, nil, 0, ErrLogCorrupted
-		}
-		buf = make([]byte, 8+plen)
-		if _, err := c.f.ReadAt(buf, walHeaderLen+int64(c.pos-seg.base)); err != nil {
-			return c.pos, nil, 0, err
-		}
-		if off, count, err = alignFrames(buf); err != nil {
-			return c.pos, nil, 0, err
-		}
-		if count == 0 {
-			return c.pos, nil, 0, ErrLogCorrupted
-		}
-	}
-	base = c.pos
-	c.pos += uint64(off)
-	return base, buf[:off], count, nil
-}
-
-// alignFrames walks whole frames in buf, verifying each checksum, and
-// returns the byte length of the complete-frame prefix plus the frame
-// count. Everything a cursor reads is below the flushed watermark, so a
-// checksum failure here is real damage (bit rot, out-of-band truncation),
-// not a torn tail — it is an error, not a stop.
-func alignFrames(buf []byte) (int, int, error) {
-	off, count := 0, 0
-	for off+8 <= len(buf) {
-		plen := int(binary.LittleEndian.Uint32(buf[off:]))
-		if plen > 1<<24 {
-			return off, count, ErrLogCorrupted
-		}
-		if off+8+plen > len(buf) {
-			break
-		}
-		if crc32.ChecksumIEEE(buf[off+8:off+8+plen]) != binary.LittleEndian.Uint32(buf[off+4:]) {
-			return off, count, ErrLogCorrupted
-		}
-		off += 8 + plen
-		count++
-	}
-	return off, count, nil
-}
+// the leader side of WAL shipping.
+type LogCursor = seglog.Cursor
 
 // ---------------------------------------------------------------------------
 // Manifest, checkpoint record, archive
@@ -968,107 +249,6 @@ func (w *WAL) CheckpointInfo() (uint64, []byte) {
 	return w.ckptLSN, append([]byte(nil), w.ckptImage...)
 }
 
-// manifestCRCs is only used during open, before concurrency starts.
-func (w *WAL) manifestCRCs() map[uint64]uint32 {
-	return w.crcs
-}
-
-// Archive moves every sealed segment fully below upTo into the archive
-// directory, verifying its recorded CRC first — a segment leaves the
-// recovery path only after proving it is intact. Archived segments stay
-// readable to shipping cursors (lagging followers) until pruned.
-func (w *WAL) Archive(upTo uint64) (int, error) {
-	w.mu.Lock()
-	var move []walSegment
-	for _, s := range w.sealed {
-		if s.end <= upTo {
-			move = append(move, s)
-		}
-	}
-	w.mu.Unlock()
-	if len(move) == 0 {
-		return 0, nil
-	}
-	adir := filepath.Join(w.dir, walArchiveDir)
-	if err := os.MkdirAll(adir, 0o755); err != nil {
-		return 0, fmt.Errorf("storage: create archive directory: %w", err)
-	}
-	moved := 0
-	for _, s := range move {
-		if s.hasCRC {
-			if err := verifySegmentCRC(filepath.Join(w.dir, walSegName(s.base)), s.crc); err != nil {
-				return moved, err
-			}
-		}
-		if err := os.Rename(filepath.Join(w.dir, walSegName(s.base)), filepath.Join(adir, walSegName(s.base))); err != nil {
-			return moved, fmt.Errorf("storage: archive segment: %w", err)
-		}
-		w.mu.Lock()
-		w.sealed = w.sealed[1:]
-		w.archived = append(w.archived, s)
-		w.mu.Unlock()
-		moved++
-	}
-	if err := syncDir(adir); err != nil {
-		return moved, err
-	}
-	if err := syncDir(w.dir); err != nil {
-		return moved, err
-	}
-	return moved, w.writeManifest()
-}
-
-// Prune deletes archived segments fully below floor — the minimum LSN any
-// lagging follower still needs (pass ^uint64(0) when nothing lags).
-func (w *WAL) Prune(floor uint64) (int, error) {
-	w.mu.Lock()
-	var drop []walSegment
-	for _, s := range w.archived {
-		if s.end <= floor {
-			drop = append(drop, s)
-		}
-	}
-	w.mu.Unlock()
-	if len(drop) == 0 {
-		return 0, nil
-	}
-	adir := filepath.Join(w.dir, walArchiveDir)
-	removed := 0
-	for _, s := range drop {
-		if err := os.Remove(filepath.Join(adir, walSegName(s.base))); err != nil && !os.IsNotExist(err) {
-			return removed, fmt.Errorf("storage: prune archived segment: %w", err)
-		}
-		w.mu.Lock()
-		w.archived = w.archived[1:]
-		w.mu.Unlock()
-		removed++
-	}
-	if err := syncDir(adir); err != nil {
-		return removed, err
-	}
-	return removed, w.writeManifest()
-}
-
-func verifySegmentCRC(path string, want uint32) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, io.NewSectionReader(f, walHeaderLen, st.Size()-walHeaderLen)); err != nil {
-		return err
-	}
-	if h.Sum32() != want {
-		return fmt.Errorf("%w: segment %s CRC mismatch", ErrLogCorrupted, filepath.Base(path))
-	}
-	return nil
-}
-
 // Manifest text format (one file per WAL directory, temp+rename updated):
 //
 //	sentinel-wal v1
@@ -1087,51 +267,29 @@ func (w *WAL) writeManifest() error {
 		img = fmt.Sprintf("%x", w.ckptImage)
 	}
 	fmt.Fprintf(&sb, "checkpoint %d %s\n", w.ckptLSN, img)
-	w.mu.Lock()
-	for _, s := range w.archived {
-		if s.hasCRC {
-			fmt.Fprintf(&sb, "segment %016x %08x\n", s.base, s.crc)
+	archived, sealed := w.Segments()
+	for _, s := range append(archived, sealed...) {
+		if s.HasCRC {
+			fmt.Fprintf(&sb, "segment %016x %08x\n", s.Base, s.CRC)
 		}
 	}
-	for _, s := range w.sealed {
-		if s.hasCRC {
-			fmt.Fprintf(&sb, "segment %016x %08x\n", s.base, s.crc)
-		}
-	}
-	w.mu.Unlock()
-	tmp := filepath.Join(w.dir, walManifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := seglog.WriteFileAtomic(filepath.Join(w.dir, walManifestName), []byte(sb.String())); err != nil {
 		return fmt.Errorf("storage: write manifest: %w", err)
 	}
-	if _, err := f.WriteString(sb.String()); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: write manifest: %w", err)
-	}
-	if err := syncFile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: sync manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: close manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, walManifestName)); err != nil {
-		return fmt.Errorf("storage: install manifest: %w", err)
-	}
-	return syncDir(w.dir)
+	return nil
 }
 
-// loadManifest reads the manifest at open (missing file = fresh log).
-func (w *WAL) loadManifest() error {
+// loadManifest reads the manifest at open (missing file = fresh log) and
+// returns the sealed-segment CRCs it records.
+func (w *WAL) loadManifest() (crcs map[uint64]uint32, err error) {
 	raw, err := os.ReadFile(filepath.Join(w.dir, walManifestName))
 	if os.IsNotExist(err) {
-		w.crcs = map[uint64]uint32{}
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("storage: read manifest: %w", err)
+		return nil, fmt.Errorf("storage: read manifest: %w", err)
 	}
-	w.crcs = map[uint64]uint32{}
+	crcs = map[uint64]uint32{}
 	for _, line := range strings.Split(string(raw), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) == 0 {
@@ -1160,18 +318,18 @@ func (w *WAL) loadManifest() error {
 			base, err1 := strconv.ParseUint(fields[1], 16, 64)
 			crc, err2 := strconv.ParseUint(fields[2], 16, 32)
 			if err1 == nil && err2 == nil {
-				w.crcs[base] = uint32(crc)
+				crcs[base] = uint32(crc)
 			}
 		}
 	}
-	return nil
+	return crcs, nil
 }
 
 // On-disk record framing (format v3 — the generation is recorded in the
 // data directory's marker file, see format.go; segments carry an 8-byte
 // magic header and LSNs remain global log offsets):
 //
-//	u32 payloadLen | u32 crc32(payload) | payload
+//	seglog frame (u32 payloadLen | u32 crc32(payload)) | payload
 //
 // payload:
 //
@@ -1183,7 +341,7 @@ func (w *WAL) loadManifest() error {
 // LSN is an offset assigned at append time and is not part of the frame,
 // so marshalling can happen outside the WAL mutex.
 func marshalRecord(rec *LogRecord) []byte {
-	payload := make([]byte, 8, 8+32+len(rec.Before)+len(rec.After)+8*len(rec.Active))
+	payload := make([]byte, seglog.FrameHeaderLen, seglog.FrameHeaderLen+32+len(rec.Before)+len(rec.After)+8*len(rec.Active))
 	payload = append(payload, byte(rec.Type))
 	if rec.CLR {
 		payload = append(payload, 1)
@@ -1204,110 +362,47 @@ func marshalRecord(rec *LogRecord) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, t)
 	}
 
-	body := payload[8:]
-	binary.LittleEndian.PutUint32(payload[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(payload[4:], crc32.ChecksumIEEE(body))
+	seglog.EndFrame(payload, 0)
 	return payload
 }
 
-func readRecord(r io.Reader, lsn uint64) (*LogRecord, int64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, 0, io.EOF
+// unmarshalRecord decodes one frame payload; lsn is the frame's offset.
+func unmarshalRecord(p []byte, lsn uint64) (*LogRecord, error) {
+	const fixed = 1 + 1 + 8 + 8 + 8 + 4 + 2 // type through slot
+	if len(p) < fixed {
+		return nil, ErrLogCorrupted
+	}
+	le := binary.LittleEndian
+	rec := &LogRecord{
+		LSN: lsn, Type: RecType(p[0]), CLR: p[1] == 1,
+		Txn: le.Uint64(p[2:]), Parent: le.Uint64(p[10:]), TS: le.Uint64(p[18:]),
+		RID: RID{Page: PageID(le.Uint32(p[26:])), Slot: le.Uint16(p[30:])},
+	}
+	p = p[fixed:]
+	// count reads a u32 element count whose elements (size bytes each) must
+	// still fit in the payload.
+	count := func(size int) (int, bool) {
+		if len(p) < 4 || uint64(le.Uint32(p))*uint64(size) > uint64(len(p)-4) {
+			return 0, false
 		}
-		return nil, 0, err
+		n := int(le.Uint32(p))
+		p = p[4:]
+		return n, true
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if plen > 1<<24 {
-		return nil, 0, ErrLogCorrupted
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, ErrLogCorrupted
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, 0, ErrLogCorrupted
-	}
-	rec := &LogRecord{LSN: lsn}
-	p := payload
-	take := func(n int) []byte {
-		if len(p) < n {
-			p = nil
-			return nil
+	for _, blob := range []*[]byte{&rec.Before, &rec.After} {
+		n, ok := count(1)
+		if !ok {
+			return nil, ErrLogCorrupted
 		}
-		b := p[:n]
+		*blob = append(make([]byte, 0, n), p[:n]...)
 		p = p[n:]
-		return b
 	}
-	tb := take(1)
-	if tb == nil {
-		return nil, 0, ErrLogCorrupted
+	n, ok := count(8)
+	if !ok {
+		return nil, ErrLogCorrupted
 	}
-	rec.Type = RecType(tb[0])
-	cb := take(1)
-	if cb == nil {
-		return nil, 0, ErrLogCorrupted
+	for i := 0; i < n; i++ {
+		rec.Active = append(rec.Active, le.Uint64(p[8*i:]))
 	}
-	rec.CLR = cb[0] == 1
-	if b := take(8); b != nil {
-		rec.Txn = binary.LittleEndian.Uint64(b)
-	} else {
-		return nil, 0, ErrLogCorrupted
-	}
-	if b := take(8); b != nil {
-		rec.Parent = binary.LittleEndian.Uint64(b)
-	} else {
-		return nil, 0, ErrLogCorrupted
-	}
-	if b := take(8); b != nil {
-		rec.TS = binary.LittleEndian.Uint64(b)
-	} else {
-		return nil, 0, ErrLogCorrupted
-	}
-	if b := take(4); b != nil {
-		rec.RID.Page = PageID(binary.LittleEndian.Uint32(b))
-	} else {
-		return nil, 0, ErrLogCorrupted
-	}
-	if b := take(2); b != nil {
-		rec.RID.Slot = binary.LittleEndian.Uint16(b)
-	} else {
-		return nil, 0, ErrLogCorrupted
-	}
-	readBlob := func() ([]byte, bool) {
-		lb := take(4)
-		if lb == nil {
-			return nil, false
-		}
-		n := binary.LittleEndian.Uint32(lb)
-		b := take(int(n))
-		if b == nil && n > 0 {
-			return nil, false
-		}
-		out := make([]byte, n)
-		copy(out, b)
-		return out, true
-	}
-	var ok bool
-	if rec.Before, ok = readBlob(); !ok {
-		return nil, 0, ErrLogCorrupted
-	}
-	if rec.After, ok = readBlob(); !ok {
-		return nil, 0, ErrLogCorrupted
-	}
-	lb := take(4)
-	if lb == nil {
-		return nil, 0, ErrLogCorrupted
-	}
-	nActive := binary.LittleEndian.Uint32(lb)
-	for i := uint32(0); i < nActive; i++ {
-		b := take(8)
-		if b == nil {
-			return nil, 0, ErrLogCorrupted
-		}
-		rec.Active = append(rec.Active, binary.LittleEndian.Uint64(b))
-	}
-	return rec, int64(8 + plen), nil
+	return rec, nil
 }
