@@ -62,6 +62,8 @@ FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenTornTail$$' -fuzztime $(FUZZ_TIME) ./internal/seglog
 	$(GO) test -run '^$$' -fuzz '^FuzzOccurrenceCodec$$' -fuzztime $(FUZZ_TIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzObjectRecord$$' -fuzztime $(FUZZ_TIME) ./internal/object
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/query
 
 # bench-build compiles and tests the end-to-end benchmark. bench/ is its
 # own module (BENCHMARK.json's contract), so `go build ./... && go test
@@ -72,9 +74,14 @@ bench-build:
 
 # lint runs the static analyzers beyond vet. The tools are not vendored;
 # CI installs them (see .github/workflows/ci.yml) and locally the target
-# skips whichever is missing rather than failing the build.
+# skips whichever is missing rather than failing the build. The gob guard
+# keeps encoding/gob out of non-test code: values have two encodings (the
+# tagged codec in internal/event, the ordered keys in internal/query) and
+# a third must not come back unnoticed.
 lint:
 	$(GO) vet ./...
+	@if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=out '"encoding/gob"' . ; then \
+		echo "lint: encoding/gob imported by non-test code (see above)"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -246,6 +246,23 @@ func (r *Reader) Str() string {
 	return s
 }
 
+// StrBytes reads a length-prefixed string as a view into the input — no
+// copy — for callers that intern it or only compare it.
+func (r *Reader) StrBytes() []byte {
+	n := r.Uvarint()
+	if n > MaxString {
+		r.fail("string of %d bytes exceeds limit %d", n, MaxString)
+		return nil
+	}
+	if uint64(r.Remaining()) < n {
+		r.fail("string of %d bytes overruns payload", n)
+		return nil
+	}
+	b := r.b[r.pos : r.pos+int(n) : r.pos+int(n)]
+	r.pos += int(n)
+	return b
+}
+
 // Value reads one tagged parameter value.
 func (r *Reader) Value() any {
 	switch tag := r.Byte(); tag {

@@ -321,14 +321,31 @@ func VerifyQuery(stk *queryStack, exp *QueryExpectation) error {
 		price float64
 	}
 	scan := map[string]obj{}
+	loaded := 0
 	err = stk.reg.ForEach(tx, "STOCK", false, func(inst *object.Instance) bool {
 		sym, _ := inst.Attrs()["sym"].(string)
 		price, _ := inst.Attrs()["price"].(float64)
 		scan[sym] = obj{oid: inst.OID, price: price}
+		loaded++
 		return true
 	})
 	if err != nil {
 		return fmt.Errorf("extent scan: %w", err)
+	}
+
+	// Header-only ≡ full decode: the directory the scan walked was rebuilt
+	// at open from record headers alone, and every entry the scan kept was
+	// fully decoded and matched on OID and class. Every object record on
+	// the recovered heap (all committed, all STOCK) must have passed both.
+	onHeap := 0
+	err = stk.st.ForEachRecordLatest(func(_ storage.RID, data []byte) error {
+		if len(data) > 0 && data[0] == object.KindObject {
+			onHeap++
+		}
+		return nil
+	})
+	if err != nil || onHeap != loaded {
+		return fmt.Errorf("invariant: %d object records on the heap, %d loaded through the header-built directory (%v)", onHeap, loaded, err)
 	}
 
 	for sym, price := range exp.Present {

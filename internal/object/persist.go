@@ -1,9 +1,7 @@
 package object
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -19,8 +17,8 @@ import (
 //   - a fixed-location meta record (the first record ever inserted, page 0
 //     slot 0) holding the OID counter and the RID of the name map; it is
 //     fixed-size so updates never relocate it;
-//   - the name map (the Open OODB name manager), a gob-encoded
-//     map name -> OID;
+//   - the name map (the Open OODB name manager), one record holding
+//     name -> OID (record.go);
 //   - and, since every object record now embeds its own OID, an in-memory
 //     OID -> RID directory rebuilt by scanning the heap at open and
 //     maintained incrementally afterwards.
@@ -43,7 +41,7 @@ import (
 
 const (
 	metaMagic   = "SENTOBJ1"
-	metaSize    = 8 + 8 + 8 + 8 // magic + nextOID + spareRID + nameRID
+	metaSize    = 8 + 8 + 8 // magic + nextOID + nameRID
 	catalogLock = "catalog"
 	// gravePruneEvery bounds how often a mutator consults the snapshot
 	// floor to prune committed-delete refs.
@@ -51,46 +49,6 @@ const (
 )
 
 var metaRID = storage.RID{Page: 0, Slot: 0}
-
-// persistedObj is the on-heap encoding of one object. The embedded OID is
-// what lets the directory be rebuilt by scan and lets readers validate a
-// directory entry against slot reuse.
-type persistedObj struct {
-	OID   uint64
-	Class string
-	Attrs map[string]any
-}
-
-func init() {
-	gob.Register(map[string]any{})
-	gob.Register(event.OID(0))
-}
-
-func encodeObj(obj *Instance) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(persistedObj{OID: uint64(obj.OID), Class: obj.Class.Name, Attrs: obj.attrs}); err != nil {
-		return nil, fmt.Errorf("object: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeObjBytes decodes a heap record as an object, reporting ok=false
-// for records that are something else (the meta record, the names blob,
-// index entries — the latter recognizably prefixed with a byte no gob
-// stream can start with).
-func decodeObjBytes(data []byte) (persistedObj, bool) {
-	if len(data) == 0 || data[0] >= 0xD0 {
-		return persistedObj{}, false
-	}
-	var p persistedObj
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return persistedObj{}, false
-	}
-	if p.OID == 0 || p.Class == "" {
-		return persistedObj{}, false
-	}
-	return p, true
-}
 
 func encodeRID(b []byte, rid storage.RID) {
 	binary.LittleEndian.PutUint32(b, uint32(rid.Page))
@@ -105,17 +63,15 @@ func decodeRID(b []byte) storage.RID {
 }
 
 type meta struct {
-	nextOID  uint64
-	spareRID storage.RID // held the OID-index blob before it moved in memory
-	nameRID  storage.RID
+	nextOID uint64
+	nameRID storage.RID
 }
 
 func (m meta) encode() []byte {
 	b := make([]byte, metaSize)
 	copy(b, metaMagic)
 	binary.LittleEndian.PutUint64(b[8:], m.nextOID)
-	encodeRID(b[16:], m.spareRID)
-	encodeRID(b[24:], m.nameRID)
+	encodeRID(b[16:], m.nameRID)
 	return b
 }
 
@@ -123,27 +79,7 @@ func decodeMeta(b []byte) (meta, error) {
 	if len(b) != metaSize || string(b[:8]) != metaMagic {
 		return meta{}, fmt.Errorf("object: record %v is not the catalog meta", metaRID)
 	}
-	return meta{
-		nextOID:  binary.LittleEndian.Uint64(b[8:]),
-		spareRID: decodeRID(b[16:]),
-		nameRID:  decodeRID(b[24:]),
-	}, nil
-}
-
-func encodeMap[K comparable, V any](m map[K]V) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("object: encode catalog map: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeMap[K comparable, V any](b []byte) (map[K]V, error) {
-	var m map[K]V
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("object: decode catalog map: %w", err)
-	}
-	return m, nil
+	return meta{nextOID: binary.LittleEndian.Uint64(b[8:]), nameRID: decodeRID(b[16:])}, nil
 }
 
 // InitCatalog creates the persistence catalog on a fresh store or
@@ -165,7 +101,7 @@ func (r *Registry) InitCatalog(tx *txn.Txn) error {
 		// (post-recovery, all-committed) latest state.
 		return r.Bootstrap()
 	}
-	names, err := encodeMap(map[string]uint64{})
+	names, err := appendNames(nil, nil)
 	if err != nil {
 		return err
 	}
@@ -193,18 +129,9 @@ func (r *Registry) Bootstrap() error {
 		return nil
 	}
 	dir := make(map[uint64]objRef)
-	var maxOID uint64
 	err := r.store.ForEachRecordLatest(func(rid storage.RID, data []byte) error {
-		if rid == metaRID {
-			return nil
-		}
-		p, ok := decodeObjBytes(data)
-		if !ok {
-			return nil
-		}
-		dir[p.OID] = objRef{rid: rid, class: p.Class}
-		if p.OID > maxOID {
-			maxOID = p.OID
+		if oid, class, ok := readHeader(event.NewReader(data)); ok {
+			dir[oid] = objRef{rid: rid, class: r.className(class)}
 		}
 		return nil
 	})
@@ -230,11 +157,11 @@ func (r *Registry) readNames(tx *txn.Txn, m meta) (map[string]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeMap[string, uint64](data)
+	return decodeNames(data)
 }
 
 func (r *Registry) writeNames(tx *txn.Txn, m meta, names map[string]uint64) error {
-	data, err := encodeMap(names)
+	data, err := appendNames(nil, names)
 	if err != nil {
 		return err
 	}
@@ -374,12 +301,14 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 		return nil, err
 	}
 	obj := &Instance{OID: event.OID(m.nextOID), Class: c, attrs: cp}
-	m.nextOID++
-	if _, err := tx.Update(metaRID, m.encode()); err != nil {
+	// Encode before the first heap write: a value outside the atomic set
+	// fails the call with nothing applied.
+	data, err := appendObject(nil, m.nextOID, class, cp)
+	if err != nil {
 		return nil, err
 	}
-	data, err := encodeObj(obj)
-	if err != nil {
+	m.nextOID++
+	if _, err := tx.Update(metaRID, m.encode()); err != nil {
 		return nil, err
 	}
 	rid, err := tx.Insert(data)
@@ -393,7 +322,7 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 	r.catMu.Lock()
 	d.adds = append(d.adds, uint64(obj.OID))
 	r.catMu.Unlock()
-	if h := r.indexHook(); h != nil {
+	if h := r.indexHook(class); h != nil {
 		if err := h.OnCreate(tx, class, obj.OID, rid, cp); err != nil {
 			return nil, err
 		}
@@ -440,15 +369,59 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 		}
 		return nil, err
 	}
-	p, ok := decodeObjBytes(data)
-	if !ok || p.OID != uint64(oid) {
+	rd := event.NewReader(data)
+	got, class, ok := readHeader(rd)
+	if !ok || got != uint64(oid) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	c, err := r.Class(p.Class)
-	if err != nil {
-		return nil, err
+	c := r.classNamed(class)
+	if c == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownClass, class)
 	}
-	return &Instance{OID: oid, Class: c, attrs: p.Attrs}, nil
+	attrs, ok := readAttrs(rd, &c.names)
+	if !ok {
+		return nil, fmt.Errorf("object: record of %v at %v is malformed", oid, ref.rid)
+	}
+	return &Instance{OID: oid, Class: c, attrs: attrs}, nil
+}
+
+// classNamed looks a class up by the name bytes of a record, without
+// making a string of them; nil when the class is not registered.
+func (r *Registry) classNamed(b []byte) *Class {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.classes[string(b)]
+}
+
+// className returns the registered class's own name string for a record's
+// class bytes, so directory entries share one string per class.
+func (r *Registry) className(b []byte) string {
+	if c := r.classNamed(b); c != nil {
+		return c.Name
+	}
+	return string(b)
+}
+
+// readBefore reads the record a mutation of oid is about to replace and
+// validates the directory entry against its header. The attributes are
+// decoded only when an index covers the class and will want them.
+func (r *Registry) readBefore(tx *txn.Txn, rid storage.RID, oid event.OID, wantAttrs bool, names *nameTable) (map[string]any, error) {
+	data, err := tx.Read(rid)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+	}
+	rd := event.NewReader(data)
+	if got, _, ok := readHeader(rd); !ok || got != uint64(oid) {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+	}
+	if !wantAttrs {
+		return nil, nil
+	}
+	attrs, ok := readAttrs(rd, names)
+	if !ok {
+		return nil, fmt.Errorf("object: record of %v at %v is malformed", oid, rid)
+	}
+	return attrs, nil
 }
 
 // Persist writes an object's current attribute state back to the store —
@@ -473,17 +446,14 @@ func (r *Registry) persist(tx *txn.Txn, obj *Instance) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownObject, obj.OID)
 	}
-	// The before-image: index maintenance needs the old attribute values,
-	// and the decoded OID validates the directory entry.
-	oldData, err := tx.Read(ref.rid)
+	// The before-image: its header validates the directory entry, and index
+	// maintenance needs the old attribute values.
+	h := r.indexHook(obj.Class.Name)
+	oldAttrs, err := r.readBefore(tx, ref.rid, obj.OID, h != nil, &obj.Class.names)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, obj.OID)
+		return err
 	}
-	oldP, okOld := decodeObjBytes(oldData)
-	if !okOld || oldP.OID != uint64(obj.OID) {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, obj.OID)
-	}
-	data, err := encodeObj(obj)
+	data, err := appendObject(nil, uint64(obj.OID), obj.Class.Name, obj.attrs)
 	if err != nil {
 		return err
 	}
@@ -500,8 +470,8 @@ func (r *Registry) persist(tx *txn.Txn, obj *Instance) error {
 		d.moves = append(d.moves, oidMove{oid: uint64(obj.OID), from: ref.rid, to: newRID})
 		r.catMu.Unlock()
 	}
-	if h := r.indexHook(); h != nil {
-		if err := h.OnUpdate(tx, obj.Class.Name, obj.OID, newRID, oldP.Attrs, obj.attrs); err != nil {
+	if h != nil {
+		if err := h.OnUpdate(tx, obj.Class.Name, obj.OID, newRID, oldAttrs, obj.attrs); err != nil {
 			return err
 		}
 	}
@@ -526,13 +496,10 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	data, err := tx.Read(ref.rid)
+	h := r.indexHook(ref.class)
+	attrs, err := r.readBefore(tx, ref.rid, oid, h != nil, nil)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
-	}
-	p, okObj := decodeObjBytes(data)
-	if !okObj || p.OID != uint64(oid) {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return err
 	}
 	if err := tx.Delete(ref.rid); err != nil {
 		return err
@@ -544,8 +511,8 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 	r.catMu.Lock()
 	d.dels = append(d.dels, graveRef{oid: uint64(oid), rid: ref.rid})
 	r.catMu.Unlock()
-	if h := r.indexHook(); h != nil {
-		if err := h.OnDelete(tx, p.Class, oid, ref.rid, p.Attrs); err != nil {
+	if h != nil {
+		if err := h.OnDelete(tx, ref.class, oid, ref.rid, attrs); err != nil {
 			return err
 		}
 	}
@@ -684,26 +651,28 @@ func sortOIDs(oids []event.OID) {
 
 // ApplyRecord is the follower-side directory maintenance hook: the store
 // invokes it (through the facade's mux) for every operation a replicated
-// transaction applied, in LSN order. Only records that decode as objects
-// matter here; index entries and catalog blobs fall through.
+// transaction applied, in LSN order. Only object records matter here, and
+// only their header (OID, class); index entries and catalog blobs fail the
+// kind check and fall through.
 func (r *Registry) ApplyRecord(rec *storage.LogRecord) {
 	switch rec.Type {
 	case storage.RecInsert, storage.RecUpdate:
-		p, ok := decodeObjBytes(rec.After)
+		oid, class, ok := readHeader(event.NewReader(rec.After))
 		if !ok {
 			return
 		}
+		ref := objRef{rid: rec.RID, class: r.className(class)}
 		r.oidMu.Lock()
-		r.oidDir[p.OID] = objRef{rid: rec.RID, class: p.Class}
+		r.oidDir[oid] = ref
 		r.oidMu.Unlock()
 	case storage.RecDelete:
-		p, ok := decodeObjBytes(rec.Before)
+		oid, _, ok := readHeader(event.NewReader(rec.Before))
 		if !ok {
 			return
 		}
 		ts := r.store.CommitTS()
 		r.oidMu.Lock()
-		r.grave = append(r.grave, graveRef{oid: p.OID, rid: rec.RID, ts: ts})
+		r.grave = append(r.grave, graveRef{oid: oid, rid: rec.RID, ts: ts})
 		r.oidMu.Unlock()
 		if n := r.opCount.Add(1); n%gravePruneEvery == 0 {
 			r.pruneGraves()

@@ -3,17 +3,17 @@ package query
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/event"
 	"repro/internal/lockmgr"
-	"repro/internal/obs"
 	"repro/internal/object"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -28,8 +28,9 @@ import (
 // entry writes are undone by the storage manager's CLRs on abort, redone
 // by ARIES recovery after a crash, and shipped to followers as ordinary
 // record traffic — the index never needs its own log, checkpoint, or
-// repair pass. The leading 0xD8/0xD9 bytes are values no gob stream can
-// start with, so object-layer scans skip index records and vice versa.
+// repair pass. The leading kind byte (object.KindIndexEntry here,
+// KindIndexCatalog below) tells index records from object records, so
+// object-layer scans skip them and vice versa.
 //
 // The in-memory directories (hash map / skiplist) rebuilt from those
 // records at open are OPTIMISTIC: they may briefly hold postings for
@@ -43,13 +44,15 @@ import (
 // and pruned once the store's snapshot floor passes them.
 //
 // The index catalog — the list of index definitions — is one record
-// (0xD9 | gob) that is the authority at boot; DDL additionally appends
-// logical RecIdxCreate/RecIdxDrop log records so followers learn about
-// definition changes in commit order on the replication stream.
+// (0xD9 | n | def…, a def being uvarint ID | class | attr | u8 kind in the
+// occurrence codec's primitives) that is the authority at boot; DDL
+// additionally appends logical RecIdxCreate/RecIdxDrop log records so
+// followers learn about definition changes in commit order on the
+// replication stream.
 
 const (
-	entryMagic byte = 0xD8
-	catMagic   byte = 0xD9
+	entryMagic = object.KindIndexEntry
+	catMagic   = object.KindIndexCatalog
 	// catalogLock is the object layer's catalog resource: index DDL takes
 	// it exclusively so backfill/teardown serialize against all writers.
 	catalogLock = "catalog"
@@ -99,20 +102,31 @@ func (d IndexDef) String() string {
 	return fmt.Sprintf("%s(%s.%s)#%d", d.Kind, d.Class, d.Attr, d.ID)
 }
 
-// skipVal is the directory posting payload: the OID (candidate for
-// re-verification) and the entry record's location (so maintenance can
-// delete the record when the key leaves).
+// posting is what a directory holds for one (key, oid): the entry record's
+// location (so maintenance can delete the record when the key leaves) and
+// the generation the posting was added under. A posting is identified by
+// its generation, not its RID: when an object is re-keyed away and back,
+// the fresh entry record can reuse the old one's slot, and an abort-undo or
+// graveyard prune of the old posting must not take the new one with it.
+type posting struct {
+	rid storage.RID
+	gen uint64
+}
+
+// skipVal is the ordered directory's payload: the OID (candidate for
+// re-verification) and its posting.
 type skipVal struct {
 	oid uint64
-	rid storage.RID
+	posting
 }
 
 // index is one live index: definition plus its directory.
 type index struct {
 	def IndexDef
+	gen atomic.Uint64 // last posting generation handed out
 
 	hmu  sync.RWMutex
-	hash map[string]map[uint64]storage.RID // HashIndex: enc key -> oid -> entry RID
+	hash map[string]map[uint64]posting // HashIndex: enc key -> oid -> posting
 
 	ord *skiplist // OrderedIndex: enc key || oid BE -> skipVal
 }
@@ -120,7 +134,7 @@ type index struct {
 func makeIndex(def IndexDef) *index {
 	ix := &index{def: def}
 	if def.Kind == HashIndex {
-		ix.hash = make(map[string]map[uint64]storage.RID)
+		ix.hash = make(map[string]map[uint64]posting)
 	} else {
 		ix.ord = newSkiplist()
 	}
@@ -136,43 +150,46 @@ func okey(key []byte, oid uint64) []byte {
 	return out
 }
 
-func (ix *index) add(key []byte, oid uint64, rid storage.RID) {
+// add posts (key, oid), replacing any earlier posting of the pair, and
+// returns the new posting's generation.
+func (ix *index) add(key []byte, oid uint64, rid storage.RID) uint64 {
+	p := posting{rid: rid, gen: ix.gen.Add(1)}
 	if ix.hash != nil {
 		ix.hmu.Lock()
 		m := ix.hash[string(key)]
 		if m == nil {
-			m = make(map[uint64]storage.RID)
+			m = make(map[uint64]posting)
 			ix.hash[string(key)] = m
 		}
-		m[oid] = rid
+		m[oid] = p
 		ix.hmu.Unlock()
-		return
+		return p.gen
 	}
-	ix.ord.set(okey(key, oid), skipVal{oid: oid, rid: rid})
+	ix.ord.set(okey(key, oid), skipVal{oid: oid, posting: p})
+	return p.gen
 }
 
-// getRID returns the entry-record location for (key, oid).
-func (ix *index) getRID(key []byte, oid uint64) (storage.RID, bool) {
+// get returns the posting for (key, oid).
+func (ix *index) get(key []byte, oid uint64) (posting, bool) {
 	if ix.hash != nil {
 		ix.hmu.RLock()
 		defer ix.hmu.RUnlock()
-		rid, ok := ix.hash[string(key)][oid]
-		return rid, ok
+		p, ok := ix.hash[string(key)][oid]
+		return p, ok
 	}
 	v, ok := ix.ord.get(okey(key, oid))
-	return v.rid, ok
+	return v.posting, ok
 }
 
-// removeIfRID drops the posting only if it still refers to the given
-// entry record — a transaction that re-added the same key meanwhile must
-// not lose its fresh posting to an abort-undo or graveyard prune of the
-// old one.
-func (ix *index) removeIfRID(key []byte, oid uint64, rid storage.RID) {
+// removeIfGen drops the posting only if it is still the one added under
+// gen — a transaction that re-added the same key meanwhile must not lose
+// its fresh posting to an abort-undo or graveyard prune of the old one.
+func (ix *index) removeIfGen(key []byte, oid uint64, gen uint64) {
 	if ix.hash != nil {
 		ix.hmu.Lock()
 		defer ix.hmu.Unlock()
 		m := ix.hash[string(key)]
-		if cur, ok := m[oid]; ok && cur == rid {
+		if cur, ok := m[oid]; ok && cur.gen == gen {
 			delete(m, oid)
 			if len(m) == 0 {
 				delete(ix.hash, string(key))
@@ -181,7 +198,7 @@ func (ix *index) removeIfRID(key []byte, oid uint64, rid storage.RID) {
 		return
 	}
 	k := okey(key, oid)
-	if v, ok := ix.ord.get(k); ok && v.rid == rid {
+	if v, ok := ix.ord.get(k); ok && v.gen == gen {
 		ix.ord.del(k)
 	}
 }
@@ -230,8 +247,8 @@ func (ix *index) entries() []idxEntryRef {
 	if ix.hash != nil {
 		ix.hmu.RLock()
 		for k, m := range ix.hash {
-			for oid, rid := range m {
-				out = append(out, idxEntryRef{idx: ix.def.ID, key: []byte(k), oid: oid, rid: rid})
+			for oid, p := range m {
+				out = append(out, idxEntryRef{idx: ix.def.ID, key: []byte(k), oid: oid, rid: p.rid})
 			}
 		}
 		ix.hmu.RUnlock()
@@ -279,6 +296,7 @@ type idxEntryRef struct {
 	key []byte
 	oid uint64
 	rid storage.RID
+	gen uint64
 }
 
 // idxDirty is one transaction's uncommitted index maintenance: postings
@@ -364,24 +382,56 @@ func decodeEntry(data []byte) (idxID uint32, oid uint64, key []byte, ok bool) {
 	return idxID, oid, key, true
 }
 
-func encodeCatalog(defs []IndexDef) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(catMagic)
-	if err := gob.NewEncoder(&buf).Encode(defs); err != nil {
-		return nil, fmt.Errorf("query: encode catalog: %w", err)
+// minDef is the smallest encoded definition: one-byte ID, two empty
+// strings, the kind.
+const minDef = 4
+
+func appendDef(b []byte, def IndexDef) []byte {
+	b = binary.AppendUvarint(b, uint64(def.ID))
+	b = event.AppendString(b, def.Class)
+	b = event.AppendString(b, def.Attr)
+	return append(b, byte(def.Kind))
+}
+
+func readDef(rd *event.Reader) IndexDef {
+	id := rd.Uvarint()
+	if id > math.MaxUint32 {
+		id = 0 // rejected by the callers' ID != 0 check
 	}
-	return buf.Bytes(), nil
+	return IndexDef{ID: uint32(id), Class: rd.Str(), Attr: rd.Str(), Kind: IndexKind(rd.Byte())}
+}
+
+func encodeCatalog(defs []IndexDef) []byte {
+	b := binary.AppendUvarint([]byte{catMagic}, uint64(len(defs)))
+	for _, def := range defs {
+		b = appendDef(b, def)
+	}
+	return b
 }
 
 func decodeCatalog(data []byte) ([]IndexDef, bool) {
-	if len(data) == 0 || data[0] != catMagic {
+	rd := event.NewReader(data)
+	if rd.Byte() != catMagic {
 		return nil, false
 	}
-	var defs []IndexDef
-	if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&defs); err != nil {
+	n := rd.Uvarint()
+	if n*minDef > uint64(rd.Remaining()) {
 		return nil, false
 	}
-	return defs, true
+	defs := make([]IndexDef, n)
+	for i := range defs {
+		if defs[i] = readDef(rd); defs[i].ID == 0 {
+			return nil, false
+		}
+	}
+	return defs, rd.Err() == nil && rd.Remaining() == 0
+}
+
+// decodeDef decodes a RecIdxCreate/RecIdxDrop payload (one appendDef).
+func decodeDef(data []byte) (IndexDef, bool) {
+	rd := event.NewReader(data)
+	def := readDef(rd)
+	return def, rd.Err() == nil && rd.Remaining() == 0 && def.ID != 0
 }
 
 // Bootstrap rebuilds the index catalog and all directories by one pass
@@ -553,7 +603,7 @@ func (m *Manager) finishTxn(tx *txn.Txn, st txn.Status) {
 		for i := len(d.adds) - 1; i >= 0; i-- {
 			ref := d.adds[i]
 			if ix := m.indexByID(ref.idx); ix != nil {
-				ix.removeIfRID(ref.key, ref.oid, ref.rid)
+				ix.removeIfGen(ref.key, ref.oid, ref.gen)
 			}
 		}
 		return
@@ -601,7 +651,7 @@ func (m *Manager) pruneGraves() {
 	m.graveMu.Unlock()
 	for _, g := range prune {
 		if ix := m.indexByID(g.ref.idx); ix != nil {
-			ix.removeIfRID(g.ref.key, g.ref.oid, g.ref.rid)
+			ix.removeIfGen(g.ref.key, g.ref.oid, g.ref.gen)
 		}
 	}
 }
@@ -650,8 +700,8 @@ func (m *Manager) writeEntry(tx *txn.Txn, d *idxDirty, ix *index, oid uint64, ke
 	if err != nil {
 		return err
 	}
-	ix.add(key, oid, rid)
-	d.adds = append(d.adds, idxEntryRef{idx: ix.def.ID, key: key, oid: oid, rid: rid})
+	gen := ix.add(key, oid, rid)
+	d.adds = append(d.adds, idxEntryRef{idx: ix.def.ID, key: key, oid: oid, rid: rid, gen: gen})
 	m.entryWrites.Add(1)
 	return nil
 }
@@ -660,15 +710,22 @@ func (m *Manager) writeEntry(tx *txn.Txn, d *idxDirty, ix *index, oid uint64, ke
 // until the commit's graveyard resolution so older snapshots keep seeing
 // the old value.
 func (m *Manager) dropEntry(tx *txn.Txn, d *idxDirty, ix *index, oid uint64, key []byte) error {
-	rid, ok := ix.getRID(key, oid)
+	p, ok := ix.get(key, oid)
 	if !ok {
 		return nil // value was unindexable or posting already superseded
 	}
-	if err := tx.Delete(rid); err != nil {
+	if err := tx.Delete(p.rid); err != nil {
 		return err
 	}
-	d.dels = append(d.dels, idxEntryRef{idx: ix.def.ID, key: key, oid: oid, rid: rid})
+	d.dels = append(d.dels, idxEntryRef{idx: ix.def.ID, key: key, oid: oid, rid: p.rid, gen: p.gen})
 	return nil
+}
+
+// Indexed implements object.IndexHook.
+func (m *Manager) Indexed(class string) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.byClass[class]) > 0
 }
 
 // OnCreate implements object.IndexHook: post the new object under every
@@ -749,7 +806,7 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 	if m.store == nil {
 		return IndexDef{}, ErrNotPersistent
 	}
-	if attr == "" {
+	if attr == "" || len(attr) > event.MaxString {
 		return IndexDef{}, ErrBadIndexAttr
 	}
 	if kind != HashIndex && kind != OrderedIndex {
@@ -781,11 +838,7 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 		m.mu.Unlock()
 	})
 
-	payload, err := gobEncodeDef(def)
-	if err != nil {
-		return IndexDef{}, err
-	}
-	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxCreate, payload); err != nil {
+	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxCreate, appendDef(nil, def)); err != nil {
 		return IndexDef{}, err
 	}
 	if err := m.writeCatalog(tx, defs); err != nil {
@@ -795,7 +848,7 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 	// Backfill the extent under the same transaction.
 	d := m.dirtyFor(tx)
 	var ferr error
-	err = m.reg.ForEach(tx, class, false, func(inst *object.Instance) bool {
+	err := m.reg.ForEach(tx, class, false, func(inst *object.Instance) bool {
 		key, ok := encodeKey(inst.Attrs()[attr])
 		if !ok {
 			return true
@@ -845,11 +898,7 @@ func (m *Manager) DropIndex(tx *txn.Txn, class, attr string, kind IndexKind) err
 		m.mu.Unlock()
 	})
 
-	payload, err := gobEncodeDef(ix.def)
-	if err != nil {
-		return err
-	}
-	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxDrop, payload); err != nil {
+	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxDrop, appendDef(nil, ix.def)); err != nil {
 		return err
 	}
 	if err := m.writeCatalog(tx, defs); err != nil {
@@ -875,14 +924,14 @@ func (m *Manager) defsLocked() []IndexDef {
 // writeCatalog persists the definition list, tracking the catalog
 // record's location across relocations and aborts.
 func (m *Manager) writeCatalog(tx *txn.Txn, defs []IndexDef) error {
-	data, err := encodeCatalog(defs)
-	if err != nil {
-		return err
-	}
+	data := encodeCatalog(defs)
 	m.mu.Lock()
 	prevRID, prevHas := m.catRID, m.hasCat
 	m.mu.Unlock()
-	var newRID storage.RID
+	var (
+		newRID storage.RID
+		err    error
+	)
 	if prevHas {
 		newRID, err = tx.Update(prevRID, data)
 	} else {
@@ -920,30 +969,12 @@ func onAbortChain(tx *txn.Txn, fn func()) {
 	}
 }
 
-func gobEncodeDef(def IndexDef) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(def); err != nil {
-		return nil, fmt.Errorf("query: encode def: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecodeDef(data []byte) (IndexDef, bool) {
-	var def IndexDef
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&def); err != nil {
-		return IndexDef{}, false
-	}
-	return def, def.ID != 0
-}
-
 // ApplyRecord is the storage apply hook on followers (and after deferred
 // replays): it mirrors committed record traffic into the definitions and
 // directories. Called serially in LSN order after page effects complete.
 func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 	switch rec.Type {
-	case storage.RecInsert:
-		m.applyUpsert(rec.After, rec.RID)
-	case storage.RecUpdate:
+	case storage.RecInsert, storage.RecUpdate:
 		m.applyUpsert(rec.After, rec.RID)
 	case storage.RecDelete:
 		if len(rec.Before) == 0 || rec.Before[0] != entryMagic {
@@ -953,16 +984,21 @@ func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 		if !ok {
 			return
 		}
-		if m.indexByID(id) == nil {
+		ix := m.indexByID(id)
+		if ix == nil {
 			return
+		}
+		p, ok := ix.get(key, oid)
+		if !ok || p.rid != rec.RID {
+			return // posting already superseded by a later record
 		}
 		ts := m.store.CommitTS()
 		m.graveMu.Lock()
-		m.grave = append(m.grave, idxGrave{ref: idxEntryRef{idx: id, key: key, oid: oid, rid: rec.RID}, ts: ts})
+		m.grave = append(m.grave, idxGrave{ref: idxEntryRef{idx: id, key: key, oid: oid, rid: rec.RID, gen: p.gen}, ts: ts})
 		m.graveMu.Unlock()
 		m.maybePrune()
 	case storage.RecIdxCreate:
-		if def, ok := gobDecodeDef(rec.After); ok {
+		if def, ok := decodeDef(rec.After); ok {
 			m.mu.Lock()
 			if old := m.byID[def.ID]; old != nil {
 				m.uninstallLocked(old)
@@ -974,7 +1010,7 @@ func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 			m.mu.Unlock()
 		}
 	case storage.RecIdxDrop:
-		if def, ok := gobDecodeDef(rec.After); ok {
+		if def, ok := decodeDef(rec.After); ok {
 			m.mu.Lock()
 			if ix := m.byID[def.ID]; ix != nil {
 				m.uninstallLocked(ix)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -67,7 +68,7 @@ func (s *oidIter) Next() bool {
 		s.pos++
 		inst, err := s.m.reg.Load(s.tx, oid)
 		if err != nil {
-			if isUnknownObject(err) {
+			if errors.Is(err, object.ErrUnknownObject) {
 				s.m.rowsDropped.Add(1)
 				continue
 			}
@@ -88,20 +89,6 @@ func (s *oidIter) Next() bool {
 func (s *oidIter) Row() Row   { return s.cur }
 func (s *oidIter) Err() error { return s.err }
 func (s *oidIter) Close()     {}
-
-func isUnknownObject(err error) bool {
-	for e := err; e != nil; {
-		if e == object.ErrUnknownObject {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
-}
 
 // ---- relational operators ---------------------------------------------
 

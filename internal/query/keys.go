@@ -88,6 +88,9 @@ func compareValues(a, b any) (rel int, comparable bool) {
 		return 1, true
 	case kindNum:
 		fa, fb := na.(float64), nb.(float64)
+		if math.IsNaN(fa) || math.IsNaN(fb) {
+			return 0, false // NaN is outside the order: equal to nothing
+		}
 		if fa < fb {
 			return -1, true
 		}
@@ -141,6 +144,9 @@ func encodeKey(v any) ([]byte, bool) {
 	case float64:
 		// IEEE-754 order fix: flip all bits of negatives, set the sign bit
 		// of non-negatives; big-endian bytes then sort numerically.
+		if x == 0 {
+			x = 0 // -0 compares equal to +0, so it must share its key
+		}
 		bits := math.Float64bits(x)
 		if bits&(1<<63) != 0 {
 			bits = ^bits

@@ -174,6 +174,36 @@ func TestKeyEncodingOrderMatchesCompare(t *testing.T) {
 	}
 }
 
+func TestCatalogCodec(t *testing.T) {
+	defs := []IndexDef{
+		{ID: 1, Class: "STOCK", Attr: "price", Kind: OrderedIndex},
+		{ID: 1 << 31, Class: "BOND", Attr: "sym", Kind: HashIndex},
+	}
+	data := encodeCatalog(defs)
+	got, ok := decodeCatalog(data)
+	if !ok || !reflect.DeepEqual(got, defs) {
+		t.Fatalf("catalog round trip: %v %v", got, ok)
+	}
+	if got, ok := decodeCatalog(encodeCatalog(nil)); !ok || len(got) != 0 {
+		t.Fatalf("empty catalog: %v %v", got, ok)
+	}
+	for n := 0; n < len(data); n++ {
+		if _, ok := decodeCatalog(data[:n]); ok {
+			t.Fatalf("catalog truncated to %d bytes decoded", n)
+		}
+	}
+	if _, ok := decodeCatalog(append([]byte{entryMagic}, data[1:]...)); ok {
+		t.Fatal("an entry record decoded as the catalog")
+	}
+	def, ok := decodeDef(appendDef(nil, defs[1]))
+	if !ok || def != defs[1] {
+		t.Fatalf("DDL payload round trip: %v %v", def, ok)
+	}
+	if _, ok := decodeDef(appendDef(nil, IndexDef{Class: "STOCK", Attr: "price", Kind: HashIndex})); ok {
+		t.Fatal("definition with ID 0 accepted")
+	}
+}
+
 func TestPredEval(t *testing.T) {
 	attrs := map[string]any{"price": 10, "tier": "T1"}
 	cases := []struct {
@@ -569,6 +599,59 @@ func TestSnapshotSeesOldKey(t *testing.T) {
 	defer e.commit(tx)
 	if got := e.runOIDs(tx, Q{Class: "STOCK", Where: Eq("price", 50)}); len(got) != 1 {
 		t.Fatalf("current view missing re-key: %v", got)
+	}
+}
+
+// TestRekeyAwayAndBackKeepsPosting: an object re-keyed 1→2 and back 2→1 in
+// two committed transactions gets its second key-1 entry record in the
+// slot the first one vacated. The graveyard still holds the first posting;
+// pruning it must not remove the live one that shares its (key, oid, RID).
+func TestRekeyAwayAndBackKeepsPosting(t *testing.T) {
+	for _, kind := range []IndexKind{HashIndex, OrderedIndex} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := newEnv(t)
+			defer e.close()
+			tx := e.begin()
+			if _, err := e.qm.CreateIndex(tx, "STOCK", "k", kind); err != nil {
+				t.Fatal(err)
+			}
+			obj, err := e.reg.New(tx, "STOCK", map[string]any{"k": 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.commit(tx)
+			setK := func(v int) {
+				tx := e.begin()
+				loaded, err := e.reg.Load(tx, obj.OID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded.Attrs()["k"] = v
+				if err := e.reg.Persist(tx, loaded); err != nil {
+					t.Fatal(err)
+				}
+				e.commit(tx)
+			}
+			ix := e.qm.lookupIndex("STOCK", "k", kind)
+			key1, _ := encodeKey(1)
+			first, _ := ix.get(key1, uint64(obj.OID))
+			setK(2)
+			setK(1)
+			second, ok := ix.get(key1, uint64(obj.OID))
+			if !ok || second.rid != first.rid {
+				t.Fatalf("precondition: entry slot not reused (%v then %v)", first.rid, second.rid)
+			}
+			// No snapshot is open, so the floor is past both commits.
+			e.qm.pruneGraves()
+
+			tx = e.begin()
+			defer e.commit(tx)
+			if got := e.runOIDs(tx, Q{Class: "STOCK", Where: Eq("k", 1)}); len(got) != 1 || got[0] != uint64(obj.OID) {
+				t.Fatalf("Eq(k,1) after prune: %v (plan: %s)", got, e.qm.Explain(Q{Class: "STOCK", Where: Eq("k", 1)}))
+			}
+			e.checkOracle(tx, "STOCK", Eq("k", 1))
+			e.checkOracle(tx, "STOCK", Eq("k", 2))
+		})
 	}
 }
 

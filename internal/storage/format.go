@@ -28,10 +28,19 @@ import (
 //	     directory of sealed, CRC-manifested segments named by base LSN,
 //	     with fuzzy-checkpoint state in wal/MANIFEST. Record framing is
 //	     unchanged but a v2 log file is not discoverable by a v3 build.
+//	v4 — objects off gob: heap object records, the name map and the index
+//	     catalog (and the RecIdxCreate/RecIdxDrop payloads) are written
+//	     with the tagged value codec of internal/event behind a one-byte
+//	     record kind (object.KindObject … KindIndexCatalog), and the
+//	     catalog meta record dropped its unused spare RID. Pages and WAL
+//	     framing are unchanged; what changed is the bytes inside records.
+//	     A v3 directory is refused, not migrated: there is no deployed v3
+//	     data, and a gob reader kept for it would be a second decode path
+//	     nothing exercises.
 const (
 	formatMagic = "sentinel-format"
 	// FormatVersion is the generation this build reads and writes.
-	FormatVersion = 3
+	FormatVersion = 4
 	// formatFile is the marker's filename inside the data directory.
 	formatFile = "sentinel.meta"
 )
