@@ -6,8 +6,8 @@
 # pattern and tool invocations live in exactly one place.
 
 GO ?= go
-BENCH_PATTERN ?= BenchmarkE1_|BenchmarkE4_|BenchmarkStorage_|BenchmarkRules_|BenchmarkGED_|BenchmarkQuery_
-BENCH_PKG ?= . ./internal/storage ./internal/ged
+BENCH_PATTERN ?= BenchmarkE1_|BenchmarkE4_|BenchmarkStorage_|BenchmarkRules_|BenchmarkGED_|BenchmarkQuery_|BenchmarkLockmgr_
+BENCH_PKG ?= . ./internal/storage ./internal/ged ./internal/lockmgr
 BENCH_OUT ?= BENCH_detector.json
 BENCH_STORAGE_OUT ?= BENCH_storage.json
 BENCH_GED_OUT ?= BENCH_ged.json
@@ -104,13 +104,15 @@ bench-text:
 bench-smoke:
 	$(MAKE) bench-text BENCH_TIME=100x BENCH_CPUS=1,4
 
-# bench reruns the detector signal-path benchmarks and records them under
-# the "after" label of $(BENCH_OUT), preserving the committed "before"
-# (seed) numbers. Run with BENCH_LABEL=before on a clean baseline to
-# regenerate both sides.
+# bench reruns the detector signal-path benchmarks and the two per-firing
+# bookkeeping benchmarks (the empty transaction bracket against a base of
+# deferred rules, a lock-less subtransaction commit against a full lock
+# table) and records them under the "after" label of $(BENCH_OUT),
+# preserving the committed "before" numbers. Run with BENCH_LABEL=before
+# on a clean baseline to regenerate both sides.
 BENCH_LABEL ?= after
 bench:
-	$(MAKE) bench-text BENCH_PATTERN='BenchmarkE1_|BenchmarkE4_' BENCH_PKG=. \
+	$(MAKE) bench-text BENCH_PATTERN='BenchmarkE1_|BenchmarkE4_|BenchmarkRules_TxnBracket|BenchmarkLockmgr_' BENCH_PKG='. ./internal/lockmgr' \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out $(BENCH_OUT) -merge
 

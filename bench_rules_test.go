@@ -240,3 +240,75 @@ func BenchmarkRules_SignalWithRuleBase(b *testing.B) {
 		})
 	}
 }
+
+// genDeferredSpec builds a specification with n DEFERRED rules, each on a
+// primitive event of its own — n distinct A*(beginTransaction, p,
+// preCommitTransaction) rewrites, all bracketing every transaction.
+func genDeferredSpec(n int) string {
+	var sb strings.Builder
+	sb.WriteString("class C reactive {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "event end(p%d) m%d();\n", i, i)
+	}
+	sb.WriteString("}\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "rule D%d(p%d, true, noop, RECENT, DEFERRED);\n", i, i)
+	}
+	return sb.String()
+}
+
+// txnBracket runs one empty transaction: beginTransaction, preCommit,
+// commit, flush — what every transaction pays before it does anything.
+func txnBracket(tb testing.TB, db *sentinel.Database) {
+	tx, err := db.Begin()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkRules_TxnBracket measures an empty Begin+Commit against a
+// resident base of deferred rules. None of them is signalled, so the cost
+// must not depend on how many there are.
+func BenchmarkRules_TxnBracket(b *testing.B) {
+	for _, n := range []int{0, 1000, 10000} {
+		b.Run(fmt.Sprintf("deferred=%d", n), func(b *testing.B) {
+			db := benchRuleDB(b)
+			defer db.Close()
+			if err := db.LoadRules(genDeferredSpec(n)); err != nil {
+				b.Fatal(err)
+			}
+			txnBracket(b, db)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				txnBracket(b, db)
+			}
+		})
+	}
+}
+
+// TestTxnBracketAllocsIndependentOfRuleCount is the machine-independent
+// guard behind that benchmark: an empty transaction allocates the same
+// with 2 000 deferred rules loaded as with none, give or take the two
+// transaction events that only exist once a deferred rule does.
+func TestTxnBracketAllocsIndependentOfRuleCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		db, err := sentinel.Open(sentinel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		db.BindAction("noop", func(*sentinel.Execution) error { return nil })
+		if err := db.LoadRules(genDeferredSpec(n)); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() { txnBracket(t, db) })
+	}
+	none, many := allocs(0), allocs(2000)
+	if many-none > 4 || none-many > 4 {
+		t.Fatalf("an empty transaction allocates %.0f objects with no deferred rules and %.0f with 2000: the bracket depends on the rule base", none, many)
+	}
+}

@@ -1,14 +1,45 @@
 package detector
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/event"
 )
 
-// aperState stores open windows and (for A*) the accumulated middle
-// occurrences per context.
-type aperState struct {
-	open  occList // unclosed initiators
-	accum occList // A* only: middle occurrences since the window opened
+// aperWindow holds the unclosed initiators of an aperiodic expression per
+// context, in arrival (Seq) order. The slices keep their backing arrays
+// across windows: nothing emitted ever aliases them.
+type aperWindow struct {
+	open [numContexts]occList
+}
+
+// add records an initiator: RECENT keeps only the latest, the other
+// contexts keep them all.
+func (w *aperWindow) add(occ *event.Occurrence, ctx Context) {
+	if ctx == Recent {
+		w.open[ctx] = append(w.open[ctx][:0], occ)
+	} else {
+		w.open[ctx] = append(w.open[ctx], occ)
+	}
+}
+
+func (w *aperWindow) clear(ctx Context) { w.open[ctx] = w.open[ctx].reset() }
+
+func (w *aperWindow) flushTxn(txnID uint64) {
+	for c := range w.open {
+		w.open[c] = w.open[c].dropTxn(txnID)
+	}
+}
+
+func (w *aperWindow) flushAll() { *w = aperWindow{} }
+
+func (w *aperWindow) occupancy() int {
+	total := 0
+	for c := range w.open {
+		total += len(w.open[c])
+	}
+	return total
 }
 
 // aNode detects A(E1, E2, E3): each occurrence of E2 inside the half-open
@@ -17,7 +48,7 @@ type aperState struct {
 // cumulative variant the deferred-rule rewrite uses.
 type aNode struct {
 	opCore
-	st [numContexts]aperState
+	aperWindow
 }
 
 func (n *aNode) addContext(ctx Context) {
@@ -28,7 +59,7 @@ func (n *aNode) addContext(ctx Context) {
 func (n *aNode) removeContext(ctx Context) {
 	n.bumpContext(ctx, -1)
 	if !n.activeIn(ctx) {
-		n.st[ctx] = aperState{}
+		n.open[ctx] = nil
 	}
 	n.removeContextKids(ctx)
 }
@@ -37,60 +68,36 @@ func (n *aNode) subscribe(sub Subscriber, ctx Context) func() {
 	return subscribeOp(n, &n.nodeCore, sub, ctx)
 }
 
-func (n *aNode) flushTxn(txnID uint64) {
-	for c := range n.st {
-		n.st[c].open = n.st[c].open.dropTxn(txnID)
-		n.st[c].accum = n.st[c].accum.dropTxn(txnID)
-	}
-}
-
-func (n *aNode) flushAll() {
-	for c := range n.st {
-		n.st[c] = aperState{}
-	}
-}
-
-func (n *aNode) occupancy() int {
-	total := 0
-	for c := range n.st {
-		total += len(n.st[c].open) + len(n.st[c].accum)
-	}
-	return total
-}
-
 func (n *aNode) receive(occ *event.Occurrence, side int, ctx Context) {
-	st := &n.st[ctx]
+	open := n.open[ctx]
 	switch side {
 	case 0: // window opens
-		if ctx == Recent {
-			st.open = occList{occ}
-		} else {
-			st.open = append(st.open, occ)
-		}
+		n.add(occ, ctx)
 	case 1: // monitored event inside the window
-		if len(st.open) == 0 {
+		if len(open) == 0 {
 			return
 		}
 		switch ctx {
 		case Recent:
-			n.emit(compose(n.name, st.open[len(st.open)-1], occ), ctx)
+			n.emit(compose(n.name, open[len(open)-1], occ), ctx)
 		case Chronicle:
-			n.emit(compose(n.name, st.open[0], occ), ctx)
+			n.emit(compose(n.name, open[0], occ), ctx)
 		case Continuous:
-			for _, o := range st.open {
+			for _, o := range open {
 				n.emit(compose(n.name, o, occ), ctx)
 			}
 		case Cumulative:
-			n.emit(compose(n.name, append(mergeBySeq(st.open), occ)...), ctx)
+			n.emit(compose(n.name, append(mergeBySeq(open), occ)...), ctx)
 		}
 	case 2: // window closes; nothing is emitted by plain A
-		var rest occList
-		for _, o := range st.open {
+		rest := open[:0]
+		for _, o := range open {
 			if o.Seq >= occ.Seq {
 				rest = append(rest, o)
 			}
 		}
-		st.open = rest
+		clear(open[len(rest):])
+		n.open[ctx] = rest
 	}
 }
 
@@ -100,22 +107,47 @@ func (n *aNode) receive(occ *event.Occurrence, side int, ctx Context) {
 // rewrites a deferred rule on event E into
 // A*(beginTransaction, E, preCommitTransaction), which is why a deferred
 // rule runs exactly once per transaction no matter how often E triggered.
+//
+// The window of initiators is the node's own — unless E1 and E3 are two
+// transaction events, as in that rewrite: every such node over one pair
+// would hold the same initiators, so the pair's txnWindow holds them once
+// and the node attaches to E2 alone (DESIGN.md §12).
 type aStarNode struct {
 	opCore
-	st [numContexts]aperState
+	win    *aperWindow          // its own, or &shared.aperWindow
+	shared *txnWindow           // nil when the window is the node's own
+	accum  [numContexts]occList // E2 occurrences since the window opened
+	// since: clock reading at which the node last became active in each
+	// context (or was flushed); older initiators of a shared window
+	// opened no window of this node.
+	since [numContexts]uint64
+	ord   uint64 // definition order among shared's members
+	armed bool   // listed in shared.armed
 }
 
 func (n *aStarNode) addContext(ctx Context) {
+	if !n.activeIn(ctx) {
+		n.since[ctx] = n.d.clock.Now()
+	}
 	n.bumpContext(ctx, 1)
 	n.addContextKids(ctx)
+	if n.shared != nil {
+		n.shared.addContext(ctx)
+	}
 }
 
 func (n *aStarNode) removeContext(ctx Context) {
 	n.bumpContext(ctx, -1)
 	if !n.activeIn(ctx) {
-		n.st[ctx] = aperState{}
+		n.accum[ctx] = nil
+		if n.shared == nil {
+			n.win.open[ctx] = nil
+		}
 	}
 	n.removeContextKids(ctx)
+	if n.shared != nil {
+		n.shared.removeContext(ctx)
+	}
 }
 
 func (n *aStarNode) subscribe(sub Subscriber, ctx Context) func() {
@@ -123,60 +155,188 @@ func (n *aStarNode) subscribe(sub Subscriber, ctx Context) func() {
 }
 
 func (n *aStarNode) flushTxn(txnID uint64) {
-	for c := range n.st {
-		n.st[c].open = n.st[c].open.dropTxn(txnID)
-		n.st[c].accum = n.st[c].accum.dropTxn(txnID)
+	for c := range n.accum {
+		n.accum[c] = n.accum[c].dropTxn(txnID)
+	}
+	if n.shared == nil {
+		n.win.flushTxn(txnID)
 	}
 }
 
 func (n *aStarNode) flushAll() {
-	for c := range n.st {
-		n.st[c] = aperState{}
+	now := n.d.clock.Now()
+	for c := range n.accum {
+		n.accum[c] = nil
+		n.since[c] = now // whatever a shared window holds is no longer this node's
+	}
+	if n.shared == nil {
+		n.win.flushAll()
 	}
 }
 
 func (n *aStarNode) occupancy() int {
 	total := 0
-	for c := range n.st {
-		total += len(n.st[c].open) + len(n.st[c].accum)
+	for c := range n.accum {
+		total += len(n.accum[c])
+	}
+	if n.shared == nil {
+		total += n.win.occupancy()
 	}
 	return total
 }
 
+// visible returns the window's initiators that opened after the node
+// became active in ctx — all of them, for a window of the node's own.
+func (n *aStarNode) visible(ctx Context) occList {
+	open := n.win.open[ctx]
+	i := len(open)
+	for i > 0 && open[i-1].Seq > n.since[ctx] {
+		i--
+	}
+	return open[i:]
+}
+
 func (n *aStarNode) receive(occ *event.Occurrence, side int, ctx Context) {
-	st := &n.st[ctx]
 	switch side {
 	case 0:
-		if ctx == Recent {
-			st.open = occList{occ}
-		} else {
-			st.open = append(st.open, occ)
-		}
+		n.win.add(occ, ctx)
 	case 1:
-		if len(st.open) == 0 {
+		if len(n.visible(ctx)) == 0 {
 			return
 		}
-		st.accum = append(st.accum, occ)
+		n.accum[ctx] = append(n.accum[ctx], occ)
+		if n.shared != nil && !n.armed {
+			n.shared.arm(n)
+		}
 	case 2:
-		if len(st.open) == 0 || len(st.accum) == 0 {
-			// Window never opened or nothing accumulated: close silently.
-			st.open = nil
-			st.accum = nil
-			return
-		}
+		n.close(occ, ctx)
+		n.win.clear(ctx)
+	}
+}
+
+// close ends the node's window in ctx at terminator occ: one composite
+// per the context's pairing if the window was open and anything
+// accumulated, silence otherwise.
+func (n *aStarNode) close(occ *event.Occurrence, ctx Context) {
+	open, accum := n.visible(ctx), n.accum[ctx]
+	if len(open) > 0 && len(accum) > 0 {
 		switch ctx {
 		case Recent:
-			n.emit(compose(n.name, append(append(occList{st.open[len(st.open)-1]}, st.accum...), occ)...), ctx)
+			n.emit(compose(n.name, append(append(occList{open[len(open)-1]}, accum...), occ)...), ctx)
 		case Chronicle:
-			n.emit(compose(n.name, append(append(occList{st.open[0]}, st.accum...), occ)...), ctx)
+			n.emit(compose(n.name, append(append(occList{open[0]}, accum...), occ)...), ctx)
 		case Continuous:
-			for _, o := range st.open {
-				n.emit(compose(n.name, append(append(occList{o}, st.accum...), occ)...), ctx)
+			for _, o := range open {
+				n.emit(compose(n.name, append(append(occList{o}, accum...), occ)...), ctx)
 			}
 		case Cumulative:
-			n.emit(compose(n.name, append(mergeBySeq(st.open, st.accum), occ)...), ctx)
+			n.emit(compose(n.name, append(mergeBySeq(open, accum), occ)...), ctx)
 		}
-		st.open = nil
-		st.accum = nil
+	}
+	n.accum[ctx] = accum.reset()
+}
+
+// txnWindow is the window shared by every A*(S, E, T) over one pair of
+// distinct transaction events (its members): an unnamed operator node
+// attached to S and T in the members' stead. S opens it once, a member
+// reads it when its E occurs and enrols as armed on the first occurrence
+// it accumulates, T closes the armed members — the only ones that could
+// emit — and then the window. A member nobody signalled is never visited.
+type txnWindow struct {
+	nodeCore
+	aperWindow
+	members int          // the last one to go takes the window with it
+	nextOrd uint64       // definition-order stamp of the next member
+	armed   []*aStarNode // ascending ord; entries may have been flushed since
+}
+
+func (w *txnWindow) Kids() []Node { return nil } // members propagate contexts to S and T themselves
+
+func (w *txnWindow) addContext(ctx Context) { w.bumpContext(ctx, 1) }
+
+func (w *txnWindow) removeContext(ctx Context) {
+	w.bumpContext(ctx, -1)
+	if !w.activeIn(ctx) {
+		w.open[ctx] = nil
+	}
+}
+
+func (w *txnWindow) subscribe(sub Subscriber, ctx Context) func() {
+	return subscribeOp(w, &w.nodeCore, sub, ctx)
+}
+
+// arm lists m for the next close, keeping definition order.
+func (w *txnWindow) arm(m *aStarNode) {
+	m.armed = true
+	i := len(w.armed)
+	w.armed = append(w.armed, m)
+	for ; i > 0 && w.armed[i-1].ord > m.ord; i-- {
+		w.armed[i] = w.armed[i-1]
+	}
+	w.armed[i] = m
+}
+
+func (w *txnWindow) receive(occ *event.Occurrence, side int, ctx Context) {
+	switch side {
+	case 0:
+		w.add(occ, ctx)
+	case 2:
+		// T arrives once per active context, lowest first. The first
+		// arrival closes every context, so that the members emit in
+		// (definition order, context) order — the order their own parent
+		// edges on T would have produced.
+		if ctx != Context(bits.TrailingZeros8(w.active)) {
+			return
+		}
+		// A member's emission can arm a later-defined member whose E
+		// contains the emitting event; it lands behind i and closes too.
+		for i := 0; i < len(w.armed); i++ {
+			m := w.armed[i]
+			m.armed = false
+			for c := Context(0); c < numContexts; c++ {
+				m.close(occ, c)
+			}
+		}
+		clear(w.armed)
+		w.armed = w.armed[:0]
+		for c := Context(0); c < numContexts; c++ {
+			w.clear(c)
+		}
+	}
+}
+
+// joinTxnWindow makes n a member of the window shared over start and
+// end, creating it on first use. The window's edges are kept last on
+// both: n's E may itself contain start or end, and must see such an
+// occurrence before the window does, as it would before n's own edges.
+// Callers hold structMu and the lock of comp, n's (merged) component.
+func (d *Detector) joinTxnWindow(n *aStarNode, start, end *PrimitiveNode, comp *component) {
+	key := [2]*PrimitiveNode{start, end}
+	w := d.txnWindows[key]
+	if w == nil {
+		w = &txnWindow{nodeCore: nodeCore{d: d, name: "window(" + start.name + "," + end.name + ")", comp: comp}}
+		d.txnWindows[key] = w
+	}
+	start.attachLast(w, 0)
+	end.attachLast(w, 2)
+	w.members++
+	w.nextOrd++
+	n.ord = w.nextOrd
+	n.win, n.shared = &w.aperWindow, w
+}
+
+// leaveTxnWindow takes a collected member out of its window, and the
+// window out of the graph with its last member. Callers hold structMu
+// and the component lock.
+func (d *Detector) leaveTxnWindow(n *aStarNode) {
+	w := n.shared
+	if i := slices.Index(w.armed, n); i >= 0 {
+		w.armed = slices.Delete(w.armed, i, i+1)
+	}
+	if w.members--; w.members == 0 {
+		start, end := n.kids[0].(*PrimitiveNode), n.kids[2].(*PrimitiveNode)
+		start.detachParent(w)
+		end.detachParent(w)
+		delete(d.txnWindows, [2]*PrimitiveNode{start, end})
 	}
 }

@@ -136,8 +136,24 @@ func (b *Bulk) A(name string, start, mid, end Node) (Node, error) {
 // AStar mirrors Detector.AStar.
 func (b *Bulk) AStar(name string, start, mid, end Node) (Node, error) {
 	kids := []Node{start, mid, end}
-	return b.d.opNode(name, "astar("+childSig(kids)+")", kids, func(core opCore) operatorNode {
-		return &aStarNode{opCore: core}
+	d := b.d
+	return d.register(name, "astar("+childSig(kids)+")", func() Node {
+		comp := d.mergeNodeComps(kids)
+		comp.mu.Lock()
+		defer comp.mu.Unlock()
+		n := &aStarNode{opCore: opCore{nodeCore: nodeCore{d: d, name: name, comp: comp}, kids: kids}}
+		s, sok := start.(*PrimitiveNode)
+		t, tok := end.(*PrimitiveNode)
+		if sok && tok && s != t && s.kind == event.KindTransaction && t.kind == event.KindTransaction {
+			mid.attach(n, 1)
+			d.joinTxnWindow(n, s, t, comp)
+			return n
+		}
+		n.win = new(aperWindow)
+		for i, k := range kids {
+			k.attach(n, i)
+		}
+		return n
 	})
 }
 

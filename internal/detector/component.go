@@ -43,13 +43,15 @@ type component struct {
 	parent atomic.Pointer[component] // nil while this component is a root
 	mu     sync.Mutex
 
-	// Per-component shard of the transaction dirty tracking (see the
-	// corresponding detector fields before sharding: same semantics,
-	// scoped to the nodes of this component). Guarded by mu.
-	dirty         map[uint64]map[Node]struct{}
+	// Per-component shard of the transaction dirty tracking: for each
+	// transaction, the nodes of this component that were handed one of its
+	// occurrences and may store it. A node is appended when its dirtyTxn
+	// stamp names another transaction, so under interleaved transactions a
+	// list can name a node twice — harmless, flushTxn is idempotent.
+	// spare recycles a flushed list's backing array. Guarded by mu.
+	dirty         map[uint64][]Node
 	dirtyOverflow bool
-	lastDirtyNode Node
-	lastDirtyTxn  uint64
+	spare         []Node
 
 	// Per-component timer heap for the temporal operators. Guarded by mu.
 	timers   timerHeap
@@ -86,7 +88,7 @@ func (c *component) find() *component {
 func (d *Detector) newComponent() *component {
 	c := &component{
 		id:       d.compID.Add(1),
-		dirty:    make(map[uint64]map[Node]struct{}),
+		dirty:    make(map[uint64][]Node),
 		timerTxn: make(map[*timerEntry]timerOwner),
 	}
 	d.compsMu.Lock()
@@ -153,22 +155,13 @@ func (d *Detector) mergeNodeComps(nodes []Node) *component {
 // deliberately left behind: a retired component's counters stay frozen and
 // keep contributing to the snapshot sum.
 func (c *component) absorb(loser *component) {
-	for txn, set := range loser.dirty {
-		dst := c.dirty[txn]
-		if dst == nil {
-			c.dirty[txn] = set
-			continue
-		}
-		for n := range set {
-			dst[n] = struct{}{}
-		}
+	for txn, list := range loser.dirty {
+		c.dirty[txn] = append(c.dirty[txn], list...)
 	}
 	loser.dirty = nil
 	if loser.dirtyOverflow {
 		c.dirtyOverflow = true
 	}
-	c.lastDirtyNode, c.lastDirtyTxn = nil, 0
-	loser.lastDirtyNode = nil
 	if len(loser.timers) > 0 {
 		c.timers = append(c.timers, loser.timers...)
 		heap.Init(&c.timers)
@@ -180,21 +173,23 @@ func (c *component) absorb(loser *component) {
 	loser.timerTxn = nil
 }
 
-// maxTrackedTxns bounds each component's dirty map (and the detector's
-// transaction fan-out map) for workloads that never flush; past it,
-// per-txn tracking degrades to full-graph sweeps until FlushAll resets.
+// maxTrackedTxns bounds each component's dirty map and each of its lists
+// (and the detector's transaction fan-out map) for workloads that never
+// flush; past it, per-txn tracking degrades to full-graph sweeps until
+// FlushAll resets.
 const maxTrackedTxns = 1 << 16
 
-// markDirty records that node n is about to receive (and may store) occ,
-// under every transaction occ carries — a composite is flushed when any
-// constituent's transaction finishes. Callers hold c.mu (c is a root).
-func (c *component) markDirty(d *Detector, n Node, occ *event.Occurrence) {
+// markDirty records that node n (whose bookkeeping is core) is about to
+// receive (and may store) occ, under every transaction occ carries — a
+// composite is flushed when any constituent's transaction finishes.
+// Callers hold c.mu (c is a root).
+func (c *component) markDirty(d *Detector, n Node, core *nodeCore, occ *event.Occurrence) {
 	if len(occ.Constituents) == 0 {
-		c.markDirtyTxn(d, n, occ.Txn)
+		c.markDirtyTxn(d, n, core, occ.Txn)
 		return
 	}
 	for _, sub := range occ.Constituents {
-		c.markDirty(d, n, sub)
+		c.markDirty(d, n, core, sub)
 	}
 }
 
@@ -202,43 +197,52 @@ func (c *component) markDirty(d *Detector, n Node, occ *event.Occurrence) {
 // touch of a (transaction, component) pair it registers the component in
 // the detector's fan-out map, so a commit/abort flush visits only the
 // components the transaction reached. Callers hold c.mu.
-func (c *component) markDirtyTxn(d *Detector, n Node, txnID uint64) {
-	if c.dirtyOverflow {
+func (c *component) markDirtyTxn(d *Detector, n Node, core *nodeCore, txnID uint64) {
+	if core.dirtyTxn == txnID+1 || c.dirtyOverflow {
 		return
 	}
-	if n == c.lastDirtyNode && txnID == c.lastDirtyTxn {
-		return
-	}
-	c.lastDirtyNode, c.lastDirtyTxn = n, txnID
-	set := c.dirty[txnID]
-	if set == nil {
+	list, tracked := c.dirty[txnID]
+	if !tracked {
 		if len(c.dirty) >= maxTrackedTxns {
-			c.dirtyOverflow = true
-			c.dirty = make(map[uint64]map[Node]struct{})
-			d.flushSweep.Store(true)
+			c.overflowDirty(d)
 			return
 		}
-		set = make(map[Node]struct{}, 2)
-		c.dirty[txnID] = set
+		list, c.spare = c.spare, nil
 		d.registerTxnComp(txnID, c)
+	} else if len(list) >= maxTrackedTxns {
+		c.overflowDirty(d)
+		return
 	}
-	set[n] = struct{}{}
+	core.dirtyTxn = txnID + 1
+	c.dirty[txnID] = append(list, n)
+}
+
+// overflowDirty gives up per-transaction tracking on this component. The
+// stamps left on its nodes are reset by the sweeps that replace it.
+func (c *component) overflowDirty(d *Detector) {
+	c.dirtyOverflow = true
+	c.dirty = make(map[uint64][]Node)
+	d.flushSweep.Store(true)
 }
 
 // flushTxnLocked flushes one transaction's occurrences from this
-// component using its dirty set. Callers hold c.mu.
-func (c *component) flushTxnLocked(txnID uint64) {
-	if txnID == c.lastDirtyTxn {
-		c.lastDirtyNode = nil
-	}
-	set, ok := c.dirty[txnID]
+// component using its dirty list and reports how many nodes it visited.
+// Callers hold c.mu.
+func (c *component) flushTxnLocked(txnID uint64) int {
+	list, ok := c.dirty[txnID]
 	if !ok {
-		return
+		return 0
 	}
 	delete(c.dirty, txnID)
-	for n := range set {
+	for i, n := range list {
+		n.core().unstamp(txnID)
 		n.flushTxn(txnID)
+		list[i] = nil
 	}
+	if cap(list) > cap(c.spare) {
+		c.spare = list[:0]
+	}
+	return len(list)
 }
 
 // registerTxnComp records that the transaction touched the component.
@@ -251,38 +255,46 @@ func (d *Detector) registerTxnComp(txnID uint64, c *component) {
 	if d.txnComps == nil {
 		d.txnComps = make(map[uint64][]*component)
 	}
-	if len(d.txnComps) >= maxTrackedTxns {
-		if _, ok := d.txnComps[txnID]; !ok {
+	list, ok := d.txnComps[txnID]
+	if !ok {
+		if len(d.txnComps) >= maxTrackedTxns {
 			d.flushSweep.Store(true)
 			return
 		}
+		if n := len(d.spareComps); n > 0 {
+			list, d.spareComps = d.spareComps[n-1], d.spareComps[:n-1]
+		}
 	}
-	d.txnComps[txnID] = append(d.txnComps[txnID], c)
+	d.txnComps[txnID] = append(list, c)
 }
 
-// takeTxnComps removes and returns the transaction's touched components,
-// resolved to their distinct roots in ascending id order.
-func (d *Detector) takeTxnComps(txnID uint64) []*component {
+// txnComp pairs a transaction with one component it touched.
+type txnComp struct {
+	txn  uint64
+	comp *component
+}
+
+// takeTxnComps removes the given transactions from the fan-out map in one
+// critical section and appends their touched components to out, resolved
+// to roots, grouped by transaction in the order given. A root can appear
+// twice for one transaction (two registered components merged since);
+// the second flush finds nothing.
+func (d *Detector) takeTxnComps(ids []uint64, out []txnComp) []txnComp {
 	d.compsMu.Lock()
-	comps := d.txnComps[txnID]
-	delete(d.txnComps, txnID)
-	d.compsMu.Unlock()
-	var roots []*component
-	for _, c := range comps {
-		r := c.find()
-		dup := false
-		for _, have := range roots {
-			if have == r {
-				dup = true
-				break
-			}
+	for _, id := range ids {
+		comps, ok := d.txnComps[id]
+		if !ok {
+			continue
 		}
-		if !dup {
-			roots = append(roots, r)
+		delete(d.txnComps, id)
+		for i, c := range comps {
+			out = append(out, txnComp{id, c.find()})
+			comps[i] = nil
 		}
+		d.spareComps = append(d.spareComps, comps[:0])
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].id < roots[j].id })
-	return roots
+	d.compsMu.Unlock()
+	return out
 }
 
 // advanceTimersLocked fires this component's due timers up to the new

@@ -111,3 +111,58 @@ func TestStatsSnapshotSumsRetiredComponents(t *testing.T) {
 		t.Fatalf("merged component stopped counting: %+v -> %+v", after, final)
 	}
 }
+
+// TestDirtyListStampAndDuplicates pins the slice-and-stamp dirty tracking:
+// a node is listed once per run of one transaction's deliveries, twice
+// when another transaction's delivery came between (harmless), a flush
+// visits exactly the listed entries and clears the stamp, so a reused
+// transaction id lists — and flushes — the node again.
+func TestDirtyListStampAndDuplicates(t *testing.T) {
+	d := New()
+	d.DeclareClass("C", "")
+	a := mustPrim(t, d, "da", "C", "ma", event.End, 0)
+	b := mustPrim(t, d, "db", "C", "mb", event.End, 0)
+	seq, err := d.Seq("da;db", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Subscribe("da;db", Chronicle, SubscriberFunc(func(*event.Occurrence, Context) {})); err != nil {
+		t.Fatal(err)
+	}
+	root := seq.component()
+	sig := func(txn uint64) { d.SignalMethod("C", "ma", event.End, 1, nil, txn) }
+
+	sig(1)
+	sig(1)
+	sig(1)
+	if got := len(root.dirty[1]); got != 1 {
+		t.Fatalf("three deliveries of txn 1 listed the node %d times, want 1", got)
+	}
+	sig(2)
+	sig(1)
+	if got := len(root.dirty[1]); got != 2 {
+		t.Fatalf("txn 1's list has %d entries after txn 2 interleaved, want 2 (one duplicate)", got)
+	}
+	if got := d.PendingOccurrences(); got != 5 {
+		t.Fatalf("%d initiators stored, want 5", got)
+	}
+	before := d.obs.flushNodes.Load()
+	d.FlushTxns([]uint64{1, 99}) // 99 touched nothing
+	if got := d.obs.flushNodes.Load() - before; got != 2 {
+		t.Fatalf("flush visited %d dirty entries, want 2", got)
+	}
+	if got := d.PendingOccurrences(); got != 1 {
+		t.Fatalf("%d occurrences left after flushing txn 1, want txn 2's one", got)
+	}
+	// Same id again: the stamp was cleared, so the node is listed and the
+	// next flush finds the new occurrence.
+	sig(1)
+	if got := len(root.dirty[1]); got != 1 {
+		t.Fatalf("reused txn id listed the node %d times, want 1", got)
+	}
+	d.FlushTxn(1)
+	d.FlushTxn(2)
+	if got := d.PendingOccurrences(); got != 0 {
+		t.Fatalf("%d occurrences left after flushing both transactions", got)
+	}
+}

@@ -167,7 +167,7 @@ func TestConcurrentSignalsMatchSerialDetections(t *testing.T) {
 	}
 }
 
-// TestConcurrentMaskToggle races SetMasked flips against signals: every
+// TestConcurrentMaskToggle races mask flips against signals: every
 // delivered notification must have been admitted while unmasked, and the
 // detector must end consistent (no deadlock, counters readable).
 func TestConcurrentMaskToggle(t *testing.T) {
@@ -191,8 +191,8 @@ func TestConcurrentMaskToggle(t *testing.T) {
 				return
 			default:
 			}
-			d.SetMasked(true)
-			d.SetMasked(false)
+			d.MaskTxns([]uint64{1})
+			d.UnmaskTxns([]uint64{1})
 		}
 	}()
 	var wg sync.WaitGroup

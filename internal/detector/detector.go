@@ -112,13 +112,25 @@ type Detector struct {
 	classes map[string][]*PrimitiveNode
 	super   map[string]string // class -> superclass
 
+	// txnWindows holds the shared window of each pair of transaction
+	// events some A* expression brackets with (aperiodic.go). Guarded by
+	// structMu.
+	txnWindows map[[2]*PrimitiveNode]*txnWindow
+
 	timerSeq atomic.Uint64 // global tie-break so merged heaps stay ordered
-	maskCnt  atomic.Int64
-	tracer   Tracer      // guarded by structMu + all component locks
-	traced   atomic.Bool // tracer != nil, readable without any lock
-	stats    statCounters
-	obs      obsCounters                // signal-outcome and flush counters (obs.go)
-	admit    atomic.Pointer[matchIndex] // lock-free admission + routing index
+
+	// Condition masking (MaskTxns): masked counts, per transaction id, the
+	// rule conditions currently evaluating on its behalf; maskCnt is their
+	// total, read lock-free so an unmasked detector pays one atomic load.
+	maskCnt atomic.Int64
+	maskMu  sync.Mutex
+	masked  map[uint64]int
+
+	tracer Tracer      // guarded by structMu + all component locks
+	traced atomic.Bool // tracer != nil, readable without any lock
+	stats  statCounters
+	obs    obsCounters                // signal-outcome and flush counters (obs.go)
+	admit  atomic.Pointer[matchIndex] // lock-free admission + routing index
 
 	// batching suppresses the per-mutation admission-index invalidation
 	// while a BulkBuild window is open (the window invalidates once on
@@ -134,6 +146,9 @@ type Detector struct {
 	comps    []*component
 	compID   atomic.Uint64
 	txnComps map[uint64][]*component
+	// spareComps recycles the lists of flushed transactions: at most one
+	// per transaction ever tracked at the same time.
+	spareComps [][]*component
 
 	// flushSweep degrades commit/abort flushes to full-graph sweeps once
 	// any component's dirty tracking overflowed (workloads that never
@@ -157,12 +172,14 @@ type timerOwner struct {
 // New creates an empty local event detector.
 func New() *Detector {
 	return &Detector{
-		nodes:     make(map[string]Node),
-		nodeSig:   make(map[string]string),
-		classes:   make(map[string][]*PrimitiveNode),
-		super:     make(map[string]string),
-		txnComps:  make(map[uint64][]*component),
-		AutoFlush: true,
+		nodes:      make(map[string]Node),
+		nodeSig:    make(map[string]string),
+		classes:    make(map[string][]*PrimitiveNode),
+		super:      make(map[string]string),
+		txnComps:   make(map[uint64][]*component),
+		txnWindows: make(map[[2]*PrimitiveNode]*txnWindow),
+		masked:     make(map[uint64]int),
+		AutoFlush:  true,
 	}
 }
 
@@ -530,28 +547,40 @@ func (d *Detector) subscribeLocked(eventName string, ctx Context, sub Subscriber
 	}, nil
 }
 
-// SetMasked turns event signalling off and on. The rule manager masks the
-// detector while a rule's condition function runs, since conditions are
+// MaskTxns turns event signalling off for the given transactions until a
+// matching UnmaskTxns. The rule manager masks a rule's subtransaction and
+// its ancestors while the rule's condition runs, since conditions are
 // side-effect free and events raised by them must not be acknowledged
-// (§3.2.1 of the paper — the "global variable" that disables signalling).
-// Masking nests: each SetMasked(true) must be balanced by SetMasked(false)
-// before signals are acknowledged again, so concurrently running rule
-// conditions compose. The mask is an atomic counter so masked signals are
-// dropped on the lock-free fast path.
-func (d *Detector) SetMasked(masked bool) {
-	if masked {
-		d.maskCnt.Add(1)
-		return
-	}
-	for {
-		cur := d.maskCnt.Load()
-		if cur == 0 {
-			return
-		}
-		if d.maskCnt.CompareAndSwap(cur, cur-1) {
-			return
+// (§3.2.1 of the paper — there a global variable, which presumes one
+// thread per application; here only signals carrying a masked transaction
+// id are dropped, so other transactions' events are still detected while a
+// condition runs). Masks nest and compose across goroutines.
+func (d *Detector) MaskTxns(ids []uint64) { d.adjustMask(ids, 1) }
+
+// UnmaskTxns undoes one MaskTxns of the same ids.
+func (d *Detector) UnmaskTxns(ids []uint64) { d.adjustMask(ids, -1) }
+
+func (d *Detector) adjustMask(ids []uint64, delta int) {
+	d.maskMu.Lock()
+	for _, id := range ids {
+		if d.masked[id] += delta; d.masked[id] <= 0 {
+			delete(d.masked, id)
 		}
 	}
+	d.maskMu.Unlock()
+	d.maskCnt.Add(int64(delta * len(ids)))
+}
+
+// isMasked reports whether signals of the transaction are being dropped.
+// It inlines to the one atomic load an unmasked detector pays per signal.
+func (d *Detector) isMasked(txnID uint64) bool {
+	return d.maskCnt.Load() != 0 && d.maskedTxn(txnID)
+}
+
+func (d *Detector) maskedTxn(txnID uint64) bool {
+	d.maskMu.Lock()
+	defer d.maskMu.Unlock()
+	return d.masked[txnID] > 0
 }
 
 // SignalMethod signals a method invocation event: every primitive event
@@ -559,12 +588,12 @@ func (d *Detector) SetMasked(masked bool) {
 // and modifier fires. It is the Notify call the Sentinel post-processor
 // plants in each wrapper method — paid on every method invocation of
 // every reactive class, so it is routed entirely through the admission
-// index when possible: a masked detector or an unknown (class, method,
+// index when possible: a masked transaction or an unknown (class, method,
 // modifier) triple returns without locking, and a match locks only the
 // component(s) the matching nodes belong to, so independent expressions
 // consume signals concurrently.
 func (d *Detector) SignalMethod(class, method string, mod event.Modifier, oid event.OID, params event.ParamList, txnID uint64) {
-	if d.maskCnt.Load() > 0 {
+	if d.isMasked(txnID) {
 		d.obs.maskedDrops.Add(1)
 		return
 	}
@@ -649,7 +678,7 @@ func (d *Detector) fireMethodFast(idx *matchIndex, entry *methodEntry, class, me
 // component's lock so per-component arrival order equals Seq order even
 // while fast-path signals race into the same components.
 func (d *Detector) signalMethodLocked(class, method string, mod event.Modifier, oid event.OID, params event.ParamList, txnID uint64, skip map[*PrimitiveNode]bool) {
-	if d.maskCnt.Load() > 0 {
+	if d.isMasked(txnID) {
 		return
 	}
 	if skip == nil {
@@ -716,7 +745,7 @@ func (d *Detector) signalMethodLocked(class, method string, mod event.Modifier, 
 // component, so explicit events into independent expressions also
 // propagate concurrently.
 func (d *Detector) SignalExplicit(name string, params event.ParamList, txnID uint64) error {
-	if d.maskCnt.Load() > 0 {
+	if d.isMasked(txnID) {
 		d.obs.maskedDrops.Add(1)
 		return nil
 	}
@@ -758,7 +787,7 @@ func (d *Detector) SignalExplicit(name string, params event.ParamList, txnID uin
 
 // signalExplicitLocked fires an explicit event; callers hold structMu.
 func (d *Detector) signalExplicitLocked(name string, params event.ParamList, txnID uint64) error {
-	if d.maskCnt.Load() > 0 {
+	if d.isMasked(txnID) {
 		return nil
 	}
 	n, ok := d.nodes[name]
@@ -804,7 +833,7 @@ func (d *Detector) SignalTxn(name string, txnID uint64) {
 // locked only around the fire; the flush then fans out to just the
 // components the transaction's dirty sets touched.
 func (d *Detector) signalTxnLocked(name string, txnID uint64) {
-	if d.maskCnt.Load() == 0 {
+	if !d.isMasked(txnID) {
 		if n, ok := d.nodes[name]; ok {
 			if p, ok := n.(*PrimitiveNode); ok && p.kind == event.KindTransaction {
 				root := p.comp.find()
@@ -832,7 +861,7 @@ func (d *Detector) signalTxnLocked(name string, txnID uint64) {
 		}
 	}
 	if d.AutoFlush && (name == event.CommitTransaction || name == event.AbortTransaction) {
-		d.flushTxnLocked(txnID)
+		d.flushTxnsLocked([]uint64{txnID})
 	}
 }
 
@@ -856,7 +885,7 @@ func (d *Detector) traceTxnInput(name string, txnID uint64) {
 // occurrence's Seq is remapped onto this detector's clock to preserve
 // arrival order.
 func (d *Detector) SignalOccurrence(occ *event.Occurrence) error {
-	if d.maskCnt.Load() > 0 {
+	if d.isMasked(occ.Txn) {
 		return nil
 	}
 	d.structMu.Lock()
@@ -869,7 +898,7 @@ func (d *Detector) SignalOccurrence(occ *event.Occurrence) error {
 // method-signature fallback, and the fire all happen in one critical
 // section. Callers hold structMu.
 func (d *Detector) signalOccurrenceLocked(occ *event.Occurrence) error {
-	if d.maskCnt.Load() > 0 {
+	if d.isMasked(occ.Txn) {
 		return nil
 	}
 	n, ok := d.nodes[occ.Name]
@@ -923,7 +952,7 @@ func (d *Detector) SignalBatch(occs []event.Occurrence) (int, error) {
 	}
 	d.obs.batches.Add(1)
 	d.obs.batchOccs.Add(uint64(len(occs)))
-	if !d.traced.Load() && d.maskCnt.Load() == 0 {
+	if !d.traced.Load() && d.maskCnt.Load() == 0 { // the serialized path checks the mask per occurrence
 		if idx := d.admit.Load(); idx != nil && d.fireBatchFast(idx, occs) {
 			return len(occs), nil
 		}
@@ -1062,32 +1091,39 @@ func (d *Detector) fireBatchFast(idx *matchIndex, occs []event.Occurrence) bool 
 func (d *Detector) FlushTxn(txnID uint64) {
 	d.structMu.Lock()
 	defer d.structMu.Unlock()
-	d.flushTxnLocked(txnID)
+	d.flushTxnsLocked([]uint64{txnID})
 }
 
-// flushTxnLocked flushes one transaction, visiting only the components the
-// transaction's dirty tracking touched; each component is flushed under
+// flushTxnsLocked flushes the given transactions, visiting only the
+// components their dirty tracking touched; each component is flushed under
 // its own lock. Callers hold structMu. Signals on other components (and,
 // between two component flushes, even on the flushed transaction's other
 // components) may interleave with the fan-out — commit flush is atomic per
 // component, not across components, which is the documented relaxation of
 // the sharded design (see DESIGN.md §7).
-func (d *Detector) flushTxnLocked(txnID uint64) {
+func (d *Detector) flushTxnsLocked(ids []uint64) {
 	if d.tracer != nil {
-		d.trace(TraceFlush, nil, Recent, fmt.Sprintf("txn:%d", txnID))
+		for _, id := range ids {
+			d.trace(TraceFlush, nil, Recent, fmt.Sprintf("txn:%d", id))
+		}
 	}
-	d.obs.txnFlushes.Add(1)
+	d.obs.txnFlushes.Add(uint64(len(ids)))
 	if d.flushSweep.Load() {
-		d.sweepFlushTxn(txnID)
+		for _, id := range ids {
+			d.sweepFlushTxn(id)
+		}
 		return
 	}
-	comps := d.takeTxnComps(txnID)
-	d.obs.flushFanout.Add(uint64(len(comps)))
-	for _, root := range comps {
-		root.mu.Lock()
-		root.flushTxnLocked(txnID)
-		root.mu.Unlock()
+	var buf [8]txnComp
+	touched := d.takeTxnComps(ids, buf[:0])
+	nodes := 0
+	for _, tc := range touched {
+		tc.comp.mu.Lock()
+		nodes += tc.comp.flushTxnLocked(tc.txn)
+		tc.comp.mu.Unlock()
 	}
+	d.obs.flushFanout.Add(uint64(len(touched)))
+	d.obs.flushNodes.Add(uint64(nodes))
 }
 
 // sweepFlushTxn is the degraded full-graph flush used after dirty
@@ -1099,25 +1135,27 @@ func (d *Detector) sweepFlushTxn(txnID uint64) {
 	for _, root := range roots {
 		root.mu.Lock()
 		delete(root.dirty, txnID)
-		if txnID == root.lastDirtyTxn {
-			root.lastDirtyNode = nil
-		}
 		root.mu.Unlock()
 	}
+	nodes := 0
 	d.forEachNodeByComp(func(root *component, ns []Node) {
 		root.mu.Lock()
 		for _, n := range ns {
+			n.core().unstamp(txnID)
 			n.flushTxn(txnID)
 		}
 		root.mu.Unlock()
+		nodes += len(ns)
 	})
+	d.obs.flushNodes.Add(uint64(nodes))
 	d.compsMu.Lock()
 	delete(d.txnComps, txnID)
 	d.compsMu.Unlock()
 }
 
-// forEachNodeByComp groups the named nodes by root component and calls fn
-// once per group. Callers hold structMu (so membership is stable).
+// forEachNodeByComp groups the nodes — the named ones and the shared
+// transaction windows — by root component and calls fn once per group.
+// Callers hold structMu (so membership is stable).
 func (d *Detector) forEachNodeByComp(fn func(root *component, ns []Node)) {
 	groups := make(map[*component][]Node)
 	seen := make(map[Node]bool, len(d.nodes))
@@ -1129,6 +1167,10 @@ func (d *Detector) forEachNodeByComp(fn func(root *component, ns []Node)) {
 		root := n.component()
 		groups[root] = append(groups[root], n)
 	}
+	for _, w := range d.txnWindows {
+		root := w.component()
+		groups[root] = append(groups[root], w)
+	}
 	for root, ns := range groups {
 		fn(root, ns)
 	}
@@ -1136,13 +1178,13 @@ func (d *Detector) forEachNodeByComp(fn func(root *component, ns []Node)) {
 
 // FlushTxns flushes several transactions at once — typically a top-level
 // transaction together with every subtransaction of its family, so that
-// occurrences signalled from rule subtransactions are flushed too.
+// occurrences signalled from rule subtransactions are flushed too. The
+// fan-out map is consulted once for the whole family; most of its ids
+// (rule subtransactions that signalled nothing) are not in it.
 func (d *Detector) FlushTxns(ids []uint64) {
 	d.structMu.Lock()
 	defer d.structMu.Unlock()
-	for _, id := range ids {
-		d.flushTxnLocked(id)
-	}
+	d.flushTxnsLocked(ids)
 }
 
 // FlushEvent selectively flushes the subtree of one event expression.
@@ -1205,10 +1247,10 @@ func (d *Detector) FlushAll() {
 		root.mu.Lock()
 		for _, n := range ns {
 			n.flushAll()
+			n.core().dirtyTxn = 0
 		}
-		root.dirty = make(map[uint64]map[Node]struct{})
+		root.dirty = make(map[uint64][]Node)
 		root.dirtyOverflow = false
-		root.lastDirtyNode = nil
 		root.mu.Unlock()
 	})
 	d.compsMu.Lock()
@@ -1272,7 +1314,7 @@ func (d *Detector) schedule(owner Node, txnID uint64, due uint64, fire func(now 
 	e := &timerEntry{due: due, seq: d.timerSeq.Add(1), fire: fire}
 	root.timers.push(e)
 	root.timerTxn[e] = timerOwner{node: owner, txn: txnID}
-	root.markDirtyTxn(d, owner, txnID)
+	root.markDirtyTxn(d, owner, owner.core(), txnID)
 }
 
 // cancelTimers kills pending timers of a node; txnID zero kills all of the

@@ -217,15 +217,19 @@ func TestMaskingSuppressesSignals(t *testing.T) {
 	if _, err := d.Subscribe("e", Recent, &c); err != nil {
 		t.Fatal(err)
 	}
-	d.SetMasked(true)
+	d.MaskTxns([]uint64{1, 7})
 	d.SignalMethod("C", "m", event.End, 1, nil, 1)
-	if err := d.SignalExplicit("e", nil, 1); err != nil {
+	if err := d.SignalExplicit("e", nil, 7); err != nil {
 		t.Fatal(err) // masked: silently ignored, not an error
 	}
-	d.SetMasked(false)
+	if len(c.occs) != 0 {
+		t.Fatalf("masked transactions signalled %d occurrences", len(c.occs))
+	}
+	d.SignalMethod("C", "m", event.End, 1, nil, 2) // another transaction is not masked
+	d.UnmaskTxns([]uint64{1, 7})
 	d.SignalMethod("C", "m", event.End, 1, nil, 1)
-	if len(c.occs) != 1 {
-		t.Fatalf("masking: got %d occurrences, want 1", len(c.occs))
+	if len(c.occs) != 2 || c.occs[0].Txn != 2 || c.occs[1].Txn != 1 {
+		t.Fatalf("masking: got %v, want one occurrence of txn 2 then one of txn 1", c.occs)
 	}
 }
 

@@ -80,9 +80,13 @@ type operatorNode interface {
 	receive(occ *event.Occurrence, side int, ctx Context)
 }
 
-// parentEdge is one outgoing subscription edge of a node.
+// parentEdge is one outgoing subscription edge of a node. core is the
+// parent's bookkeeping, kept beside the interface value so propagation
+// reads the parent's active-context mask and dirty stamp without a
+// dynamic call per context.
 type parentEdge struct {
 	parent operatorNode
+	core   *nodeCore
 	side   int
 }
 
@@ -106,6 +110,12 @@ type nodeCore struct {
 	parents  []parentEdge
 	rules    []*ruleEdge
 	refCount [numContexts]int
+	active   uint8 // bit ctx set while refCount[ctx] > 0
+
+	// dirtyTxn is the transaction whose dirty list last took this node,
+	// plus one (zero: none) — see component.markDirtyTxn. Guarded by the
+	// component lock.
+	dirtyTxn uint64
 
 	// Node-lifetime bookkeeping (release.go), all guarded by structMu:
 	// names lists every name (canonical plus aliases) mapping to this node
@@ -126,7 +136,7 @@ func (c *nodeCore) core() *nodeCore { return c }
 func (c *nodeCore) component() *component { return c.comp.find() }
 
 func (c *nodeCore) attach(parent operatorNode, side int) {
-	c.parents = append(c.parents, parentEdge{parent, side})
+	c.parents = append(c.parents, parentEdge{parent, parent.core(), side})
 }
 
 func (c *nodeCore) detach(parent operatorNode, side int) {
@@ -136,6 +146,16 @@ func (c *nodeCore) detach(parent operatorNode, side int) {
 			return
 		}
 	}
+}
+
+// attachLast makes (parent, side) the node's last parent edge, moving the
+// edge there if it exists elsewhere.
+func (c *nodeCore) attachLast(parent operatorNode, side int) {
+	if k := len(c.parents); k > 0 && c.parents[k-1].parent == parent && c.parents[k-1].side == side {
+		return
+	}
+	c.detach(parent, side)
+	c.attach(parent, side)
 }
 
 // detachParent removes every parent edge leading to parent — used when
@@ -154,24 +174,30 @@ func (c *nodeCore) detachParent(parent Node) {
 	c.parents = out
 }
 
-func (c *nodeCore) activeIn(ctx Context) bool { return c.refCount[ctx] > 0 }
+func (c *nodeCore) activeIn(ctx Context) bool { return c.active&(1<<ctx) != 0 }
 
 // anyActive reports whether the node detects in at least one context.
-func (c *nodeCore) anyActive() bool {
-	for _, n := range c.refCount {
-		if n > 0 {
-			return true
-		}
+func (c *nodeCore) anyActive() bool { return c.active != 0 }
+
+// unstamp forgets that txnID's dirty list holds the node, so the next
+// occurrence of that transaction lists it again.
+func (c *nodeCore) unstamp(txnID uint64) {
+	if c.dirtyTxn == txnID+1 {
+		c.dirtyTxn = 0
 	}
-	return false
 }
 
 // bumpContext adjusts this node's counter only; Node implementations
 // recurse into children in their addContext/removeContext.
 func (c *nodeCore) bumpContext(ctx Context, delta int) {
 	c.refCount[ctx] += delta
-	if c.refCount[ctx] < 0 {
+	switch {
+	case c.refCount[ctx] < 0:
 		panic(fmt.Sprintf("detector: context refcount underflow on %s/%v", c.name, ctx))
+	case c.refCount[ctx] == 0:
+		c.active &^= 1 << ctx
+	default:
+		c.active |= 1 << ctx
 	}
 }
 
@@ -225,10 +251,10 @@ func (c *nodeCore) emit(occ *event.Occurrence, ctx Context) {
 	root := c.comp.find()
 	c.traceNode(root, TraceDetect, occ, ctx)
 	for _, e := range c.parents {
-		if e.parent.activeIn(ctx) {
+		if e.core.active&(1<<ctx) != 0 {
 			// The parent may store occ; record it in the per-transaction
-			// dirty set so commit/abort flushes skip untouched nodes.
-			root.markDirty(c.d, e.parent, occ)
+			// dirty list so commit/abort flushes skip untouched nodes.
+			root.markDirty(c.d, e.parent, e.core, occ)
 			e.parent.receive(occ, e.side, ctx)
 		}
 	}
@@ -248,13 +274,13 @@ func (c *nodeCore) emitPrimitive(occ *event.Occurrence) {
 	root := c.comp.find()
 	c.traceNode(root, TraceSignal, occ, Recent)
 	for _, e := range c.parents {
-		marked := false
-		for ctx := Context(0); ctx < numContexts; ctx++ {
-			if e.parent.activeIn(ctx) {
-				if !marked {
-					root.markDirty(c.d, e.parent, occ)
-					marked = true
-				}
+		mask := e.core.active
+		if mask == 0 {
+			continue
+		}
+		root.markDirtyTxn(c.d, e.parent, e.core, occ.Txn)
+		for ctx := Context(0); mask != 0; ctx, mask = ctx+1, mask>>1 {
+			if mask&1 != 0 {
 				e.parent.receive(occ, e.side, ctx)
 			}
 		}
@@ -299,6 +325,12 @@ func (l occList) dropTxn(txnID uint64) occList {
 		l[i] = nil
 	}
 	return out
+}
+
+// reset empties the list for reuse, dropping its references.
+func (l occList) reset() occList {
+	clear(l)
+	return l[:0]
 }
 
 func occFromTxn(o *event.Occurrence, txnID uint64) bool {

@@ -16,11 +16,12 @@ type obsCounters struct {
 	fastHits    atomic.Uint64 // signals fully consumed on the fast path
 	fastNoSub   atomic.Uint64 // signals dropped lock-free: no subscriber
 	fastStale   atomic.Uint64 // fast-path attempts retried on a stale index
-	maskedDrops atomic.Uint64 // signals dropped while the detector was masked
+	maskedDrops atomic.Uint64 // signals dropped because their transaction was masked
 	batches     atomic.Uint64 // SignalBatch calls
 	batchOccs   atomic.Uint64 // occurrences submitted through SignalBatch
 	txnFlushes  atomic.Uint64 // transaction flushes (commit/abort fan-out)
 	flushFanout atomic.Uint64 // components visited by transaction flushes
+	flushNodes  atomic.Uint64 // nodes visited by transaction flushes
 
 	nodesShared   atomic.Uint64 // registrations satisfied by an existing node
 	nodesReleased atomic.Uint64 // nodes collected by the refcount release path
@@ -95,7 +96,7 @@ func (d *Detector) RegisterMetrics(r *obs.Registry) {
 		"Fast-path attempts that found a stale admission index and were retried on the serialized path.",
 		d.obs.fastStale.Load)
 	r.CounterFunc("sentinel_detector_masked_drops_total",
-		"Signals dropped because the detector was masked (rule conditions running).",
+		"Signals dropped because their transaction was masked (raised by a rule condition while it ran).",
 		d.obs.maskedDrops.Load)
 	r.CounterFunc("sentinel_detector_batches_total",
 		"SignalBatch calls (event-log replay, GED fan-in).",
@@ -118,6 +119,9 @@ func (d *Detector) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("sentinel_detector_flush_fanout_total",
 		"Components visited by transaction flushes (fan-out volume).",
 		d.obs.flushFanout.Load)
+	r.CounterFunc("sentinel_detector_flush_nodes_total",
+		"Nodes visited by transaction flushes (how much state the commit/abort flushes touched).",
+		d.obs.flushNodes.Load)
 	r.GaugeFunc("sentinel_detector_components",
 		"Connected components (parallel serialization domains) of the event graph.",
 		func() float64 { c, _, _ := d.ComponentStats(); return float64(c) })

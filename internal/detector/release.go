@@ -100,6 +100,9 @@ func (d *Detector) collectLocked(n Node) {
 		}
 		d.liveNodes.Add(-1)
 		d.obs.nodesReleased.Add(1)
+		if a, ok := cur.(*aStarNode); ok && a.shared != nil {
+			d.leaveTxnWindow(a)
+		}
 		for _, k := range cur.Kids() {
 			if k == nil {
 				continue

@@ -11,6 +11,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,6 +67,7 @@ type waiter struct {
 
 // resourceLock is the per-resource lock state.
 type resourceLock struct {
+	name    string
 	holders map[TxnID]Mode
 	queue   []*waiter
 }
@@ -74,8 +76,14 @@ type resourceLock struct {
 type Manager struct {
 	mu        sync.Mutex
 	resources map[string]*resourceLock
-	parent    map[TxnID]TxnID // nested-transaction ancestry
-	waitsFor  map[TxnID]map[TxnID]bool
+	// held lists, per owner, the resources it holds: exactly those whose
+	// holders map has the owner as a key. Inherit and ReleaseAll walk it
+	// instead of the whole table, so a transaction end costs what the
+	// transaction locked — nothing for a rule subtransaction that locked
+	// nothing — however many locks other transactions hold.
+	held     map[TxnID][]*resourceLock
+	parent   map[TxnID]TxnID // nested-transaction ancestry
+	waitsFor map[TxnID]map[TxnID]bool
 
 	// DefaultTimeout bounds lock waits when the per-call timeout is zero.
 	// Zero means wait forever (deadlock detection still applies).
@@ -132,6 +140,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 func New() *Manager {
 	return &Manager{
 		resources: make(map[string]*resourceLock),
+		held:      make(map[TxnID][]*resourceLock),
 		parent:    make(map[TxnID]TxnID),
 		waitsFor:  make(map[TxnID]map[TxnID]bool),
 	}
@@ -186,7 +195,7 @@ func (m *Manager) LockTimeout(owner TxnID, resource string, mode Mode, timeout t
 	m.mu.Lock()
 	rl := m.resources[resource]
 	if rl == nil {
-		rl = &resourceLock{holders: make(map[TxnID]Mode)}
+		rl = &resourceLock{name: resource, holders: make(map[TxnID]Mode)}
 		m.resources[resource] = rl
 	}
 	if m.grantableLocked(rl, owner, mode) {
@@ -281,10 +290,30 @@ func (m *Manager) grantableLocked(rl *resourceLock, owner TxnID, mode Mode) bool
 
 // grantLocked records the grant, keeping the strongest mode per owner.
 func (m *Manager) grantLocked(rl *resourceLock, owner TxnID, mode Mode) {
-	if cur, ok := rl.holders[owner]; !ok || mode > cur {
+	m.holdLocked(rl, owner, mode)
+	delete(m.waitsFor, owner)
+}
+
+// holdLocked makes owner a holder of rl in at least the given mode,
+// listing rl under the owner the first time.
+func (m *Manager) holdLocked(rl *resourceLock, owner TxnID, mode Mode) {
+	cur, ok := rl.holders[owner]
+	if !ok {
+		m.held[owner] = append(m.held[owner], rl)
+	}
+	if !ok || mode > cur {
 		rl.holders[owner] = mode
 	}
-	delete(m.waitsFor, owner)
+}
+
+// dropLocked ends owner's hold on rl: waiters the hold blocked are
+// promoted, wait-for edges to the departed owner pruned, and an idle
+// resource collected. The caller takes rl off the owner's held list.
+func (m *Manager) dropLocked(rl *resourceLock, owner TxnID) {
+	delete(rl.holders, owner)
+	m.promoteLocked(rl)
+	m.pruneWaitEdgesLocked(rl, owner)
+	m.gcLocked(rl)
 }
 
 // addWaitEdgesLocked records that w waits for the current conflicting
@@ -397,10 +426,14 @@ func (m *Manager) Unlock(owner TxnID, resource string) error {
 	if _, ok := rl.holders[owner]; !ok {
 		return fmt.Errorf("%w: %q", ErrNotHeld, resource)
 	}
-	delete(rl.holders, owner)
-	m.promoteLocked(rl)
-	m.pruneWaitEdgesLocked(rl, owner)
-	m.gcLocked(resource, rl)
+	list := m.held[owner]
+	i := slices.Index(list, rl) // listed: owner is in rl.holders
+	if list = slices.Delete(list, i, i+1); len(list) == 0 {
+		delete(m.held, owner)
+	} else {
+		m.held[owner] = list
+	}
+	m.dropLocked(rl, owner)
 	return nil
 }
 
@@ -408,13 +441,10 @@ func (m *Manager) Unlock(owner TxnID, resource string) error {
 func (m *Manager) ReleaseAll(owner TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name, rl := range m.resources {
-		if _, ok := rl.holders[owner]; ok {
-			delete(rl.holders, owner)
-			m.promoteLocked(rl)
-			m.pruneWaitEdgesLocked(rl, owner)
-			m.gcLocked(name, rl)
-		}
+	list := m.held[owner]
+	delete(m.held, owner)
+	for _, rl := range list {
+		m.dropLocked(rl, owner)
 	}
 	delete(m.parent, owner)
 }
@@ -424,34 +454,32 @@ func (m *Manager) ReleaseAll(owner TxnID) {
 func (m *Manager) Inherit(child, parent TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name, rl := range m.resources {
-		if mode, ok := rl.holders[child]; ok {
-			delete(rl.holders, child)
-			if cur, held := rl.holders[parent]; !held || mode > cur {
-				rl.holders[parent] = mode
+	list := m.held[child]
+	delete(m.held, child)
+	for _, rl := range list {
+		mode := rl.holders[child]
+		delete(rl.holders, child)
+		m.holdLocked(rl, parent, mode)
+		m.promoteLocked(rl)
+		// Whoever still queues behind the transferred hold now waits
+		// for the parent, not the departed child.
+		for _, q := range rl.queue {
+			edges := m.waitsFor[q.owner]
+			if edges == nil || !edges[child] {
+				continue
 			}
-			m.promoteLocked(rl)
-			// Whoever still queues behind the transferred hold now waits
-			// for the parent, not the departed child.
-			for _, q := range rl.queue {
-				edges := m.waitsFor[q.owner]
-				if edges == nil || !edges[child] {
-					continue
-				}
-				delete(edges, child)
-				if hm, held := rl.holders[parent]; held && !compatible(hm, q.mode) && !m.isAncestor(parent, q.owner) {
-					edges[parent] = true
-				}
+			delete(edges, child)
+			if hm := rl.holders[parent]; !compatible(hm, q.mode) && !m.isAncestor(parent, q.owner) {
+				edges[parent] = true
 			}
-			m.gcLocked(name, rl)
 		}
 	}
 	delete(m.parent, child)
 }
 
-func (m *Manager) gcLocked(name string, rl *resourceLock) {
+func (m *Manager) gcLocked(rl *resourceLock) {
 	if len(rl.holders) == 0 && len(rl.queue) == 0 {
-		delete(m.resources, name)
+		delete(m.resources, rl.name)
 	}
 }
 

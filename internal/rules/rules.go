@@ -964,7 +964,7 @@ func (m *Manager) attempt(r *Rule, occ *event.Occurrence, ctx detector.Context, 
 	return m.runBody(r, &Execution{Rule: r, Occurrence: occ, Context: ctx, Txn: sub, task: t})
 }
 
-// runBody evaluates the condition (with the detector masked, §3.2.1) and,
+// runBody evaluates the condition (with its transactions masked, §3.2.1) and,
 // if true, the action; the subtransaction commits unless the action failed
 // or panicked. The attempt's subtransaction is always resolved — committed
 // on success, aborted on error or panic — before runBody returns, so a
@@ -981,26 +981,7 @@ func (m *Manager) runBody(r *Rule, exec *Execution) (ran bool, err error) {
 		}
 	}()
 
-	ok := true
-	if r.cond != nil {
-		m.det.SetMasked(true)
-		if m.SnapshotConditions {
-			// Lock-free condition evaluation: reads see a snapshot of
-			// committed state plus the triggering family's own writes, so
-			// the condition neither blocks on nor blocks the commit
-			// pipeline. The snapshot lives exactly as long as the
-			// evaluation; the deferred release keeps a panicking condition
-			// from pinning the GC horizon forever.
-			func() {
-				release, _ := exec.Txn.UseSnapshot()
-				defer release()
-				ok = r.cond(exec)
-			}()
-		} else {
-			ok = r.cond(exec)
-		}
-		m.det.SetMasked(false)
-	}
+	ok := r.cond == nil || m.evalCondition(r, exec)
 	var actErr error
 	if ok {
 		// Fault hook: an Err verdict stands in for the action failing, a
@@ -1021,6 +1002,30 @@ func (m *Manager) runBody(r *Rule, exec *Execution) (ran bool, err error) {
 	}
 	committed = true
 	return ran, nil
+}
+
+// evalCondition runs the rule's condition with event signalling masked
+// for the rule's subtransaction and its ancestors — the transactions the
+// condition can reach through exec — and nothing else, so rules of other
+// transactions keep firing meanwhile. The deferred calls keep a panicking
+// condition from leaving the mask on or pinning the GC horizon forever.
+func (m *Manager) evalCondition(r *Rule, exec *Execution) bool {
+	var line [4]uint64
+	ids := line[:0]
+	for t := exec.Txn; t != nil; t = t.Parent() {
+		ids = append(ids, t.ID())
+	}
+	m.det.MaskTxns(ids)
+	defer m.det.UnmaskTxns(ids)
+	if m.SnapshotConditions {
+		// Lock-free condition evaluation: reads see a snapshot of committed
+		// state plus the triggering family's own writes, so the condition
+		// neither blocks on nor blocks the commit pipeline. The snapshot
+		// lives exactly as long as the evaluation.
+		release, _ := exec.Txn.UseSnapshot()
+		defer release()
+	}
+	return r.cond(exec)
 }
 
 func (m *Manager) reportError(rule string, err error) {

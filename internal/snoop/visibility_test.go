@@ -1,6 +1,7 @@
 package snoop
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/event"
@@ -55,9 +56,12 @@ func TestParseClassBodyRules(t *testing.T) {
 
 func TestCompileClassBodyRulesEndToEnd(t *testing.T) {
 	c := newCompiler(t)
+	var mu sync.Mutex // equal-priority rules run concurrently on the scheduler's pool
 	runs := map[string][]string{}
 	mk := func(name string) rules.Action {
 		return func(x *rules.Execution) error {
+			mu.Lock()
+			defer mu.Unlock()
 			runs[name] = append(runs[name], x.Occurrence.Leaves()[0].Class)
 			return nil
 		}
