@@ -123,36 +123,12 @@ func BenchmarkRules_BulkLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkRules_SeqLoad is the baseline: the same specification through
-// Exec — per-declaration compilation, one detector lock acquisition and
-// one rule definition at a time (the only path the seed had).
-func BenchmarkRules_SeqLoad(b *testing.B) {
-	for _, n := range benchRuleCounts() {
-		b.Run(fmt.Sprintf("rules%d", n), func(b *testing.B) {
-			spec := genRuleSpec(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := benchRuleDB(b)
-				b.StartTimer()
-				if err := db.Exec(spec); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				_ = db.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/rule")
-		})
-	}
-}
-
 // BenchmarkRules_LiveLoad loads the rule base onto a detector that is
 // actively signalling: one primitive occurrence is delivered after every
-// rule definition (seq) or after the single batch (bulk). Sequential
-// definition invalidates the admission index per rule, so every
-// interleaved signal pays a rebuild; the bulk window invalidates and
-// rebuilds once.
+// rule definition (seq: one Exec per rule) or after the single batch
+// (bulk). Every definition invalidates the admission index, so on the seq
+// side every interleaved signal pays a rebuild; the whole-specification
+// load invalidates once and the one signal after it rebuilds once.
 func BenchmarkRules_LiveLoad(b *testing.B) {
 	for _, n := range benchRuleCounts() {
 		spec := genRuleSpec(n)

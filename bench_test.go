@@ -149,6 +149,50 @@ func BenchmarkE1_ParallelDisjoint(b *testing.B) {
 	})
 }
 
+// discardTracer is an installed tracer that keeps nothing: what is left is
+// the cost of having one.
+type discardTracer struct{}
+
+func (discardTracer) Trace(detector.TraceKind, *event.Occurrence, detector.Context, string) {}
+
+// BenchmarkE1_PrimitiveSignalTraced is E1_PrimitiveSignal and
+// E1_ParallelDisjoint with a tracer installed — the detector observed in
+// the state it runs in. A tracer does not change the path a signal takes;
+// it costs the trace calls and a template that is not returned to the pool.
+func BenchmarkE1_PrimitiveSignalTraced(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		d, _ := benchDetector(b, 1)
+		if _, err := d.Subscribe("e0", detector.Recent, drainSub()); err != nil {
+			b.Fatal(err)
+		}
+		d.SetTracer(discardTracer{})
+		params := event.NewParams("price", 42.0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.SignalMethod("C", "m0", event.End, 1, params, 1)
+		}
+	})
+	b.Run("disjoint", func(b *testing.B) {
+		const nExpr = 8
+		d := benchDisjointExprs(b, nExpr)
+		d.SetTracer(discardTracer{})
+		methods := [2]string{"m0", "m1"}
+		var next int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(atomic.AddInt64(&next, 1)-1) % nExpr
+			class := fmt.Sprintf("C%d", i)
+			j := 0
+			for pb.Next() {
+				d.SignalMethod(class, methods[j%2], event.End, 1, nil, uint64(i+1))
+				j++
+			}
+		})
+	})
+}
+
 // BenchmarkE1_ParallelShared is the contention counterpart: every
 // goroutine signals the same SEQ expression, so all propagation serializes
 // on that expression's component lock no matter how the graph is sharded —

@@ -5,15 +5,14 @@
 //
 // Usage:
 //
-//	snoopc [-dot] [-bulk] [-instances NAME=OID,...] spec.snp
+//	snoopc [-dot] [-instances NAME=OID,...] spec.snp
 //
 // Rules are checked for syntax but their condition/action functions are
-// only name-checked (bodies live in application code). With -bulk the
-// whole specification is built in one detector lock window (the path a
-// database takes for LoadRules) and the subexpression-sharing count is
-// reported. With -instances, instance-level events resolve only the
-// listed names; otherwise every instance name is assigned a placeholder
-// OID so the graph still builds.
+// only name-checked (bodies live in application code). The specification
+// is built the way a database builds it, in one detector lock window, and
+// the subexpression-sharing count is reported. With -instances,
+// instance-level events resolve only the listed names; otherwise every
+// instance name is assigned a placeholder OID so the graph still builds.
 package main
 
 import (
@@ -39,10 +38,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("snoopc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dot := fs.Bool("dot", false, "emit the event graph as Graphviz DOT on stdout")
-	bulk := fs.Bool("bulk", false, "compile the whole specification in one detector lock window")
 	instances := fs.String("instances", "", "comma-separated NAME=OID bindings for instance-level events (unlisted names become errors)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: snoopc [-dot] [-bulk] [-instances NAME=OID,...] spec.snp\n")
+		fmt.Fprintf(stderr, "usage: snoopc [-dot] [-instances NAME=OID,...] spec.snp\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -98,12 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			compilable = append(compilable, d)
 		}
 	}
-	if *bulk {
-		err = comp.CompileBulk(compilable)
-	} else {
-		err = comp.Compile(compilable)
-	}
-	if err != nil {
+	if err := comp.Compile(compilable); err != nil {
 		fmt.Fprintln(stderr, "snoopc:", err)
 		return 1
 	}
@@ -118,10 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "event %-40s %s\n", n, kind)
 	}
 	fmt.Fprintf(stdout, "%d events, %d rules\n", len(names), ruleCount)
-	if *bulk {
-		fmt.Fprintf(stdout, "%d node registrations shared, %d nodes live\n",
-			det.SharedNodes(), det.LiveNodes())
-	}
+	fmt.Fprintf(stdout, "%d node registrations shared, %d nodes live\n",
+		det.SharedNodes(), det.LiveNodes())
 	if *dot {
 		if err := debug.DOT(det, stdout); err != nil {
 			fmt.Fprintln(stderr, "snoopc:", err)

@@ -20,9 +20,9 @@ func runSpec(t *testing.T, src string, extraArgs ...string) (code int, stdout, s
 	return code, out.String(), errb.String()
 }
 
-func TestGoldenBulkCompile(t *testing.T) {
+func TestGoldenCompile(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-bulk", filepath.Join("testdata", "bulk.snp")}, &out, &errb)
+	code := run([]string{filepath.Join("testdata", "bulk.snp")}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit=%d stderr=%s", code, errb.String())
 	}
@@ -33,26 +33,6 @@ func TestGoldenBulkCompile(t *testing.T) {
 	}
 	if got := out.String(); got != string(want) {
 		t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
-	}
-}
-
-func TestBulkMatchesSequentialEvents(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "bulk.snp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	codeSeq, outSeq, errSeq := runSpec(t, string(src))
-	codeBulk, outBulk, errBulk := runSpec(t, string(src), "-bulk")
-	if codeSeq != 0 || codeBulk != 0 {
-		t.Fatalf("exits: seq=%d (%s) bulk=%d (%s)", codeSeq, errSeq, codeBulk, errBulk)
-	}
-	// Bulk output is the sequential output plus the sharing summary line.
-	if !strings.HasPrefix(outBulk, outSeq) {
-		t.Errorf("bulk and sequential compilation disagree:\n--- seq ---\n%s--- bulk ---\n%s", outSeq, outBulk)
-	}
-	tail := strings.TrimPrefix(outBulk, outSeq)
-	if !strings.Contains(tail, "shared") {
-		t.Errorf("bulk summary line missing, got %q", tail)
 	}
 }
 
@@ -100,11 +80,9 @@ func TestConflictingDuplicateEventDeclaration(t *testing.T) {
 class C reactive { event end(e1) pay(amount); }
 class D reactive { event end(e1) refund(amount); }
 `
-	for _, args := range [][]string{nil, {"-bulk"}} {
-		code, _, stderr := runSpec(t, src, args...)
-		if code != 1 || !strings.Contains(stderr, "e1") {
-			t.Errorf("args=%v: exit=%d stderr=%q", args, code, stderr)
-		}
+	code, _, stderr := runSpec(t, src)
+	if code != 1 || !strings.Contains(stderr, "e1") {
+		t.Errorf("exit=%d stderr=%q", code, stderr)
 	}
 }
 

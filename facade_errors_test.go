@@ -84,6 +84,27 @@ func TestExecSyntaxErrorSurfaces(t *testing.T) {
 	}
 }
 
+// A specification whose second rule fails installs neither rule; the event
+// it declared before them stays.
+func TestExecFailingRuleInstallsNoRuleOfTheSpec(t *testing.T) {
+	db := openStockDB(t, "")
+	db.BindAction("act", func(*sentinel.Execution) error { return nil })
+	err := db.Exec(`
+event both = e1 and e3;
+rule First(both, true, act);
+rule Second(both, true, unbound);
+`)
+	if err == nil || !strings.Contains(err.Error(), "unbound") {
+		t.Fatalf("Exec error: %v", err)
+	}
+	if _, err := db.GetRule("First"); err == nil {
+		t.Fatal("rule declared before the failing one was installed")
+	}
+	if err := db.Exec(`rule First(both, true, act);`); err != nil {
+		t.Fatalf("event of the failed spec is gone, or the rule name stayed reserved: %v", err)
+	}
+}
+
 func TestDeleteAndUnknownLoadThroughFacade(t *testing.T) {
 	db := openStockDB(t, t.TempDir())
 	tx, _ := db.Begin()

@@ -14,11 +14,12 @@ import (
 type Bulk struct{ d *Detector }
 
 // BulkBuild runs fn with the structure lock held for the whole batch.
-// The admission index is invalidated once on entry (so no fast-path
-// signal can route through pre-batch structure while the graph mutates)
-// and rebuilt exactly once on exit, instead of per definition. Signals
-// arriving during the window serialize behind it, exactly as they would
-// behind any single structural mutation.
+// The admission index is invalidated once on entry (so no signal can route
+// through pre-batch structure while the graph mutates), instead of per
+// definition; the first signal after the window rebuilds it, so windows
+// that follow one another (a specification's events, then its rules) share
+// one rebuild. Signals arriving during the window serialize behind it,
+// exactly as they would behind any single structural mutation.
 func (d *Detector) BulkBuild(fn func(*Bulk) error) error {
 	d.structMu.Lock()
 	defer d.structMu.Unlock()
@@ -26,7 +27,6 @@ func (d *Detector) BulkBuild(fn func(*Bulk) error) error {
 	d.batching = true
 	err := fn(&Bulk{d: d})
 	d.batching = false
-	d.admitLocked()
 	return err
 }
 

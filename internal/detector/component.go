@@ -2,7 +2,6 @@ package detector
 
 import (
 	"container/heap"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,8 +31,8 @@ import (
 //	d.structMu → component.mu (ascending id when several) → d.compsMu
 //
 // The structure lock serializes everything that changes the shape of the
-// graph (definitions, merges, subscriptions, class declarations) and every
-// slow-path entry point; component locks serialize propagation within one
+// graph (definitions, merges, subscriptions, class declarations) and the
+// serialized signal entry; component locks serialize propagation within one
 // expression tree; compsMu is a leaf protecting the component registry and
 // the transaction→components fan-out map.
 
@@ -135,7 +134,7 @@ func (d *Detector) mergeNodeComps(nodes []Node) *component {
 	if len(roots) == 1 {
 		return roots[0]
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].id < roots[j].id })
+	sortComps(roots)
 	for _, r := range roots {
 		r.mu.Lock()
 	}

@@ -3,6 +3,7 @@ package detector
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,11 +49,18 @@ func (k TraceKind) String() string {
 	}
 }
 
-// Tracer observes detector activity; the rule debugger implements it.
-// Installing a tracer routes every signal through the locked slow path
-// (the tracer must see raw occurrences the fast path never builds), so
-// detectors with a debugger or event-log recorder attached trade the
-// parallel component fast path for complete, totally ordered traces.
+// Tracer observes detector activity; the rule debugger and the event-log
+// recorder implement it. A tracer rides on the path signals take anyway — it
+// selects nothing — so Trace is called with component locks held, from as
+// many goroutines as there are components being signalled: it must
+// synchronize its own state, return quickly, and not call back into the
+// detector. What it may assume about order: the entries of one component
+// (the TraceRaw of a signal, then the node-level entries it causes) arrive
+// in the order the component consumed them, which is ascending Seq; entries
+// of different components interleave arbitrarily, and the Seq on their
+// occurrences orders them. A signal nothing consumes is traced (TraceRaw
+// only) outside every component. The TraceRaw occurrence may be retained but
+// not modified.
 type Tracer interface {
 	Trace(kind TraceKind, occ *event.Occurrence, ctx Context, node string)
 }
@@ -100,7 +108,7 @@ var (
 // only that component's lock.
 type Detector struct {
 	// structMu is the structure lock: it serializes graph mutations
-	// (which may merge components) and every slow-path entry point. A
+	// (which may merge components) and the serialized signal entry. A
 	// thread holding structMu may additionally lock components (ascending
 	// id when several); the reverse order is forbidden.
 	structMu sync.Mutex
@@ -126,15 +134,14 @@ type Detector struct {
 	maskMu  sync.Mutex
 	masked  map[uint64]int
 
-	tracer Tracer      // guarded by structMu + all component locks
-	traced atomic.Bool // tracer != nil, readable without any lock
+	tracer atomic.Pointer[Tracer] // nil: no tracer installed
 	stats  statCounters
 	obs    obsCounters                // signal-outcome and flush counters (obs.go)
 	admit  atomic.Pointer[matchIndex] // lock-free admission + routing index
 
 	// batching suppresses the per-mutation admission-index invalidation
-	// while a BulkBuild window is open (the window invalidates once on
-	// entry and rebuilds once on exit). Guarded by structMu.
+	// while a BulkBuild window is open (the window invalidates once, on
+	// entry). Guarded by structMu.
 	batching bool
 	// liveNodes counts distinct nodes currently in the graph, maintained
 	// on build and release so the gauge never needs a graph walk.
@@ -183,36 +190,26 @@ func New() *Detector {
 	}
 }
 
-// trace reports detector-level activity (raw inputs, flushes) and bumps
-// the detector stats shard for the node-level kinds when called from the
-// serialized paths. Callers hold structMu, so reading d.tracer is safe.
+// trace hands one event to the installed tracer, if any.
 func (d *Detector) trace(kind TraceKind, occ *event.Occurrence, ctx Context, node string) {
-	switch kind {
-	case TraceSignal:
-		d.stats.signals.Add(1)
-	case TraceDetect:
-		d.stats.detections.Add(1)
-	case TraceNotifyRule:
-		d.stats.ruleFires.Add(1)
-	}
-	if d.tracer != nil {
-		d.tracer.Trace(kind, occ, ctx, node)
+	if t := d.tracer.Load(); t != nil {
+		(*t).Trace(kind, occ, ctx, node)
 	}
 }
 
-// SetTracer installs a trace observer (the rule debugger). Pass nil to
-// remove it. While a tracer is installed the parallel signal fast path is
-// disabled, so the tracer sees every occurrence entering the detector in
-// one total order. Installation quiesces the detector: it invalidates the
-// admission index and then passes through every component lock, so no
-// fast-path signal begun before the install is still in flight when
-// SetTracer returns.
+// SetTracer installs a trace observer (the rule debugger, the event-log
+// recorder). Pass nil to remove it. Signals keep the path they had;
+// installation only quiesces the detector: it holds the structure lock and
+// passes through every component lock, so when SetTracer returns no signal
+// inside a component is still running with the previous tracer (or none).
 func (d *Detector) SetTracer(t Tracer) {
 	d.structMu.Lock()
 	defer d.structMu.Unlock()
-	d.admit.Store(nil)
-	d.tracer = t
-	d.traced.Store(t != nil)
+	if t == nil {
+		d.tracer.Store(nil)
+	} else {
+		d.tracer.Store(&t)
+	}
 	for _, c := range d.rootComps() {
 		c.mu.Lock()
 		_ = c // the empty critical section is the quiescence barrier
@@ -307,8 +304,8 @@ func (d *Detector) register(name, sig string, build func() Node) (Node, error) {
 
 // invalidateAdmit drops the admission index ahead of a structure
 // mutation. Inside a BulkBuild window the store is skipped: the window
-// already dropped the index on entry and rebuilds it once on exit.
-// Callers hold structMu.
+// already dropped the index on entry and nothing rebuilds it before the
+// window closes. Callers hold structMu.
 func (d *Detector) invalidateAdmit() {
 	if !d.batching {
 		d.admit.Store(nil)
@@ -583,12 +580,144 @@ func (d *Detector) maskedTxn(txnID uint64) bool {
 	return d.masked[txnID] > 0
 }
 
+// outcome is what became of one signal handed to deliver.
+type outcome uint8
+
+const (
+	fired      outcome = iota // its components consumed it
+	unconsumed                // nothing could consume it; dropped without a lock
+	stale                     // the index is no longer the published one; nothing fired
+)
+
+// deliver is the one way an occurrence enters the graph. src has been
+// routed through idx to r (matchIndex.route); deliver locks the components r
+// fires into (ascending id), checks under those locks that idx is still the
+// published index, then stamps, raw-traces and fires. Every component of a
+// route is locked before anything fires, so a signal never finds the index
+// stale half-way: stale means nothing fired and the caller starts over on a
+// rebuilt index (signal does, serialized).
+func (d *Detector) deliver(idx *matchIndex, r *route, src *event.Occurrence) outcome {
+	t := d.tracer.Load()
+	if r.unconsumed(t) {
+		d.drop(r, src, t)
+		return unconsumed
+	}
+	for _, c := range r.comps {
+		c.mu.Lock()
+	}
+	current := d.admit.Load() == idx
+	if current {
+		d.fire(r, src)
+	}
+	for i := len(r.comps) - 1; i >= 0; i-- {
+		r.comps[i].mu.Unlock()
+	}
+	if !current {
+		return stale
+	}
+	return fired
+}
+
+// unconsumed reports whether a signal routed to r can be dropped without
+// visiting a node: nothing matches it, or the node it names has no consumer.
+// While a tracer is installed the named node is visited regardless, so the
+// trace shows the signal arriving.
+func (r *route) unconsumed(t *Tracer) bool {
+	return r == nil || !r.live && t == nil
+}
+
+// drop accounts a signal nothing consumes: a named node's arrival is
+// counted as if it had fired; a signal matching no node at all leaves only
+// its raw trace, built when a tracer is there to see it.
+func (d *Detector) drop(r *route, src *event.Occurrence, t *Tracer) {
+	if r != nil {
+		d.stats.signals.Add(1)
+	} else if t != nil {
+		(*t).Trace(TraceRaw, d.stamp(src), Recent, "input")
+	}
+}
+
+// stamp copies src into a template carrying the next logical timestamp and
+// the virtual clock reading.
+func (d *Detector) stamp(src *event.Occurrence) *event.Occurrence {
+	tmpl := getOcc()
+	*tmpl = *src
+	tmpl.Seq = d.clock.Next()
+	tmpl.Time = d.vtime.Load()
+	return tmpl
+}
+
+// fire stamps src and propagates it from r's nodes. Callers hold the lock of
+// every component of r and have checked under them that r's index is
+// current; the stamp is taken and the tracer read under those locks, so
+// within a component arrival order, trace order and Seq order are one order,
+// and SetTracer's pass through the locks is a barrier.
+func (d *Detector) fire(r *route, src *event.Occurrence) {
+	tmpl := d.stamp(src)
+	t := d.tracer.Load()
+	if t != nil {
+		(*t).Trace(TraceRaw, tmpl, Recent, "input")
+	}
+	for _, p := range r.nodes {
+		if r.named || p.matchesInstance(src.Object) {
+			p.fire(tmpl)
+		}
+	}
+	if t == nil { // a tracer may have retained the template
+		putOcc(tmpl)
+	}
+}
+
+// signal is the lock-free entry: src was routed to r through the published
+// index idx. With idx nil — no index is published, or the published one
+// cannot route src — or stale by the time the component locks are held, the
+// signal takes the serialized entry instead.
+func (d *Detector) signal(idx *matchIndex, r *route, src *event.Occurrence) error {
+	if idx != nil {
+		switch d.deliver(idx, r, src) {
+		case fired:
+			d.obs.fastHits.Add(1)
+			return nil
+		case unconsumed:
+			d.obs.fastNoSub.Add(1)
+			return nil
+		}
+		d.obs.fastStale.Add(1)
+	}
+	d.structMu.Lock()
+	defer d.structMu.Unlock()
+	return d.signalLocked(src)
+}
+
+// signalLocked is the serialized entry: the same deliver, on the index
+// (re)built under the structure lock — which the caller holds, so the index
+// cannot go stale under it.
+func (d *Detector) signalLocked(src *event.Occurrence) error {
+	idx := d.admitLocked()
+	if r, ok := idx.route(src); ok {
+		d.deliver(idx, r, src)
+		return nil
+	}
+	n, ok := d.nodes[src.Name]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownEvent, src.Name)
+	}
+	if _, ok := n.(*PrimitiveNode); ok {
+		return fmt.Errorf("%w: %q is not an explicit event", ErrBadOperand, src.Name)
+	}
+	return fmt.Errorf("%w: cannot signal composite event %q directly", ErrBadOperand, src.Name)
+}
+
+// named builds the occurrence of a named event raised by this application.
+func (d *Detector) named(name string, kind event.Kind, params event.ParamList, txnID uint64) event.Occurrence {
+	return event.Occurrence{Name: name, Kind: kind, Params: params, Txn: txnID, App: d.App}
+}
+
 // SignalMethod signals a method invocation event: every primitive event
 // node defined on the class (or an ancestor class) with a matching method
 // and modifier fires. It is the Notify call the Sentinel post-processor
 // plants in each wrapper method — paid on every method invocation of
-// every reactive class, so it is routed entirely through the admission
-// index when possible: a masked transaction or an unknown (class, method,
+// every reactive class: a masked transaction or an unknown (class, method,
 // modifier) triple returns without locking, and a match locks only the
 // component(s) the matching nodes belong to, so independent expressions
 // consume signals concurrently.
@@ -597,147 +726,26 @@ func (d *Detector) SignalMethod(class, method string, mod event.Modifier, oid ev
 		d.obs.maskedDrops.Add(1)
 		return
 	}
-	if !d.traced.Load() {
-		if idx := d.admit.Load(); idx != nil {
-			entry := idx.methods[methodKey{class: class, method: method, mod: mod}]
-			if entry == nil {
-				d.obs.fastNoSub.Add(1)
-				return // nothing could consume this signal
-			}
-			if d.fireMethodFast(idx, entry, class, method, mod, oid, params, txnID) {
-				return
-			}
-			d.obs.fastStale.Add(1)
-		}
-	}
-	d.structMu.Lock()
-	defer d.structMu.Unlock()
-	d.signalMethodLocked(class, method, mod, oid, params, txnID, nil)
-}
-
-// fireMethodFast fires a routed method signal under the target components'
-// locks only. After locking each component it validates that the admission
-// index is still current: node structure (parent edges, rules, context
-// counters, component membership) only changes under the structure lock
-// with the affected components locked AND the index dropped first, so an
-// unchanged index pointer proves the routing and pre-filtered liveness are
-// still exact. On a stale index it reports false and the caller retries on
-// the serialized path; groups already fired are skipped there via the skip
-// set (their components consumed the signal already).
-func (d *Detector) fireMethodFast(idx *matchIndex, entry *methodEntry, class, method string, mod event.Modifier, oid event.OID, params event.ParamList, txnID uint64) bool {
-	for gi := range entry.groups {
-		g := &entry.groups[gi]
-		g.comp.mu.Lock()
-		if d.admit.Load() != idx {
-			g.comp.mu.Unlock()
-			if gi == 0 {
-				return false
-			}
-			// Components of the earlier groups already consumed the
-			// signal; finish the rest on the serialized path.
-			d.obs.fastStale.Add(1)
-			skip := make(map[*PrimitiveNode]bool)
-			for _, done := range entry.groups[:gi] {
-				for _, p := range done.nodes {
-					skip[p] = true
-				}
-			}
-			d.structMu.Lock()
-			d.signalMethodLocked(class, method, mod, oid, params, txnID, skip)
-			d.structMu.Unlock()
-			return true
-		}
-		tmpl := getOcc()
-		*tmpl = event.Occurrence{
-			Kind:     event.KindMethod,
-			Class:    class,
-			Method:   method,
-			Modifier: mod,
-			Object:   oid,
-			Params:   params,
-			Seq:      d.clock.Next(), // stamped under the component lock
-			Time:     d.vtime.Load(),
-			Txn:      txnID,
-			App:      d.App,
-		}
-		for _, p := range g.nodes {
-			if p.matchesInstance(oid) {
-				p.fire(tmpl)
-			}
-		}
-		putOcc(tmpl)
-		g.comp.mu.Unlock()
-	}
-	d.obs.fastHits.Add(1)
-	return true
-}
-
-// signalMethodLocked is the serialized form of SignalMethod; callers hold
-// structMu. skip lists nodes a partially completed fast-path attempt
-// already fired. The template's Seq is (re)stamped under each target
-// component's lock so per-component arrival order equals Seq order even
-// while fast-path signals race into the same components.
-func (d *Detector) signalMethodLocked(class, method string, mod event.Modifier, oid event.OID, params event.ParamList, txnID uint64, skip map[*PrimitiveNode]bool) {
-	if d.isMasked(txnID) {
-		return
-	}
-	if skip == nil {
-		idx := d.admitLocked()
-		if idx.methods[methodKey{class: class, method: method, mod: mod}] == nil && d.tracer == nil {
+	idx := d.admit.Load()
+	var r *route
+	if idx != nil {
+		// Most method signals match nothing. Unless a tracer wants to see
+		// them, they end here, before an occurrence is even built.
+		if r = idx.methods[methodKey{class: class, method: method, mod: mod}]; r == nil && d.tracer.Load() == nil {
+			d.obs.fastNoSub.Add(1)
 			return
 		}
 	}
-	tmpl := getOcc()
-	*tmpl = event.Occurrence{
+	_ = d.signal(idx, r, &event.Occurrence{ // a method occurrence always routes
 		Kind:     event.KindMethod,
 		Class:    class,
 		Method:   method,
 		Modifier: mod,
 		Object:   oid,
 		Params:   params,
-		Seq:      d.clock.Next(),
-		Time:     d.vtime.Load(),
 		Txn:      txnID,
 		App:      d.App,
-	}
-	d.trace(TraceRaw, tmpl, Recent, "input")
-	// Walk the inheritance chain: the per-class lists are the paper's
-	// primitive-event index ("each primitive event is maintained as a
-	// list based on the class on which it is defined").
-	var matchedArr [4]*PrimitiveNode
-	matched := matchedArr[:0]
-	for c := class; c != ""; c = d.super[c] {
-		for _, p := range d.classes[c] {
-			if p.live() && p.matches(class, method, mod, oid) && !skip[p] {
-				matched = append(matched, p)
-			}
-		}
-	}
-	// Fire component by component, each group under its component's lock
-	// with a Seq stamped inside the lock — fast-path signals racing into
-	// the same component stamp the same way, so per-component arrival
-	// order equals Seq order. In traced mode no fast path runs and the
-	// tracer retains tmpl, so the original stamp must stay untouched.
-	for len(matched) > 0 {
-		root := matched[0].comp.find()
-		root.mu.Lock()
-		if d.tracer == nil {
-			tmpl.Seq = d.clock.Next()
-		}
-		rest := matched[:0]
-		for _, p := range matched {
-			if p.comp.find() == root {
-				p.fire(tmpl)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		root.mu.Unlock()
-		matched = rest
-	}
-	if d.tracer == nil {
-		putOcc(tmpl)
-	}
+	})
 }
 
 // SignalExplicit raises a named explicit event. A defined event with no
@@ -749,74 +757,13 @@ func (d *Detector) SignalExplicit(name string, params event.ParamList, txnID uin
 		d.obs.maskedDrops.Add(1)
 		return nil
 	}
-	if !d.traced.Load() {
-		if idx := d.admit.Load(); idx != nil {
-			if e := idx.names[name]; e != nil && e.kind == event.KindExplicit {
-				if !e.live {
-					d.stats.signals.Add(1)
-					d.obs.fastNoSub.Add(1)
-					return nil
-				}
-				e.comp.mu.Lock()
-				if d.admit.Load() == idx {
-					occ := getOcc()
-					*occ = event.Occurrence{
-						Name:   name,
-						Kind:   event.KindExplicit,
-						Params: params,
-						Seq:    d.clock.Next(),
-						Time:   d.vtime.Load(),
-						Txn:    txnID,
-						App:    d.App,
-					}
-					e.node.fire(occ)
-					putOcc(occ)
-					e.comp.mu.Unlock()
-					d.obs.fastHits.Add(1)
-					return nil
-				}
-				e.comp.mu.Unlock()
-				d.obs.fastStale.Add(1)
-			}
-		}
-	}
-	d.structMu.Lock()
-	defer d.structMu.Unlock()
-	return d.signalExplicitLocked(name, params, txnID)
-}
-
-// signalExplicitLocked fires an explicit event; callers hold structMu.
-func (d *Detector) signalExplicitLocked(name string, params event.ParamList, txnID uint64) error {
-	if d.isMasked(txnID) {
-		return nil
-	}
-	n, ok := d.nodes[name]
+	src := d.named(name, event.KindExplicit, params, txnID)
+	idx := d.admit.Load()
+	r, ok := idx.route(&src)
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEvent, name)
+		idx = nil // the serialized entry words the error
 	}
-	p, ok := n.(*PrimitiveNode)
-	if !ok || p.kind != event.KindExplicit {
-		return fmt.Errorf("%w: %q is not an explicit event", ErrBadOperand, name)
-	}
-	root := p.comp.find()
-	root.mu.Lock()
-	occ := getOcc()
-	*occ = event.Occurrence{
-		Name:   name,
-		Kind:   event.KindExplicit,
-		Params: params,
-		Seq:    d.clock.Next(),
-		Time:   d.vtime.Load(),
-		Txn:    txnID,
-		App:    d.App,
-	}
-	d.trace(TraceRaw, occ, Recent, "input")
-	p.fire(occ)
-	root.mu.Unlock()
-	if d.tracer == nil {
-		putOcc(occ)
-	}
-	return nil
+	return d.signal(idx, r, &src)
 }
 
 // SignalTxn signals one of the transaction system events. Commit and
@@ -829,55 +776,20 @@ func (d *Detector) SignalTxn(name string, txnID uint64) {
 }
 
 // signalTxnLocked fires a transaction event and auto-flushes on commit or
-// abort; callers hold structMu. The transaction-event node's component is
-// locked only around the fire; the flush then fans out to just the
-// components the transaction's dirty sets touched.
+// abort; callers hold structMu (the flush fan-out needs it). A transaction
+// event no expression uses has no node: its occurrence is built only for a
+// tracer, to reach the raw trace.
 func (d *Detector) signalTxnLocked(name string, txnID uint64) {
 	if !d.isMasked(txnID) {
-		if n, ok := d.nodes[name]; ok {
-			if p, ok := n.(*PrimitiveNode); ok && p.kind == event.KindTransaction {
-				root := p.comp.find()
-				root.mu.Lock()
-				occ := getOcc()
-				*occ = event.Occurrence{
-					Name: name,
-					Kind: event.KindTransaction,
-					Seq:  d.clock.Next(),
-					Time: d.vtime.Load(),
-					Txn:  txnID,
-					App:  d.App,
-				}
-				d.trace(TraceRaw, occ, Recent, "input")
-				p.fire(occ)
-				root.mu.Unlock()
-				if d.tracer == nil {
-					putOcc(occ)
-				}
-			} else if d.tracer != nil {
-				d.traceTxnInput(name, txnID)
-			}
-		} else if d.tracer != nil {
-			d.traceTxnInput(name, txnID)
+		idx := d.admitLocked()
+		if r := idx.names[name]; r != nil || d.tracer.Load() != nil {
+			src := d.named(name, event.KindTransaction, nil, txnID)
+			d.deliver(idx, r, &src)
 		}
 	}
 	if d.AutoFlush && (name == event.CommitTransaction || name == event.AbortTransaction) {
 		d.flushTxnsLocked([]uint64{txnID})
 	}
-}
-
-// traceTxnInput reports a transaction event to the tracer even when no
-// node consumes it, preserving the pre-fast-path property that the raw
-// trace (and therefore recorded event logs) contains the full stream.
-func (d *Detector) traceTxnInput(name string, txnID uint64) {
-	occ := &event.Occurrence{
-		Name: name,
-		Kind: event.KindTransaction,
-		Seq:  d.clock.Next(),
-		Time: d.vtime.Load(),
-		Txn:  txnID,
-		App:  d.App,
-	}
-	d.trace(TraceRaw, occ, Recent, "input")
 }
 
 // SignalOccurrence injects a pre-built occurrence (global events arriving
@@ -890,70 +802,33 @@ func (d *Detector) SignalOccurrence(occ *event.Occurrence) error {
 	}
 	d.structMu.Lock()
 	defer d.structMu.Unlock()
-	return d.signalOccurrenceLocked(occ)
-}
-
-// signalOccurrenceLocked routes a pre-built occurrence without ever
-// releasing the structure lock mid-decision: the name lookup, the
-// method-signature fallback, and the fire all happen in one critical
-// section. Callers hold structMu.
-func (d *Detector) signalOccurrenceLocked(occ *event.Occurrence) error {
-	if d.isMasked(occ.Txn) {
-		return nil
-	}
-	n, ok := d.nodes[occ.Name]
-	if !ok {
-		// Method events may be addressed by signature instead of name.
-		if occ.Kind == event.KindMethod {
-			d.signalMethodLocked(occ.Class, occ.Method, occ.Modifier, occ.Object, occ.Params, occ.Txn, nil)
-			return nil
-		}
-		return fmt.Errorf("%w: %q", ErrUnknownEvent, occ.Name)
-	}
-	p, ok := n.(*PrimitiveNode)
-	if !ok {
-		return fmt.Errorf("%w: cannot signal composite event %q directly", ErrBadOperand, occ.Name)
-	}
-	root := p.comp.find()
-	root.mu.Lock()
-	cp := getOcc()
-	*cp = *occ
-	cp.Seq = d.clock.Next()
-	cp.Time = d.vtime.Load()
-	d.trace(TraceRaw, cp, Recent, "input")
-	p.fire(cp)
-	root.mu.Unlock()
-	if d.tracer == nil {
-		putOcc(cp)
-	}
-	return nil
+	return d.signalLocked(occ)
 }
 
 // SignalBatch injects a slice of pre-built primitive occurrences — the
 // bulk entry point for event log replay and the global event detector's
 // fan-in. Occurrences are processed in slice order with the same routing
-// as the one-at-a-time entry points: unnamed method occurrences go through
-// the signature path, transaction occurrences fire the system events
-// (including the AutoFlush), and everything else is routed by name. The
-// virtual clock advances to each occurrence's Time first, so temporal
-// events interleave exactly as they would online. It returns the number of
-// occurrences processed and the first routing error, if any.
+// as the one-at-a-time entry points: unnamed method occurrences go by
+// signature, transaction occurrences fire the system events (including the
+// AutoFlush), and everything else is routed by name. The virtual clock
+// advances to each occurrence's Time first, so temporal events interleave
+// exactly as they would online. It returns the number of occurrences
+// processed and the first routing error, if any.
 //
-// A batch whose occurrences are all routable through the admission index
-// (no transaction events, no clock advancement, no unknown names) is split
-// per component: the target components are locked together and the batch
-// fires group by group in slice order, so each component consumes its
-// sub-batch in logical-clock order while other components stay available
-// to concurrent signallers. Any other batch falls back to the structure
-// lock.
+// A batch the published index routes whole (no transaction events, no clock
+// advancement, no unroutable occurrence) is delivered with the component
+// locks hoisted over the slice (deliverBatch), so each component consumes
+// its sub-batch in logical-clock order while other components stay
+// available to concurrent signallers. Any other batch is delivered one
+// occurrence at a time under the structure lock.
 func (d *Detector) SignalBatch(occs []event.Occurrence) (int, error) {
 	if len(occs) == 0 {
 		return 0, nil
 	}
 	d.obs.batches.Add(1)
 	d.obs.batchOccs.Add(uint64(len(occs)))
-	if !d.traced.Load() && d.maskCnt.Load() == 0 { // the serialized path checks the mask per occurrence
-		if idx := d.admit.Load(); idx != nil && d.fireBatchFast(idx, occs) {
+	if d.maskCnt.Load() == 0 { // the serialized loop checks the mask per occurrence
+		if idx := d.admit.Load(); idx != nil && d.deliverBatch(idx, occs) {
 			return len(occs), nil
 		}
 	}
@@ -964,13 +839,10 @@ func (d *Detector) SignalBatch(occs []event.Occurrence) (int, error) {
 		if occ.Time > d.vtime.Load() {
 			d.advanceTimeLocked(occ.Time)
 		}
-		switch {
-		case occ.Kind == event.KindMethod && occ.Name == "":
-			d.signalMethodLocked(occ.Class, occ.Method, occ.Modifier, occ.Object, occ.Params, occ.Txn, nil)
-		case occ.Kind == event.KindTransaction:
+		if occ.Kind == event.KindTransaction {
 			d.signalTxnLocked(occ.Name, occ.Txn)
-		default:
-			if err := d.signalOccurrenceLocked(occ); err != nil {
+		} else if !d.isMasked(occ.Txn) {
+			if err := d.signalLocked(occ); err != nil {
 				return i, err
 			}
 		}
@@ -978,112 +850,55 @@ func (d *Detector) SignalBatch(occs []event.Occurrence) (int, error) {
 	return len(occs), nil
 }
 
-// fireBatchFast attempts the per-component batch split: it maps every
-// occurrence to its target component(s) through the admission index,
-// locks the distinct components in ascending id order, re-validates the
-// index (all-or-nothing — no occurrence fires on a stale index), and
-// fires in slice order. It reports false when any occurrence needs the
-// serialized path.
-func (d *Detector) fireBatchFast(idx *matchIndex, occs []event.Occurrence) bool {
+// deliverBatch is deliver with the locks hoisted over a slice: route every
+// occurrence, lock the distinct components in ascending id order, check the
+// index once (all-or-nothing — no occurrence fires on a stale index), and
+// fire in slice order. It reports false, having fired nothing, when any
+// occurrence needs the structure lock.
+func (d *Detector) deliverBatch(idx *matchIndex, occs []event.Occurrence) bool {
 	vnow := d.vtime.Load()
-	type target struct {
-		entry *methodEntry // method occurrences
-		name  *nameEntry   // named occurrences
-	}
-	targets := make([]target, len(occs))
-	var comps []*component
-	addComp := func(c *component) {
-		for _, have := range comps {
-			if have == c {
-				return
-			}
-		}
-		comps = append(comps, c)
-	}
+	t := d.tracer.Load()
+	// Both lists start on the stack: the GED hands over batches of one or
+	// a few occurrences, and those should cost no more than single signals.
+	var routeBuf [16]*route
+	var compBuf [4]*component
+	routes, comps := routeBuf[:0], compBuf[:0]
 	for i := range occs {
 		occ := &occs[i]
 		if occ.Time > vnow || occ.Kind == event.KindTransaction {
 			return false // timer interleaving / flush fan-out: serialize
 		}
-		if occ.Kind == event.KindMethod && occ.Name == "" {
-			entry := idx.methods[methodKey{class: occ.Class, method: occ.Method, mod: occ.Modifier}]
-			if entry == nil {
-				continue // nothing consumes it; matches the serial path
+		r, ok := idx.route(occ)
+		if !ok || r != nil && r.kind == event.KindTransaction {
+			return false // the error path, or a flush fan-out
+		}
+		routes = append(routes, r)
+		if !r.unconsumed(t) {
+			for _, c := range r.comps {
+				if !slices.Contains(comps, c) {
+					comps = append(comps, c)
+				}
 			}
-			targets[i].entry = entry
-			for gi := range entry.groups {
-				addComp(entry.groups[gi].comp)
-			}
-			continue
 		}
-		e := idx.names[occ.Name]
-		if e == nil || e.kind == event.KindTransaction {
-			return false // unknown name (error path) or txn flush
-		}
-		if !e.live {
-			// Replayed occurrence nothing consumes: account the signal
-			// like the explicit fast drop and move on.
-			targets[i].name = e
-			continue
-		}
-		targets[i].name = e
-		addComp(e.comp)
 	}
 	sortComps(comps)
 	for _, c := range comps {
 		c.mu.Lock()
 	}
-	if d.admit.Load() != idx {
-		for i := len(comps) - 1; i >= 0; i-- {
-			comps[i].mu.Unlock()
-		}
-		return false
-	}
-	for i := range occs {
-		occ := &occs[i]
-		switch {
-		case targets[i].entry != nil:
-			entry := targets[i].entry
-			for gi := range entry.groups {
-				g := &entry.groups[gi]
-				tmpl := getOcc()
-				*tmpl = event.Occurrence{
-					Kind:     event.KindMethod,
-					Class:    occ.Class,
-					Method:   occ.Method,
-					Modifier: occ.Modifier,
-					Object:   occ.Object,
-					Params:   occ.Params,
-					Seq:      d.clock.Next(),
-					Time:     d.vtime.Load(),
-					Txn:      occ.Txn,
-					App:      d.App,
-				}
-				for _, p := range g.nodes {
-					if p.matchesInstance(occ.Object) {
-						p.fire(tmpl)
-					}
-				}
-				putOcc(tmpl)
+	current := d.admit.Load() == idx
+	if current {
+		for i, r := range routes {
+			if r.unconsumed(t) {
+				d.drop(r, &occs[i], t)
+			} else {
+				d.fire(r, &occs[i])
 			}
-		case targets[i].name != nil:
-			e := targets[i].name
-			if !e.live {
-				d.stats.signals.Add(1)
-				continue
-			}
-			cp := getOcc()
-			*cp = *occ
-			cp.Seq = d.clock.Next()
-			cp.Time = d.vtime.Load()
-			e.node.fire(cp)
-			putOcc(cp)
 		}
 	}
 	for i := len(comps) - 1; i >= 0; i-- {
 		comps[i].mu.Unlock()
 	}
-	return true
+	return current
 }
 
 // FlushTxn removes every stored occurrence of the transaction from the
@@ -1102,9 +917,9 @@ func (d *Detector) FlushTxn(txnID uint64) {
 // component, not across components, which is the documented relaxation of
 // the sharded design (see DESIGN.md §7).
 func (d *Detector) flushTxnsLocked(ids []uint64) {
-	if d.tracer != nil {
+	if t := d.tracer.Load(); t != nil {
 		for _, id := range ids {
-			d.trace(TraceFlush, nil, Recent, fmt.Sprintf("txn:%d", id))
+			(*t).Trace(TraceFlush, nil, Recent, fmt.Sprintf("txn:%d", id))
 		}
 	}
 	d.obs.txnFlushes.Add(uint64(len(ids)))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/event"
 	"repro/internal/seglog"
@@ -18,6 +19,7 @@ import (
 // occurrence carrying the internal/event codec — the same frame and codec
 // the GED contribution log stores.
 type EventLog struct {
+	mu  sync.Mutex // Append is called from every component being signalled
 	w   io.Writer
 	buf []byte
 	n   int
@@ -38,6 +40,8 @@ func (l *EventLog) Append(occ *event.Occurrence) error {
 	if occ.IsComposite() {
 		return errors.New("detector: composite occurrences are not logged")
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	b := l.buf[:0]
 	if l.n == 0 {
 		b = append(b, eventLogMagic...)
@@ -57,13 +61,20 @@ func (l *EventLog) Append(occ *event.Occurrence) error {
 }
 
 // Len returns the number of occurrences appended.
-func (l *EventLog) Len() int { return l.n }
+func (l *EventLog) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
+}
 
 // Recorder returns a Tracer that appends every occurrence entering the
 // detector to the log; install it with Detector.SetTracer to capture an
 // application's event stream for later batch analysis. The raw trace
 // point fires before subscriber routing, so the log is complete even for
-// events nothing was subscribed to at recording time.
+// events nothing was subscribed to at recording time. Occurrences of one
+// component are logged in the order it consumed them (the Tracer contract),
+// which is all a replay needs: occurrences of different components never
+// meet at an operator.
 func (l *EventLog) Recorder() Tracer {
 	return tracerFunc(func(kind TraceKind, occ *event.Occurrence, _ Context, _ string) {
 		if kind == TraceRaw && occ != nil && !occ.IsComposite() {
@@ -125,8 +136,8 @@ func Replay(r io.Reader, d *Detector) (int, error) {
 		}
 		if occ.Kind == event.KindMethod {
 			// Logged method events replay through the signature path, as
-			// they were signalled originally (SignalBatch routes unnamed
-			// method occurrences through signalMethodLocked).
+			// they were signalled originally (an unnamed method occurrence
+			// routes by class, method and modifier).
 			occ.Name = ""
 		}
 		batch = append(batch, *occ)

@@ -223,10 +223,7 @@ func (c *nodeCore) addRule(sub Subscriber, ctx Context) func() {
 }
 
 // traceNode accounts a node-level event on the component's stats shard and
-// forwards to an installed tracer. Callers hold the component's lock;
-// traced is only true while every signal path serializes on the structure
-// lock, and the tracer field itself is only written with every component
-// lock held, so the unsynchronized read is safe.
+// forwards it to an installed tracer. Callers hold the component's lock.
 func (c *nodeCore) traceNode(root *component, kind TraceKind, occ *event.Occurrence, ctx Context) {
 	switch kind {
 	case TraceSignal:
@@ -236,9 +233,7 @@ func (c *nodeCore) traceNode(root *component, kind TraceKind, occ *event.Occurre
 	case TraceNotifyRule:
 		root.stats.ruleFires.Add(1)
 	}
-	if c.d.traced.Load() {
-		c.d.tracer.Trace(kind, occ, ctx, c.name)
-	}
+	c.d.trace(kind, occ, ctx, c.name)
 }
 
 // emit delivers occ, detected by this node in ctx, to every parent active

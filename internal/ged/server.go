@@ -49,12 +49,13 @@ type Server struct {
 	log  *EventLog
 	met  *serverMetrics
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*serverConn]struct{}
-	preConns map[net.Conn]struct{} // accepted, hello not yet read
-	closing  bool
-	closeCh  chan struct{} // closed when Close begins; wakes pumps
+	gate frame.Gate // hello handshake of accepted connections
+
+	mu      sync.Mutex
+	ln      net.Listener
+	conns   map[*serverConn]struct{}
+	closing bool
+	closeCh chan struct{} // closed when Close begins; wakes pumps
 
 	readers sync.WaitGroup
 	streams atomic.Int64
@@ -94,12 +95,11 @@ func NewServerOptions(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("ged: partition %d out of range 0..%d", opts.Partition, opts.Partitions-1)
 	}
 	s := &Server{
-		Det:      det,
-		opts:     opts,
-		met:      newServerMetrics(),
-		conns:    make(map[*serverConn]struct{}),
-		preConns: make(map[net.Conn]struct{}),
-		closeCh:  make(chan struct{}),
+		Det:     det,
+		opts:    opts,
+		met:     newServerMetrics(),
+		conns:   make(map[*serverConn]struct{}),
+		closeCh: make(chan struct{}),
 	}
 	if opts.LogDir != "" {
 		log, err := OpenEventLog(opts.LogDir, opts.LogSegmentBytes, opts.LogSync)
@@ -270,35 +270,14 @@ func (c *serverConn) protoError(err error) {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	// Track the connection and bound the Hello read before it is
-	// registered in s.conns: an idle peer that never sends a hello (a
-	// health probe, a port scan) must not pin this goroutine forever, and
-	// Close must be able to deadline it. Registration and deadline updates
-	// happen under s.mu so they cannot race Close's own deadline pass.
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.preConns[conn] = struct{}{}
-	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	s.mu.Unlock()
-	dropPre := func() {
-		s.mu.Lock()
-		delete(s.preConns, conn)
-		s.mu.Unlock()
-	}
 	fr := frame.NewReader(conn, maxFrame)
-	kind, payload, err := fr.Read()
+	kind, payload, err := s.gate.Hello(conn, fr, helloTimeout)
 	if err != nil || frameKind(kind) != frHello {
-		dropPre()
 		conn.Close()
 		return
 	}
 	app, err := decodeHello(payload)
 	if err != nil {
-		dropPre()
 		// Pre-handshake: answer inline, no writer goroutine yet.
 		_ = frame.NewWriter(conn, maxFrame).Send(uint8(frError), encodeError(err.Error()))
 		s.met.protoErrors.Inc()
@@ -313,16 +292,14 @@ func (s *Server) handle(conn net.Conn) {
 		dying: make(chan struct{}),
 		wdone: make(chan struct{}),
 	}
-	s.mu.Lock()
-	delete(s.preConns, conn)
-	if s.closing {
+	if !s.gate.Admit(conn, func() {
+		s.mu.Lock()
+		s.conns[c] = struct{}{}
 		s.mu.Unlock()
+	}) {
 		conn.Close()
 		return
 	}
-	s.conns[c] = struct{}{}
-	_ = conn.SetReadDeadline(time.Time{}) // handshake done; reads block again
-	s.mu.Unlock()
 	s.met.connects.Inc()
 	go c.writeLoop()
 	defer c.shutdown()
@@ -515,6 +492,7 @@ func (s *Server) streamPump(c *serverConn, id uint32, eventName string, from uin
 // connection's queued frames (bounded by DrainTimeout per connection),
 // sends a goodbye, and closes the durable log. It is idempotent.
 func (s *Server) Close() error {
+	s.gate.Close() // silent peers stop waiting; no connection registers from here on
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -528,15 +506,10 @@ func (s *Server) Close() error {
 	}
 	// Unblock every reader: a read deadline in the past fails the pending
 	// Read, the reader goroutine runs its shutdown (unsubscribe, drain,
-	// goodbye, close) and exits. Done under s.mu — where handle also sets
-	// and clears deadlines — so a handshake completing concurrently cannot
-	// overwrite a deadline set here. Pre-handshake connections (hello not
-	// yet read) get the same treatment; they are not in s.conns yet.
+	// goodbye, close) and exits. The gate is shut, so no handshake can
+	// complete now and lift a deadline set here.
 	for _, c := range conns {
 		_ = c.conn.SetReadDeadline(time.Now())
-	}
-	for pc := range s.preConns {
-		_ = pc.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
 	close(s.closeCh)
@@ -547,8 +520,7 @@ func (s *Server) Close() error {
 		_ = s.log.Close() // wakes pumps blocked at the tail
 	}
 	s.readers.Wait()
-	// Readers own their shutdown; anything raced past the map snapshot is
-	// covered by the closing flag in handle.
+	// Readers own their shutdown.
 	for _, c := range conns {
 		c.shutdown()
 	}

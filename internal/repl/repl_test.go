@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -264,3 +265,26 @@ type atomicString struct {
 
 func (a *atomicString) Store(s string) { a.mu.Lock(); a.s = s; a.mu.Unlock() }
 func (a *atomicString) Load() string   { a.mu.Lock(); defer a.mu.Unlock(); return a.s }
+
+// A connected peer that never sends a hello (a health probe, a port scan)
+// must not hold up Close — and with it Database.Close on a leader — until
+// the hello timeout fires.
+func TestServerCloseUnblocksSilentConn(t *testing.T) {
+	srv, err := NewServer(openLeader(t), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Give the server time to accept and park in the hello read; Close is
+	// fast either way, this only makes the test exercise the parked case.
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	srv.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Server.Close took %v with a connection that never sent a hello", took)
+	}
+}

@@ -49,8 +49,9 @@ type session struct {
 // acknowledged LSN, so checkpoint pruning never removes bytes a live
 // session still needs.
 type Server struct {
-	st *storage.Store
-	ln net.Listener
+	st   *storage.Store
+	ln   net.Listener
+	gate frame.Gate
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -108,6 +109,7 @@ func (s *Server) retainFloor() (uint64, bool) {
 // Close stops accepting, drops every session, and detaches from the
 // store's retention floor. The store itself is left open.
 func (s *Server) Close() {
+	s.gate.Close() // silent peers stop waiting; no session registers from here on
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -150,8 +152,7 @@ func (s *Server) serve(conn net.Conn) {
 	fr := frame.NewReader(conn, maxFrame)
 	fw := frame.NewWriter(conn, maxFrame)
 
-	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	kind, payload, err := fr.Read()
+	kind, payload, err := s.gate.Hello(conn, fr, helloTimeout)
 	if err != nil || kind != frHello {
 		return
 	}
@@ -159,7 +160,6 @@ func (s *Server) serve(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 
 	start, end := s.st.LogStart(), s.st.LogEnd()
 	switch {
@@ -185,13 +185,13 @@ func (s *Server) serve(conn net.Conn) {
 
 	sess := &session{conn: conn}
 	sess.acked.Store(from)
-	s.mu.Lock()
-	if s.closed {
+	if !s.gate.Admit(conn, func() {
+		s.mu.Lock()
+		s.sessions[sess] = struct{}{}
 		s.mu.Unlock()
+	}) {
 		return
 	}
-	s.sessions[sess] = struct{}{}
-	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.sessions, sess)
@@ -203,9 +203,8 @@ func (s *Server) serve(conn net.Conn) {
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
-		afr := frame.NewReader(conn, maxFrame)
 		for {
-			kind, payload, err := afr.Read()
+			kind, payload, err := fr.Read()
 			if err != nil || kind != frAck {
 				return
 			}

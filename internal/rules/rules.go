@@ -225,8 +225,8 @@ type Spec struct {
 // planner binds the predicate to a secondary index when one covers it,
 // turning the condition from an O(extent) closure into an index probe.
 // Class defaults to the spec's owning Class; a nil Pred tests extent
-// non-emptiness. Evaluation runs under the firing transaction — with
-// SnapshotConditions, against its MVCC snapshot.
+// non-emptiness. Evaluation runs under the firing transaction, against its
+// MVCC snapshot.
 type Where struct {
 	Class      string
 	Subclasses bool
@@ -323,14 +323,6 @@ type Manager struct {
 	// counted, and reported as ErrCascadeShed — instead of recursing
 	// without bound. Zero means unlimited.
 	MaxCascade int
-	// SnapshotConditions evaluates rule conditions against an MVCC
-	// snapshot of the triggering transaction's state (committed state plus
-	// the family's own writes) instead of taking Shared locks per read.
-	// Conditions become read-only under it: a condition that writes gets
-	// txn.ErrReadOnly. The facade defaults it on via
-	// sentinel.Options.SnapshotConditions.
-	SnapshotConditions bool
-
 	// ExistsFn evaluates Where conditions: does any object of class
 	// satisfy pred, as seen by tx? The facade wires it to the query
 	// engine's Exists (set once at startup, before rules run). A rule
@@ -382,7 +374,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 			"Nesting depth of rule triggerings (1 = top-level, deeper = rules triggered by rules).",
 			obs.DepthBuckets()),
 		bulkLoad: r.Histogram("sentinel_rules_bulk_load_seconds",
-			"Wall time of DefineBatch bulk rule loads (reservation through catalog install).",
+			"Wall time of rule definition batches, a single Define included (reservation through catalog install).",
 			obs.DurationBuckets()),
 	}
 	met.fires[Immediate] = r.Counter("sentinel_rules_fires_immediate_total",
@@ -439,8 +431,8 @@ func validateSpec(spec Spec) error {
 
 // specCond resolves the spec's condition: the Condition func as given, or
 // a closure compiling Where through the query engine. The closure runs
-// inside runBody's snapshot scope when SnapshotConditions is on, so the
-// probe reads the firing transaction's consistent view for free.
+// inside evalCondition's snapshot scope, so the probe reads the firing
+// transaction's consistent view for free.
 func (m *Manager) specCond(spec *Spec) Condition {
 	if spec.Where == nil {
 		return spec.Condition
@@ -465,98 +457,20 @@ func (m *Manager) specCond(spec *Spec) Condition {
 	}
 }
 
-// reserve claims the name for an in-flight Define under one critical
-// section, so two concurrent Defines of the same name cannot both pass
-// the duplicate check (the loser used to silently overwrite the winner
-// in the catalog and leak its detector subscription).
-func (m *Manager) reserve(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.rules[name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateRule, name)
-	}
-	if _, dup := m.reserved[name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateRule, name)
-	}
-	m.reserved[name] = struct{}{}
-	return nil
-}
-
-// unreserve abandons a reservation after a failed Define.
-func (m *Manager) unreserve(name string) {
-	m.mu.Lock()
-	delete(m.reserved, name)
-	m.mu.Unlock()
-}
-
-// Define creates, registers and enables a rule.
+// Define creates, registers and enables one rule: DefineBatch of one.
 func (m *Manager) Define(spec Spec) (*Rule, error) {
-	if err := validateSpec(spec); err != nil {
-		return nil, err
-	}
-	if err := m.reserve(spec.Name); err != nil {
-		return nil, err
-	}
-
-	eventName := spec.Event
-	if spec.Coupling == Deferred {
-		// The Sentinel pre-processor rewrite: deferred on E becomes
-		// immediate on A*(beginTransaction, E, preCommitTransaction).
-		rewritten, err := m.deferredEvent(spec.Event)
-		if err != nil {
-			m.unreserve(spec.Name)
-			return nil, err
-		}
-		eventName = rewritten
-	} else if err := m.det.Retain(spec.Event); err != nil {
-		m.unreserve(spec.Name)
-		return nil, err
-	}
-
-	r := &Rule{
-		mgr:       m,
-		name:      spec.Name,
-		eventName: eventName,
-		userEvent: spec.Event,
-		cond:      m.specCond(&spec),
-		action:    spec.Action,
-		ctx:       spec.Context,
-		coupling:  spec.Coupling,
-		priority:  spec.Priority,
-		trigger:   spec.Trigger,
-		class:     spec.Class,
-		vis:       spec.Visibility,
-	}
-	if err := r.Enable(); err != nil {
-		_ = m.det.Release(eventName)
-		m.unreserve(spec.Name)
-		return nil, err
-	}
-	m.mu.Lock()
-	delete(m.reserved, spec.Name)
-	m.rules[spec.Name] = r
-	m.mu.Unlock()
-	return r, nil
-}
-
-// deferredEvent builds (or reuses) the A* rewrite event for a deferred
-// rule and returns its name with one pin taken for the defining rule, all
-// in one structure-lock window — so a concurrent Drop of the last other
-// deferred rule on the same event cannot collect the node between the
-// build and the pin.
-func (m *Manager) deferredEvent(userEvent string) (string, error) {
-	name := "A*(beginTransaction," + userEvent + ",preCommitTransaction)"
-	err := m.det.BulkBuild(func(b *detector.Bulk) error {
-		return deferredEventIn(b, userEvent, name)
-	})
+	rs, err := m.DefineBatch([]Spec{spec})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return name, nil
+	return rs[0], nil
 }
 
-// deferredEventIn builds and pins the deferred rewrite inside an open
-// bulk window.
+// deferredEventIn builds (or reuses) the deferred rewrite of userEvent under
+// the given name and takes one pin on it for the defining rule, inside the
+// caller's bulk window — so a concurrent Drop of the last other deferred
+// rule on the same event cannot collect the node between the build and the
+// pin.
 func deferredEventIn(b *detector.Bulk, userEvent, name string) error {
 	e, err := b.Lookup(userEvent)
 	if err != nil {
@@ -576,12 +490,13 @@ func deferredEventIn(b *detector.Bulk, userEvent, name string) error {
 	return b.Retain(name)
 }
 
-// DefineBatch defines and enables many rules in one detector
-// structure-lock window: names are reserved in one catalog critical
-// section, every event subtree is built and subscribed under a single
-// BulkBuild window (one admission-index invalidation and rebuild for the
-// whole batch), and the rules are installed in the catalog together. On
-// any error the already-built rules are unwound and nothing is installed.
+// DefineBatch defines and enables rules in one detector structure-lock
+// window: names are reserved in one catalog critical section (so two
+// concurrent definitions of one name cannot both pass the duplicate check),
+// every event subtree is built and subscribed under a single BulkBuild
+// window (one admission-index invalidation and rebuild for the whole
+// batch), and the rules are installed in the catalog together. On any error
+// the already-built rules are unwound and nothing is installed.
 func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 	start := time.Now()
 	for i := range specs {
@@ -611,6 +526,8 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 			spec := &specs[i]
 			eventName := spec.Event
 			if spec.Coupling == Deferred {
+				// The Sentinel pre-processor rewrite: deferred on E becomes
+				// immediate on A*(beginTransaction, E, preCommitTransaction).
 				rewritten := "A*(beginTransaction," + spec.Event + ",preCommitTransaction)"
 				if err := deferredEventIn(b, spec.Event, rewritten); err != nil {
 					return err
@@ -1017,14 +934,13 @@ func (m *Manager) evalCondition(r *Rule, exec *Execution) bool {
 	}
 	m.det.MaskTxns(ids)
 	defer m.det.UnmaskTxns(ids)
-	if m.SnapshotConditions {
-		// Lock-free condition evaluation: reads see a snapshot of committed
-		// state plus the triggering family's own writes, so the condition
-		// neither blocks on nor blocks the commit pipeline. The snapshot
-		// lives exactly as long as the evaluation.
-		release, _ := exec.Txn.UseSnapshot()
-		defer release()
-	}
+	// Lock-free condition evaluation: reads see a snapshot of committed
+	// state plus the triggering family's own writes, so the condition
+	// neither blocks on nor blocks the commit pipeline, and a condition
+	// that writes gets txn.ErrReadOnly. The snapshot lives exactly as long
+	// as the evaluation (without a store there is none to take).
+	release, _ := exec.Txn.UseSnapshot()
+	defer release()
 	return r.cond(exec)
 }
 

@@ -28,40 +28,14 @@ type Compiler struct {
 	Conditions map[string]rules.Condition
 	Actions    map[string]rules.Action
 	// Resolve maps instance names in instance-level events (e.g.
-	// STOCK("IBM")) to OIDs; nil makes instance-level events an error.
+	// STOCK("IBM")) to OIDs; nil makes instance-level events an error. It
+	// is called inside the detector's lock window, so it must not signal
+	// the detector (a read-write transaction would: its begin is an event).
 	Resolve func(name string) (event.OID, error)
 }
 
 // ErrNoRuleManager is returned for rule declarations without a manager.
 var ErrNoRuleManager = errors.New("snoop: compiler has no rule manager")
-
-// graphBuilder is the slice of the detector's definition surface the
-// compiler needs. Both *detector.Detector (one lock acquisition per
-// definition) and *detector.Bulk (one lock window for a whole batch)
-// satisfy it, so every compile path below is written once and runs in
-// either mode.
-type graphBuilder interface {
-	DeclareClass(name, super string)
-	DefinePrimitive(name, class, method string, mod event.Modifier, instance event.OID) (detector.Node, error)
-	TransactionEvent(name string) (detector.Node, error)
-	Alias(alias, existing string) error
-	Lookup(name string) (detector.Node, error)
-	And(name string, x, y detector.Node) (detector.Node, error)
-	Or(name string, x, y detector.Node) (detector.Node, error)
-	Seq(name string, x, y detector.Node) (detector.Node, error)
-	Not(name string, start, mid, end detector.Node) (detector.Node, error)
-	Any(name string, m int, events ...detector.Node) (detector.Node, error)
-	A(name string, start, mid, end detector.Node) (detector.Node, error)
-	AStar(name string, start, mid, end detector.Node) (detector.Node, error)
-	Plus(name string, start detector.Node, delta uint64) (detector.Node, error)
-	P(name string, start detector.Node, period uint64, end detector.Node) (detector.Node, error)
-	PStar(name string, start detector.Node, period uint64, end detector.Node) (detector.Node, error)
-}
-
-var (
-	_ graphBuilder = (*detector.Detector)(nil)
-	_ graphBuilder = (*detector.Bulk)(nil)
-)
 
 // CompileSource parses and compiles a specification.
 func (c *Compiler) CompileSource(src string) error {
@@ -72,48 +46,16 @@ func (c *Compiler) CompileSource(src string) error {
 	return c.Compile(decls)
 }
 
-// Compile applies the declarations in order, one detector lock
-// acquisition per definition. For large rule bases prefer CompileBulk.
-func (c *Compiler) Compile(decls []Decl) error {
-	for _, d := range decls {
-		var err error
-		switch d := d.(type) {
-		case *ClassDecl:
-			err = c.compileClass(c.Det, d, nil)
-		case *EventDecl:
-			err = c.compileEvent(c.Det, d)
-		case *RuleDecl:
-			err = c.compileRule(d)
-		default:
-			err = fmt.Errorf("snoop: unknown declaration %T", d)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CompileBulkSource parses and bulk-compiles a specification.
-func (c *Compiler) CompileBulkSource(src string) error {
-	decls, err := Parse(src)
-	if err != nil {
-		return err
-	}
-	return c.CompileBulk(decls)
-}
-
-// CompileBulk applies the declarations as a batch: all classes, events,
-// and rule event expressions are built inside one detector BulkBuild
-// window (one structure-lock acquisition, one admission-index rebuild),
-// and the collected rule specs are then installed through
-// rules.Manager.DefineBatch (a second window that subscribes and pins
-// every rule). Two lock windows total, independent of batch size.
+// Compile applies the declarations as a batch: all classes, events, and
+// rule event expressions are built inside one detector BulkBuild window
+// (one structure-lock acquisition, one admission-index rebuild), and the
+// collected rule specs are then installed through rules.Manager.DefineBatch
+// (a second window that subscribes and pins every rule). Two lock windows
+// total, independent of batch size.
 //
-// Declarations up to the first error are applied, as with Compile; if
-// the error occurs in the rule-installation phase, all events remain
-// defined and no rule from the batch is installed.
-func (c *Compiler) CompileBulk(decls []Decl) error {
+// Classes and events up to the first error stay defined; rules are
+// installed all together or, on any error, not at all.
+func (c *Compiler) Compile(decls []Decl) error {
 	// Object-registry class registration happens before the detector
 	// window opens: the registry signals the detector itself
 	// (DeclareClass), which must not run while BulkBuild holds the
@@ -175,18 +117,12 @@ func (c *Compiler) registerClassObject(d *ClassDecl) error {
 	return nil
 }
 
-// compileClass declares the class and its event interface through g.
-// Rules declared in the class body are defined immediately when specs is
-// nil, or collected into *specs for batch installation. The object
-// registry is updated only in sequential mode (specs == nil); CompileBulk
+// compileClass declares the class and its event interface through g and
+// collects the rules declared in the class body into *specs (skipped
+// without a rule manager). The object registry is not touched here: Compile
 // registers classes in a pre-pass before its lock window.
-func (c *Compiler) compileClass(g graphBuilder, d *ClassDecl, specs *[]rules.Spec) error {
+func (c *Compiler) compileClass(g *detector.Bulk, d *ClassDecl, specs *[]rules.Spec) error {
 	g.DeclareClass(d.Name, d.Super)
-	if specs == nil {
-		if err := c.registerClassObject(d); err != nil {
-			return err
-		}
-	}
 	for _, ce := range d.Events {
 		if ce.BeginName != "" {
 			if _, err := g.DefinePrimitive(ce.BeginName, d.Name, ce.Signature(), event.Begin, 0); err != nil {
@@ -201,23 +137,17 @@ func (c *Compiler) compileClass(g graphBuilder, d *ClassDecl, specs *[]rules.Spe
 	}
 	if c.Rules != nil {
 		for _, rd := range d.Rules {
-			if specs != nil {
-				spec, err := c.ruleSpec(g, rd)
-				if err != nil {
-					return err
-				}
-				*specs = append(*specs, spec)
-				continue
-			}
-			if err := c.compileRule(rd); err != nil {
+			spec, err := c.ruleSpec(g, rd)
+			if err != nil {
 				return err
 			}
+			*specs = append(*specs, spec)
 		}
 	}
 	return nil
 }
 
-func (c *Compiler) compileEvent(g graphBuilder, d *EventDecl) error {
+func (c *Compiler) compileEvent(g *detector.Bulk, d *EventDecl) error {
 	node, err := c.compileExpr(g, Normalize(d.Expr))
 	if err != nil {
 		return err
@@ -236,7 +166,7 @@ var builtinTxnEvents = map[string]string{
 // compileExpr builds (or reuses) the event-graph subtree for an
 // expression and returns its node. Subexpressions are named by their
 // canonical text, so common subexpressions share nodes.
-func (c *Compiler) compileExpr(g graphBuilder, e Expr) (detector.Node, error) {
+func (c *Compiler) compileExpr(g *detector.Bulk, e Expr) (detector.Node, error) {
 	switch e := e.(type) {
 	case *RefExpr:
 		if txnName, ok := builtinTxnEvents[e.Name]; ok {
@@ -347,7 +277,7 @@ func (c *Compiler) compileExpr(g graphBuilder, e Expr) (detector.Node, error) {
 // ruleSpec resolves a rule declaration's bindings and attributes into a
 // rules.Spec, defining the referenced transaction event through g when
 // the rule triggers on one.
-func (c *Compiler) ruleSpec(g graphBuilder, d *RuleDecl) (rules.Spec, error) {
+func (c *Compiler) ruleSpec(g *detector.Bulk, d *RuleDecl) (rules.Spec, error) {
 	var cond rules.Condition
 	switch {
 	case d.CondExpr != "":
@@ -402,16 +332,4 @@ func (c *Compiler) ruleSpec(g graphBuilder, d *RuleDecl) (rules.Spec, error) {
 		Class:      d.Class,
 		Visibility: vis,
 	}, nil
-}
-
-func (c *Compiler) compileRule(d *RuleDecl) error {
-	if c.Rules == nil {
-		return fmt.Errorf("%w (rule %q)", ErrNoRuleManager, d.Name)
-	}
-	spec, err := c.ruleSpec(c.Det, d)
-	if err != nil {
-		return err
-	}
-	_, err = c.Rules.Define(spec)
-	return err
 }

@@ -342,16 +342,9 @@ func (s *Store) redoAll(ops []*LogRecord) (int, error) {
 }
 
 // applyWorkers returns the worker count the page-sharded apply pool uses:
-// the configured recovery shard count, else GOMAXPROCS capped at 8.
+// GOMAXPROCS capped at 8.
 func (s *Store) applyWorkers() int {
-	workers := s.recShards
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	return workers
+	return min(8, runtime.GOMAXPROCS(0))
 }
 
 // applyByPageShard runs apply over ops (already in LSN order) partitioned

@@ -44,9 +44,6 @@ type Options struct {
 	// WALSegBytes is the log's segment-roll threshold (default 4 MiB).
 	// Tests use small values to exercise rolling and archival.
 	WALSegBytes int64
-	// RecoveryShards is the parallelism of the recovery redo pass
-	// (default min(8, GOMAXPROCS)). 1 forces serial redo.
-	RecoveryShards int
 }
 
 // Errors reported by the store.
@@ -211,7 +208,6 @@ type Store struct {
 	applyMu     sync.Mutex
 	retainMu    sync.Mutex
 	retainFn    func() (uint64, bool)
-	recShards   int
 	recStats    RecoveryStats
 	replApplied atomic.Uint64 // log position fully applied by ReplIngest
 	applyHook   atomic.Pointer[func(*LogRecord)]
@@ -243,7 +239,6 @@ func Open(opts Options) (*Store, error) {
 		reserves:   make(map[PageID]*pageReserve),
 		cts:        make(map[uint64]uint64),
 		mergedInto: make(map[uint64]uint64),
-		recShards:  opts.RecoveryShards,
 	}
 	s.follower.Store(opts.Follower)
 	for i := range s.shards {

@@ -194,13 +194,6 @@ type Options struct {
 	// /debugz (metrics snapshot + event-graph DOT export) on that address
 	// (e.g. "localhost:6060"; ":0" picks a free port — see DebugAddr()).
 	DebugAddr string
-	// SnapshotConditions controls whether rule conditions evaluate against
-	// an MVCC snapshot of the triggering transaction instead of taking
-	// shared locks. 0 means the default (on); -1 turns it off; 1 forces it
-	// on; other values are rejected by Open. While a condition runs under a
-	// snapshot it is read-only — writes from condition code return
-	// txn.ErrReadOnly.
-	SnapshotConditions int
 	// VersionGCInterval is the period of the storage layer's background
 	// version garbage collector, which reclaims MVCC undo chains older
 	// than the oldest live snapshot. 0 means the storage default (1s);
@@ -284,9 +277,6 @@ func validateOptions(opts Options) error {
 	if opts.Workers < 0 {
 		return fmt.Errorf("sentinel: Workers must be >= 0, got %d", opts.Workers)
 	}
-	if opts.SnapshotConditions < -1 || opts.SnapshotConditions > 1 {
-		return fmt.Errorf("sentinel: SnapshotConditions must be -1, 0 or 1, got %d", opts.SnapshotConditions)
-	}
 	if opts.VersionGCInterval < 0 && opts.VersionGCInterval != -1 {
 		return fmt.Errorf("sentinel: VersionGCInterval must be >= 0 or -1, got %v", opts.VersionGCInterval)
 	}
@@ -350,7 +340,6 @@ func Open(opts Options) (*Database, error) {
 	rm.RetryMax = opts.RuleRetries
 	rm.RetryBackoff = opts.RuleRetryBackoff
 	rm.MaxCascade = opts.MaxCascadeDepth
-	rm.SnapshotConditions = opts.SnapshotConditions >= 0
 	objects := object.NewRegistry(det, store)
 	// The query engine maintains its secondary indexes through the object
 	// layer's mutation hook and answers declarative rule conditions
@@ -595,7 +584,8 @@ func (db *Database) Begin() (*Txn, error) {
 }
 
 // ErrReadOnly is returned by write operations on a snapshot transaction
-// (or inside a rule condition running under SnapshotConditions).
+// (or inside a rule condition, which runs on the firing transaction's
+// snapshot).
 var ErrReadOnly = txn.ErrReadOnly
 
 // BeginSnapshot starts a read-only snapshot transaction: it observes the
@@ -731,16 +721,17 @@ func (db *Database) Invoke(tx *Txn, obj *Instance, method string, args ...any) (
 // ---------------------------------------------------------------------------
 
 // Exec compiles Sentinel event/rule declarations (classes, events, rules).
+// The whole specification is built inside one detector lock window and its
+// rules installed as one batch, so a large rule base costs two
+// structure-lock acquisitions and one admission-index rebuild instead of
+// one per declaration. A specification that fails — at any declaration, or
+// while its rules are installed — leaves none of its rules defined, not
+// even those declared before the failing one; classes and events compiled
+// before the error remain.
 func (db *Database) Exec(spec string) error { return db.comp.CompileSource(spec) }
 
-// LoadRules bulk-compiles Sentinel declarations: the whole specification
-// is built inside one detector lock window and its rules installed as one
-// batch, so loading a large rule base costs two structure-lock
-// acquisitions and one admission-index rebuild instead of one per
-// declaration. Semantically equivalent to Exec, except that an error
-// during rule installation leaves no rule of the batch defined (events
-// compiled before the error remain, as with Exec).
-func (db *Database) LoadRules(spec string) error { return db.comp.CompileBulkSource(spec) }
+// LoadRules is Exec, kept for callers loading rule bases.
+func (db *Database) LoadRules(spec string) error { return db.Exec(spec) }
 
 // BindCondition binds a condition function name for Exec rule
 // declarations.
@@ -838,9 +829,11 @@ func (db *Database) StartClock(resolution time.Duration) (stop func()) {
 }
 
 // resolveName resolves instance names in Snoop instance-level events via
-// the name manager, using a short read-only transaction.
+// the name manager, on a snapshot transaction: the compiler calls it inside
+// the detector's lock window, where a read-write transaction's begin
+// event would deadlock, and a snapshot signals nothing.
 func (db *Database) resolveName(name string) (event.OID, error) {
-	tx, err := db.txns.Begin()
+	tx, err := db.txns.BeginSnapshot()
 	if err != nil {
 		return 0, err
 	}
@@ -855,9 +848,9 @@ func (db *Database) resolveName(name string) (event.OID, error) {
 // RecordEvents starts appending every primitive event occurrence to w (a
 // stored event log for batch detection). The returned stop function ends
 // recording. Only one recorder or debugger can be installed at a time.
-// While recording, the detector's lock-free signal fast path is disabled
-// so the log captures even occurrences nothing subscribes to; expect
-// per-signal cost to rise accordingly until stop is called.
+// Signals keep the path they take unrecorded; the log also captures
+// occurrences nothing subscribes to. Concurrent signallers are logged in
+// the order each expression tree consumed them.
 func (db *Database) RecordEvents(w io.Writer) (stop func(), err error) {
 	log := detector.NewEventLog(w)
 	db.det.SetTracer(log.Recorder())
@@ -993,8 +986,7 @@ func (db *Database) ReplAddr() string {
 // ---------------------------------------------------------------------------
 
 // AttachDebugger installs a rule debugger recording event/rule traces.
-// Like RecordEvents, an attached debugger disables the detector's
-// lock-free signal fast path so the trace stream is complete.
+// Like RecordEvents, it observes the path signals take anyway.
 func (db *Database) AttachDebugger(limit int) *Debugger {
 	dbg := debug.New(limit)
 	db.det.SetTracer(dbg)
