@@ -42,15 +42,17 @@ check:
 # required), then the query-layer torture (same kill-point discipline
 # through the object + secondary-index stack, each recovery checked
 # against the index≡scan oracle) and a -race pass of concurrent index
-# readers vs committers. The seed is always logged; reproduce a failure
-# with TORTURE_SEED=<seed from the log>.
+# readers vs committers. All three sweeps are one harness
+# (internal/faulttest): each logs its base seed and a per-kill-point crash
+# tally, and at 100+ iterations fails if a point it may arm never fired.
+# Reproduce a failure with TORTURE_SEED=<base seed from the log>.
 TORTURE_ITERS ?= 500
 REPL_TORTURE_ITERS ?= 200
 TORTURE_SEED ?=
 torture:
 	SENTINEL_TORTURE_ITERS=$(TORTURE_ITERS) SENTINEL_TORTURE_SEED=$(TORTURE_SEED) \
-		$(GO) test -count=1 -run 'TestCrashTorture|TestTortureHarnessDetectsBrokenRecovery|TestQueryTorture' -v ./internal/faulttest
-	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) \
+		$(GO) test -count=1 -run 'TestCrashTorture|TestTortureHarnessDetectsBrokenRecovery|TestMirrorDetectsDivergence|TestQueryTorture' -v ./internal/faulttest
+	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) SENTINEL_TORTURE_SEED=$(TORTURE_SEED) \
 		$(GO) test -count=1 -run TestReplTorture -v ./internal/faulttest
 	$(GO) test -count=1 -race -run TestQueryIndexRaceStress -v ./internal/faulttest
 

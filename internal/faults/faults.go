@@ -50,6 +50,11 @@ const (
 	// WALAppend fires in WAL.Append before the record is buffered. Any
 	// fired error seals the WAL (fail-fast).
 	WALAppend Point = "storage.wal.append"
+	// WALIngest fires in WAL.IngestRaw — a replication follower making
+	// shipped leader bytes its own — before they are buffered; a fired
+	// error seals the WAL. It is not WALAppend so that a trigger armed for
+	// a leader never fires in a follower sharing its process.
+	WALIngest Point = "storage.wal.ingest"
 	// WALFlush fires in WAL.Flush before the buffer is written; its
 	// Fault.Partial supports torn (short) log writes.
 	WALFlush Point = "storage.wal.flush"

@@ -2,9 +2,6 @@ package faulttest
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,48 +9,17 @@ import (
 	"repro/internal/query"
 )
 
-// TestQueryTorture runs seeded kill-point schedules through the full
-// object + secondary-index stack and, after every recovery, checks both
-// the durability expectations and the index≡scan oracle: equality probes
-// and range scans must answer exactly as a full extent walk, served from
-// the index directories.
-func TestQueryTorture(t *testing.T) {
-	iters := tortureIters(t)
-	seed := tortureSeed(t)
-	t.Logf("query torture: %d iterations, base seed %d (rerun with SENTINEL_TORTURE_SEED=%d)", iters, seed, seed)
-
-	base := t.TempDir()
-	crashes := 0
-	byPoint := map[string]int{}
-	for i := 0; i < iters; i++ {
-		s := seed + int64(i)
-		dir := filepath.Join(base, fmt.Sprintf("q%04d", i))
-		it, err := RunQuery(s, dir)
-		if err != nil {
-			t.Fatalf("iteration %d (seed %d, kill %s): %v", i, s, it.Killed, err)
-		}
-		if it.Crashed {
-			crashes++
-			byPoint[strings.SplitN(it.Killed, "#", 2)[0]]++
-		}
-		os.RemoveAll(dir)
-	}
-	t.Logf("query torture: %d/%d iterations crashed (per point: %v)", crashes, iters, byPoint)
-	if crashes == 0 {
-		t.Fatalf("no kill-point ever fired across %d iterations — schedules are miscalibrated", iters)
-	}
-}
-
 // TestQueryIndexRaceStress drives concurrent committers (price re-keys —
 // index delete+insert pairs) against concurrent snapshot readers (probes
 // and range scans) and finishes with the index≡scan oracle. Its value is
 // under -race: the index directories are shared mutable state touched by
 // writers at commit/abort time and readers at probe time.
 func TestQueryIndexRaceStress(t *testing.T) {
-	stk, err := openQueryStack(t.TempDir(), false)
+	s, err := openQuery(t.TempDir(), Schedule{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stk := s.(*queryStack)
 	defer stk.st.Close()
 
 	const nObjs, nWriters, nReaders, rounds = 64, 4, 4, 40

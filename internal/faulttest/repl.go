@@ -1,11 +1,10 @@
 package faulttest
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
-	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -13,15 +12,14 @@ import (
 	"repro/internal/storage"
 )
 
-// Replication torture: a leader and a follower store wired over real TCP,
-// the seeded workload running on the leader while the follower applies the
-// shipped WAL, and a seeded kill striking one side:
+// The replication stack: a leader and a follower store wired over real
+// TCP, the storage workload running on the leader while the follower
+// applies the shipped WAL, and a seeded kill striking one side:
 //
 //   - leader killed, leader restarts: the follower reconnects to the
 //     recovered leader and both must converge to identical record states;
 //   - leader killed, follower promoted: the promoted store must satisfy
-//     the workload's expectation (committed present, losers absent,
-//     interrupted commits all-or-nothing) and accept new writes;
+//     the workload's expectation and accept new writes;
 //   - follower killed mid-apply: its store is reopened (running follower
 //     recovery), follows again from its own offset, and must converge;
 //   - nobody killed: plain convergence within the lag bound.
@@ -29,341 +27,190 @@ import (
 // Divergence checking is record-for-record: after convergence the leader
 // and follower scans (snapshot and latest alike) must be identical.
 
-// Replication scenario classes, chosen by seed.
 const (
-	scenConverge = iota
-	scenLeaderRestart
-	scenLeaderPromote
-	scenFollowerKill
-	scenCount
+	scenLeaderRestart = "leader-restart"
+	scenLeaderPromote = "leader-promote"
+	scenFollowerKill  = "follower-kill"
 )
 
-var scenNames = map[int]string{
-	scenConverge:      "converge",
-	scenLeaderRestart: "leader-restart",
-	scenLeaderPromote: "leader-promote",
-	scenFollowerKill:  "follower-kill",
+// Both stores share the process-global fault injector, so each side's kill
+// points are ones the other side never passes through: the leader's are
+// leaderPoints, and the leader neither ingests nor applies shipped records.
+var replScenarios = []scenario{
+	{"converge", nil},
+	{scenLeaderRestart, leaderPoints},
+	{scenLeaderPromote, leaderPoints},
+	{scenFollowerKill, []killPoint{
+		{point: faults.ReplApply, maxHit: 60},
+		{point: faults.WALIngest, maxHit: 3},
+	}},
 }
 
-// leaderKillPoints are the crash sites a leader kill may strike. Only
-// points the follower's ingest/flush paths never pass through are eligible
-// — both stores share the process-global fault injector.
-var leaderKillPoints = []killPoint{
-	{point: faults.StoreCommit, maxHit: 8},
-	{point: faults.StoreGroupFlush, maxHit: 12},
-	{point: faults.StoreAbortUndo, maxHit: 8},
-	{point: faults.WALAppend, maxHit: 48},
+// replStack is the leader/follower pair of one iteration; the workload
+// runs on the leader.
+type replStack struct {
+	storeStack
+	sch  Schedule
+	dir  string
+	srv  *repl.Server
+	fst  *storage.Store
+	fol  *repl.Follower
+	addr atomic.Value // the (changing) leader address the follower dials
 }
 
-// ReplIteration is one seeded replication torture run.
-type ReplIteration struct {
-	Seed     int64
-	Scenario string
-	Killed   string // armed kill point (for the log)
-	Crashed  bool   // the kill actually fired
-}
-
-// replLagTimeout bounds how long a follower may need to converge — the
-// harness's bounded-replica-lag assertion. Generous because it covers
-// reconnect backoff after a leader restart.
-const replLagTimeout = 30 * time.Second
-
-// addrBox hands the (changing) leader address to the follower's dial loop.
-type addrBox struct {
-	mu sync.Mutex
-	s  string
-}
-
-func (b *addrBox) set(s string) { b.mu.Lock(); b.s = s; b.mu.Unlock() }
-func (b *addrBox) get() string  { b.mu.Lock(); defer b.mu.Unlock(); return b.s }
-
-// RunRepl executes one seeded replication iteration in dir. It returns the
-// iteration record and the first invariant violation (nil when all held).
-func RunRepl(seed int64, dir string) (*ReplIteration, error) {
-	for _, sub := range []string{"leader", "follower"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, err
-		}
+func openRepl(dir string, sch Schedule) (stack, error) {
+	r := &replStack{sch: sch, dir: dir}
+	if err := r.serve(); err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	it := &ReplIteration{Seed: seed}
-
-	scen := rng.Intn(scenCount)
-	it.Scenario = scenNames[scen]
-	syncWAL := rng.Intn(3) == 0
-	// Small segments exercise rolls, sealed-segment shipping and the
-	// checkpoint archive path. Not in the follower-kill class: with its
-	// session dead, a workload checkpoint may prune below the crashed
-	// follower's resume offset, turning the reconnect into a (correct but
-	// terminal) resync refusal.
-	segBytes := int64(0)
-	if scen != scenFollowerKill && rng.Intn(2) == 0 {
-		segBytes = 4 << 10
-	}
-	leaderOpts := storage.Options{
-		Dir: filepath.Join(dir, "leader"), PoolSize: 8,
-		SyncWAL: syncWAL, WALSegBytes: segBytes,
-	}
-	followerOpts := storage.Options{
-		Dir: filepath.Join(dir, "follower"), PoolSize: 8,
-		SyncWAL: syncWAL, WALSegBytes: segBytes, Follower: true,
-	}
-
-	ld, err := storage.Open(leaderOpts)
-	if err != nil {
-		return it, fmt.Errorf("open leader: %w", err)
-	}
-	srv, err := repl.NewServer(ld, "127.0.0.1:0")
-	if err != nil {
-		return it, fmt.Errorf("repl server: %w", err)
-	}
-	var addr addrBox
-	addr.set(srv.Addr())
-	fst, err := storage.Open(followerOpts)
-	if err != nil {
-		return it, fmt.Errorf("open follower: %w", err)
-	}
-	fol, err := repl.StartFollower(fst, addr.get)
-	if err != nil {
-		return it, fmt.Errorf("start follower: %w", err)
+	if err := r.follow(); err != nil {
+		return nil, err
 	}
 	// Let the session establish before writing: a connected session's ack
 	// floor is what keeps workload checkpoints from pruning the log bytes
 	// the follower has not pulled yet. (A follower bootstrapped after
 	// pruning legitimately needs a full resync — not this harness's topic.)
-	for waited := 0; !fol.Connected(); waited++ {
+	for waited := 0; !r.fol.Connected(); waited++ {
 		if waited > 5000 {
-			return it, fmt.Errorf("follower never connected")
+			return nil, fmt.Errorf("follower never connected")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return r, nil
+}
 
-	switch scen {
-	case scenLeaderRestart, scenLeaderPromote:
-		kp := leaderKillPoints[rng.Intn(len(leaderKillPoints))]
-		on := uint64(1 + rng.Intn(kp.maxHit))
-		it.Killed = fmt.Sprintf("%s#%d", kp.point, on)
-		faults.Arm(faults.NewInjector(seed, faults.Trigger{
-			Point: kp.point, On: on, Limit: 1, Fault: faults.Fault{Crash: true},
-		}))
-	case scenFollowerKill:
-		on := uint64(1 + rng.Intn(60))
-		it.Killed = fmt.Sprintf("%s#%d", faults.ReplApply, on)
-		faults.Arm(faults.NewInjector(seed, faults.Trigger{
-			Point: faults.ReplApply, On: on, Limit: 1, Fault: faults.Fault{Crash: true},
-		}))
+// serve opens the leader's directory, recovering what is there, and serves
+// it on a fresh port.
+func (r *replStack) serve() (err error) {
+	if r.st, err = openStore(filepath.Join(r.dir, "leader"), r.sch, false); err != nil {
+		return fmt.Errorf("open leader: %w", err)
 	}
+	if r.srv, err = repl.NewServer(r.st, "127.0.0.1:0"); err != nil {
+		return fmt.Errorf("repl server: %w", err)
+	}
+	r.addr.Store(r.srv.Addr())
+	return nil
+}
 
-	exp, crashed := runWorkload(rng, seed, ld)
-	if scen == scenFollowerKill {
+// follow opens the follower's directory, running follower recovery, and
+// follows the leader from the follower's own durable offset.
+func (r *replStack) follow() (err error) {
+	if r.fst, err = openStore(filepath.Join(r.dir, "follower"), r.sch, true); err != nil {
+		return fmt.Errorf("open follower: %w", err)
+	}
+	leader := func() string { return r.addr.Load().(string) }
+	if r.fol, err = repl.StartFollower(r.fst, leader); err != nil {
+		return fmt.Errorf("start follower: %w", err)
+	}
+	return nil
+}
+
+// recover is how the replication stack comes back — by restarting,
+// promoting or re-following rather than by reopening — and the stack to
+// check is the pair, or the promoted follower.
+func (r *replStack) recover(crashed bool, _ func() (stack, error)) (stack, bool, error) {
+	if r.sch.Scenario == scenFollowerKill {
 		// The kill strikes the follower's apply loop, concurrent with (or
 		// after) the workload: leave the injector armed until the stream
 		// either hits it or drains.
-		deadline := time.Now().Add(replLagTimeout)
-		for fol.Err() == nil {
-			_ = ld.FlushLog()
-			if fst.ReplApplied() >= ld.LogEnd() {
-				break
-			}
-			if time.Now().After(deadline) {
-				faults.Disarm()
-				return it, fmt.Errorf("follower neither crashed nor converged (applied %d, leader %d)",
-					fst.ReplApplied(), ld.LogEnd())
-			}
-			time.Sleep(time.Millisecond)
+		err := r.waitShipped()
+		if crashed = r.fol.Err() != nil; !crashed && err != nil {
+			faults.Disarm()
+			return nil, false, fmt.Errorf("follower neither crashed nor converged: %w", err)
 		}
-		crashed = fol.Err() != nil
 	}
 	faults.Disarm()
-	it.Crashed = crashed
-
-	if !crashed {
+	var err error
+	switch {
+	case !crashed:
 		// The schedule never fired (or the class injects nothing): plain
-		// convergence under the lag bound, then record-level equality.
-		if err := waitShipped(ld, fst, fol, replLagTimeout); err != nil {
-			return it, err
-		}
-		if err := Verify(ld, exp); err != nil {
-			return it, fmt.Errorf("leader: %w", err)
-		}
-		if err := Verify(fst, exp); err != nil {
-			return it, fmt.Errorf("follower: %w", err)
-		}
-		if err := verifyMirror(ld, fst); err != nil {
-			return it, err
-		}
-		fol.Stop()
-		srv.Close()
-		if err := ld.Close(); err != nil {
-			return it, fmt.Errorf("close leader: %w", err)
-		}
-		if err := fst.Close(); err != nil {
-			return it, fmt.Errorf("close follower: %w", err)
-		}
-		return it, nil
-	}
-
-	switch scen {
-	case scenLeaderRestart:
-		// The dead leader restarts: stop shipping from the crashed store,
-		// reopen its directory (recovery resolves every in-flight
-		// transaction and republishes lost commit timestamps), and serve
-		// again on a fresh port. The follower is still dialing; it must
+		// convergence under the lag bound.
+	case r.sch.Scenario == scenLeaderRestart:
+		// The dead leader stops shipping and its directory is reopened —
+		// recovery resolves every in-flight transaction and republishes
+		// lost commit timestamps. The follower is still dialing; it must
 		// resume from its own offset and converge on the recovered history.
-		srv.Close()
-		ld2, err := storage.Open(leaderOpts)
-		if err != nil {
-			return it, fmt.Errorf("leader recovery: %w", err)
+		r.srv.Close()
+		err = r.serve()
+	case r.sch.Scenario == scenLeaderPromote:
+		// The dead leader stays dead (abandoned, never closed): the follower
+		// drains whatever reached the leader's disk, is promoted, and must
+		// satisfy the workload's expectation on its own — then take writes
+		// as the new leader.
+		if err = r.waitShipped(); err == nil {
+			r.srv.Close()
+			if _, err = r.fol.Promote(); err == nil {
+				return storeStack{r.fst}, true, nil
+			}
 		}
-		srv2, err := repl.NewServer(ld2, "127.0.0.1:0")
-		if err != nil {
-			return it, fmt.Errorf("repl server (restarted): %w", err)
-		}
-		addr.set(srv2.Addr())
-		if err := waitShipped(ld2, fst, fol, replLagTimeout); err != nil {
-			return it, err
-		}
-		if err := Verify(ld2, exp); err != nil {
-			return it, fmt.Errorf("recovered leader: %w", err)
-		}
-		if err := Verify(fst, exp); err != nil {
-			return it, fmt.Errorf("follower of recovered leader: %w", err)
-		}
-		if err := verifyMirror(ld2, fst); err != nil {
-			return it, err
-		}
-		fol.Stop()
-		srv2.Close()
-		if err := ld2.Close(); err != nil {
-			return it, fmt.Errorf("close recovered leader: %w", err)
-		}
-		if err := fst.Close(); err != nil {
-			return it, fmt.Errorf("close follower: %w", err)
-		}
-
-	case scenLeaderPromote:
-		// The dead leader stays dead: the follower drains whatever reached
-		// the leader's disk, is promoted, and must satisfy the workload's
-		// expectation on its own — then take writes as the new leader.
-		if err := waitShipped(ld, fst, fol, replLagTimeout); err != nil {
-			return it, err
-		}
-		srv.Close()
-		if _, err := fol.Promote(); err != nil {
-			return it, fmt.Errorf("promote: %w", err)
-		}
-		if err := Verify(fst, exp); err != nil {
-			return it, fmt.Errorf("promoted follower: %w", err)
-		}
-		if err := smoke(fst, seed); err != nil {
-			return it, fmt.Errorf("post-promotion smoke: %w", err)
-		}
-		// The crashed leader store is abandoned, never closed.
-		if err := fst.Close(); err != nil {
-			return it, fmt.Errorf("close promoted follower: %w", err)
-		}
-
-	case scenFollowerKill:
+	case r.sch.Scenario == scenFollowerKill:
 		// The follower's "process" died mid-apply: its store is abandoned
-		// (unflushed ingest tail lost, apply mutex still held) and its
-		// directory reopened — running follower recovery — then it follows
-		// again from its own durable offset and must converge.
-		fol.Stop()
-		fst2, err := storage.Open(followerOpts)
-		if err != nil {
-			return it, fmt.Errorf("follower recovery: %w", err)
-		}
-		fol2, err := repl.StartFollower(fst2, addr.get)
-		if err != nil {
-			return it, fmt.Errorf("restart follower: %w", err)
-		}
-		if err := waitShipped(ld, fst2, fol2, replLagTimeout); err != nil {
-			return it, err
-		}
-		if err := Verify(ld, exp); err != nil {
-			return it, fmt.Errorf("leader: %w", err)
-		}
-		if err := Verify(fst2, exp); err != nil {
-			return it, fmt.Errorf("recovered follower: %w", err)
-		}
-		if err := verifyMirror(ld, fst2); err != nil {
-			return it, err
-		}
-		fol2.Stop()
-		srv.Close()
-		if err := ld.Close(); err != nil {
-			return it, fmt.Errorf("close leader: %w", err)
-		}
-		if err := fst2.Close(); err != nil {
-			return it, fmt.Errorf("close recovered follower: %w", err)
-		}
+		// (unflushed ingest tail lost, apply mutex still held) and follows
+		// again from what its directory recovers.
+		r.fol.Stop()
+		err = r.follow()
 	}
-	return it, nil
+	return r, crashed, err
+}
+
+// verify waits out the bounded lag, then checks leader and follower
+// against exp and against each other.
+func (r *replStack) verify(exp *Expectation) error {
+	if err := r.waitShipped(); err != nil {
+		return err
+	}
+	if err := r.storeStack.verify(exp); err != nil {
+		return fmt.Errorf("leader: %w", err)
+	}
+	if err := (storeStack{r.fst}).verify(exp); err != nil {
+		return fmt.Errorf("follower: %w", err)
+	}
+	return verifyMirror(r.st, r.fst)
+}
+
+func (r *replStack) close() error {
+	r.fol.Stop()
+	r.srv.Close()
+	return errors.Join(r.st.Close(), r.fst.Close())
 }
 
 // waitShipped blocks until the follower has fully applied everything up to
-// the leader's flushed end — the bounded-replica-lag assertion. It waits on
-// the applied watermark, not the log end: ingest advances the log end before
-// the batch's records have been applied, and verifying in that window would
-// race the apply loop. The flush attempt is best-effort: a crashed (sealed)
-// leader WAL keeps its flushed end, which is then exactly what the follower
-// can ever receive.
-func waitShipped(ld, fst *storage.Store, fol *repl.Follower, timeout time.Duration) error {
-	_ = ld.FlushLog()
-	target := ld.LogFlushed()
-	deadline := time.Now().Add(timeout)
-	for fst.ReplApplied() < target {
-		if err := fol.Err(); err != nil {
-			return fmt.Errorf("follower failed at lsn %d: %w", fst.ReplApplied(), err)
+// the leader's flushed end — the bounded-replica-lag assertion, its bound
+// generous because it covers reconnect backoff after a leader restart. It
+// waits on the applied watermark, not the log end: ingest advances the log
+// end before the batch's records have been applied, and verifying in that
+// window would race the apply loop. The flush attempt is best-effort: a
+// crashed (sealed) leader WAL keeps its flushed end, which is then exactly
+// what the follower can ever receive.
+func (r *replStack) waitShipped() error {
+	_ = r.st.FlushLog()
+	target := r.st.LogFlushed()
+	deadline := time.Now().Add(30 * time.Second)
+	for r.fst.ReplApplied() < target {
+		if err := r.fol.Err(); err != nil {
+			return fmt.Errorf("follower failed at lsn %d: %w", r.fst.ReplApplied(), err)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("replica lag unbounded: follower applied %d, leader flushed %d",
-				fst.ReplApplied(), target)
+				r.fst.ReplApplied(), target)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return nil
 }
 
-// verifyMirror checks record-for-record equality of the two stores, through
-// both the snapshot scan and the unfiltered latest scan.
+// verifyMirror checks record-for-record equality of a leader and its
+// follower through both the snapshot and the latest scan, reporting each
+// scan that diverges.
 func verifyMirror(ld, fst *storage.Store) error {
-	type scan func(*storage.Store) (map[storage.RID]string, error)
-	snapshot := func(st *storage.Store) (map[storage.RID]string, error) {
-		m := map[storage.RID]string{}
-		err := st.ForEachRecord(func(rid storage.RID, data []byte) error {
-			m[rid] = string(data)
-			return nil
-		})
-		return m, err
+	ls, ll, err := scans(ld)
+	if err != nil {
+		return fmt.Errorf("leader: %w", err)
 	}
-	latest := func(st *storage.Store) (map[storage.RID]string, error) {
-		m := map[storage.RID]string{}
-		err := st.ForEachRecordLatest(func(rid storage.RID, data []byte) error {
-			m[rid] = string(data)
-			return nil
-		})
-		return m, err
+	fs, fl, err := scans(fst)
+	if err != nil {
+		return fmt.Errorf("follower: %w", err)
 	}
-	for name, sc := range map[string]scan{"snapshot": snapshot, "latest": latest} {
-		lm, err := sc(ld)
-		if err != nil {
-			return fmt.Errorf("leader %s scan: %w", name, err)
-		}
-		fm, err := sc(fst)
-		if err != nil {
-			return fmt.Errorf("follower %s scan: %w", name, err)
-		}
-		if len(lm) != len(fm) {
-			return fmt.Errorf("divergence: leader %s scan has %d records, follower %d",
-				name, len(lm), len(fm))
-		}
-		for rid, v := range lm {
-			if fv, ok := fm[rid]; !ok || fv != v {
-				return fmt.Errorf("divergence at %v (%s scan): leader %q, follower %q",
-					rid, name, v, fv)
-			}
-		}
-	}
-	return nil
+	return errors.Join(sameRecords("divergence: leader and follower snapshot scan", ls, fs),
+		sameRecords("divergence: leader and follower latest scan", ll, fl))
 }

@@ -14,114 +14,182 @@ import (
 	"repro/internal/storage"
 )
 
-// tortureIters returns the iteration count: SENTINEL_TORTURE_ITERS if set,
-// 500 by default, trimmed under -short so `go test ./...` stays quick.
-func tortureIters(t *testing.T) int {
+// tortureIters returns the iteration count: the environment variable env
+// if set, def by default, short under -short so `go test ./...` stays
+// quick.
+func tortureIters(t *testing.T, env string, def, short int) int {
 	t.Helper()
-	if s := os.Getenv("SENTINEL_TORTURE_ITERS"); s != "" {
+	if s := os.Getenv(env); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			t.Fatalf("bad SENTINEL_TORTURE_ITERS=%q", s)
+			t.Fatalf("bad %s=%q", env, s)
 		}
 		return n
 	}
 	if testing.Short() {
-		return 60
+		return short
 	}
-	return 500
+	return def
 }
 
-// tortureSeed returns the base seed: SENTINEL_TORTURE_SEED if set,
-// otherwise derived from the clock. It is always logged, so any failure
-// reproduces with SENTINEL_TORTURE_SEED=<seed> SENTINEL_TORTURE_ITERS=<n>.
-func tortureSeed(t *testing.T) int64 {
-	t.Helper()
+// sweep runs iters seeded iterations of k from one base seed —
+// SENTINEL_TORTURE_SEED if set, otherwise the clock, always logged, so any
+// failure reproduces with SENTINEL_TORTURE_SEED=<seed> — and tallies the
+// crashes per kill point. At calibration size (≥ 100 iterations) every
+// point the stack may arm must have fired: one that never does is coverage
+// silently lost.
+func sweep(t *testing.T, k *Stack, iters int) {
+	seed := time.Now().UnixNano()
 	if s := os.Getenv("SENTINEL_TORTURE_SEED"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
+		var err error
+		if seed, err = strconv.ParseInt(s, 10, 64); err != nil {
 			t.Fatalf("bad SENTINEL_TORTURE_SEED=%q", s)
 		}
-		return n
 	}
-	return time.Now().UnixNano()
-}
-
-// TestCrashTorture runs hundreds of seeded kill-point schedules against the
-// storage manager and asserts the recovery invariants after every one:
-// committed values present, aborted and in-flight values absent,
-// interrupted commits all-or-nothing, no transactions left active, and the
-// store still accepts new work.
-func TestCrashTorture(t *testing.T) {
-	iters := tortureIters(t)
-	seed := tortureSeed(t)
-	t.Logf("torture: %d iterations, base seed %d (rerun with SENTINEL_TORTURE_SEED=%d)", iters, seed, seed)
-
+	t.Logf("%s torture: %d iterations, base seed %d (rerun with SENTINEL_TORTURE_SEED=%d)", k.Name, iters, seed, seed)
 	base := t.TempDir()
-	crashes := 0
-	byPoint := map[string]int{}
+	fired := map[faults.Point]int{}
 	for i := 0; i < iters; i++ {
-		s := seed + int64(i)
 		dir := filepath.Join(base, fmt.Sprintf("it%04d", i))
-		it, err := Run(s, dir)
+		sch, crashed, err := k.Run(seed+int64(i), dir)
 		if err != nil {
-			t.Fatalf("iteration %d (seed %d, kill %s): %v", i, s, it.Killed, err)
+			t.Fatalf("iteration %d (%+v): %v", i, sch, err)
 		}
-		if it.Crashed {
-			crashes++
-			byPoint[strings.SplitN(it.Killed, "#", 2)[0]]++
+		if crashed {
+			fired[sch.Point]++
 		}
 		// Each iteration writes a small database; drop it immediately so
 		// a 500-iteration run doesn't accumulate hundreds of files.
 		os.RemoveAll(dir)
 	}
-	t.Logf("torture: %d/%d iterations crashed (per point: %v)", crashes, iters, byPoint)
+	crashes, tally, seen := 0, "", map[faults.Point]bool{}
+	var never []faults.Point
+	for _, sc := range k.scenarios {
+		for _, kp := range sc.points {
+			if seen[kp.point] {
+				continue
+			}
+			seen[kp.point] = true
+			tally += fmt.Sprintf(" %s=%d", kp.point, fired[kp.point])
+			crashes += fired[kp.point]
+			if fired[kp.point] == 0 {
+				never = append(never, kp.point)
+			}
+		}
+	}
+	t.Logf("%s torture tally: base seed %d, %d/%d iterations crashed:%s", k.Name, seed, crashes, iters, tally)
 	if crashes == 0 {
 		t.Fatalf("no kill-point ever fired across %d iterations — schedules are miscalibrated", iters)
 	}
+	if iters >= 100 && len(never) > 0 {
+		t.Fatalf("kill points %v never fired across %d iterations — recalibrate or drop them", never, iters)
+	}
 }
 
-// TestTortureHarnessDetectsBrokenRecovery proves the harness is not
-// vacuous: with the RecoverSkipUndo sabotage point armed, recovery skips
-// its undo pass, a durable loser transaction survives, and Verify MUST
-// report the violation. The same directory recovered without sabotage must
-// pass, isolating the failure to the sabotage.
-func TestTortureHarnessDetectsBrokenRecovery(t *testing.T) {
-	// Sabotaged recovery: the loser's values must be flagged as leaked.
-	dir := filepath.Join(t.TempDir(), "sabotage")
-	exp, err := SeedLoserDir(dir)
-	if err != nil {
-		t.Fatalf("seed loser dir: %v", err)
-	}
-	faults.Arm(faults.NewInjector(1, faults.Trigger{
-		Point: faults.RecoverSkipUndo, On: 1, Fault: faults.Fault{Err: faults.ErrInjected},
-	}))
-	st, err := storage.Open(storage.Options{Dir: dir, PoolSize: 8})
-	faults.Disarm()
-	if err != nil {
-		t.Fatalf("reopen with sabotaged recovery: %v", err)
-	}
-	verr := Verify(st, exp)
-	st.Close()
-	if verr == nil {
-		t.Fatalf("harness passed a recovery that skipped its undo pass — the invariant checks are vacuous")
-	}
-	if !strings.Contains(verr.Error(), "present after recovery") {
-		t.Fatalf("expected a leaked-loser violation, got: %v", verr)
-	}
+// TestCrashTorture runs hundreds of seeded kill-point schedules against the
+// storage manager and asserts the durability contract after every one:
+// committed values present, aborted and in-flight values absent,
+// interrupted commits all-or-nothing, no transactions left active, and the
+// store still accepts new work.
+func TestCrashTorture(t *testing.T) {
+	sweep(t, Storage, tortureIters(t, "SENTINEL_TORTURE_ITERS", 500, 60))
+}
 
-	// Control: intact recovery over an identical directory passes.
-	dir2 := filepath.Join(t.TempDir(), "control")
-	exp2, err := SeedLoserDir(dir2)
-	if err != nil {
-		t.Fatalf("seed control dir: %v", err)
+// TestQueryTorture runs the same schedules through the full object +
+// secondary-index stack and, after every recovery, also checks the
+// index≡scan oracle: equality probes and range scans must answer exactly
+// as a full extent walk, served from the index directories.
+func TestQueryTorture(t *testing.T) {
+	sweep(t, Query, tortureIters(t, "SENTINEL_TORTURE_ITERS", 500, 60))
+}
+
+// TestReplTorture runs seeded leader/follower crash schedules. Default is
+// a smoke-sized sweep; CI and `make torture` raise it via
+// SENTINEL_REPL_TORTURE_ITERS.
+func TestReplTorture(t *testing.T) {
+	sweep(t, Repl, tortureIters(t, "SENTINEL_REPL_TORTURE_ITERS", 12, 4))
+}
+
+// TestTortureHarnessDetectsBrokenRecovery proves the checks are not
+// vacuous, for the storage and the query stack alike: with the
+// RecoverSkipUndo sabotage point armed, recovery skips its undo pass, a
+// durable loser transaction — objects and index postings, in the query
+// stack — survives, and verification MUST report it. The same directory
+// recovered without sabotage must pass, isolating the failure to the
+// sabotage.
+func TestTortureHarnessDetectsBrokenRecovery(t *testing.T) {
+	for _, k := range []*Stack{Storage, Query} {
+		for _, sabotage := range []bool{true, false} {
+			dir := t.TempDir()
+			exp, err := k.seedLoser(dir)
+			if err != nil {
+				t.Fatalf("%s: seed loser dir: %v", k.Name, err)
+			}
+			if sabotage {
+				faults.Arm(faults.NewInjector(1, faults.Trigger{
+					Point: faults.RecoverSkipUndo, On: 1, Fault: faults.Fault{Err: faults.ErrInjected},
+				}))
+			}
+			s, err := k.open(dir, Schedule{})
+			faults.Disarm()
+			if err != nil {
+				t.Fatalf("%s: reopen (sabotage %v): %v", k.Name, sabotage, err)
+			}
+			verr := s.verify(exp)
+			s.close()
+			if sabotage && (verr == nil || !strings.Contains(verr.Error(), "present after recovery")) {
+				t.Fatalf("%s: recovery that skipped its undo pass not flagged as a leaked loser: %v", k.Name, verr)
+			}
+			if !sabotage && verr != nil {
+				t.Fatalf("%s: intact recovery failed verification: %v", k.Name, verr)
+			}
+		}
 	}
-	st2, err := storage.Open(storage.Options{Dir: dir2, PoolSize: 8})
-	if err != nil {
-		t.Fatalf("reopen control: %v", err)
+}
+
+// TestMirrorDetectsDivergence proves the leader≡follower check is not
+// vacuous: two stores with the same history mirror each other, and one
+// planted difference fails the comparison on both the snapshot and the
+// latest scan.
+func TestMirrorDetectsDivergence(t *testing.T) {
+	var sts [2]*storage.Store
+	var rids [2]storage.RID
+	for i := range sts {
+		st, err := openStore(t.TempDir(), Schedule{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		id, err := st.Begin()
+		if err == nil {
+			rids[i], err = st.Insert(id, []byte("k=1"))
+		}
+		if err == nil {
+			err = st.Commit(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts[i] = st
 	}
-	defer st2.Close()
-	if err := Verify(st2, exp2); err != nil {
-		t.Fatalf("intact recovery failed verification: %v", err)
+	if err := verifyMirror(sts[0], sts[1]); err != nil {
+		t.Fatalf("identical histories reported divergent: %v", err)
+	}
+	id, err := sts[1].Begin()
+	if err == nil {
+		_, err = sts[1].Update(id, rids[1], []byte("k=2"))
+	}
+	if err == nil {
+		err = sts[1].Commit(id)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = verifyMirror(sts[0], sts[1])
+	for _, scan := range []string{"snapshot scan", "latest scan"} {
+		if err == nil || !strings.Contains(err.Error(), scan) {
+			t.Fatalf("planted divergence not caught by the %s: %v", scan, err)
+		}
 	}
 }
 

@@ -71,6 +71,9 @@ const (
 type Faults struct {
 	// Append fires before records are buffered; a fired error seals the log.
 	Append faults.Point
+	// Ingest is Append's point for AppendAt: a log copying another one
+	// byte for byte is armed apart from the log it copies.
+	Ingest faults.Point
 	// Flush fires before the buffer is written to the active segment. It is
 	// torn-write capable: a Partial verdict writes only the first n bytes.
 	Flush faults.Point
@@ -414,17 +417,18 @@ func (l *Log) preallocate(upTo int64) {
 // are built before the mutex is taken, so concurrent appenders only
 // serialize on the buffer write itself.
 func (l *Log) Append(frames []byte, nrecs int) (uint64, error) {
-	return l.appendAt(^uint64(0), frames, nrecs)
+	return l.appendAt(^uint64(0), l.cfg.Faults.Append, frames, nrecs)
 }
 
 // AppendAt is Append for a caller replicating another log byte for byte:
-// it refuses unless the log currently ends at offset at.
+// it refuses unless the log currently ends at offset at, and checks the
+// Ingest fault point instead of Append.
 func (l *Log) AppendAt(at uint64, frames []byte, nrecs int) error {
-	_, err := l.appendAt(at, frames, nrecs)
+	_, err := l.appendAt(at, l.cfg.Faults.Ingest, frames, nrecs)
 	return err
 }
 
-func (l *Log) appendAt(at uint64, frames []byte, nrecs int) (uint64, error) {
+func (l *Log) appendAt(at uint64, point faults.Point, frames []byte, nrecs int) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealErr != nil {
@@ -433,7 +437,7 @@ func (l *Log) appendAt(at uint64, frames []byte, nrecs int) (uint64, error) {
 	if at != ^uint64(0) && at != l.end {
 		return 0, fmt.Errorf("seglog: append at offset %d but log ends at %d", at, l.end)
 	}
-	if err := faults.Check(l.cfg.Faults.Append); err != nil {
+	if err := faults.Check(point); err != nil {
 		l.sealErr = err
 		return 0, fmt.Errorf("seglog: append log record: %w", err)
 	}

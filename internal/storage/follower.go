@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -25,7 +26,9 @@ import (
 //     forces the log up to a page's LSN before writing it back — a page on
 //     disk implies its publishing commit record is durable. That is what
 //     makes restart recovery (which replays resolved transactions only)
-//     converge without ever seeing an effect it cannot account for.
+//     converge without ever seeing an effect it cannot account for. Such
+//     stamps do not follow operation order, so the directory carries a
+//     follower mark (format.go) that keeps redo from trusting them.
 //   - Strict two-phase locking above the leader's store orders conflicting
 //     operations across transactions consistently with commit order, so
 //     replaying whole transactions at commit, sorted by operation LSN
@@ -390,10 +393,12 @@ type PromoteStats struct {
 //     A later recovery replays forward op and CLR as a net no-op.
 //
 // It then forces the log, flushes all pages, and persists a checkpoint
-// whose redo point is the log end, so a store that crashes right after
-// promotion recovers from (near) nothing — in particular it never replays
-// the shipped history with leader semantics. Finally the follower flag
-// flips and every write entry point opens for business.
+// whose redo point is the log end (endFollowerStamps), so a store that
+// crashes right after promotion recovers from (near) nothing — in
+// particular it never replays the shipped history with leader semantics,
+// and a crash before that checkpoint leaves the follower mark standing.
+// Finally the follower flag flips and every write entry point opens for
+// business.
 func (s *Store) Promote() (PromoteStats, error) {
 	if s.closed.Load() {
 		return PromoteStats{}, ErrStoreClosed
@@ -446,10 +451,10 @@ func (s *Store) Promote() (PromoteStats, error) {
 				return PromoteStats{}, err
 			}
 		}
-		if len(t.ops) > 0 {
-			if _, err := s.wal.Append(&LogRecord{Type: RecAbort, Txn: t.id}); err != nil {
-				return PromoteStats{}, err
-			}
+		// Even a transaction that logged nothing but its begin: a follower
+		// of this store holds a placeholder for it until an abort arrives.
+		if _, err := s.wal.Append(&LogRecord{Type: RecAbort, Txn: t.id}); err != nil {
+			return PromoteStats{}, err
 		}
 		if len(t.merged) > 0 {
 			s.tsMu.Lock()
@@ -460,23 +465,12 @@ func (s *Store) Promote() (PromoteStats, error) {
 		}
 		s.forget(t)
 	}
-	if err := s.wal.Flush(^uint64(0)); err != nil {
-		return PromoteStats{}, err
-	}
-	if err := s.pool.FlushAll(); err != nil {
-		return PromoteStats{}, err
-	}
-	img := &ckptImage{
-		RedoLSN:  s.wal.End(),
-		NextTxn:  s.nextTxn.Load(),
-		CommitTS: s.commitTS.Load(),
-	}
-	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
+	if err := s.endFollowerStamps(); err != nil {
 		return PromoteStats{}, err
 	}
 	// The free-space map was never maintained during apply (no local
 	// inserts consulted it); rebuild before taking writes.
-	if err := s.rebuildFSM(); err != nil {
+	if err := s.rebuildFSM(true); err != nil {
 		return PromoteStats{}, err
 	}
 	s.follower.Store(false)
@@ -485,4 +479,31 @@ func (s *Store) Promote() (PromoteStats, error) {
 		Aborted:   len(pending),
 		Elapsed:   time.Since(start),
 	}, nil
+}
+
+// endFollowerStamps ends the directory's follower era: with the log forced
+// and every page flushed, it persists a checkpoint whose redo point is the
+// log end, so no record below a follower stamp is ever replayed again, and
+// only then drops the follower mark — from here on every page LSN at or
+// above the redo point is an operation's own. Nothing else may be writing.
+func (s *Store) endFollowerStamps() error {
+	if err := s.wal.Flush(^uint64(0)); err != nil {
+		return err
+	}
+	if err := s.pool.FlushAll(); err != nil {
+		return err
+	}
+	img := &ckptImage{
+		RedoLSN:  s.wal.End(),
+		NextTxn:  s.nextTxn.Load(),
+		CommitTS: s.commitTS.Load(),
+	}
+	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
+		return err
+	}
+	if err := os.Remove(s.followerMark); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("storage: remove follower mark: %w", err)
+	}
+	s.followerMark = ""
+	return nil
 }

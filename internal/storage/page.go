@@ -85,6 +85,11 @@ func (p *Page) InitPage() {
 	p.setFreeUpper(PageSize)
 }
 
+// formatted reports whether InitPage ever ran on p: freeUpper starts at
+// PageSize and never drops below the slot array, so only a page never
+// formatted has it zero.
+func (p *Page) formatted() bool { return p.freeUpper() != 0 }
+
 // LSN returns the page LSN (the last log record applied to this page).
 func (p *Page) LSN() uint64 { return binary.LittleEndian.Uint64(p.Data[pageLSNOff:]) }
 

@@ -26,6 +26,7 @@ type RecoveryStats struct {
 
 // txnInfo accumulates one transaction's fate during the log scan.
 type txnInfo struct {
+	began     bool // begin record (or ATT entry) survived
 	committed bool
 	aborted   bool   // rollback completed (abort record present)
 	hasTS     bool   // commit-timestamp record survived
@@ -99,6 +100,7 @@ func (s *Store) recover() error {
 		// ever conservative rather than exact.
 		for _, t := range img.Active {
 			ti := get(t.ID)
+			ti.began = true
 			ti.parent = t.Parent
 			ti.firstLSN = t.FirstLSN
 			if t.ID > maxTxn {
@@ -117,6 +119,7 @@ func (s *Store) recover() error {
 		switch rec.Type {
 		case RecBegin:
 			t := get(rec.Txn)
+			t.began = true
 			t.parent = rec.Parent
 			t.firstLSN = rec.LSN
 		case RecCommit:
@@ -239,8 +242,11 @@ func (s *Store) recover() error {
 			if t.committed && ancestorAborted(id) {
 				continue
 			}
+			// A loser that logged nothing but its begin record still gets
+			// an abort record: a live follower holds a placeholder for every
+			// begin it applied, and only a shipped abort releases it.
 			remaining := t.remaining()
-			if len(remaining) > 0 || t.clrs > 0 {
+			if t.began || len(remaining) > 0 || t.clrs > 0 {
 				losers = append(losers, id)
 			}
 			toUndo = append(toUndo, remaining...)
@@ -298,6 +304,15 @@ func (s *Store) recover() error {
 	}
 	if err := s.pool.FlushAll(); err != nil {
 		return err
+	}
+	if !follower && s.followerMark != "" {
+		// A follower's directory opened as a leader — a replica restarted
+		// without its leader, or a Promote that died before its checkpoint.
+		// Redo above could not trust its page LSNs; end that before a leader
+		// write stamps a page with its own.
+		if err := s.endFollowerStamps(); err != nil {
+			return err
+		}
 	}
 	stats.LogEndLSN = s.wal.End()
 	stats.Elapsed = time.Since(start)

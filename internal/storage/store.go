@@ -212,6 +212,12 @@ type Store struct {
 	replApplied atomic.Uint64 // log position fully applied by ReplIngest
 	applyHook   atomic.Pointer[func(*LogRecord)]
 
+	// followerMark is the path of the directory's follower mark while its
+	// pages may carry follower stamps (format.go), "" once they cannot.
+	// Redo trusts page LSNs only when it is "". Set at Open, cleared by
+	// endFollowerStamps — in recovery, or in Promote under applyMu.
+	followerMark string
+
 	closed atomic.Bool
 }
 
@@ -241,6 +247,11 @@ func Open(opts Options) (*Store, error) {
 		mergedInto: make(map[uint64]uint64),
 	}
 	s.follower.Store(opts.Follower)
+	if s.followerMark, err = followerMark(opts.Dir, opts.Follower); err != nil {
+		wal.Close()
+		disk.Close()
+		return nil, err
+	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]*txnState)
 	}
@@ -261,7 +272,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.replApplied.Store(wal.End())
-	if err := s.rebuildFSM(); err != nil {
+	if err := s.rebuildFSM(!opts.Follower); err != nil {
 		wal.Close()
 		disk.Close()
 		return nil, err
@@ -1039,13 +1050,17 @@ func (s *Store) Delete(id uint64, rid RID) error {
 
 // redoOp re-applies one logged operation. Replay is lenient (insert only
 // if absent, delete only if present) and the scan replays the whole tail
-// in per-page LSN order, so repeating an effect that already reached disk
-// is idempotent and the final state converges to what the log defines.
-// There is deliberately no page-LSN skip guard: on a replication follower
-// pages are stamped with the LSN of the commit record that published them
-// — not their individual operation LSNs — so "page LSN ≥ record LSN" does
-// not imply the effect is present there, and an unconditional in-order
-// replay is the variant that is correct for every store.
+// in per-page LSN order, so the final state converges to what the log
+// defines. A leader stamps every page with the LSN of the last operation
+// applied to it, under the page latch, so an operation at or below the
+// page LSN is already there and is skipped: repeating it is not idempotent
+// in space — an insert whose slot a later delete freed may no longer fit
+// once later inserts reused the bytes. Pages a follower wrote carry the
+// LSN of the commit record that published them, not their operations'
+// own LSNs, so "page LSN ≥ record LSN" does not imply the effect is
+// present there: while the directory's follower mark stands (format.go) —
+// whether this open is a follower's or a leader's — redo replays
+// unconditionally.
 func (s *Store) redoOp(rec *LogRecord) error {
 	if rec.Type == RecIdxCreate || rec.Type == RecIdxDrop {
 		return nil // logical record: no page effect to repeat
@@ -1058,6 +1073,10 @@ func (s *Store) redoOp(rec *LogRecord) error {
 	page, err := s.pool.Fetch(rec.RID.Page)
 	if err != nil {
 		return err
+	}
+	if s.followerMark == "" && page.LSN() >= rec.LSN {
+		s.pool.Unpin(rec.RID.Page, false)
+		return nil
 	}
 	defer s.pool.Unpin(rec.RID.Page, true)
 	switch rec.Type {
@@ -1090,16 +1109,31 @@ func (s *Store) redoOp(rec *LogRecord) error {
 	return nil
 }
 
-// rebuildFSM scans all pages to rebuild the free-space map after open.
-func (s *Store) rebuildFSM() error {
+// rebuildFSM scans all pages to rebuild the free-space map after open. A
+// leader also formats, and logs the allocation of, every page recovery
+// left unformatted: Allocate extends the file before the RecAlloc record is
+// appended, so a crash can leave a zeroed page whose allocation died in the
+// log buffer. Unlogged, inserts would fill it as an empty page that no
+// follower has ever heard of.
+func (s *Store) rebuildFSM(leader bool) error {
 	n := s.disk.NumPages()
 	for pid := PageID(0); pid < n; pid++ {
 		page, err := s.pool.Fetch(pid)
 		if err != nil {
 			return err
 		}
+		orphan := leader && !page.formatted()
+		if orphan {
+			lsn, err := s.wal.Append(&LogRecord{Type: RecAlloc, RID: RID{Page: pid}})
+			if err != nil {
+				s.pool.Unpin(pid, false)
+				return err
+			}
+			page.InitPage()
+			page.SetLSN(lsn)
+		}
 		s.noteFree(page)
-		s.pool.Unpin(pid, false)
+		s.pool.Unpin(pid, orphan)
 	}
 	return nil
 }

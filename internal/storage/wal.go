@@ -155,7 +155,8 @@ func OpenWAL(dir string, sync bool, segBytes int64) (*WAL, error) {
 	}
 	w.Log, err = seglog.Open(seglog.Config{
 		Dir: dir, Magic: walSegMagic, Ext: walSegExt, SegBytes: segBytes, Sync: sync,
-		Faults:   seglog.Faults{Append: faults.WALAppend, Flush: faults.WALFlush, Fsync: faults.WALFsync},
+		Faults: seglog.Faults{Append: faults.WALAppend, Ingest: faults.WALIngest,
+			Flush: faults.WALFlush, Fsync: faults.WALFsync},
 		CRCs:     crcs,
 		OnChange: w.writeManifest,
 	})
