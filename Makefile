@@ -42,7 +42,9 @@ check:
 # required), then the query-layer torture (same kill-point discipline
 # through the object + secondary-index stack, each recovery checked
 # against the index≡scan oracle) and a -race pass of concurrent index
-# readers vs committers. All three sweeps are one harness
+# readers vs committers, and 20 -race rounds of concurrent writer
+# transactions through the facade (per-object locks, per-family rule
+# scheduling). All three sweeps are one harness
 # (internal/faulttest): each logs its base seed and a per-kill-point crash
 # tally, and at 100+ iterations fails if a point it may arm never fired.
 # Reproduce a failure with TORTURE_SEED=<base seed from the log>.
@@ -55,6 +57,7 @@ torture:
 	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) SENTINEL_TORTURE_SEED=$(TORTURE_SEED) \
 		$(GO) test -count=1 -run TestReplTorture -v ./internal/faulttest
 	$(GO) test -count=1 -race -run TestQueryIndexRaceStress -v ./internal/faulttest
+	$(GO) test -count=20 -race -run 'TestConcurrentWriters' .
 
 # fuzz-smoke runs each native fuzz target briefly: long enough to replay
 # the seed corpus and mutate past it, short enough for every CI run. A

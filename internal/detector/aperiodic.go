@@ -218,7 +218,74 @@ func (n *aStarNode) receive(occ *event.Occurrence, side int, ctx Context) {
 // per the context's pairing if the window was open and anything
 // accumulated, silence otherwise.
 func (n *aStarNode) close(occ *event.Occurrence, ctx Context) {
-	open, accum := n.visible(ctx), n.accum[ctx]
+	n.emitWindow(occ, ctx, n.visible(ctx), n.accum[ctx])
+	n.accum[ctx] = n.accum[ctx].reset()
+}
+
+// closeFamily is close for a window keyed by transaction family, at the
+// preCommit occ of fam's root: it pairs that transaction's own begin with
+// the accumulated occurrences of the family — and those signalled outside
+// every transaction — and leaves other families' accumulations for their
+// own preCommit.
+func (n *aStarNode) closeFamily(occ *event.Occurrence, ctx Context, fam []uint64) {
+	accum := n.accum[ctx]
+	mine := accum
+	if !allOfFamily(accum, fam) { // interleaved families: split off this one's
+		mine = nil
+		rest := accum[:0]
+		for _, o := range accum {
+			if ofFamily(o, fam) {
+				mine = append(mine, o)
+			} else {
+				rest = append(rest, o)
+			}
+		}
+		clear(accum[len(rest):])
+		n.accum[ctx] = rest
+	}
+	if len(mine) > 0 {
+		// The transaction's own initiator: it begins once, so at most one.
+		vis := n.visible(ctx)
+		i := slices.IndexFunc(vis, func(o *event.Occurrence) bool { return o.Txn == occ.Txn })
+		if i >= 0 {
+			n.emitWindow(occ, ctx, vis[i:i+1], mine)
+		}
+	}
+	if len(mine) == len(accum) {
+		n.accum[ctx] = accum.reset()
+	}
+}
+
+// allOfFamily reports whether every occurrence of l belongs to the family.
+func allOfFamily(l occList, fam []uint64) bool {
+	for _, o := range l {
+		if !ofFamily(o, fam) {
+			return false
+		}
+	}
+	return true
+}
+
+// ofFamily reports whether o belongs to the family with the (ascending)
+// ids fam: a leaf signalled under one of them or outside every transaction
+// (which belongs to whichever window closes first, as it did before
+// windows were keyed), a composite with such a leaf.
+func ofFamily(o *event.Occurrence, fam []uint64) bool {
+	if len(o.Constituents) == 0 {
+		_, in := slices.BinarySearch(fam, o.Txn)
+		return in || o.Txn == 0
+	}
+	for _, c := range o.Constituents {
+		if ofFamily(c, fam) {
+			return true
+		}
+	}
+	return false
+}
+
+// emitWindow emits the composites of one closed window: initiators open,
+// accumulation accum, terminator occ, paired per the context.
+func (n *aStarNode) emitWindow(occ *event.Occurrence, ctx Context, open, accum occList) {
 	if len(open) > 0 && len(accum) > 0 {
 		switch ctx {
 		case Recent:
@@ -233,7 +300,6 @@ func (n *aStarNode) close(occ *event.Occurrence, ctx Context) {
 			n.emit(compose(n.name, append(mergeBySeq(open, accum), occ)...), ctx)
 		}
 	}
-	n.accum[ctx] = accum.reset()
 }
 
 // txnWindow is the window shared by every A*(S, E, T) over one pair of
@@ -242,6 +308,14 @@ func (n *aStarNode) close(occ *event.Occurrence, ctx Context) {
 // reads it when its E occurs and enrols as armed on the first occurrence
 // it accumulates, T closes the armed members — the only ones that could
 // emit — and then the window. A member nobody signalled is never visited.
+//
+// When the detector knows transaction families (NewWithFamilies) the
+// window is keyed by them: every open transaction's S stays in it, and T
+// of one transaction closes that transaction's window only — its own S,
+// its family's accumulations — leaving interleaved transactions' windows
+// open and their members armed. Without it every T closes everything, the
+// single-transaction-at-a-time reading of the paper, exactly as an A* over
+// any other events does with its own window.
 type txnWindow struct {
 	nodeCore
 	aperWindow
@@ -277,9 +351,14 @@ func (w *txnWindow) arm(m *aStarNode) {
 }
 
 func (w *txnWindow) receive(occ *event.Occurrence, side int, ctx Context) {
+	family := w.d.families
 	switch side {
 	case 0:
-		w.add(occ, ctx)
+		if family != nil {
+			w.open[ctx] = append(w.open[ctx], occ) // one S per transaction, RECENT too
+		} else {
+			w.add(occ, ctx)
+		}
 	case 2:
 		// T arrives once per active context, lowest first. The first
 		// arrival closes every context, so that the members emit in
@@ -288,19 +367,46 @@ func (w *txnWindow) receive(occ *event.Occurrence, side int, ctx Context) {
 		if ctx != Context(bits.TrailingZeros8(w.active)) {
 			return
 		}
+		var fam []uint64
+		if family != nil && len(w.armed) > 0 {
+			if fam = family(occ.Txn); fam == nil {
+				fam = []uint64{occ.Txn}
+			}
+			slices.Sort(fam)
+		}
 		// A member's emission can arm a later-defined member whose E
 		// contains the emitting event; it lands behind i and closes too.
 		for i := 0; i < len(w.armed); i++ {
 			m := w.armed[i]
 			m.armed = false
 			for c := Context(0); c < numContexts; c++ {
-				m.close(occ, c)
+				if family != nil {
+					m.closeFamily(occ, c, fam)
+				} else {
+					m.close(occ, c)
+				}
 			}
 		}
-		clear(w.armed)
-		w.armed = w.armed[:0]
+		if family == nil {
+			clear(w.armed)
+			w.armed = w.armed[:0]
+			for c := Context(0); c < numContexts; c++ {
+				w.clear(c)
+			}
+			return
+		}
+		// Members still holding other families' occurrences stay armed.
+		kept := w.armed[:0]
+		for _, m := range w.armed {
+			if !m.armed && m.occupancy() > 0 {
+				m.armed = true
+				kept = append(kept, m)
+			}
+		}
+		clear(w.armed[len(kept):])
+		w.armed = kept
 		for c := Context(0); c < numContexts; c++ {
-			w.clear(c)
+			w.open[c] = w.open[c].dropTxn(occ.Txn)
 		}
 	}
 }

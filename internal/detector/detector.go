@@ -169,6 +169,10 @@ type Detector struct {
 	// transaction boundaries, as the paper allows by deactivating the
 	// flush rules.
 	AutoFlush bool
+
+	// families is NewWithFamilies' lookup, nil for a detector from New;
+	// fixed at construction.
+	families func(root uint64) []uint64
 }
 
 type timerOwner struct {
@@ -188,6 +192,21 @@ func New() *Detector {
 		masked:     make(map[uint64]int),
 		AutoFlush:  true,
 	}
+}
+
+// NewWithFamilies creates a detector for a database whose top-level
+// transactions interleave. families returns the ids of a live top-level
+// transaction and of every subtransaction begun beneath it. With it the
+// window an A* over two transaction events shares — the deferred-rule
+// rewrite — pairs each transaction's own begin, events and preCommit
+// (aperiodic.go). A detector from New has no transactions of its own to
+// ask about, only the ids its signals carry: batch replay and the
+// detector's own tests drive it, and its window keeps the single-window
+// reading that every other A* has.
+func NewWithFamilies(families func(root uint64) []uint64) *Detector {
+	d := New()
+	d.families = families
+	return d
 }
 
 // trace hands one event to the installed tracer, if any.

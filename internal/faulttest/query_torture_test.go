@@ -53,10 +53,9 @@ func TestQueryIndexRaceStress(t *testing.T) {
 
 	// Writers: each owns a disjoint slice of the extent and re-keys
 	// prices, sometimes aborting so the abort-undo path races the readers
-	// too. Load takes the catalog lock shared and Persist upgrades it to
-	// exclusive, so concurrent writers can be picked as deadlock victims —
-	// that is ordinary 2PL; the writer aborts and moves on like any
-	// application would.
+	// too. Object locks are per OID, so writers of disjoint slices do not
+	// conflict; a writer that is picked as a deadlock victim anyway aborts
+	// and moves on like any application would.
 	for w := 0; w < nWriters; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -1,7 +1,8 @@
 // Package lockmgr implements the lock manager the Sentinel nested
 // transaction manager uses for rule subtransactions — the paper's "lock
-// table + nested transactions" kernel extension. It provides shared and
-// exclusive locks with Moss-style nested-transaction semantics: a
+// table + nested transactions" kernel extension. It provides shared,
+// exclusive and intent-exclusive locks with Moss-style nested-transaction
+// semantics: a
 // subtransaction may acquire a lock whose only conflicting holders are its
 // ancestors, and on commit a subtransaction's locks are inherited by its
 // parent rather than released. Deadlocks are detected with a waits-for
@@ -29,6 +30,11 @@ const (
 	Shared Mode = iota
 	// Exclusive allows a single writer.
 	Exclusive
+	// IntentExclusive is taken on a container (a class) by a transaction
+	// that locks members of it exclusive: intent holders do not conflict
+	// with each other, but do with Shared and Exclusive holders of the
+	// container, who read or change it as a whole.
+	IntentExclusive
 )
 
 // String names the mode.
@@ -38,6 +44,8 @@ func (m Mode) String() string {
 		return "S"
 	case Exclusive:
 		return "X"
+	case IntentExclusive:
+		return "IX"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -45,7 +53,17 @@ func (m Mode) String() string {
 
 // compatible reports whether two modes can be held simultaneously by
 // unrelated transactions.
-func compatible(a, b Mode) bool { return a == Shared && b == Shared }
+func compatible(a, b Mode) bool { return a == b && a != Exclusive }
+
+// join returns the weakest mode that grants both a and b. Shared and
+// IntentExclusive are incomparable, and the only mode covering both is
+// Exclusive: their combination (SIX) conflicts with every mode here.
+func join(a, b Mode) Mode {
+	if a == b {
+		return a
+	}
+	return Exclusive
+}
 
 // Errors reported by the lock manager.
 var (
@@ -198,6 +216,9 @@ func (m *Manager) LockTimeout(owner TxnID, resource string, mode Mode, timeout t
 		rl = &resourceLock{name: resource, holders: make(map[TxnID]Mode)}
 		m.resources[resource] = rl
 	}
+	if cur, ok := rl.holders[owner]; ok {
+		mode = join(cur, mode) // an upgrade asks for what it will hold
+	}
 	if m.grantableLocked(rl, owner, mode) {
 		m.grantLocked(rl, owner, mode)
 		m.mu.Unlock()
@@ -288,7 +309,7 @@ func (m *Manager) grantableLocked(rl *resourceLock, owner TxnID, mode Mode) bool
 	return true
 }
 
-// grantLocked records the grant, keeping the strongest mode per owner.
+// grantLocked records the grant, keeping per owner the join of its modes.
 func (m *Manager) grantLocked(rl *resourceLock, owner TxnID, mode Mode) {
 	m.holdLocked(rl, owner, mode)
 	delete(m.waitsFor, owner)
@@ -300,10 +321,10 @@ func (m *Manager) holdLocked(rl *resourceLock, owner TxnID, mode Mode) {
 	cur, ok := rl.holders[owner]
 	if !ok {
 		m.held[owner] = append(m.held[owner], rl)
-	}
-	if !ok || mode > cur {
 		rl.holders[owner] = mode
+		return
 	}
+	rl.holders[owner] = join(cur, mode)
 }
 
 // dropLocked ends owner's hold on rl: waiters the hold blocked are
@@ -330,32 +351,48 @@ func (m *Manager) addWaitEdgesLocked(rl *resourceLock, w *waiter) {
 		}
 		edges[h] = true
 	}
-	// Also wait for earlier queued requests that conflict.
+	// Also wait for earlier queued requests that conflict — an ancestor's
+	// never does: once granted it is no obstacle to its descendant.
 	for _, q := range rl.queue {
 		if q == w {
 			break
 		}
-		if q.owner != w.owner && !compatible(q.mode, w.mode) {
+		if q.owner != w.owner && !compatible(q.mode, w.mode) && !m.isAncestor(q.owner, w.owner) {
 			edges[q.owner] = true
 		}
 	}
 }
 
 // cycleLocked reports whether start can reach itself in the waits-for
-// graph.
+// graph. Besides the lock-wait edges, every transaction waits for its live
+// subtransactions: it can neither commit nor abort before they finish. So a
+// rule subtransaction of one family blocked on a lock of another family,
+// whose own rule is blocked on a lock of the first, closes a cycle through
+// the two top-level transactions — one no lock-wait edge alone would show.
+// The child edges are found by a scan of the ancestry table, which holds
+// live subtransactions only; cycle checks run only when a request queues.
 func (m *Manager) cycleLocked(start TxnID) bool {
 	seen := map[TxnID]bool{}
 	var dfs func(TxnID) bool
+	visit := func(next TxnID) bool {
+		if next == start {
+			return true
+		}
+		if !seen[next] {
+			seen[next] = true
+			return dfs(next)
+		}
+		return false
+	}
 	dfs = func(n TxnID) bool {
 		for next := range m.waitsFor[n] {
-			if next == start {
+			if visit(next) {
 				return true
 			}
-			if !seen[next] {
-				seen[next] = true
-				if dfs(next) {
-					return true
-				}
+		}
+		for child, p := range m.parent {
+			if p == n && visit(child) {
+				return true
 			}
 		}
 		return false
@@ -450,7 +487,7 @@ func (m *Manager) ReleaseAll(owner TxnID) {
 }
 
 // Inherit transfers every lock of child to parent (nested-transaction
-// commit), keeping the strongest mode when the parent already holds one.
+// commit), joining the modes when the parent already holds one.
 func (m *Manager) Inherit(child, parent TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

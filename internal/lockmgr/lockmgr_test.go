@@ -84,6 +84,44 @@ func TestReacquireDoesNotDowngrade(t *testing.T) {
 	}
 }
 
+// TestIntentExclusive: intent holders share the resource with each other
+// but not with Shared or Exclusive holders, and an intent holder asking
+// for Shared asks for — and, once alone, holds — Exclusive.
+func TestIntentExclusive(t *testing.T) {
+	const wait = 30 * time.Millisecond
+	m := New()
+	if IntentExclusive.String() != "IX" {
+		t.Fatalf("mode string %v", IntentExclusive)
+	}
+	for _, owner := range []TxnID{1, 2} {
+		if err := m.LockTimeout(owner, "c", IntentExclusive, wait); err != nil {
+			t.Fatalf("intent holder %d: %v", owner, err)
+		}
+	}
+	for _, mode := range []Mode{Shared, Exclusive} {
+		if err := m.LockTimeout(3, "c", mode, wait); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("%v beside intent holders: %v, want a timeout", mode, err)
+		}
+	}
+	if err := m.LockTimeout(1, "c", Shared, wait); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("IX→S upgrade beside another intent holder: %v, want a timeout", err)
+	}
+	m.ReleaseAll(2)
+	if err := m.LockTimeout(1, "c", Shared, wait); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Holders("c")[1]; got != Exclusive {
+		t.Fatalf("IX joined with S holds %v, want X", got)
+	}
+	m.ReleaseAll(1)
+	if err := m.Lock(4, "c", Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LockTimeout(5, "c", IntentExclusive, wait); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("IX beside a Shared holder: %v, want a timeout", err)
+	}
+}
+
 func TestChildMayLockParentsResource(t *testing.T) {
 	m := New()
 	if err := m.Lock(1, "r", Exclusive); err != nil {
@@ -212,6 +250,64 @@ func TestDeadlockDetected(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("survivor never granted after victim release")
+	}
+}
+
+// TestDeadlockThroughSubtransactions: two top-level transactions each hold
+// a lock the other's subtransaction wants. No lock wait of a top-level
+// transaction closes the cycle — each waits for its subtransaction to
+// finish — so the detector must follow parent→child edges.
+func TestDeadlockThroughSubtransactions(t *testing.T) {
+	m := New()
+	m.DefaultTimeout = 5 * time.Second
+	m.SetParent(11, 1)
+	m.SetParent(21, 2)
+	if err := m.Lock(1, "a", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(2, "b", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- m.Lock(11, "b", Exclusive) }() // 11 waits for 2, 2 for 21
+	for m.Waiting("b") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.Lock(21, "a", Exclusive); !errors.Is(err, ErrDeadlock) { // 21 waits for 1, 1 for 11
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	m.ReleaseAll(21)
+	m.ReleaseAll(2)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueuedAncestorIsNoObstacle: a subtransaction queued behind its own
+// ancestor's request does not wait for that ancestor (it is granted right
+// after it), so no cycle runs through the ancestor's wait for it.
+func TestQueuedAncestorIsNoObstacle(t *testing.T) {
+	m := New()
+	m.DefaultTimeout = 5 * time.Second
+	m.SetParent(11, 1)
+	if err := m.Lock(3, "r", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	parent := make(chan error, 1)
+	go func() { parent <- m.Lock(1, "r", Exclusive) }()
+	for m.Waiting("r") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	child := make(chan error, 1)
+	go func() { child <- m.Lock(11, "r", Exclusive) }()
+	for m.Waiting("r") < 2 && len(child) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.ReleaseAll(3)
+	for _, ch := range []chan error{parent, child} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

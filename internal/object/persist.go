@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/event"
 	"repro/internal/lockmgr"
@@ -15,10 +16,13 @@ import (
 // The persistence manager keeps a small catalog in the storage manager:
 //
 //   - a fixed-location meta record (the first record ever inserted, page 0
-//     slot 0) holding the OID counter and the RID of the name map; it is
-//     fixed-size so updates never relocate it;
+//     slot 0) holding the RID of the name map (and, in directories written
+//     before OID blocks, the OID counter); it is fixed-size so updates never
+//     relocate it;
 //   - the name map (the Open OODB name manager), one record holding
 //     name -> OID (record.go);
+//   - the OID reservation record (KindOIDs), holding the end of the last
+//     block of OIDs reserved for New;
 //   - and, since every object record now embeds its own OID, an in-memory
 //     OID -> RID directory rebuilt by scanning the heap at open and
 //     maintained incrementally afterwards.
@@ -34,21 +38,50 @@ import (
 // are kept until no live snapshot can still see the object, then pruned
 // via a small graveyard keyed to the store's snapshot floor.
 //
-// Catalog mutations still take the exclusive "catalog" lock in the calling
-// transaction — the same writer serialization as before, minus the
-// whole-map encode — and locked readers take it shared. Snapshot
-// transactions bypass locks entirely and rely on MVCC validation.
+// Isolation comes from per-object locks (DESIGN.md §10): Load takes the
+// object's lock shared; New, Persist and Delete take it exclusive and,
+// before it, their class's lock intent-exclusive — so writers of different
+// objects run side by side, while a locked extent scan (class lock shared)
+// or index DDL (exclusive) waits them out and sees no phantoms. The name
+// map has a lock of its own. Snapshot transactions bypass locks entirely
+// and rely on MVCC validation; they never build a lock name.
+//
+// OIDs come from an atomic counter. The counter never hands out an OID
+// above the durable reservation: when it reaches the end of the reserved
+// block, the next block's end is written to the reservation record in a
+// storage-level transaction of its own (no lock, no events) and forced
+// before the OID is used. Open and Promote restart the counter at
+// max(reservation end, highest OID on the heap + 1), so an OID is never
+// handed out twice — not even one whose object was deleted before a
+// restart or a failover.
 
 const (
-	metaMagic   = "SENTOBJ1"
-	metaSize    = 8 + 8 + 8 // magic + nextOID + nameRID
-	catalogLock = "catalog"
+	metaMagic = "SENTOBJ1"
+	metaSize  = 8 + 8 + 8 // magic + legacy OID counter + nameRID
+	// namesLock is the name map's resource: Bind and Unbind take it
+	// exclusive, Resolve shared. Object writers never touch it.
+	namesLock = "names"
+	// oidBlock is how many OIDs one durable reservation covers.
+	oidBlock = 1024
+	oidsSize = 1 + 8 // KindOIDs + end
 	// gravePruneEvery bounds how often a mutator consults the snapshot
 	// floor to prune committed-delete refs.
 	gravePruneEvery = 64
 )
 
 var metaRID = storage.RID{Page: 0, Slot: 0}
+
+// objResource names an object's lock.
+func objResource(oid uint64) string {
+	var b [24]byte
+	return string(strconv.AppendUint(append(b[:0], "obj:"...), oid, 10))
+}
+
+// lockObject takes oid's lock. Under a snapshot the request is a counted
+// bypass that never builds the name.
+func lockObject(tx *txn.Txn, oid event.OID, mode lockmgr.Mode) error {
+	return tx.LockOf(objResource, uint64(oid), mode)
+}
 
 func encodeRID(b []byte, rid storage.RID) {
 	binary.LittleEndian.PutUint32(b, uint32(rid.Page))
@@ -62,6 +95,9 @@ func decodeRID(b []byte) storage.RID {
 	}
 }
 
+// meta is the catalog meta record. nextOID is the OID counter of
+// directories written before OID blocks; it is never written again and
+// serves as a floor for the counter at open.
 type meta struct {
 	nextOID uint64
 	nameRID storage.RID
@@ -82,15 +118,29 @@ func decodeMeta(b []byte) (meta, error) {
 	return meta{nextOID: binary.LittleEndian.Uint64(b[8:]), nameRID: decodeRID(b[16:])}, nil
 }
 
+func encodeOIDs(end uint64) []byte {
+	b := make([]byte, oidsSize)
+	b[0] = KindOIDs
+	binary.LittleEndian.PutUint64(b[1:], end)
+	return b
+}
+
+func decodeOIDs(b []byte) (end uint64, ok bool) {
+	if len(b) != oidsSize || b[0] != KindOIDs {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(b[1:]), true
+}
+
 // InitCatalog creates the persistence catalog on a fresh store or
-// validates it on an existing one. It must run (in its own transaction)
-// before any objects are created and before any other record is inserted
-// into a fresh store.
+// validates it on an existing one, and opens the OID counter. It must run
+// (in its own transaction) before any objects are created and before any
+// other record is inserted into a fresh store.
 func (r *Registry) InitCatalog(tx *txn.Txn) error {
 	if r.store == nil {
 		return ErrNotPersistent
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	if err := tx.Lock(namesLock, lockmgr.Exclusive); err != nil {
 		return err
 	}
 	if data, err := tx.Read(metaRID); err == nil {
@@ -99,7 +149,11 @@ func (r *Registry) InitCatalog(tx *txn.Txn) error {
 		}
 		// Existing catalog: rebuild the OID directory from the heap's
 		// (post-recovery, all-committed) latest state.
-		return r.Bootstrap()
+		if err := r.Bootstrap(); err != nil {
+			return err
+		}
+		r.ResumeOIDs()
+		return nil
 	}
 	names, err := appendNames(nil, nil)
 	if err != nil {
@@ -116,22 +170,38 @@ func (r *Registry) InitCatalog(tx *txn.Txn) error {
 	if m.nameRID, err = tx.Insert(names); err != nil {
 		return err
 	}
-	_, err = tx.Update(metaRID, m.encode())
-	return err
+	if _, err = tx.Update(metaRID, m.encode()); err != nil {
+		return err
+	}
+	r.ResumeOIDs()
+	return nil
 }
 
 // Bootstrap rebuilds the in-memory OID directory by one pass over the
-// heap's latest state. It runs at open — after recovery (leader) or over
-// the resolved prefix (follower), when everything live on the pages is
-// committed — and before the registry serves requests.
+// heap's latest state, and with it the OID counter's floor: the
+// reservation end, the highest OID on the heap + 1 and the legacy meta
+// counter, whichever is largest. It runs at open — after recovery (leader)
+// or over the resolved prefix (follower), when everything live on the
+// pages is committed — and before the registry serves requests.
 func (r *Registry) Bootstrap() error {
 	if r.store == nil {
 		return nil
 	}
 	dir := make(map[uint64]objRef)
+	var floor uint64
+	var oidsRID storage.RID
+	hasOIDs := false
 	err := r.store.ForEachRecordLatest(func(rid storage.RID, data []byte) error {
 		if oid, class, ok := readHeader(event.NewReader(data)); ok {
 			dir[oid] = objRef{rid: rid, class: r.className(class)}
+			floor = max(floor, oid+1)
+		} else if end, ok := decodeOIDs(data); ok {
+			floor = max(floor, end)
+			oidsRID, hasOIDs = rid, true
+		} else if rid == metaRID {
+			if m, err := decodeMeta(data); err == nil {
+				floor = max(floor, m.nextOID)
+			}
 		}
 		return nil
 	})
@@ -141,6 +211,71 @@ func (r *Registry) Bootstrap() error {
 	r.oidMu.Lock()
 	r.oidDir = dir
 	r.oidMu.Unlock()
+	r.oids.mu.Lock()
+	r.oids.floor = max(r.oids.floor, floor)
+	r.oids.rid, r.oids.has = oidsRID, hasOIDs
+	r.oids.mu.Unlock()
+	return nil
+}
+
+// ResumeOIDs opens the OID counter for New at the floor Bootstrap (and, on
+// a follower, the applied record stream) established. Nothing is reserved
+// yet: the first New writes a fresh block. The facade calls it after a
+// follower's Promote; InitCatalog calls it at open.
+func (r *Registry) ResumeOIDs() {
+	r.oids.mu.Lock()
+	defer r.oids.mu.Unlock()
+	r.oids.end.Store(r.oids.floor)
+	r.oids.next.Store(r.oids.floor)
+}
+
+// drawOID hands out the next OID, reserving a new block first when the
+// counter has reached the end of the durable one.
+func (r *Registry) drawOID() (event.OID, error) {
+	if r.oids.end.Load() == 0 {
+		return 0, errors.New("object: catalog not initialised")
+	}
+	oid := r.oids.next.Add(1) - 1
+	if oid >= r.oids.end.Load() {
+		if err := r.reserveOIDs(oid); err != nil {
+			return 0, err
+		}
+	}
+	return event.OID(oid), nil
+}
+
+// reserveOIDs makes every OID up to and including oid durable-reserved: it
+// writes the end of a block starting at oid to the reservation record in a
+// storage-level transaction of its own and waits for its commit to be
+// forced. It takes no lock and signals no event, so it neither conflicts
+// with nor is rolled back by the transaction that drew the OID.
+func (r *Registry) reserveOIDs(oid uint64) error {
+	r.oids.mu.Lock()
+	defer r.oids.mu.Unlock()
+	if oid < r.oids.end.Load() {
+		return nil // a concurrent draw reserved it
+	}
+	end := oid + oidBlock
+	id, err := r.store.Begin()
+	if err != nil {
+		return err
+	}
+	rid := r.oids.rid
+	if r.oids.has {
+		rid, err = r.store.Update(id, rid, encodeOIDs(end))
+	} else {
+		rid, err = r.store.Insert(id, encodeOIDs(end))
+	}
+	if err == nil {
+		err = r.store.Commit(id)
+	}
+	if err != nil {
+		_ = r.store.Abort(id)
+		return fmt.Errorf("object: reserve OIDs below %d: %w", end, err)
+	}
+	r.oids.rid, r.oids.has = rid, true
+	r.oids.floor = end
+	r.oids.end.Store(end)
 	return nil
 }
 
@@ -293,37 +428,35 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 		r.mu.Unlock()
 		return obj, nil
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
-		return nil, err
-	}
-	m, err := r.readMeta(tx)
+	// Encode before drawing an OID: a value outside the atomic set fails the
+	// call with nothing applied and no OID consumed.
+	rec, err := appendObjectBody(make([]byte, objectHeadroom, 128), class, cp)
 	if err != nil {
 		return nil, err
 	}
-	obj := &Instance{OID: event.OID(m.nextOID), Class: c, attrs: cp}
-	// Encode before the first heap write: a value outside the atomic set
-	// fails the call with nothing applied.
-	data, err := appendObject(nil, m.nextOID, class, cp)
+	oid, err := r.drawOID()
 	if err != nil {
 		return nil, err
 	}
-	m.nextOID++
-	if _, err := tx.Update(metaRID, m.encode()); err != nil {
+	// Nobody else knows the OID yet, but a locked reader that finds the
+	// directory entry below must wait for this transaction's outcome.
+	if err := lockWrite(tx, c.lockName, oid); err != nil {
 		return nil, err
 	}
-	rid, err := tx.Insert(data)
+	rid, err := tx.Insert(putObjectHeader(rec, uint64(oid)))
 	if err != nil {
 		return nil, err
 	}
+	obj := &Instance{OID: oid, Class: c, attrs: cp}
 	d := r.dirtyFor(tx)
 	r.oidMu.Lock()
-	r.oidDir[uint64(obj.OID)] = objRef{rid: rid, class: class}
+	r.oidDir[uint64(oid)] = objRef{rid: rid, class: class}
 	r.oidMu.Unlock()
 	r.catMu.Lock()
-	d.adds = append(d.adds, uint64(obj.OID))
+	d.adds = append(d.adds, uint64(oid))
 	r.catMu.Unlock()
 	if h := r.indexHook(class); h != nil {
-		if err := h.OnCreate(tx, class, obj.OID, rid, cp); err != nil {
+		if err := h.OnCreate(tx, class, oid, rid, cp); err != nil {
 			return nil, err
 		}
 	}
@@ -355,7 +488,7 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Shared); err != nil {
+	if err := lockObject(tx, oid, lockmgr.Shared); err != nil {
 		return nil, err
 	}
 	ref, ok := r.lookupRef(oid)
@@ -424,6 +557,17 @@ func (r *Registry) readBefore(tx *txn.Txn, rid storage.RID, oid event.OID, wantA
 	return attrs, nil
 }
 
+// lockWrite takes what a mutation of oid needs: its class's lock
+// intent-exclusive (writers of a class do not conflict; a locked extent
+// scan or index DDL, which lock the class as a whole, wait them out), then
+// the object's lock exclusive. Always in that order: class, then object.
+func lockWrite(tx *txn.Txn, classLock string, oid event.OID) error {
+	if err := tx.Lock(classLock, lockmgr.IntentExclusive); err != nil {
+		return err
+	}
+	return lockObject(tx, oid, lockmgr.Exclusive)
+}
+
 // Persist writes an object's current attribute state back to the store —
 // the programmatic update path for callers (the facade, the query layer's
 // tests) that mutate attributes without going through a reactive method.
@@ -439,7 +583,7 @@ func (r *Registry) persist(tx *txn.Txn, obj *Instance) error {
 	if tx == nil {
 		return fmt.Errorf("object: persisting %v requires a transaction", obj.OID)
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	if err := lockWrite(tx, obj.Class.lockName, obj.OID); err != nil {
 		return err
 	}
 	ref, ok := r.lookupRef(obj.OID)
@@ -489,11 +633,16 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 		delete(r.memObjects, oid)
 		return nil
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
-		return err
-	}
+	// An object never changes class, so the entry names the class lock to
+	// take before the object's; the entry itself is re-read under both.
 	ref, ok := r.lookupRef(oid)
 	if !ok {
+		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+	}
+	if err := lockWrite(tx, r.classLock(ref.class), oid); err != nil {
+		return err
+	}
+	if ref, ok = r.lookupRef(oid); !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
 	h := r.indexHook(ref.class)
@@ -604,11 +753,51 @@ func (r *Registry) classMatchesLocked(c, class string, includeSubclasses bool) b
 	return false
 }
 
+// LockExtent locks a class extent (and its subclasses' when
+// includeSubclasses is set) as a whole: it takes each class's lock in
+// mode. Writers hold their class's lock intent-exclusive (lockWrite), so
+// either mode waits out every transaction that created, updated or
+// deleted an object of the extent and holds off new ones until tx
+// resolves. A locked scan takes Shared — no phantoms, and locked scans of
+// one class still run side by side — and index DDL Exclusive. Under a
+// snapshot the requests are counted bypasses: visibility, not locking,
+// makes a snapshot scan consistent.
+func (r *Registry) LockExtent(tx *txn.Txn, class string, includeSubclasses bool, mode lockmgr.Mode) error {
+	if !includeSubclasses {
+		return tx.Lock(r.classLock(class), mode)
+	}
+	r.mu.Lock()
+	var locks []string
+	for name, c := range r.classes {
+		if r.classMatchesLocked(name, class, true) {
+			locks = append(locks, c.lockName)
+		}
+	}
+	r.mu.Unlock()
+	sort.Strings(locks) // one acquisition order for every subtree scan
+	for _, l := range locks {
+		if err := tx.Lock(l, mode); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// classLock returns the lock resource of a class by name, registered or
+// not (records of a class this process never defined still lock by name).
+func (r *Registry) classLock(class string) string {
+	if c, err := r.Class(class); err == nil {
+		return c.lockName
+	}
+	return classResource(class)
+}
+
 // ForEach visits every object of the class (and its subclasses when
 // includeSubclasses is set), in OID order — the class extent, which rule
 // conditions use to query database state. fn returning false stops the
 // scan. Directory entries the transaction cannot see (uncommitted creates
-// of others, deletes this snapshot is past) are skipped.
+// of others, deletes this snapshot is past) are skipped. A locked scan
+// takes the extent's class locks first (LockExtent).
 func (r *Registry) ForEach(tx *txn.Txn, class string, includeSubclasses bool, fn func(*Instance) bool) error {
 	if r.store == nil {
 		for _, oid := range r.ExtentOIDs(class, includeSubclasses) {
@@ -624,7 +813,7 @@ func (r *Registry) ForEach(tx *txn.Txn, class string, includeSubclasses bool, fn
 		}
 		return nil
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Shared); err != nil {
+	if err := r.LockExtent(tx, class, includeSubclasses, lockmgr.Shared); err != nil {
 		return err
 	}
 	for _, oid := range r.ExtentOIDs(class, includeSubclasses) {
@@ -652,13 +841,20 @@ func sortOIDs(oids []event.OID) {
 // ApplyRecord is the follower-side directory maintenance hook: the store
 // invokes it (through the facade's mux) for every operation a replicated
 // transaction applied, in LSN order. Only object records matter here, and
-// only their header (OID, class); index entries and catalog blobs fail the
-// kind check and fall through.
+// only their header (OID, class), plus the OID reservation record; index
+// entries and catalog blobs fail the kind checks and fall through.
 func (r *Registry) ApplyRecord(rec *storage.LogRecord) {
 	switch rec.Type {
 	case storage.RecInsert, storage.RecUpdate:
 		oid, class, ok := readHeader(event.NewReader(rec.After))
 		if !ok {
+			// The reservation record: the counter's floor at Promote.
+			if end, ok := decodeOIDs(rec.After); ok {
+				r.oids.mu.Lock()
+				r.oids.floor = max(r.oids.floor, end)
+				r.oids.rid, r.oids.has = rec.RID, true
+				r.oids.mu.Unlock()
+			}
 			return
 		}
 		ref := objRef{rid: rec.RID, class: r.className(class)}
@@ -688,7 +884,7 @@ func (r *Registry) Bind(tx *txn.Txn, name string, oid event.OID) error {
 		r.memNames[name] = oid
 		return nil
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	if err := tx.Lock(namesLock, lockmgr.Exclusive); err != nil {
 		return err
 	}
 	m, err := r.readMeta(tx)
@@ -713,7 +909,7 @@ func (r *Registry) Resolve(tx *txn.Txn, name string) (event.OID, error) {
 		}
 		return 0, fmt.Errorf("%w: %q", ErrUnknownName, name)
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Shared); err != nil {
+	if err := tx.Lock(namesLock, lockmgr.Shared); err != nil {
 		return 0, err
 	}
 	m, err := r.readMeta(tx)
@@ -741,7 +937,7 @@ func (r *Registry) Unbind(tx *txn.Txn, name string) error {
 		delete(r.memNames, name)
 		return nil
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	if err := tx.Lock(namesLock, lockmgr.Exclusive); err != nil {
 		return err
 	}
 	m, err := r.readMeta(tx)

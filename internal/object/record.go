@@ -19,6 +19,7 @@ const (
 	KindNames        byte = 0xD7 // the name map (this file)
 	KindIndexEntry   byte = 0xD8 // a secondary-index posting (internal/query)
 	KindIndexCatalog byte = 0xD9 // the index definitions (internal/query)
+	KindOIDs         byte = 0xDA // the OID reservation mark (persist.go)
 )
 
 // Object and name-map records are built from the occurrence codec's
@@ -52,6 +53,30 @@ func checkString(what, s string) error {
 // appendObject appends the record of one object. A non-atomic attribute
 // value is an error naming the attribute and its type.
 func appendObject(b []byte, oid uint64, class string, attrs map[string]any) ([]byte, error) {
+	b = append(b, KindObject)
+	b = binary.AppendUvarint(b, oid)
+	return appendObjectBody(b, class, attrs)
+}
+
+// objectHeadroom is the room New leaves in front of a record body for the
+// header putObjectHeader writes once the OID is known.
+const objectHeadroom = 1 + binary.MaxVarintLen64
+
+// putObjectHeader completes a record whose body was appended after
+// objectHeadroom bytes: it writes the kind byte and OID right before the
+// body and returns the record.
+func putObjectHeader(b []byte, oid uint64) []byte {
+	var h [objectHeadroom]byte
+	h[0] = KindObject
+	n := 1 + binary.PutUvarint(h[1:], oid)
+	start := objectHeadroom - n
+	copy(b[start:], h[:n])
+	return b[start:]
+}
+
+// appendObjectBody appends what follows an object record's OID: class and
+// attributes.
+func appendObjectBody(b []byte, class string, attrs map[string]any) ([]byte, error) {
 	if len(attrs) > maxAttrs {
 		return b, fmt.Errorf("object: %d attributes exceed limit %d", len(attrs), maxAttrs)
 	}
@@ -64,8 +89,6 @@ func appendObject(b []byte, oid uint64, class string, attrs map[string]any) ([]b
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	b = append(b, KindObject)
-	b = binary.AppendUvarint(b, oid)
 	b = event.AppendString(b, class)
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
@@ -75,7 +98,7 @@ func appendObject(b []byte, oid uint64, class string, attrs map[string]any) ([]b
 		b = event.AppendString(b, name)
 		var err error
 		if b, err = event.AppendValue(b, attrs[name]); err != nil {
-			return b, fmt.Errorf("object: attribute %q of %s %d: %w", name, class, oid, err)
+			return b, fmt.Errorf("object: attribute %q of class %s: %w", name, class, err)
 		}
 	}
 	return b, nil

@@ -53,9 +53,10 @@ import (
 const (
 	entryMagic = object.KindIndexEntry
 	catMagic   = object.KindIndexCatalog
-	// catalogLock is the object layer's catalog resource: index DDL takes
-	// it exclusively so backfill/teardown serialize against all writers.
-	catalogLock = "catalog"
+	// indexCatalogLock guards the index catalog record: every DDL statement
+	// rewrites it, whatever class it indexes, so DDL takes it exclusive on
+	// top of its class's lock.
+	indexCatalogLock = "index-catalog"
 	// idxPruneEvery bounds how often a mutator consults the snapshot floor.
 	idxPruneEvery = 64
 )
@@ -560,7 +561,9 @@ func (m *Manager) SweepOrphans(tx *txn.Txn) (int, error) {
 	if len(orphans) == 0 {
 		return 0, nil
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	// Orphans belong to no live index and so to no class: the catalog lock
+	// alone keeps DDL off them.
+	if err := tx.Lock(indexCatalogLock, lockmgr.Exclusive); err != nil {
 		return 0, err
 	}
 	for _, rid := range orphans {
@@ -729,7 +732,8 @@ func (m *Manager) Indexed(class string) bool {
 }
 
 // OnCreate implements object.IndexHook: post the new object under every
-// index of its class. Runs under the caller's exclusive catalog lock.
+// index of its class. Runs under the caller's exclusive object lock and
+// intent-exclusive class lock, so no DDL on the class is in flight.
 func (m *Manager) OnCreate(tx *txn.Txn, class string, oid event.OID, rid storage.RID, attrs map[string]any) error {
 	ixs := m.indexesFor(class)
 	if len(ixs) == 0 {
@@ -801,7 +805,8 @@ func (m *Manager) OnDelete(tx *txn.Txn, class string, oid event.OID, rid storage
 // CreateIndex defines an index on class.attr and backfills it from the
 // extent, all inside tx: the definition, the logical RecIdxCreate record,
 // the catalog update and every backfill entry commit or abort atomically.
-// The exclusive catalog lock serializes the backfill against writers.
+// The exclusive class lock serializes the backfill against the class's
+// writers (lockDDL).
 func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (IndexDef, error) {
 	if m.store == nil {
 		return IndexDef{}, ErrNotPersistent
@@ -815,7 +820,7 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 	if _, err := m.reg.Class(class); err != nil {
 		return IndexDef{}, err
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	if err := m.lockDDL(tx, class); err != nil {
 		return IndexDef{}, err
 	}
 	m.mu.Lock()
@@ -873,7 +878,7 @@ func (m *Manager) DropIndex(tx *txn.Txn, class, attr string, kind IndexKind) err
 	if m.store == nil {
 		return ErrNotPersistent
 	}
-	if err := tx.Lock(catalogLock, lockmgr.Exclusive); err != nil {
+	if err := m.lockDDL(tx, class); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -905,11 +910,37 @@ func (m *Manager) DropIndex(tx *txn.Txn, class, attr string, kind IndexKind) err
 		return err
 	}
 	for _, ref := range ix.entries() {
+		// A posting can outlive its entry record: a committed re-key or
+		// delete keeps it for older snapshots after the record is gone, and
+		// the slot may hold another record since. Delete only a record that
+		// is still this posting's entry.
+		data, err := tx.Read(ref.rid)
+		if errors.Is(err, storage.ErrSlotDeleted) || errors.Is(err, storage.ErrBadSlot) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("query: drop %s: %w", ix.def, err)
+		}
+		if id, oid, key, ok := decodeEntry(data); !ok || id != ix.def.ID || oid != ref.oid || !bytes.Equal(key, ref.key) {
+			continue
+		}
 		if err := tx.Delete(ref.rid); err != nil {
 			return fmt.Errorf("query: drop %s: %w", ix.def, err)
 		}
 	}
 	return nil
+}
+
+// lockDDL takes what an index DDL statement on class needs: the class's
+// lock exclusive — writers of the class hold it intent-exclusive and
+// locked scans shared, so the backfill or teardown sees a still extent, no
+// writer maintains a half-built index and no locked query reads one —
+// then the index catalog's.
+func (m *Manager) lockDDL(tx *txn.Txn, class string) error {
+	if err := m.reg.LockExtent(tx, class, false, lockmgr.Exclusive); err != nil {
+		return err
+	}
+	return tx.Lock(indexCatalogLock, lockmgr.Exclusive)
 }
 
 func (m *Manager) defsLocked() []IndexDef {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/lockmgr"
 	"repro/internal/txn"
 )
 
@@ -208,12 +209,18 @@ func (m *Manager) source(tx *txn.Txn, q Q) (Iterator, string) {
 }
 
 // Plan compiles q into an iterator tree over tx's view of the store
-// (snapshot when armed, 2PL reads otherwise).
+// (snapshot when armed, 2PL reads otherwise). A locked query locks its
+// extent first (object.Registry.LockExtent), whatever access path it takes:
+// index candidates are re-verified against the extent, and a create of the
+// class must not slip in behind them.
 func (m *Manager) Plan(tx *txn.Txn, q Q) (Iterator, error) {
 	if q.Class == "" {
 		return nil, fmt.Errorf("query: class required")
 	}
 	if _, err := m.reg.Class(q.Class); err != nil {
+		return nil, err
+	}
+	if err := m.reg.LockExtent(tx, q.Class, q.Subclasses, lockmgr.Shared); err != nil {
 		return nil, err
 	}
 	it, _ := m.source(tx, q)

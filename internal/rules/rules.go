@@ -771,7 +771,7 @@ func (r *Rule) Notify(occ *event.Occurrence, ctx detector.Context) {
 		m.reportError(r.name, fmt.Errorf("%w (depth %d, limit %d)", ErrCascadeShed, len(prio), max))
 		return
 	}
-	task := &sched.Task{Rule: r.name, Priority: prio}
+	task := &sched.Task{Rule: r.name, Priority: prio, Family: m.txns.FamilyOf(occ.Txn)}
 	task.Run = func(t *sched.Task) { m.execute(r, occ, ctx, t) }
 	m.sched.Enqueue(task)
 }

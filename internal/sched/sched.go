@@ -21,6 +21,14 @@
 // rather than blocking, which both bounds drain latency and makes nested
 // scheduling points (a rule action invoking a method re-enters Drain on a
 // pool worker) deadlock-free by construction.
+//
+// A scheduling point suspends the application that triggered the rules —
+// one transaction family (a top-level transaction and its subtransactions)
+// — not the process: every task carries its family, and DrainFamily runs
+// that family's tasks only, so two clients' transactions never wait out,
+// or run, each other's rules. Tasks triggered outside any transaction
+// belong to no family and run at whichever scheduling point comes next.
+// Pool workers still run any family's tasks.
 package sched
 
 import (
@@ -80,6 +88,11 @@ type Task struct {
 	Rule string
 	// Priority is the task's effective priority path.
 	Priority Path
+	// Family is the id of the top-level transaction the rule was triggered
+	// under; zero when it was triggered outside any active transaction
+	// (the commit and abort events of a finishing one included), and then
+	// every scheduling point runs it.
+	Family uint64
 	// Run executes the rule (condition + action in a subtransaction). It
 	// receives the task so nested triggerings can derive child paths.
 	Run func(t *Task)
@@ -159,14 +172,31 @@ func (s *Scheduler) Pending() int {
 // shards.
 func (s *Scheduler) Steals() uint64 { return s.steals.Load() }
 
-// Drain runs tasks until the queue is empty: this is the scheduling point
-// at which the paper suspends the main application. Each round takes the
-// most urgent priority class, runs all its tasks (concurrently on the
-// worker pool, or serially in Serial mode), waits for them — including
-// any deeper tasks they spawned, which outrank them — and repeats.
+// allFamilies is the drain scope of Drain: every queued task, whatever
+// its family. No transaction id reaches it.
+const allFamilies = ^uint64(0)
+
+// Drain runs tasks of every family until the queue is empty. Each round
+// takes the most urgent priority class, runs all its tasks (concurrently on
+// the worker pool, or serially in Serial mode), waits for them — including
+// any deeper tasks they spawned, which outrank them — and repeats. Points
+// that belong to no one transaction (shutdown, clock advance, batch
+// replay, events raised outside a transaction) use it.
 func (s *Scheduler) Drain() {
 	s.drains.Add(1)
-	s.drainAbove(nil)
+	s.drainAbove(nil, allFamilies)
+}
+
+// DrainFamily is the scheduling point at which the paper suspends the
+// application (PAPER.md item 4): it runs the tasks of one transaction
+// family, and those of no family (Family zero), exactly as Drain runs all
+// of them, and returns once it has run every one it found queued, the
+// deeper tasks they spawned included. Other families' tasks stay queued
+// for their own scheduling points (or a pool worker); only a concurrent
+// Drain can take one of this family's first.
+func (s *Scheduler) DrainFamily(family uint64) {
+	s.drains.Add(1)
+	s.drainAbove(nil, family)
 }
 
 // Close shuts the worker pool down and waits for the workers to exit.
@@ -185,14 +215,14 @@ func (s *Scheduler) Close() {
 	s.workerWG.Wait()
 }
 
-// drainAbove runs every queued task whose priority strictly outranks
-// floor; a nil floor means run everything. Nested tasks always outrank
-// their spawner (their path extends it), so recursion on the spawner's
-// path yields depth-first execution without ever dipping below the
-// in-progress class.
-func (s *Scheduler) drainAbove(floor Path) {
+// drainAbove runs every queued task of the family (allFamilies: of any)
+// whose priority strictly outranks floor; a nil floor means run
+// everything. Nested tasks always outrank their spawner (their path
+// extends it), so recursion on the spawner's path yields depth-first
+// execution without ever dipping below the in-progress class.
+func (s *Scheduler) drainAbove(floor Path, family uint64) {
 	for {
-		batch := s.takeTopClassAbove(floor)
+		batch := s.takeTopClassAbove(floor, family)
 		if len(batch) == 0 {
 			return
 		}
@@ -200,7 +230,7 @@ func (s *Scheduler) drainAbove(floor Path) {
 			for _, t := range batch {
 				s.runOne(t)
 				// Deeper tasks spawned by t run before t's siblings.
-				s.drainAbove(t.Priority)
+				s.drainAbove(t.Priority, family)
 			}
 			continue
 		}
@@ -371,15 +401,25 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 		s.steals.Load)
 }
 
-// takeTopClassAbove removes and returns every queued task belonging to the
-// most urgent priority class that strictly outranks floor. Enqueue order
-// within the class is preserved.
-func (s *Scheduler) takeTopClassAbove(floor Path) []*Task {
+// inScope reports whether a drain of family (allFamilies: of every one)
+// runs t. A task of family zero belongs to no transaction, so every
+// scheduling point runs it.
+func (t *Task) inScope(family uint64) bool {
+	return family == allFamilies || t.Family == family || t.Family == 0
+}
+
+// takeTopClassAbove removes and returns every queued task in the drain's
+// scope (inScope) belonging to the most urgent priority class that
+// strictly outranks floor. Enqueue order within the class is preserved.
+func (s *Scheduler) takeTopClassAbove(floor Path, family uint64) []*Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var top Path
 	found := false
 	for _, t := range s.queue {
+		if !t.inScope(family) {
+			continue
+		}
 		if floor != nil && !floor.Less(t.Priority) {
 			continue
 		}
@@ -395,7 +435,7 @@ func (s *Scheduler) takeTopClassAbove(floor Path) []*Task {
 	var batch []*Task
 	rest := s.queue[:0]
 	for _, t := range s.queue {
-		if t.Priority.Equal(top) {
+		if t.inScope(family) && t.Priority.Equal(top) {
 			batch = append(batch, t)
 		} else {
 			rest = append(rest, t)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,5 +206,59 @@ func TestQuickSerialOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainFamilyRunsOnlyItsFamily: a family's scheduling point runs that
+// family's tasks, nested ones included, and leaves every other family's
+// queued; Drain still runs everything.
+func TestDrainFamilyRunsOnlyItsFamily(t *testing.T) {
+	s := New(4)
+	defer s.Close()
+	var mu sync.Mutex
+	ran := map[string]bool{}
+	mark := func(name string) {
+		mu.Lock()
+		ran[name] = true
+		mu.Unlock()
+	}
+	for _, fam := range []uint64{1, 2} {
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("f%d.%d", fam, i)
+			s.Enqueue(&Task{Rule: name, Priority: Path{i % 2}, Family: fam, Run: func(t *Task) {
+				mark(name)
+				s.Enqueue(&Task{Rule: name + ".child", Priority: t.Priority.Child(0), Family: t.Family,
+					Run: func(*Task) { mark(name + ".child") }})
+			}})
+		}
+	}
+	s.DrainFamily(1)
+	for name := range ran {
+		if name[1] != '1' {
+			t.Fatalf("family 1's scheduling point ran %s", name)
+		}
+	}
+	if len(ran) != 6 || s.Pending() != 3 {
+		t.Fatalf("ran %d tasks, %d pending; want family 1's 6 run and family 2's 3 queued", len(ran), s.Pending())
+	}
+	s.Drain()
+	if len(ran) != 12 || s.Pending() != 0 {
+		t.Fatalf("after Drain: ran %d, %d pending", len(ran), s.Pending())
+	}
+}
+
+// TestDrainFamilyRunsUnownedTasks: a task of no family (triggered outside
+// any transaction) runs at the next scheduling point of any family.
+func TestDrainFamilyRunsUnownedTasks(t *testing.T) {
+	s := New(1)
+	defer s.Close()
+	var ran []string
+	for _, fam := range []uint64{0, 2} {
+		name := fmt.Sprintf("f%d", fam)
+		s.Enqueue(&Task{Rule: name, Priority: Path{0}, Family: fam, Run: func(*Task) { ran = append(ran, name) }})
+	}
+	s.DrainFamily(1)
+	if len(ran) != 1 || ran[0] != "f0" || s.Pending() != 1 {
+		t.Fatalf("family 1's scheduling point ran %v with %d pending; want [f0] and family 2's task queued", ran, s.Pending())
 	}
 }

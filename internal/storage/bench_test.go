@@ -261,3 +261,52 @@ func BenchmarkStorage_MixedSubTxn(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkStorage_HotRecordUpdate measures one-update commits to a single
+// record whose version chain holds every update since the last GC pass:
+// the sub-benchmark's size is the number of updates per GC interval (the
+// chain is collected, untimed, every that many operations). A push is an
+// append and a prune works in proportion to what it reclaims, so ns/op
+// must not grow with the size.
+func BenchmarkStorage_HotRecordUpdate(b *testing.B) {
+	for _, perGC := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("updates=%d", perGC), func(b *testing.B) {
+			s, err := Open(Options{Dir: b.TempDir(), PoolSize: 64, VersionGCInterval: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { _ = s.Close() })
+			payload := bytes.Repeat([]byte("h"), 24)
+			id, err := s.Begin()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rid, err := s.Insert(id, payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Commit(id); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%perGC == 0 {
+					b.StopTimer()
+					s.VersionGC()
+					b.StartTimer()
+				}
+				id, err := s.Begin()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Update(id, rid, payload); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Commit(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

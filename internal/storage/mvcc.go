@@ -11,8 +11,9 @@ import (
 // in-memory chain of displaced versions per RID. A snapshot is a single
 // atomic load of the commit-timestamp clock; a snapshot reader resolves the
 // raw creator stamps (page xmin, chain entries) through the
-// commit-timestamp table and walks the chain newest-first until it finds
-// the first state whose creator committed at or before its timestamp.
+// commit-timestamp table and walks the chain from its newest entry back
+// until it finds the first state whose creator committed at or before its
+// timestamp.
 // Readers take no lock-manager locks — consistency comes from the page
 // latch (held across the walk) and from the install-before-advance commit
 // protocol below.
@@ -53,9 +54,18 @@ type chainEntry struct {
 // chainShardCount stripes the version-chain table; power of two.
 const chainShardCount = 16
 
+// versionChain is one RID's displaced versions, oldest first: a write
+// appends (amortised O(1)), an abort pops the tail, and pruning drops a
+// prefix. prunedAt is the GC horizon the chain was last pruned at; pruning
+// again at the same horizon could reclaim nothing, so it is skipped.
+type versionChain struct {
+	entries  []chainEntry
+	prunedAt uint64
+}
+
 type chainShard struct {
 	mu sync.Mutex
-	m  map[RID][]chainEntry
+	m  map[RID]versionChain
 }
 
 // snapShardCount stripes the snapshot registry; power of two.
@@ -68,7 +78,8 @@ type snapShard struct {
 
 // pruneChainLen is the chain length past which a writer's push runs an
 // opportunistic prune against the last GC horizon, bounding hot-record
-// chains between background passes.
+// chains between background passes. A prune runs at most once per chain
+// per horizon.
 const pruneChainLen = 8
 
 // Snapshot is a point-in-time read view over the store. It pins every
@@ -132,18 +143,20 @@ func (s *Store) chainShard(rid RID) *chainShard {
 
 // pushChain records a displaced version for rid. The caller holds the page
 // latch, so pushes for one RID are ordered exactly like the writes that
-// caused them: newest first, commit timestamps monotone down the chain.
+// caused them: appended oldest first, commit timestamps monotone up the
+// chain.
 func (s *Store) pushChain(rid RID, e chainEntry) {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()
-	chain := append([]chainEntry{e}, sh.m[rid]...)
-	if len(chain) > pruneChainLen {
-		chain = s.pruneChain(chain, s.gcHorizon.Load())
+	c := sh.m[rid]
+	c.entries = append(c.entries, e)
+	if h := s.gcHorizon.Load(); len(c.entries) > pruneChainLen && h != c.prunedAt {
+		c.entries, c.prunedAt = s.pruneChain(c.entries, h), h
 	}
-	if len(chain) == 0 {
+	if len(c.entries) == 0 {
 		delete(sh.m, rid)
 	} else {
-		sh.m[rid] = chain
+		sh.m[rid] = c
 	}
 	sh.mu.Unlock()
 }
@@ -155,8 +168,8 @@ func (s *Store) priorDeleter(rid RID) uint64 {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if chain := sh.m[rid]; len(chain) > 0 {
-		return chain[0].writer
+	if e := sh.m[rid].entries; len(e) > 0 {
+		return e[len(e)-1].writer
 	}
 	return 0
 }
@@ -165,21 +178,24 @@ func (s *Store) priorDeleter(rid RID) uint64 {
 // writer, returning the displaced state's creator stamp so an abort can
 // restore the page xmin. Caller holds the page latch; undo runs in strict
 // reverse operation order, so the aborting transaction's entry — when it
-// pushed one — is exactly the head.
+// pushed one — is exactly the tail.
 func (s *Store) popChain(rid RID, writer uint64) (xmin uint64, ok bool) {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	chain := sh.m[rid]
-	if len(chain) == 0 || chain[0].writer != writer {
+	c := sh.m[rid]
+	n := len(c.entries)
+	if n == 0 || c.entries[n-1].writer != writer {
 		return 0, false
 	}
-	xmin = chain[0].xmin
-	if len(chain) == 1 {
+	xmin = c.entries[n-1].xmin
+	if n == 1 {
 		delete(sh.m, rid)
-	} else {
-		sh.m[rid] = chain[1:]
+		return xmin, true
 	}
+	c.entries[n-1] = chainEntry{}
+	c.entries = c.entries[:n-1]
+	sh.m[rid] = c
 	return xmin, true
 }
 
@@ -295,7 +311,7 @@ func (s *Store) rootOf(id uint64) uint64 {
 func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exists bool) {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()
-	chain := sh.m[rid]
+	chain := sh.m[rid].entries
 	sh.mu.Unlock()
 	if h := s.chainLenHist.Load(); h != nil {
 		h.Observe(float64(len(chain)))
@@ -313,18 +329,18 @@ func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exi
 		cur = b
 		creator = page.Xmin(rid.Slot)
 	} else if len(chain) > 0 {
-		creator = chain[0].writer // the deleter
+		creator = chain[len(chain)-1].writer // the deleter
 	}
 	// else: frozen tombstone — the delete is visible to everyone.
 
-	for i := 0; ; i++ {
+	for i := len(chain) - 1; ; i-- {
 		if s.visibleTo(sn, creator) {
 			if !curExists {
 				return nil, false
 			}
 			return cloneBytes(cur), true
 		}
-		if i >= len(chain) {
+		if i < 0 {
 			return nil, false // record did not exist at the snapshot
 		}
 		cur, curExists, creator = chain[i].data, chain[i].exists, chain[i].xmin
@@ -413,19 +429,29 @@ func (s *Store) oldestSnapshot() uint64 {
 	return horizon
 }
 
-// pruneChain drops every entry from the first whose displacing writer
-// committed at or below the horizon (entries are newest-first with
-// monotone timestamps, so everything after it is at least as old). Counts
-// reclaimed entries. Caller holds the chain shard mutex.
+// pruneChain drops the chain's oldest entries up to the newest whose
+// displacing writer committed at or below the horizon: every snapshot sees
+// that writer's state or a newer one, so no reader needs what it displaced
+// or anything older. Entries are oldest-first with monotone timestamps and
+// uncommitted writers only at the tail, so the walk stops at the first
+// entry it must keep — its work is what it reclaims plus one. The dropped
+// slots are cleared so their data can be collected before the next append
+// reallocates. Counts reclaimed entries. Caller holds the chain shard
+// mutex.
 func (s *Store) pruneChain(chain []chainEntry, horizon uint64) []chainEntry {
-	for i, e := range chain {
-		ts, committed := s.commitTSOf(e.writer)
-		if committed && ts <= horizon {
-			s.gcReclaimed.Add(uint64(len(chain) - i))
-			return chain[:i]
+	n := 0
+	for ; n < len(chain); n++ {
+		ts, committed := s.commitTSOf(chain[n].writer)
+		if !committed || ts > horizon {
+			break
 		}
 	}
-	return chain
+	if n == 0 {
+		return chain
+	}
+	clear(chain[:n])
+	s.gcReclaimed.Add(uint64(n))
+	return chain[n:]
 }
 
 // VersionGC runs one garbage-collection pass: computes the snapshot
@@ -450,12 +476,15 @@ func (s *Store) VersionGC() uint64 {
 	for i := range s.chains {
 		sh := &s.chains[i]
 		sh.mu.Lock()
-		for rid, chain := range sh.m {
-			pruned := s.pruneChain(chain, horizon)
-			if len(pruned) == 0 {
+		for rid, c := range sh.m {
+			if c.prunedAt == horizon {
+				continue
+			}
+			if c.entries = s.pruneChain(c.entries, horizon); len(c.entries) == 0 {
 				delete(sh.m, rid)
-			} else if len(pruned) != len(chain) {
-				sh.m[rid] = pruned
+			} else {
+				c.prunedAt = horizon
+				sh.m[rid] = c
 			}
 		}
 		sh.mu.Unlock()

@@ -259,7 +259,7 @@ func Open(opts Options) (*Store, error) {
 		s.free[i] = make(map[PageID]struct{})
 	}
 	for i := range s.chains {
-		s.chains[i].m = make(map[RID][]chainEntry)
+		s.chains[i].m = make(map[RID]versionChain)
 	}
 	for i := range s.snaps {
 		s.snaps[i].m = make(map[uint64]int)

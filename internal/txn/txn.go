@@ -346,11 +346,29 @@ func (t *Txn) childDone() {
 // armed (a snapshot transaction, or UseSnapshot's scope) the request is a
 // counted no-op: version visibility replaces the lock.
 func (t *Txn) Lock(resource string, mode lockmgr.Mode) error {
-	if t.readOnly || t.snap != nil {
-		t.mgr.locks.NoteBypass()
+	if t.bypassLocks() {
 		return nil
 	}
 	return t.mgr.locks.Lock(lockmgr.TxnID(t.id), resource, mode)
+}
+
+// LockOf is Lock on the resource name(key), for names that cost an
+// allocation to build: name runs only when the request reaches the lock
+// manager, so a snapshot read pays nothing for it.
+func (t *Txn) LockOf(name func(uint64) string, key uint64, mode lockmgr.Mode) error {
+	if t.bypassLocks() {
+		return nil
+	}
+	return t.mgr.locks.Lock(lockmgr.TxnID(t.id), name(key), mode)
+}
+
+// bypassLocks reports, and counts, a lock request a snapshot satisfies.
+func (t *Txn) bypassLocks() bool {
+	if t.readOnly || t.snap != nil {
+		t.mgr.locks.NoteBypass()
+		return true
+	}
+	return false
 }
 
 // Insert stores a record under this transaction.
@@ -542,6 +560,31 @@ func (m *Manager) Lookup(id uint64) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.live[id]
+}
+
+// FamilyIDs returns the FamilyIDs of the live transaction id, nil when id
+// names no live transaction.
+func (m *Manager) FamilyIDs(id uint64) []uint64 {
+	if t := m.Lookup(id); t != nil {
+		return t.FamilyIDs()
+	}
+	return nil
+}
+
+// FamilyOf returns the id of the top-level ancestor of transaction id — the
+// family whose scheduling point runs the rules id triggers — or zero when
+// id names no live transaction or its family is no longer active (the
+// commit and abort events of a finishing transaction).
+func (m *Manager) FamilyOf(id uint64) uint64 {
+	t := m.Lookup(id)
+	if t == nil {
+		return 0
+	}
+	r := t.Root()
+	if r.Status() != Active {
+		return 0
+	}
+	return r.id
 }
 
 // Live returns the number of unfinished transactions (tests).

@@ -328,12 +328,14 @@ func Open(opts Options) (*Database, error) {
 	}
 	locks := lockmgr.New()
 	locks.DefaultTimeout = time.Duration(opts.LockTimeout) * time.Millisecond
-	det := detector.New()
+	txns := txn.NewManager(store, locks)
+	// The detector knows the transactions' families, so the deferred-rule
+	// windows of interleaved transactions stay apart.
+	det := detector.NewWithFamilies(txns.FamilyIDs)
 	det.App = opts.AppName
 	// The facade flushes whole transaction families itself (see Begin),
 	// covering occurrences signalled from rule subtransactions.
 	det.AutoFlush = false
-	txns := txn.NewManager(store, locks)
 	s := sched.New(opts.Workers)
 	s.Serial = opts.SerialRules
 	rm := rules.NewManager(det, txns, s)
@@ -399,7 +401,7 @@ func Open(opts Options) (*Database, error) {
 	txns.SetListener(func(name string, id uint64) {
 		det.SignalTxn(name, id)
 		if name == event.PreCommit {
-			s.Drain()
+			s.DrainFamily(id)
 		}
 	})
 	// A follower replicates the leader's catalog (including its boot
@@ -576,7 +578,7 @@ func (db *Database) Begin() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.sched.Drain() // rules on beginTransaction
+	db.sched.DrainFamily(t.ID()) // rules on beginTransaction
 	t.OnFinish(func(txn.Status) {
 		db.det.FlushTxns(t.FamilyIDs())
 	})
@@ -669,7 +671,7 @@ func (db *Database) ExplainQuery(q Q) string {
 
 // CreateIndex builds a secondary index on class.attr inside tx: the
 // definition, its WAL record and the extent backfill commit or abort as
-// one unit. DDL serializes against writers via the catalog lock.
+// one unit. DDL serializes against the class's writers via the class lock.
 func (db *Database) CreateIndex(tx *Txn, class, attr string, kind IndexKind) (IndexDef, error) {
 	if db.queries == nil {
 		return IndexDef{}, query.ErrNotPersistent
@@ -707,13 +709,27 @@ func (db *Database) Resolve(tx *Txn, name string) (OID, error) {
 }
 
 // Invoke calls a method on an object. For reactive classes this signals
-// the begin/end primitive events; triggered immediate rules run to
+// the begin/end primitive events; the immediate rules it triggered run to
 // completion before Invoke returns (the application is suspended at the
-// scheduling point, as in the paper).
+// scheduling point, as in the paper). Concurrent transactions on other
+// objects proceed meanwhile: object locks are per OID, and a scheduling
+// point runs its own transaction family's rules only.
 func (db *Database) Invoke(tx *Txn, obj *Instance, method string, args ...any) (any, error) {
 	out, err := db.objects.Invoke(tx, obj, method, args...)
-	db.sched.Drain()
+	db.drain(tx)
 	return out, err
+}
+
+// drain is the scheduling point of an application call under tx: it runs
+// the rules of tx's transaction family, leaving other families' to their
+// own scheduling points. Without a transaction there is no family to pick,
+// and every queued rule runs.
+func (db *Database) drain(tx *Txn) {
+	if tx == nil {
+		db.sched.Drain()
+		return
+	}
+	db.sched.DrainFamily(tx.Root().ID())
 }
 
 // ---------------------------------------------------------------------------
@@ -759,6 +775,8 @@ func (db *Database) DropRule(name string) error { return db.rules.Drop(name) }
 // RaiseEvent signals an explicit (application-defined abstract) event.
 // The event must have been declared (Exec "event name = ..." declares
 // composite events; use DefineExplicitEvent for raisable primitives).
+// The rules it triggers run before it returns: tx's family's rules, or —
+// with a nil tx — every queued rule.
 func (db *Database) RaiseEvent(tx *Txn, name string, params ParamList) error {
 	id := uint64(0)
 	if tx != nil {
@@ -767,7 +785,7 @@ func (db *Database) RaiseEvent(tx *Txn, name string, params ParamList) error {
 	if err := db.det.SignalExplicit(name, params, id); err != nil {
 		return err
 	}
-	db.sched.Drain()
+	db.drain(tx)
 	return nil
 }
 
@@ -967,6 +985,8 @@ func (db *Database) Promote() (PromoteStats, error) {
 	if err != nil {
 		return stats, err
 	}
+	// The counter restarts above every OID the old leader reserved.
+	db.objects.ResumeOIDs()
 	db.failover.Observe(time.Since(start).Seconds())
 	return stats, nil
 }
