@@ -1,11 +1,14 @@
 package sentinel_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	sentinel "repro"
+	"repro/internal/query"
 )
 
 // OIDs are never handed out twice: not after the object holding the
@@ -177,4 +180,72 @@ func TestConcurrentNewUniqueOIDs(t *testing.T) {
 	if len(seen) != creators*each {
 		t.Fatalf("%d distinct OIDs for %d creates", len(seen), creators*each)
 	}
+}
+
+// TestWhereOnOIDAttribute: an attribute holding an OID (a reference to
+// another object) compares and indexes as a number, so a Where on it finds
+// its object by extent scan and, once the attribute is indexed, by probe
+// and by range scan.
+func TestWhereOnOIDAttribute(t *testing.T) {
+	db := openItems(t, sentinel.Options{Dir: t.TempDir()})
+	defer db.Close()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owners []sentinel.OID
+	for i := 0; i < 10; i++ {
+		inst, err := db.New(tx, "ITEM", map[string]any{"i": i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners = append(owners, inst.OID)
+	}
+	for i, owner := range owners {
+		if _, err := db.New(tx, "ITEM", map[string]any{"owner": owner, "n": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	find := func(where query.Pred, wantPlan string, want ...int) {
+		t.Helper()
+		q := sentinel.Q{Class: "ITEM", Where: where, OrderBy: "n"}
+		if plan := db.ExplainQuery(q); !strings.HasPrefix(plan, wantPlan) {
+			t.Fatalf("%v: plan %s, want %s", where, plan, wantPlan)
+		}
+		stx, err := db.BeginSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stx.Commit()
+		rows, err := db.Query(stx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []any
+		for _, r := range rows {
+			got = append(got, r.Attrs["n"])
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v (%s): n = %v, want %v", where, wantPlan, got, want)
+		}
+	}
+	find(query.Eq("owner", owners[3]), "ExtentScan", 3)
+	find(query.Gt("owner", owners[7]), "ExtentScan", 8, 9)
+
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex(tx, "ITEM", "owner", sentinel.OrderedIndex); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	find(query.Eq("owner", owners[3]), "IndexProbe", 3)
+	find(query.Gt("owner", owners[7]), "IndexRange", 8, 9)
+	find(query.Between("owner", owners[0], owners[1]), "IndexRange", 0, 1)
 }

@@ -2,11 +2,16 @@ package sentinel_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	sentinel "repro"
+	"repro/internal/event"
 	"repro/internal/query"
 )
 
@@ -215,5 +220,160 @@ func TestIndexReplicationToFollower(t *testing.T) {
 			t.Fatal("re-key never replicated")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestInlinePredicateMatchesWhere: the same condition written as a Snoop
+// quoted predicate over an event's parameters and as a rules.Spec.Where
+// over an object whose attributes equal those parameters fires the same
+// rules, over a seeded table of numbers of every width, NaN, ordered
+// strings, booleans, OIDs, values of the wrong kind and absent names.
+func TestInlinePredicateMatchesWhere(t *testing.T) {
+	conds := []struct {
+		src   string
+		where query.Pred
+	}{
+		{`qty > 10`, query.Gt("qty", 10)},
+		{`10 < qty`, query.Gt("qty", 10)},
+		{`qty <= 2.5`, query.Le("qty", 2.5)},
+		{`qty == 3`, query.Eq("qty", 3)},
+		{`qty != 3`, query.Ne("qty", 3)},
+		{`qty < "a"`, query.Lt("qty", "a")},
+		{`sym < "M"`, query.Lt("sym", "M")},
+		{`"IBM" <= sym`, query.Ge("sym", "IBM")},
+		{`sym == "DEC"`, query.Eq("sym", "DEC")},
+		{`hot == true`, query.Eq("hot", true)},
+		{`hot != false`, query.Ne("hot", false)},
+		{`owner == 7`, query.Eq("owner", 7)},
+		{`owner > 5`, query.Gt("owner", 5)},
+		{`note < 1`, query.Lt("note", 1)},
+		{`note != "x"`, query.Ne("note", "x")},
+		{`qty > 1 and sym < "M"`, query.And(query.Gt("qty", 1), query.Lt("sym", "M"))},
+		{`hot == true or owner <= 3`, query.Or(query.Eq("hot", true), query.Le("owner", 3))},
+		{`not (qty >= 3 or sym > "DEC")`, query.Not(query.Or(query.Ge("qty", 3), query.Gt("sym", "DEC")))},
+	}
+	values := map[string][]any{
+		"qty":   {-1, 0, 3, int64(3), uint8(3), 10, 11, 2.5, 10.5, float32(3), math.NaN(), "ten"},
+		"sym":   {"", "DEC", "IBM", "M", "Z", "a", 5},
+		"hot":   {true, false},
+		"owner": {sentinel.OID(1), sentinel.OID(3), sentinel.OID(6), sentinel.OID(7)},
+		"note":  {nil, "x", 2},
+	}
+	names := []string{"qty", "sym", "hot", "owner", "note"}
+
+	db, err := sentinel.Open(sentinel.Options{Dir: t.TempDir(), SerialRules: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.DefineClass("ROW", "", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DefineExplicitEvent("probe"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	fired := map[string]bool{}
+	hit := func(x *sentinel.Execution) error {
+		mu.Lock()
+		fired[x.Rule.Name()] = true
+		mu.Unlock()
+		return nil
+	}
+	db.BindAction("hit", hit)
+	quote := strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+	var spec strings.Builder
+	var wheres []sentinel.RuleSpec
+	for i, c := range conds {
+		fmt.Fprintf(&spec, "rule S%d(probe, \"%s\", hit);\n", i, quote.Replace(c.src))
+		wheres = append(wheres, sentinel.RuleSpec{Name: fmt.Sprintf("W%d", i), Event: "probe",
+			Where: &sentinel.RuleWhere{Class: "ROW", Pred: c.where}, Action: hit})
+	}
+	if err := db.Exec(spec.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineRules(wheres); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []struct {
+		attr string
+		kind sentinel.IndexKind
+	}{{"qty", sentinel.OrderedIndex}, {"sym", sentinel.HashIndex}, {"owner", sentinel.OrderedIndex}} {
+		if _, err := db.CreateIndex(tx, "ROW", ix.attr, ix.kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	outcomes := make([]map[bool]int, len(conds))
+	for i := range outcomes {
+		outcomes[i] = map[bool]int{}
+	}
+	var row sentinel.OID
+	for r := 0; r < 60; r++ {
+		// One object, attributes = the event's parameters; a name drawn
+		// absent is missing from both.
+		attrs := map[string]any{}
+		var params sentinel.ParamList
+		for _, name := range names {
+			if rng.Intn(5) == 0 {
+				continue
+			}
+			v := values[name][rng.Intn(len(values[name]))]
+			attrs[name] = v
+			params = append(params, event.Param{Name: name, Value: v})
+		}
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row != 0 {
+			if err := db.Delete(tx, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inst, err := db.New(tx, "ROW", attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row = inst.OID
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		mu.Lock()
+		clear(fired)
+		mu.Unlock()
+		tx, err = db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RaiseEvent(tx, "probe", params); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		for i, c := range conds {
+			inline, where := fired[fmt.Sprintf("S%d", i)], fired[fmt.Sprintf("W%d", i)]
+			if inline != where {
+				t.Errorf("row %d %v: %s fired %v as a Snoop predicate, %v as a Where", r, params, c.src, inline, where)
+			}
+			outcomes[i][where]++
+		}
+		mu.Unlock()
+	}
+	for i, c := range conds {
+		if outcomes[i][true] == 0 || outcomes[i][false] == 0 {
+			t.Errorf("%s: fired on %d rows, not on %d: the table does not exercise it", c.src, outcomes[i][true], outcomes[i][false])
+		}
 	}
 }

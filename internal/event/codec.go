@@ -63,6 +63,21 @@ const (
 	tagOID
 )
 
+// Atomic reports whether v belongs to the atomic value set the paper allows
+// as event parameters (plus the OID, which is carried separately): the
+// types the tags above encode.
+func Atomic(v any) bool {
+	switch v.(type) {
+	case nil, bool, string,
+		int, int8, int16, int32, int64,
+		uint, uint8, uint16, uint32, uint64,
+		float32, float64, OID:
+		return true
+	default:
+		return false
+	}
+}
+
 // AppendValue appends one atomic parameter value.
 func AppendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {

@@ -179,20 +179,6 @@ func (pl ParamList) String() string {
 	return b.String()
 }
 
-// Atomic reports whether v belongs to the atomic value set the paper allows
-// as event parameters (plus the OID, which is carried separately).
-func Atomic(v any) bool {
-	switch v.(type) {
-	case nil, bool, string,
-		int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64, OID:
-		return true
-	default:
-		return false
-	}
-}
-
 // Occurrence records one event occurrence. Occurrences are immutable after
 // construction; the detector and rule manager share them freely across
 // goroutines.

@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/event"
 )
 
-// fuzzValue builds one value of the key domain (null < bool < float64 <
-// string) from fuzzer-chosen parts.
+// fuzzValue builds one value of the key domain (null < bool < number <
+// string, where a number is a float64 or an event.OID taking f's bits)
+// from fuzzer-chosen parts.
 func fuzzValue(kind uint8, f float64, s string) any {
-	switch kind % 4 {
+	switch kind % 5 {
 	case 0:
 		return nil
 	case 1:
 		return f != 0
 	case 2:
 		return f
+	case 4:
+		return event.OID(math.Float64bits(f))
 	}
 	return s
 }
@@ -32,6 +37,8 @@ func FuzzKeyOrder(f *testing.F) {
 	f.Add(uint8(3), 0.0, "a", uint8(3), 0.0, "a\x00")
 	f.Add(uint8(1), 1.0, "", uint8(0), 0.0, "")
 	f.Add(uint8(3), 0.0, "", uint8(2), math.Inf(1), "")
+	f.Add(uint8(4), math.Float64frombits(3), "", uint8(2), 3.0, "")
+	f.Add(uint8(4), math.Float64frombits(1<<53+1), "", uint8(4), math.Float64frombits(1<<53), "")
 	f.Fuzz(func(t *testing.T, ka uint8, fa float64, sa string, kb uint8, fb float64, sb string) {
 		a, b := fuzzValue(ka, fa, sa), fuzzValue(kb, fb, sb)
 		ea, okA := encodeKey(a)
@@ -41,7 +48,7 @@ func FuzzKeyOrder(f *testing.F) {
 		}
 		rel, comparable := compareValues(a, b)
 		if !comparable {
-			if !(ka%4 == 2 && math.IsNaN(fa)) && !(kb%4 == 2 && math.IsNaN(fb)) {
+			if !(ka%5 == 2 && math.IsNaN(fa)) && !(kb%5 == 2 && math.IsNaN(fb)) {
 				t.Fatalf("%#v and %#v not comparable", a, b)
 			}
 			return

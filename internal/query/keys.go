@@ -3,13 +3,15 @@ package query
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/event"
 )
 
 // Index keys use an order-preserving byte encoding so the ordered index
 // can answer range scans with plain bytewise comparison. A one-byte type
 // tag totally orders across types (null < bool < number < string); all
-// numeric Go types normalize to float64 so 3, int64(3) and 3.0 index and
-// probe identically.
+// numeric Go types, and event.OID, normalize to float64 so 3, int64(3),
+// 3.0 and OID 3 index and probe identically.
 const (
 	kindNull byte = 0x00
 	kindBool byte = 0x01
@@ -45,6 +47,8 @@ func normalize(v any) (any, bool) {
 	case uint32:
 		return float64(x), true
 	case uint64:
+		return float64(x), true
+	case event.OID:
 		return float64(x), true
 	case float32:
 		return float64(x), true

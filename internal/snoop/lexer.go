@@ -45,7 +45,7 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokPunct // single/multi character punctuation: ( ) { } [ ] , ; = . >> + && *
+	tokPunct // punctuation: ( ) { } [ ] , ; = . >> + && * and the comparisons < <= > >= == !=
 )
 
 // token is one lexeme with its source position.
@@ -133,6 +133,9 @@ func lex(src string) ([]token, error) {
 				if src[i] == '\n' {
 					return nil, &Error{Line: sl, Col: sc, Msg: "unterminated string"}
 				}
+				if src[i] == '\\' && i+1 < n && src[i+1] != '\n' {
+					advance(1) // \" and \\ stand for the character after the backslash
+				}
 				b.WriteByte(src[i])
 				advance(1)
 			}
@@ -148,13 +151,13 @@ func lex(src string) ([]token, error) {
 				two = src[i : i+2]
 			}
 			switch two {
-			case ">>", "&&":
+			case ">>", "&&", "<=", ">=", "==", "!=":
 				toks = append(toks, token{tokPunct, two, sl, sc})
 				advance(2)
 				continue
 			}
 			switch c {
-			case '(', ')', '{', '}', '[', ']', ',', ';', '=', '.', '+', '|', '^', '*':
+			case '(', ')', '{', '}', '[', ']', ',', ';', '=', '.', '+', '|', '^', '*', '<', '>':
 				toks = append(toks, token{tokPunct, string(c), sl, sc})
 				advance(1)
 			default:

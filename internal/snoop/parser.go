@@ -228,7 +228,9 @@ func (p *parser) eventDecl() (Decl, error) {
 
 // ruleDecl := "rule" IDENT "(" event "," cond "," action {"," opt} ")" ";"
 func (p *parser) ruleDecl() (Decl, error) {
-	p.next() // rule
+	if _, err := p.expect(tokIdent, "rule", "'rule'"); err != nil {
+		return nil, err
+	}
 	name, err := p.expect(tokIdent, "", "rule name")
 	if err != nil {
 		return nil, err

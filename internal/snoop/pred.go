@@ -1,10 +1,10 @@
 package snoop
 
 import (
-	"fmt"
 	"strconv"
+	"strings"
 
-	"repro/internal/event"
+	"repro/internal/query"
 	"repro/internal/rules"
 )
 
@@ -20,27 +20,24 @@ import (
 //	andPred := unary   { "and" unary }
 //	unary   := "not" unary | "(" pred ")" | cmp
 //	cmp     := operand ( "==" | "!=" | "<" | "<=" | ">" | ">=" ) operand
-//	operand := IDENT | NUMBER | STRING | "true" | "false"
+//	operand := IDENT | NUMBER [ "." NUMBER ] | STRING | "true" | "false"
 //
-// An identifier names an event parameter; the first parameter with that
-// name across the constituent occurrences (in detection order) supplies
-// the value. A comparison whose parameter is absent evaluates to false.
-// Numeric comparisons coerce all integer and float widths to float64;
-// strings and booleans compare with == and != only.
-
-// Pred is a compiled predicate.
-type Pred interface {
-	Eval(x *rules.Execution) bool
-	String() string
-}
+// Inside a rule declaration the predicate is itself a string, so its
+// string literals are written \"IBM\". A predicate compiles to a
+// query.Pred, so it means what the same predicate means in a rules.Where:
+// exactly one side of each comparison names a parameter and the other is
+// a literal (a literal on the left flips the operator), and values compare
+// in query's one order. The parameters form one attribute map, the first
+// value of each name across the constituent occurrences in detection
+// order; an absent name is null.
 
 // ParsePredicate compiles a predicate source string.
-func ParsePredicate(src string) (Pred, error) {
-	toks, err := lexPred(src)
+func ParsePredicate(src string) (query.Pred, error) {
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &predParser{toks: toks}
+	p := &parser{toks: toks}
 	pred, err := p.orPred()
 	if err != nil {
 		return nil, err
@@ -51,352 +48,130 @@ func ParsePredicate(src string) (Pred, error) {
 	return pred, nil
 }
 
-// Condition wraps a parsed predicate as a rule condition.
+// PredicateCondition wraps a parsed predicate as a rule condition.
 func PredicateCondition(src string) (rules.Condition, error) {
 	pred, err := ParsePredicate(src)
 	if err != nil {
 		return nil, err
 	}
-	return func(x *rules.Execution) bool { return pred.Eval(x) }, nil
-}
-
-// lexPred extends the Snoop lexer with the comparison punctuation that
-// only predicates use.
-func lexPred(src string) ([]token, error) {
-	// Pre-split comparison operators into ident-safe sentinels is messy;
-	// instead run a small dedicated scan for  < > = !  and delegate the
-	// rest to the main lexer by tokenizing segment-wise.
-	var toks []token
-	line, col := 1, 1
-	i := 0
-	flushWord := func(start, sl, sc int) error {
-		if start == i {
-			return nil
-		}
-		seg := src[start:i]
-		sub, err := lex(seg)
-		if err != nil {
-			return err
-		}
-		for _, t := range sub[:len(sub)-1] { // drop EOF
-			t.line, t.col = sl, sc
-			toks = append(toks, t)
-		}
-		return nil
-	}
-	start, sl, sc := 0, 1, 1
-	for i < len(src) {
-		c := src[i]
-		isCmp := c == '<' || c == '>' || c == '=' || c == '!'
-		if !isCmp {
-			if c == '\n' {
-				line++
-				col = 0
+	return func(x *rules.Execution) bool {
+		params := make(map[string]any)
+		for _, list := range x.Params() {
+			for _, p := range list {
+				if _, seen := params[p.Name]; !seen {
+					params[p.Name] = p.Value
+				}
 			}
-			i++
-			col++
-			continue
 		}
-		if err := flushWord(start, sl, sc); err != nil {
-			return nil, err
-		}
-		op := string(c)
-		if i+1 < len(src) && src[i+1] == '=' {
-			op += "="
-			i++
-			col++
-		}
-		switch op {
-		case "<", "<=", ">", ">=", "==", "!=":
-			toks = append(toks, token{tokPunct, op, line, col})
-		default:
-			return nil, &Error{Line: line, Col: col, Msg: fmt.Sprintf("bad comparison operator %q", op)}
-		}
-		i++
-		col++
-		start, sl, sc = i, line, col
-	}
-	if err := flushWord(start, sl, sc); err != nil {
-		return nil, err
-	}
-	toks = append(toks, token{tokEOF, "", line, col})
-	return toks, nil
+		return pred.Eval(params)
+	}, nil
 }
 
-type predParser struct {
-	toks []token
-	pos  int
-}
+func (p *parser) orPred() (query.Pred, error) { return p.predList("or", p.andPred, query.Or) }
 
-func (p *predParser) cur() token  { return p.toks[p.pos] }
-func (p *predParser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *predParser) at(kind tokKind, text string) bool {
-	t := p.cur()
-	if t.kind != kind {
-		return false
-	}
-	return text == "" || (kind == tokIdent && equalFoldStr(t.text, text)) || t.text == text
-}
-func (p *predParser) accept(kind tokKind, text string) bool {
-	if p.at(kind, text) {
-		p.pos++
-		return true
-	}
-	return false
-}
+func (p *parser) andPred() (query.Pred, error) { return p.predList("and", p.unaryPred, query.And) }
 
-func equalFoldStr(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 32
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 32
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *predParser) orPred() (Pred, error) {
-	l, err := p.andPred()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokIdent, "or") {
-		r, err := p.andPred()
+// predList parses operand { word operand } and joins the operands.
+func (p *parser) predList(word string, operand func() (query.Pred, error), join func(...query.Pred) query.Pred) (query.Pred, error) {
+	var ps []query.Pred
+	for {
+		x, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &orPred{l, r}
-	}
-	return l, nil
-}
-
-func (p *predParser) andPred() (Pred, error) {
-	l, err := p.unaryPred()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokIdent, "and") {
-		r, err := p.unaryPred()
-		if err != nil {
-			return nil, err
+		ps = append(ps, x)
+		if !p.accept(tokIdent, word) {
+			return join(ps...), nil
 		}
-		l = &andPred{l, r}
 	}
-	return l, nil
 }
 
-func (p *predParser) unaryPred() (Pred, error) {
+func (p *parser) unaryPred() (query.Pred, error) {
 	if p.accept(tokIdent, "not") {
 		inner, err := p.unaryPred()
 		if err != nil {
 			return nil, err
 		}
-		return &notPred{inner}, nil
+		return query.Not(inner), nil
 	}
 	if p.accept(tokPunct, "(") {
 		inner, err := p.orPred()
 		if err != nil {
 			return nil, err
 		}
-		if !p.accept(tokPunct, ")") {
-			return nil, errAt(p.cur(), "expected ')' in predicate")
+		if _, err := p.expect(tokPunct, ")", "')' in predicate"); err != nil {
+			return nil, err
 		}
 		return inner, nil
 	}
 	return p.cmp()
 }
 
-func (p *predParser) cmp() (Pred, error) {
-	l, err := p.operand()
+// comparisons maps each operator to its query constructor and to the
+// operator that says the same with the operands swapped.
+var comparisons = map[string]struct {
+	build   func(attr string, v any) query.Pred
+	flipped string
+}{
+	"==": {query.Eq, "=="},
+	"!=": {query.Ne, "!="},
+	"<":  {query.Lt, ">"},
+	"<=": {query.Le, ">="},
+	">":  {query.Gt, "<"},
+	">=": {query.Ge, "<="},
+}
+
+func (p *parser) cmp() (query.Pred, error) {
+	start := p.cur()
+	lParam, lLit, err := p.operand()
 	if err != nil {
 		return nil, err
 	}
 	opTok := p.cur()
-	if opTok.kind != tokPunct {
+	op, ok := comparisons[opTok.text]
+	if opTok.kind != tokPunct || !ok {
 		return nil, errAt(opTok, "expected comparison operator, found %v", opTok)
 	}
-	switch opTok.text {
-	case "==", "!=", "<", "<=", ">", ">=":
-		p.pos++
-	default:
-		return nil, errAt(opTok, "expected comparison operator, found %v", opTok)
-	}
-	r, err := p.operand()
+	p.pos++
+	rParam, rLit, err := p.operand()
 	if err != nil {
 		return nil, err
 	}
-	return &cmpPred{op: opTok.text, l: l, r: r}, nil
+	switch {
+	case (lParam == "") == (rParam == ""):
+		return nil, errAt(start, "a comparison needs one parameter and one literal")
+	case lParam == "":
+		return comparisons[op.flipped].build(rParam, lLit), nil
+	}
+	return op.build(lParam, rLit), nil
 }
 
-// operand is either a parameter reference or a literal.
-type operand struct {
-	param string // non-empty: look up this event parameter
-	lit   any    // literal value otherwise
-}
-
-func (p *predParser) operand() (operand, error) {
+// operand parses a parameter name (param != "") or a literal.
+func (p *parser) operand() (param string, lit any, err error) {
 	t := p.next()
 	switch t.kind {
 	case tokIdent:
-		switch {
-		case equalFoldStr(t.text, "true"):
-			return operand{lit: true}, nil
-		case equalFoldStr(t.text, "false"):
-			return operand{lit: false}, nil
-		default:
-			return operand{param: t.text}, nil
+		if strings.EqualFold(t.text, "true") || strings.EqualFold(t.text, "false") {
+			return "", strings.EqualFold(t.text, "true"), nil
 		}
+		return t.text, nil, nil
 	case tokNumber:
-		// The Snoop lexer emits integer tokens; a following ".digits"
-		// makes it a float.
+		// The lexer emits integer tokens; "." and digits make a decimal.
 		text := t.text
-		if p.at(tokPunct, ".") {
-			p.pos++
-			frac := p.next()
-			if frac.kind != tokNumber {
-				return operand{}, errAt(frac, "expected fraction digits")
+		if p.accept(tokPunct, ".") {
+			frac, err := p.expect(tokNumber, "", "fraction digits")
+			if err != nil {
+				return "", nil, err
 			}
 			text += "." + frac.text
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return operand{}, errAt(t, "bad number %q", text)
-			}
-			return operand{lit: f}, nil
 		}
-		n, err := strconv.ParseInt(text, 10, 64)
+		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return operand{}, errAt(t, "bad number %q", text)
+			return "", nil, errAt(t, "bad number %q", text)
 		}
-		return operand{lit: float64(n)}, nil
+		return "", f, nil
 	case tokString:
-		return operand{lit: t.text}, nil
-	default:
-		return operand{}, errAt(t, "expected parameter, number or string, found %v", t)
+		return "", t.text, nil
 	}
+	return "", nil, errAt(t, "expected parameter, number or string, found %v", t)
 }
-
-// resolve returns the operand's value for an execution.
-func (o operand) resolve(x *rules.Execution) (any, bool) {
-	if o.param == "" {
-		return o.lit, true
-	}
-	for _, list := range x.Occurrence.AllParams() {
-		if v, ok := list.Get(o.param); ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-type cmpPred struct {
-	op   string
-	l, r operand
-}
-
-func (c *cmpPred) String() string {
-	return fmt.Sprintf("%s %s %s", opString(c.l), c.op, opString(c.r))
-}
-
-func opString(o operand) string {
-	if o.param != "" {
-		return o.param
-	}
-	return fmt.Sprintf("%v", o.lit)
-}
-
-func (c *cmpPred) Eval(x *rules.Execution) bool {
-	lv, ok := c.l.resolve(x)
-	if !ok {
-		return false
-	}
-	rv, ok := c.r.resolve(x)
-	if !ok {
-		return false
-	}
-	if lf, lok := toFloat(lv); lok {
-		if rf, rok := toFloat(rv); rok {
-			switch c.op {
-			case "==":
-				return lf == rf
-			case "!=":
-				return lf != rf
-			case "<":
-				return lf < rf
-			case "<=":
-				return lf <= rf
-			case ">":
-				return lf > rf
-			case ">=":
-				return lf >= rf
-			}
-			return false
-		}
-	}
-	// Non-numeric: equality only.
-	switch c.op {
-	case "==":
-		return lv == rv
-	case "!=":
-		return lv != rv
-	default:
-		return false
-	}
-}
-
-// toFloat coerces any numeric atomic value to float64.
-func toFloat(v any) (float64, bool) {
-	switch n := v.(type) {
-	case int:
-		return float64(n), true
-	case int8:
-		return float64(n), true
-	case int16:
-		return float64(n), true
-	case int32:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case uint:
-		return float64(n), true
-	case uint8:
-		return float64(n), true
-	case uint16:
-		return float64(n), true
-	case uint32:
-		return float64(n), true
-	case uint64:
-		return float64(n), true
-	case float32:
-		return float64(n), true
-	case float64:
-		return n, true
-	case event.OID:
-		return float64(n), true
-	default:
-		return 0, false
-	}
-}
-
-type andPred struct{ l, r Pred }
-
-func (a *andPred) Eval(x *rules.Execution) bool { return a.l.Eval(x) && a.r.Eval(x) }
-func (a *andPred) String() string               { return "(" + a.l.String() + " and " + a.r.String() + ")" }
-
-type orPred struct{ l, r Pred }
-
-func (o *orPred) Eval(x *rules.Execution) bool { return o.l.Eval(x) || o.r.Eval(x) }
-func (o *orPred) String() string               { return "(" + o.l.String() + " or " + o.r.String() + ")" }
-
-type notPred struct{ inner Pred }
-
-func (n *notPred) Eval(x *rules.Execution) bool { return !n.inner.Eval(x) }
-func (n *notPred) String() string               { return "not " + n.inner.String() }

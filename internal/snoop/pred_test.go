@@ -1,6 +1,7 @@
 package snoop
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -27,11 +28,11 @@ func execComposite(a, b event.ParamList) *rules.Execution {
 
 func evalPred(t *testing.T, src string, x *rules.Execution) bool {
 	t.Helper()
-	p, err := ParsePredicate(src)
+	cond, err := PredicateCondition(src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	return p.Eval(x)
+	return cond(x)
 }
 
 func TestPredicateComparisons(t *testing.T) {
@@ -62,8 +63,8 @@ func TestPredicateComparisons(t *testing.T) {
 		{`(qty > 100 or sym == "IBM") and hot == true`, true},
 		{`missing > 1`, false}, // absent parameter: false
 		{`missing == "x" or qty > 1`, true},
-		{`10 < qty`, true},   // literal on the left
-		{`sym < "Z"`, false}, // ordering undefined for strings
+		{`10 < qty`, true},  // literal on the left
+		{`sym < "Z"`, true}, // strings order, as in a Where
 	}
 	for _, c := range cases {
 		if got := evalPred(t, c.src, x); got != c.want {
@@ -87,10 +88,43 @@ func TestPredicateAcrossConstituents(t *testing.T) {
 func TestPredicateErrors(t *testing.T) {
 	for _, src := range []string{
 		``, `qty >`, `> 10`, `qty ~ 10`, `qty == `, `(qty > 1`, `qty > 1 trailing`,
-		`qty = 10`, `qty === 3`, `not`, `qty > 1.x`,
+		`qty = 10`, `qty === 3`, `not`, `qty > 1.x`, `a < b`, `1 < 2`,
 	} {
 		if _, err := ParsePredicate(src); err == nil {
 			t.Errorf("accepted %q", src)
+		}
+	}
+}
+
+// TestPredicateErrorPositions: every predicate error points at the token
+// that caused it, not at the start of the run of tokens around it.
+func TestPredicateErrorPositions(t *testing.T) {
+	cases := []struct {
+		src       string
+		line, col int
+		want      string
+	}{
+		{`qty > 1 trailing`, 1, 9, "trailing input"},
+		{`not (a > 1 and b == "x") oops`, 1, 26, "trailing input"},
+		{`qty ~ 10`, 1, 5, "unexpected character"},
+		{`qty = 10`, 1, 5, "expected comparison operator"},
+		{`qty > `, 1, 7, "expected parameter"},
+		{`(qty > 1`, 1, 9, "')'"},
+		{`qty > 1.x`, 1, 9, "fraction digits"},
+		{`qty > "open`, 1, 7, "unterminated string"},
+		{`a < b`, 1, 1, "one parameter and one literal"},
+		{`qty > 10 and 3 == 4`, 1, 14, "one parameter and one literal"},
+		{"x > 1 and\n  y >> 2", 2, 5, "expected comparison operator"},
+	}
+	for _, c := range cases {
+		_, err := ParsePredicate(c.src)
+		var perr *Error
+		if !errors.As(err, &perr) {
+			t.Errorf("%q: error %v, want a *Error", c.src, err)
+			continue
+		}
+		if perr.Line != c.line || perr.Col != c.col || !strings.Contains(perr.Msg, c.want) {
+			t.Errorf("%q: %d:%d %s, want %d:%d %s", c.src, perr.Line, perr.Col, perr.Msg, c.line, c.col, c.want)
 		}
 	}
 }
@@ -101,7 +135,7 @@ func TestPredicateString(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.String()
-	for _, want := range []string{"not", "and", "or", "a > 1", "c < 2.5"} {
+	for _, want := range []string{"NOT", "AND", "OR", "a > 1", "b = x", "c < 2.5"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String()=%q missing %q", s, want)
 		}

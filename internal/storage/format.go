@@ -37,10 +37,15 @@ import (
 //	     A v3 directory is refused, not migrated: there is no deployed v3
 //	     data, and a gob reader kept for it would be a second decode path
 //	     nothing exercises.
+//	v5 — OID-valued attributes are keyed: the ordered index encoding
+//	     places an event.OID among the numbers, where a v4 build could not
+//	     key it and left its objects out of every index over that
+//	     attribute. Records are unchanged, but a v4 index lacks those
+//	     postings, so a v4 directory is refused, not migrated.
 const (
 	formatMagic = "sentinel-format"
 	// FormatVersion is the generation this build reads and writes.
-	FormatVersion = 4
+	FormatVersion = 5
 	// formatFile is the marker's filename inside the data directory.
 	formatFile = "sentinel.meta"
 )

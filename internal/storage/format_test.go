@@ -61,14 +61,22 @@ func TestFormatMarkerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	rejects("older format version")
-	// The generation before this one (gob object records) is refused the
-	// same way, and the error names both generations.
+	// v3 (gob object records) is refused the same way, and the error names
+	// both generations.
 	if err := os.WriteFile(meta, []byte(formatMagic+" v3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rejects("previous format version")
 	if _, err := open(); !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
 		t.Fatalf("v3 refusal does not name both generations: %v", err)
+	}
+	// v4 indexes hold no postings for OID-valued attributes: refused too.
+	if err := os.WriteFile(meta, []byte(formatMagic+" v4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejects("v4 format version")
+	if _, err := open(); !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
+		t.Fatalf("v4 refusal does not name both generations: %v", err)
 	}
 	if err := os.WriteFile(meta, []byte(formatMagic+" v999\n"), 0o644); err != nil {
 		t.Fatal(err)
