@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOccurrenceCodec$$' -fuzztime $(FUZZ_TIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzObjectRecord$$' -fuzztime $(FUZZ_TIME) ./internal/object
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzReferencedDecode$$' -fuzztime $(FUZZ_TIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzSnoopParse$$' -fuzztime $(FUZZ_TIME) ./internal/snoop
 
 # bench-build compiles and tests the end-to-end benchmark. bench/ is its

@@ -126,7 +126,8 @@ func runBenchQuery(b *testing.B, db *sentinel.Database, mk func(i int) sentinel.
 // (full extent walk), "probe" answers the identical predicate on the
 // hash-indexed attribute, "range" answers a half-open interval on the
 // ordered index. All three return the same row counts from the same
-// extent.
+// extent. "scan_most" is the other end of the scan: an unindexed Where
+// that keeps 90% of the extent, so nearly every row is handed out.
 func BenchmarkQuery_IndexVsScan(b *testing.B) {
 	for _, n := range benchQuerySizes() {
 		db, nBuckets := benchQueryDB(b, n)
@@ -134,6 +135,11 @@ func BenchmarkQuery_IndexVsScan(b *testing.B) {
 			runBenchQuery(b, db, func(i int) sentinel.Q {
 				return sentinel.Q{Class: "STOCK", Where: query.Eq("shadow", float64(i%nBuckets))}
 			}, 10)
+		})
+		b.Run(fmt.Sprintf("n=%d/scan_most", n), func(b *testing.B) {
+			runBenchQuery(b, db, func(int) sentinel.Q {
+				return sentinel.Q{Class: "STOCK", Where: query.Ge("shadow", float64(nBuckets/10))}
+			}, n-n/10)
 		})
 		b.Run(fmt.Sprintf("n=%d/probe", n), func(b *testing.B) {
 			runBenchQuery(b, db, func(i int) sentinel.Q {
@@ -147,6 +153,49 @@ func BenchmarkQuery_IndexVsScan(b *testing.B) {
 			}, 50)
 		})
 	}
+}
+
+// BenchmarkQuery_Aggregate is a grouped count + sum over a 2 000-object
+// class whose records share heap pages with a 50 000-object one, through a
+// pool smaller than the small class's page span: every aggregate reads its
+// class from disk, beside a directory 26 times its extent. One op is one
+// aggregate in a fresh snapshot.
+func BenchmarkQuery_Aggregate(b *testing.B) {
+	const big, small, groups = 50000, 2000, 20
+	db, err := sentinel.Open(sentinel.Options{Dir: b.TempDir(), PoolSize: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = db.Close() })
+	for _, c := range []string{"BIG", "SMALL"} {
+		if _, err := db.DefineClass(c, "", false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One SMALL object after every 25 BIG ones, so the two share pages.
+	const batch = 2000
+	for lo := 0; lo < big+small; lo += batch {
+		tx, err := db.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := lo; i < lo+batch && i < big+small; i++ {
+			class, attrs := "BIG", map[string]any{"sym": fmt.Sprintf("S%06d", i), "bucket": float64(i % 5000)}
+			if i%26 == 25 {
+				class, attrs = "SMALL", map[string]any{"grp": float64(i / 26 % groups), "val": float64(i)}
+			}
+			if _, err := db.New(tx, class, attrs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runBenchQuery(b, db, func(int) sentinel.Q {
+		return sentinel.Q{Class: "SMALL", GroupBy: []string{"grp"},
+			Aggs: []sentinel.Agg{{Op: query.Count}, {Op: query.Sum, Attr: "val"}}}
+	}, groups)
 }
 
 // BenchmarkRules_IndexedCondition measures the condition-evaluation path

@@ -43,7 +43,8 @@ func AppendString(b []byte, s string) []byte {
 
 // Param value type tags. The tag preserves the concrete Go type of the
 // any-typed value (rule conditions type-assert on parameter values, so int
-// must come back as int, not int64).
+// must come back as int, not int64). A new tag goes into both Reader.Value
+// and Reader.SkipValue; TestSkipValueMatchesValue fails on one that does not.
 const (
 	tagNil = iota
 	tagBool
@@ -316,6 +317,28 @@ func (r *Reader) Value() any {
 	default:
 		r.fail("unknown value tag %d", tag)
 		return nil
+	}
+}
+
+// SkipValue steps over one tagged value, failing exactly where Value would,
+// without building it.
+func (r *Reader) SkipValue() {
+	switch tag := r.Byte(); tag {
+	case tagNil:
+	case tagBool:
+		r.Byte()
+	case tagInt, tagInt8, tagInt16, tagInt32, tagInt64:
+		r.Varint()
+	case tagUint, tagUint8, tagUint16, tagUint32, tagUint64, tagOID:
+		r.Uvarint()
+	case tagFloat32:
+		r.fixed(4)
+	case tagFloat64:
+		r.fixed(8)
+	case tagString:
+		r.StrBytes()
+	default:
+		r.fail("unknown value tag %d", tag)
 	}
 }
 

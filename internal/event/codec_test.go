@@ -56,6 +56,36 @@ func TestOccurrenceCodecRoundTrip(t *testing.T) {
 
 // The encoder refuses what the decoder would refuse, so nothing it writes
 // into a log is undecodable.
+// TestSkipValueMatchesValue: for every tag byte, under payloads that are
+// valid for some tags and truncated or malformed for others, SkipValue
+// consumes exactly the bytes Value does and fails exactly when it fails.
+// A tag added to one of the two switches and not the other fails here.
+func TestSkipValueMatchesValue(t *testing.T) {
+	tails := [][]byte{
+		{},
+		{0x00},
+		{0x05},
+		{0x80},                   // truncated varint
+		{0x03, 'a', 'b', 'c'},    // a three-byte string
+		{0x09, 'x'},              // a string overrunning the payload
+		{1, 2, 3},                // short of a float32
+		{1, 2, 3, 4, 5, 6, 7, 8}, // a float64, or a float32 and more
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+	}
+	for tag := 0; tag < 256; tag++ {
+		for _, tail := range tails {
+			in := append([]byte{byte(tag)}, tail...)
+			full, skip := NewReader(in), NewReader(in)
+			full.Value()
+			skip.SkipValue()
+			if (full.Err() == nil) != (skip.Err() == nil) || full.Remaining() != skip.Remaining() {
+				t.Fatalf("tag %d, payload % x: Value left %d bytes (err %v), SkipValue %d (err %v)",
+					tag, tail, full.Remaining(), full.Err(), skip.Remaining(), skip.Err())
+			}
+		}
+	}
+}
+
 func TestEncoderEnforcesDecoderLimits(t *testing.T) {
 	deep := &Occurrence{Name: "leaf"}
 	for i := 0; i <= maxDepth; i++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -187,13 +188,13 @@ func (r *Registry) Bootstrap() error {
 	if r.store == nil {
 		return nil
 	}
-	dir := make(map[uint64]objRef)
+	dir := newOIDDirectory()
 	var floor uint64
 	var oidsRID storage.RID
 	hasOIDs := false
 	err := r.store.ForEachRecordLatest(func(rid storage.RID, data []byte) error {
 		if oid, class, ok := readHeader(event.NewReader(data)); ok {
-			dir[oid] = objRef{rid: rid, class: r.className(class)}
+			dir.set(oid, objRef{rid: rid, class: r.className(class)})
 			floor = max(floor, oid+1)
 		} else if end, ok := decodeOIDs(data); ok {
 			floor = max(floor, end)
@@ -209,7 +210,7 @@ func (r *Registry) Bootstrap() error {
 		return err
 	}
 	r.oidMu.Lock()
-	r.oidDir = dir
+	r.dir = dir
 	r.oidMu.Unlock()
 	r.oids.mu.Lock()
 	r.oids.floor = max(r.oids.floor, floor)
@@ -370,13 +371,13 @@ func (r *Registry) finishCat(tx *txn.Txn, st txn.Status) {
 	r.oidMu.Lock()
 	for i := len(d.moves) - 1; i >= 0; i-- {
 		mv := d.moves[i]
-		if ref, ok := r.oidDir[mv.oid]; ok && ref.rid == mv.to {
+		if ref, ok := r.dir.refs[mv.oid]; ok && ref.rid == mv.to {
 			ref.rid = mv.from
-			r.oidDir[mv.oid] = ref
+			r.dir.set(mv.oid, ref)
 		}
 	}
 	for _, oid := range d.adds {
-		delete(r.oidDir, oid)
+		r.dir.drop(oid)
 	}
 	r.oidMu.Unlock()
 }
@@ -397,8 +398,8 @@ func (r *Registry) pruneGraves() {
 			keep = append(keep, g)
 			continue
 		}
-		if ref, ok := r.oidDir[g.oid]; ok && ref.rid == g.rid {
-			delete(r.oidDir, g.oid)
+		if ref, ok := r.dir.refs[g.oid]; ok && ref.rid == g.rid {
+			r.dir.drop(g.oid)
 		}
 	}
 	r.grave = keep
@@ -450,7 +451,7 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 	obj := &Instance{OID: oid, Class: c, attrs: cp}
 	d := r.dirtyFor(tx)
 	r.oidMu.Lock()
-	r.oidDir[uint64(oid)] = objRef{rid: rid, class: class}
+	r.dir.set(uint64(oid), objRef{rid: rid, class: c.Name})
 	r.oidMu.Unlock()
 	r.catMu.Lock()
 	d.adds = append(d.adds, uint64(oid))
@@ -469,7 +470,7 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 // lookupRef returns the directory entry for an OID.
 func (r *Registry) lookupRef(oid event.OID) (objRef, bool) {
 	r.oidMu.RLock()
-	ref, ok := r.oidDir[uint64(oid)]
+	ref, ok := r.dir.refs[uint64(oid)]
 	r.oidMu.RUnlock()
 	return ref, ok
 }
@@ -488,34 +489,59 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	if err := lockObject(tx, oid, lockmgr.Shared); err != nil {
+	attrs, c, err := r.LoadAttrs(tx, oid, nil, nil)
+	if err != nil {
 		return nil, err
+	}
+	return &Instance{OID: oid, Class: c, attrs: attrs}, nil
+}
+
+// LoadAttrs is Load for a reader that wants attribute values rather than
+// an Instance (the query layer's scans), and it makes every check Load
+// makes: the object's lock shared (or the snapshot's bypass), the
+// directory entry, the record's visibility, the OID in its header, a
+// registered class, strictly ordered names and the whole record consumed.
+// It clears row and fills it with the attributes named in want — all of
+// them when want is nil — stepping over the others with the same
+// validation; a nil row gets a fresh map sized to the record. want is
+// meant to be short (a query's referenced attributes). It returns the
+// filled map and the object's class. It needs a store.
+func (r *Registry) LoadAttrs(tx *txn.Txn, oid event.OID, want []string, row map[string]any) (attrs map[string]any, c *Class, err error) {
+	if r.store == nil {
+		return nil, nil, ErrNotPersistent
+	}
+	clear(row)
+	if err := lockObject(tx, oid, lockmgr.Shared); err != nil {
+		return nil, nil, err
 	}
 	ref, ok := r.lookupRef(oid)
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return nil, nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	data, err := tx.Read(ref.rid)
-	if err != nil {
-		if errors.Is(err, storage.ErrSlotDeleted) || errors.Is(err, storage.ErrBadSlot) {
-			return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+	// The record is decoded in place: values and names are copied out of
+	// it, so nothing the decode returns aliases the page.
+	var bad error
+	err = tx.View(ref.rid, func(data []byte) {
+		rd := event.NewReader(data)
+		got, class, ok := readHeader(rd)
+		if !ok || got != uint64(oid) {
+			bad = fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		} else if c = r.classNamed(class); c == nil {
+			bad = fmt.Errorf("%w: %q", ErrUnknownClass, class)
+		} else if attrs, ok = readAttrsInto(rd, &c.names, want, row); !ok {
+			bad = fmt.Errorf("object: record of %v at %v is malformed", oid, ref.rid)
 		}
-		return nil, err
+	})
+	if errors.Is(err, storage.ErrSlotDeleted) || errors.Is(err, storage.ErrBadSlot) {
+		err = fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	rd := event.NewReader(data)
-	got, class, ok := readHeader(rd)
-	if !ok || got != uint64(oid) {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+	if err == nil {
+		err = bad
 	}
-	c := r.classNamed(class)
-	if c == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownClass, class)
+	if err != nil {
+		return nil, nil, err
 	}
-	attrs, ok := readAttrs(rd, &c.names)
-	if !ok {
-		return nil, fmt.Errorf("object: record of %v at %v is malformed", oid, ref.rid)
-	}
-	return &Instance{OID: oid, Class: c, attrs: attrs}, nil
+	return attrs, c, nil
 }
 
 // classNamed looks a class up by the name bytes of a record, without
@@ -539,22 +565,22 @@ func (r *Registry) className(b []byte) string {
 // validates the directory entry against its header. The attributes are
 // decoded only when an index covers the class and will want them.
 func (r *Registry) readBefore(tx *txn.Txn, rid storage.RID, oid event.OID, wantAttrs bool, names *nameTable) (map[string]any, error) {
-	data, err := tx.Read(rid)
+	var attrs map[string]any
+	var bad error
+	err := tx.View(rid, func(data []byte) {
+		rd := event.NewReader(data)
+		if got, _, ok := readHeader(rd); !ok || got != uint64(oid) {
+			bad = fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		} else if wantAttrs {
+			if attrs, ok = readAttrs(rd, names); !ok {
+				bad = fmt.Errorf("object: record of %v at %v is malformed", oid, rid)
+			}
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
-	rd := event.NewReader(data)
-	if got, _, ok := readHeader(rd); !ok || got != uint64(oid) {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
-	}
-	if !wantAttrs {
-		return nil, nil
-	}
-	attrs, ok := readAttrs(rd, names)
-	if !ok {
-		return nil, fmt.Errorf("object: record of %v at %v is malformed", oid, rid)
-	}
-	return attrs, nil
+	return attrs, bad
 }
 
 // lockWrite takes what a mutation of oid needs: its class's lock
@@ -608,7 +634,7 @@ func (r *Registry) persist(tx *txn.Txn, obj *Instance) error {
 	if newRID != ref.rid {
 		d := r.dirtyFor(tx)
 		r.oidMu.Lock()
-		r.oidDir[uint64(obj.OID)] = objRef{rid: newRID, class: obj.Class.Name}
+		r.dir.set(uint64(obj.OID), objRef{rid: newRID, class: obj.Class.Name})
 		r.oidMu.Unlock()
 		r.catMu.Lock()
 		d.moves = append(d.moves, oidMove{oid: uint64(obj.OID), from: ref.rid, to: newRID})
@@ -674,63 +700,12 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 // classMatches reports whether class c (by name) is class or, when
 // includeSubclasses is set, one of its subclasses.
 func (r *Registry) classMatches(c, class string, includeSubclasses bool) bool {
-	if c == class {
-		return true
-	}
-	if !includeSubclasses {
-		return false
+	if c == class || !includeSubclasses {
+		return c == class
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for cur := r.classes[c]; cur != nil; {
-		if cur.Name == class {
-			return true
-		}
-		if cur.Super == "" {
-			return false
-		}
-		cur = r.classes[cur.Super]
-	}
-	return false
-}
-
-// ExtentOIDs returns the OIDs the directory currently holds for a class
-// (and subclasses when requested), sorted. Entries are optimistic: callers
-// must validate each by loading it under their transaction — Load reports
-// unknown for entries their snapshot cannot see.
-func (r *Registry) ExtentOIDs(class string, includeSubclasses bool) []event.OID {
-	if r.store == nil {
-		r.mu.Lock()
-		oids := make([]event.OID, 0, len(r.memObjects))
-		for oid, obj := range r.memObjects {
-			if obj != nil && r.classMatchesLocked(obj.Class.Name, class, includeSubclasses) {
-				oids = append(oids, oid)
-			}
-		}
-		r.mu.Unlock()
-		sortOIDs(oids)
-		return oids
-	}
-	type cand struct {
-		oid event.OID
-		cls string
-	}
-	r.oidMu.RLock()
-	cands := make([]cand, 0, len(r.oidDir))
-	for oid, ref := range r.oidDir {
-		cands = append(cands, cand{oid: event.OID(oid), cls: ref.class})
-	}
-	r.oidMu.RUnlock()
-	// Class filtering happens outside the directory lock: the subclass
-	// walk takes the registry mutex.
-	oids := make([]event.OID, 0, len(cands))
-	for _, c := range cands {
-		if r.classMatches(c.cls, class, includeSubclasses) {
-			oids = append(oids, c.oid)
-		}
-	}
-	sortOIDs(oids)
-	return oids
+	return r.classMatchesLocked(c, class, includeSubclasses)
 }
 
 // classMatchesLocked is classMatches for callers already holding r.mu.
@@ -751,6 +726,51 @@ func (r *Registry) classMatchesLocked(c, class string, includeSubclasses bool) b
 		cur = r.classes[cur.Super]
 	}
 	return false
+}
+
+// ExtentOIDs returns the OIDs the directory currently holds for a class
+// (and subclasses when requested), sorted. It walks only those classes'
+// member sets, so it costs what the extent costs, not the database.
+// Entries are optimistic: callers must validate each by loading it under
+// their transaction — Load reports unknown for entries their snapshot
+// cannot see.
+func (r *Registry) ExtentOIDs(class string, includeSubclasses bool) []event.OID {
+	if r.store == nil {
+		r.mu.Lock()
+		oids := make([]event.OID, 0, len(r.memObjects))
+		for oid, obj := range r.memObjects {
+			if obj != nil && r.classMatchesLocked(obj.Class.Name, class, includeSubclasses) {
+				oids = append(oids, oid)
+			}
+		}
+		r.mu.Unlock()
+		slices.Sort(oids)
+		return oids
+	}
+	classes := []string{class}
+	if includeSubclasses {
+		r.mu.Lock()
+		for name := range r.classes {
+			if name != class && r.classMatchesLocked(name, class, true) {
+				classes = append(classes, name)
+			}
+		}
+		r.mu.Unlock()
+	}
+	r.oidMu.RLock()
+	n := 0
+	for _, c := range classes {
+		n += len(r.dir.extents[c])
+	}
+	oids := make([]event.OID, 0, n)
+	for _, c := range classes {
+		for oid := range r.dir.extents[c] {
+			oids = append(oids, event.OID(oid))
+		}
+	}
+	r.oidMu.RUnlock()
+	slices.Sort(oids)
+	return oids
 }
 
 // LockExtent locks a class extent (and its subclasses' when
@@ -834,10 +854,6 @@ func (r *Registry) ForEach(tx *txn.Txn, class string, includeSubclasses bool, fn
 	return nil
 }
 
-func sortOIDs(oids []event.OID) {
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-}
-
 // ApplyRecord is the follower-side directory maintenance hook: the store
 // invokes it (through the facade's mux) for every operation a replicated
 // transaction applied, in LSN order. Only object records matter here, and
@@ -859,7 +875,7 @@ func (r *Registry) ApplyRecord(rec *storage.LogRecord) {
 		}
 		ref := objRef{rid: rec.RID, class: r.className(class)}
 		r.oidMu.Lock()
-		r.oidDir[oid] = ref
+		r.dir.set(oid, ref)
 		r.oidMu.Unlock()
 	case storage.RecDelete:
 		oid, _, ok := readHeader(event.NewReader(rec.Before))

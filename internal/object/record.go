@@ -120,11 +120,22 @@ func readHeader(rd *event.Reader) (oid uint64, class []byte, ok bool) {
 // readAttrs decodes the attributes after a header, interning names through
 // the class's table (nil: every name is a string of its own).
 func readAttrs(rd *event.Reader, names *nameTable) (map[string]any, bool) {
+	return readAttrsInto(rd, names, nil, nil)
+}
+
+// readAttrsInto is readAttrs into row (a map sized to the record when row
+// is nil), keeping only the attributes named in want (all when want is
+// nil; a wanted attribute is keyed by want's own string). The others are
+// stepped over with the same checks, so a record decodes or fails the same
+// whatever is wanted.
+func readAttrsInto(rd *event.Reader, names *nameTable, want []string, row map[string]any) (map[string]any, bool) {
 	n := rd.Uvarint()
 	if n > maxAttrs || n*minAttr > uint64(rd.Remaining()) {
 		return nil, false
 	}
-	attrs := make(map[string]any, n)
+	if row == nil {
+		row = make(map[string]any, n)
+	}
 	var prev []byte
 	for i := uint64(0); i < n; i++ {
 		name := rd.StrBytes()
@@ -132,9 +143,29 @@ func readAttrs(rd *event.Reader, names *nameTable) (map[string]any, bool) {
 			return nil, false
 		}
 		prev = name
-		attrs[names.intern(name)] = rd.Value()
+		key, ok := wanted(want, name, names)
+		if !ok {
+			rd.SkipValue()
+			continue
+		}
+		row[key] = rd.Value()
 	}
-	return attrs, rd.Err() == nil && rd.Remaining() == 0
+	return row, rd.Err() == nil && rd.Remaining() == 0
+}
+
+// wanted returns the key an attribute is decoded under: its interned name
+// when want is nil, else want's own string equal to it (ok=false: skip it).
+// Referenced sets are a handful of names, so a scan beats hashing.
+func wanted(want []string, name []byte, names *nameTable) (string, bool) {
+	if want == nil {
+		return names.intern(name), true
+	}
+	for _, w := range want {
+		if w == string(name) {
+			return w, true
+		}
+	}
+	return "", false
 }
 
 // nameTable interns the attribute names decoded from one class's records:

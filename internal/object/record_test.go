@@ -302,3 +302,59 @@ func FuzzObjectRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestLoadAttrsRejectsWhatLoadRejects: a directory entry pointing at
+// another object's record (a reused slot), and one whose record's class is
+// not registered here, fail LoadAttrs exactly as they fail Load, whatever
+// attributes are wanted — the decode-only read skips none of Load's checks.
+func TestLoadAttrsRejectsWhatLoadRejects(t *testing.T) {
+	r, tm, _ := persistEnv(t)
+	if _, err := r.DefineClass("C", "", false); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := tm.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := r.New(tx, "C", map[string]any{"x": 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.New(tx, "C", map[string]any{"x": 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	refB, _ := r.lookupRef(b.OID)
+	r.oidMu.Lock()
+	r.dir.set(uint64(a.OID), refB) // a's entry now names b's record
+	r.oidMu.Unlock()
+
+	tx, err = tm.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tx.Commit() }()
+	if _, err := r.Load(tx, a.OID); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("Load through a stale entry: %v, want ErrUnknownObject", err)
+	}
+	for _, want := range [][]string{nil, {}, {"x"}} {
+		if _, _, err := r.LoadAttrs(tx, a.OID, want, map[string]any{"x": 9.0}); !errors.Is(err, ErrUnknownObject) {
+			t.Fatalf("LoadAttrs(want=%v) through a stale entry: %v, want ErrUnknownObject", want, err)
+		}
+	}
+
+	// A registry that never defined C reads the same record as unknown.
+	other := NewRegistry(nil, r.store)
+	other.oidMu.Lock()
+	other.dir.set(uint64(b.OID), refB)
+	other.oidMu.Unlock()
+	if _, err := other.Load(tx, b.OID); !errors.Is(err, ErrUnknownClass) {
+		t.Fatalf("Load of an unregistered class: %v, want ErrUnknownClass", err)
+	}
+	if _, _, err := other.LoadAttrs(tx, b.OID, []string{"x"}, nil); !errors.Is(err, ErrUnknownClass) {
+		t.Fatalf("LoadAttrs of an unregistered class: %v, want ErrUnknownClass", err)
+	}
+}

@@ -11,7 +11,8 @@ import (
 )
 
 // Row is one tuple flowing through an iterator tree. Source rows carry
-// the object's identity; derived rows (aggregates) have OID 0.
+// the object's identity; derived rows (aggregates) have OID 0. Every row a
+// plan hands out owns its Attrs map.
 type Row struct {
 	OID   event.OID
 	Class string
@@ -46,14 +47,20 @@ func Collect(it Iterator) ([]Row, error) {
 
 // ---- source iterators -------------------------------------------------
 
-// oidIter loads a candidate OID list lazily, re-verifying each loaded
-// object against verify (class/visibility checks happen in Load; stale
-// directory candidates simply fail to load or fail verification).
+// oidIter is the one source: it loads a candidate OID list lazily and
+// re-verifies each object against verify (class and visibility checks
+// happen in the load; stale directory candidates simply fail to load or
+// fail verification). It decodes the attributes in want (all when nil)
+// into one reused map, so a row σ rejects builds no map. When the consumer
+// hands rows out (own), a surviving row takes that map with it.
 type oidIter struct {
 	m      *Manager
 	tx     *txn.Txn
 	oids   []uint64
 	verify Pred // may be nil: every loaded row passes
+	want   []string
+	own    bool
+	row    map[string]any // the reused decode map; nil until the first load
 	pos    int
 	cur    Row
 	err    error
@@ -66,21 +73,24 @@ func (s *oidIter) Next() bool {
 	for s.pos < len(s.oids) {
 		oid := event.OID(s.oids[s.pos])
 		s.pos++
-		inst, err := s.m.reg.Load(s.tx, oid)
+		attrs, c, err := s.m.reg.LoadAttrs(s.tx, oid, s.want, s.row)
+		if errors.Is(err, object.ErrUnknownObject) {
+			s.m.rowsDropped.Add(1)
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, object.ErrUnknownObject) {
-				s.m.rowsDropped.Add(1)
-				continue
-			}
 			s.err = err
 			return false
 		}
-		attrs := inst.Attrs()
+		s.row = attrs
 		if s.verify != nil && !s.verify.Eval(attrs) {
 			s.m.rowsDropped.Add(1)
 			continue
 		}
-		s.cur = Row{OID: oid, Class: inst.Class.Name, Attrs: attrs}
+		if s.own {
+			s.row = nil // handed out with the row; the next load makes another
+		}
+		s.cur = Row{OID: oid, Class: c.Name, Attrs: attrs}
 		return true
 	}
 	return false
@@ -385,8 +395,11 @@ func (st *aggState) result(a Agg) any {
 	return nil
 }
 
-// groupIter is γ: hash aggregation over the group-by attributes. With no
-// group-by columns it emits exactly one row (global aggregates).
+// groupIter is γ: hash aggregation over the group-by attributes,
+// streaming its input — the input row is read in place and never kept. The
+// group key is encoded into one reused buffer; a group's row map, which
+// starts as its key values, is built only when the group is first seen.
+// With no group-by columns it emits exactly one row (global aggregates).
 type groupIter struct {
 	in      Iterator
 	groupBy []string
@@ -414,54 +427,52 @@ func (g *groupIter) Next() bool {
 
 func (g *groupIter) aggregate() bool {
 	type group struct {
-		keyAttrs map[string]any
-		states   []aggState
+		attrs  map[string]any // the key values, then the results
+		states []aggState
 	}
+	defer g.in.Close()
 	groups := make(map[string]*group)
-	var order []string
-	in, err := Collect(g.in)
-	if err != nil {
-		g.err = err
-		return false
-	}
-	for _, r := range in {
-		key := make([]byte, 0, 16)
-		keyAttrs := make(map[string]any, len(g.groupBy))
+	var key []byte
+	for g.in.Next() {
+		attrs := g.in.Row().Attrs
+		key = key[:0]
 		for _, col := range g.groupBy {
-			kb, ok := encodeKey(r.Attrs[col])
-			if !ok {
-				kb = []byte{0xFE} // ungroupable values form their own bucket kind
+			var ok bool
+			if key, ok = appendKey(key, attrs[col]); !ok {
+				key = append(key, 0xFE) // ungroupable values form their own bucket kind
 			}
-			key = append(key, kb...)
 			key = append(key, 0xFD) // column separator
-			keyAttrs[col] = r.Attrs[col]
 		}
 		grp := groups[string(key)]
 		if grp == nil {
-			grp = &group{keyAttrs: keyAttrs, states: make([]aggState, len(g.aggs))}
+			grp = &group{attrs: make(map[string]any, len(g.groupBy)+len(g.aggs)), states: make([]aggState, len(g.aggs))}
+			for _, col := range g.groupBy {
+				grp.attrs[col] = attrs[col]
+			}
 			groups[string(key)] = grp
-			order = append(order, string(key))
 		}
 		for i, a := range g.aggs {
-			grp.states[i].observe(a, r.Attrs)
+			grp.states[i].observe(a, attrs)
 		}
 	}
-	if len(g.groupBy) == 0 && len(order) == 0 {
+	if g.err = g.in.Err(); g.err != nil {
+		return false
+	}
+	if len(g.groupBy) == 0 && len(groups) == 0 {
 		// Global aggregate over an empty input still yields one row.
-		groups[""] = &group{keyAttrs: map[string]any{}, states: make([]aggState, len(g.aggs))}
-		order = append(order, "")
+		groups[""] = &group{attrs: make(map[string]any, len(g.aggs)), states: make([]aggState, len(g.aggs))}
+	}
+	order := make([]string, 0, len(groups))
+	for k := range groups {
+		order = append(order, k)
 	}
 	sort.Strings(order) // deterministic group order (encoded-key order)
 	for _, k := range order {
 		grp := groups[k]
-		attrs := make(map[string]any, len(grp.keyAttrs)+len(g.aggs))
-		for col, v := range grp.keyAttrs {
-			attrs[col] = v
-		}
 		for i, a := range g.aggs {
-			attrs[a.name()] = grp.states[i].result(a)
+			grp.attrs[a.name()] = grp.states[i].result(a)
 		}
-		g.rows = append(g.rows, Row{Attrs: attrs})
+		g.rows = append(g.rows, Row{Attrs: grp.attrs})
 	}
 	return true
 }

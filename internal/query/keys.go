@@ -21,13 +21,12 @@ const (
 
 // normalize converts any supported attribute value to its canonical
 // comparable form: nil, bool, float64 or string. ok=false for values the
-// index cannot key (maps, slices, structs...).
+// index cannot key (maps, slices, structs...). A value already canonical
+// comes back as the same interface, so the common case never allocates.
 func normalize(v any) (any, bool) {
 	switch x := v.(type) {
-	case nil:
-		return nil, true
-	case bool:
-		return x, true
+	case nil, bool, float64, string:
+		return v, true
 	case int:
 		return float64(x), true
 	case int8:
@@ -52,10 +51,6 @@ func normalize(v any) (any, bool) {
 		return float64(x), true
 	case float32:
 		return float64(x), true
-	case float64:
-		return x, true
-	case string:
-		return x, true
 	}
 	return nil, false
 }
@@ -133,18 +128,28 @@ func kindOf(normalized any) byte {
 // byte string: bytewise comparison of encodings matches compareValues.
 // ok=false for unindexable values.
 func encodeKey(v any) ([]byte, bool) {
+	n := 9 // a number's key; a string's is one byte more than the string
+	if s, ok := v.(string); ok {
+		n = 1 + len(s)
+	}
+	return appendKey(make([]byte, 0, n), v)
+}
+
+// appendKey is encodeKey appending to b; b comes back unchanged when v is
+// unindexable.
+func appendKey(b []byte, v any) ([]byte, bool) {
 	n, ok := normalize(v)
 	if !ok {
-		return nil, false
+		return b, false
 	}
 	switch x := n.(type) {
 	case nil:
-		return []byte{kindNull}, true
+		return append(b, kindNull), true
 	case bool:
 		if x {
-			return []byte{kindBool, 1}, true
+			return append(b, kindBool, 1), true
 		}
-		return []byte{kindBool, 0}, true
+		return append(b, kindBool, 0), true
 	case float64:
 		// IEEE-754 order fix: flip all bits of negatives, set the sign bit
 		// of non-negatives; big-endian bytes then sort numerically.
@@ -157,15 +162,9 @@ func encodeKey(v any) ([]byte, bool) {
 		} else {
 			bits |= 1 << 63
 		}
-		out := make([]byte, 9)
-		out[0] = kindNum
-		binary.BigEndian.PutUint64(out[1:], bits)
-		return out, true
+		return binary.BigEndian.AppendUint64(append(b, kindNum), bits), true
 	case string:
-		out := make([]byte, 1+len(x))
-		out[0] = kindStr
-		copy(out[1:], x)
-		return out, true
+		return append(append(b, kindStr), x...), true
 	}
-	return nil, false
+	return b, false
 }

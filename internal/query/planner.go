@@ -186,26 +186,55 @@ func extentDesc(q Q) string {
 
 // source builds the leaf iterator for q and bumps the matching counter.
 // The FULL Where re-evaluates on every loaded row — index candidates are
-// optimistic supersets, so pushdown only narrows, never decides.
+// optimistic supersets, so pushdown only narrows, never decides. γ (with
+// no join in between) reads only the referenced attributes, in place;
+// every other consumer gets whole rows of its own.
 func (m *Manager) source(tx *txn.Txn, q Q) (Iterator, string) {
 	ap := m.chooseAccess(q)
-	var oids []uint64
+	it := &oidIter{m: m, tx: tx, verify: q.Where}
 	switch ap.mode {
 	case accessProbe:
 		m.probes.Add(1)
-		oids = ap.ix.eqCandidates(ap.eqKey)
+		it.oids = ap.ix.eqCandidates(ap.eqKey)
 	case accessRange:
 		m.rangeScans.Add(1)
-		oids = ap.ix.rangeCandidates(ap.lo, ap.hi)
+		it.oids = ap.ix.rangeCandidates(ap.lo, ap.hi)
 	default:
 		m.extentScans.Add(1)
 		ext := m.reg.ExtentOIDs(q.Class, q.Subclasses)
-		oids = make([]uint64, len(ext))
+		it.oids = make([]uint64, len(ext))
 		for i, oid := range ext {
-			oids[i] = uint64(oid)
+			it.oids[i] = uint64(oid)
 		}
 	}
-	return &oidIter{m: m, tx: tx, oids: oids, verify: q.Where}, ap.desc
+	if q.Join == nil && (len(q.GroupBy) > 0 || len(q.Aggs) > 0) {
+		it.want = referenced(q)
+	} else {
+		it.own = true
+	}
+	return it, ap.desc
+}
+
+// referenced returns the attributes q's Where, group keys and aggregates
+// read, or nil — every attribute — when Where cannot be seen into.
+func referenced(q Q) []string {
+	attrs := make(map[string]struct{}, len(q.GroupBy)+len(q.Aggs)+2)
+	if !predAttrs(q.Where, attrs) {
+		return nil
+	}
+	for _, col := range q.GroupBy {
+		attrs[col] = struct{}{}
+	}
+	for _, a := range q.Aggs {
+		if a.Attr != "" {
+			attrs[a.Attr] = struct{}{}
+		}
+	}
+	names := make([]string, 0, len(attrs)) // non-nil even when empty: read nothing
+	for a := range attrs {
+		names = append(names, a)
+	}
+	return names
 }
 
 // Plan compiles q into an iterator tree over tx's view of the store

@@ -190,6 +190,34 @@ func Or(ps ...Pred) Pred {
 // Not negates a predicate.
 func Not(p Pred) Pred { return &notPred{kid: p} }
 
+// predAttrs adds the attributes p reads to into. It reports false for a
+// Pred implementation the planner cannot see into, which may read any.
+func predAttrs(p Pred, into map[string]struct{}) bool {
+	switch x := p.(type) {
+	case nil:
+		return true
+	case *cmp:
+		into[x.attr] = struct{}{}
+		return true
+	case *notPred:
+		return predAttrs(x.kid, into)
+	case *andPred:
+		return allAttrs(x.kids, into)
+	case *orPred:
+		return allAttrs(x.kids, into)
+	}
+	return false
+}
+
+func allAttrs(ps []Pred, into map[string]struct{}) bool {
+	for _, p := range ps {
+		if !predAttrs(p, into) {
+			return false
+		}
+	}
+	return true
+}
+
 // conjuncts returns the top-level AND factors of p — the units predicate
 // pushdown works on. A non-AND predicate is its own single conjunct.
 func conjuncts(p Pred) []Pred {

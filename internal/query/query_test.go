@@ -772,3 +772,24 @@ func TestDuplicateIndexRejected(t *testing.T) {
 	e.commit(tx)
 	_ = event.OID(0)
 }
+
+// TestCanonicalValuesCompareWithoutAllocating: a value already in canonical
+// form (float64, string, bool) comes out of normalize as the same
+// interface, so evaluating a comparison on it allocates nothing.
+func TestCanonicalValuesCompareWithoutAllocating(t *testing.T) {
+	for _, c := range []struct {
+		p     Pred
+		attrs map[string]any
+	}{
+		{Eq("x", 3.0), map[string]any{"x": 3.0}},
+		{Lt("x", "b"), map[string]any{"x": "a"}},
+		{Ne("x", true), map[string]any{"x": false}},
+	} {
+		if !c.p.Eval(c.attrs) {
+			t.Fatalf("%s is false on %v", c.p, c.attrs)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.p.Eval(c.attrs) }); n != 0 {
+			t.Fatalf("%s on %v made %v allocations, want 0", c.p, c.attrs, n)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,8 +26,10 @@ type frame struct {
 	latch   sync.Mutex
 	pins    int
 	dirty   bool
-	loading bool          // a miss is reading this page from disk
-	lruElem *list.Element // non-nil iff unpinned and resident
+	loading bool // a miss is reading this page from disk
+	// The shard's LRU links: inLRU iff unpinned and resident.
+	prev, next *frame
+	inLRU      bool
 
 	// cleanLSN is the page's LSN the last time this frame matched the
 	// on-disk copy (at load, after write-back) — or, for a brand-new page,
@@ -45,14 +46,17 @@ type frame struct {
 type flushLogFunc func(upToLSN uint64) error
 
 // poolShard is one lock stripe: its own mutex, frame table, LRU list, and
-// capacity slice. Pages hash to shards by PageID, so concurrent
-// transactions touching different pages rarely contend.
+// capacity slice. The LRU list is intrusive — it links the frames
+// themselves, head least recently used — so unpinning allocates nothing.
+// Pages hash to shards by PageID, so concurrent transactions touching
+// different pages rarely contend.
 type poolShard struct {
 	mu       sync.Mutex
 	loaded   *sync.Cond // signalled when a loading frame settles
 	capacity int
 	frames   map[PageID]*frame
-	lru      *list.List // of PageID, front = least recently used
+	lruHead  *frame // least recently used unpinned frame; nil when none
+	lruTail  *frame
 }
 
 // BufferPool caches pages in memory with LRU replacement and pin counting,
@@ -113,7 +117,6 @@ func NewBufferPoolShards(disk *DiskManager, capacity, shards int, flushLog flush
 		sh := &poolShard{
 			capacity: cap,
 			frames:   make(map[PageID]*frame, cap),
-			lru:      list.New(),
 		}
 		sh.loaded = sync.NewCond(&sh.mu)
 		b.shards[i] = sh
@@ -232,19 +235,45 @@ func (b *BufferPool) Unpin(id PageID, dirty bool) {
 	// DirtyPages read dirty holding only the latch.
 	fr.dirty = fr.dirty || dirty
 	fr.latch.Unlock()
-	fr.pins--
-	if fr.pins == 0 {
-		fr.lruElem = sh.lru.PushBack(id)
-	}
+	sh.unpinLocked(fr)
 	sh.mu.Unlock()
 }
 
 func (sh *poolShard) pinLocked(fr *frame) {
-	if fr.pins == 0 && fr.lruElem != nil {
-		sh.lru.Remove(fr.lruElem)
-		fr.lruElem = nil
+	if fr.pins == 0 && fr.inLRU {
+		sh.lruRemove(fr)
 	}
 	fr.pins++
+}
+
+// unpinLocked drops one pin; the last one makes the frame the most
+// recently used eviction candidate.
+func (sh *poolShard) unpinLocked(fr *frame) {
+	fr.pins--
+	if fr.pins > 0 {
+		return
+	}
+	fr.prev, fr.next, fr.inLRU = sh.lruTail, nil, true
+	if sh.lruTail != nil {
+		sh.lruTail.next = fr
+	} else {
+		sh.lruHead = fr
+	}
+	sh.lruTail = fr
+}
+
+func (sh *poolShard) lruRemove(fr *frame) {
+	if fr.prev != nil {
+		fr.prev.next = fr.next
+	} else {
+		sh.lruHead = fr.next
+	}
+	if fr.next != nil {
+		fr.next.prev = fr.prev
+	} else {
+		sh.lruTail = fr.prev
+	}
+	fr.prev, fr.next, fr.inLRU = nil, nil, false
 }
 
 // newFrameLocked returns a fresh frame, evicting the shard's LRU unpinned
@@ -255,20 +284,17 @@ func (sh *poolShard) newFrameLocked(b *BufferPool) (*frame, error) {
 	if len(sh.frames) < sh.capacity {
 		return &frame{}, nil
 	}
-	elem := sh.lru.Front()
-	if elem == nil {
+	victim := sh.lruHead
+	if victim == nil {
 		return nil, ErrPoolFull
 	}
-	victimID := elem.Value.(PageID)
-	victim := sh.frames[victimID]
 	if victim.dirty {
 		if err := b.writeBack(victim); err != nil {
 			return nil, err
 		}
 	}
-	sh.lru.Remove(elem)
-	delete(sh.frames, victimID)
-	victim.lruElem = nil
+	sh.lruRemove(victim)
+	delete(sh.frames, victim.page.ID)
 	victim.pins = 0
 	victim.dirty = false
 	return victim, nil
@@ -333,10 +359,7 @@ func (b *BufferPool) flushOne(sh *poolShard, id PageID) error {
 	fr.latch.Unlock()
 
 	sh.mu.Lock()
-	fr.pins--
-	if fr.pins == 0 {
-		fr.lruElem = sh.lru.PushBack(id)
-	}
+	sh.unpinLocked(fr)
 	sh.mu.Unlock()
 	return err
 }
@@ -376,10 +399,7 @@ func (b *BufferPool) DirtyPages() map[PageID]uint64 {
 			fr.latch.Unlock()
 
 			sh.mu.Lock()
-			fr.pins--
-			if fr.pins == 0 {
-				fr.lruElem = sh.lru.PushBack(id)
-			}
+			sh.unpinLocked(fr)
 			sh.mu.Unlock()
 		}
 	}

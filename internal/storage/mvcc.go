@@ -305,9 +305,10 @@ func (s *Store) rootOf(id uint64) uint64 {
 }
 
 // readVersion walks rid's version history — current page state first, then
-// the chain — and returns the newest state visible to the snapshot.
-// Caller holds the page latch. exists=false means the visible state is
-// "record absent" (deleted, not yet inserted, or nothing visible at all).
+// the chain — and returns the newest state visible to the snapshot, in
+// place: the bytes are valid while the caller holds the page latch.
+// exists=false means the visible state is "record absent" (deleted, not
+// yet inserted, or nothing visible at all).
 func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exists bool) {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()
@@ -338,7 +339,7 @@ func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exi
 			if !curExists {
 				return nil, false
 			}
-			return cloneBytes(cur), true
+			return cur, true
 		}
 		if i < 0 {
 			return nil, false // record did not exist at the snapshot
@@ -347,24 +348,33 @@ func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exi
 	}
 }
 
-// ReadSnapshot returns the record at rid as of the snapshot, or
+// ReadSnapshot returns a copy of the record at rid as of the snapshot, or
 // ErrSlotDeleted when no version is visible (ErrBadSlot when the slot has
 // never existed). It takes no lock-manager locks.
 func (s *Store) ReadSnapshot(sn *Snapshot, rid RID) ([]byte, error) {
+	var out []byte
+	err := s.ViewSnapshot(sn, rid, func(data []byte) { out = cloneBytes(data) })
+	return out, err
+}
+
+// ViewSnapshot is ReadSnapshot without the copy: fn sees the visible
+// version in place, under the page latch, and must not retain it.
+func (s *Store) ViewSnapshot(sn *Snapshot, rid RID, fn func([]byte)) error {
 	page, err := s.pool.Fetch(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer s.pool.Unpin(rid.Page, false)
 	s.readSnapshotN.Add(1)
 	if rid.Slot >= page.NumSlots() {
-		return nil, ErrBadSlot
+		return ErrBadSlot
 	}
 	data, exists := s.readVersion(sn, page, rid)
 	if !exists {
-		return nil, ErrSlotDeleted
+		return ErrSlotDeleted
 	}
-	return data, nil
+	fn(data)
+	return nil
 }
 
 // ForEachRecordAt scans every record visible to the snapshot, calling fn
@@ -388,7 +398,7 @@ func (s *Store) ForEachRecordAt(sn *Snapshot, fn func(RID, []byte) error) error 
 				continue
 			}
 			s.readSnapshotN.Add(1)
-			if err := fn(rid, data); err != nil {
+			if err := fn(rid, cloneBytes(data)); err != nil {
 				s.pool.Unpin(pid, false)
 				return err
 			}

@@ -904,17 +904,26 @@ func (s *Store) SnapshotFloor() uint64 { return s.oldestSnapshot() }
 // filtering. This is the 2PL read path: the caller's lock manager
 // serializes it against writers.
 func (s *Store) Read(rid RID) ([]byte, error) {
+	var out []byte
+	err := s.View(rid, func(data []byte) { out = cloneBytes(data) })
+	return out, err
+}
+
+// View is Read without the copy: fn sees the record in place, under the
+// page latch, and must not retain it.
+func (s *Store) View(rid RID, fn func([]byte)) error {
 	page, err := s.pool.Fetch(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer s.pool.Unpin(rid.Page, false)
 	s.readLockedN.Add(1)
 	data, err := page.Read(rid.Slot)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return cloneBytes(data), nil
+	fn(data)
+	return nil
 }
 
 // Update replaces the record at rid, possibly moving it to another page

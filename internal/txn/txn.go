@@ -395,6 +395,18 @@ func (t *Txn) Read(rid storage.RID) ([]byte, error) {
 	return t.mgr.store.Read(rid)
 }
 
+// View is Read without the copy: fn sees the record in place, under the
+// page latch, and must not retain it.
+func (t *Txn) View(rid storage.RID, fn func([]byte)) error {
+	if t.mgr.store == nil {
+		return errors.New("txn: no store configured")
+	}
+	if sn := t.snap; sn != nil {
+		return t.mgr.store.ViewSnapshot(sn, rid, fn)
+	}
+	return t.mgr.store.View(rid, fn)
+}
+
 // Update replaces the record at rid, returning its possibly-new RID.
 func (t *Txn) Update(rid storage.RID, data []byte) (storage.RID, error) {
 	if t.readOnly || t.snap != nil {
