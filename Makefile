@@ -119,15 +119,16 @@ bench-text:
 bench-smoke:
 	$(MAKE) bench-text BENCH_TIME=100x BENCH_CPUS=1,4
 
-# bench reruns the detector signal-path benchmarks and the two per-firing
-# bookkeeping benchmarks (the empty transaction bracket against a base of
-# deferred rules, a lock-less subtransaction commit against a full lock
-# table) and records them under the "after" label of $(BENCH_OUT),
+# bench reruns the detector signal-path benchmarks and the per-firing
+# benchmarks (the empty transaction bracket against a base of deferred
+# rules, a lock-less subtransaction commit against a full lock table, one
+# method event firing 32 immediate or deferred rules) and records them
+# under the "after" label of $(BENCH_OUT),
 # preserving the committed "before" numbers. Run with BENCH_LABEL=before
 # on a clean baseline to regenerate both sides.
 BENCH_LABEL ?= after
 bench:
-	$(MAKE) bench-text BENCH_PATTERN='BenchmarkE1_|BenchmarkE4_|BenchmarkRules_TxnBracket|BenchmarkLockmgr_' BENCH_PKG='. ./internal/lockmgr' \
+	$(MAKE) bench-text BENCH_PATTERN='BenchmarkE1_|BenchmarkE4_|BenchmarkRules_TxnBracket|BenchmarkRules_Firing|BenchmarkLockmgr_' BENCH_PKG='. ./internal/lockmgr' \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out $(BENCH_OUT) -merge
 

@@ -17,6 +17,7 @@ import (
 
 	sentinel "repro"
 	"repro/internal/event"
+	"repro/internal/rules"
 )
 
 // benchRuleCounts returns the rule-base sizes to benchmark.
@@ -286,5 +287,101 @@ func TestTxnBracketAllocsIndependentOfRuleCount(t *testing.T) {
 	none, many := allocs(0), allocs(2000)
 	if many-none > 4 || none-many > 4 {
 		t.Fatalf("an empty transaction allocates %.0f objects with no deferred rules and %.0f with 2000: the bracket depends on the rule base", none, many)
+	}
+}
+
+// firingRules is how many rules one method event triggers in the firing
+// benchmark and its allocation guard.
+const firingRules = 32
+
+// firingDB opens an in-memory database whose reactive class F raises
+// "fired" at the end of its no-op method poke, with n rules on that event
+// in the given coupling mode, each with a condition that holds and an
+// action that does nothing. It returns one F object to poke.
+func firingDB(tb testing.TB, coupling rules.CouplingMode, n int) (*sentinel.Database, *sentinel.Instance) {
+	tb.Helper()
+	db, err := sentinel.Open(sentinel.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = db.Close() })
+	if err := db.Exec("class F reactive { event end(fired) poke(); }"); err != nil {
+		tb.Fatal(err)
+	}
+	f, _ := db.Class("F")
+	f.DefineMethod(sentinel.Method{Name: "poke", Body: func(*sentinel.Self, []any) (any, error) { return nil, nil }})
+	specs := make([]sentinel.RuleSpec, n)
+	for i := range specs {
+		specs[i] = sentinel.RuleSpec{
+			Name: fmt.Sprintf("R%d", i), Event: "fired", Coupling: coupling,
+			Condition: func(*sentinel.Execution) bool { return true },
+			Action:    func(*sentinel.Execution) error { return nil },
+		}
+	}
+	if _, err := db.DefineRules(specs); err != nil {
+		tb.Fatal(err)
+	}
+	tx, _ := db.Begin()
+	obj, err := db.New(tx, "F", nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	return db, obj
+}
+
+// firingTxn runs one transaction that pokes obj once: every rule fires
+// once, at the Invoke (immediate) or at commit (deferred).
+func firingTxn(tb testing.TB, db *sentinel.Database, obj *sentinel.Instance) {
+	tx, err := db.Begin()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := db.Invoke(tx, obj, "poke"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkRules_Firing measures what one rule firing costs end to end:
+// one transaction, one method event, 32 rules whose condition holds and
+// whose action does nothing. ns/firing and allocs/firing divide the whole
+// transaction by its 32 firings.
+func BenchmarkRules_Firing(b *testing.B) {
+	for _, mode := range []rules.CouplingMode{rules.Immediate, rules.Deferred} {
+		b.Run(strings.ToLower(mode.String()), func(b *testing.B) {
+			db, obj := firingDB(b, mode, firingRules)
+			firingTxn(b, db, obj)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				firingTxn(b, db, obj)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			firings := float64(b.N * firingRules)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/firings, "ns/firing")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/firings, "allocs/firing")
+		})
+	}
+}
+
+// TestFiringAllocs pins what a firing allocates through the facade: an
+// IMMEDIATE rule whose condition holds and whose action does nothing costs
+// at most one allocation — its share of a chunk of firings, the triggering
+// event's bookkeeping, nothing per firing of its own.
+func TestFiringAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		db, obj := firingDB(t, rules.Immediate, n)
+		return testing.AllocsPerRun(200, func() { firingTxn(t, db, obj) })
+	}
+	none, many := allocs(0), allocs(firingRules)
+	if per := (many - none) / firingRules; per > 1 {
+		t.Fatalf("a firing allocates %.2f objects (%.0f per transaction with %d rules, %.0f with none), want at most 1", per, many, firingRules, none)
 	}
 }

@@ -87,7 +87,7 @@ func (n *aNode) receive(occ *event.Occurrence, side int, ctx Context) {
 				n.emit(compose(n.name, o, occ), ctx)
 			}
 		case Cumulative:
-			n.emit(compose(n.name, append(mergeBySeq(open), occ)...), ctx)
+			n.emit(composeMerged(n.name, occ, open), ctx)
 		}
 	case 2: // window closes; nothing is emitted by plain A
 		rest := open[:0]
@@ -289,15 +289,15 @@ func (n *aStarNode) emitWindow(occ *event.Occurrence, ctx Context, open, accum o
 	if len(open) > 0 && len(accum) > 0 {
 		switch ctx {
 		case Recent:
-			n.emit(compose(n.name, append(append(occList{open[len(open)-1]}, accum...), occ)...), ctx)
+			n.emit(composeSpan(n.name, open[len(open)-1], accum, occ), ctx)
 		case Chronicle:
-			n.emit(compose(n.name, append(append(occList{open[0]}, accum...), occ)...), ctx)
+			n.emit(composeSpan(n.name, open[0], accum, occ), ctx)
 		case Continuous:
 			for _, o := range open {
-				n.emit(compose(n.name, append(append(occList{o}, accum...), occ)...), ctx)
+				n.emit(composeSpan(n.name, o, accum, occ), ctx)
 			}
 		case Cumulative:
-			n.emit(compose(n.name, append(mergeBySeq(open, accum), occ)...), ctx)
+			n.emit(composeMerged(n.name, occ, open, accum), ctx)
 		}
 	}
 }

@@ -286,23 +286,97 @@ func (c *nodeCore) emitPrimitive(occ *event.Occurrence) {
 	}
 }
 
-// compose builds a composite occurrence for an operator node: the Seq and
-// Time of the terminator, the transaction of the terminator, and the
-// constituents in operator order.
-func compose(name string, constituents ...*event.Occurrence) *event.Occurrence {
-	last := constituents[len(constituents)-1]
-	return &event.Occurrence{
-		Name:         name,
-		Kind:         event.KindComposite,
-		Seq:          last.Seq,
-		Time:         last.Time,
-		Txn:          last.Txn,
-		App:          last.App,
-		Constituents: constituents,
+// composite is a composite occurrence together with its constituent list,
+// when that list is short enough to live inline: the common two- and
+// three-constituent detections cost one allocation, not two.
+type composite struct {
+	occ  event.Occurrence
+	kids [3]*event.Occurrence
+}
+
+// newComposite allocates a composite occurrence with n constituent slots.
+// The caller fills the slots; stamp then names it.
+func newComposite(n int) *event.Occurrence {
+	if n <= len(composite{}.kids) {
+		c := new(composite)
+		c.occ.Constituents = c.kids[:n:n]
+		return &c.occ
 	}
+	return &event.Occurrence{Constituents: make([]*event.Occurrence, n)}
+}
+
+// stamp finishes a composite built by newComposite for an operator node:
+// the Seq, Time, transaction and application of the terminator (its last
+// constituent).
+func stamp(o *event.Occurrence, name string) *event.Occurrence {
+	last := o.Constituents[len(o.Constituents)-1]
+	o.Name = name
+	o.Kind = event.KindComposite
+	o.Seq = last.Seq
+	o.Time = last.Time
+	o.Txn = last.Txn
+	o.App = last.App
+	return o
+}
+
+// compose builds a composite occurrence for an operator node with the
+// constituents in operator order. It copies them, so the caller's argument
+// list never escapes: a detection allocates the occurrence it emits and
+// nothing else.
+func compose(name string, constituents ...*event.Occurrence) *event.Occurrence {
+	o := newComposite(len(constituents))
+	copy(o.Constituents, constituents)
+	return stamp(o, name)
+}
+
+// composeSpan is compose(name, first, mid..., last), the shape of a closed
+// window (initiator, accumulation, terminator).
+func composeSpan(name string, first *event.Occurrence, mid occList, last *event.Occurrence) *event.Occurrence {
+	o := newComposite(len(mid) + 2)
+	k := o.Constituents
+	k[0] = first
+	copy(k[1:], mid)
+	k[len(k)-1] = last
+	return stamp(o, name)
+}
+
+// composeMerged is the cumulative composite: every occurrence of the lists
+// ordered by logical timestamp (stable), then last unless it is nil. Only
+// pointers move; parameter lists are never copied (the paper's
+// pointer-adjustment argument).
+func composeMerged(name string, last *event.Occurrence, lists ...occList) *event.Occurrence {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	if last != nil {
+		n++
+	}
+	o := newComposite(n)
+	k := o.Constituents[:0]
+	for _, l := range lists {
+		k = append(k, l...)
+	}
+	event.SortBySeq(k)
+	if last != nil {
+		o.Constituents[n-1] = last
+	}
+	return stamp(o, name)
+}
+
+// composeInSeq is compose(name, a, b) with the pair in logical-timestamp
+// order, a first on a tie: what a stable sort of the two gives, without
+// one.
+func composeInSeq(name string, a, b *event.Occurrence) *event.Occurrence {
+	if b.Seq < a.Seq {
+		a, b = b, a
+	}
+	return compose(name, a, b)
 }
 
 // occList is a small helper for per-context stores of pending occurrences.
+// Nothing emitted aliases a store's backing array (compose copies), so
+// stores overwrite and compact in place.
 type occList []*event.Occurrence
 
 // dropTxn removes occurrences belonging to txnID (including composites
@@ -320,6 +394,17 @@ func (l occList) dropTxn(txnID uint64) occList {
 		l[i] = nil
 	}
 	return out
+}
+
+// popFront removes the oldest entry in O(1), dropping its reference. A
+// list it empties restarts at the front of its backing array, so a queue
+// that drains between arrivals never reallocates.
+func (l occList) popFront() occList {
+	l[0] = nil
+	if len(l) == 1 {
+		return l[:0]
+	}
+	return l[1:]
 }
 
 // reset empties the list for reuse, dropping its references.

@@ -1,6 +1,8 @@
 package detector
 
 import (
+	"slices"
+
 	"repro/internal/event"
 )
 
@@ -37,22 +39,6 @@ func subscribeOp(n Node, core *nodeCore, sub Subscriber, ctx Context) func() {
 		undoRule()
 		n.removeContext(ctx)
 	}
-}
-
-// mergeBySeq returns the concatenation of the argument occurrence lists
-// ordered by logical timestamp. Only slice headers move; parameter lists
-// are never copied (the paper's pointer-adjustment argument).
-func mergeBySeq(lists ...[]*event.Occurrence) []*event.Occurrence {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]*event.Occurrence, 0, n)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	event.SortBySeq(out)
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -151,35 +137,35 @@ func (n *andNode) receive(occ *event.Occurrence, side int, ctx Context) {
 		// Keep only the most recent occurrence of each side; once both
 		// sides are present, every new arrival re-detects with the most
 		// recent partner.
-		*mine = occList{occ}
+		*mine = append((*mine)[:0], occ)
 		if len(*other) > 0 {
-			n.emit(compose(n.name, mergeBySeq(occList{(*other)[len(*other)-1]}, occList{occ})...), ctx)
+			n.emit(composeInSeq(n.name, (*other)[len(*other)-1], occ), ctx)
 		}
 	case Chronicle:
 		*mine = append(*mine, occ)
 		for len(st.side[0]) > 0 && len(st.side[1]) > 0 {
 			a, b := st.side[0][0], st.side[1][0]
-			st.side[0] = st.side[0][1:]
-			st.side[1] = st.side[1][1:]
-			n.emit(compose(n.name, mergeBySeq(occList{a}, occList{b})...), ctx)
+			st.side[0] = st.side[0].popFront()
+			st.side[1] = st.side[1].popFront()
+			n.emit(composeInSeq(n.name, a, b), ctx)
 		}
 	case Continuous:
 		// Every stored occurrence of the other side opened a window;
 		// this arrival closes all of them at once.
 		if len(*other) > 0 {
 			for _, o := range *other {
-				n.emit(compose(n.name, mergeBySeq(occList{o}, occList{occ})...), ctx)
+				n.emit(composeInSeq(n.name, o, occ), ctx)
 			}
-			*other = (*other)[:0]
+			*other = other.reset()
 		} else {
 			*mine = append(*mine, occ)
 		}
 	case Cumulative:
 		*mine = append(*mine, occ)
 		if len(st.side[0]) > 0 && len(st.side[1]) > 0 {
-			n.emit(compose(n.name, mergeBySeq(st.side[0], st.side[1])...), ctx)
-			st.side[0] = nil
-			st.side[1] = nil
+			n.emit(composeMerged(n.name, nil, st.side[0], st.side[1]), ctx)
+			st.side[0] = st.side[0].reset()
+			st.side[1] = st.side[1].reset()
 		}
 	}
 }
@@ -239,16 +225,27 @@ func (n *seqNode) occupancy() int {
 
 func (n *seqNode) receive(occ *event.Occurrence, side int, ctx Context) {
 	st := &n.st[ctx]
-	if side == 0 { // initiator
-		if ctx == Recent {
-			st.left = occList{occ}
-		} else {
-			st.left = append(st.left, occ)
-		}
-		return
+	if side == 0 {
+		st.open(occ, ctx)
+	} else {
+		n.terminate(st, occ, ctx)
 	}
-	// Terminator: only initiators that completed before this occurrence
-	// began may pair with it.
+}
+
+// open records an initiator: RECENT overwrites the one it keeps in place,
+// the other contexts keep them all.
+func (st *seqState) open(occ *event.Occurrence, ctx Context) {
+	if ctx == Recent {
+		st.left = append(st.left[:0], occ)
+	} else {
+		st.left = append(st.left, occ)
+	}
+}
+
+// terminate pairs terminator occ with the stored initiators per the
+// context, for SEQ and for the terminator of NOT: only initiators that
+// completed before occ began may pair with it.
+func (n *opCore) terminate(st *seqState, occ *event.Occurrence, ctx Context) {
 	cut := occ.StartSeq()
 	switch ctx {
 	case Recent:
@@ -258,27 +255,30 @@ func (n *seqNode) receive(occ *event.Occurrence, side int, ctx Context) {
 	case Chronicle:
 		for i, l := range st.left {
 			if l.Seq < cut {
-				st.left = append(st.left[:i], st.left[i+1:]...)
+				st.left = slices.Delete(st.left, i, i+1)
 				n.emit(compose(n.name, l, occ), ctx)
 				return
 			}
 		}
 	case Continuous:
-		var rest occList
-		var fired []*event.Occurrence
+		// Emission reaches only ancestors of this node, never its store,
+		// so the survivors compact in place as the pairs go out.
+		rest := st.left[:0]
 		for _, l := range st.left {
 			if l.Seq < cut {
-				fired = append(fired, l)
+				n.emit(compose(n.name, l, occ), ctx)
 			} else {
 				rest = append(rest, l)
 			}
 		}
+		clear(st.left[len(rest):])
 		st.left = rest
-		for _, l := range fired {
-			n.emit(compose(n.name, l, occ), ctx)
-		}
 	case Cumulative:
-		var used, rest occList
+		// The initiators that pair go out in one composite; a buffer keeps
+		// up to eight of them on the stack (composeMerged copies).
+		var buf [8]*event.Occurrence
+		used := occList(buf[:0])
+		rest := st.left[:0]
 		for _, l := range st.left {
 			if l.Seq < cut {
 				used = append(used, l)
@@ -286,9 +286,10 @@ func (n *seqNode) receive(occ *event.Occurrence, side int, ctx Context) {
 				rest = append(rest, l)
 			}
 		}
+		clear(st.left[len(rest):])
+		st.left = rest
 		if len(used) > 0 {
-			st.left = rest
-			n.emit(compose(n.name, append(mergeBySeq(used), occ)...), ctx)
+			n.emit(composeMerged(n.name, occ, used), ctx)
 		}
 	}
 }
@@ -345,62 +346,18 @@ func (n *notNode) receive(occ *event.Occurrence, side int, ctx Context) {
 	st := &n.st[ctx]
 	switch side {
 	case 0: // initiator
-		if ctx == Recent {
-			st.left = occList{occ}
-		} else {
-			st.left = append(st.left, occ)
-		}
+		st.open(occ, ctx)
 	case 1: // forbidden event: every open window containing it dies
-		var rest occList
+		rest := st.left[:0]
 		for _, l := range st.left {
 			if l.Seq >= occ.Seq {
 				rest = append(rest, l)
 			}
 		}
+		clear(st.left[len(rest):])
 		st.left = rest
 	case 2: // terminator: pairs exactly like SEQ
-		cut := occ.StartSeq()
-		switch ctx {
-		case Recent:
-			if len(st.left) > 0 && st.left[len(st.left)-1].Seq < cut {
-				n.emit(compose(n.name, st.left[len(st.left)-1], occ), ctx)
-			}
-		case Chronicle:
-			for i, l := range st.left {
-				if l.Seq < cut {
-					st.left = append(st.left[:i], st.left[i+1:]...)
-					n.emit(compose(n.name, l, occ), ctx)
-					return
-				}
-			}
-		case Continuous:
-			var rest occList
-			var fired []*event.Occurrence
-			for _, l := range st.left {
-				if l.Seq < cut {
-					fired = append(fired, l)
-				} else {
-					rest = append(rest, l)
-				}
-			}
-			st.left = rest
-			for _, l := range fired {
-				n.emit(compose(n.name, l, occ), ctx)
-			}
-		case Cumulative:
-			var used, rest occList
-			for _, l := range st.left {
-				if l.Seq < cut {
-					used = append(used, l)
-				} else {
-					rest = append(rest, l)
-				}
-			}
-			if len(used) > 0 {
-				st.left = rest
-				n.emit(compose(n.name, append(mergeBySeq(used), occ)...), ctx)
-			}
-		}
+		n.terminate(st, occ, ctx)
 	}
 }
 
@@ -468,7 +425,7 @@ func (n *anyNode) receive(occ *event.Occurrence, side int, ctx Context) {
 		st.byType = make([]occList, len(n.kids))
 	}
 	if ctx == Recent {
-		st.byType[side] = occList{occ}
+		st.byType[side] = append(st.byType[side][:0], occ)
 	} else {
 		st.byType[side] = append(st.byType[side], occ)
 	}
@@ -481,59 +438,50 @@ func (n *anyNode) receive(occ *event.Occurrence, side int, ctx Context) {
 	if distinct < n.m {
 		return
 	}
-	switch ctx {
-	case Recent:
-		// Most recent occurrence of each present type; the m newest types
-		// form the composite. State is retained.
-		var cands occList
-		for _, l := range st.byType {
-			if len(l) > 0 {
+	if ctx == Cumulative {
+		// Everything accumulated goes into one composite.
+		n.emit(composeMerged(n.name, nil, st.byType...), ctx)
+		st.reset()
+		return
+	}
+	// One candidate per present type — its newest occurrence in RECENT,
+	// its oldest otherwise — in a buffer that stays on the stack for any
+	// operator of up to eight events (compose copies what it keeps).
+	var buf [8]*event.Occurrence
+	cands := buf[:0]
+	for _, l := range st.byType {
+		if len(l) > 0 {
+			if ctx == Recent {
 				cands = append(cands, l[len(l)-1])
-			}
-		}
-		event.SortBySeq(cands)
-		picked := cands[len(cands)-n.m:]
-		n.emit(compose(n.name, picked...), ctx)
-	case Chronicle:
-		// Oldest occurrence of each present type; consume the ones used.
-		var cands occList
-		for _, l := range st.byType {
-			if len(l) > 0 {
+			} else {
 				cands = append(cands, l[0])
 			}
 		}
-		event.SortBySeq(cands)
+	}
+	event.SortBySeq(cands)
+	switch ctx {
+	case Recent:
+		// The m newest types form the composite. State is retained.
+		n.emit(compose(n.name, cands[len(cands)-n.m:]...), ctx)
+	case Chronicle:
+		// The m oldest complete; consume the ones used.
 		picked := cands[:n.m]
-		used := map[*event.Occurrence]bool{}
-		for _, p := range picked {
-			used[p] = true
-		}
-		for i := range st.byType {
-			if len(st.byType[i]) > 0 && used[st.byType[i][0]] {
-				st.byType[i] = st.byType[i][1:]
+		for i, l := range st.byType {
+			if len(l) > 0 && slices.Contains(picked, l[0]) {
+				st.byType[i] = l.popFront()
 			}
 		}
 		n.emit(compose(n.name, picked...), ctx)
 	case Continuous:
-		// Oldest of each type completes; the whole store is consumed.
-		var cands occList
-		for _, l := range st.byType {
-			if len(l) > 0 {
-				cands = append(cands, l[0])
-			}
-		}
-		event.SortBySeq(cands)
-		picked := cands[:n.m]
-		st.byType = make([]occList, len(n.kids))
-		n.emit(compose(n.name, picked...), ctx)
-	case Cumulative:
-		// Everything accumulated goes into one composite.
-		all := make([][]*event.Occurrence, len(st.byType))
-		for i, l := range st.byType {
-			all[i] = l
-		}
-		merged := mergeBySeq(all...)
-		st.byType = make([]occList, len(n.kids))
-		n.emit(compose(n.name, merged...), ctx)
+		// The m oldest complete; the whole store is consumed.
+		st.reset()
+		n.emit(compose(n.name, cands[:n.m]...), ctx)
+	}
+}
+
+// reset empties every per-type store, keeping the backing arrays.
+func (st *anyState) reset() {
+	for i := range st.byType {
+		st.byType[i] = st.byType[i].reset()
 	}
 }

@@ -174,7 +174,7 @@ func (n *pNode) receive(occ *event.Occurrence, side int, ctx Context) {
 			return
 		}
 		if n.star && len(st.ticks) > 0 {
-			n.emit(compose(n.name, append(append(occList{st.init}, st.ticks...), occ)...), ctx)
+			n.emit(composeSpan(n.name, st.init, st.ticks, occ), ctx)
 		}
 		n.closeWindow(ctx)
 	}

@@ -12,8 +12,9 @@
 package event
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -334,5 +335,5 @@ func (c *Clock) Advance(seq uint64) {
 
 // SortBySeq orders occurrences by logical timestamp (stable for equal Seq).
 func SortBySeq(occs []*Occurrence) {
-	sort.SliceStable(occs, func(i, j int) bool { return occs[i].Seq < occs[j].Seq })
+	slices.SortStableFunc(occs, func(a, b *Occurrence) int { return cmp.Compare(a.Seq, b.Seq) })
 }

@@ -78,6 +78,8 @@ type Method struct {
 	// exclusive object lock, others a shared one.
 	Mutates bool
 	Body    MethodBody
+
+	sig string // methodSignature, built once by DefineMethod
 }
 
 // Class is a registered class.
@@ -95,6 +97,7 @@ type Class struct {
 // DefineMethod adds (or replaces) a method.
 func (c *Class) DefineMethod(m Method) {
 	cp := m
+	cp.sig = methodSignature(&cp)
 	c.methods[m.Name] = &cp
 }
 
@@ -360,7 +363,7 @@ func (r *Registry) Signature(class, method string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return methodSignature(m), nil
+	return m.sig, nil
 }
 
 // Invoke calls a method on an object under tx, signalling the begin- and
@@ -401,10 +404,15 @@ func (r *Registry) Invoke(tx *txn.Txn, obj *Instance, method string, args ...any
 			params = append(params, event.Param{Name: p, Value: args[i]})
 		}
 	}
-	sig := methodSignature(m)
+	sig := m.sig
+	// A rule's shell subtransaction has begun by now unless its lock was
+	// bypassed (a condition's snapshot); if it cannot begin, the event must
+	// not escape to "no transaction".
 	txID := uint64(0)
 	if tx != nil {
-		txID = tx.ID()
+		if txID, err = tx.Materialize(); err != nil {
+			return nil, err
+		}
 	}
 	if r.det != nil && obj.Class.Reactive {
 		r.det.SignalMethod(obj.Class.Name, sig, event.Begin, obj.OID, params, txID)

@@ -201,3 +201,43 @@ func TestPersistLargeObjectMoves(t *testing.T) {
 	}
 	_ = tx2.Commit()
 }
+
+// TestInvokeOnARefusedShell: a rule condition's shell subtransaction reads
+// through a snapshot, so invoking a reader takes no lock and the shell has
+// not begun when the method event is signalled. If the store refuses to
+// begin it, Invoke fails rather than signalling under no transaction.
+func TestInvokeOnARefusedShell(t *testing.T) {
+	st, err := storage.Open(storage.Options{Dir: t.TempDir(), PoolSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tm := txn.NewManager(st, lockmgr.New())
+	r := NewRegistry(nil, st)
+	stockClass(t, r)
+	tx, _ := tm.Begin()
+	if err := r.InitCatalog(tx); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := r.New(tx, "STOCK", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	top, _ := tm.Begin()
+	var sub txn.Txn
+	if err := top.BeginShell(&sub, nil); err != nil {
+		t.Fatal(err)
+	}
+	release, err := sub.UseSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	_ = st.Close()
+	if _, err := r.Invoke(&sub, obj, "get_price"); !errors.Is(err, storage.ErrStoreClosed) {
+		t.Fatalf("Invoke on a shell the store refuses: %v, want ErrStoreClosed", err)
+	}
+}

@@ -184,7 +184,6 @@ type Execution struct {
 	Occurrence *event.Occurrence
 	Context    detector.Context
 	Txn        *txn.Txn
-	task       *sched.Task
 }
 
 // Params returns the parameter lists of every constituent primitive
@@ -258,6 +257,9 @@ type Rule struct {
 	trigger   TriggerMode
 	class     string
 	vis       Visibility
+	// path is the effective priority of a top-level triggering, built once
+	// (paths are immutable) instead of per firing.
+	path sched.Path
 
 	mu      sync.Mutex
 	enabled bool
@@ -306,9 +308,11 @@ type Manager struct {
 
 	mu       sync.Mutex
 	rules    map[string]*Rule
-	reserved map[string]struct{}    // names claimed by in-flight Defines
-	running  map[uint64]*sched.Task // rule subtxn id -> its task
+	reserved map[string]struct{} // names claimed by in-flight Defines
 	detached sync.WaitGroup
+	// chunks holds, per P, the unused tail of a chunk of firings
+	// (newFiring).
+	chunks sync.Pool
 
 	// RetryMax is how many times a deadlock- or timeout-aborted rule body
 	// is retried, each attempt in a fresh subtransaction. Zero disables
@@ -402,7 +406,6 @@ func NewManager(det *detector.Detector, txns *txn.Manager, s *sched.Scheduler) *
 		sched:    s,
 		rules:    make(map[string]*Rule),
 		reserved: make(map[string]struct{}),
-		running:  make(map[uint64]*sched.Task),
 	}
 }
 
@@ -549,6 +552,7 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 				trigger:   spec.Trigger,
 				class:     spec.Class,
 				vis:       spec.Visibility,
+				path:      sched.Path{spec.Priority},
 			}
 			unsub, err := b.Subscribe(eventName, spec.Context, r)
 			if err != nil {
@@ -728,6 +732,44 @@ func (r *Rule) Class() string { return r.class }
 // Visibility returns the rule's scope.
 func (r *Rule) Visibility() Visibility { return r.vis }
 
+// firing is one triggered rule: its scheduler task, the Execution its
+// condition and action see, and the subtransaction shell it runs in, side
+// by side in one value (newFiring). It is its task's job (Run) and its
+// transaction's task (txn.Task), which is how a nested triggering finds
+// the path it derives its priority from.
+type firing struct {
+	sched.Task
+	exec  Execution
+	shell txn.Txn
+	// inCond is set while the condition runs; condMask is the id of a
+	// shell that materialised meanwhile, masked until the condition returns.
+	inCond   bool
+	condMask uint64
+}
+
+// firingChunk is how many firings newFiring allocates at once.
+const firingChunk = 32
+
+// newFiring returns a zeroed firing for a triggered rule. Firings are
+// handed out of chunks of firingChunk values, so a firing is a slot, not
+// an allocation of its own. A slot is never handed out twice: a chunk is
+// garbage once its last firing is — firings live until their rule has run
+// (a detached one, or an Execution a rule kept, holds its chunk longer).
+// Nothing is freed by hand, so nothing can be freed early.
+func (m *Manager) newFiring() *firing {
+	c, _ := m.chunks.Get().(*[]firing)
+	if c == nil {
+		c = new([]firing)
+	}
+	if len(*c) == 0 {
+		*c = make([]firing, firingChunk)
+	}
+	f := &(*c)[0]
+	*c = (*c)[1:]
+	m.chunks.Put(c)
+	return f
+}
+
 // Notify implements detector.Subscriber: it packages the triggered rule as
 // a scheduler task (or a detached goroutine). It runs under the detector
 // lock, so it only enqueues.
@@ -742,25 +784,22 @@ func (r *Rule) Notify(occ *event.Occurrence, ctx detector.Context) {
 	m := r.mgr
 	if r.coupling == Detached {
 		m.detached.Add(1)
-		go func() {
-			defer m.detached.Done()
-			m.runDetached(r, occ, ctx)
-		}()
+		f := m.newFiring()
+		f.exec = Execution{Rule: r, Occurrence: occ, Context: ctx}
+		go m.runDetached(f)
 		return
 	}
 
-	// Parent: the transaction the occurrence was signalled under. If it
-	// was a rule's subtransaction, this is a nested triggering: the new
-	// rule becomes a child subtransaction and its effective priority
-	// derives from the triggering rule's (depth-first execution).
-	m.mu.Lock()
-	parentTask := m.running[occ.Txn]
-	m.mu.Unlock()
-	var prio sched.Path
-	if parentTask != nil {
-		prio = parentTask.Priority.Child(r.priority)
-	} else {
-		prio = sched.Path{r.priority}
+	// Parent: the transaction the occurrence was signalled under. If a rule
+	// firing runs in it, this is a nested triggering: the new rule becomes
+	// a child subtransaction and its effective priority derives from the
+	// triggering rule's (depth-first execution).
+	prio, family := r.path, uint64(0)
+	if p := m.txns.Lookup(occ.Txn); p != nil {
+		family = p.Family()
+		if pf, ok := p.Task().(*firing); ok {
+			prio = pf.Priority.Child(r.priority)
+		}
 	}
 	// Cascade limit: a rule storm (rules triggering rules) is shed here,
 	// before the task exists, so the scheduler never sees unbounded depth.
@@ -771,34 +810,46 @@ func (r *Rule) Notify(occ *event.Occurrence, ctx detector.Context) {
 		m.reportError(r.name, fmt.Errorf("%w (depth %d, limit %d)", ErrCascadeShed, len(prio), max))
 		return
 	}
-	task := &sched.Task{Rule: r.name, Priority: prio, Family: m.txns.FamilyOf(occ.Txn)}
-	task.Run = func(t *sched.Task) { m.execute(r, occ, ctx, t) }
-	m.sched.Enqueue(task)
+	f := m.newFiring()
+	f.exec = Execution{Rule: r, Occurrence: occ, Context: ctx}
+	f.Task = sched.Task{Rule: r.name, Priority: prio, Family: family, Job: f}
+	m.sched.Enqueue(&f.Task)
 }
 
-// execute runs one triggered rule inside a fresh subtransaction of the
-// triggering transaction (Figure 3 of the paper: condition and action
-// packaged as the body of the thread, bracketed by begin/end
-// subtransaction).
-func (m *Manager) execute(r *Rule, occ *event.Occurrence, ctx detector.Context, t *sched.Task) {
-	if !r.inScope(occ) {
+// Run executes the firing as its scheduler task (Figure 3 of the paper:
+// condition and action packaged as the body of the thread, bracketed by
+// begin/end subtransaction).
+func (f *firing) Run(t *sched.Task) {
+	r := f.exec.Rule
+	if !r.inScope(f.exec.Occurrence) {
 		return
 	}
-	if met := m.met; met != nil {
+	if met := r.mgr.met; met != nil {
 		met.cascade.Observe(float64(len(t.Priority)))
 	}
-	m.runWithRetry(r, occ, ctx, t)
+	r.mgr.runWithRetry(f)
+}
+
+// Materialized implements txn.Task: a shell that begins while its rule's
+// condition runs — the condition asked for its id — is masked like the
+// rest of the condition's transaction line until the condition returns.
+func (f *firing) Materialized(t *txn.Txn) {
+	if f.inCond {
+		f.condMask = t.ID()
+		f.exec.Rule.mgr.det.MaskTxns([]uint64{f.condMask})
+	}
 }
 
 // runDetached executes a detached rule in its own top-level transaction.
-func (m *Manager) runDetached(r *Rule, occ *event.Occurrence, ctx detector.Context) {
-	if !r.inScope(occ) {
+func (m *Manager) runDetached(f *firing) {
+	defer m.detached.Done()
+	if !f.exec.Rule.inScope(f.exec.Occurrence) {
 		return
 	}
 	if met := m.met; met != nil {
 		met.cascade.Observe(1)
 	}
-	m.runWithRetry(r, occ, ctx, nil)
+	m.runWithRetry(f)
 }
 
 // retryable reports whether a rule failure is transient contention — a
@@ -814,10 +865,10 @@ func retryable(err error) bool {
 // exponential backoff until the attempt succeeds, fails for a non-retryable
 // reason, or the retry budget is spent. The fired counter and fires metric
 // advance once per triggering — on the final attempt — never per retry.
-// t is nil for detached rules, which run in their own top-level transaction.
-func (m *Manager) runWithRetry(r *Rule, occ *event.Occurrence, ctx detector.Context, t *sched.Task) {
+func (m *Manager) runWithRetry(f *firing) {
+	r := f.exec.Rule
 	for attempt := 0; ; attempt++ {
-		ran, err := m.attempt(r, occ, ctx, t)
+		ran, err := m.attempt(f, attempt)
 		if err != nil && retryable(err) && attempt < m.RetryMax {
 			if met := m.met; met != nil {
 				met.retries.Inc()
@@ -851,34 +902,44 @@ func (m *Manager) runWithRetry(r *Rule, occ *event.Occurrence, ctx detector.Cont
 	}
 }
 
-// attempt runs one execution attempt in a fresh subtransaction (or
-// top-level transaction for detached rules and occurrences outside any live
-// transaction). ran reports whether the body actually evaluated — false for
+// attempt runs one execution attempt in a subtransaction of the
+// triggering transaction — the firing's shell — or in a top-level
+// transaction for detached rules and occurrences outside any live
+// transaction. ran reports whether the body actually evaluated — false for
 // begin failures and panics, matching what the fired counter means.
-func (m *Manager) attempt(r *Rule, occ *event.Occurrence, ctx detector.Context, t *sched.Task) (ran bool, err error) {
-	parent := m.txns.Lookup(occ.Txn)
+func (m *Manager) attempt(f *firing, n int) (ran bool, err error) {
+	if n > 0 {
+		// A retry runs in a fresh firing, a new Execution and shell: the
+		// last attempt's may still be referenced.
+		f = &firing{Task: f.Task, exec: f.exec}
+	}
+	var parent *txn.Txn
+	detached := f.exec.Rule.coupling == Detached
+	if !detached {
+		parent = m.txns.Lookup(f.exec.Occurrence.Txn)
+	}
 	var sub *txn.Txn
-	if t != nil && parent != nil {
-		sub, err = parent.BeginSub()
+	if parent != nil {
+		sub = &f.shell
+		err = parent.BeginShell(sub, f)
 	} else {
-		// Detached rule, or occurrence outside any live transaction (e.g.
-		// explicit event with no txn): own top-level transaction.
-		sub, err = m.txns.Begin()
+		// Detached rule, or occurrence outside any live transaction (an
+		// explicit event with no txn, a commit or abort event): own
+		// top-level transaction. A non-detached rule's still carries the
+		// firing, so what it triggers nests under it — a rule on
+		// commitTransaction that re-triggers itself is shed at MaxCascade
+		// instead of recursing forever.
+		var task txn.Task
+		if !detached {
+			task = f
+		}
+		sub, err = m.txns.BeginFor(task)
 	}
 	if err != nil {
 		return false, fmt.Errorf("begin rule subtransaction: %w", err)
 	}
-	if t != nil {
-		m.mu.Lock()
-		m.running[sub.ID()] = t
-		m.mu.Unlock()
-		defer func() {
-			m.mu.Lock()
-			delete(m.running, sub.ID())
-			m.mu.Unlock()
-		}()
-	}
-	return m.runBody(r, &Execution{Rule: r, Occurrence: occ, Context: ctx, Txn: sub, task: t})
+	f.exec.Txn = sub
+	return m.runBody(f)
 }
 
 // runBody evaluates the condition (with its transactions masked, §3.2.1) and,
@@ -886,7 +947,8 @@ func (m *Manager) attempt(r *Rule, occ *event.Occurrence, ctx detector.Context, 
 // or panicked. The attempt's subtransaction is always resolved — committed
 // on success, aborted on error or panic — before runBody returns, so a
 // retry can safely open a fresh one.
-func (m *Manager) runBody(r *Rule, exec *Execution) (ran bool, err error) {
+func (m *Manager) runBody(f *firing) (ran bool, err error) {
+	r, exec := f.exec.Rule, &f.exec
 	committed := false
 	defer func() {
 		if p := recover(); p != nil {
@@ -898,7 +960,7 @@ func (m *Manager) runBody(r *Rule, exec *Execution) (ran bool, err error) {
 		}
 	}()
 
-	ok := r.cond == nil || m.evalCondition(r, exec)
+	ok := r.cond == nil || m.evalCondition(f)
 	var actErr error
 	if ok {
 		// Fault hook: an Err verdict stands in for the action failing, a
@@ -924,24 +986,37 @@ func (m *Manager) runBody(r *Rule, exec *Execution) (ran bool, err error) {
 // evalCondition runs the rule's condition with event signalling masked
 // for the rule's subtransaction and its ancestors — the transactions the
 // condition can reach through exec — and nothing else, so rules of other
-// transactions keep firing meanwhile. The deferred calls keep a panicking
-// condition from leaving the mask on or pinning the GC horizon forever.
-func (m *Manager) evalCondition(r *Rule, exec *Execution) bool {
+// transactions keep firing meanwhile. A shell has no id to mask yet and is
+// not given one: if the condition makes it begin, Materialized masks it
+// then. The deferred call keeps a panicking condition from leaving the
+// mask on or pinning the GC horizon forever.
+func (m *Manager) evalCondition(f *firing) bool {
+	exec := &f.exec
 	var line [4]uint64
 	ids := line[:0]
 	for t := exec.Txn; t != nil; t = t.Parent() {
-		ids = append(ids, t.ID())
+		if !t.IsShell() {
+			ids = append(ids, t.ID())
+		}
 	}
 	m.det.MaskTxns(ids)
-	defer m.det.UnmaskTxns(ids)
+	f.inCond = true
 	// Lock-free condition evaluation: reads see a snapshot of committed
 	// state plus the triggering family's own writes, so the condition
 	// neither blocks on nor blocks the commit pipeline, and a condition
 	// that writes gets txn.ErrReadOnly. The snapshot lives exactly as long
 	// as the evaluation (without a store there is none to take).
 	release, _ := exec.Txn.UseSnapshot()
-	defer release()
-	return r.cond(exec)
+	defer func() {
+		release()
+		f.inCond = false
+		m.det.UnmaskTxns(ids)
+		if id := f.condMask; id != 0 {
+			f.condMask = 0
+			m.det.UnmaskTxns([]uint64{id})
+		}
+	}()
+	return f.exec.Rule.cond(exec)
 }
 
 func (m *Manager) reportError(rule string, err error) {

@@ -82,6 +82,15 @@ func (p Path) Child(prio int) Path {
 	return out
 }
 
+// Job is what a task runs: condition + action in a subtransaction. The
+// rule manager's firing is its own job — it carries the rule, occurrence
+// and transaction, and embeds the Task — so a triggered rule costs no
+// closure. Run receives the task so nested triggerings can derive child
+// paths.
+type Job interface {
+	Run(t *Task)
+}
+
 // Task is one triggered rule awaiting execution.
 type Task struct {
 	// Rule names the rule, for traces.
@@ -93,9 +102,8 @@ type Task struct {
 	// (the commit and abort events of a finishing one included), and then
 	// every scheduling point runs it.
 	Family uint64
-	// Run executes the rule (condition + action in a subtransaction). It
-	// receives the task so nested triggerings can derive child paths.
-	Run func(t *Task)
+	// Job executes the rule.
+	Job Job
 
 	// enqueuedAt is stamped by Enqueue when latency histograms are wired,
 	// so task wait time (enqueue → start) can be observed.
@@ -115,9 +123,6 @@ type Scheduler struct {
 	// for the prioritized-serial execution mode.
 	Serial bool
 
-	// Ran counts executed tasks, for the benchmarks.
-	Ran uint64
-
 	// Worker pool: shards[i] is worker i's home run queue, all guarded by
 	// pmu; pcond wakes idle workers when a class is dispatched or the pool
 	// closes. Workers start lazily on the first parallel class, so serial
@@ -135,8 +140,12 @@ type Scheduler struct {
 	drains      atomic.Uint64
 	classDrains atomic.Uint64
 	steals      atomic.Uint64
+	ran         atomic.Uint64 // tasks executed; off mu, which Enqueue contends on
 	waitHist    *obs.Histogram
 	runHist     *obs.Histogram
+
+	// waitGroups recycles the wait group a pool dispatch waits on.
+	waitGroups sync.Pool
 }
 
 // New creates a scheduler whose classes run up to workers tasks
@@ -147,6 +156,7 @@ func New(workers int) *Scheduler {
 	}
 	s := &Scheduler{workers: workers, shards: make([][]*Task, workers)}
 	s.pcond = sync.NewCond(&s.pmu)
+	s.waitGroups.New = func() any { return new(sync.WaitGroup) }
 	return s
 }
 
@@ -221,8 +231,11 @@ func (s *Scheduler) Close() {
 // extends it), so recursion on the spawner's path yields depth-first
 // execution without ever dipping below the in-progress class.
 func (s *Scheduler) drainAbove(floor Path, family uint64) {
+	// Each level takes its classes into one buffer on its own stack; only
+	// a class of more than 16 tasks grows it onto the heap.
+	var buf [16]*Task
 	for {
-		batch := s.takeTopClassAbove(floor, family)
+		batch := s.takeTopClassAbove(buf[:0], floor, family)
 		if len(batch) == 0 {
 			return
 		}
@@ -247,10 +260,11 @@ func (s *Scheduler) drainAbove(floor Path, family uint64) {
 // the nested class itself, so every dispatched task is always claimable
 // by some goroutine that is not asleep.
 func (s *Scheduler) runBatch(batch []*Task) {
-	var wg sync.WaitGroup
+	wg := s.waitGroups.Get().(*sync.WaitGroup)
+	defer s.waitGroups.Put(wg) // Wait has returned by then, so it is reusable
 	wg.Add(len(batch))
 	for _, t := range batch {
-		t.batch = &wg
+		t.batch = wg
 	}
 	s.pmu.Lock()
 	// The pool holds workers-1 goroutines: the dispatcher's help loop
@@ -270,7 +284,7 @@ func (s *Scheduler) runBatch(batch []*Task) {
 	s.pmu.Unlock()
 	s.pcond.Broadcast()
 	for {
-		t := s.takeFromBatch(&wg)
+		t := s.takeFromBatch(wg)
 		if t == nil {
 			break
 		}
@@ -358,15 +372,16 @@ func (s *Scheduler) runOne(t *Task) {
 		if !t.enqueuedAt.IsZero() {
 			s.waitHist.ObserveDuration(start.Sub(t.enqueuedAt))
 		}
-		t.Run(t)
+		t.Job.Run(t)
 		s.runHist.ObserveDuration(time.Since(start))
 	} else {
-		t.Run(t)
+		t.Job.Run(t)
 	}
-	s.mu.Lock()
-	s.Ran++
-	s.mu.Unlock()
+	s.ran.Add(1)
 }
+
+// tasksRun returns how many tasks have run to completion.
+func (s *Scheduler) tasksRun() uint64 { return s.ran.Load() }
 
 // RegisterMetrics wires the scheduler into a metrics registry: queue
 // depth, executed tasks, drain rounds, drained priority classes, steals,
@@ -385,11 +400,7 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(s.Pending()) })
 	r.CounterFunc("sentinel_sched_tasks_total",
 		"Tasks executed to completion.",
-		func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.Ran
-		})
+		s.tasksRun)
 	r.CounterFunc("sentinel_sched_drains_total",
 		"Scheduling points (Drain calls) that ran the queue to empty.",
 		s.drains.Load)
@@ -408,10 +419,11 @@ func (t *Task) inScope(family uint64) bool {
 	return family == allFamilies || t.Family == family || t.Family == 0
 }
 
-// takeTopClassAbove removes and returns every queued task in the drain's
-// scope (inScope) belonging to the most urgent priority class that
-// strictly outranks floor. Enqueue order within the class is preserved.
-func (s *Scheduler) takeTopClassAbove(floor Path, family uint64) []*Task {
+// takeTopClassAbove removes every queued task in the drain's scope
+// (inScope) belonging to the most urgent priority class that strictly
+// outranks floor, and appends them to batch. Enqueue order within the
+// class is preserved.
+func (s *Scheduler) takeTopClassAbove(batch []*Task, floor Path, family uint64) []*Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var top Path
@@ -429,10 +441,9 @@ func (s *Scheduler) takeTopClassAbove(floor Path, family uint64) []*Task {
 		}
 	}
 	if !found {
-		return nil
+		return batch
 	}
 	s.classDrains.Add(1)
-	var batch []*Task
 	rest := s.queue[:0]
 	for _, t := range s.queue {
 		if t.inScope(family) && t.Priority.Equal(top) {

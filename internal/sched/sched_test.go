@@ -9,6 +9,12 @@ import (
 	"time"
 )
 
+// Func adapts a function to Job.
+type Func func(t *Task)
+
+// Run calls f.
+func (f Func) Run(t *Task) { f(t) }
+
 func TestPathOrdering(t *testing.T) {
 	cases := []struct {
 		a, b Path
@@ -41,7 +47,7 @@ func TestSerialPriorityOrder(t *testing.T) {
 	s.Serial = true
 	var order []string
 	add := func(name string, prio int) {
-		s.Enqueue(&Task{Rule: name, Priority: Path{prio}, Run: func(*Task) { order = append(order, name) }})
+		s.Enqueue(&Task{Rule: name, Priority: Path{prio}, Job: Func(func(*Task) { order = append(order, name) })})
 	}
 	add("low", 1)
 	add("high", 10)
@@ -64,7 +70,7 @@ func TestConcurrentWithinClass(t *testing.T) {
 	var inFlight, maxInFlight atomic.Int64
 	var mu sync.Mutex
 	for i := 0; i < 8; i++ {
-		s.Enqueue(&Task{Rule: "r", Priority: Path{5}, Run: func(*Task) {
+		s.Enqueue(&Task{Rule: "r", Priority: Path{5}, Job: Func(func(*Task) {
 			cur := inFlight.Add(1)
 			mu.Lock()
 			if cur > maxInFlight.Load() {
@@ -73,14 +79,14 @@ func TestConcurrentWithinClass(t *testing.T) {
 			mu.Unlock()
 			time.Sleep(10 * time.Millisecond)
 			inFlight.Add(-1)
-		}})
+		})})
 	}
 	s.Drain()
 	if maxInFlight.Load() < 2 {
 		t.Fatalf("same-class tasks never ran concurrently (max=%d)", maxInFlight.Load())
 	}
-	if s.Ran != 8 {
-		t.Fatalf("Ran=%d", s.Ran)
+	if s.tasksRun() != 8 {
+		t.Fatalf("ran %d tasks, want 8", s.tasksRun())
 	}
 }
 
@@ -88,7 +94,7 @@ func TestWorkerBoundRespected(t *testing.T) {
 	s := New(2)
 	var inFlight, maxInFlight atomic.Int64
 	for i := 0; i < 10; i++ {
-		s.Enqueue(&Task{Rule: "r", Priority: Path{1}, Run: func(*Task) {
+		s.Enqueue(&Task{Rule: "r", Priority: Path{1}, Job: Func(func(*Task) {
 			cur := inFlight.Add(1)
 			for {
 				m := maxInFlight.Load()
@@ -98,7 +104,7 @@ func TestWorkerBoundRespected(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 			inFlight.Add(-1)
-		}})
+		})})
 	}
 	s.Drain()
 	if maxInFlight.Load() > 2 {
@@ -112,15 +118,15 @@ func TestDepthFirstNestedExecution(t *testing.T) {
 	s := New(1)
 	s.Serial = true
 	var order []string
-	s.Enqueue(&Task{Rule: "parent", Priority: Path{5}, Run: func(t *Task) {
+	s.Enqueue(&Task{Rule: "parent", Priority: Path{5}, Job: Func(func(t *Task) {
 		order = append(order, "parent")
-		s.Enqueue(&Task{Rule: "child", Priority: t.Priority.Child(1), Run: func(*Task) {
+		s.Enqueue(&Task{Rule: "child", Priority: t.Priority.Child(1), Job: Func(func(*Task) {
 			order = append(order, "child")
-		}})
-	}})
-	s.Enqueue(&Task{Rule: "sibling", Priority: Path{3}, Run: func(*Task) {
+		})})
+	})})
+	s.Enqueue(&Task{Rule: "sibling", Priority: Path{3}, Job: Func(func(*Task) {
 		order = append(order, "sibling")
-	}})
+	})})
 	s.Drain()
 	want := []string{"parent", "child", "sibling"}
 	for i := range want {
@@ -139,14 +145,14 @@ func TestNestedDoesNotStarveEqualClassSiblings(t *testing.T) {
 	var order []string
 	for _, name := range []string{"h1", "h2"} {
 		name := name
-		s.Enqueue(&Task{Rule: name, Priority: Path{9}, Run: func(t *Task) {
+		s.Enqueue(&Task{Rule: name, Priority: Path{9}, Job: Func(func(t *Task) {
 			order = append(order, name)
-			s.Enqueue(&Task{Rule: name + ".child", Priority: t.Priority.Child(0), Run: func(*Task) {
+			s.Enqueue(&Task{Rule: name + ".child", Priority: t.Priority.Child(0), Job: Func(func(*Task) {
 				order = append(order, name+".child")
-			}})
-		}})
+			})})
+		})})
 	}
-	s.Enqueue(&Task{Rule: "low", Priority: Path{1}, Run: func(*Task) { order = append(order, "low") }})
+	s.Enqueue(&Task{Rule: "low", Priority: Path{1}, Job: Func(func(*Task) { order = append(order, "low") })})
 	s.Drain()
 	want := []string{"h1", "h1.child", "h2", "h2.child", "low"}
 	for i := range want {
@@ -168,11 +174,11 @@ func TestDeepNesting(t *testing.T) {
 		if depth >= 10 {
 			return
 		}
-		s.Enqueue(&Task{Rule: "r", Priority: t.Priority.Child(0), Run: func(ct *Task) {
+		s.Enqueue(&Task{Rule: "r", Priority: t.Priority.Child(0), Job: Func(func(ct *Task) {
 			spawn(ct, depth+1)
-		}})
+		})})
 	}
-	s.Enqueue(&Task{Rule: "root", Priority: Path{1}, Run: func(t *Task) { spawn(t, 1) }})
+	s.Enqueue(&Task{Rule: "root", Priority: Path{1}, Job: Func(func(t *Task) { spawn(t, 1) })})
 	s.Drain()
 	if depthReached != 10 {
 		t.Fatalf("depth=%d want 10", depthReached)
@@ -194,7 +200,7 @@ func TestQuickSerialOrder(t *testing.T) {
 		var ran []int
 		for _, p := range prios {
 			p := int(p % 10)
-			s.Enqueue(&Task{Rule: "r", Priority: Path{p}, Run: func(*Task) { ran = append(ran, p) }})
+			s.Enqueue(&Task{Rule: "r", Priority: Path{p}, Job: Func(func(*Task) { ran = append(ran, p) })})
 		}
 		s.Drain()
 		for i := 1; i < len(ran); i++ {
@@ -225,11 +231,11 @@ func TestDrainFamilyRunsOnlyItsFamily(t *testing.T) {
 	for _, fam := range []uint64{1, 2} {
 		for i := 0; i < 3; i++ {
 			name := fmt.Sprintf("f%d.%d", fam, i)
-			s.Enqueue(&Task{Rule: name, Priority: Path{i % 2}, Family: fam, Run: func(t *Task) {
+			s.Enqueue(&Task{Rule: name, Priority: Path{i % 2}, Family: fam, Job: Func(func(t *Task) {
 				mark(name)
 				s.Enqueue(&Task{Rule: name + ".child", Priority: t.Priority.Child(0), Family: t.Family,
-					Run: func(*Task) { mark(name + ".child") }})
-			}})
+					Job: Func(func(*Task) { mark(name + ".child") })})
+			})})
 		}
 	}
 	s.DrainFamily(1)
@@ -255,7 +261,7 @@ func TestDrainFamilyRunsUnownedTasks(t *testing.T) {
 	var ran []string
 	for _, fam := range []uint64{0, 2} {
 		name := fmt.Sprintf("f%d", fam)
-		s.Enqueue(&Task{Rule: name, Priority: Path{0}, Family: fam, Run: func(*Task) { ran = append(ran, name) }})
+		s.Enqueue(&Task{Rule: name, Priority: Path{0}, Family: fam, Job: Func(func(*Task) { ran = append(ran, name) })})
 	}
 	s.DrainFamily(1)
 	if len(ran) != 1 || ran[0] != "f0" || s.Pending() != 1 {

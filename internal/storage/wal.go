@@ -342,7 +342,7 @@ func (w *WAL) loadManifest() (crcs map[uint64]uint32, err error) {
 // LSN is an offset assigned at append time and is not part of the frame,
 // so marshalling can happen outside the WAL mutex.
 func marshalRecord(rec *LogRecord) []byte {
-	payload := make([]byte, seglog.FrameHeaderLen, seglog.FrameHeaderLen+32+len(rec.Before)+len(rec.After)+8*len(rec.Active))
+	payload := make([]byte, seglog.FrameHeaderLen, seglog.FrameHeaderLen+44+len(rec.Before)+len(rec.After)+8*len(rec.Active))
 	payload = append(payload, byte(rec.Type))
 	if rec.CLR {
 		payload = append(payload, 1)

@@ -5,6 +5,12 @@
 // locks from the shared lock manager, inherit them to their parent on
 // commit, and roll back their own storage effects on abort.
 //
+// A rule's subtransaction starts as a shell (BeginShell): it is Active and
+// counts as its parent's child, but has no id, storage state, lock-manager
+// parent or family entry until the first operation that needs one — ID,
+// Lock, a write, a nested BeginSub, OnFinish. Most rules touch nothing, and
+// committing an unused shell is a counter update.
+//
 // The manager is also an event source: it signals the system transaction
 // events the paper relies on — beginTransaction, preCommitTransaction,
 // commitTransaction and abortTransaction — to a registered listener
@@ -94,7 +100,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("sentinel_txn_begins_total",
 		"Top-level transactions begun.", m.begins.Load)
 	r.CounterFunc("sentinel_txn_sub_begins_total",
-		"Subtransactions begun (one per triggered non-detached rule).", m.subBegins.Load)
+		"Subtransactions begun: those of rules materialised by their first use (an id, a lock, a write, a nested subtransaction), every explicit BeginSub.", m.subBegins.Load)
 	r.CounterFunc("sentinel_txn_snapshot_begins_total",
 		"Read-only snapshot transactions begun.", m.snapBegins.Load)
 	r.CounterFunc("sentinel_txn_commits_total",
@@ -136,12 +142,21 @@ func (m *Manager) emit(name string, txnID uint64) {
 // Locks returns the shared lock manager.
 func (m *Manager) Locks() *lockmgr.Manager { return m.locks }
 
+// Task is what a transaction runs for when a rule firing began it: the
+// scheduler task nested triggerings derive their priority from. A shell
+// tells its task when it materialises, so a rule condition running on the
+// shell can mask the new id.
+type Task interface {
+	Materialized(t *Txn)
+}
+
 // Txn is one transaction, top-level or nested.
 type Txn struct {
 	mgr    *Manager
-	id     uint64
+	id     atomic.Uint64 // zero while the transaction is a shell
 	parent *Txn
-	depth  int
+	task   Task  // set at begin, immutable
+	depth  int32 // beside readOnly: together they fill one word
 
 	// readOnly marks a snapshot transaction (BeginSnapshot): it holds snap
 	// for its whole life, takes no locks, and rejects writes. On a
@@ -170,15 +185,48 @@ func (t *Txn) FamilyIDs() []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.family) == 0 {
-		return []uint64{r.id}
+		return []uint64{r.ID()}
 	}
 	out := make([]uint64, len(r.family))
 	copy(out, r.family)
 	return out
 }
 
-// ID returns the transaction's id. Subtransactions have their own ids.
-func (t *Txn) ID() uint64 { return t.id }
+// ID returns the transaction's id. Subtransactions have their own ids; a
+// shell gets its id here, on first asking, and zero if it cannot begin —
+// the id of no transaction. Code that acts under t with the id (signals an
+// event, logs a record) calls Materialize instead and stops on its error.
+func (t *Txn) ID() uint64 {
+	if id := t.id.Load(); id != 0 {
+		return id
+	}
+	return t.shellID()
+}
+
+// shellID is ID's slow path, kept apart so that ID inlines.
+func (t *Txn) shellID() uint64 {
+	id, _ := t.Materialize()
+	return id
+}
+
+// IsShell reports whether t is a subtransaction that has not begun yet:
+// nothing has asked for its id, locked, written or nested under it.
+func (t *Txn) IsShell() bool { return t.id.Load() == 0 }
+
+// Task returns the task t was begun for, nil when no rule firing began it.
+func (t *Txn) Task() Task { return t.task }
+
+// Family returns the id of t's top-level ancestor — the family whose
+// scheduling point runs the rules t triggers — or zero when that ancestor
+// is no longer active (the commit and abort events of a finishing
+// transaction).
+func (t *Txn) Family() uint64 {
+	r := t.Root()
+	if r.Status() != Active {
+		return 0
+	}
+	return r.ID()
+}
 
 // Root returns the top-level ancestor (itself for top-level transactions).
 func (t *Txn) Root() *Txn {
@@ -190,7 +238,7 @@ func (t *Txn) Root() *Txn {
 }
 
 // Depth returns the nesting depth (0 for top-level).
-func (t *Txn) Depth() int { return t.depth }
+func (t *Txn) Depth() int { return int(t.depth) }
 
 // Parent returns the immediate parent transaction, nil for top-level ones.
 // Layers that keep per-transaction side state (the object catalog's dirty
@@ -208,15 +256,21 @@ func (t *Txn) Status() Status {
 	return t.status
 }
 
-// OnFinish registers f to run when the transaction commits or aborts.
+// OnFinish registers f to run when the transaction commits or aborts. A
+// shell materialises: an unused one finishes without running anything.
 func (t *Txn) OnFinish(f func(Status)) {
+	_, _ = t.Materialize()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.onFinish = append(t.onFinish, f)
 }
 
 // Begin starts a top-level transaction and signals beginTransaction.
-func (m *Manager) Begin() (*Txn, error) {
+func (m *Manager) Begin() (*Txn, error) { return m.BeginFor(nil) }
+
+// BeginFor is Begin for a transaction a rule firing runs in (a rule whose
+// triggering transaction is gone): rules it triggers nest under task.
+func (m *Manager) BeginFor(task Task) (*Txn, error) {
 	var id uint64
 	if m.store != nil {
 		sid, err := m.store.Begin()
@@ -230,7 +284,8 @@ func (m *Manager) Begin() (*Txn, error) {
 		id = m.next | 1<<63 // keep store-less ids out of the store's space
 		m.mu.Unlock()
 	}
-	t := &Txn{mgr: m, id: id, status: Active}
+	t := &Txn{mgr: m, status: Active, task: task}
+	t.id.Store(id)
 	t.family = []uint64{id}
 	m.mu.Lock()
 	m.live[id] = t
@@ -251,7 +306,8 @@ func (m *Manager) BeginSnapshot() (*Txn, error) {
 	m.next++
 	id := m.next | 1<<63 // logical-id space: the store never sees this txn
 	m.mu.Unlock()
-	t := &Txn{mgr: m, id: id, status: Active, readOnly: true}
+	t := &Txn{mgr: m, status: Active, readOnly: true}
+	t.id.Store(id)
 	if m.store != nil {
 		t.snap = m.store.Snapshot()
 	}
@@ -291,27 +347,75 @@ func (t *Txn) UseSnapshot() (release func(), err error) {
 	}, nil
 }
 
-// BeginSub starts a subtransaction of t. Rule executions are packaged in
-// subtransactions, one per triggered rule.
+// BeginSub starts a subtransaction of t now: a shell (BeginShell),
+// materialised before it is returned.
 func (t *Txn) BeginSub() (*Txn, error) {
+	sub := new(Txn)
+	if err := t.BeginShell(sub, nil); err != nil {
+		return nil, err
+	}
+	if _, err := sub.Materialize(); err != nil {
+		t.childDone()
+		return nil, err
+	}
+	return sub, nil
+}
+
+// BeginShell starts a subtransaction of t in *sub, which must be zero —
+// the caller allocates it with the rest of its own state, as a rule firing
+// does. The subtransaction is a shell: Active, counted among t's children,
+// nested under task, but not yet begun in the store, the lock manager, the
+// live table or t's family. The first operation that needs any of those
+// materialises it (Materialize); committing or aborting an unused shell
+// only settles the count. t itself is materialised first.
+func (t *Txn) BeginShell(sub *Txn, task Task) error {
 	if t.readOnly {
-		return nil, ErrReadOnly
+		return ErrReadOnly
+	}
+	if _, err := t.Materialize(); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	if t.status != Active {
 		t.mu.Unlock()
-		return nil, ErrFinished
+		return ErrFinished
 	}
 	t.children++
 	t.mu.Unlock()
+	sub.mgr = t.mgr
+	sub.parent = t
+	sub.depth = t.depth + 1
+	sub.task = task
+	sub.status = Active
+	return nil
+}
 
-	m := t.mgr
+// Materialize returns t's id, beginning t for real first if it is a
+// shell — an id, storage state, a lock-manager parent, a live entry and a
+// place in its family — and telling its task. A shell begins once; one
+// the store refused stays a shell, and the next call tries again; one
+// that finished unused never begins (ErrFinished). Top-level transactions
+// are never shells.
+func (t *Txn) Materialize() (uint64, error) {
+	if id := t.id.Load(); id != 0 {
+		return id, nil
+	}
+	t.mu.Lock()
+	if id := t.id.Load(); id != 0 {
+		t.mu.Unlock()
+		return id, nil
+	}
+	if t.status != Active {
+		t.mu.Unlock()
+		return 0, ErrFinished
+	}
+	m, p := t.mgr, t.parent
 	var id uint64
 	if m.store != nil {
-		sid, err := m.store.BeginSub(t.id)
+		sid, err := m.store.BeginSub(p.ID())
 		if err != nil {
-			t.childDone()
-			return nil, err
+			t.mu.Unlock()
+			return 0, err
 		}
 		id = sid
 	} else {
@@ -320,20 +424,24 @@ func (t *Txn) BeginSub() (*Txn, error) {
 		id = m.next | 1<<63
 		m.mu.Unlock()
 	}
-	sub := &Txn{mgr: m, id: id, parent: t, depth: t.depth + 1, status: Active}
 	root := t.Root()
 	root.mu.Lock()
 	root.family = append(root.family, id)
 	root.mu.Unlock()
-	m.locks.SetParent(lockmgr.TxnID(id), lockmgr.TxnID(t.id))
+	m.locks.SetParent(lockmgr.TxnID(id), lockmgr.TxnID(p.ID()))
+	t.id.Store(id)
 	m.mu.Lock()
-	m.live[id] = sub
+	m.live[id] = t
 	m.mu.Unlock()
+	t.mu.Unlock()
 	m.subBegins.Add(1)
 	if h := m.depthHist; h != nil {
-		h.Observe(float64(sub.depth))
+		h.Observe(float64(t.depth))
 	}
-	return sub, nil
+	if t.task != nil {
+		t.task.Materialized(t)
+	}
+	return id, nil
 }
 
 func (t *Txn) childDone() {
@@ -349,7 +457,11 @@ func (t *Txn) Lock(resource string, mode lockmgr.Mode) error {
 	if t.bypassLocks() {
 		return nil
 	}
-	return t.mgr.locks.Lock(lockmgr.TxnID(t.id), resource, mode)
+	id, err := t.Materialize()
+	if err != nil {
+		return err
+	}
+	return t.mgr.locks.Lock(lockmgr.TxnID(id), resource, mode)
 }
 
 // LockOf is Lock on the resource name(key), for names that cost an
@@ -359,7 +471,11 @@ func (t *Txn) LockOf(name func(uint64) string, key uint64, mode lockmgr.Mode) er
 	if t.bypassLocks() {
 		return nil
 	}
-	return t.mgr.locks.Lock(lockmgr.TxnID(t.id), name(key), mode)
+	id, err := t.Materialize()
+	if err != nil {
+		return err
+	}
+	return t.mgr.locks.Lock(lockmgr.TxnID(id), name(key), mode)
 }
 
 // bypassLocks reports, and counts, a lock request a snapshot satisfies.
@@ -379,7 +495,11 @@ func (t *Txn) Insert(data []byte) (storage.RID, error) {
 	if t.mgr.store == nil {
 		return storage.RID{}, errors.New("txn: no store configured")
 	}
-	return t.mgr.store.Insert(t.id, data)
+	id, err := t.Materialize()
+	if err != nil {
+		return storage.RID{}, err
+	}
+	return t.mgr.store.Insert(id, data)
 }
 
 // Read returns the record at rid: through the armed snapshot when one is
@@ -415,7 +535,11 @@ func (t *Txn) Update(rid storage.RID, data []byte) (storage.RID, error) {
 	if t.mgr.store == nil {
 		return storage.RID{}, errors.New("txn: no store configured")
 	}
-	return t.mgr.store.Update(t.id, rid, data)
+	id, err := t.Materialize()
+	if err != nil {
+		return storage.RID{}, err
+	}
+	return t.mgr.store.Update(id, rid, data)
 }
 
 // Delete removes the record at rid.
@@ -426,7 +550,11 @@ func (t *Txn) Delete(rid storage.RID) error {
 	if t.mgr.store == nil {
 		return errors.New("txn: no store configured")
 	}
-	return t.mgr.store.Delete(t.id, rid)
+	id, err := t.Materialize()
+	if err != nil {
+		return err
+	}
+	return t.mgr.store.Delete(id, rid)
 }
 
 // Commit finishes the transaction. For a top-level transaction the
@@ -443,27 +571,31 @@ func (t *Txn) Commit() error {
 		t.mu.Unlock()
 		return ErrFinished
 	}
+	if t.finishShellLocked(Committed) {
+		return nil
+	}
 	t.mu.Unlock()
 
 	m := t.mgr
+	id := t.id.Load()
 	if t.parent == nil {
 		// The preCommit signal may trigger deferred rules, which create
 		// subtransactions; they must all be finished by the time the
 		// listener returns.
-		m.emit("preCommitTransaction", t.id)
+		m.emit("preCommitTransaction", id)
 	}
 
 	t.mu.Lock()
 	if t.children > 0 {
 		t.mu.Unlock()
-		return fmt.Errorf("%w: txn %d", ErrActiveChildren, t.id)
+		return fmt.Errorf("%w: txn %d", ErrActiveChildren, id)
 	}
 	t.status = Committed
 	finishers := t.takeFinishersLocked()
 	t.mu.Unlock()
 
 	if m.store != nil {
-		if err := m.store.Commit(t.id); err != nil {
+		if err := m.store.Commit(id); err != nil {
 			t.mu.Lock()
 			t.status = Active
 			t.mu.Unlock()
@@ -471,17 +603,37 @@ func (t *Txn) Commit() error {
 		}
 	}
 	if t.parent != nil {
-		m.locks.Inherit(lockmgr.TxnID(t.id), lockmgr.TxnID(t.parent.id))
+		m.locks.Inherit(lockmgr.TxnID(id), lockmgr.TxnID(t.parent.ID()))
 		t.parent.childDone()
 		m.subCommits.Add(1)
 	} else {
-		m.locks.ReleaseAll(lockmgr.TxnID(t.id))
+		m.locks.ReleaseAll(lockmgr.TxnID(id))
 		m.commits.Add(1)
-		m.emit("commitTransaction", t.id)
+		m.emit("commitTransaction", id)
 	}
-	m.forget(t.id)
+	m.forget(id)
 	runFinishers(finishers, Committed)
 	return nil
+}
+
+// finishShellLocked ends t with status st if t is still a shell: there is
+// nothing to make durable, release or flush, so finishing is settling the
+// parent's child count. It reports whether it did, having released t.mu;
+// otherwise t.mu is still held. Callers hold t.mu and checked that t is
+// Active.
+func (t *Txn) finishShellLocked(st Status) bool {
+	if t.id.Load() != 0 {
+		return false
+	}
+	t.status = st
+	t.mu.Unlock()
+	t.parent.childDone()
+	if st == Committed {
+		t.mgr.subCommits.Add(1)
+	} else {
+		t.mgr.subAborts.Add(1)
+	}
+	return true
 }
 
 // Abort rolls the transaction back: its storage effects are undone, its
@@ -496,9 +648,13 @@ func (t *Txn) Abort() error {
 		t.mu.Unlock()
 		return ErrFinished
 	}
+	if t.finishShellLocked(Aborted) {
+		return nil
+	}
+	id := t.id.Load()
 	if t.children > 0 {
 		t.mu.Unlock()
-		return fmt.Errorf("%w: txn %d", ErrActiveChildren, t.id)
+		return fmt.Errorf("%w: txn %d", ErrActiveChildren, id)
 	}
 	t.status = Aborted
 	finishers := t.takeFinishersLocked()
@@ -513,17 +669,17 @@ func (t *Txn) Abort() error {
 		// no abort record yet, so recovery completes the rollback on the
 		// next open; here the error is reported after the lock state and
 		// manager bookkeeping are cleaned up.
-		storeErr = m.store.Abort(t.id)
+		storeErr = m.store.Abort(id)
 	}
-	m.locks.ReleaseAll(lockmgr.TxnID(t.id))
+	m.locks.ReleaseAll(lockmgr.TxnID(id))
 	if t.parent != nil {
 		t.parent.childDone()
 		m.subAborts.Add(1)
 	} else {
 		m.aborts.Add(1)
-		m.emit("abortTransaction", t.id)
+		m.emit("abortTransaction", id)
 	}
-	m.forget(t.id)
+	m.forget(id)
 	runFinishers(finishers, Aborted)
 	return storeErr
 }
@@ -544,7 +700,7 @@ func (t *Txn) finishReadOnly(st Status) error {
 	if t.snap != nil {
 		t.snap.Close()
 	}
-	t.mgr.forget(t.id)
+	t.mgr.forget(t.id.Load())
 	runFinishers(finishers, st)
 	return nil
 }
@@ -581,22 +737,6 @@ func (m *Manager) FamilyIDs(id uint64) []uint64 {
 		return t.FamilyIDs()
 	}
 	return nil
-}
-
-// FamilyOf returns the id of the top-level ancestor of transaction id — the
-// family whose scheduling point runs the rules id triggers — or zero when
-// id names no live transaction or its family is no longer active (the
-// commit and abort events of a finishing transaction).
-func (m *Manager) FamilyOf(id uint64) uint64 {
-	t := m.Lookup(id)
-	if t == nil {
-		return 0
-	}
-	r := t.Root()
-	if r.Status() != Active {
-		return 0
-	}
-	return r.id
 }
 
 // Live returns the number of unfinished transactions (tests).

@@ -780,7 +780,10 @@ func (db *Database) DropRule(name string) error { return db.rules.Drop(name) }
 func (db *Database) RaiseEvent(tx *Txn, name string, params ParamList) error {
 	id := uint64(0)
 	if tx != nil {
-		id = tx.ID()
+		var err error
+		if id, err = tx.Materialize(); err != nil {
+			return err
+		}
 	}
 	if err := db.det.SignalExplicit(name, params, id); err != nil {
 		return err
@@ -794,7 +797,11 @@ func (db *Database) RaiseEvent(tx *Txn, name string, params ParamList) error {
 // scheduler — triggered rules run after the current rule completes,
 // depth-first, per the nested-execution model.
 func (db *Database) RaiseEventFrom(x *Execution, name string, params ParamList) error {
-	return db.det.SignalExplicit(name, params, x.Txn.ID())
+	id, err := x.Txn.Materialize()
+	if err != nil {
+		return err
+	}
+	return db.det.SignalExplicit(name, params, id)
 }
 
 // DefineExplicitEvent declares an explicit event that RaiseEvent can
