@@ -71,6 +71,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzReferencedDecode$$' -fuzztime $(FUZZ_TIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzSnoopParse$$' -fuzztime $(FUZZ_TIME) ./internal/snoop
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/ged
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/repl
 
 # bench-build compiles and tests the end-to-end benchmark. bench/ is its
 # own module (BENCHMARK.json's contract), so `go build ./... && go test

@@ -7,7 +7,7 @@
 //
 //	gedserver -listen 127.0.0.1:7070 [-spec global.snp] [-log dir]
 //	          [-log-sync] [-segment-bytes n] [-queue n] [-drain 2s]
-//	          [-partition i/n] [-debug 127.0.0.1:7071]
+//	          [-debug 127.0.0.1:7071]
 //
 // The spec file may declare composite events over the (explicit) event
 // names applications contribute, e.g.:
@@ -19,9 +19,9 @@
 // can replay it from any offset (at-least-once delivery). -log-sync adds
 // an fsync per append batch.
 //
-// With -partition i/n the server announces itself as slot i of an
-// n-instance deployment; clients using ged.DialCluster route event names
-// to slots with ged.PartitionOf.
+// One gedserver is the one global event detector of a deployment (the
+// paper's Figure 2): every application that shares events connects to it,
+// so a global composite sees all of its constituents.
 //
 // With -debug set, an HTTP server on that address serves /metrics
 // (Prometheus text format: detector and wire/log/backpressure metrics)
@@ -52,26 +52,16 @@ func main() {
 	segBytes := flag.Int64("segment-bytes", 0, "log segment roll size in bytes (0 = default 8 MiB)")
 	queue := flag.Int("queue", 0, "per-connection send queue capacity in frames (0 = default 256)")
 	drain := flag.Duration("drain", 2*time.Second, "shutdown drain deadline per connection")
-	partition := flag.String("partition", "", "this instance's slot as i/n, e.g. 0/4 (standalone when empty)")
 	debugAddr := flag.String("debug", "", "address for the /metrics and /debugz HTTP endpoints (off when empty)")
 	flag.Parse()
 
-	opts := ged.Options{
+	server, err := ged.NewServerOptions(ged.Options{
 		LogDir:          *logDir,
 		LogSegmentBytes: *segBytes,
 		LogSync:         *logSync,
 		SendQueue:       *queue,
 		DrainTimeout:    *drain,
-	}
-	if *partition != "" {
-		var i, n int
-		if _, err := fmt.Sscanf(*partition, "%d/%d", &i, &n); err != nil || n < 1 || i < 0 || i >= n {
-			fmt.Fprintf(os.Stderr, "gedserver: -partition must be i/n with 0 <= i < n, got %q\n", *partition)
-			os.Exit(1)
-		}
-		opts.Partition, opts.Partitions = i, n
-	}
-	server, err := ged.NewServerOptions(opts)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gedserver:", err)
 		os.Exit(1)

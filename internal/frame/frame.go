@@ -90,15 +90,26 @@ func (fr *Reader) Read() (kind uint8, payload []byte, err error) {
 	if n > fr.max {
 		return kind, nil, fmt.Errorf("%w: frame announces %d bytes, limit %d", ErrTooLarge, n, fr.max)
 	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		return kind, nil, unexpected(err)
+	// The buffer grows only as the body arrives (at most doubling, from
+	// growStep), so a peer that announces a large frame and stalls costs
+	// what it sent, not what it announced.
+	fr.buf = fr.buf[:0]
+	for len(fr.buf) < int(n) {
+		if len(fr.buf) == cap(fr.buf) {
+			step := min(int(n)-len(fr.buf), max(len(fr.buf), growStep))
+			fr.buf = append(make([]byte, 0, len(fr.buf)+step), fr.buf...)
+		}
+		m, err := io.ReadFull(fr.r, fr.buf[len(fr.buf):min(int(n), cap(fr.buf))])
+		fr.buf = fr.buf[:len(fr.buf)+m]
+		if err != nil {
+			return kind, nil, unexpected(err)
+		}
 	}
 	return kind, fr.buf, nil
 }
+
+// growStep is the smallest growth of a Reader's frame buffer.
+const growStep = 64 << 10
 
 func unexpected(err error) error {
 	if errors.Is(err, io.EOF) {

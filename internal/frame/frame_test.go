@@ -64,3 +64,39 @@ func TestOversizedFrame(t *testing.T) {
 		t.Fatalf("writer accepted oversized frame: %v", err)
 	}
 }
+
+// A frame larger than one growth step arrives whole, and a peer that
+// announces a large frame but sends only part of it costs the buffer what
+// it sent (one growth step), not what it announced.
+func TestLargeFrameGrowsAsBytesArrive(t *testing.T) {
+	const limit = 8 * growStep
+	big := make([]byte, 5*growStep+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	fw := NewWriter(&buf, limit)
+	if err := fw.Write(1, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Send(2, []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewReader(&buf, limit)
+	if kind, payload, err := fr.Read(); err != nil || kind != 1 || !bytes.Equal(payload, big) {
+		t.Fatalf("big frame: kind=%d len=%d err=%v", kind, len(payload), err)
+	}
+	if kind, payload, err := fr.Read(); err != nil || kind != 2 || string(payload) != "small" {
+		t.Fatalf("frame after a big one: kind=%d payload=%q err=%v", kind, payload, err)
+	}
+
+	var hdr [5]byte
+	binary.LittleEndian.PutUint32(hdr[:4], limit)
+	stalled := NewReader(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(make([]byte, 100))), limit)
+	if _, _, err := stalled.Read(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("want a torn frame, got %v", err)
+	}
+	if c := cap(stalled.buf); c > growStep {
+		t.Fatalf("100 bytes of an announced %d grew the buffer to %d", limit, c)
+	}
+}

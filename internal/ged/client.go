@@ -28,7 +28,8 @@ type StreamHandler func(occ *event.Occurrence, offset uint64)
 // ErrClosed reports use of a closed or draining client.
 var ErrClosed = errors.New("ged: connection closed")
 
-// helloTimeout bounds the Dial handshake.
+// helloTimeout bounds the hello handshake at both ends: Dial's wait for
+// the helloAck, and the server's wait for a peer's first frame.
 const helloTimeout = 10 * time.Second
 
 // Client is an application's connection to the GED. The local event
@@ -57,8 +58,6 @@ type Client struct {
 	err        error
 
 	helloReady chan struct{}
-	partition  int
-	partitions int
 	logEnd     uint64 // server log end at connect
 
 	done chan struct{}
@@ -163,10 +162,6 @@ func (c *Client) send(kind frameKind, payload []byte) error {
 	return c.fw.Flush()
 }
 
-// Partition reports the server's slot in a partitioned deployment, as
-// (index, count). Standalone servers report (0, 1).
-func (c *Client) Partition() (int, int) { return c.partition, c.partitions }
-
 // LogEnd returns the server's durable-log end offset at connect time —
 // the "subscribe from here for new events only" mark (0 on servers
 // without a log).
@@ -243,12 +238,12 @@ func (c *Client) recvLoop() {
 		}
 		switch frameKind(kind) {
 		case frHelloAck:
-			pt, pn, end, err := decodeHelloAck(payload)
+			end, err := decodeHelloAck(payload)
 			if err != nil {
 				c.setErr(err)
 				return
 			}
-			c.partition, c.partitions, c.logEnd = pt, pn, end
+			c.logEnd = end
 			select {
 			case <-c.helloReady:
 			default:
@@ -472,37 +467,6 @@ func (c *Client) Forwarder() detector.Subscriber {
 	return detector.SubscriberFunc(func(occ *event.Occurrence, _ detector.Context) {
 		_ = c.Contribute(occ)
 	})
-}
-
-// BatchForwarder returns a Subscriber that buffers up to size occurrences
-// before sending them as one contribute frame, plus a flush function that
-// sends whatever is pending (call it before Close, and whenever bounded
-// delivery latency matters more than throughput). Buffering decouples the
-// detector's signal path from the network: the wire write happens at most
-// once per size occurrences rather than on every signal.
-func (c *Client) BatchForwarder(size int) (detector.Subscriber, func() error) {
-	if size < 1 {
-		size = 1
-	}
-	var mu sync.Mutex
-	buf := make([]event.Occurrence, 0, size)
-	flush := func() error {
-		mu.Lock()
-		pending := buf
-		buf = make([]event.Occurrence, 0, size)
-		mu.Unlock()
-		return c.ContributeBatch(pending)
-	}
-	sub := detector.SubscriberFunc(func(occ *event.Occurrence, _ detector.Context) {
-		mu.Lock()
-		buf = append(buf, *occ)
-		full := len(buf) >= size
-		mu.Unlock()
-		if full {
-			_ = flush()
-		}
-	})
-	return sub, flush
 }
 
 // Close disconnects from the GED and waits for the receive loop to stop

@@ -22,7 +22,8 @@
 //     delivery;
 //   - client.go — the application-side connection: pipelined
 //     acknowledged contributions, Flush durability barrier, live and
-//     stream subscriptions;
-//   - cluster.go — event-name hash partitioning across several
-//     gedserver instances behind the Bus interface.
+//     stream subscriptions.
+//
+// A deployment runs one GED, as in the paper: a global composite event
+// can only be detected where all of its constituents arrive.
 package ged

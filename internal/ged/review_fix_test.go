@@ -1,7 +1,6 @@
 package ged
 
 import (
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -11,34 +10,29 @@ import (
 	"repro/internal/frame"
 )
 
-// fakeServer accepts one connection, completes the hello handshake, reads
-// n more frames without ever acknowledging them, then closes the socket —
-// a server that dies with contributions in flight.
+// fakeServer completes the hello handshake, reads n more frames without
+// ever acknowledging them, then closes the socket — a server that dies
+// with contributions in flight.
 func fakeServer(t *testing.T, n int) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
+	srv := &frame.Server{MaxFrame: maxFrame, HelloTimeout: helloTimeout, Wake: func(conn net.Conn) { conn.Close() }}
+	srv.Serve = func(conn net.Conn, fr *frame.Reader, kind uint8, _ []byte) {
+		if frameKind(kind) != frHello || !srv.Admit(conn) {
 			return
 		}
-		defer conn.Close()
-		fr := frame.NewReader(conn, maxFrame)
-		if kind, _, err := fr.Read(); err != nil || frameKind(kind) != frHello {
-			return
-		}
-		_ = frame.NewWriter(conn, maxFrame).Send(uint8(frHelloAck), encodeHelloAck(0, 1, 0))
+		_ = frame.NewWriter(conn, maxFrame).Send(uint8(frHelloAck), encodeHelloAck(0))
 		for i := 0; i < n; i++ {
 			if _, _, err := fr.Read(); err != nil {
 				return
 			}
 		}
-	}()
-	return ln.Addr().String()
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return addr.String()
 }
 
 // Flush must not block forever when the connection died with
@@ -151,54 +145,5 @@ func TestHandlerMayCallFlush(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Flush inside a handler deadlocked")
-	}
-}
-
-// The cluster firehose ("*") streams partition 0, as documented — not
-// whatever partition the literal string "*" happens to hash to.
-func TestClusterFirehoseStreamsPartitionZero(t *testing.T) {
-	_, addr0 := startLogServer(t, Options{})
-	_, addr1 := startLogServer(t, Options{})
-	cl, err := DialCluster([]string{addr0, addr1}, "app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Find one event name per partition.
-	var name0, name1 string
-	for i := 0; name0 == "" || name1 == ""; i++ {
-		n := fmt.Sprintf("fh%d", i)
-		if PartitionOf(n, 2) == 0 {
-			if name0 == "" {
-				name0 = n
-			}
-		} else if name1 == "" {
-			name1 = n
-		}
-	}
-	if err := cl.Contribute(&event.Occurrence{Name: name0, Kind: event.KindExplicit}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Contribute(&event.Occurrence{Name: name1, Kind: event.KindExplicit}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan string, 4)
-	if _, err := cl.SubscribeFrom("*", 0, func(occ *event.Occurrence, _ uint64) {
-		got <- occ.Name
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-got:
-		if n != name0 {
-			t.Fatalf("firehose delivered %q from partition %d, want %q from partition 0",
-				n, PartitionOf(n, 2), name0)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("firehose never delivered partition 0's record")
 	}
 }

@@ -33,11 +33,6 @@ type Options struct {
 	// DrainTimeout bounds how long Close waits for each connection's
 	// queued frames to reach the socket (0 = 2s).
 	DrainTimeout time.Duration
-	// Partition/Partitions name this instance's slot in a partitioned
-	// deployment (0/1 = standalone). Reported to clients in the hello
-	// handshake; DialCluster routes by PartitionOf over the same space.
-	Partition  int
-	Partitions int
 }
 
 // Server is the global event detector daemon: a framed binary event bus
@@ -49,16 +44,14 @@ type Server struct {
 	log  *EventLog
 	met  *serverMetrics
 
-	gate frame.Gate // hello handshake of accepted connections
+	edge frame.Server // listener, accept loop, hello gate, session wake-up
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[*serverConn]struct{}
-	closing bool
-	closeCh chan struct{} // closed when Close begins; wakes pumps
+	mu    sync.Mutex
+	conns map[*serverConn]struct{} // admitted sessions, for the gauges
 
-	readers sync.WaitGroup
-	streams atomic.Int64
+	closeOnce sync.Once
+	closeCh   chan struct{} // closed when Close begins; wakes enqueuers and pumps
+	streams   atomic.Int64
 }
 
 // NewServer creates a GED over the given detector (nil creates a fresh
@@ -88,18 +81,20 @@ func NewServerOptions(opts Options) (*Server, error) {
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = 2 * time.Second
 	}
-	if opts.Partitions <= 0 {
-		opts.Partitions = 1
-	}
-	if opts.Partition < 0 || opts.Partition >= opts.Partitions {
-		return nil, fmt.Errorf("ged: partition %d out of range 0..%d", opts.Partition, opts.Partitions-1)
-	}
 	s := &Server{
 		Det:     det,
 		opts:    opts,
 		met:     newServerMetrics(),
 		conns:   make(map[*serverConn]struct{}),
 		closeCh: make(chan struct{}),
+	}
+	s.edge = frame.Server{
+		MaxFrame:     maxFrame,
+		HelloTimeout: helloTimeout,
+		Serve:        s.handle,
+		// An expired read deadline ends the session's reader, which then
+		// drains its own send queue (shutdown) before the socket closes.
+		Wake: func(conn net.Conn) { _ = conn.SetReadDeadline(time.Now()) },
 	}
 	if opts.LogDir != "" {
 		log, err := OpenEventLog(opts.LogDir, opts.LogSegmentBytes, opts.LogSync)
@@ -115,36 +110,14 @@ func NewServerOptions(opts Options) (*Server, error) {
 func (s *Server) Log() *EventLog { return s.log }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address.
+// returns the bound address. A server listens on one address: a second
+// Listen, or a Listen after Close, fails.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	a, err := s.edge.Listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("ged: listen: %w", err)
 	}
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("ged: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.readers.Add(1)
-		go func() {
-			defer s.readers.Done()
-			s.handle(conn)
-		}()
-	}
+	return a.String(), nil
 }
 
 // outFrame is one queued outbound frame. A zero kind is the shutdown
@@ -231,8 +204,9 @@ func (c *serverConn) writeLoop() {
 }
 
 // shutdown tears the connection down exactly once: new enqueues stop,
-// pumps and blocked enqueuers wake, the writer drains what is already
-// queued (bounded by DrainTimeout), and only then does the socket close.
+// pumps and blocked enqueuers wake, and the writer drains what is already
+// queued (bounded by DrainTimeout). The socket closes after it, when
+// handle returns.
 func (c *serverConn) shutdown() {
 	c.stopped.Do(func() {
 		c.mu.Lock()
@@ -254,7 +228,6 @@ func (c *serverConn) shutdown() {
 		case <-c.wdone:
 		case <-time.After(c.srv.opts.DrainTimeout):
 		}
-		c.conn.Close()
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()
@@ -269,19 +242,20 @@ func (c *serverConn) protoError(err error) {
 	c.shutdown()
 }
 
-func (s *Server) handle(conn net.Conn) {
-	fr := frame.NewReader(conn, maxFrame)
-	kind, payload, err := s.gate.Hello(conn, fr, helloTimeout)
-	if err != nil || frameKind(kind) != frHello {
-		conn.Close()
+// handle is one connection's session body, run by the frame server once
+// the peer's first frame has arrived.
+func (s *Server) handle(conn net.Conn, fr *frame.Reader, kind uint8, hello []byte) {
+	if frameKind(kind) != frHello {
 		return
 	}
-	app, err := decodeHello(payload)
+	app, err := decodeHello(hello)
 	if err != nil {
 		// Pre-handshake: answer inline, no writer goroutine yet.
 		_ = frame.NewWriter(conn, maxFrame).Send(uint8(frError), encodeError(err.Error()))
 		s.met.protoErrors.Inc()
-		conn.Close()
+		return
+	}
+	if !s.edge.Admit(conn) {
 		return
 	}
 	c := &serverConn{
@@ -292,14 +266,9 @@ func (s *Server) handle(conn net.Conn) {
 		dying: make(chan struct{}),
 		wdone: make(chan struct{}),
 	}
-	if !s.gate.Admit(conn, func() {
-		s.mu.Lock()
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-	}) {
-		conn.Close()
-		return
-	}
+	s.mu.Lock()
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
 	s.met.connects.Inc()
 	go c.writeLoop()
 	defer c.shutdown()
@@ -308,7 +277,7 @@ func (s *Server) handle(conn net.Conn) {
 	if s.log != nil {
 		logEnd = s.log.End()
 	}
-	c.enqueue(frHelloAck, encodeHelloAck(s.opts.Partition, s.opts.Partitions, logEnd), false)
+	c.enqueue(frHelloAck, encodeHelloAck(logEnd), false)
 
 	var batch []event.Occurrence
 	for {
@@ -488,41 +457,19 @@ func (s *Server) streamPump(c *serverConn, id uint32, eventName string, from uin
 	}
 }
 
-// Close stops accepting, unblocks readers and replay pumps, drains each
-// connection's queued frames (bounded by DrainTimeout per connection),
-// sends a goodbye, and closes the durable log. It is idempotent.
+// Close refuses further contributions and wakes blocked enqueuers and
+// replay pumps, then stops accepting and waits for every connection to
+// drain its queued frames (bounded by DrainTimeout per connection) and
+// send a goodbye. It is idempotent.
 func (s *Server) Close() error {
-	s.gate.Close() // silent peers stop waiting; no connection registers from here on
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closing = true
-	ln := s.ln
-	conns := make([]*serverConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	// Unblock every reader: a read deadline in the past fails the pending
-	// Read, the reader goroutine runs its shutdown (unsubscribe, drain,
-	// goodbye, close) and exits. The gate is shut, so no handshake can
-	// complete now and lift a deadline set here.
-	for _, c := range conns {
-		_ = c.conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	close(s.closeCh)
-	if ln != nil {
-		ln.Close()
-	}
-	if s.log != nil {
-		_ = s.log.Close() // wakes pumps blocked at the tail
-	}
-	s.readers.Wait()
-	// Readers own their shutdown.
-	for _, c := range conns {
-		c.shutdown()
-	}
+	s.closeOnce.Do(func() {
+		close(s.closeCh)
+		if s.log != nil {
+			// Appends in flight fail, so nothing is acked that was not
+			// logged; pumps blocked at the tail wake.
+			_ = s.log.Close()
+		}
+	})
+	s.edge.Close()
 	return nil
 }

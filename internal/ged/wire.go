@@ -15,8 +15,8 @@ import (
 
 // protoVersion is the wire protocol generation; Hello carries it and the
 // server rejects mismatches so both ends fail loudly instead of
-// misparsing frames.
-const protoVersion = 1
+// misparsing frames. Version 2 dropped the partition fields of helloAck.
+const protoVersion = 2
 
 // Frame and payload hard limits. A frame that announces more than
 // maxFrame bytes is a protocol error (the connection is dropped before
@@ -32,7 +32,7 @@ type frameKind uint8
 
 const (
 	frHello         frameKind = iota + 1 // client → server: version, app name
-	frHelloAck                           // server → client: version, partition, log end
+	frHelloAck                           // server → client: version, log end
 	frContribute                         // client → server: seq, occurrence batch
 	frContributeAck                      // server → client: seq, log end offset
 	frSubscribe                          // client → server: id, event, ctx, mode, offset
@@ -110,20 +110,16 @@ func decodeHello(payload []byte) (app string, err error) {
 	return p.Str(), done(p)
 }
 
-func encodeHelloAck(partition, partitions int, logEnd uint64) []byte {
-	b := make([]byte, 0, 16)
-	b = append(b, protoVersion)
-	b = binary.AppendUvarint(b, uint64(partition))
-	b = binary.AppendUvarint(b, uint64(partitions))
-	return binary.AppendUvarint(b, logEnd)
+func encodeHelloAck(logEnd uint64) []byte {
+	return binary.AppendUvarint(append(make([]byte, 0, 11), protoVersion), logEnd)
 }
 
-func decodeHelloAck(payload []byte) (partition, partitions int, logEnd uint64, err error) {
+func decodeHelloAck(payload []byte) (logEnd uint64, err error) {
 	p := event.NewReader(payload)
 	if err := version(p, "server"); err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
-	return int(p.Uvarint()), int(p.Uvarint()), p.Uvarint(), done(p)
+	return p.Uvarint(), done(p)
 }
 
 // encodeContribute frames a batch under one client-assigned ack sequence

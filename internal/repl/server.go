@@ -30,7 +30,6 @@ const (
 
 // session is one connected follower.
 type session struct {
-	conn net.Conn
 	// acked is the follower's durable LSN — everything below is on its
 	// disk, so the leader may prune up to the minimum over sessions.
 	// Initialized to the hello resume offset (the follower holds that
@@ -50,15 +49,11 @@ type session struct {
 // session still needs.
 type Server struct {
 	st   *storage.Store
-	ln   net.Listener
-	gate frame.Gate
+	edge frame.Server // listener, accept loop, hello gate, session wake-up
+	addr string
 
 	mu       sync.Mutex
-	sessions map[*session]struct{}
-	closed   bool
-
-	quit chan struct{}
-	wg   sync.WaitGroup
+	sessions map[*session]struct{} // for MinAck and the lag gauge
 
 	shippedRecs  atomic.Uint64
 	shippedBytes atomic.Uint64
@@ -69,32 +64,30 @@ type Server struct {
 // NewServer starts a shipping server for st on addr (host:port; ":0"
 // picks a free port — see Addr).
 func NewServer(st *storage.Store, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &Server{st: st, sessions: make(map[*session]struct{})}
+	s.edge = frame.Server{
+		MaxFrame:     maxFrame,
+		HelloTimeout: helloTimeout,
+		Serve:        s.serve,
+		// A closed socket ends both the ack reader and the ship loop.
+		Wake: func(conn net.Conn) { conn.Close() },
+	}
+	a, err := s.edge.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("repl: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		st:       st,
-		ln:       ln,
-		sessions: make(map[*session]struct{}),
-		quit:     make(chan struct{}),
-	}
-	st.SetRetainFloor(s.retainFloor)
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.addr = a.String()
+	st.SetRetainFloor(s.MinAck)
 	return s, nil
 }
 
 // Addr returns the listener's address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // MinAck returns the smallest follower-acknowledged durable LSN over the
-// connected sessions; ok is false when none are connected.
+// connected sessions; ok is false when none are connected. It is the
+// store's archive-retention floor while the server runs.
 func (s *Server) MinAck() (uint64, bool) {
-	return s.retainFloor()
-}
-
-func (s *Server) retainFloor() (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	min, any := uint64(0), false
@@ -109,57 +102,21 @@ func (s *Server) retainFloor() (uint64, bool) {
 // Close stops accepting, drops every session, and detaches from the
 // store's retention floor. The store itself is left open.
 func (s *Server) Close() {
-	s.gate.Close() // silent peers stop waiting; no session registers from here on
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.sessions))
-	for sess := range s.sessions {
-		conns = append(conns, sess.conn)
-	}
-	s.mu.Unlock()
-	close(s.quit)
-	s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	s.edge.Close()
 	s.st.SetRetainFloor(nil)
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(conn)
-		}()
-	}
 }
 
 // serve runs one follower session: handshake, then ship until the
 // connection dies or the server closes.
-func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
-	fr := frame.NewReader(conn, maxFrame)
-	fw := frame.NewWriter(conn, maxFrame)
-
-	kind, payload, err := s.gate.Hello(conn, fr, helloTimeout)
-	if err != nil || kind != frHello {
+func (s *Server) serve(conn net.Conn, fr *frame.Reader, kind uint8, hello []byte) {
+	if kind != frHello {
 		return
 	}
-	from, err := decodeHello(payload)
+	from, err := decodeHello(hello)
 	if err != nil {
 		return
 	}
+	fw := frame.NewWriter(conn, maxFrame)
 
 	start, end := s.st.LogStart(), s.st.LogEnd()
 	switch {
@@ -183,15 +140,14 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 
-	sess := &session{conn: conn}
-	sess.acked.Store(from)
-	if !s.gate.Admit(conn, func() {
-		s.mu.Lock()
-		s.sessions[sess] = struct{}{}
-		s.mu.Unlock()
-	}) {
+	if !s.edge.Admit(conn) {
 		return
 	}
+	sess := &session{}
+	sess.acked.Store(from)
+	s.mu.Lock()
+	s.sessions[sess] = struct{}{}
+	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.sessions, sess)
@@ -222,8 +178,6 @@ func (s *Server) serve(conn net.Conn) {
 	var ship []byte
 	for {
 		select {
-		case <-s.quit:
-			return
 		case <-ackDone:
 			return
 		default:
@@ -250,8 +204,6 @@ func (s *Server) serve(conn net.Conn) {
 				continue
 			}
 			select {
-			case <-s.quit:
-				return
 			case <-ackDone:
 				return
 			case <-time.After(tailPollInterval):

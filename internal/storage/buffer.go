@@ -74,31 +74,30 @@ type BufferPool struct {
 	hits, misses, writes atomic.Uint64
 }
 
-// defaultPoolShards is the stripe count when the caller doesn't choose one.
-const defaultPoolShards = 8
+// poolShards is the pool's lock-stripe count (fewer when the capacity is
+// smaller).
+const poolShards = 8
 
 // Stats returns the pool's hit, miss, and page write-back counts.
 func (b *BufferPool) Stats() (hits, misses, writes uint64) {
 	return b.hits.Load(), b.misses.Load(), b.writes.Load()
 }
 
-// NewBufferPool creates a pool of the given total capacity over disk with
-// the default shard count. flushLog may be nil when no WAL is in use
-// (tests, read-only tools).
+// NewBufferPool creates a pool of the given total capacity over disk,
+// split across min(8, capacity) shards. flushLog may be nil when no WAL is
+// in use (tests, read-only tools).
 func NewBufferPool(disk *DiskManager, capacity int, flushLog flushLogFunc) *BufferPool {
-	return NewBufferPoolShards(disk, capacity, 0, flushLog)
+	return newBufferPool(disk, capacity, poolShards, flushLog)
 }
 
-// NewBufferPoolShards creates a pool with an explicit shard count
-// (0 = default). The shard count never exceeds the capacity, so tiny pools
-// (the eviction and all-pinned tests use capacities 1 and 2) keep their
-// exact total capacity and LRU behavior.
-func NewBufferPoolShards(disk *DiskManager, capacity, shards int, flushLog flushLogFunc) *BufferPool {
+// newBufferPool creates a pool with an explicit shard count (the LRU test
+// uses one shard to see a single eviction order). The shard count never
+// exceeds the capacity, so tiny pools (the eviction and all-pinned tests
+// use capacities 1 and 2) keep their exact total capacity and LRU
+// behavior.
+func newBufferPool(disk *DiskManager, capacity, shards int, flushLog flushLogFunc) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
-	}
-	if shards < 1 {
-		shards = defaultPoolShards
 	}
 	if shards > capacity {
 		shards = capacity

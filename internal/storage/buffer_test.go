@@ -46,7 +46,7 @@ func TestEvictionTakesLeastRecentlyUnpinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pool := NewBufferPoolShards(disk, 3, 1, nil)
+	pool := newBufferPool(disk, 3, 1, nil)
 	touch := func(id PageID) {
 		t.Helper()
 		if _, err := pool.Fetch(id); err != nil {

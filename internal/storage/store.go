@@ -18,9 +18,6 @@ type Options struct {
 	Dir string
 	// PoolSize is the buffer pool capacity in pages (default 64).
 	PoolSize int
-	// PoolShards is the buffer pool's lock-stripe count (default
-	// min(8, PoolSize)); the pool's total capacity is split across shards.
-	PoolShards int
 	// SyncWAL makes every log flush fsync. Durable but slow; benchmarks
 	// and tests leave it off.
 	SyncWAL bool
@@ -264,7 +261,7 @@ func Open(opts Options) (*Store, error) {
 	for i := range s.snaps {
 		s.snaps[i].m = make(map[uint64]int)
 	}
-	s.pool = NewBufferPoolShards(disk, opts.PoolSize, opts.PoolShards, wal.Flush)
+	s.pool = NewBufferPool(disk, opts.PoolSize, wal.Flush)
 	s.pool.SetLSNSource(wal.End)
 	if err := s.recover(); err != nil {
 		wal.Close()

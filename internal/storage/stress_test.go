@@ -16,7 +16,7 @@ import (
 // pool, and group-commit flusher compose without data races.
 func TestStoreConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, PoolSize: 48, PoolShards: 4})
+	s, err := Open(Options{Dir: dir, PoolSize: 48})
 	if err != nil {
 		t.Fatal(err)
 	}

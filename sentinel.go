@@ -139,9 +139,6 @@ type Options struct {
 	Dir string
 	// PoolSize is the buffer pool size in pages (default 64).
 	PoolSize int
-	// PoolShards is the buffer pool's lock-stripe count (0 = default,
-	// min(8, PoolSize)). Negative values are rejected by Open.
-	PoolShards int
 	// SyncWAL fsyncs the log on every flush (durable, slower).
 	SyncWAL bool
 	// GroupCommitInterval widens the group-commit batching window: the WAL
@@ -158,18 +155,9 @@ type Options struct {
 	SerialRules bool
 	// AppName identifies this application to the global event detector.
 	AppName string
-	// GEDAddr, when set, connects to a global event detector at that
+	// GEDAddr, when set, connects to the global event detector at that
 	// address.
 	GEDAddr string
-	// GEDAddrs, when set, connects to a partitioned global event
-	// detector cluster: event names are routed to instances by
-	// ged.PartitionOf. A single address behaves exactly like GEDAddr.
-	// Setting both GEDAddr and GEDAddrs is rejected by Open.
-	GEDAddrs []string
-	// GEDBatch, when > 1, batches ShareEvent forwarding: up to GEDBatch
-	// occurrences are coalesced into one contribute frame. Call
-	// FlushGlobalEvents to push out a partial batch (Close does).
-	GEDBatch int
 	// LockTimeout bounds lock waits (0 = wait forever; deadlocks are
 	// still detected and broken). Negative values are rejected by Open.
 	// It becomes lockmgr.Manager.DefaultTimeout — the bound every Lock
@@ -180,10 +168,6 @@ type Options struct {
 	// 0 means the default (3); -1 disables retry; other negatives are
 	// rejected by Open.
 	RuleRetries int
-	// RuleRetryBackoff is the base delay between rule retry attempts; the
-	// actual delay doubles each attempt (capped at 64× the base). 0 means
-	// the default (1ms); negative values are rejected by Open.
-	RuleRetryBackoff time.Duration
 	// MaxCascadeDepth caps rule-cascade nesting (rules triggered by
 	// rules; 1 = top-level only). Triggerings beyond the limit are shed:
 	// dropped, counted in sentinel_rules_sheds_total, and reported
@@ -217,20 +201,18 @@ type Options struct {
 // application process in the paper's architecture, with its own local
 // composite event detector.
 type Database struct {
-	opts     Options
-	store    *storage.Store
-	locks    *lockmgr.Manager
-	txns     *txn.Manager
-	det      *detector.Detector
-	sched    *sched.Scheduler
-	rules    *rules.Manager
-	objects  *object.Registry
-	queries  *query.Manager
-	comp     *snoop.Compiler
-	gedCli   ged.Bus
-	gedFwd   detector.Subscriber
-	gedFlush func() error
-	metrics  *obs.Registry
+	opts    Options
+	store   *storage.Store
+	locks   *lockmgr.Manager
+	txns    *txn.Manager
+	det     *detector.Detector
+	sched   *sched.Scheduler
+	rules   *rules.Manager
+	objects *object.Registry
+	queries *query.Manager
+	comp    *snoop.Compiler
+	gedCli  *ged.Client
+	metrics *obs.Registry
 
 	replSrv  *repl.Server
 	replFol  *repl.Follower
@@ -243,7 +225,9 @@ type Database struct {
 	closed bool
 }
 
-// Defaults for the robustness knobs (see Options).
+// Defaults for the robustness knobs (see Options). A retried rule waits
+// defaultRetryBackoff before its second attempt, doubling each attempt
+// (capped at 64×).
 const (
 	defaultRuleRetries  = 3
 	defaultRetryBackoff = time.Millisecond
@@ -259,17 +243,11 @@ func validateOptions(opts Options) error {
 	if opts.RuleRetries < -1 {
 		return fmt.Errorf("sentinel: RuleRetries must be >= -1, got %d", opts.RuleRetries)
 	}
-	if opts.RuleRetryBackoff < 0 {
-		return fmt.Errorf("sentinel: RuleRetryBackoff must be >= 0, got %v", opts.RuleRetryBackoff)
-	}
 	if opts.MaxCascadeDepth < -1 {
 		return fmt.Errorf("sentinel: MaxCascadeDepth must be >= -1, got %d", opts.MaxCascadeDepth)
 	}
 	if opts.PoolSize < 0 {
 		return fmt.Errorf("sentinel: PoolSize must be >= 0, got %d", opts.PoolSize)
-	}
-	if opts.PoolShards < 0 {
-		return fmt.Errorf("sentinel: PoolShards must be >= 0, got %d", opts.PoolShards)
 	}
 	if opts.GroupCommitInterval < 0 {
 		return fmt.Errorf("sentinel: GroupCommitInterval must be >= 0, got %v", opts.GroupCommitInterval)
@@ -302,9 +280,6 @@ func Open(opts Options) (*Database, error) {
 	} else if opts.RuleRetries == -1 {
 		opts.RuleRetries = 0
 	}
-	if opts.RuleRetryBackoff == 0 {
-		opts.RuleRetryBackoff = defaultRetryBackoff
-	}
 	if opts.MaxCascadeDepth == 0 {
 		opts.MaxCascadeDepth = defaultMaxCascade
 	} else if opts.MaxCascadeDepth == -1 {
@@ -316,7 +291,6 @@ func Open(opts Options) (*Database, error) {
 		store, err = storage.Open(storage.Options{
 			Dir:                 opts.Dir,
 			PoolSize:            opts.PoolSize,
-			PoolShards:          opts.PoolShards,
 			SyncWAL:             opts.SyncWAL,
 			GroupCommitInterval: opts.GroupCommitInterval,
 			VersionGCInterval:   opts.VersionGCInterval,
@@ -340,7 +314,7 @@ func Open(opts Options) (*Database, error) {
 	s.Serial = opts.SerialRules
 	rm := rules.NewManager(det, txns, s)
 	rm.RetryMax = opts.RuleRetries
-	rm.RetryBackoff = opts.RuleRetryBackoff
+	rm.RetryBackoff = defaultRetryBackoff
 	rm.MaxCascade = opts.MaxCascadeDepth
 	objects := object.NewRegistry(det, store)
 	// The query engine maintains its secondary indexes through the object
@@ -481,34 +455,13 @@ func Open(opts Options) (*Database, error) {
 			"Time Promote took to turn this follower into a leader.",
 			db.failover)
 	}
-	gedAddrs := opts.GEDAddrs
 	if opts.GEDAddr != "" {
-		if len(gedAddrs) > 0 {
-			db.closeInternals()
-			return nil, errors.New("sentinel: set GEDAddr or GEDAddrs, not both")
-		}
-		gedAddrs = []string{opts.GEDAddr}
-	}
-	if len(gedAddrs) > 0 {
-		var (
-			bus ged.Bus
-			err error
-		)
-		if len(gedAddrs) == 1 {
-			bus, err = ged.Dial(gedAddrs[0], opts.AppName)
-		} else {
-			bus, err = ged.DialCluster(gedAddrs, opts.AppName)
-		}
+		cli, err := ged.Dial(opts.GEDAddr, opts.AppName)
 		if err != nil {
 			db.closeInternals()
 			return nil, err
 		}
-		db.gedCli = bus
-		if opts.GEDBatch > 1 {
-			db.gedFwd, db.gedFlush = bus.BatchForwarder(opts.GEDBatch)
-		} else {
-			db.gedFwd = bus.Forwarder()
-		}
+		db.gedCli = cli
 	}
 	if opts.DebugAddr != "" {
 		ln, err := net.Listen("tcp", opts.DebugAddr)
@@ -538,9 +491,6 @@ func (db *Database) closeInternals() {
 		db.replSrv = nil
 	}
 	if db.gedCli != nil {
-		if db.gedFlush != nil {
-			_ = db.gedFlush()
-		}
 		_ = db.gedCli.Flush()
 		_ = db.gedCli.Close()
 	}
@@ -906,21 +856,15 @@ func (db *Database) ShareEvent(name string) error {
 	if db.gedCli == nil {
 		return ErrNoGED
 	}
-	_, err := db.det.Subscribe(name, Recent, db.gedFwd)
+	_, err := db.det.Subscribe(name, Recent, db.gedCli.Forwarder())
 	return err
 }
 
-// FlushGlobalEvents pushes out any batched shared events (GEDBatch > 1)
-// and then blocks until the GED has acknowledged every contribution sent
-// so far — the durability barrier for shared events.
+// FlushGlobalEvents blocks until the GED has acknowledged every
+// contribution sent so far — the durability barrier for shared events.
 func (db *Database) FlushGlobalEvents() error {
 	if db.gedCli == nil {
 		return ErrNoGED
-	}
-	if db.gedFlush != nil {
-		if err := db.gedFlush(); err != nil {
-			return err
-		}
 	}
 	return db.gedCli.Flush()
 }

@@ -77,10 +77,9 @@ func TestDeadlockedRulesRetryAndSucceed(t *testing.T) {
 	// back when a deadlock victim's subtransaction aborts, so the final
 	// quantities prove retries neither lost nor double-applied work.
 	db := openRobustDB(t, sentinel.Options{
-		Dir:              t.TempDir(),
-		Workers:          4,
-		RuleRetries:      25,
-		RuleRetryBackoff: time.Millisecond,
+		Dir:         t.TempDir(),
+		Workers:     4,
+		RuleRetries: 25,
 	})
 	var ruleErrs atomic.Uint64
 	db.RuleManager().OnError = func(rule string, err error) {
@@ -407,7 +406,6 @@ func TestInvalidOptionsRejected(t *testing.T) {
 	}{
 		{"negative lock timeout", sentinel.Options{LockTimeout: -1}},
 		{"rule retries below -1", sentinel.Options{RuleRetries: -2}},
-		{"negative retry backoff", sentinel.Options{RuleRetryBackoff: -time.Millisecond}},
 		{"cascade depth below -1", sentinel.Options{MaxCascadeDepth: -5}},
 		{"negative workers", sentinel.Options{Workers: -1}},
 		{"negative pool size", sentinel.Options{PoolSize: -1}},
