@@ -16,12 +16,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -132,13 +132,13 @@ func runFollower(dir, leaderAddr, expect string) {
 	if err != nil {
 		log.Fatalf("replserver: promote: %v", err)
 	}
-	log.Printf("replserver: promoted (published %d, aborted %d, %v)",
-		stats.Published, stats.Aborted, stats.Elapsed)
+	log.Printf("replserver: promoted (aborted %d, %v)", stats.Aborted, stats.Elapsed)
 
-	keys, err := readLines(expect)
+	raw, err := os.ReadFile(expect)
 	if err != nil {
 		log.Fatalf("replserver: %v", err)
 	}
+	keys := strings.Fields(string(raw))
 	tx, err := db.Begin()
 	if err != nil {
 		log.Fatalf("replserver: begin after promote: %v", err)
@@ -189,20 +189,4 @@ func runFollower(dir, leaderAddr, expect string) {
 	}
 	log.Printf("replserver: promote verified, %d/%d replicated keys, post-promotion write ok",
 		present, len(keys))
-}
-
-func readLines(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var lines []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := sc.Text(); line != "" {
-			lines = append(lines, line)
-		}
-	}
-	return lines, sc.Err()
 }

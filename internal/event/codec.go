@@ -195,17 +195,35 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns how many bytes have not been consumed.
 func (r *Reader) Remaining() int { return len(r.b) - r.pos }
 
-func (r *Reader) fail(format string, args ...any) {
+// fail records the first decoding failure: one small allocation, the
+// message formatted only when read (decoders probe untrusted bytes).
+func (r *Reader) fail(format string, args ...uint64) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+		e := &malformedError{format: format}
+		e.nargs = copy(e.args[:], args)
+		r.err = e
 		r.pos = len(r.b)
 	}
 }
 
+// malformedError is a Reader failure: ErrMalformed and its cause.
+type malformedError struct {
+	format string
+	args   [2]uint64
+	nargs  int
+}
+
+func (e *malformedError) Error() string {
+	args := []any{e.args[0], e.args[1]}
+	return ErrMalformed.Error() + ": " + fmt.Sprintf(e.format, args[:e.nargs]...)
+}
+
+func (e *malformedError) Unwrap() error { return ErrMalformed }
+
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
 	if r.pos >= len(r.b) {
-		r.fail("truncated at byte %d", r.pos)
+		r.fail("truncated at byte %d", uint64(r.pos))
 		return 0
 	}
 	v := r.b[r.pos]
@@ -217,7 +235,7 @@ func (r *Reader) Byte() byte {
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
-		r.fail("bad uvarint at byte %d", r.pos)
+		r.fail("bad uvarint at byte %d", uint64(r.pos))
 		return 0
 	}
 	r.pos += n
@@ -228,7 +246,7 @@ func (r *Reader) Uvarint() uint64 {
 func (r *Reader) Varint() int64 {
 	v, n := binary.Varint(r.b[r.pos:])
 	if n <= 0 {
-		r.fail("bad varint at byte %d", r.pos)
+		r.fail("bad varint at byte %d", uint64(r.pos))
 		return 0
 	}
 	r.pos += n
@@ -238,7 +256,7 @@ func (r *Reader) Varint() int64 {
 // fixed reads n raw bytes.
 func (r *Reader) fixed(n int) []byte {
 	if r.Remaining() < n {
-		r.fail("%d-byte field overruns payload at byte %d", n, r.pos)
+		r.fail("%d-byte field overruns payload at byte %d", uint64(n), uint64(r.pos))
 		return make([]byte, n)
 	}
 	b := r.b[r.pos : r.pos+n]
@@ -315,7 +333,7 @@ func (r *Reader) Value() any {
 	case tagOID:
 		return OID(r.Uvarint())
 	default:
-		r.fail("unknown value tag %d", tag)
+		r.fail("unknown value tag %d", uint64(tag))
 		return nil
 	}
 }
@@ -338,7 +356,7 @@ func (r *Reader) SkipValue() {
 	case tagString:
 		r.StrBytes()
 	default:
-		r.fail("unknown value tag %d", tag)
+		r.fail("unknown value tag %d", uint64(tag))
 	}
 }
 
@@ -351,7 +369,8 @@ func (r *Reader) occurrence(depth int) *Occurrence {
 		r.fail("occurrence nesting exceeds %d", maxDepth)
 		return nil
 	}
-	occ := &Occurrence{
+	// Moved to the heap only once decoded: a failed decode allocates none.
+	occ := Occurrence{
 		Name:     r.Str(),
 		Kind:     Kind(r.Byte()),
 		Class:    r.Str(),
@@ -387,5 +406,10 @@ func (r *Reader) occurrence(depth int) *Occurrence {
 			}
 		}
 	}
-	return occ
+	if r.err != nil {
+		return nil
+	}
+	out := new(Occurrence)
+	*out = occ
+	return out
 }

@@ -127,9 +127,9 @@ func (r *replStack) recover(crashed bool, _ func() (stack, error)) (stack, bool,
 		// convergence under the lag bound.
 	case r.sch.Scenario == scenLeaderRestart:
 		// The dead leader stops shipping and its directory is reopened —
-		// recovery resolves every in-flight transaction and republishes
-		// lost commit timestamps. The follower is still dialing; it must
-		// resume from its own offset and converge on the recovered history.
+		// recovery resolves every in-flight transaction. The follower is
+		// still dialing; it must resume from its own offset and converge
+		// on the recovered history.
 		r.srv.Close()
 		err = r.serve()
 	case r.sch.Scenario == scenLeaderPromote:

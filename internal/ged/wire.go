@@ -81,10 +81,18 @@ func protoErrf(format string, args ...any) error {
 // done closes a payload decode: a malformed payload is a protocol error.
 func done(p *event.Reader) error {
 	if err := p.Err(); err != nil {
-		return fmt.Errorf("%w: %w", ErrProtocol, err)
+		return &payloadError{err}
 	}
 	return nil
 }
+
+// payloadError is a malformed payload as a protocol error, its message
+// formatted only when read: peers send untrusted bytes.
+type payloadError struct{ err error }
+
+func (e *payloadError) Error() string        { return ErrProtocol.Error() + ": " + e.err.Error() }
+func (e *payloadError) Is(target error) bool { return target == ErrProtocol }
+func (e *payloadError) Unwrap() error        { return e.err }
 
 // --- frame payload builders -------------------------------------------------
 

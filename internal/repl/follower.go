@@ -136,53 +136,43 @@ func (f *Follower) run() {
 	}()
 	backoff := backoffInitial
 	for {
-		select {
-		case <-f.quit:
-			return
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", f.addrFn(), dialTimeout)
-		if err != nil {
+		if conn, err := net.DialTimeout("tcp", f.addrFn(), dialTimeout); err == nil {
+			f.mu.Lock()
+			f.conn = conn
+			f.mu.Unlock()
+			// Stop closes quit before it looks for a conn to close.
+			select {
+			case <-f.quit:
+				conn.Close()
+				return
+			default:
+			}
+			fatal, progressed, err := f.stream(conn)
+			conn.Close()
+			f.mu.Lock()
+			f.conn = nil
+			f.mu.Unlock()
+			f.connected.Store(false)
+			if fatal {
+				f.fail(err)
+				return
+			}
 			select {
 			case <-f.quit:
 				return
-			case <-time.After(backoff):
+			default:
 			}
-			if backoff *= 2; backoff > backoffMax {
-				backoff = backoffMax
+			f.reconnects.Add(1)
+			if progressed {
+				backoff = backoffInitial
 			}
-			continue
-		}
-		f.mu.Lock()
-		f.conn = conn
-		f.mu.Unlock()
-		fatal, progressed, err := f.stream(conn)
-		conn.Close()
-		f.mu.Lock()
-		f.conn = nil
-		f.mu.Unlock()
-		f.connected.Store(false)
-		if fatal {
-			f.fail(err)
-			return
-		}
-		select {
-		case <-f.quit:
-			return
-		default:
-		}
-		f.reconnects.Add(1)
-		if progressed {
-			backoff = backoffInitial
 		}
 		select {
 		case <-f.quit:
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > backoffMax {
-			backoff = backoffMax
-		}
+		backoff = min(2*backoff, backoffMax)
 	}
 }
 
@@ -213,6 +203,7 @@ func (f *Follower) stream(conn net.Conn) (fatal, progressed bool, err error) {
 	}
 	f.connected.Store(true)
 	var sinceCkpt uint64
+	var ack []byte
 	for {
 		kind, payload, err := fr.Read()
 		if err != nil {
@@ -246,7 +237,8 @@ func (f *Follower) stream(conn net.Conn) (fatal, progressed bool, err error) {
 			f.applied.Add(uint64(n))
 			sinceCkpt += uint64(n)
 			progressed = true
-			if err := fw.Send(frAck, encodeAck(f.st.LogFlushed(), f.applied.Load())); err != nil {
+			ack = encodeAck(ack, f.st.LogFlushed(), f.applied.Load())
+			if err := fw.Send(frAck, ack); err != nil {
 				return false, progressed, err
 			}
 			if sinceCkpt >= checkpointEvery {

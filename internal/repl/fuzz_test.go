@@ -21,7 +21,7 @@ func FuzzWireDecode(f *testing.F) {
 	_ = fw.Write(frHello, encodeHello(4096))
 	_ = fw.Write(frHelloAck, encodeHelloAck(0, 4096))
 	_ = fw.Write(frData, encodeData(nil, 4096, 2, []byte("two raw wal records")))
-	_ = fw.Write(frAck, encodeAck(4096, 2))
+	_ = fw.Write(frAck, encodeAck(nil, 4096, 2))
 	_ = fw.Write(frError, encodeError("resync required"))
 	_ = fw.Flush()
 	all := b.Bytes()

@@ -288,3 +288,58 @@ func TestServerCloseUnblocksSilentConn(t *testing.T) {
 		t.Fatalf("Server.Close took %v with a connection that never sent a hello", took)
 	}
 }
+
+// TestQuietLeaderCommitReachesFollower: one commit on an otherwise idle
+// leader becomes visible on the follower with no later write to push it
+// out, and the leader's log is forced exactly once for it — the commit's
+// own force. The commit record publishes the transaction, and the shipper
+// ships on that force without forcing anything itself.
+func TestQuietLeaderCommitReachesFollower(t *testing.T) {
+	leader, err := storage.Open(storage.Options{Dir: t.TempDir(), PoolSize: 32, SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	srv, err := NewServer(leader, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fst := openFollowerStore(t)
+	f, err := StartFollower(fst, srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	mustWrite(t, leader, "warm-up")
+	waitCaughtUp(t, leader, fst)
+
+	_, _, _, fsyncs := leader.WALStats()
+	txn, err := leader.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid, err := leader.Insert(txn, []byte("quiet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sn := fst.Snapshot()
+		got, err := fst.ReadSnapshot(sn, rid)
+		sn.Close()
+		if err == nil && string(got) == "quiet" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("commit on a quiet leader never reached the follower: %q, %v", got, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, _, now := leader.WALStats(); now != fsyncs+1 {
+		t.Fatalf("leader forced its log %d times for one commit, want 1", now-fsyncs)
+	}
+}

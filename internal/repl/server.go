@@ -23,9 +23,6 @@ const (
 	// commit path does not wait on shipping at all; this bound only
 	// protects the shipper goroutine itself.
 	shipWriteTimeout = 5 * time.Second
-	// tailPollInterval is the idle wait between polls of the flushed log
-	// when a session is caught up.
-	tailPollInterval = 2 * time.Millisecond
 )
 
 // session is one connected follower.
@@ -184,6 +181,8 @@ func (s *Server) serve(conn net.Conn, fr *frame.Reader, kind uint8, hello []byte
 		}
 		base, data, n, err := cur.ReadBatch(maxShipBatch)
 		if err != nil {
+			// A sealed or closed log ends the session once everything
+			// flushed has shipped; a pruned one needs a resync.
 			if errors.Is(err, storage.ErrWALTruncated) {
 				s.refused.Add(1)
 				_ = fw.Send(frError, encodeError(
@@ -192,21 +191,13 @@ func (s *Server) serve(conn net.Conn, fr *frame.Reader, kind uint8, hello []byte
 			return
 		}
 		if n == 0 {
-			// Caught up with the flushed log. If records sit buffered
-			// beyond it (a commit-timestamp record is appended after the
-			// group-commit flush), push them out now — otherwise a quiet
-			// leader leaves followers one commit behind until the next
-			// write forces a flush.
-			if s.st.LogEnd() > s.st.LogFlushed() {
-				if err := s.st.FlushLog(); err != nil {
-					return
-				}
-				continue
-			}
+			// Caught up with the flushed log: sleep until the next force
+			// moves it. A commit is published by its own commit record, so
+			// the force that made it durable is all the follower needs.
 			select {
 			case <-ackDone:
 				return
-			case <-time.After(tailPollInterval):
+			case <-cur.Ready():
 			}
 			continue
 		}

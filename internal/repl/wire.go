@@ -55,6 +55,12 @@ func protoErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrProtocol, fmt.Sprintf(format, args...))
 }
 
+// Payload decode failures are preallocated: a peer's garbage costs nothing.
+var (
+	errPayloadLen = protoErrf("payload length does not fit its frame kind")
+	errVersion    = protoErrf("peer does not speak protocol v%d", protoVersion)
+)
+
 // ErrRefused wraps a leader's error frame: the leader is healthy but will
 // not serve this follower from its offset (e.g. the log below it was
 // pruned and a full resync is required).
@@ -70,10 +76,10 @@ func encodeHello(from uint64) []byte {
 
 func decodeHello(p []byte) (from uint64, err error) {
 	if len(p) != 9 {
-		return 0, protoErrf("hello payload is %d bytes, want 9", len(p))
+		return 0, errPayloadLen
 	}
 	if p[0] != protoVersion {
-		return 0, protoErrf("peer speaks protocol v%d, this end v%d", p[0], protoVersion)
+		return 0, errVersion
 	}
 	return binary.LittleEndian.Uint64(p[1:]), nil
 }
@@ -87,10 +93,10 @@ func encodeHelloAck(start, end uint64) []byte {
 
 func decodeHelloAck(p []byte) (start, end uint64, err error) {
 	if len(p) != 17 {
-		return 0, 0, protoErrf("helloAck payload is %d bytes, want 17", len(p))
+		return 0, 0, errPayloadLen
 	}
 	if p[0] != protoVersion {
-		return 0, 0, protoErrf("leader speaks protocol v%d, this end v%d", p[0], protoVersion)
+		return 0, 0, errVersion
 	}
 	return binary.LittleEndian.Uint64(p[1:]), binary.LittleEndian.Uint64(p[9:]), nil
 }
@@ -104,19 +110,20 @@ func encodeData(buf []byte, base uint64, nrecs int, raw []byte) []byte {
 
 func decodeData(p []byte) (base uint64, nrecs int, raw []byte, err error) {
 	if len(p) < 12 {
-		return 0, 0, nil, protoErrf("data payload is %d bytes, want >= 12", len(p))
+		return 0, 0, nil, errPayloadLen
 	}
 	return binary.LittleEndian.Uint64(p), int(binary.LittleEndian.Uint32(p[8:])), p[12:], nil
 }
 
-func encodeAck(durable, applied uint64) []byte {
-	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), durable)
+// encodeAck frames an ack into buf (reused across sends).
+func encodeAck(buf []byte, durable, applied uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(buf[:0], durable)
 	return binary.LittleEndian.AppendUint64(b, applied)
 }
 
 func decodeAck(p []byte) (durable, applied uint64, err error) {
 	if len(p) != 16 {
-		return 0, 0, protoErrf("ack payload is %d bytes, want 16", len(p))
+		return 0, 0, errPayloadLen
 	}
 	return binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:]), nil
 }

@@ -60,6 +60,9 @@ var ErrSealed = errors.New("seglog: log sealed after write failure")
 // pruned, so the reader (a lagging replication follower) must resync.
 var ErrTruncated = errors.New("seglog: log truncated below requested offset")
 
+// ErrClosed is what Close seals the log with.
+var ErrClosed = errors.New("seglog: log closed")
+
 const (
 	// SegHeaderLen is the length of the magic that starts every segment.
 	SegHeaderLen = 8
@@ -122,11 +125,12 @@ type Log struct {
 	cfg Config
 
 	mu       sync.Mutex
-	buf      []byte // appended records not yet handed to the OS
-	spare    []byte // recycled flush buffer
-	end      uint64 // offset where the next record will be written
-	flushed  uint64 // all records below this offset are durable (per cfg.Sync)
-	sealErr  error  // first write failure; non-nil seals the log (fail-fast)
+	buf      []byte        // appended records not yet handed to the OS
+	spare    []byte        // recycled flush buffer
+	end      uint64        // offset where the next record will be written
+	flushed  uint64        // all records below this offset are durable (per cfg.Sync)
+	sealErr  error         // first write failure (or ErrClosed); non-nil seals the log
+	flushCh  chan struct{} // closed when flushed next advances; nil while nobody waits
 	sealed   []Segment
 	archived []Segment
 	actBase  uint64 // base offset of the active segment
@@ -533,7 +537,10 @@ func (l *Log) flush(upTo uint64, fsync bool) error {
 	// Advance the durability watermark only after the flush — and, in sync
 	// mode, the fsync — actually succeeded. Advancing it earlier would let
 	// a failed fsync leave callers believing their records are durable.
-	l.flushed = target
+	if target > l.flushed {
+		l.flushed = target
+		l.wakeLocked()
+	}
 	if l.spare == nil {
 		l.spare = buf[:0] // recycle the drained buffer for the next force
 	}
@@ -606,6 +613,15 @@ func (l *Log) Seal(err error) {
 	defer l.mu.Unlock()
 	if l.sealErr == nil {
 		l.sealErr = err
+		l.wakeLocked()
+	}
+}
+
+// wakeLocked releases every cursor waiting in Ready. Caller holds mu.
+func (l *Log) wakeLocked() {
+	if l.flushCh != nil {
+		close(l.flushCh)
+		l.flushCh = nil
 	}
 }
 
@@ -669,6 +685,10 @@ func (l *Log) Close() error {
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.sealErr == nil {
+		l.sealErr = ErrClosed
+	}
+	l.wakeLocked()
 	logical := SegHeaderLen + int64(l.flushed-l.actBase)
 	if flushErr == nil && l.allocated > logical {
 		// Drop the preallocated tail so a cleanly closed log ends at its
@@ -775,12 +795,18 @@ func (c *Cursor) Close() {
 // ReadBatch returns up to maxBytes of whole record frames starting at the
 // cursor position, advancing the cursor. data is valid until the next
 // call. n is the number of complete records in data; n == 0 with a nil
-// error means the cursor is caught up with the flushed log. A batch never
-// spans segments. ErrTruncated means the log below the cursor has been
-// pruned (the reader must resync).
+// error means the cursor is caught up with the flushed log (Ready says
+// when that changes). A batch never spans segments. ErrTruncated means the
+// log below the cursor has been pruned (the reader must resync); ErrSealed
+// means the cursor is caught up with a log that will never flush again.
 func (c *Cursor) ReadBatch(maxBytes int) (base uint64, data []byte, n int, err error) {
-	limit := c.l.Flushed()
+	c.l.mu.Lock()
+	limit, sealErr := c.l.flushed, c.l.sealErr
+	c.l.mu.Unlock()
 	if c.pos >= limit {
+		if sealErr != nil {
+			return c.pos, nil, 0, fmt.Errorf("%w: %w", ErrSealed, sealErr)
+		}
 		return c.pos, nil, 0, nil
 	}
 	if start := c.l.Start(); c.pos < start {
@@ -838,6 +864,25 @@ func (c *Cursor) ReadBatch(maxBytes int) (base uint64, data []byte, n int, err e
 		}
 		want = size
 	}
+}
+
+// Ready returns a channel closed once the flushed watermark passes the
+// cursor, or the log is sealed or closed (at once when it already is).
+// Check and registration happen under the mutex every watermark advance
+// takes, so a flush right after a caught-up ReadBatch is not missed. The
+// channel is shared and allocated only while someone waits.
+func (c *Cursor) Ready() <-chan struct{} {
+	l := c.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.flushCh == nil {
+		l.flushCh = make(chan struct{})
+	}
+	ch := l.flushCh
+	if c.pos < l.flushed || l.sealErr != nil {
+		l.wakeLocked()
+	}
+	return ch
 }
 
 // read fills c.buf with n bytes of the open segment starting at file

@@ -159,33 +159,20 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	att := s.collectATT()
-	dpt := s.pool.DirtyPages()
-	redo := b
-	for _, rec := range dpt {
-		if rec < redo {
-			redo = rec
-		}
-	}
-	for _, t := range att {
-		if t.FirstLSN < redo {
-			redo = t.FirstLSN
-		}
-	}
-	img := &ckptImage{
-		RedoLSN:  redo,
-		NextTxn:  s.nextTxn.Load(),
-		CommitTS: s.commitTS.Load(),
-		Dirty:    dpt,
-		Active:   att,
-	}
+	// Every timestamp handed out, published or not: a commit record below
+	// the redo point whose commit failed still carries one, and a
+	// follower may have published it.
+	s.commitMu.Lock()
+	lastTS := s.lastTS
+	s.commitMu.Unlock()
+	img := s.checkpointImage(b, lastTS)
 	if err := s.gc.waitDurable(b + 1); err != nil {
 		return err
 	}
-	if err := s.wal.SetCheckpoint(redo, encodeCkptImage(img)); err != nil {
+	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
 		return err
 	}
-	return s.retireSegments(redo)
+	return s.retireSegments(img.RedoLSN)
 }
 
 // followerCheckpoint is the follower's variant: it must not append to the
@@ -203,30 +190,25 @@ func (s *Store) followerCheckpoint() error {
 	if err := s.wal.Flush(^uint64(0)); err != nil {
 		return err
 	}
-	redo := s.wal.End()
-	att := s.collectATT()
-	dpt := s.pool.DirtyPages()
-	for _, rec := range dpt {
-		if rec < redo {
-			redo = rec
-		}
-	}
-	for _, t := range att {
-		if t.FirstLSN < redo {
-			redo = t.FirstLSN
-		}
-	}
-	img := &ckptImage{
-		RedoLSN:  redo,
-		NextTxn:  s.nextTxn.Load(),
-		CommitTS: s.commitTS.Load(),
-		Dirty:    dpt,
-		Active:   att,
-	}
-	if err := s.wal.SetCheckpoint(redo, encodeCkptImage(img)); err != nil {
+	img := s.checkpointImage(s.wal.End(), s.commitTS.Load())
+	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
 		return err
 	}
-	return s.retireSegments(redo)
+	return s.retireSegments(img.RedoLSN)
+}
+
+// checkpointImage captures the active-transaction and dirty-page tables
+// and the redo point they bound, at most bound.
+func (s *Store) checkpointImage(bound, commitTS uint64) *ckptImage {
+	img := &ckptImage{RedoLSN: bound, Active: s.collectATT(), Dirty: s.pool.DirtyPages(),
+		NextTxn: s.nextTxn.Load(), CommitTS: commitTS}
+	for _, rec := range img.Dirty {
+		img.RedoLSN = min(img.RedoLSN, rec)
+	}
+	for _, t := range img.Active {
+		img.RedoLSN = min(img.RedoLSN, t.FirstLSN)
+	}
+	return img
 }
 
 // retireSegments archives sealed segments wholly below the redo point and

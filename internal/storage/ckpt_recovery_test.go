@@ -288,11 +288,11 @@ func TestRecoveryReplaysOnlyTail(t *testing.T) {
 	if stats.RedoStartLSN == 0 {
 		t.Fatal("recovery ignored the checkpoint: redo started at LSN 0")
 	}
-	// The tail is 5 transactions (begin/insert/commit/commit-ts each) plus
-	// the checkpoint record — nowhere near the 100 pre-checkpoint
-	// transactions' ~400 records.
+	// The tail is 5 transactions (begin/insert/commit each) plus the
+	// checkpoint record — nowhere near the 100 pre-checkpoint
+	// transactions' ~300 records.
 	if stats.RecordsScanned > 40 {
-		t.Fatalf("recovery scanned %d records; checkpoint should bound the tail (~21)",
+		t.Fatalf("recovery scanned %d records; checkpoint should bound the tail (~16)",
 			stats.RecordsScanned)
 	}
 	if got, err := s2.Read(preRID); err != nil || string(got) != "pre-099" {

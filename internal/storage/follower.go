@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -48,7 +50,11 @@ func (s *Store) ReplIngest(base uint64, data []byte) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrStoreClosed
 	}
-	recs, err := DecodeFrames(base, data)
+	recs, err := decodeFrames(s.ingestRecs[:0], base, data)
+	defer func() {
+		clear(recs)
+		s.ingestRecs = recs[:0]
+	}()
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrReplicaDivergence, err)
 	}
@@ -144,16 +150,19 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 			s.forget(t)
 			return nil
 		}
-		// Top-level commit: the transaction is durable on the leader —
-		// apply its buffered operations to the pages and version chains.
-		// The placeholder stays registered (stamps remain "in flight" to
-		// snapshots) until the commit-timestamp record publishes it.
+		// Top-level commit, durable on the leader and carrying its commit
+		// timestamp: apply the buffered operations, then publish as the
+		// leader does (install the stamps, then advance the clock).
 		if err := s.applyPendingOps(t, rec.LSN); err != nil {
 			return err
 		}
-		t.mu.Lock()
-		t.applied = true
-		t.mu.Unlock()
+		s.tsMu.Lock()
+		s.stampLocked(t, rec.TS)
+		if rec.TS > s.commitTS.Load() {
+			s.commitTS.Store(rec.TS)
+		}
+		s.tsMu.Unlock()
+		s.forget(t)
 		return nil
 
 	case RecAbort:
@@ -187,44 +196,6 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 			s.tsMu.Unlock()
 		}
 		s.forget(t)
-		return nil
-
-	case RecCommitTS:
-		// Publish: install the leader-assigned commit timestamp for the
-		// transaction and everything that merged into it, then advance the
-		// clock — install-before-advance, as on the leader. If the
-		// placeholder is gone (the follower restarted between the commit
-		// record and this one, so recovery already replayed the transaction
-		// as resolved-and-frozen), only the clock advances: re-stamping
-		// records a snapshot may already have seen as frozen would yank
-		// them out from under it.
-		sh := s.txShard(rec.Txn)
-		sh.mu.Lock()
-		t := sh.m[rec.Txn]
-		sh.mu.Unlock()
-		if t != nil {
-			t.mu.Lock()
-			applied := t.applied
-			t.mu.Unlock()
-			if !applied {
-				return fmt.Errorf("%w: commit-ts for unapplied txn %d", ErrReplicaDivergence, rec.Txn)
-			}
-		}
-		s.tsMu.Lock()
-		if t != nil {
-			s.cts[t.id] = rec.TS
-			for _, m := range t.merged {
-				s.cts[m] = rec.TS
-				delete(s.mergedInto, m)
-			}
-		}
-		if rec.TS > s.commitTS.Load() {
-			s.commitTS.Store(rec.TS)
-		}
-		s.tsMu.Unlock()
-		if t != nil {
-			s.forget(t)
-		}
 		return nil
 
 	case RecCheckpoint:
@@ -267,46 +238,28 @@ func (s *Store) resolveOwner(id uint64) *txnState {
 // Large transactions — a cold follower draining a long shipped archive
 // arrives here with the whole history buffered in placeholders — replay on
 // the same page-sharded worker pool recovery redo uses; small ones apply
-// serially. Logical index-DDL records have no page effect and are skipped
-// here. After every page effect is in place the apply hook (if any)
+// serially. After every page effect is in place the apply hook (if any)
 // observes each operation in LSN order, so upper-layer directories update
 // deterministically even when the page apply itself ran sharded.
 func (s *Store) applyPendingOps(t *txnState, commitLSN uint64) error {
 	t.mu.Lock()
 	ops := t.ops
 	t.mu.Unlock()
-	sort.Slice(ops, func(i, j int) bool { return ops[i].LSN < ops[j].LSN })
-	pageOps := ops
-	hasLogical := false
-	for _, rec := range ops {
-		if rec.Type == RecIdxCreate || rec.Type == RecIdxDrop {
-			hasLogical = true
-			break
+	slices.SortFunc(ops, func(a, b *LogRecord) int { return cmp.Compare(a.LSN, b.LSN) })
+	apply := func(rec *LogRecord) error {
+		if err := s.applyResolved(rec, commitLSN); err != nil {
+			return fmt.Errorf("apply txn %d lsn %d: %w", t.id, rec.LSN, err)
 		}
+		return nil
 	}
-	if hasLogical {
-		pageOps = make([]*LogRecord, 0, len(ops))
-		for _, rec := range ops {
-			if rec.Type != RecIdxCreate && rec.Type != RecIdxDrop {
-				pageOps = append(pageOps, rec)
-			}
-		}
-	}
-	workers := s.applyWorkers()
-	if workers >= 2 && len(pageOps) >= redoParallelMin {
-		err := s.applyByPageShard(pageOps, workers, func(rec *LogRecord) error {
-			if err := s.applyResolved(rec, commitLSN); err != nil {
-				return fmt.Errorf("apply txn %d lsn %d: %w", t.id, rec.LSN, err)
-			}
-			return nil
-		})
-		if err != nil {
+	if workers := s.applyWorkers(); workers >= 2 && len(ops) >= redoParallelMin {
+		if err := s.applyByPageShard(ops, workers, apply); err != nil {
 			return err
 		}
 	} else {
-		for _, rec := range pageOps {
-			if err := s.applyResolved(rec, commitLSN); err != nil {
-				return fmt.Errorf("apply txn %d lsn %d: %w", t.id, rec.LSN, err)
+		for _, rec := range ops {
+			if err := apply(rec); err != nil {
+				return err
 			}
 		}
 	}
@@ -321,8 +274,12 @@ func (s *Store) applyPendingOps(t *txnState, commitLSN uint64) error {
 // applyResolved applies one committed forward operation. The follower's
 // page state tracks the leader's exactly (same operations, same order), so
 // a precondition mismatch — inserting onto a live slot, updating a dead
-// one — is divergence, not something to paper over.
+// one — is divergence, not something to paper over. Logical index-DDL
+// records have no page effect.
 func (s *Store) applyResolved(rec *LogRecord, commitLSN uint64) error {
+	if rec.Type == RecIdxCreate || rec.Type == RecIdxDrop {
+		return nil
+	}
 	page, err := s.pool.Fetch(rec.RID.Page)
 	if err != nil {
 		return err
@@ -373,24 +330,19 @@ func (s *Store) applyResolved(rec *LogRecord, commitLSN uint64) error {
 
 // PromoteStats reports what a promotion did.
 type PromoteStats struct {
-	Published int           // committed transactions awaiting their timestamp, published
-	Aborted   int           // unresolved in-flight transactions rolled back
-	Elapsed   time.Duration // wall time for the promotion
+	Aborted int           // unresolved in-flight transactions rolled back
+	Elapsed time.Duration // wall time for the promotion
 }
 
 // Promote turns the follower into a leader. The shipped log it holds is
 // authoritative up to its local end; everything beyond died with the old
-// leader. Promotion resolves the residue exactly as leader crash recovery
-// would have:
-//
-//   - transactions whose commit record arrived but whose commit-timestamp
-//     record did not are published with a locally assigned timestamp (one
-//     shared stamp, installed atomically, so no snapshot ever observes a
-//     half-published group);
-//   - unresolved transactions are rolled back on the log — compensation
-//     records plus an abort record — with no physical application at all,
-//     since deferred apply means none of their effects ever reached a page.
-//     A later recovery replays forward op and CLR as a net no-op.
+// leader. Every transaction whose commit record arrived is already
+// published (the record carries its timestamp); what remains is resolved
+// exactly as leader crash recovery would: unresolved transactions are
+// rolled back on the log — compensation records plus an abort record —
+// with no physical application at all, since deferred apply means none
+// of their effects ever reached a page. A later recovery replays forward
+// op and CLR as a net no-op.
 //
 // It then forces the log, flushes all pages, and persists a checkpoint
 // whose redo point is the log end (endFollowerStamps), so a store that
@@ -398,7 +350,7 @@ type PromoteStats struct {
 // particular it never replays the shipped history with leader semantics,
 // and a crash before that checkpoint leaves the follower mark standing.
 // Finally the follower flag flips and every write entry point opens for
-// business.
+// business, its commit timestamps continuing the leader's.
 func (s *Store) Promote() (PromoteStats, error) {
 	if s.closed.Load() {
 		return PromoteStats{}, ErrStoreClosed
@@ -409,42 +361,18 @@ func (s *Store) Promote() (PromoteStats, error) {
 		return PromoteStats{}, ErrNotFollower
 	}
 	start := time.Now()
-	var committed, pending []*txnState
+	var pending []*txnState
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, t := range sh.m {
-			if t.applied {
-				committed = append(committed, t)
-			} else {
-				pending = append(pending, t)
-			}
+			pending = append(pending, t)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i].id < committed[j].id })
 	// Children before parents: subtransaction ids are always higher.
 	sort.Slice(pending, func(i, j int) bool { return pending[i].id > pending[j].id })
 
-	if len(committed) > 0 {
-		s.tsMu.Lock()
-		ts := s.commitTS.Load() + 1
-		for _, t := range committed {
-			s.cts[t.id] = ts
-			for _, m := range t.merged {
-				s.cts[m] = ts
-				delete(s.mergedInto, m)
-			}
-		}
-		s.commitTS.Store(ts)
-		s.tsMu.Unlock()
-		for _, t := range committed {
-			if _, err := s.wal.Append(&LogRecord{Type: RecCommitTS, Txn: t.id, TS: ts}); err != nil {
-				return PromoteStats{}, err
-			}
-			s.forget(t)
-		}
-	}
 	for _, t := range pending {
 		for i := len(t.ops) - 1; i >= 0; i-- {
 			if _, err := s.wal.Append(compensationFor(t.ops[i])); err != nil {
@@ -473,12 +401,11 @@ func (s *Store) Promote() (PromoteStats, error) {
 	if err := s.rebuildFSM(true); err != nil {
 		return PromoteStats{}, err
 	}
+	s.commitMu.Lock()
+	s.lastTS = s.commitTS.Load()
+	s.commitMu.Unlock()
 	s.follower.Store(false)
-	return PromoteStats{
-		Published: len(committed),
-		Aborted:   len(pending),
-		Elapsed:   time.Since(start),
-	}, nil
+	return PromoteStats{Aborted: len(pending), Elapsed: time.Since(start)}, nil
 }
 
 // endFollowerStamps ends the directory's follower era: with the log forced

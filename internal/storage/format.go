@@ -42,10 +42,15 @@ import (
 //	     key it and left its objects out of every index over that
 //	     attribute. Records are unchanged, but a v4 index lacks those
 //	     postings, so a v4 directory is refused, not migrated.
+//	v6 — a top-level commit record carries its commit timestamp, and the
+//	     separate commit-timestamp record (RecCommitTS, whose type number
+//	     stays reserved) is no longer written. A v5 log restores its clock
+//	     from those records and a v5 follower publishes by them, so a v5
+//	     directory is refused, not migrated.
 const (
 	formatMagic = "sentinel-format"
 	// FormatVersion is the generation this build reads and writes.
-	FormatVersion = 5
+	FormatVersion = 6
 	// formatFile is the marker's filename inside the data directory.
 	formatFile = "sentinel.meta"
 )

@@ -78,6 +78,15 @@ func TestFormatMarkerLifecycle(t *testing.T) {
 	if _, err := open(); !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
 		t.Fatalf("v4 refusal does not name both generations: %v", err)
 	}
+	// v5 logs publish commits by a separate commit-timestamp record that
+	// a v6 build neither writes nor reads: refused too.
+	if err := os.WriteFile(meta, []byte(formatMagic+" v5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejects("v5 format version")
+	if _, err := open(); !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
+		t.Fatalf("v5 refusal does not name both generations: %v", err)
+	}
 	if err := os.WriteFile(meta, []byte(formatMagic+" v999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,13 @@ import (
 // latch (held across the walk) and from the install-before-advance commit
 // protocol below.
 //
-// Commit protocol: after a top-level commit's WAL force succeeds, the
-// committer — under tsMu — installs cts[id] = clock+1 for the root and
-// every merged subtransaction, then advances the clock. Because the table
-// entry exists before any reader can observe the new clock value, a reader
+// Commit protocol: a top-level commit's record carries its commit
+// timestamp, taken in commit-record LSN order (appendCommit). Once the
+// WAL force covers the record, commits are published as a log-ordered
+// prefix (publishCommits): under tsMu, cts[id] = ts is installed for the
+// root and every merged subtransaction of each durable commit in order,
+// then the clock advances to the last of them. Because the table entries
+// exist before any reader can observe the new clock value, a reader
 // holding snapshot S is guaranteed to resolve every transaction with
 // commit timestamp ≤ S; conversely a transaction still in the active table
 // when the snapshot was taken must commit with a timestamp > S, so
@@ -470,7 +473,7 @@ func (s *Store) pruneChain(chain []chainEntry, horizon uint64) []chainEntry {
 // (an id pruned from the table resolves as frozen — correct, because its
 // timestamp is ≤ every live snapshot). Entries whose transaction is still
 // registered in the active table are kept: a committer holds its active
-// registration across assignCommitTS (forget comes after), and pruning
+// registration across publication (forget comes after), and pruning
 // inside that window would send resolveStamp's cts miss to the active
 // table, where the committed writer would wrongly resolve as uncommitted —
 // breaking the invariant that a cts miss at snapshot S implies eventual

@@ -260,7 +260,7 @@ func TestSnapshotForSeesMergedSubWrites(t *testing.T) {
 }
 
 // TestVersionGCKeepsCommitWindowEntries replays Commit's steps by hand and
-// pauses between assignCommitTS and forget — the window where a durably
+// pauses between publishCommits and forget — the window where a durably
 // committed transaction still sits in the active table. A GC pass in that
 // window must not prune its commit-table entry: a snapshot resolving the
 // writer would miss in the commit table, fall through to the active table,
@@ -280,14 +280,14 @@ func TestVersionGCKeepsCommitWindowEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := s.wal.Append(&LogRecord{Type: RecCommit, Txn: id})
+	lsn, err := s.appendCommit(tx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.gc.waitDurable(lsn + 1); err != nil {
 		t.Fatal(err)
 	}
-	s.assignCommitTS(tx)
+	s.publishCommits()
 
 	// In the window. No snapshot is live, so the horizon is the clock and
 	// the new entry's timestamp is at the horizon — prunable by age, but
@@ -374,7 +374,7 @@ func TestVersionGCPinnedBySnapshot(t *testing.T) {
 }
 
 // TestSnapshotRecovery: after a crash-close and reopen, the commit clock
-// is restored from RecCommitTS records, snapshots work over the recovered
+// is restored from the commit records, snapshots work over the recovered
 // state, and the snapshot scan agrees with the unfiltered latest scan
 // (all survivors are frozen — no version chains cross a crash).
 func TestSnapshotRecovery(t *testing.T) {
@@ -424,12 +424,11 @@ func TestSnapshotRecovery(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	// The clock restores from RecCommitTS records. The final one may sit
-	// in the lost buffered WAL tail (it is appended after durability, as a
-	// hint), so recovery may land one short — never more, since each
-	// commit's force flushes all earlier appends.
-	if got := re.CommitTS(); got+1 < ctsBefore {
-		t.Fatalf("commit clock regressed over recovery: %d << %d", got, ctsBefore)
+	// The clock restores from the timestamps the commit records carry.
+	// Each commit returned only after its own record was forced, so every
+	// one survives and recovery lands exactly on the clock.
+	if got := re.CommitTS(); got != ctsBefore {
+		t.Fatalf("commit clock over recovery: %d, want %d", got, ctsBefore)
 	}
 	sn := re.Snapshot()
 	defer sn.Close()

@@ -29,7 +29,6 @@ type txnInfo struct {
 	began     bool // begin record (or ATT entry) survived
 	committed bool
 	aborted   bool   // rollback completed (abort record present)
-	hasTS     bool   // commit-timestamp record survived
 	parent    uint64 // zero for top-level transactions
 	firstLSN  uint64 // begin-record LSN (or ATT value for pre-redo txns)
 	forward   []*LogRecord
@@ -124,8 +123,6 @@ func (s *Store) recover() error {
 			t.firstLSN = rec.LSN
 		case RecCommit:
 			get(rec.Txn).committed = true
-		case RecCommitTS:
-			get(rec.Txn).hasTS = true
 			if rec.TS > maxTS {
 				maxTS = rec.TS
 			}
@@ -160,7 +157,8 @@ func (s *Store) recover() error {
 	// Transaction ids restart above everything the log (and checkpoint
 	// image) has seen; reusing a logged id would merge a new transaction's
 	// records into an old one's on the next recovery. The commit-timestamp
-	// clock likewise resumes past every stamp ever handed out; the commit
+	// clock likewise resumes at the newest stamp a surviving commit record
+	// carries, so timestamps never repeat across restarts; the commit
 	// table itself stays empty — every surviving record is frozen, i.e.
 	// visible to all, which is correct because no snapshot outlives a
 	// crash.
@@ -277,27 +275,6 @@ func (s *Store) recover() error {
 			}
 		}
 		stats.LosersUndone = len(losers)
-		// Republish commit timestamps the crash swallowed: a committed
-		// top-level transaction whose RecCommitTS record was still buffered
-		// when the process died is frozen locally (visible to all — no
-		// snapshot outlives a crash), but a live follower defers its
-		// operations until a timestamp record arrives. Without a fresh one
-		// the follower would hold that transaction pending forever.
-		var republish []uint64
-		for id, t := range txns {
-			if t.parent == 0 && t.committed && !t.hasTS {
-				republish = append(republish, id)
-			}
-		}
-		if len(republish) > 0 {
-			sort.Slice(republish, func(i, j int) bool { return republish[i] < republish[j] })
-			ts := s.commitTS.Add(1)
-			for _, id := range republish {
-				if _, err := s.wal.Append(&LogRecord{Type: RecCommitTS, Txn: id, TS: ts}); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	if err := s.wal.Flush(^uint64(0)); err != nil {
 		return err

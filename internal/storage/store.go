@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +76,6 @@ type txnState struct {
 	res       []resEntry   // undo reservations, dropped when the txn resolves
 	merged    []uint64     // committed descendants riding to the top-level outcome
 	finishing bool         // a Commit/Abort owns the txn right now
-	applied   bool         // follower only: ops applied, awaiting the commit-TS record
 }
 
 func (t *txnState) addOp(rec *LogRecord) {
@@ -183,6 +183,12 @@ type Store struct {
 	cts        map[uint64]uint64 // txn id -> commit timestamp
 	mergedInto map[uint64]uint64 // committed sub -> parent it merged into
 
+	// Commit order (appendCommit): lastTS is the newest commit timestamp
+	// handed out; unpublished (under tsMu) the commits not yet published.
+	commitMu    sync.Mutex
+	lastTS      uint64
+	unpublished []pubEntry
+
 	chains    [chainShardCount]chainShard
 	snaps     [snapShardCount]snapShard
 	snapSeq   atomic.Uint64
@@ -207,6 +213,7 @@ type Store struct {
 	retainFn    func() (uint64, bool)
 	recStats    RecoveryStats
 	replApplied atomic.Uint64 // log position fully applied by ReplIngest
+	ingestRecs  []*LogRecord  // ReplIngest's decode buffer, reused under applyMu
 	applyHook   atomic.Pointer[func(*LogRecord)]
 
 	// followerMark is the path of the directory's follower mark while its
@@ -269,6 +276,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.replApplied.Store(wal.End())
+	s.lastTS = s.commitTS.Load()
 	if err := s.rebuildFSM(!opts.Follower); err != nil {
 		wal.Close()
 		disk.Close()
@@ -432,10 +440,11 @@ func (s *Store) BeginSub(parent uint64) (uint64, error) {
 }
 
 // Commit finishes the transaction. A top-level commit appends its commit
-// record and then waits on the group-commit flusher for durability — one
-// force covers every commit that queued while the previous force was in
-// flight. A subtransaction commit merges its operations into the parent,
-// deferring durability to the top-level outcome.
+// record, stamped with the next commit timestamp, and then waits on the
+// group-commit flusher for durability — one force covers every commit
+// that queued while the previous force was in flight — and publishes. A
+// subtransaction commit merges its operations into the parent, deferring
+// durability to the top-level outcome.
 func (s *Store) Commit(id uint64) error {
 	if s.follower.Load() {
 		return ErrFollowerReadOnly
@@ -444,74 +453,125 @@ func (s *Store) Commit(id uint64) error {
 	if err != nil {
 		return err
 	}
-	lsn, err := s.wal.Append(&LogRecord{Type: RecCommit, Txn: id})
+	if t.parent != 0 {
+		return s.commitSub(t)
+	}
+	lsn, err := s.appendCommit(t)
 	if err != nil {
 		t.unfinish()
 		return err
 	}
-	if t.parent != 0 {
-		if p, _ := s.getTxn(t.parent); p != nil {
-			p.mu.Lock()
-			p.ops = append(p.ops, t.ops...)
-			// Reservations move with the operations: the parent's abort
-			// would undo them, so it inherits the right to the space.
-			p.res = append(p.res, t.res...)
-			// The sub's id (and those of its own committed descendants)
-			// ride to the top-level outcome: the root's commit stamps them
-			// all with its commit timestamp.
-			p.merged = append(append(p.merged, t.id), t.merged...)
-			p.children--
-			p.mu.Unlock()
-		}
-		// Forwarding entry before forget: once the sub leaves the active
-		// table, snapshot readers must resolve its stamps through the
-		// parent's (eventual) outcome instead of treating them as frozen.
+	if err := s.gc.waitDurable(lsn + 1); err != nil && lsn >= s.wal.Flushed() {
+		// The force failed short of this record, and the log is sealed: it
+		// never will be durable, so take it off the queue. (A record
+		// already covered stands.)
 		s.tsMu.Lock()
-		s.mergedInto[t.id] = t.parent
+		if i := slices.IndexFunc(s.unpublished, func(e pubEntry) bool { return e.t == t }); i >= 0 {
+			s.unpublished = slices.Delete(s.unpublished, i, i+1)
+		}
 		s.tsMu.Unlock()
-		s.forget(t)
-		return nil
-	}
-	// Kill window: the commit record exists but has not been forced. A
-	// crash or error here leaves the transaction's outcome indeterminate
-	// — the record may or may not survive — exactly like a commit whose
-	// acknowledgement was lost. Callers (and the torture harness) must
-	// treat a Commit error as "unknown", not "aborted".
-	if err := faults.Check(faults.StoreCommit); err != nil {
 		t.unfinish()
 		return err
 	}
-	if err := s.gc.waitDurable(lsn + 1); err != nil {
-		t.unfinish()
-		return err
-	}
-	s.assignCommitTS(t)
+	s.publishCommits()
 	s.releaseUndo(t.res)
 	s.forget(t)
 	return nil
 }
 
-// assignCommitTS stamps a durably committed top-level transaction (and
-// every subtransaction that merged into it) with the next commit
-// timestamp. Install-before-advance, under tsMu: the table entries exist
-// before the clock value that makes them relevant is published, so a
-// snapshot reader can always resolve every transaction at or below its
-// timestamp. Runs after the group-commit force and before forget.
-func (s *Store) assignCommitTS(t *txnState) {
+// commitSub commits subtransaction t into its parent.
+func (s *Store) commitSub(t *txnState) error {
+	if _, err := s.wal.Append(&LogRecord{Type: RecCommit, Txn: t.id}); err != nil {
+		t.unfinish()
+		return err
+	}
+	if p, _ := s.getTxn(t.parent); p != nil {
+		p.mu.Lock()
+		p.ops = append(p.ops, t.ops...)
+		// Reservations move with the operations: the parent's abort
+		// would undo them, so it inherits the right to the space.
+		p.res = append(p.res, t.res...)
+		// The sub's id (and those of its own committed descendants)
+		// ride to the top-level outcome: the root's commit stamps them
+		// all with its commit timestamp.
+		p.merged = append(append(p.merged, t.id), t.merged...)
+		p.children--
+		p.mu.Unlock()
+	}
+	// Forwarding entry before forget: once the sub leaves the active
+	// table, snapshot readers must resolve its stamps through the
+	// parent's (eventual) outcome instead of treating them as frozen.
 	s.tsMu.Lock()
-	ts := s.commitTS.Load() + 1
+	s.mergedInto[t.id] = t.parent
+	s.tsMu.Unlock()
+	s.forget(t)
+	return nil
+}
+
+// pubEntry is a top-level commit awaiting publication: its commit
+// record's LSN and the timestamp the record carries.
+type pubEntry struct {
+	lsn uint64
+	ts  uint64
+	t   *txnState
+}
+
+// appendCommit takes the next commit timestamp, appends t's commit record
+// carrying it, and queues the commit for publication, all under commitMu:
+// timestamp, commit-record LSN and queue order are one order.
+func (s *Store) appendCommit(t *txnState) (uint64, error) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	ts := s.lastTS + 1
+	lsn, err := s.wal.Append(&LogRecord{Type: RecCommit, Txn: t.id, TS: ts})
+	if err != nil {
+		return 0, err
+	}
+	s.lastTS = ts
+	// Kill window: the commit record exists but has not been forced. A
+	// crash or error here leaves the transaction's outcome indeterminate
+	// — the record may or may not survive — exactly like a commit whose
+	// acknowledgement was lost. Callers (and the torture harness) must
+	// treat a Commit error as "unknown", not "aborted". An error returns
+	// unqueued, so no later force publishes it here (a follower: §14).
+	if err := faults.Check(faults.StoreCommit); err != nil {
+		return 0, err
+	}
+	s.tsMu.Lock()
+	s.unpublished = append(s.unpublished, pubEntry{lsn: lsn, ts: ts, t: t})
+	s.tsMu.Unlock()
+	return lsn, nil
+}
+
+// publishCommits publishes the durable prefix of the commit queue: the
+// stamps of every commit whose record is below the flushed watermark, in
+// queue order, then the clock advanced to the last — so a snapshot never
+// sees a later timestamp before an earlier one is installed. Every
+// committer runs it once its own record is durable, so its commit is
+// published when Commit returns, by itself or by a batch-mate.
+func (s *Store) publishCommits() {
+	durable := s.wal.Flushed()
+	s.tsMu.Lock()
+	n := 0
+	for ; n < len(s.unpublished) && s.unpublished[n].lsn < durable; n++ {
+		s.stampLocked(s.unpublished[n].t, s.unpublished[n].ts)
+	}
+	if n > 0 {
+		s.commitTS.Store(s.unpublished[n-1].ts)
+		s.unpublished = slices.Delete(s.unpublished, 0, n)
+	}
+	s.tsMu.Unlock()
+}
+
+// stampLocked installs ts as the commit timestamp of t and of every
+// subtransaction that merged into it. Caller holds tsMu and advances the
+// clock afterwards.
+func (s *Store) stampLocked(t *txnState, ts uint64) {
 	s.cts[t.id] = ts
 	for _, m := range t.merged {
 		s.cts[m] = ts
 		delete(s.mergedInto, m)
 	}
-	s.commitTS.Store(ts)
-	s.tsMu.Unlock()
-	// Version-stamp WAL record: a recovery hint keeping the clock
-	// monotone across restarts. Buffered only — the commit's durability
-	// was decided by the force above — so an append error (sealed WAL)
-	// changes nothing and is ignored.
-	_, _ = s.wal.Append(&LogRecord{Type: RecCommitTS, Txn: t.id, TS: ts})
 }
 
 // Abort rolls back every operation of the transaction. Each undo step is

@@ -26,15 +26,11 @@ const (
 	RecUpdate
 	RecAlloc
 	RecCheckpoint
-	// RecCommitTS records the commit timestamp a top-level transaction was
-	// assigned after its commit record became durable. It is a recovery
-	// hint only: replay restores the commit-timestamp clock to the maximum
-	// stamp seen so timestamps never repeat across restarts. Visibility
-	// after a crash does not depend on it — recovery leaves every surviving
-	// record frozen (no snapshot outlives a crash). Followers, however,
-	// apply it live: it is what publishes a replicated commit to snapshot
-	// readers on the replica.
-	RecCommitTS
+	// Reserved: RecCommitTS, format v5's separate commit-timestamp
+	// record. The timestamp now rides in the top-level commit record, and
+	// the value stays taken so the record types after it keep their
+	// numbers.
+	_
 	// RecIdxCreate / RecIdxDrop are logical DDL records for secondary
 	// indexes (internal/query). They carry the encoded index definition in
 	// After and touch no page: redo is a no-op (the durable index catalog
@@ -66,8 +62,6 @@ func (t RecType) String() string {
 		return "ALLOC"
 	case RecCheckpoint:
 		return "CHECKPOINT"
-	case RecCommitTS:
-		return "COMMIT-TS"
 	case RecIdxCreate:
 		return "IDX-CREATE"
 	case RecIdxDrop:
@@ -87,7 +81,7 @@ type LogRecord struct {
 	Type   RecType
 	Txn    uint64
 	Parent uint64 // begin records of subtransactions: the parent txn
-	TS     uint64 // commit-timestamp records: the stamp assigned at commit
+	TS     uint64 // top-level commit records: the transaction's commit timestamp
 	CLR    bool
 	RID    RID
 	Before []byte
@@ -200,11 +194,11 @@ func (w *WAL) Scan(from uint64, fn func(*LogRecord) error) error {
 	})
 }
 
-// DecodeFrames parses a contiguous run of record frames starting at global
-// offset base, validating every checksum. Followers use it to validate a
-// shipped batch before ingesting it; any damage rejects the whole batch.
-func DecodeFrames(base uint64, data []byte) ([]*LogRecord, error) {
-	var recs []*LogRecord
+// decodeFrames parses a contiguous run of record frames starting at global
+// offset base, validating every checksum, and appends the records to
+// recs. Followers use it to validate a shipped batch before ingesting it;
+// any damage rejects the whole batch.
+func decodeFrames(recs []*LogRecord, base uint64, data []byte) ([]*LogRecord, error) {
 	for off := 0; off < len(data); {
 		payload, n, err := seglog.NextFrame(data[off:])
 		if err == nil && n == 0 {

@@ -84,7 +84,7 @@ type (
 	Context = detector.Context
 	// Debugger records event/rule traces.
 	Debugger = debug.Debugger
-	// PromoteStats reports what Promote published and aborted.
+	// PromoteStats reports what Promote aborted.
 	PromoteStats = storage.PromoteStats
 	// Q is a declarative query over a class extent (see Database.Query).
 	Q = query.Q
