@@ -24,8 +24,8 @@ import (
 //     recovery), follows again from its own offset, and must converge;
 //   - nobody killed: plain convergence within the lag bound.
 //
-// Divergence checking is record-for-record: after convergence the leader
-// and follower scans (snapshot and latest alike) must be identical.
+// Divergence checking: after convergence the leader's and follower's
+// scans (snapshot and latest alike) and pages must be identical.
 
 const (
 	scenLeaderRestart = "leader-restart"
@@ -199,9 +199,8 @@ func (r *replStack) waitShipped() error {
 	return nil
 }
 
-// verifyMirror checks record-for-record equality of a leader and its
-// follower through both the snapshot and the latest scan, reporting each
-// scan that diverges.
+// verifyMirror checks a leader and its follower for equal snapshot and
+// latest scans and equal pages, reporting each check that diverges.
 func verifyMirror(ld, fst *storage.Store) error {
 	ls, ll, err := scans(ld)
 	if err != nil {
@@ -212,5 +211,6 @@ func verifyMirror(ld, fst *storage.Store) error {
 		return fmt.Errorf("follower: %w", err)
 	}
 	return errors.Join(sameRecords("divergence: leader and follower snapshot scan", ls, fs),
-		sameRecords("divergence: leader and follower latest scan", ll, fl))
+		sameRecords("divergence: leader and follower latest scan", ll, fl),
+		storage.SamePages(ld, fst))
 }

@@ -148,9 +148,10 @@ func TestTortureHarnessDetectsBrokenRecovery(t *testing.T) {
 }
 
 // TestMirrorDetectsDivergence proves the leader≡follower check is not
-// vacuous: two stores with the same history mirror each other, and one
-// planted difference fails the comparison on both the snapshot and the
-// latest scan.
+// vacuous: two stores with the same history mirror each other, one planted
+// difference fails the comparison on both the snapshot and the latest
+// scan, and two different updates of one length — equal log ends, unequal
+// pages — fail the page comparison.
 func TestMirrorDetectsDivergence(t *testing.T) {
 	var sts [2]*storage.Store
 	var rids [2]storage.RID
@@ -190,6 +191,19 @@ func TestMirrorDetectsDivergence(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), scan) {
 			t.Fatalf("planted divergence not caught by the %s: %v", scan, err)
 		}
+	}
+	id, err = sts[0].Begin()
+	if err == nil {
+		_, err = sts[0].Update(id, rids[0], []byte("k=3"))
+	}
+	if err == nil {
+		err = sts[0].Commit(id)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.SamePages(sts[0], sts[1]); err == nil || !strings.Contains(err.Error(), "page") {
+		t.Fatalf("planted page divergence at equal log end not caught: %v", err)
 	}
 }
 

@@ -179,11 +179,11 @@ func (r *Registry) InitCatalog(tx *txn.Txn) error {
 }
 
 // Bootstrap rebuilds the in-memory OID directory by one pass over the
-// heap's latest state, and with it the OID counter's floor: the
+// heap's committed state, and with it the OID counter's floor: the
 // reservation end, the highest OID on the heap + 1 and the legacy meta
-// counter, whichever is largest. It runs at open — after recovery (leader)
-// or over the resolved prefix (follower), when everything live on the
-// pages is committed — and before the registry serves requests.
+// counter, whichever is largest. It runs at open, before the registry
+// serves requests; a follower's in-flight writes, on its pages but not in
+// the snapshot scan, reach the directory through the apply hook.
 func (r *Registry) Bootstrap() error {
 	if r.store == nil {
 		return nil
@@ -192,7 +192,7 @@ func (r *Registry) Bootstrap() error {
 	var floor uint64
 	var oidsRID storage.RID
 	hasOIDs := false
-	err := r.store.ForEachRecordLatest(func(rid storage.RID, data []byte) error {
+	err := r.store.ForEachRecord(func(rid storage.RID, data []byte) error {
 		if oid, class, ok := readHeader(event.NewReader(data)); ok {
 			dir.set(oid, objRef{rid: rid, class: r.className(class)})
 			floor = max(floor, oid+1)

@@ -436,9 +436,9 @@ func decodeDef(data []byte) (IndexDef, bool) {
 }
 
 // Bootstrap rebuilds the index catalog and all directories by one pass
-// over the heap's latest state. Run at open — after recovery on a leader,
-// over the resolved prefix on a follower — alongside the object
-// registry's own Bootstrap.
+// over the heap's committed state (a snapshot scan, which leaves out a
+// follower's in-flight writes until their commit reaches the apply hook).
+// Run at open, alongside the object registry's own Bootstrap.
 func (m *Manager) Bootstrap() error {
 	if m.store == nil {
 		return nil
@@ -451,7 +451,7 @@ func (m *Manager) Bootstrap() error {
 		maxID   uint32
 		orphans []storage.RID
 	)
-	err := m.store.ForEachRecordLatest(func(rid storage.RID, data []byte) error {
+	err := m.store.ForEachRecord(func(rid storage.RID, data []byte) error {
 		if len(data) == 0 {
 			return nil
 		}
@@ -1000,9 +1000,9 @@ func onAbortChain(tx *txn.Txn, fn func()) {
 	}
 }
 
-// ApplyRecord is the storage apply hook on followers (and after deferred
-// replays): it mirrors committed record traffic into the definitions and
-// directories. Called serially in LSN order after page effects complete.
+// ApplyRecord is the storage apply hook on followers: it mirrors committed
+// record traffic into the definitions and directories. Called serially,
+// in LSN order, when a transaction's commit record arrives.
 func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 	switch rec.Type {
 	case storage.RecInsert, storage.RecUpdate:

@@ -169,10 +169,7 @@ func (s *Store) Checkpoint() error {
 	if err := s.gc.waitDurable(b + 1); err != nil {
 		return err
 	}
-	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
-		return err
-	}
-	return s.retireSegments(img.RedoLSN)
+	return s.saveCheckpoint(img)
 }
 
 // followerCheckpoint is the follower's variant: it must not append to the
@@ -191,10 +188,7 @@ func (s *Store) followerCheckpoint() error {
 		return err
 	}
 	img := s.checkpointImage(s.wal.End(), s.commitTS.Load())
-	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
-		return err
-	}
-	return s.retireSegments(img.RedoLSN)
+	return s.saveCheckpoint(img)
 }
 
 // checkpointImage captures the active-transaction and dirty-page tables
@@ -211,12 +205,16 @@ func (s *Store) checkpointImage(bound, commitTS uint64) *ckptImage {
 	return img
 }
 
-// retireSegments archives sealed segments wholly below the redo point and
-// prunes archived ones below what lagging followers still need.
-func (s *Store) retireSegments(redo uint64) error {
-	if _, err := s.wal.Archive(redo); err != nil {
+// saveCheckpoint persists img's redo point in the manifest, archives
+// sealed segments wholly below it and prunes archived ones below what
+// lagging followers still need.
+func (s *Store) saveCheckpoint(img *ckptImage) error {
+	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
 		return err
 	}
-	_, err := s.wal.Prune(s.retainFloor(redo))
+	if _, err := s.wal.Archive(img.RedoLSN); err != nil {
+		return err
+	}
+	_, err := s.wal.Prune(s.retainFloor(img.RedoLSN))
 	return err
 }

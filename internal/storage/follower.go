@@ -3,38 +3,26 @@ package storage
 import (
 	"cmp"
 	"fmt"
-	"os"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/faults"
 )
 
-// Follower apply path. A replication follower advances exclusively by
-// ingesting the leader's log records, in LSN order, through ReplIngest.
-// The scheme is deferred apply: a shipped forward operation is buffered in
-// a placeholder transaction (registered in the active table, so snapshot
-// readers treat its stamps as in-flight and invisible) and touches no page
-// until the transaction's commit record arrives. Pages therefore only ever
-// contain resolved effects — the invariant follower recovery (recover.go)
-// and Promote both lean on: there is never anything to physically undo.
+// Follower apply path. A replication follower advances only by ingesting
+// the leader's log records, in LSN order, through ReplIngest, and it
+// applies each one as the leader's restart redo would: it repeats history
+// (ARIES). A forward operation reaches its page when it is ingested, at its
+// RID, stamped with its own LSN, pushing the version-chain entry and
+// setting the creator stamp the leader's write pushed and set; a
+// compensation record reverses its operation with the leader's own undo.
+// In-flight transactions are registered in the active table as on the
+// leader, so snapshot readers treat their stamps as uncommitted until the
+// commit record publishes them.
 //
-// Two consequences of deferring:
-//
-//   - Pages are stamped with the LSN of the commit record that published
-//     them, not each operation's own LSN. Apply order is commit order, so
-//     the stamp stays monotone per page, and — because the buffer pool
-//     forces the log up to a page's LSN before writing it back — a page on
-//     disk implies its publishing commit record is durable. That is what
-//     makes restart recovery (which replays resolved transactions only)
-//     converge without ever seeing an effect it cannot account for. Such
-//     stamps do not follow operation order, so the directory carries a
-//     follower mark (format.go) that keeps redo from trusting them.
-//   - Strict two-phase locking above the leader's store orders conflicting
-//     operations across transactions consistently with commit order, so
-//     replaying whole transactions at commit, sorted by operation LSN
-//     within each, reproduces the leader's page state exactly.
+// The follower's pages therefore carry the leader's page LSNs: a follower
+// restart is ordinary page-LSN-guarded redo (recover.go), and Promote is
+// recovery's undo pass without the restart.
 
 // ReplIngest appends a batch of shipped leader log records (raw wire
 // bytes, starting exactly at this store's log end) and applies them.
@@ -84,49 +72,32 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 		}
 		sh := s.txShard(rec.Txn)
 		sh.mu.Lock()
-		dup := sh.m[rec.Txn] != nil
-		if !dup {
-			sh.m[rec.Txn] = &txnState{id: rec.Txn, parent: rec.Parent, firstLSN: rec.LSN}
-		}
-		sh.mu.Unlock()
-		if dup {
+		defer sh.mu.Unlock()
+		if sh.m[rec.Txn] != nil {
 			return fmt.Errorf("%w: duplicate begin for txn %d", ErrReplicaDivergence, rec.Txn)
 		}
+		sh.m[rec.Txn] = &txnState{id: rec.Txn, parent: rec.Parent, firstLSN: rec.LSN}
 		return nil
 
 	case RecAlloc:
 		if rec.CLR {
 			return nil // allocation has no undo; its CLR is a no-op
 		}
-		// Page allocations apply immediately: they carry no transactional
-		// effect to defer, and deferred inserts need the page to exist.
 		return s.redoOp(rec)
 
 	case RecInsert, RecDelete, RecUpdate, RecIdxCreate, RecIdxDrop:
-		// Logical index-DDL records defer with the transaction like page
-		// operations: they reach the apply hook at commit, and their CLRs
-		// cancel them below exactly like any other op.
-		// CLRs for a committed-and-merged subtransaction's operations still
-		// carry the subtransaction's id (the leader compensates the original
-		// record); the pending operation they cancel lives in whatever
-		// ancestor placeholder the merge forwarded it to.
+		// A CLR for a committed-and-merged subtransaction's operation still
+		// carries the subtransaction's id (the leader compensates the
+		// original record); the operation lives in whatever ancestor the
+		// merge forwarded it to.
 		t := s.resolveOwner(rec.Txn)
 		if t == nil {
 			return fmt.Errorf("%w: operation for unknown txn %d", ErrReplicaDivergence, rec.Txn)
 		}
-		t.mu.Lock()
 		if rec.CLR {
-			// The leader is rolling back: each CLR cancels the newest still-
-			// pending operation (the leader undoes in strict reverse order).
-			// Nothing was applied here, so cancelling is pure bookkeeping.
-			if n := len(t.ops); n > 0 {
-				t.ops = t.ops[:n-1]
-			}
-		} else {
-			t.ops = append(t.ops, rec)
+			return s.applyCLR(t, rec)
 		}
-		t.mu.Unlock()
-		return nil
+		return s.applyForward(t, rec)
 
 	case RecCommit:
 		t, err := s.getTxn(rec.Txn)
@@ -134,8 +105,8 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 			return fmt.Errorf("%w: commit for unknown txn %d", ErrReplicaDivergence, rec.Txn)
 		}
 		if t.parent != 0 {
-			// Subtransaction commit: merge pending operations into the
-			// parent placeholder, exactly as the leader merged.
+			// Subtransaction commit: merge the operations into the parent,
+			// exactly as the leader merged.
 			p, perr := s.getTxn(t.parent)
 			if perr != nil {
 				return fmt.Errorf("%w: txn %d commits into unknown parent %d", ErrReplicaDivergence, rec.Txn, t.parent)
@@ -151,10 +122,14 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 			return nil
 		}
 		// Top-level commit, durable on the leader and carrying its commit
-		// timestamp: apply the buffered operations, then publish as the
-		// leader does (install the stamps, then advance the clock).
-		if err := s.applyPendingOps(t, rec.LSN); err != nil {
-			return err
+		// timestamp. Its operations are on the pages already, so it only
+		// publishes: the apply hook sees them in LSN order, then the stamps
+		// go in and the clock advances, as on the leader.
+		if hook := s.applyHookFn(); hook != nil {
+			slices.SortFunc(t.ops, func(a, b *LogRecord) int { return cmp.Compare(a.LSN, b.LSN) })
+			for _, op := range t.ops {
+				hook(op)
+			}
 		}
 		s.tsMu.Lock()
 		s.stampLocked(t, rec.TS)
@@ -168,33 +143,11 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 	case RecAbort:
 		t, err := s.getTxn(rec.Txn)
 		if err != nil {
-			// Leader crash recovery aborts every member of a loser tree
-			// individually — including subtransactions that had committed
-			// and merged into an uncommitted ancestor. Such a sub has no
-			// placeholder here, only a forwarding entry; its buffered
-			// operations were already cancelled by the CLRs that precede
-			// the abort, so dropping the entry is all that is left. The
-			// ancestor's own abort follows (recovery orders children
-			// first).
-			s.tsMu.Lock()
-			_, merged := s.mergedInto[rec.Txn]
-			delete(s.mergedInto, rec.Txn)
-			s.tsMu.Unlock()
-			if !merged {
-				return fmt.Errorf("%w: abort for unknown txn %d", ErrReplicaDivergence, rec.Txn)
-			}
-			return nil
+			return fmt.Errorf("%w: abort for unknown txn %d", ErrReplicaDivergence, rec.Txn)
 		}
-		// Nothing was applied, so there is nothing to undo: drop the
-		// placeholder and the forwarding entries of descendants that died
-		// with it.
-		if len(t.merged) > 0 {
-			s.tsMu.Lock()
-			for _, m := range t.merged {
-				delete(s.mergedInto, m)
-			}
-			s.tsMu.Unlock()
-		}
+		// The CLRs before the abort record reversed every operation; the
+		// forwarding entries of merged descendants go with it.
+		s.dropMerged(t)
 		s.forget(t)
 		return nil
 
@@ -206,10 +159,10 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 	}
 }
 
-// resolveOwner returns the placeholder currently holding txn id's pending
-// operations: the placeholder itself or, for a subtransaction that already
-// merged, the nearest still-registered ancestor its operations were
-// forwarded to. Returns nil when neither exists.
+// resolveOwner returns the registered transaction currently holding txn
+// id's operations: the transaction itself or, for a subtransaction that
+// already merged, the nearest still-registered ancestor its operations
+// were forwarded to. Returns nil when neither exists.
 func (s *Store) resolveOwner(id uint64) *txnState {
 	for {
 		sh := s.txShard(id)
@@ -229,55 +182,14 @@ func (s *Store) resolveOwner(id uint64) *txnState {
 	}
 }
 
-// applyPendingOps replays a committed transaction's buffered operations
-// onto the pages and version chains, mirroring the leader's forward write
-// paths (chain pushes and xmin stamps included, so snapshot reads resolve
-// identically). Operations are applied in LSN order — merged
-// subtransaction operations interleave correctly — and every touched page
-// is stamped with the commit record's LSN.
-// Large transactions — a cold follower draining a long shipped archive
-// arrives here with the whole history buffered in placeholders — replay on
-// the same page-sharded worker pool recovery redo uses; small ones apply
-// serially. After every page effect is in place the apply hook (if any)
-// observes each operation in LSN order, so upper-layer directories update
-// deterministically even when the page apply itself ran sharded.
-func (s *Store) applyPendingOps(t *txnState, commitLSN uint64) error {
-	t.mu.Lock()
-	ops := t.ops
-	t.mu.Unlock()
-	slices.SortFunc(ops, func(a, b *LogRecord) int { return cmp.Compare(a.LSN, b.LSN) })
-	apply := func(rec *LogRecord) error {
-		if err := s.applyResolved(rec, commitLSN); err != nil {
-			return fmt.Errorf("apply txn %d lsn %d: %w", t.id, rec.LSN, err)
-		}
-		return nil
-	}
-	if workers := s.applyWorkers(); workers >= 2 && len(ops) >= redoParallelMin {
-		if err := s.applyByPageShard(ops, workers, apply); err != nil {
-			return err
-		}
-	} else {
-		for _, rec := range ops {
-			if err := apply(rec); err != nil {
-				return err
-			}
-		}
-	}
-	if hook := s.applyHookFn(); hook != nil {
-		for _, rec := range ops {
-			hook(rec)
-		}
-	}
-	return nil
-}
-
-// applyResolved applies one committed forward operation. The follower's
-// page state tracks the leader's exactly (same operations, same order), so
-// a precondition mismatch — inserting onto a live slot, updating a dead
-// one — is divergence, not something to paper over. Logical index-DDL
-// records have no page effect.
-func (s *Store) applyResolved(rec *LogRecord, commitLSN uint64) error {
-	if rec.Type == RecIdxCreate || rec.Type == RecIdxDrop {
+// applyForward applies one shipped forward operation at its RID, as the
+// leader's write did. The follower's pages track the leader's exactly
+// (same operations, same order), so a precondition mismatch — inserting
+// onto a live slot, updating a dead one — is divergence, not something to
+// paper over.
+func (s *Store) applyForward(t *txnState, rec *LogRecord) error {
+	if rec.Type.logical() {
+		t.addOp(rec)
 		return nil
 	}
 	page, err := s.pool.Fetch(rec.RID.Page)
@@ -286,46 +198,57 @@ func (s *Store) applyResolved(rec *LogRecord, commitLSN uint64) error {
 	}
 	defer s.pool.Unpin(rec.RID.Page, true)
 	slot := rec.RID.Slot
+	if page.Live(slot) == (rec.Type == RecInsert) {
+		return fmt.Errorf("%w: %v at %v, live=%t", ErrReplicaDivergence, rec.Type, rec.RID, page.Live(slot))
+	}
+	var oldXmin uint64
+	reused := slot < page.NumSlots()
+	if reused {
+		oldXmin = page.Xmin(slot)
+	}
 	switch rec.Type {
 	case RecInsert:
-		if page.Live(slot) {
-			return fmt.Errorf("%w: insert at live slot %v", ErrReplicaDivergence, rec.RID)
-		}
-		reused := slot < page.NumSlots()
-		if err := page.InsertAt(slot, rec.After); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplicaDivergence, err)
-		}
-		if reused {
-			s.pushChain(rec.RID, chainEntry{writer: rec.Txn, xmin: s.priorDeleter(rec.RID)})
-		}
-		page.SetXmin(slot, rec.Txn)
+		err = page.InsertAt(slot, rec.After)
 	case RecUpdate:
-		if !page.Live(slot) {
-			return fmt.Errorf("%w: update of dead slot %v", ErrReplicaDivergence, rec.RID)
-		}
-		oldXmin := page.Xmin(slot)
-		if err := page.Update(slot, rec.After); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplicaDivergence, err)
-		}
-		s.pushChain(rec.RID, chainEntry{writer: rec.Txn, xmin: oldXmin, data: cloneBytes(rec.Before), exists: true})
-		page.SetXmin(slot, rec.Txn)
-	case RecDelete:
-		if !page.Live(slot) {
-			return fmt.Errorf("%w: delete of dead slot %v", ErrReplicaDivergence, rec.RID)
-		}
-		oldXmin := page.Xmin(slot)
-		if err := page.Delete(slot); err != nil {
-			return err
-		}
-		s.pushChain(rec.RID, chainEntry{writer: rec.Txn, xmin: oldXmin, data: cloneBytes(rec.Before), exists: true})
+		err = page.Update(slot, rec.After)
 	default:
-		return fmt.Errorf("%w: unexpected pending record type %d", ErrReplicaDivergence, rec.Type)
+		err = page.Delete(slot)
 	}
-	if commitLSN > page.LSN() {
-		page.SetLSN(commitLSN)
+	if err != nil {
+		return fmt.Errorf("%w: %v at %v: %v", ErrReplicaDivergence, rec.Type, rec.RID, err)
 	}
-	s.noteFree(page)
+	s.wrote(t, page, rec, oldXmin, reused)
 	return nil
+}
+
+// applyCLR reverses the operation a shipped compensation record
+// compensates, with the leader's own undo, stamped at the CLR's LSN. That
+// operation is the owner's newest of the CLR's transaction on the CLR's RID
+// (its newest index DDL, for a logical CLR): every rollback undoes one
+// RID's operations newest first, and the locks that ordered them keep
+// them in that order in the owner's list.
+func (s *Store) applyCLR(t *txnState, clr *LogRecord) error {
+	var op *LogRecord
+	t.mu.Lock()
+	for i := len(t.ops) - 1; i >= 0; i-- {
+		if o := t.ops[i]; o.Txn == clr.Txn && o.RID == clr.RID && o.Type.logical() == clr.Type.logical() {
+			op, t.ops = o, slices.Delete(t.ops, i, i+1)
+			break
+		}
+	}
+	t.mu.Unlock()
+	if op == nil {
+		return fmt.Errorf("%w: CLR at lsn %d compensates no operation of txn %d", ErrReplicaDivergence, clr.LSN, clr.Txn)
+	}
+	if op.Type.logical() {
+		return nil
+	}
+	page, err := s.pool.Fetch(op.RID.Page)
+	if err != nil {
+		return err
+	}
+	defer s.pool.Unpin(op.RID.Page, true)
+	return s.undoOpLatched(page, op, clr.LSN)
 }
 
 // PromoteStats reports what a promotion did.
@@ -338,19 +261,12 @@ type PromoteStats struct {
 // authoritative up to its local end; everything beyond died with the old
 // leader. Every transaction whose commit record arrived is already
 // published (the record carries its timestamp); what remains is resolved
-// exactly as leader crash recovery would: unresolved transactions are
-// rolled back on the log — compensation records plus an abort record —
-// with no physical application at all, since deferred apply means none
-// of their effects ever reached a page. A later recovery replays forward
-// op and CLR as a net no-op.
-//
-// It then forces the log, flushes all pages, and persists a checkpoint
-// whose redo point is the log end (endFollowerStamps), so a store that
-// crashes right after promotion recovers from (near) nothing — in
-// particular it never replays the shipped history with leader semantics,
-// and a crash before that checkpoint leaves the follower mark standing.
-// Finally the follower flag flips and every write entry point opens for
-// business, its commit timestamps continuing the leader's.
+// exactly as leader crash recovery would: every transaction still
+// registered is rolled back, children first, through the leader's own
+// rollback — compensation records applied under their pages' latches, then
+// an abort record. The log is forced, the free-space map rebuilt, and the
+// follower flag flips: every write entry point opens for business, its
+// commit timestamps continuing the leader's.
 func (s *Store) Promote() (PromoteStats, error) {
 	if s.closed.Load() {
 		return PromoteStats{}, ErrStoreClosed
@@ -361,76 +277,21 @@ func (s *Store) Promote() (PromoteStats, error) {
 		return PromoteStats{}, ErrNotFollower
 	}
 	start := time.Now()
-	var pending []*txnState
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, t := range sh.m {
-			pending = append(pending, t)
-		}
-		sh.mu.Unlock()
+	aborted, err := s.undoRegistered()
+	if err == nil {
+		err = s.wal.Flush(^uint64(0))
 	}
-	// Children before parents: subtransaction ids are always higher.
-	sort.Slice(pending, func(i, j int) bool { return pending[i].id > pending[j].id })
-
-	for _, t := range pending {
-		for i := len(t.ops) - 1; i >= 0; i-- {
-			if _, err := s.wal.Append(compensationFor(t.ops[i])); err != nil {
-				return PromoteStats{}, err
-			}
-		}
-		// Even a transaction that logged nothing but its begin: a follower
-		// of this store holds a placeholder for it until an abort arrives.
-		if _, err := s.wal.Append(&LogRecord{Type: RecAbort, Txn: t.id}); err != nil {
-			return PromoteStats{}, err
-		}
-		if len(t.merged) > 0 {
-			s.tsMu.Lock()
-			for _, m := range t.merged {
-				delete(s.mergedInto, m)
-			}
-			s.tsMu.Unlock()
-		}
-		s.forget(t)
+	// Apply notes the free space of the pages it touches, but not of pages
+	// it only allocated; rebuild before taking writes.
+	if err == nil {
+		err = s.rebuildFSM(true)
 	}
-	if err := s.endFollowerStamps(); err != nil {
-		return PromoteStats{}, err
-	}
-	// The free-space map was never maintained during apply (no local
-	// inserts consulted it); rebuild before taking writes.
-	if err := s.rebuildFSM(true); err != nil {
+	if err != nil {
 		return PromoteStats{}, err
 	}
 	s.commitMu.Lock()
 	s.lastTS = s.commitTS.Load()
 	s.commitMu.Unlock()
 	s.follower.Store(false)
-	return PromoteStats{Aborted: len(pending), Elapsed: time.Since(start)}, nil
-}
-
-// endFollowerStamps ends the directory's follower era: with the log forced
-// and every page flushed, it persists a checkpoint whose redo point is the
-// log end, so no record below a follower stamp is ever replayed again, and
-// only then drops the follower mark — from here on every page LSN at or
-// above the redo point is an operation's own. Nothing else may be writing.
-func (s *Store) endFollowerStamps() error {
-	if err := s.wal.Flush(^uint64(0)); err != nil {
-		return err
-	}
-	if err := s.pool.FlushAll(); err != nil {
-		return err
-	}
-	img := &ckptImage{
-		RedoLSN:  s.wal.End(),
-		NextTxn:  s.nextTxn.Load(),
-		CommitTS: s.commitTS.Load(),
-	}
-	if err := s.wal.SetCheckpoint(img.RedoLSN, encodeCkptImage(img)); err != nil {
-		return err
-	}
-	if err := os.Remove(s.followerMark); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("storage: remove follower mark: %w", err)
-	}
-	s.followerMark = ""
-	return nil
+	return PromoteStats{Aborted: aborted, Elapsed: time.Since(start)}, nil
 }

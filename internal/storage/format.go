@@ -47,10 +47,16 @@ import (
 //	     stays reserved) is no longer written. A v5 log restores its clock
 //	     from those records and a v5 follower publishes by them, so a v5
 //	     directory is refused, not migrated.
+//	v7 — a follower repeats history: it stamps each page with the LSN of
+//	     the operation it applied last, as the leader does, where a v6
+//	     follower stamped the LSN of the commit record that published it
+//	     and kept a follower mark beside its pages. A v6 follower's page
+//	     LSNs would let redo skip operations that are not on the page, so
+//	     a v6 directory is refused, not migrated.
 const (
 	formatMagic = "sentinel-format"
 	// FormatVersion is the generation this build reads and writes.
-	FormatVersion = 6
+	FormatVersion = 7
 	// formatFile is the marker's filename inside the data directory.
 	formatFile = "sentinel.meta"
 )
@@ -85,35 +91,6 @@ func checkFormat(dir string) error {
 	default:
 		return fmt.Errorf("storage: read format marker: %w", err)
 	}
-}
-
-// followerMarkFile records that a data directory's pages may carry follower
-// stamps. A follower stamps a page with the LSN of the commit record that
-// published its last change (follower.go), and commits do not follow
-// operation order, so such a page LSN says nothing about which operations
-// below it are on the page: redo must not skip by it (redoOp). Opening as a
-// follower creates the file, durably, before any page can be written; it is
-// removed only after a checkpoint at the log end over fully flushed pages
-// (endFollowerStamps), past which every page LSN is an operation's own.
-const followerMarkFile = "sentinel.follower"
-
-// followerMark returns the path of dir's follower mark if its pages may
-// carry follower stamps, and "" if not — first creating the mark when the
-// store opens as a follower.
-func followerMark(dir string, follower bool) (string, error) {
-	path := filepath.Join(dir, followerMarkFile)
-	if _, err := os.Stat(path); err == nil {
-		return path, nil
-	} else if !os.IsNotExist(err) {
-		return "", fmt.Errorf("storage: stat follower mark: %w", err)
-	}
-	if !follower {
-		return "", nil
-	}
-	if err := seglog.WriteFileAtomic(path, []byte("pages carry follower (commit-record) LSN stamps\n")); err != nil {
-		return "", fmt.Errorf("storage: write follower mark: %w", err)
-	}
-	return path, nil
 }
 
 // dirHasData reports whether dir already holds a non-empty database or log.

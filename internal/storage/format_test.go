@@ -87,6 +87,15 @@ func TestFormatMarkerLifecycle(t *testing.T) {
 	if _, err := open(); !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
 		t.Fatalf("v5 refusal does not name both generations: %v", err)
 	}
+	// v6 follower pages carry commit-record LSN stamps that redo must not
+	// trust: refused too.
+	if err := os.WriteFile(meta, []byte(formatMagic+" v6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejects("v6 format version")
+	if _, err := open(); !strings.Contains(err.Error(), "v6") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
+		t.Fatalf("v6 refusal does not name both generations: %v", err)
+	}
 	if err := os.WriteFile(meta, []byte(formatMagic+" v999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,10 @@ import (
 // commit table by GC — only once its timestamp is at or below every live
 // snapshot — and (b) aborting, which physically removes its effects from
 // pages and chains under the page latch before the transaction is
-// forgotten. Recovery leaves all surviving records frozen (stamp replayed
+// forgotten. Recovery leaves every committed record frozen (stamp replayed
 // from the op's txn id, table empty), which is exactly right: no snapshot
-// survives a crash, and everything on the pages after recovery is
-// committed state.
+// survives a crash. A follower's in-flight writes stay in flight: their
+// transactions are registered again (registerUnresolved).
 
 // chainEntry is one displaced version of a record: the state a newer write
 // pushed off the page. data/exists describe the displaced state itself
@@ -164,9 +164,9 @@ func (s *Store) pushChain(rid RID, e chainEntry) {
 	sh.mu.Unlock()
 }
 
-// priorDeleter returns the transaction that tombstoned rid's slot (the
-// writer of the newest chain entry), or zero when the delete is frozen.
-// Caller holds the page latch.
+// priorDeleter returns the writer of rid's newest chain entry — the
+// creator of the slot's current state, for a tombstoned slot its deleter —
+// or zero when that state is frozen. Caller holds the page latch.
 func (s *Store) priorDeleter(rid RID) uint64 {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()

@@ -1,9 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,14 +20,13 @@ type RecoveryStats struct {
 	RecordsScanned int           // records the scan visited
 	OpsRedone      int           // page operations replayed
 	LosersUndone   int           // loser transactions rolled back (leader)
-	Pending        int           // unresolved transactions rebuilt as pending (follower)
+	Pending        int           // unresolved transactions registered after redo (a follower keeps them in flight)
 	Parallelism    int           // redo workers used
 	Elapsed        time.Duration // wall time for the whole pass
 }
 
 // txnInfo accumulates one transaction's fate during the log scan.
 type txnInfo struct {
-	began     bool // begin record (or ATT entry) survived
 	committed bool
 	aborted   bool   // rollback completed (abort record present)
 	parent    uint64 // zero for top-level transactions
@@ -51,7 +51,8 @@ func (t *txnInfo) remaining() []*LogRecord {
 // history, guarded by page LSNs), then undo the still-uncompensated
 // operations of every transaction that neither committed nor completed its
 // rollback. Each recovery undo logs its own CLR and the loser finally gets
-// an abort record, so recovery itself is crash-safe and idempotent.
+// an abort record, so recovery itself is crash-safe and idempotent. The
+// undo pass is Promote's too (undoRegistered).
 //
 // With a fuzzy checkpoint in the manifest the scan starts at the
 // checkpoint's redo point instead of zero: the dirty-page-table bound
@@ -61,11 +62,8 @@ func (t *txnInfo) remaining() []*LogRecord {
 // page: operations are partitioned by PageID so per-page LSN order is
 // preserved while disjoint pages replay concurrently.
 //
-// A follower store recovers differently after the redo pass: unresolved
-// transactions' operations were never applied to its pages (the deferred-
-// apply invariant), so instead of undoing — there is nothing to undo, and
-// a follower must not append to its log — it rebuilds them as pending
-// placeholders that later shipped commit/abort records resolve.
+// A follower runs the same redo and stops short of undo: its unresolved
+// transactions stay registered, in flight as they are on the leader.
 func (s *Store) recover() error {
 	start := time.Now()
 	follower := s.follower.Load()
@@ -99,7 +97,6 @@ func (s *Store) recover() error {
 		// ever conservative rather than exact.
 		for _, t := range img.Active {
 			ti := get(t.ID)
-			ti.began = true
 			ti.parent = t.Parent
 			ti.firstLSN = t.FirstLSN
 			if t.ID > maxTxn {
@@ -118,7 +115,6 @@ func (s *Store) recover() error {
 		switch rec.Type {
 		case RecBegin:
 			t := get(rec.Txn)
-			t.began = true
 			t.parent = rec.Parent
 			t.firstLSN = rec.LSN
 		case RecCommit:
@@ -128,17 +124,13 @@ func (s *Store) recover() error {
 			}
 		case RecAbort:
 			get(rec.Txn).aborted = true
-		case RecInsert, RecDelete, RecUpdate:
-			allOps = append(allOps, rec)
-			if rec.CLR {
-				get(rec.Txn).clrs++
-			} else {
-				get(rec.Txn).forward = append(get(rec.Txn).forward, rec)
+		case RecInsert, RecDelete, RecUpdate, RecIdxCreate, RecIdxDrop:
+			// Logical index DDL has no page effect to redo, but it joins the
+			// undo bookkeeping (its CLR is logical too) and a follower's
+			// registered transaction carries it to the apply hook.
+			if !rec.Type.logical() {
+				allOps = append(allOps, rec)
 			}
-		case RecIdxCreate, RecIdxDrop:
-			// Logical index DDL: no page effect to redo, but the record
-			// participates in undo bookkeeping (its CLR is logical too) and
-			// a follower's pending rebuild carries it to the apply hook.
 			if rec.CLR {
 				get(rec.Txn).clrs++
 			} else {
@@ -180,20 +172,8 @@ func (s *Store) recover() error {
 		return effCommitted(t.parent)
 	}
 
-	// Redo pass: repeat history, including compensations. A follower
-	// replays only resolved transactions (committed-to-the-top or fully
-	// aborted, the latter a net no-op) plus page allocations: unresolved
-	// operations were never applied to its pages and must stay that way.
-	redoSet := allOps
-	if follower {
-		redoSet = redoSet[:0]
-		for _, rec := range allOps {
-			if rec.Type == RecAlloc || effCommitted(rec.Txn) || txns[rec.Txn].aborted {
-				redoSet = append(redoSet, rec)
-			}
-		}
-	}
-	workers, err := s.redoAll(redoSet)
+	// Redo pass: repeat history, including compensations.
+	workers, err := s.redoAll(allOps)
 	if err != nil {
 		return err
 	}
@@ -201,95 +181,33 @@ func (s *Store) recover() error {
 	stats := RecoveryStats{
 		RedoStartLSN:   redoFrom,
 		RecordsScanned: scanned,
-		OpsRedone:      len(redoSet),
+		OpsRedone:      len(allOps),
 		Parallelism:    workers,
 	}
 
-	if follower {
-		stats.Pending = s.rebuildPending(txns, effCommitted)
-	} else {
-		// Undo pass: across all losers, newest operation first, each undo
-		// logging its own CLR.
-		var losers []uint64
-		var toUndo []*LogRecord
-		// A committed subtransaction below an aborted ancestor is already
-		// fully resolved: the ancestor's abort (runtime or a prior
-		// recovery's) compensated the merged operations. Re-aborting it
-		// here would ship an abort for a transaction no follower has any
-		// trace of.
-		ancestorAborted := func(id uint64) bool {
-			for anc := txns[id].parent; anc != 0; {
-				at := txns[anc]
-				if at == nil {
-					return false
-				}
-				if at.aborted {
-					return true
-				}
-				if !at.committed {
-					return false
-				}
-				anc = at.parent
-			}
-			return false
+	// Undo pass. Every unresolved transaction is registered again, its
+	// effects on the pages; a leader then rolls them all back. A follower
+	// must not append to its log, and its unresolved transactions are
+	// still in flight on the leader: they stay registered for shipped
+	// commit, CLR and abort records to resolve. Sabotage point for the
+	// torture harness's self-check: when armed, a leader's recovery
+	// silently skips its undo pass, leaving loser effects on the pages as
+	// if committed. The harness must detect this as an invariant violation
+	// — if it doesn't, the harness is vacuous. Never armed outside that
+	// test.
+	if follower || faults.Check(faults.RecoverSkipUndo) == nil {
+		if stats.Pending, err = s.registerUnresolved(txns, effCommitted); err == nil && !follower {
+			stats.LosersUndone, err = s.undoRegistered()
 		}
-		for id, t := range txns {
-			if effCommitted(id) || t.aborted {
-				continue
-			}
-			if t.committed && ancestorAborted(id) {
-				continue
-			}
-			// A loser that logged nothing but its begin record still gets
-			// an abort record: a live follower holds a placeholder for every
-			// begin it applied, and only a shipped abort releases it.
-			remaining := t.remaining()
-			if t.began || len(remaining) > 0 || t.clrs > 0 {
-				losers = append(losers, id)
-			}
-			toUndo = append(toUndo, remaining...)
+		if err != nil {
+			return err
 		}
-		sort.Slice(toUndo, func(i, j int) bool { return toUndo[i].LSN > toUndo[j].LSN })
-		// Sabotage point for the torture harness's self-check: when armed,
-		// recovery silently skips its undo pass, leaving loser effects on
-		// the pages. The harness must detect this as an invariant violation
-		// — if it doesn't, the harness is vacuous. Never armed outside that
-		// test.
-		if faults.Check(faults.RecoverSkipUndo) != nil {
-			toUndo = nil
-			losers = nil
-		}
-		for _, rec := range toUndo {
-			if err := s.compensate(rec); err != nil {
-				return fmt.Errorf("storage: recovery undo lsn %d: %w", rec.LSN, err)
-			}
-		}
-		// Children before parents (subtransaction ids are always higher):
-		// a committed-and-merged subtransaction in a loser tree has no
-		// placeholder of its own on a follower, only a forwarding entry to
-		// its parent — which must still exist when the sub's abort arrives.
-		sort.Slice(losers, func(i, j int) bool { return losers[i] > losers[j] })
-		for _, id := range losers {
-			if _, err := s.wal.Append(&LogRecord{Type: RecAbort, Txn: id}); err != nil {
-				return err
-			}
-		}
-		stats.LosersUndone = len(losers)
 	}
 	if err := s.wal.Flush(^uint64(0)); err != nil {
 		return err
 	}
 	if err := s.pool.FlushAll(); err != nil {
 		return err
-	}
-	if !follower && s.followerMark != "" {
-		// A follower's directory opened as a leader — a replica restarted
-		// without its leader, or a Promote that died before its checkpoint.
-		// Redo above could not trust its page LSNs; end that before a leader
-		// write stamps a page with its own.
-		if err := s.endFollowerStamps(); err != nil {
-			return err
-		}
 	}
 	stats.LogEndLSN = s.wal.End()
 	stats.Elapsed = time.Since(start)
@@ -343,10 +261,9 @@ func (s *Store) applyWorkers() int {
 // by PageID across workers: records for one page land on one worker in
 // order, so per-page LSN order is preserved while disjoint pages apply
 // concurrently. The WAL is physiological — operations on different pages
-// commute — which is what makes the partition sound. Shared by recovery
-// redo (redoAll) and the follower's deferred-apply path (applyPendingOps),
-// so a cold follower bootstrapping from a long shipped archive replays on
-// the same pool recovery uses.
+// commute — which is what makes the partition sound. Restart redo
+// (redoAll) uses it, a follower's included; live follower apply is serial,
+// record by record as it is ingested.
 func (s *Store) applyByPageShard(ops []*LogRecord, workers int, apply func(*LogRecord) error) error {
 	groups := make([][]*LogRecord, workers)
 	for _, rec := range ops {
@@ -379,25 +296,23 @@ func (s *Store) applyByPageShard(ops []*LogRecord, workers int, apply func(*LogR
 	return nil
 }
 
-// rebuildPending reconstructs a follower's pending-transaction state after
-// a restart: every unresolved transaction becomes a registered placeholder
-// holding its not-yet-applied operations, exactly as live apply would have
-// left it. Committed subtransactions under an unresolved ancestor merge
-// into the nearest unresolved ancestor's placeholder (mirroring the live
-// sub-commit merge); under an aborted ancestor their operations are dead.
-// Returns the number of placeholders registered.
-func (s *Store) rebuildPending(txns map[uint64]*txnInfo, effCommitted func(uint64) bool) int {
-	placeholders := map[uint64]*txnState{}
+// registerUnresolved rebuilds in memory the unresolved transactions whose
+// effects redo left on the pages. Each is registered again with its
+// remaining operations — a committed subtransaction's ride to its nearest
+// unresolved ancestor, as the live merge forwarded them; under an aborted
+// ancestor they are dead — and their version-chain entries are pushed
+// again, in LSN order, each with its before-image. The state an entry
+// displaced was committed before the restart, hence frozen (creator 0),
+// unless an earlier registered operation wrote it: then its creator is
+// that operation's transaction, the writer of the entry below. Recovery
+// runs alone, so no lock is taken. Returns the number registered.
+func (s *Store) registerUnresolved(txns map[uint64]*txnInfo, effCommitted func(uint64) bool) (int, error) {
+	reg := map[uint64]*txnState{}
 	for id, t := range txns {
 		if effCommitted(id) || t.aborted || t.committed {
 			continue
 		}
-		placeholders[id] = &txnState{
-			id:       id,
-			parent:   t.parent,
-			firstLSN: t.firstLSN,
-			ops:      t.remaining(),
-		}
+		reg[id] = &txnState{id: id, parent: t.parent, firstLSN: t.firstLSN, ops: t.remaining()}
 	}
 	for id, t := range txns {
 		if !t.committed || effCommitted(id) {
@@ -407,14 +322,11 @@ func (s *Store) rebuildPending(txns map[uint64]*txnInfo, effCommitted func(uint6
 		// unresolved ancestor, as the live merge did. Hitting an aborted
 		// ancestor (or falling off the chain) means the merge was already
 		// undone on the leader — the operations are dead.
-		anc := t.parent
-		for anc != 0 {
-			if p, ok := placeholders[anc]; ok {
+		for anc := t.parent; anc != 0; {
+			if p, ok := reg[anc]; ok {
 				p.ops = append(p.ops, t.remaining()...)
 				p.merged = append(p.merged, id)
-				s.tsMu.Lock()
 				s.mergedInto[id] = t.parent
-				s.tsMu.Unlock()
 				break
 			}
 			at := txns[anc]
@@ -424,11 +336,54 @@ func (s *Store) rebuildPending(txns map[uint64]*txnInfo, effCommitted func(uint6
 			anc = at.parent
 		}
 	}
-	for _, p := range placeholders {
-		sh := s.txShard(p.id)
-		sh.mu.Lock()
-		sh.m[p.id] = p
-		sh.mu.Unlock()
+	// Registered before any chain push, so no push prunes their entries.
+	// The pushes run over all of them in one LSN order: a parent and its
+	// open child may both have written one record.
+	byLSN := func(a, b *LogRecord) int { return cmp.Compare(a.LSN, b.LSN) }
+	var ops []*LogRecord
+	for _, t := range reg {
+		s.txShard(t.id).m[t.id] = t
+		slices.SortFunc(t.ops, byLSN)
+		for _, op := range t.ops {
+			if !op.Type.logical() {
+				ops = append(ops, op)
+			}
+		}
 	}
-	return len(placeholders)
+	slices.SortFunc(ops, byLSN)
+	for _, op := range ops {
+		page, err := s.pool.Fetch(op.RID.Page)
+		if err != nil {
+			return 0, err
+		}
+		s.pushChain(op.RID, chainEntry{writer: op.Txn, xmin: s.priorDeleter(op.RID), data: op.Before, exists: op.Type != RecInsert})
+		if op.Type != RecDelete && page.Live(op.RID.Slot) {
+			page.SetXmin(op.RID.Slot, op.Txn)
+		}
+		s.pool.Unpin(op.RID.Page, true)
+	}
+	return len(reg), nil
+}
+
+// undoRegistered is recovery's undo pass, and Promote's: it rolls back
+// every registered transaction, children first (subtransaction ids are
+// always higher), each through the leader's own rollback — a CLR per
+// remaining operation, then an abort record. Even a transaction that
+// logged nothing but its begin gets one: a follower of this store holds it
+// registered until an abort arrives. Returns the number rolled back.
+func (s *Store) undoRegistered() (int, error) {
+	ids := s.ActiveTxns()
+	slices.SortFunc(ids, func(a, b uint64) int { return cmp.Compare(b, a) })
+	for _, id := range ids {
+		t, err := s.getTxn(id)
+		if err == nil {
+			_, err = s.rollback(t)
+		}
+		if err != nil {
+			return 0, err
+		}
+		s.dropMerged(t)
+		s.forget(t)
+	}
+	return len(ids), nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -216,12 +217,6 @@ type Store struct {
 	ingestRecs  []*LogRecord  // ReplIngest's decode buffer, reused under applyMu
 	applyHook   atomic.Pointer[func(*LogRecord)]
 
-	// followerMark is the path of the directory's follower mark while its
-	// pages may carry follower stamps (format.go), "" once they cannot.
-	// Redo trusts page LSNs only when it is "". Set at Open, cleared by
-	// endFollowerStamps — in recovery, or in Promote under applyMu.
-	followerMark string
-
 	closed atomic.Bool
 }
 
@@ -251,11 +246,6 @@ func Open(opts Options) (*Store, error) {
 		mergedInto: make(map[uint64]uint64),
 	}
 	s.follower.Store(opts.Follower)
-	if s.followerMark, err = followerMark(opts.Dir, opts.Follower); err != nil {
-		wal.Close()
-		disk.Close()
-		return nil, err
-	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]*txnState)
 	}
@@ -587,22 +577,7 @@ func (s *Store) Abort(id uint64) error {
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	ops := t.ops
-	t.mu.Unlock()
-	for i := len(ops) - 1; i >= 0; i-- {
-		// Kill window: crashes here land mid-rollback, leaving some
-		// operations compensated and some not; recovery must finish the job.
-		if err := faults.Check(faults.StoreAbortUndo); err != nil {
-			t.unfinish()
-			return err
-		}
-		if err := s.compensate(ops[i]); err != nil {
-			t.unfinish()
-			return fmt.Errorf("storage: abort txn %d: %w", id, err)
-		}
-	}
-	abortLSN, err := s.wal.Append(&LogRecord{Type: RecAbort, Txn: id})
+	abortLSN, err := s.rollback(t)
 	if err != nil {
 		t.unfinish()
 		return err
@@ -617,19 +592,51 @@ func (s *Store) Abort(id uint64) error {
 		t.unfinish()
 		return err
 	}
-	// Committed descendants die with this abort; their effects were just
-	// undone, so drop their forwarding entries (an id with no entry
-	// resolves frozen, but none of its writes survive to be resolved).
-	if len(t.merged) > 0 {
-		s.tsMu.Lock()
-		for _, m := range t.merged {
-			delete(s.mergedInto, m)
-		}
-		s.tsMu.Unlock()
-	}
+	s.dropMerged(t)
 	s.releaseUndo(t.res)
 	s.forget(t)
 	return nil
+}
+
+// rollback compensates t's operations newest first, each CLR logged and
+// applied under its page's latch, then appends t's abort record — meaning
+// "rollback complete" — and returns its LSN. A crash at any point leaves
+// recovery enough to finish or redo the rollback. Abort and Promote share
+// it.
+func (s *Store) rollback(t *txnState) (uint64, error) {
+	t.mu.Lock()
+	ops := t.ops
+	t.mu.Unlock()
+	for i := len(ops) - 1; i >= 0; i-- {
+		// Kill window: crashes here land mid-rollback, leaving some
+		// operations compensated and some not; recovery must finish the job.
+		if err := faults.Check(faults.StoreAbortUndo); err != nil {
+			return 0, err
+		}
+		if err := s.compensate(ops[i]); err != nil {
+			return 0, fmt.Errorf("storage: abort txn %d: %w", t.id, err)
+		}
+		// Compensated, so a retried rollback does not undo it twice — the
+		// follower pops it at the CLR just the same.
+		t.mu.Lock()
+		t.ops = ops[:i]
+		t.mu.Unlock()
+	}
+	return s.wal.Append(&LogRecord{Type: RecAbort, Txn: t.id})
+}
+
+// dropMerged drops the forwarding entries of t's committed descendants when
+// t aborts: their effects were undone with t's, so none of their writes
+// survive to be resolved (an id with no entry resolves frozen).
+func (s *Store) dropMerged(t *txnState) {
+	if len(t.merged) == 0 {
+		return
+	}
+	s.tsMu.Lock()
+	for _, m := range t.merged {
+		delete(s.mergedInto, m)
+	}
+	s.tsMu.Unlock()
 }
 
 // compensationFor describes the undo of a forward operation as a redo-able
@@ -661,7 +668,7 @@ func compensationFor(rec *LogRecord) *LogRecord {
 // either sees the dirty frame or the CLR's LSN lies above the checkpoint's
 // own record — never a hole below the redo point.
 func (s *Store) compensate(rec *LogRecord) error {
-	if rec.Type == RecIdxCreate || rec.Type == RecIdxDrop {
+	if rec.Type.logical() {
 		// Logical records: log the cancellation, nothing to reverse on a page.
 		_, err := s.wal.Append(compensationFor(rec))
 		return err
@@ -691,8 +698,8 @@ func (s *Store) undoOpLatched(page *Page, rec *LogRecord, stampLSN uint64) error
 			}
 		}
 		// An insert into a reused tombstone pushed a "did not exist"
-		// version; take it back. (Recovery undo finds empty chains and
-		// pops nothing.)
+		// version, and registerUnresolved pushes one for every insert
+		// before recovery or Promote undo; take it back.
 		s.popChain(rec.RID, rec.Txn)
 	case RecDelete:
 		if !page.Live(rec.RID.Slot) {
@@ -710,9 +717,9 @@ func (s *Store) undoOpLatched(page *Page, rec *LogRecord, stampLSN uint64) error
 		} else if err := page.InsertAt(rec.RID.Slot, rec.Before); err != nil {
 			return err
 		}
-		// The popped entry's xmin is the restored state's true creator;
-		// zero (nothing popped — recovery undo) freezes it, which is
-		// right: no snapshot survives a crash.
+		// The popped entry's xmin is the restored state's true creator.
+		// Recovery and Promote undo pop the entries registerUnresolved
+		// pushed again.
 		xmin, _ := s.popChain(rec.RID, rec.Txn)
 		page.SetXmin(rec.RID.Slot, xmin)
 	case RecAlloc:
@@ -749,21 +756,40 @@ func (s *Store) Insert(id uint64, data []byte) (RID, error) {
 	}
 	rid := RID{Page: page.ID, Slot: slot}
 	rec := &LogRecord{Type: RecInsert, Txn: id, RID: rid, After: cloneBytes(data)}
-	lsn, err := s.wal.Append(rec)
-	if err != nil {
+	if _, err := s.wal.Append(rec); err != nil {
 		return RID{}, err
 	}
-	page.SetLSN(lsn)
-	if slot < oldSlots {
-		// Reused tombstone: push the "record absent" state this insert
-		// displaced, created by whoever tombstoned the slot, so a snapshot
-		// between that delete and this insert sees neither value.
-		s.pushChain(rid, chainEntry{writer: id, xmin: s.priorDeleter(rid)})
+	s.wrote(t, page, rec, 0, slot < oldSlots)
+	return rid, nil
+}
+
+// wrote finishes a logged forward write whose page effect is in place,
+// under the page latch: it stamps the page with the record's LSN, pushes
+// the version the write displaced, stamps the slot's creator, joins the
+// record to its transaction's operations and notes the page's free space.
+// oldXmin is the creator of the state an update or delete displaced;
+// reused says an insert took a tombstoned slot. The leader's write paths
+// call it after appending rec, a follower after ingesting it: one history,
+// one bookkeeping.
+func (s *Store) wrote(t *txnState, page *Page, rec *LogRecord, oldXmin uint64, reused bool) {
+	page.SetLSN(rec.LSN)
+	switch rec.Type {
+	case RecInsert:
+		if reused {
+			// Push the "record absent" state this insert displaced, created
+			// by whoever tombstoned the slot, so a snapshot between that
+			// delete and this insert sees neither value.
+			s.pushChain(rec.RID, chainEntry{writer: rec.Txn, xmin: s.priorDeleter(rec.RID)})
+		}
+		page.SetXmin(rec.RID.Slot, rec.Txn)
+	case RecUpdate:
+		s.pushChain(rec.RID, chainEntry{writer: rec.Txn, xmin: oldXmin, data: rec.Before, exists: true})
+		page.SetXmin(rec.RID.Slot, rec.Txn)
+	case RecDelete:
+		s.pushChain(rec.RID, chainEntry{writer: rec.Txn, xmin: oldXmin, data: rec.Before, exists: true})
 	}
-	page.SetXmin(slot, id)
 	t.addOp(rec)
 	s.noteFree(page)
-	return rid, nil
 }
 
 // pageWithSpace returns a pinned, latched page with at least need bytes
@@ -915,7 +941,7 @@ func (s *Store) slotFilter(pid PageID) func(uint16) bool {
 // follower surfaces it to the apply hook when the transaction commits; it
 // has no page effect of its own.
 func (s *Store) LogIndexOp(id uint64, typ RecType, payload []byte) error {
-	if typ != RecIdxCreate && typ != RecIdxDrop {
+	if !typ.logical() {
 		return fmt.Errorf("storage: LogIndexOp of %v record", typ)
 	}
 	if s.follower.Load() {
@@ -933,12 +959,15 @@ func (s *Store) LogIndexOp(id uint64, typ RecType, payload []byte) error {
 	return nil
 }
 
-// SetApplyHook installs fn to observe every operation a follower applies
-// at commit (in LSN order, after the whole transaction's page effects are
-// in place) plus logical index-DDL records. Upper layers use it to keep
-// in-memory directories — the object catalog and secondary-index
-// directories — in lock-step with replicated state; a leader rebuilds
-// those directories by scanning at open instead. Pass nil to clear.
+// SetApplyHook installs fn to observe, on a follower, every operation of a
+// transaction whose top-level commit record it applies — page operations
+// and logical index-DDL records alike, in LSN order, when the commit
+// record arrives and before it publishes. Operations reach the pages as
+// they are ingested; the hook sees only committed ones, so upper layers
+// keep in-memory directories — the object catalog and secondary-index
+// directories — in lock-step with committed replicated state; a leader
+// rebuilds those directories by scanning at open instead. Pass nil to
+// clear.
 func (s *Store) SetApplyHook(fn func(*LogRecord)) {
 	s.applyHook.Store(&fn)
 }
@@ -1015,19 +1044,14 @@ func (s *Store) Update(id uint64, rid RID, data []byte) (RID, error) {
 	}
 	if uerr == nil {
 		rec := &LogRecord{Type: RecUpdate, Txn: id, RID: rid, Before: before, After: cloneBytes(data)}
-		lsn, aerr := s.wal.Append(rec)
-		if aerr != nil {
+		if _, aerr := s.wal.Append(rec); aerr != nil {
 			s.pool.Unpin(rid.Page, true)
 			return RID{}, aerr
 		}
-		page.SetLSN(lsn)
-		s.pushChain(rid, chainEntry{writer: id, xmin: oldXmin, data: before, exists: true})
-		page.SetXmin(rid.Slot, id)
-		t.addOp(rec)
 		if shrink := len(before) - len(data); shrink > 0 {
 			s.reserveUndo(t, resEntry{page: rid.Page, bytes: shrink})
 		}
-		s.noteFree(page)
+		s.wrote(t, page, rec, oldXmin, false)
 		s.pool.Unpin(rid.Page, true)
 		return rid, nil
 	} else if !errors.Is(uerr, ErrNoSpace) {
@@ -1040,16 +1064,12 @@ func (s *Store) Update(id uint64, rid RID, data []byte) (RID, error) {
 		return RID{}, err
 	}
 	delRec := &LogRecord{Type: RecDelete, Txn: id, RID: rid, Before: before}
-	lsn, err := s.wal.Append(delRec)
-	if err != nil {
+	if _, err := s.wal.Append(delRec); err != nil {
 		s.pool.Unpin(rid.Page, true)
 		return RID{}, err
 	}
-	page.SetLSN(lsn)
-	s.pushChain(rid, chainEntry{writer: id, xmin: oldXmin, data: before, exists: true})
-	t.addOp(delRec)
 	s.reserveUndo(t, resEntry{page: rid.Page, bytes: len(before), slot: rid.Slot, hasSlot: true})
-	s.noteFree(page)
+	s.wrote(t, page, delRec, oldXmin, false)
 	s.pool.Unpin(rid.Page, true)
 
 	newPage, err := s.pageWithSpace(id, len(data))
@@ -1064,17 +1084,10 @@ func (s *Store) Update(id uint64, rid RID, data []byte) (RID, error) {
 	}
 	newRID := RID{Page: newPage.ID, Slot: slot}
 	insRec := &LogRecord{Type: RecInsert, Txn: id, RID: newRID, After: cloneBytes(data)}
-	lsn, err = s.wal.Append(insRec)
-	if err != nil {
+	if _, err := s.wal.Append(insRec); err != nil {
 		return RID{}, err
 	}
-	newPage.SetLSN(lsn)
-	if slot < oldSlots {
-		s.pushChain(newRID, chainEntry{writer: id, xmin: s.priorDeleter(newRID)})
-	}
-	newPage.SetXmin(slot, id)
-	t.addOp(insRec)
-	s.noteFree(newPage)
+	s.wrote(t, newPage, insRec, 0, slot < oldSlots)
 	return newRID, nil
 }
 
@@ -1102,33 +1115,28 @@ func (s *Store) Delete(id uint64, rid RID) error {
 		return err
 	}
 	rec := &LogRecord{Type: RecDelete, Txn: id, RID: rid, Before: before}
-	lsn, err := s.wal.Append(rec)
-	if err != nil {
+	if _, err := s.wal.Append(rec); err != nil {
 		return err
 	}
-	page.SetLSN(lsn)
-	s.pushChain(rid, chainEntry{writer: id, xmin: oldXmin, data: before, exists: true})
-	t.addOp(rec)
 	s.reserveUndo(t, resEntry{page: rid.Page, bytes: len(before), slot: rid.Slot, hasSlot: true})
-	s.noteFree(page)
+	s.wrote(t, page, rec, oldXmin, false)
 	return nil
 }
 
 // redoOp re-applies one logged operation. Replay is lenient (insert only
 // if absent, delete only if present) and the scan replays the whole tail
 // in per-page LSN order, so the final state converges to what the log
-// defines. A leader stamps every page with the LSN of the last operation
-// applied to it, under the page latch, so an operation at or below the
-// page LSN is already there and is skipped: repeating it is not idempotent
-// in space — an insert whose slot a later delete freed may no longer fit
-// once later inserts reused the bytes. Pages a follower wrote carry the
-// LSN of the commit record that published them, not their operations'
-// own LSNs, so "page LSN ≥ record LSN" does not imply the effect is
-// present there: while the directory's follower mark stands (format.go) —
-// whether this open is a follower's or a leader's — redo replays
-// unconditionally.
+// defines. Leader and follower alike stamp every page with the LSN of the
+// last operation applied to it, under the page latch, so an operation at
+// or below the page LSN is already there and is skipped: repeating it is
+// not idempotent in space — an insert whose slot a later delete freed may
+// no longer fit once later inserts reused the bytes. A follower also
+// applies each shipped allocation through here. A redone state is stamped
+// with its record's transaction, frozen once recovery is over; a state a
+// CLR restored is stamped frozen outright, since its creator is not in the
+// record (follower recovery stamps the in-flight ones again).
 func (s *Store) redoOp(rec *LogRecord) error {
-	if rec.Type == RecIdxCreate || rec.Type == RecIdxDrop {
+	if rec.Type.logical() {
 		return nil // logical record: no page effect to repeat
 	}
 	if rec.Type == RecAlloc {
@@ -1140,11 +1148,15 @@ func (s *Store) redoOp(rec *LogRecord) error {
 	if err != nil {
 		return err
 	}
-	if s.followerMark == "" && page.LSN() >= rec.LSN {
+	if page.LSN() >= rec.LSN {
 		s.pool.Unpin(rec.RID.Page, false)
 		return nil
 	}
 	defer s.pool.Unpin(rec.RID.Page, true)
+	xmin := rec.Txn
+	if rec.CLR {
+		xmin = 0
+	}
 	switch rec.Type {
 	case RecAlloc:
 		page.InitPage()
@@ -1154,7 +1166,7 @@ func (s *Store) redoOp(rec *LogRecord) error {
 				return err
 			}
 		}
-		page.SetXmin(rec.RID.Slot, rec.Txn)
+		page.SetXmin(rec.RID.Slot, xmin)
 	case RecDelete:
 		if page.Live(rec.RID.Slot) {
 			if err := page.Delete(rec.RID.Slot); err != nil {
@@ -1169,7 +1181,7 @@ func (s *Store) redoOp(rec *LogRecord) error {
 		} else if err := page.InsertAt(rec.RID.Slot, rec.After); err != nil {
 			return err
 		}
-		page.SetXmin(rec.RID.Slot, rec.Txn)
+		page.SetXmin(rec.RID.Slot, xmin)
 	}
 	page.SetLSN(rec.LSN)
 	return nil
@@ -1221,11 +1233,11 @@ func (s *Store) noteFree(p *Page) {
 }
 
 // ForEachRecord scans every record in the store under a fresh snapshot:
-// only committed state is visible, so a concurrent in-flight insert (or a
-// not-yet-resolved delete) never leaks into the scan. It is also the
-// crash-torture harness's verification primitive — after recovery
-// everything on the pages is committed, so the snapshot scan equals the
-// raw one.
+// only committed state is visible, so an in-flight insert (or a
+// not-yet-resolved delete) — a leader's, or one a follower holds shipped —
+// never leaks into the scan. It is also the crash-torture harness's
+// verification primitive: after a leader's recovery everything on the
+// pages is committed, so the snapshot scan equals the raw one.
 func (s *Store) ForEachRecord(fn func(RID, []byte) error) error {
 	if s.closed.Load() {
 		return ErrStoreClosed
@@ -1269,8 +1281,52 @@ func (s *Store) ForEachRecordLatest(fn func(RID, []byte) error) error {
 	return nil
 }
 
-// ActiveTxns returns the ids of transactions still in flight (tests,
-// checkpointing).
+// SamePages reports the first page at which follower fst differs from its
+// leader ld — in LSN, slot count or a live slot's bytes — at equal log
+// ends: both applied one history, so their pages are equal. A
+// verification aid; neither store may be writing.
+func SamePages(ld, fst *Store) error {
+	if le, fe := ld.wal.End(), fst.wal.End(); le != fe {
+		return fmt.Errorf("storage: pages compared at log ends %d (leader) and %d (follower)", le, fe)
+	}
+	if n, m := ld.disk.NumPages(), fst.disk.NumPages(); n != m {
+		return fmt.Errorf("storage: leader has %d pages, follower %d", n, m)
+	}
+	for pid := PageID(0); pid < ld.disk.NumPages(); pid++ {
+		if err := samePage(ld, fst, pid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// samePage compares page pid of two stores, both latched.
+func samePage(ld, fst *Store, pid PageID) error {
+	a, err := ld.pool.Fetch(pid)
+	if err != nil {
+		return err
+	}
+	defer ld.pool.Unpin(pid, false)
+	b, err := fst.pool.Fetch(pid)
+	if err != nil {
+		return err
+	}
+	defer fst.pool.Unpin(pid, false)
+	same := a.LSN() == b.LSN() && a.NumSlots() == b.NumSlots()
+	for slot := uint16(0); same && slot < a.NumSlots(); slot++ {
+		x, xerr := a.Read(slot)
+		y, yerr := b.Read(slot)
+		same = (xerr == nil) == (yerr == nil) && bytes.Equal(x, y)
+	}
+	if !same {
+		return fmt.Errorf("storage: page %d differs: lsn %d and %d slots on the leader, lsn %d and %d slots on the follower",
+			pid, a.LSN(), a.NumSlots(), b.LSN(), b.NumSlots())
+	}
+	return nil
+}
+
+// ActiveTxns returns the ids of transactions still in flight (the undo
+// pass, checkpointing, tests).
 func (s *Store) ActiveTxns() []uint64 {
 	var out []uint64
 	for i := range s.shards {

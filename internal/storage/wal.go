@@ -37,11 +37,14 @@ const (
 	// record replays physically like any other record), and their undo is a
 	// same-type CLR with no physical effect. They exist so index DDL rides
 	// a transaction's op list like any other operation — aborts compensate
-	// it, followers buffer it with the txn and surface it to the apply hook
+	// it, followers keep it with the txn and surface it to the apply hook
 	// at commit, keeping replica index definitions in lock-step.
 	RecIdxCreate
 	RecIdxDrop
 )
+
+// logical reports whether records of type t touch no page (index DDL).
+func (t RecType) logical() bool { return t == RecIdxCreate || t == RecIdxDrop }
 
 // String names the record type for traces.
 func (t RecType) String() string {

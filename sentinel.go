@@ -398,10 +398,10 @@ func Open(opts Options) (*Database, error) {
 		}
 	}
 	if store != nil {
-		// Rebuild the in-memory directories from the recovered (leader) or
-		// resolved-prefix (follower) heap. The follower's object directory
-		// needs an explicit pass since it skips InitCatalog; both sides
-		// stay current afterwards via hooks.
+		// Rebuild the in-memory directories from the heap's committed
+		// state. The follower's object directory needs an explicit pass
+		// since it skips InitCatalog; both sides stay current afterwards
+		// via hooks.
 		if store.IsFollower() {
 			if err := objects.Bootstrap(); err != nil {
 				db.closeInternals()
