@@ -531,7 +531,7 @@ type storeTx struct {
 }
 
 func (x *storeTx) insert(key string, v int) (err error) {
-	x.rids[key], err = x.st.Insert(x.id, []byte(key+"="+strconv.Itoa(v)))
+	x.rids[key], err = x.st.Insert(x.id, 0, []byte(key+"="+strconv.Itoa(v)))
 	return err
 }
 

@@ -163,7 +163,7 @@ func TestMirrorDetectsDivergence(t *testing.T) {
 		defer st.Close()
 		id, err := st.Begin()
 		if err == nil {
-			rids[i], err = st.Insert(id, []byte("k=1"))
+			rids[i], err = st.Insert(id, 0, []byte("k=1"))
 		}
 		if err == nil {
 			err = st.Commit(id)

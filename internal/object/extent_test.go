@@ -1,10 +1,6 @@
 package object
 
 import (
-	"fmt"
-	"math/rand/v2"
-	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,18 +98,6 @@ func runExtentChecks(t *testing.T, r *Registry, tx *txn.Txn) {
 	}
 }
 
-// extentEnv is a leader registry over a store it can close and reopen, and
-// a follower registry kept current by the leader's shipped log.
-type extentEnv struct {
-	t        *testing.T
-	dir      string
-	st       *storage.Store
-	tm       *txn.Manager
-	r        *Registry
-	fst      *storage.Store
-	follower *Registry
-}
-
 // defineExtentClasses registers two sibling classes and a subclass.
 func defineExtentClasses(t *testing.T, r *Registry) {
 	t.Helper()
@@ -124,220 +108,22 @@ func defineExtentClasses(t *testing.T, r *Registry) {
 	}
 }
 
-func newExtentEnv(t *testing.T) *extentEnv {
-	e := &extentEnv{t: t, dir: t.TempDir()}
-	e.open()
-	fst, err := storage.Open(storage.Options{Dir: t.TempDir(), PoolSize: 16, Follower: true})
-	if err != nil {
+// extentOIDs returns the OIDs ForEach visits.
+func extentOIDs(t *testing.T, r *Registry, tx *txn.Txn, class string, subs bool) []event.OID {
+	t.Helper()
+	var oids []event.OID
+	if err := r.ForEach(tx, class, subs, func(obj *Instance) bool {
+		oids = append(oids, obj.OID)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { fst.Close() })
-	e.fst, e.follower = fst, NewRegistry(nil, fst)
-	defineExtentClasses(t, e.follower)
-	fst.SetApplyHook(e.follower.ApplyRecord)
-	return e
+	return oids
 }
 
-// open (re)opens the leader: a reopen rebuilds the directory (Bootstrap).
-func (e *extentEnv) open() {
-	st, err := storage.Open(storage.Options{Dir: e.dir, PoolSize: 16})
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	e.st, e.tm, e.r = st, txn.NewManager(st, lockmgr.New()), NewRegistry(nil, st)
-	defineExtentClasses(e.t, e.r)
-	tx := e.begin()
-	if err := e.r.InitCatalog(tx); err != nil {
-		e.t.Fatal(err)
-	}
-	e.commit(tx)
-}
-
-func (e *extentEnv) reopen() {
-	if err := e.st.Close(); err != nil {
-		e.t.Fatal(err)
-	}
-	e.open()
-}
-
-func (e *extentEnv) begin() *txn.Txn {
-	tx, err := e.tm.Begin()
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	return tx
-}
-
-func (e *extentEnv) commit(tx *txn.Txn) {
-	if err := tx.Commit(); err != nil {
-		e.t.Fatal(err)
-	}
-}
-
-// ship feeds the follower everything the leader has logged past its end.
-func (e *extentEnv) ship() {
-	cur := e.st.LogCursor(e.fst.LogEnd())
-	defer cur.Close()
-	for {
-		base, data, n, err := cur.ReadBatch(1 << 20)
-		if err != nil {
-			e.t.Fatal(err)
-		}
-		if n == 0 {
-			return
-		}
-		if _, err := e.fst.ReplIngest(base, data); err != nil {
-			e.t.Fatal(err)
-		}
-	}
-}
-
-// referenceExtent filters the whole directory by class, the way extent
-// scans worked before per-class member sets.
-func referenceExtent(r *Registry, class string, subs bool) []event.OID {
-	r.oidMu.RLock()
-	var cands []objRef
-	var oids []event.OID
-	for oid, ref := range r.dir.refs {
-		cands = append(cands, ref)
-		oids = append(oids, event.OID(oid))
-	}
-	r.oidMu.RUnlock()
-	out := []event.OID{}
-	for i, ref := range cands {
-		if r.classMatches(ref.class, class, subs) {
-			out = append(out, oids[i])
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func checkExtents(t *testing.T, r *Registry, step string) {
-	t.Helper()
-	for _, class := range []string{"STOCK", "BOND", "PREF"} {
-		for _, subs := range []bool{false, true} {
-			got, want := r.ExtentOIDs(class, subs), referenceExtent(r, class, subs)
-			if !slices.Equal(got, want) && len(got)+len(want) > 0 {
-				t.Fatalf("%s: ExtentOIDs(%s, %v) = %v, directory says %v", step, class, subs, got, want)
-			}
-		}
-	}
-}
-
-// TestExtentsMatchDirectory drives a seeded mix of every directory write —
-// New committed and aborted (nested subtransactions too), a Persist that
-// relocates its record, Delete followed by pruning at the snapshot floor,
-// a reopen — and after each step requires the per-class extents to equal
-// the whole directory filtered by class, on the leader and on a follower
-// fed by ApplyRecord.
-func TestExtentsMatchDirectory(t *testing.T) {
-	const seed, steps = 24, 150
-	rng := rand.New(rand.NewPCG(seed, 0))
-	e := newExtentEnv(t)
-	classes := []string{"STOCK", "BOND", "PREF"}
-	var live []event.OID
-	relocated := 0
-	for step := 0; step < steps; step++ {
-		var what string
-		switch p := rng.IntN(100); {
-		case p < 40: // New, committed or aborted, maybe from a subtransaction
-			tx := e.begin()
-			in := tx
-			nested := rng.IntN(2) == 0
-			if nested {
-				sub, err := tx.BeginSub()
-				if err != nil {
-					t.Fatal(err)
-				}
-				in = sub
-			}
-			var made []event.OID
-			for i := rng.IntN(4) + 1; i > 0; i-- {
-				obj, err := e.r.New(in, classes[rng.IntN(len(classes))], map[string]any{"v": float64(step)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				made = append(made, obj.OID)
-			}
-			subAbort := nested && rng.IntN(3) == 0
-			if nested {
-				var err error
-				if subAbort {
-					err = in.Abort()
-				} else {
-					err = in.Commit()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rng.IntN(3) == 0 {
-				if err := tx.Abort(); err != nil {
-					t.Fatal(err)
-				}
-				what = "aborted New"
-			} else {
-				e.commit(tx)
-				if !subAbort {
-					live = append(live, made...)
-				}
-				what = "committed New"
-			}
-		case p < 65 && len(live) > 0: // Persist that grows the record
-			oid := live[rng.IntN(len(live))]
-			tx := e.begin()
-			obj, err := e.r.Load(tx, oid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before, _ := e.r.lookupRef(oid)
-			obj.attrs["pad"] = strings.Repeat("x", 600+rng.IntN(1400))
-			if err := e.r.Persist(tx, obj); err != nil {
-				t.Fatal(err)
-			}
-			if after, _ := e.r.lookupRef(oid); after.rid != before.rid {
-				relocated++
-			}
-			if rng.IntN(4) == 0 {
-				if err := tx.Abort(); err != nil {
-					t.Fatal(err)
-				}
-				what = "aborted Persist"
-			} else {
-				e.commit(tx)
-				what = "committed Persist"
-			}
-		case p < 90 && len(live) > 0: // Delete, then prune at the floor
-			i := rng.IntN(len(live))
-			tx := e.begin()
-			if err := e.r.Delete(tx, live[i]); err != nil {
-				t.Fatal(err)
-			}
-			e.commit(tx)
-			live = slices.Delete(live, i, i+1)
-			e.r.pruneGraves()
-			what = "Delete and prune"
-		default:
-			e.reopen()
-			what = "reopen"
-		}
-		label := fmt.Sprintf("step %d (%s)", step, what)
-		checkExtents(t, e.r, label)
-		e.ship()
-		e.follower.pruneGraves()
-		checkExtents(t, e.follower, label+" on the follower")
-	}
-	if relocated == 0 {
-		t.Fatal("no Persist relocated its record; the relocation path went unchecked")
-	}
-	if got := e.r.ExtentOIDs("STOCK", true); len(got) == 0 {
-		t.Fatal("the run ended with an empty STOCK subtree; the mix checked nothing")
-	}
-}
-
-// TestExtentCostIsTheExtents: ExtentOIDs for one class allocates one slice
-// the size of that class's extent, however large the rest of the directory.
+// TestExtentCostIsTheExtents: a scan of one class reads that class's
+// pages, however large the other classes grow, and the pages its class's
+// objects fill.
 func TestExtentCostIsTheExtents(t *testing.T) {
 	r, tm, _ := persistEnv(t)
 	defineExtentClasses(t, r)
@@ -355,34 +141,38 @@ func TestExtentCostIsTheExtents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bytesPer := func() uint64 {
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if len(r.ExtentOIDs("BOND", false)) != 100 {
-				t.Fatal("BOND extent lost members")
-			}
+	pagesRead := func() int {
+		tx, err := tm.BeginSnapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
+		defer tx.Commit()
+		scan := r.ScanExtent(tx, "BOND", false)
+		n := 0
+		for scan.Next() {
+			n++
+		}
+		if scan.Err() != nil || n != 100 {
+			t.Fatalf("BOND scan read %d objects (%v), want 100", n, scan.Err())
+		}
+		return scan.Pages()
 	}
 	add("BOND", 100)
 	add("STOCK", 100)
-	small := bytesPer()
+	small := pagesRead()
 	add("STOCK", 5000)
-	large := bytesPer()
-	if allocs := testing.AllocsPerRun(20, func() { r.ExtentOIDs("BOND", false) }); allocs != 1 {
-		t.Fatalf("ExtentOIDs made %v allocations, want the one result slice", allocs)
+	large := pagesRead()
+	if small != large {
+		t.Fatalf("a BOND scan reads %d pages beside 100 STOCK objects but %d beside 5 100: it pays for other classes", small, large)
 	}
-	if large > small+small/4 {
-		t.Fatalf("ExtentOIDs(BOND) allocates %d bytes beside 100 STOCK objects but %d beside 5 100: it pays for other classes", small, large)
+	if files := len(r.store.FilePages(ClassFile("BOND"))); small != files {
+		t.Fatalf("a BOND scan read %d pages of the %d in BOND's file", small, files)
 	}
 }
 
 // TestExtentsUnderConcurrentNewAndQuery runs creators against snapshot
-// extent scans (run it with -race); once they stop, extents and directory
-// agree.
+// extent scans (run it with -race); once they stop, the scan and the
+// directory hold the committed objects.
 func TestExtentsUnderConcurrentNewAndQuery(t *testing.T) {
 	r, tm, _ := persistEnv(t)
 	defineExtentClasses(t, r)
@@ -428,8 +218,265 @@ func TestExtentsUnderConcurrentNewAndQuery(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	checkExtents(t, r, "after the concurrent run")
-	if got := len(r.ExtentOIDs("STOCK", true)); got != 160 {
+	tx, err := tm.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Commit()
+	if got := len(extentOIDs(t, r, tx, "STOCK", true)); got != 160 {
 		t.Fatalf("STOCK subtree holds %d objects, want the 160 committed", got)
+	}
+	r.oidMu.RLock()
+	entries := len(r.dir)
+	r.oidMu.RUnlock()
+	if entries != 160 {
+		t.Fatalf("the directory holds %d objects, want the 160 committed", entries)
+	}
+}
+
+// TestMovesForgottenAtTheFloor: a relocating update leaves the object's
+// old RID in the directory for older snapshots, and the graveyard forgets
+// it once no snapshot is that old — with updates alone, no New or Delete
+// to drive the pruning.
+func TestMovesForgottenAtTheFloor(t *testing.T) {
+	r, tm, _ := persistEnv(t)
+	defineExtentClasses(t, r)
+	tx, err := tm.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []*Instance
+	for i := 0; i < 3*gravePruneEvery; i++ {
+		obj, err := r.New(tx, "BOND", map[string]any{"pad": strings.Repeat("x", 80)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, obj := range objs {
+		tx, err := tm.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := r.lookupRef(obj.OID)
+		obj.attrs["pad"] = strings.Repeat("y", 3000)
+		if err := r.Persist(tx, obj); err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := r.lookupRef(obj.OID); after.rid != before.rid {
+			moved++
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.oidMu.RLock()
+	past, graves := len(r.past), len(r.grave)
+	r.oidMu.RUnlock()
+	if moved < 2*gravePruneEvery {
+		t.Fatalf("only %d of %d updates moved their record", moved, len(objs))
+	}
+	if past >= gravePruneEvery || graves >= gravePruneEvery {
+		t.Fatalf("after %d committed moves and no snapshot the directory remembers %d old locations (%d graves)", moved, past, graves)
+	}
+}
+
+// followerEnv opens a follower store with a registry of the extent
+// classes that its apply hook keeps current.
+func followerEnv(t *testing.T) (*Registry, *txn.Manager, *storage.Store) {
+	t.Helper()
+	fst, err := storage.Open(storage.Options{Dir: t.TempDir(), PoolSize: 16, Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fst.Close() })
+	freg := NewRegistry(nil, fst)
+	defineExtentClasses(t, freg)
+	fst.SetApplyHook(freg.ApplyRecord)
+	return freg, txn.NewManager(fst, lockmgr.New()), fst
+}
+
+// ship feeds the follower fst everything the leader st has logged past
+// fst's end.
+func ship(t *testing.T, st, fst *storage.Store) {
+	t.Helper()
+	if err := st.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+	cur := st.LogCursor(fst.LogEnd())
+	defer cur.Close()
+	for {
+		base, data, n, err := cur.ReadBatch(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return
+		}
+		if _, err := fst.ReplIngest(base, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMoveBackKeepsTheObject moves an object from R1 to another page and,
+// in a later commit, back onto R1's slot, with no pruning in between. The
+// first move's grave names R1 — the object's location again — so
+// forgetting it must not forget the object, on the leader or on a
+// follower that applied the same moves.
+func TestMoveBackKeepsTheObject(t *testing.T) {
+	r, tm, _ := persistEnv(t)
+	defineExtentClasses(t, r)
+	freg, ftm, fst := followerEnv(t)
+	run := func(fn func(tx *txn.Txn)) {
+		t.Helper()
+		tx, err := tm.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(tx)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newBond := func(tx *txn.Txn, n int) *Instance {
+		t.Helper()
+		obj, err := r.New(tx, "BOND", map[string]any{"pad": strings.Repeat("x", n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obj
+	}
+	grow := func(obj *Instance, n int) storage.RID {
+		t.Helper()
+		run(func(tx *txn.Txn) {
+			obj.attrs["pad"] = strings.Repeat("y", n)
+			if err := r.Persist(tx, obj); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rid, _ := r.lookupRef(obj.OID)
+		return rid.rid
+	}
+
+	// X first on a full page P, then moved to a fresh page Q, which a
+	// second object fills; P is emptied; X outgrows Q and returns to P,
+	// into the first free slot: its own.
+	var x *Instance
+	var others []*Instance
+	run(func(tx *txn.Txn) {
+		x = newBond(tx, 700)
+		for i := 0; i < 4; i++ {
+			others = append(others, newBond(tx, 700))
+		}
+	})
+	r1, _ := r.lookupRef(x.OID)
+	if q := grow(x, 1500); q.Page == r1.rid.Page {
+		t.Fatalf("setup: growing X kept it on page %d", q.Page)
+	}
+	run(func(tx *txn.Txn) { newBond(tx, 1900) })
+	run(func(tx *txn.Txn) {
+		for _, o := range others {
+			if err := r.Delete(tx, o.OID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if back := grow(x, 2500); back != r1.rid {
+		t.Fatalf("setup: X moved to %v, not back to %v", back, r1.rid)
+	}
+
+	ship(t, r.store, fst)
+	for _, side := range []struct {
+		name string
+		reg  *Registry
+		tm   *txn.Manager
+	}{{"leader", r, tm}, {"follower", freg, ftm}} {
+		side.reg.pruneGraves()
+		side.reg.oidMu.RLock()
+		graves, past := len(side.reg.grave), len(side.reg.past)
+		side.reg.oidMu.RUnlock()
+		if graves != 0 || past != 0 {
+			t.Fatalf("%s: %d graves and %d past locations left after pruning with no snapshot", side.name, graves, past)
+		}
+		tx, err := side.tm.BeginSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := side.reg.Load(tx, x.OID)
+		if err != nil {
+			t.Fatalf("%s: X lost after its graves were pruned: %v", side.name, err)
+		}
+		if got := obj.attrs["pad"]; got != strings.Repeat("y", 2500) {
+			t.Fatalf("%s: X's pad has %d bytes, want 2500", side.name, len(got.(string)))
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFollowerSnapshotOutlivesAMoveAndADelete opens a follower snapshot,
+// then applies a commit that moves one object and deletes another. Until
+// the snapshot ends, pruning must keep the old location and the deleted
+// object's entry: the snapshot still sees both where they were.
+func TestFollowerSnapshotOutlivesAMoveAndADelete(t *testing.T) {
+	r, tm, _ := persistEnv(t)
+	defineExtentClasses(t, r)
+	freg, ftm, fst := followerEnv(t)
+	tx, err := tm.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []*Instance
+	for i := 0; i < 5; i++ {
+		obj, err := r.New(tx, "BOND", map[string]any{"pad": strings.Repeat("x", 700)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ship(t, r.store, fst)
+	sn, err := ftm.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Commit()
+
+	moved, gone := objs[0], objs[1]
+	if tx, err = tm.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := r.lookupRef(moved.OID)
+	moved.attrs["pad"] = strings.Repeat("y", 2500)
+	if err := r.Persist(tx, moved); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := r.lookupRef(moved.OID); after.rid == before.rid {
+		t.Fatal("setup: the growing update did not move the record")
+	}
+	if err := r.Delete(tx, gone.OID); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ship(t, r.store, fst)
+	freg.pruneGraves()
+	for _, obj := range []*Instance{moved, gone} {
+		got, err := freg.Load(sn, obj.OID)
+		if err != nil {
+			t.Fatalf("the snapshot lost %v after pruning: %v", obj.OID, err)
+		}
+		if pad := got.attrs["pad"]; pad != strings.Repeat("x", 700) {
+			t.Fatalf("the snapshot reads %v's pad at %d bytes, want its 700", obj.OID, len(pad.(string)))
+		}
 	}
 }

@@ -90,8 +90,9 @@ type Class struct {
 	// method events.
 	Reactive bool
 	methods  map[string]*Method
-	names    nameTable // attribute names seen in this class's records
-	lockName string    // the class's lock resource (persist.go)
+	names    nameTable      // attribute names seen in this class's records
+	lockName string         // the class's lock resource (persist.go)
+	file     storage.FileID // the file holding the class's objects (ClassFile)
 }
 
 // DefineMethod adds (or replaces) a method.
@@ -142,52 +143,10 @@ type IndexHook interface {
 }
 
 // objRef is one OID-directory entry: where the object's record lives and
-// what class it is (for extent filtering without loading).
+// what class it is (the class lock a Delete takes before reading it).
 type objRef struct {
 	rid   storage.RID
 	class string
-}
-
-// oidDirectory is the OID directory: every entry, and beside it each
-// class's member set, so an extent scan walks its own class rather than
-// the database. Writes go through set and drop, which keep the two in step.
-type oidDirectory struct {
-	refs    map[uint64]objRef
-	extents map[string]map[uint64]struct{}
-}
-
-func newOIDDirectory() oidDirectory {
-	return oidDirectory{refs: make(map[uint64]objRef), extents: make(map[string]map[uint64]struct{})}
-}
-
-// set points oid at ref, moving it between extents if its class changed.
-func (d *oidDirectory) set(oid uint64, ref objRef) {
-	if old, ok := d.refs[oid]; ok && old.class != ref.class {
-		d.leave(old.class, oid)
-	}
-	d.refs[oid] = ref
-	ext := d.extents[ref.class]
-	if ext == nil {
-		ext = make(map[uint64]struct{})
-		d.extents[ref.class] = ext
-	}
-	ext[oid] = struct{}{}
-}
-
-// drop removes oid's entry and its extent membership.
-func (d *oidDirectory) drop(oid uint64) {
-	if ref, ok := d.refs[oid]; ok {
-		delete(d.refs, oid)
-		d.leave(ref.class, oid)
-	}
-}
-
-func (d *oidDirectory) leave(class string, oid uint64) {
-	ext := d.extents[class]
-	delete(ext, oid)
-	if len(ext) == 0 {
-		delete(d.extents, class)
-	}
 }
 
 // oidMove records a relocation for abort-undo of the directory.
@@ -210,12 +169,16 @@ type oidAlloc struct {
 	floor uint64
 }
 
-// graveRef is a committed-deleted directory entry awaiting the snapshot
-// floor before it can be pruned.
+// graveRef is a location an object left — deleted from it, or moved away
+// by a relocating update (moved) — by a commit stamped ts, awaiting the
+// snapshot floor before the directory forgets it. A moved object may come
+// back to the RID it left, so forgetting a move's grave never touches the
+// object's entry, only its past.
 type graveRef struct {
-	oid uint64
-	rid storage.RID
-	ts  uint64
+	oid   uint64
+	rid   storage.RID
+	ts    uint64
+	moved bool
 }
 
 // catDirty is one transaction's optimistic catalog changes, undone on
@@ -236,11 +199,12 @@ type Registry struct {
 	det     *detector.Detector
 	store   *storage.Store
 
-	// OID directory (see persist.go): oidMu guards dir and grave;
+	// OID directory (see persist.go): oidMu guards dir, past and grave;
 	// catMu guards the per-transaction dirty sets. Lock order: catMu and
 	// oidMu are leaves, never held together with r.mu or each other.
 	oidMu    sync.RWMutex
-	dir      oidDirectory
+	dir      map[uint64]objRef        // OID -> where its record is
+	past     map[uint64][]storage.RID // OID -> where it was before moving, oldest first
 	grave    []graveRef
 	catMu    sync.Mutex
 	catDirty map[uint64]*catDirty
@@ -261,7 +225,8 @@ func NewRegistry(det *detector.Detector, store *storage.Store) *Registry {
 		classes:    make(map[string]*Class),
 		det:        det,
 		store:      store,
-		dir:        newOIDDirectory(),
+		dir:        make(map[uint64]objRef),
+		past:       make(map[uint64][]storage.RID),
 		catDirty:   make(map[uint64]*catDirty),
 		memObjects: make(map[event.OID]*Instance),
 		memNames:   make(map[string]event.OID),
@@ -301,7 +266,7 @@ func (r *Registry) DefineClass(name, super string, reactive bool) (*Class, error
 			return nil, fmt.Errorf("%w: superclass %q", ErrUnknownClass, super)
 		}
 	}
-	c := &Class{Name: name, Super: super, Reactive: reactive, methods: make(map[string]*Method), lockName: classResource(name)}
+	c := &Class{Name: name, Super: super, Reactive: reactive, methods: make(map[string]*Method), lockName: classResource(name), file: ClassFile(name)}
 	r.classes[name] = c
 	if r.det != nil {
 		r.det.DeclareClass(name, super)

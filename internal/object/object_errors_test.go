@@ -53,7 +53,7 @@ func TestInitCatalogOnNonFreshStore(t *testing.T) {
 	tm := txn.NewManager(st, lockmgr.New())
 	// Something else inserted first: record 0.0 is not the meta.
 	tx, _ := tm.Begin()
-	if _, err := tx.Insert([]byte("squatter")); err != nil {
+	if _, err := tx.Insert(0, []byte("squatter")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,7 +38,10 @@ import (
 // a transaction are removed again if it aborts (per-txn dirty sets, merged
 // parent-ward on subtransaction commit); entries whose delete committed
 // are kept until no live snapshot can still see the object, then pruned
-// via a small graveyard keyed to the store's snapshot floor.
+// via a small graveyard keyed to the store's snapshot floor. A relocating
+// update leaves the object's old RID behind in the same way: a snapshot
+// older than the move finds the object there, and the graveyard forgets
+// the old RID once no snapshot is that old.
 //
 // Isolation comes from per-object locks (DESIGN.md §10): Load takes the
 // object's lock shared; New, Persist and Delete take it exclusive and,
@@ -46,6 +50,16 @@ import (
 // or index DDL (exclusive) waits them out and sees no phantoms. The name
 // map has a lock of its own. Snapshot transactions bypass locks entirely
 // and rely on MVCC validation; they never build a lock name.
+//
+// Files (DESIGN.md §10): this module is the one that decides which storage
+// file a record joins. A class's objects live in the class's own file, so
+// an extent scan reads that class's pages and no other (scan.go); an
+// index's postings live in a file of their own; the catalog records —
+// meta, name map, OID reservation, index catalog — stay in file 0. A
+// class's file is a hash of its name, so classes, which are not
+// persisted, need no catalog of files. Two classes whose names hash alike
+// share a file: their scans read each other's pages, and skip each
+// other's records by the class in the record header.
 //
 // OIDs come from an atomic counter. The counter never hands out an OID
 // above the durable reservation: when it reaches the end of the reserved
@@ -71,6 +85,26 @@ const (
 )
 
 var metaRID = storage.RID{Page: 0, Slot: 0}
+
+// CatalogFile is the file of the catalog records.
+const CatalogFile storage.FileID = 0
+
+// ClassFile returns the file of class's objects: the 32-bit FNV-1a hash of
+// the name, top bit clear (index files have it set) and never 0 (the
+// catalog's).
+func ClassFile(class string) storage.FileID {
+	h := uint32(2166136261)
+	for i := 0; i < len(class); i++ {
+		h = (h ^ uint32(class[i])) * 16777619
+	}
+	if h &^= 1 << 31; h == 0 {
+		h = 1
+	}
+	return storage.FileID(h)
+}
+
+// IndexFile returns the file of the postings of the index with id.
+func IndexFile(id uint32) storage.FileID { return storage.FileID(1<<31 | id) }
 
 // objResource names an object's lock.
 func objResource(oid uint64) string {
@@ -161,14 +195,14 @@ func (r *Registry) InitCatalog(tx *txn.Txn) error {
 		return err
 	}
 	m := meta{nextOID: 1}
-	rid, err := tx.Insert(m.encode())
+	rid, err := tx.Insert(CatalogFile, m.encode())
 	if err != nil {
 		return err
 	}
 	if rid != metaRID {
 		return fmt.Errorf("object: catalog meta landed at %v, want %v (store not fresh)", rid, metaRID)
 	}
-	if m.nameRID, err = tx.Insert(names); err != nil {
+	if m.nameRID, err = tx.Insert(CatalogFile, names); err != nil {
 		return err
 	}
 	if _, err = tx.Update(metaRID, m.encode()); err != nil {
@@ -188,13 +222,13 @@ func (r *Registry) Bootstrap() error {
 	if r.store == nil {
 		return nil
 	}
-	dir := newOIDDirectory()
+	dir := make(map[uint64]objRef)
 	var floor uint64
 	var oidsRID storage.RID
 	hasOIDs := false
 	err := r.store.ForEachRecord(func(rid storage.RID, data []byte) error {
 		if oid, class, ok := readHeader(event.NewReader(data)); ok {
-			dir.set(oid, objRef{rid: rid, class: r.className(class)})
+			dir[oid] = objRef{rid: rid, class: r.className(class)}
 			floor = max(floor, oid+1)
 		} else if end, ok := decodeOIDs(data); ok {
 			floor = max(floor, end)
@@ -265,7 +299,7 @@ func (r *Registry) reserveOIDs(oid uint64) error {
 	if r.oids.has {
 		rid, err = r.store.Update(id, rid, encodeOIDs(end))
 	} else {
-		rid, err = r.store.Insert(id, encodeOIDs(end))
+		rid, err = r.store.Insert(id, CatalogFile, encodeOIDs(end))
 	}
 	if err == nil {
 		err = r.store.Commit(id)
@@ -351,15 +385,18 @@ func (r *Registry) finishCat(tx *txn.Txn, st txn.Status) {
 			r.catMu.Unlock()
 			return
 		}
-		if len(d.dels) > 0 {
+		if len(d.dels)+len(d.moves) > 0 {
 			// Stamp with the commit clock after the commit: at or above the
-			// deleting transaction's commit timestamp, so pruning at the
-			// snapshot floor is conservative-safe.
+			// transaction's commit timestamp, so pruning at the snapshot
+			// floor is conservative-safe.
 			ts := r.store.CommitTS()
 			r.oidMu.Lock()
 			for _, g := range d.dels {
 				g.ts = ts
 				r.grave = append(r.grave, g)
+			}
+			for _, mv := range d.moves {
+				r.grave = append(r.grave, graveRef{oid: mv.oid, rid: mv.from, ts: ts, moved: true})
 			}
 			r.oidMu.Unlock()
 		}
@@ -371,20 +408,21 @@ func (r *Registry) finishCat(tx *txn.Txn, st txn.Status) {
 	r.oidMu.Lock()
 	for i := len(d.moves) - 1; i >= 0; i-- {
 		mv := d.moves[i]
-		if ref, ok := r.dir.refs[mv.oid]; ok && ref.rid == mv.to {
+		if ref, ok := r.dir[mv.oid]; ok && ref.rid == mv.to {
 			ref.rid = mv.from
-			r.dir.set(mv.oid, ref)
+			r.dir[mv.oid] = ref
 		}
+		r.dropPastLocked(mv.oid, mv.from)
 	}
 	for _, oid := range d.adds {
-		r.dir.drop(oid)
+		delete(r.dir, oid)
 	}
 	r.oidMu.Unlock()
 }
 
-// pruneGraves removes directory entries for committed deletes no live
-// snapshot can still see. Amortized: called from mutators every
-// gravePruneEvery operations.
+// pruneGraves removes directory entries for committed deletes, and old
+// locations of committed moves, no live snapshot can still see.
+// Amortized: called from mutators every gravePruneEvery operations.
 func (r *Registry) pruneGraves() {
 	r.oidMu.Lock()
 	if len(r.grave) == 0 {
@@ -398,12 +436,25 @@ func (r *Registry) pruneGraves() {
 			keep = append(keep, g)
 			continue
 		}
-		if ref, ok := r.dir.refs[g.oid]; ok && ref.rid == g.rid {
-			r.dir.drop(g.oid)
+		if ref, ok := r.dir[g.oid]; ok && ref.rid == g.rid && !g.moved {
+			delete(r.dir, g.oid)
 		}
+		r.dropPastLocked(g.oid, g.rid)
 	}
 	r.grave = keep
 	r.oidMu.Unlock()
+}
+
+// dropPastLocked forgets rid as a past location of oid. Caller holds oidMu.
+func (r *Registry) dropPastLocked(oid uint64, rid storage.RID) {
+	past := r.past[oid]
+	if i := slices.Index(past, rid); i >= 0 {
+		if past = slices.Delete(past, i, i+1); len(past) == 0 {
+			delete(r.past, oid)
+		} else {
+			r.past[oid] = past
+		}
+	}
 }
 
 // New creates an object of the class with the given initial attributes and
@@ -444,14 +495,14 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 	if err := lockWrite(tx, c.lockName, oid); err != nil {
 		return nil, err
 	}
-	rid, err := tx.Insert(putObjectHeader(rec, uint64(oid)))
+	rid, err := tx.Insert(c.file, putObjectHeader(rec, uint64(oid)))
 	if err != nil {
 		return nil, err
 	}
 	obj := &Instance{OID: oid, Class: c, attrs: cp}
 	d := r.dirtyFor(tx)
 	r.oidMu.Lock()
-	r.dir.set(uint64(oid), objRef{rid: rid, class: c.Name})
+	r.dir[uint64(oid)] = objRef{rid: rid, class: c.Name}
 	r.oidMu.Unlock()
 	r.catMu.Lock()
 	d.adds = append(d.adds, uint64(oid))
@@ -470,7 +521,7 @@ func (r *Registry) New(tx *txn.Txn, class string, attrs map[string]any) (*Instan
 // lookupRef returns the directory entry for an OID.
 func (r *Registry) lookupRef(oid event.OID) (objRef, bool) {
 	r.oidMu.RLock()
-	ref, ok := r.dir.refs[uint64(oid)]
+	ref, ok := r.dir[uint64(oid)]
 	r.oidMu.RUnlock()
 	return ref, ok
 }
@@ -490,6 +541,16 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
 	attrs, c, err := r.LoadAttrs(tx, oid, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{OID: oid, Class: c, attrs: attrs}, nil
+}
+
+// loadAt is Load from a known RID, without the object's lock: the extent
+// scan that found the record holds its class's lock, or reads a snapshot.
+func (r *Registry) loadAt(tx *txn.Txn, oid event.OID, rid storage.RID) (*Instance, error) {
+	attrs, c, err := r.attrsAt(tx, oid, rid, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -518,10 +579,26 @@ func (r *Registry) LoadAttrs(tx *txn.Txn, oid event.OID, want []string, row map[
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
 	}
+	attrs, c, err = r.attrsAt(tx, oid, ref.rid, want, row)
+	if errors.Is(err, ErrUnknownObject) && tx.Snapshot() != nil {
+		// A snapshot older than a move finds the object where it was.
+		r.oidMu.RLock()
+		past := slices.Clone(r.past[uint64(oid)])
+		r.oidMu.RUnlock()
+		for i := len(past) - 1; i >= 0 && errors.Is(err, ErrUnknownObject); i-- {
+			attrs, c, err = r.attrsAt(tx, oid, past[i], want, row)
+		}
+	}
+	return attrs, c, err
+}
+
+// attrsAt is LoadAttrs' read of the record at rid, which must be visible
+// to tx and carry oid in its header.
+func (r *Registry) attrsAt(tx *txn.Txn, oid event.OID, rid storage.RID, want []string, row map[string]any) (attrs map[string]any, c *Class, err error) {
 	// The record is decoded in place: values and names are copied out of
 	// it, so nothing the decode returns aliases the page.
 	var bad error
-	err = tx.View(ref.rid, func(data []byte) {
+	err = tx.View(rid, func(data []byte) {
 		rd := event.NewReader(data)
 		got, class, ok := readHeader(rd)
 		if !ok || got != uint64(oid) {
@@ -529,7 +606,7 @@ func (r *Registry) LoadAttrs(tx *txn.Txn, oid event.OID, want []string, row map[
 		} else if c = r.classNamed(class); c == nil {
 			bad = fmt.Errorf("%w: %q", ErrUnknownClass, class)
 		} else if attrs, ok = readAttrsInto(rd, &c.names, want, row); !ok {
-			bad = fmt.Errorf("object: record of %v at %v is malformed", oid, ref.rid)
+			bad = fmt.Errorf("object: record of %v at %v is malformed", oid, rid)
 		}
 	})
 	if errors.Is(err, storage.ErrSlotDeleted) || errors.Is(err, storage.ErrBadSlot) {
@@ -634,11 +711,15 @@ func (r *Registry) persist(tx *txn.Txn, obj *Instance) error {
 	if newRID != ref.rid {
 		d := r.dirtyFor(tx)
 		r.oidMu.Lock()
-		r.dir.set(uint64(obj.OID), objRef{rid: newRID, class: obj.Class.Name})
+		r.dir[uint64(obj.OID)] = objRef{rid: newRID, class: obj.Class.Name}
+		r.past[uint64(obj.OID)] = append(r.past[uint64(obj.OID)], ref.rid)
 		r.oidMu.Unlock()
 		r.catMu.Lock()
 		d.moves = append(d.moves, oidMove{oid: uint64(obj.OID), from: ref.rid, to: newRID})
 		r.catMu.Unlock()
+		if n := r.opCount.Add(1); n%gravePruneEvery == 0 {
+			r.pruneGraves() // a move leaves a grave too
+		}
 	}
 	if h != nil {
 		if err := h.OnUpdate(tx, obj.Class.Name, obj.OID, newRID, oldAttrs, obj.attrs); err != nil {
@@ -697,18 +778,8 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 	return nil
 }
 
-// classMatches reports whether class c (by name) is class or, when
-// includeSubclasses is set, one of its subclasses.
-func (r *Registry) classMatches(c, class string, includeSubclasses bool) bool {
-	if c == class || !includeSubclasses {
-		return c == class
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.classMatchesLocked(c, class, includeSubclasses)
-}
-
-// classMatchesLocked is classMatches for callers already holding r.mu.
+// classMatchesLocked reports whether class c (by name) is class or, when
+// includeSubclasses is set, one of its subclasses. The caller holds r.mu.
 func (r *Registry) classMatchesLocked(c, class string, includeSubclasses bool) bool {
 	if c == class {
 		return true
@@ -726,51 +797,6 @@ func (r *Registry) classMatchesLocked(c, class string, includeSubclasses bool) b
 		cur = r.classes[cur.Super]
 	}
 	return false
-}
-
-// ExtentOIDs returns the OIDs the directory currently holds for a class
-// (and subclasses when requested), sorted. It walks only those classes'
-// member sets, so it costs what the extent costs, not the database.
-// Entries are optimistic: callers must validate each by loading it under
-// their transaction — Load reports unknown for entries their snapshot
-// cannot see.
-func (r *Registry) ExtentOIDs(class string, includeSubclasses bool) []event.OID {
-	if r.store == nil {
-		r.mu.Lock()
-		oids := make([]event.OID, 0, len(r.memObjects))
-		for oid, obj := range r.memObjects {
-			if obj != nil && r.classMatchesLocked(obj.Class.Name, class, includeSubclasses) {
-				oids = append(oids, oid)
-			}
-		}
-		r.mu.Unlock()
-		slices.Sort(oids)
-		return oids
-	}
-	classes := []string{class}
-	if includeSubclasses {
-		r.mu.Lock()
-		for name := range r.classes {
-			if name != class && r.classMatchesLocked(name, class, true) {
-				classes = append(classes, name)
-			}
-		}
-		r.mu.Unlock()
-	}
-	r.oidMu.RLock()
-	n := 0
-	for _, c := range classes {
-		n += len(r.dir.extents[c])
-	}
-	oids := make([]event.OID, 0, n)
-	for _, c := range classes {
-		for oid := range r.dir.extents[c] {
-			oids = append(oids, event.OID(oid))
-		}
-	}
-	r.oidMu.RUnlock()
-	slices.Sort(oids)
-	return oids
 }
 
 // LockExtent locks a class extent (and its subclasses' when
@@ -815,38 +841,63 @@ func (r *Registry) classLock(class string) string {
 // ForEach visits every object of the class (and its subclasses when
 // includeSubclasses is set), in OID order — the class extent, which rule
 // conditions use to query database state. fn returning false stops the
-// scan. Directory entries the transaction cannot see (uncommitted creates
-// of others, deletes this snapshot is past) are skipped. A locked scan
-// takes the extent's class locks first (LockExtent).
+// scan. Objects the transaction cannot see (uncommitted creates of others,
+// deletes this snapshot is past) are skipped. A locked scan takes the
+// extent's class locks first (LockExtent). It reads the extent's files a
+// page at a time, collecting each member's OID and RID, and loads the
+// members in OID order.
 func (r *Registry) ForEach(tx *txn.Txn, class string, includeSubclasses bool, fn func(*Instance) bool) error {
 	if r.store == nil {
-		for _, oid := range r.ExtentOIDs(class, includeSubclasses) {
-			r.mu.Lock()
-			obj := r.memObjects[oid]
-			r.mu.Unlock()
-			if obj == nil {
-				continue
-			}
-			if !fn(obj) {
-				return nil
-			}
-		}
-		return nil
+		return r.forEachInMemory(class, includeSubclasses, fn)
 	}
 	if err := r.LockExtent(tx, class, includeSubclasses, lockmgr.Shared); err != nil {
 		return err
 	}
-	for _, oid := range r.ExtentOIDs(class, includeSubclasses) {
-		obj, err := r.Load(tx, oid)
-		if err != nil {
-			if errors.Is(err, ErrUnknownObject) {
-				continue
-			}
-			return err
+	type member struct {
+		oid event.OID
+		rid storage.RID
+	}
+	var members []member
+	scan := r.ScanExtent(tx, class, includeSubclasses)
+	scan.keys = true // the members are loaded below
+	for scan.Next() {
+		members = append(members, member{scan.OID(), scan.RID()})
+	}
+	if err := scan.Err(); err != nil {
+		return err
+	}
+	slices.SortFunc(members, func(a, b member) int { return cmp.Compare(a.oid, b.oid) })
+	for _, m := range members {
+		obj, err := r.loadAt(tx, m.oid, m.rid)
+		if errors.Is(err, ErrUnknownObject) {
+			// fn moved or deleted it since the scan; the directory knows.
+			obj, err = r.Load(tx, m.oid)
 		}
-		if !r.classMatches(obj.Class.Name, class, includeSubclasses) {
+		if errors.Is(err, ErrUnknownObject) {
 			continue
 		}
+		if err != nil {
+			return err
+		}
+		if !fn(obj) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// forEachInMemory is ForEach over a registry without a store.
+func (r *Registry) forEachInMemory(class string, includeSubclasses bool, fn func(*Instance) bool) error {
+	r.mu.Lock()
+	var objs []*Instance
+	for _, obj := range r.memObjects {
+		if r.classMatchesLocked(obj.Class.Name, class, includeSubclasses) {
+			objs = append(objs, obj)
+		}
+	}
+	r.mu.Unlock()
+	slices.SortFunc(objs, func(a, b *Instance) int { return cmp.Compare(a.OID, b.OID) })
+	for _, obj := range objs {
 		if !fn(obj) {
 			return nil
 		}
@@ -875,16 +926,29 @@ func (r *Registry) ApplyRecord(rec *storage.LogRecord) {
 		}
 		ref := objRef{rid: rec.RID, class: r.className(class)}
 		r.oidMu.Lock()
-		r.dir.set(oid, ref)
+		if _, known := r.dir[oid]; known && rec.Type == storage.RecInsert {
+			// An insert of a known OID completes a move (OIDs are never
+			// reused): the delete just before it left a location, not
+			// the object.
+			for i := len(r.grave) - 1; i >= 0; i-- {
+				if r.grave[i].oid == oid {
+					r.grave[i].moved = true
+					break
+				}
+			}
+		}
+		r.dir[oid] = ref
 		r.oidMu.Unlock()
 	case storage.RecDelete:
 		oid, _, ok := readHeader(event.NewReader(rec.Before))
 		if !ok {
 			return
 		}
-		ts := r.store.CommitTS()
+		// A delete or the first half of a move: the insert that completes
+		// a move comes next in the same transaction.
 		r.oidMu.Lock()
-		r.grave = append(r.grave, graveRef{oid: oid, rid: rec.RID, ts: ts})
+		r.grave = append(r.grave, graveRef{oid: oid, rid: rec.RID, ts: rec.TS})
+		r.past[oid] = append(r.past[oid], rec.RID)
 		r.oidMu.Unlock()
 		if n := r.opCount.Add(1); n%gravePruneEvery == 0 {
 			r.pruneGraves()

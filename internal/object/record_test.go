@@ -164,8 +164,11 @@ func TestNonAtomicValueRejected(t *testing.T) {
 	if spy.calls != 0 {
 		t.Fatalf("index hook ran %d times for rejected creates", spy.calls)
 	}
-	if oids := r.ExtentOIDs("STOCK", false); len(oids) != 0 {
-		t.Fatalf("rejected creates left directory entries %v", oids)
+	r.oidMu.RLock()
+	entries := len(r.dir)
+	r.oidMu.RUnlock()
+	if entries != 0 {
+		t.Fatalf("rejected creates left %d directory entries", entries)
 	}
 	obj, err := r.New(tx, "STOCK", map[string]any{"price": 1.0})
 	if err != nil {
@@ -329,7 +332,7 @@ func TestLoadAttrsRejectsWhatLoadRejects(t *testing.T) {
 	}
 	refB, _ := r.lookupRef(b.OID)
 	r.oidMu.Lock()
-	r.dir.set(uint64(a.OID), refB) // a's entry now names b's record
+	r.dir[uint64(a.OID)] = refB // a's entry now names b's record
 	r.oidMu.Unlock()
 
 	tx, err = tm.BeginSnapshot()
@@ -349,7 +352,7 @@ func TestLoadAttrsRejectsWhatLoadRejects(t *testing.T) {
 	// A registry that never defined C reads the same record as unknown.
 	other := NewRegistry(nil, r.store)
 	other.oidMu.Lock()
-	other.dir.set(uint64(b.OID), refB)
+	other.dir[uint64(b.OID)] = refB
 	other.oidMu.Unlock()
 	if _, err := other.Load(tx, b.OID); !errors.Is(err, ErrUnknownClass) {
 		t.Fatalf("Load of an unregistered class: %v, want ErrUnknownClass", err)

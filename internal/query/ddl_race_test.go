@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/lockmgr"
+	"repro/internal/object"
 	"repro/internal/txn"
 )
 
@@ -31,6 +33,15 @@ func TestIndexDDLAgainstWriters(t *testing.T) {
 	e.tm.Locks().DefaultTimeout = 10 * time.Second
 	e.seedStocks(40, 5)
 	const writers, rounds, ddlRounds = 3, 30, 6
+	var seeded []event.OID // the objects writers re-key
+	tx := e.begin()
+	if err := e.reg.ForEach(tx, "STOCK", false, func(inst *object.Instance) bool {
+		seeded = append(seeded, inst.OID)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(tx)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, writers+1)
@@ -61,8 +72,7 @@ func TestIndexDDLAgainstWriters(t *testing.T) {
 					if _, err := e.reg.New(tx, "STOCK", map[string]any{"sym": fmt.Sprintf("W%d-%d", w, r), "price": r % 5}); err != nil {
 						return err
 					}
-					oids := e.reg.ExtentOIDs("STOCK", false)
-					inst, err := e.reg.Load(tx, oids[(w*7+r)%len(oids)])
+					inst, err := e.reg.Load(tx, seeded[(w*7+r)%len(seeded)])
 					if err != nil {
 						return err
 					}
@@ -98,7 +108,7 @@ func TestIndexDDLAgainstWriters(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	tx := e.begin()
+	tx = e.begin()
 	defer e.commit(tx)
 	if e.qm.lookupIndex("STOCK", "price", OrderedIndex) == nil {
 		t.Fatal("the last CreateIndex left no index")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/object"
 )
 
 // fuzzValue builds one value of the key domain (null < bool < number <
@@ -300,7 +301,14 @@ func FuzzReferencedDecode(f *testing.F) {
 		want := referenced(Q{Where: where})
 		var full []Row
 		var pass []uint64
-		for _, oid := range e.reg.ExtentOIDs(class, false) {
+		var oids []event.OID
+		if err := e.reg.ForEach(tx, class, false, func(inst *object.Instance) bool {
+			oids = append(oids, inst.OID)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, oid := range oids {
 			inst, err := e.reg.Load(tx, oid)
 			if err != nil {
 				t.Fatal(err)
@@ -329,11 +337,13 @@ func FuzzReferencedDecode(f *testing.F) {
 			}
 		}
 
-		// A scan hands out exactly the passing objects, whole.
+		// A scan hands out exactly the passing objects, whole (in page
+		// order, which Q does not promise to be OID order).
 		rows, err := e.qm.Run(tx, Q{Class: class, Where: where})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sort.Slice(rows, func(i, j int) bool { return rows[i].OID < rows[j].OID })
 		if got := rowOIDs(rows); fmt.Sprint(got) != fmt.Sprint(pass) {
 			t.Fatalf("scan %s returned %v, want %v", where, got, pass)
 		}

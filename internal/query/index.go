@@ -339,11 +339,12 @@ type Manager struct {
 	opCount atomic.Uint64
 
 	// counters (exported via RegisterMetrics)
-	probes      atomic.Uint64 // equality probes served
-	rangeScans  atomic.Uint64 // ordered range scans served
-	extentScans atomic.Uint64 // queries that fell back to a full extent scan
-	entryWrites atomic.Uint64 // entry records inserted
-	rowsDropped atomic.Uint64 // candidates rejected by re-verification
+	probes       atomic.Uint64 // equality probes served
+	rangeScans   atomic.Uint64 // ordered range scans served
+	extentScans  atomic.Uint64 // queries that fell back to a full extent scan
+	pagesScanned atomic.Uint64 // pages those scans read
+	entryWrites  atomic.Uint64 // entry records inserted
+	rowsDropped  atomic.Uint64 // candidates rejected by re-verification
 }
 
 // NewManager creates an index manager over the store and registry. Call
@@ -699,7 +700,7 @@ func (m *Manager) lookupIndex(class, attr string, kinds ...IndexKind) *index {
 // writeEntry inserts one entry record and posts it, tracking it in the
 // transaction's dirty set.
 func (m *Manager) writeEntry(tx *txn.Txn, d *idxDirty, ix *index, oid uint64, key []byte) error {
-	rid, err := tx.Insert(encodeEntry(ix.def.ID, oid, key))
+	rid, err := tx.Insert(object.IndexFile(ix.def.ID), encodeEntry(ix.def.ID, oid, key))
 	if err != nil {
 		return err
 	}
@@ -966,7 +967,7 @@ func (m *Manager) writeCatalog(tx *txn.Txn, defs []IndexDef) error {
 	if prevHas {
 		newRID, err = tx.Update(prevRID, data)
 	} else {
-		newRID, err = tx.Insert(data)
+		newRID, err = tx.Insert(object.CatalogFile, data)
 	}
 	if err != nil {
 		return err
@@ -1023,9 +1024,8 @@ func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 		if !ok || p.rid != rec.RID {
 			return // posting already superseded by a later record
 		}
-		ts := m.store.CommitTS()
 		m.graveMu.Lock()
-		m.grave = append(m.grave, idxGrave{ref: idxEntryRef{idx: id, key: key, oid: oid, rid: rec.RID, gen: p.gen}, ts: ts})
+		m.grave = append(m.grave, idxGrave{ref: idxEntryRef{idx: id, key: key, oid: oid, rid: rec.RID, gen: p.gen}, ts: rec.TS})
 		m.graveMu.Unlock()
 		m.maybePrune()
 	case storage.RecIdxCreate:
@@ -1083,6 +1083,8 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 		"Range scans served from an ordered index.", m.rangeScans.Load)
 	r.CounterFunc("sentinel_query_extent_scans_total",
 		"Queries answered by a full extent scan (no usable index).", m.extentScans.Load)
+	r.CounterFunc("sentinel_query_pages_scanned_total",
+		"Pages extent scans read: each page of the class's file once per scan.", m.pagesScanned.Load)
 	r.CounterFunc("sentinel_query_index_entries_written_total",
 		"Index entry records inserted (create, update re-key, backfill).", m.entryWrites.Load)
 	r.CounterFunc("sentinel_query_reverify_drops_total",

@@ -47,15 +47,18 @@ func Collect(it Iterator) ([]Row, error) {
 
 // ---- source iterators -------------------------------------------------
 
-// oidIter is the one source: it loads a candidate OID list lazily and
-// re-verifies each object against verify (class and visibility checks
-// happen in the load; stale directory candidates simply fail to load or
-// fail verification). It decodes the attributes in want (all when nil)
-// into one reused map, so a row σ rejects builds no map. When the consumer
-// hands rows out (own), a surviving row takes that map with it.
+// oidIter is the one source. Its rows come from an extent scan, which
+// reads the class's file a page at a time, or from an index's candidate
+// OID list, loaded one by one through the directory (class and visibility
+// checks happen in the load; stale candidates simply fail to load). Each
+// row is re-verified against verify. It decodes the attributes in want
+// (all when nil) into one reused map, so a row σ rejects builds no map.
+// When the consumer hands rows out (own), a surviving row takes that map
+// with it.
 type oidIter struct {
 	m      *Manager
 	tx     *txn.Txn
+	scan   *object.ExtentScan // nil: the rows are oids'
 	oids   []uint64
 	verify Pred // may be nil: every loaded row passes
 	want   []string
@@ -67,13 +70,11 @@ type oidIter struct {
 }
 
 func (s *oidIter) Next() bool {
-	if s.err != nil {
-		return false
-	}
-	for s.pos < len(s.oids) {
-		oid := event.OID(s.oids[s.pos])
-		s.pos++
-		attrs, c, err := s.m.reg.LoadAttrs(s.tx, oid, s.want, s.row)
+	for s.err == nil {
+		oid, attrs, c, err := s.load()
+		if oid == 0 {
+			return false
+		}
 		if errors.Is(err, object.ErrUnknownObject) {
 			s.m.rowsDropped.Add(1)
 			continue
@@ -96,9 +97,36 @@ func (s *oidIter) Next() bool {
 	return false
 }
 
+// load decodes the next candidate into the reused map; oid is 0 when the
+// candidates are exhausted (or the scan failed, which s.err then says).
+func (s *oidIter) load() (oid event.OID, attrs map[string]any, c *object.Class, err error) {
+	if s.scan != nil {
+		if !s.scan.Next() {
+			s.err = s.scan.Err()
+			return 0, nil, nil, nil
+		}
+		attrs, err = s.scan.Attrs(s.want, s.row)
+		return s.scan.OID(), attrs, s.scan.Class(), err
+	}
+	if s.pos == len(s.oids) {
+		return 0, nil, nil, nil
+	}
+	oid = event.OID(s.oids[s.pos])
+	s.pos++
+	attrs, c, err = s.m.reg.LoadAttrs(s.tx, oid, s.want, s.row)
+	return oid, attrs, c, err
+}
+
 func (s *oidIter) Row() Row   { return s.cur }
 func (s *oidIter) Err() error { return s.err }
-func (s *oidIter) Close()     {}
+
+// Close counts the pages an extent scan read.
+func (s *oidIter) Close() {
+	if s.scan != nil {
+		s.m.pagesScanned.Add(uint64(s.scan.Pages()))
+		s.scan = nil
+	}
+}
 
 // ---- relational operators ---------------------------------------------
 

@@ -201,11 +201,7 @@ func (m *Manager) source(tx *txn.Txn, q Q) (Iterator, string) {
 		it.oids = ap.ix.rangeCandidates(ap.lo, ap.hi)
 	default:
 		m.extentScans.Add(1)
-		ext := m.reg.ExtentOIDs(q.Class, q.Subclasses)
-		it.oids = make([]uint64, len(ext))
-		for i, oid := range ext {
-			it.oids[i] = uint64(oid)
-		}
+		it.scan = m.reg.ScanExtent(tx, q.Class, q.Subclasses)
 	}
 	if q.Join == nil && (len(q.GroupBy) > 0 || len(q.Aggs) > 0) {
 		it.want = referenced(q)

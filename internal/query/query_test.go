@@ -534,7 +534,7 @@ func TestOrphanSweep(t *testing.T) {
 	// Plant an entry record for an index that never existed.
 	tx := e.begin()
 	key, _ := encodeKey(1)
-	if _, err := tx.Insert(encodeEntry(999, 12345, key)); err != nil {
+	if _, err := tx.Insert(object.IndexFile(999), encodeEntry(999, 12345, key)); err != nil {
 		t.Fatal(err)
 	}
 	e.commit(tx)

@@ -59,7 +59,7 @@ func TestMeasureReplicaLag(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := leader.Insert(id, []byte(fmt.Sprintf("lag-%06d", i))); err != nil {
+			if _, err := leader.Insert(id, 0, []byte(fmt.Sprintf("lag-%06d", i))); err != nil {
 				t.Fatal(err)
 			}
 			if err := leader.Commit(id); err != nil {

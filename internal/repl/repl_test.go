@@ -69,7 +69,7 @@ func mustWrite(t *testing.T, st *storage.Store, vals ...string) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		if _, err := st.Insert(txn, []byte(v)); err != nil {
+		if _, err := st.Insert(txn, 0, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +319,7 @@ func TestQuietLeaderCommitReachesFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := leader.Insert(txn, []byte("quiet"))
+	rid, err := leader.Insert(txn, 0, []byte("quiet"))
 	if err != nil {
 		t.Fatal(err)
 	}

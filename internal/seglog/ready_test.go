@@ -126,6 +126,9 @@ func TestCursorReadyWakesOnSealAndClose(t *testing.T) {
 		if _, _, n, err := c.ReadBatch(1 << 16); n != 1 || err != nil {
 			t.Fatalf("read %d records flushed by Close (%v), want 1", n, err)
 		}
+		// The flush woke ready before Close marked the log closed; a fresh
+		// Ready closes once it has.
+		waitClosed(t, c.Ready(), "close")
 		if _, _, _, err := c.ReadBatch(1 << 16); !errors.Is(err, ErrClosed) {
 			t.Fatalf("caught-up read of a closed log: %v, want ErrClosed", err)
 		}

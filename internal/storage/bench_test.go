@@ -52,7 +52,7 @@ func benchCommit(b *testing.B, sync bool, opsPerTxn, recSize int) {
 				b.Fatal(err)
 			}
 			for j := 0; j < opsPerTxn; j++ {
-				if _, err := s.Insert(id, payload); err != nil {
+				if _, err := s.Insert(id, 0, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +92,7 @@ func BenchmarkStorage_ReadParallel(b *testing.B) {
 	const n = 512
 	rids := make([]RID, n)
 	for i := range rids {
-		rids[i], err = s.Insert(id, []byte(fmt.Sprintf("record-%04d", i)))
+		rids[i], err = s.Insert(id, 0, []byte(fmt.Sprintf("record-%04d", i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func benchmarkMixed95(b *testing.B, snapshot bool) {
 	rids := make([]RID, n)
 	res := make([]string, n)
 	for i := range rids {
-		rids[i], err = s.Insert(id, payload)
+		rids[i], err = s.Insert(id, 0, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkStorage_MixedSubTxn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rid, err := s.Insert(id, payload)
+			rid, err := s.Insert(id, 0, payload)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -249,7 +249,7 @@ func BenchmarkStorage_MixedSubTxn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.Insert(sub, payload[:16]); err != nil {
+			if _, err := s.Insert(sub, 0, payload[:16]); err != nil {
 				b.Fatal(err)
 			}
 			if err := s.Commit(sub); err != nil {
@@ -281,7 +281,7 @@ func BenchmarkStorage_HotRecordUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rid, err := s.Insert(id, payload)
+			rid, err := s.Insert(id, 0, payload)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -191,8 +191,8 @@ func (b *BufferPool) Fetch(id PageID) (*Page, error) {
 }
 
 // NewPage allocates a fresh page on disk, formats it as an empty slotted
-// page, and returns it pinned and latched.
-func (b *BufferPool) NewPage() (*Page, error) {
+// page of file, and returns it pinned and latched.
+func (b *BufferPool) NewPage(file FileID) (*Page, error) {
 	id, err := b.disk.Allocate()
 	if err != nil {
 		return nil, err
@@ -205,7 +205,7 @@ func (b *BufferPool) NewPage() (*Page, error) {
 		return nil, err
 	}
 	fr.page.ID = id
-	fr.page.InitPage()
+	fr.page.InitPage(file)
 	fr.pins = 1
 	fr.dirty = true
 	// Never persisted: the page's whole history starts at the log's

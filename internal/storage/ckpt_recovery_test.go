@@ -57,7 +57,7 @@ func TestCheckpointRacesGroupCommit(t *testing.T) {
 					t.Errorf("begin: %v", err)
 					return
 				}
-				if _, err := s.Insert(txn, []byte(fmt.Sprintf("w%d-t%d", w, i))); err != nil {
+				if _, err := s.Insert(txn, 0, []byte(fmt.Sprintf("w%d-t%d", w, i))); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -174,7 +174,7 @@ func TestCheckpointRacesGroupCommitCrash(t *testing.T) {
 						return
 					}
 					for part := 0; part < 2; part++ {
-						if _, err := s.Insert(txn, []byte(fmt.Sprintf("c%d-%d-p%d", w, i, part))); err != nil {
+						if _, err := s.Insert(txn, 0, []byte(fmt.Sprintf("c%d-%d-p%d", w, i, part))); err != nil {
 							results[w][i] = failed
 							return
 						}
@@ -252,7 +252,7 @@ func TestRecoveryReplaysOnlyTail(t *testing.T) {
 	var preRID, postRID RID
 	for i := 0; i < 100; i++ {
 		txn, _ := s.Begin()
-		preRID, err = s.Insert(txn, []byte(fmt.Sprintf("pre-%03d", i)))
+		preRID, err = s.Insert(txn, 0, []byte(fmt.Sprintf("pre-%03d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestRecoveryReplaysOnlyTail(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		txn, _ := s.Begin()
-		postRID, err = s.Insert(txn, []byte(fmt.Sprintf("post-%d", i)))
+		postRID, err = s.Insert(txn, 0, []byte(fmt.Sprintf("post-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestCheckpointArchivesSealedSegments(t *testing.T) {
 	rids := make([]RID, 0, 200)
 	for i := 0; i < 200; i++ {
 		txn, _ := s.Begin()
-		rid, err := s.Insert(txn, []byte(fmt.Sprintf("seg-%03d-%032d", i, i)))
+		rid, err := s.Insert(txn, 0, []byte(fmt.Sprintf("seg-%03d-%032d", i, i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func BenchmarkStorage_Recovery(b *testing.B) {
 			const txns = 2000
 			for i := 0; i < txns; i++ {
 				txn, _ := s.Begin()
-				if _, err := s.Insert(txn, []byte(fmt.Sprintf("rec-%06d", i))); err != nil {
+				if _, err := s.Insert(txn, 0, []byte(fmt.Sprintf("rec-%06d", i))); err != nil {
 					b.Fatal(err)
 				}
 				if err := s.Commit(txn); err != nil {
@@ -483,14 +483,14 @@ func TestRedoSkipsOperationsAlreadyOnPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inTx(func(id uint64) error { _, err := s.Insert(id, fill('f', 2000)); return err })
+	inTx(func(id uint64) error { _, err := s.Insert(id, 0, fill('f', 2000)); return err })
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var a1, a2, c RID
 	inTx(func(id uint64) (err error) {
-		if a1, err = s.Insert(id, fill('a', 1000)); err == nil {
-			a2, err = s.Insert(id, fill('a', 1000))
+		if a1, err = s.Insert(id, 0, fill('a', 1000)); err == nil {
+			a2, err = s.Insert(id, 0, fill('a', 1000))
 		}
 		return err
 	})
@@ -500,7 +500,7 @@ func TestRedoSkipsOperationsAlreadyOnPage(t *testing.T) {
 		}
 		return s.Delete(id, a2)
 	})
-	inTx(func(id uint64) (err error) { c, err = s.Insert(id, fill('c', 2000)); return err })
+	inTx(func(id uint64) (err error) { c, err = s.Insert(id, 0, fill('c', 2000)); return err })
 	if c.Page != a2.Page || c.Slot == a2.Slot {
 		t.Fatalf("layout: a2 %v, c %v; want c on a2's page in another slot", a2, c)
 	}

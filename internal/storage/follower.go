@@ -123,11 +123,13 @@ func (s *Store) applyShipped(rec *LogRecord) error {
 		}
 		// Top-level commit, durable on the leader and carrying its commit
 		// timestamp. Its operations are on the pages already, so it only
-		// publishes: the apply hook sees them in LSN order, then the stamps
-		// go in and the clock advances, as on the leader.
+		// publishes: the apply hook sees them in LSN order, each carrying
+		// the commit timestamp, then the stamps go in and the clock
+		// advances, as on the leader.
 		if hook := s.applyHookFn(); hook != nil {
 			slices.SortFunc(t.ops, func(a, b *LogRecord) int { return cmp.Compare(a.LSN, b.LSN) })
 			for _, op := range t.ops {
+				op.TS = rec.TS
 				hook(op)
 			}
 		}
@@ -281,8 +283,8 @@ func (s *Store) Promote() (PromoteStats, error) {
 	if err == nil {
 		err = s.wal.Flush(^uint64(0))
 	}
-	// Apply notes the free space of the pages it touches, but not of pages
-	// it only allocated; rebuild before taking writes.
+	// Apply notes the free space of the pages it allocates and touches;
+	// the rebuild formats and logs any orphan page before taking writes.
 	if err == nil {
 		err = s.rebuildFSM(true)
 	}

@@ -29,7 +29,7 @@ func TestFollowerIngestSkipsLeaderAppendPoint(t *testing.T) {
 	defer fst.Close()
 	id, err := ld.Begin()
 	if err == nil {
-		_, err = ld.Insert(id, []byte("shipped"))
+		_, err = ld.Insert(id, 0, []byte("shipped"))
 	}
 	if err == nil {
 		err = ld.Commit(id)
@@ -101,7 +101,7 @@ func TestFollowerAppliesToPageWhoseAllocDied(t *testing.T) {
 	}
 	id, err := crashed.Begin()
 	if err == nil {
-		_, err = crashed.Insert(id, []byte("lost"))
+		_, err = crashed.Insert(id, 0, []byte("lost"))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestLeaderOpenOfFollowerDirRedoesBelowStamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ridA, err := ld.Insert(a, []byte("a"))
+	ridA, err := ld.Insert(a, 0, []byte("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func insertCommitted(t *testing.T, s *Store, rec string) RID {
 	id, err := s.Begin()
 	var rid RID
 	if err == nil {
-		rid, err = s.Insert(id, []byte(rec))
+		rid, err = s.Insert(id, 0, []byte(rec))
 	}
 	if err == nil {
 		err = s.Commit(id)
@@ -261,14 +261,14 @@ func TestFollowerRedoSkipsOperationsAlreadyOnPage(t *testing.T) {
 		}
 		ship(t, ld, fst)
 	}
-	inTx(func(id uint64) error { _, err := ld.Insert(id, fill('f', 2000)); return err })
+	inTx(func(id uint64) error { _, err := ld.Insert(id, 0, fill('f', 2000)); return err })
 	if err := fst.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var a1, a2, c RID
 	inTx(func(id uint64) (err error) {
-		if a1, err = ld.Insert(id, fill('a', 1000)); err == nil {
-			a2, err = ld.Insert(id, fill('a', 1000))
+		if a1, err = ld.Insert(id, 0, fill('a', 1000)); err == nil {
+			a2, err = ld.Insert(id, 0, fill('a', 1000))
 		}
 		return err
 	})
@@ -278,7 +278,7 @@ func TestFollowerRedoSkipsOperationsAlreadyOnPage(t *testing.T) {
 		}
 		return ld.Delete(id, a2)
 	})
-	inTx(func(id uint64) (err error) { c, err = ld.Insert(id, fill('c', 2000)); return err })
+	inTx(func(id uint64) (err error) { c, err = ld.Insert(id, 0, fill('c', 2000)); return err })
 	if c.Page != a2.Page || c.Slot == a2.Slot {
 		t.Fatalf("layout: a2 %v, c %v; want c on a2's page in another slot", a2, c)
 	}
@@ -350,7 +350,7 @@ func TestFollowerRestartMidTransaction(t *testing.T) {
 				}
 				var z RID
 				if err == nil {
-					z, err = ld.Insert(id, []byte("z1"))
+					z, err = ld.Insert(id, 0, []byte("z1"))
 				}
 				if err == nil {
 					err = ld.FlushLog()
@@ -562,7 +562,7 @@ func TestFollowerSnapshotsDuringApply(t *testing.T) {
 	rids := make([]RID, keys)
 	id, err := ld.Begin()
 	for i := 0; err == nil && i < keys; i++ {
-		rids[i], err = ld.Insert(id, []byte("r000"))
+		rids[i], err = ld.Insert(id, 0, []byte("r000"))
 	}
 	if err == nil {
 		err = ld.Commit(id)

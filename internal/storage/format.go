@@ -53,10 +53,15 @@ import (
 //	     and kept a follower mark beside its pages. A v6 follower's page
 //	     LSNs would let redo skip operations that are not on the page, so
 //	     a v6 directory is refused, not migrated.
+//	v8 — a file per class: every page header names the file its records
+//	     belong to (the slot array moved 4 bytes down), and an allocation
+//	     record carries the new page's file (every log record gained a
+//	     u32 file field). A v7 page has no file id, so a v7 directory is
+//	     refused, not migrated.
 const (
 	formatMagic = "sentinel-format"
 	// FormatVersion is the generation this build reads and writes.
-	FormatVersion = 7
+	FormatVersion = 8
 	// formatFile is the marker's filename inside the data directory.
 	formatFile = "sentinel.meta"
 )

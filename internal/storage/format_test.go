@@ -96,6 +96,14 @@ func TestFormatMarkerLifecycle(t *testing.T) {
 	if _, err := open(); !strings.Contains(err.Error(), "v6") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
 		t.Fatalf("v6 refusal does not name both generations: %v", err)
 	}
+	// v7 pages have no file id in their header: refused too.
+	if err := os.WriteFile(meta, []byte(formatMagic+" v7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejects("v7 format version")
+	if _, err := open(); !strings.Contains(err.Error(), "v7") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", FormatVersion)) {
+		t.Fatalf("v7 refusal does not name both generations: %v", err)
+	}
 	if err := os.WriteFile(meta, []byte(formatMagic+" v999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

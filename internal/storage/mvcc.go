@@ -388,27 +388,7 @@ func (s *Store) ForEachRecordAt(sn *Snapshot, fn func(RID, []byte) error) error 
 	if s.closed.Load() {
 		return ErrStoreClosed
 	}
-	n := s.disk.NumPages()
-	for pid := PageID(0); pid < n; pid++ {
-		page, err := s.pool.Fetch(pid)
-		if err != nil {
-			return err
-		}
-		for slot := uint16(0); slot < page.NumSlots(); slot++ {
-			rid := RID{Page: pid, Slot: slot}
-			data, exists := s.readVersion(sn, page, rid)
-			if !exists {
-				continue
-			}
-			s.readSnapshotN.Add(1)
-			if err := fn(rid, cloneBytes(data)); err != nil {
-				s.pool.Unpin(pid, false)
-				return err
-			}
-		}
-		s.pool.Unpin(pid, false)
-	}
-	return nil
+	return s.forEachPage(sn, fn)
 }
 
 // oldestLiveSnapshot scans the registry for the oldest open snapshot.

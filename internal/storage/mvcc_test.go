@@ -32,7 +32,7 @@ func commitValue(t *testing.T, s *Store, data string) RID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := s.Insert(id, []byte(data))
+	rid, err := s.Insert(id, 0, []byte(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSnapshotAbortInvisible(t *testing.T) {
 	if _, err := s.Update(id, rid, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert(id, []byte("doomed-insert")); err != nil {
+	if _, err := s.Insert(id, 0, []byte("doomed-insert")); err != nil {
 		t.Fatal(err)
 	}
 	snDuring := s.Snapshot()
@@ -389,7 +389,7 @@ func TestSnapshotRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rid, err := s.Insert(id, []byte(fmt.Sprintf("r-%d", i)))
+		rid, err := s.Insert(id, 0, []byte(fmt.Sprintf("r-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}

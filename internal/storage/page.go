@@ -19,6 +19,14 @@ const PageSize = 4096
 // PageID identifies a page within the database file.
 type PageID uint32
 
+// FileID names the file a page belongs to: the Exodus file of records
+// that cluster together. The store keeps each file's pages apart, so an
+// insert into a file only ever lands on one of that file's pages and a
+// scan of the file reads those pages only. What a file holds is the
+// caller's choice; file 0 is the default, and the one recovery's orphan
+// pages join.
+type FileID uint32
+
 // RID addresses a record: the page that holds it and its slot there.
 type RID struct {
 	Page PageID
@@ -38,14 +46,16 @@ var (
 	ErrPageCorrupted = errors.New("storage: page corrupted")
 )
 
-// Slotted page layout (format v2; the generation is recorded in the data
+// Slotted page layout (format v8; the generation is recorded in the data
 // directory's marker file, see format.go — v1 pages had 4-byte slot
-// entries without xmin stamps; all integers little-endian):
+// entries without xmin stamps, v2–v7 pages no file id; all integers
+// little-endian):
 //
 //	[0:8)   pageLSN  — LSN of the last log record applied to this page
 //	[8:10)  slotCount
 //	[10:12) freeUpper — offset where record space begins (records grow down)
-//	[12:...) slot array: 12 bytes per slot = offset uint16, length uint16,
+//	[12:16) file — the FileID the page belongs to, set when it is formatted
+//	[16:...) slot array: 12 bytes per slot = offset uint16, length uint16,
 //	         xmin uint64 (creator transaction of the current record)
 //	[freeUpper:PageSize) record bytes
 //
@@ -60,7 +70,8 @@ const (
 	pageLSNOff    = 0
 	slotCountOff  = 8
 	freeUpperOff  = 10
-	slotArrayOff  = 12
+	fileOff       = 12
+	slotArrayOff  = 16
 	slotEntrySize = 12
 	tombstone     = 0xFFFF
 )
@@ -76,14 +87,15 @@ type Page struct {
 	Data [PageSize]byte
 }
 
-// InitPage formats p as an empty slotted page.
-func (p *Page) InitPage() {
-	for i := range p.Data {
-		p.Data[i] = 0
-	}
-	p.setSlotCount(0)
+// InitPage formats p as an empty slotted page of file.
+func (p *Page) InitPage(file FileID) {
+	clear(p.Data[:])
 	p.setFreeUpper(PageSize)
+	binary.LittleEndian.PutUint32(p.Data[fileOff:], uint32(file))
 }
+
+// File returns the file the page belongs to.
+func (p *Page) File() FileID { return FileID(binary.LittleEndian.Uint32(p.Data[fileOff:])) }
 
 // formatted reports whether InitPage ever ran on p: freeUpper starts at
 // PageSize and never drops below the slot array, so only a page never
@@ -297,25 +309,15 @@ func (p *Page) Update(i uint16, rec []byte) error {
 }
 
 // compact rewrites all live records contiguously at the top of the page,
-// reclaiming space freed by deletes and relocations.
+// reclaiming space freed by deletes and relocations. It re-places each
+// record from one copy of the page, on the stack: it allocates nothing.
 func (p *Page) compact() {
-	type rec struct {
-		slot uint16
-		data []byte
-	}
-	var live []rec
-	for i := uint16(0); i < p.slotCount(); i++ {
-		off, length := p.slot(i)
-		if off == tombstone {
-			continue
-		}
-		buf := make([]byte, length)
-		copy(buf, p.Data[off:int(off)+int(length)])
-		live = append(live, rec{i, buf})
-	}
+	old := p.Data
 	p.setFreeUpper(PageSize)
-	for _, r := range live {
-		p.place(r.slot, r.data)
+	for i := uint16(0); i < p.slotCount(); i++ {
+		if off, length := p.slot(i); off != tombstone {
+			p.place(i, old[off:int(off)+int(length)])
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 func newPage() *Page {
 	p := &Page{ID: 1}
-	p.InitPage()
+	p.InitPage(0)
 	return p
 }
 

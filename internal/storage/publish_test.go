@@ -26,7 +26,7 @@ func TestCommitRecordPublishesOnFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := ld.Insert(id, []byte("published"))
+	rid, err := ld.Insert(id, 0, []byte("published"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCommitPublishOrder(t *testing.T) {
 				id, err := s.Begin()
 				var rid RID
 				if err == nil {
-					rid, err = s.Insert(id, []byte(fmt.Sprintf("w%d-%d", w, i)))
+					rid, err = s.Insert(id, 0, []byte(fmt.Sprintf("w%d-%d", w, i)))
 				}
 				if err == nil {
 					inflight[w].Store(&rid)
@@ -185,7 +185,7 @@ func TestCommitFaultNeverPublished(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rid, err := s.Insert(id, []byte(data))
+		rid, err := s.Insert(id, 0, []byte(data))
 		if err != nil {
 			t.Fatal(err)
 		}

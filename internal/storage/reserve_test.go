@@ -19,7 +19,7 @@ func TestAbortRestoresShrunkenRecordAfterConcurrentFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := bytes.Repeat([]byte("b"), 2000)
-	rid, err := s.Insert(setup, big)
+	rid, err := s.Insert(setup, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAbortRestoresShrunkenRecordAfterConcurrentFill(t *testing.T) {
 	}
 	chunk := bytes.Repeat([]byte("f"), 200)
 	for i := 0; i < 100; i++ {
-		if _, err := s.Insert(filler, chunk); err != nil {
+		if _, err := s.Insert(filler, 0, chunk); err != nil {
 			t.Fatalf("filler insert %d: %v", i, err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestDeletedSlotNotReusedBeforeResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := []byte("original record payload")
-	rid, err := s.Insert(setup, orig)
+	rid, err := s.Insert(setup, 0, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDeletedSlotNotReusedBeforeResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orid, err := s.Insert(other, []byte("x"))
+	orid, err := s.Insert(other, 0, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDeletedSlotNotReusedBeforeResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lrid, err := s.Insert(last, []byte("y"))
+	lrid, err := s.Insert(last, 0, []byte("y"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,11 @@ func TestStoreClosedOperationsFail(t *testing.T) {
 func TestOperationsOnFinishedTxn(t *testing.T) {
 	s := openTestStore(t)
 	id, _ := s.Begin()
-	rid, _ := s.Insert(id, []byte("x"))
+	rid, _ := s.Insert(id, 0, []byte("x"))
 	if err := s.Commit(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert(id, []byte("y")); !errors.Is(err, ErrNoSuchTxn) {
+	if _, err := s.Insert(id, 0, []byte("y")); !errors.Is(err, ErrNoSuchTxn) {
 		t.Fatalf("Insert on finished: %v", err)
 	}
 	if _, err := s.Update(id, rid, []byte("y")); !errors.Is(err, ErrNoSuchTxn) {
@@ -64,10 +64,10 @@ func TestRecordTooBigRejectedEverywhere(t *testing.T) {
 	s := openTestStore(t)
 	id, _ := s.Begin()
 	huge := make([]byte, MaxRecordSize+1)
-	if _, err := s.Insert(id, huge); !errors.Is(err, ErrRecordTooBig) {
+	if _, err := s.Insert(id, 0, huge); !errors.Is(err, ErrRecordTooBig) {
 		t.Fatalf("Insert: %v", err)
 	}
-	rid, _ := s.Insert(id, []byte("small"))
+	rid, _ := s.Insert(id, 0, []byte("small"))
 	if _, err := s.Update(id, rid, huge); !errors.Is(err, ErrRecordTooBig) {
 		t.Fatalf("Update: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestActiveTxnsAndPoolStats(t *testing.T) {
 	}
 	id, _ := s.Begin()
 	for i := 0; i < 50; i++ {
-		if _, err := s.Insert(id, bytes.Repeat([]byte("x"), 500)); err != nil {
+		if _, err := s.Insert(id, 0, bytes.Repeat([]byte("x"), 500)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestSyncWALMode(t *testing.T) {
 	}
 	defer s.Close()
 	id, _ := s.Begin()
-	rid, err := s.Insert(id, []byte("durable"))
+	rid, err := s.Insert(id, 0, []byte("durable"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCheckpointWithActiveTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 	live, _ := s.Begin()
-	ridLive, _ := s.Insert(live, []byte("in-flight"))
+	ridLive, _ := s.Insert(live, 0, []byte("in-flight"))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

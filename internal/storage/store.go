@@ -124,11 +124,20 @@ type txnShard struct {
 // Free-space map classes: pages are bucketed by free bytes / 256 so an
 // insert probes one bucket (plus larger ones) instead of scanning every
 // page. The exact free count still lives in fsm; buckets only narrow the
-// candidate set.
+// candidate set. spaceProbes bounds the candidates one insert tries.
 const (
-	fsShift   = 8
-	fsClasses = PageSize >> fsShift
+	fsShift     = 8
+	fsClasses   = PageSize >> fsShift
+	spaceProbes = 4
 )
+
+// fileSpace is one file's part of the free-space map: its pages bucketed
+// by free-space class, and all its pages in ascending order — the order a
+// file scan reads them in.
+type fileSpace struct {
+	free  [fsClasses]map[PageID]struct{}
+	pages []PageID
+}
 
 func fsClass(free int) int {
 	c := free >> fsShift
@@ -164,7 +173,7 @@ type Store struct {
 
 	fsmMu sync.Mutex
 	fsm   map[PageID]int // exact free bytes per page
-	free  [fsClasses]map[PageID]struct{}
+	files map[FileID]*fileSpace
 
 	// Undo reservations: space freed by an uncommitted shrink or delete
 	// stays off-limits to other inserters until the freeing transaction
@@ -241,6 +250,7 @@ func Open(opts Options) (*Store, error) {
 		disk:       disk,
 		wal:        wal,
 		fsm:        make(map[PageID]int),
+		files:      make(map[FileID]*fileSpace),
 		reserves:   make(map[PageID]*pageReserve),
 		cts:        make(map[uint64]uint64),
 		mergedInto: make(map[uint64]uint64),
@@ -248,9 +258,6 @@ func Open(opts Options) (*Store, error) {
 	s.follower.Store(opts.Follower)
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]*txnState)
-	}
-	for i := range s.free {
-		s.free[i] = make(map[PageID]struct{})
 	}
 	for i := range s.chains {
 		s.chains[i].m = make(map[RID]versionChain)
@@ -732,8 +739,9 @@ func (s *Store) undoOpLatched(page *Page, rec *LogRecord, stampLSN uint64) error
 	return nil
 }
 
-// Insert stores data as a new record under transaction id.
-func (s *Store) Insert(id uint64, data []byte) (RID, error) {
+// Insert stores data as a new record of file under transaction id: on a
+// page of that file with room, or on a new page of it.
+func (s *Store) Insert(id uint64, file FileID, data []byte) (RID, error) {
 	if len(data) > MaxRecordSize {
 		return RID{}, ErrRecordTooBig
 	}
@@ -744,7 +752,7 @@ func (s *Store) Insert(id uint64, data []byte) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
-	page, err := s.pageWithSpace(id, len(data))
+	page, err := s.pageWithSpace(id, file, len(data))
 	if err != nil {
 		return RID{}, err
 	}
@@ -792,13 +800,15 @@ func (s *Store) wrote(t *txnState, page *Page, rec *LogRecord, oldXmin uint64, r
 	s.noteFree(page)
 }
 
-// pageWithSpace returns a pinned, latched page with at least need bytes
-// free, allocating (and logging) a new page when no candidate qualifies.
-// The free-space buckets give a handful of candidates without scanning
-// every page; the exact free count is re-checked under the page latch
-// since a concurrent insert may have consumed the space meanwhile.
-func (s *Store) pageWithSpace(txn uint64, need int) (*Page, error) {
-	for _, pid := range s.spaceCandidates(need+slotEntrySize, 4) {
+// pageWithSpace returns a pinned, latched page of file with at least need
+// bytes free, allocating (and logging) a new page of the file when no
+// candidate qualifies. The free-space buckets give a handful of candidates
+// without scanning every page; the exact free count is re-checked under
+// the page latch since a concurrent insert may have consumed the space
+// meanwhile.
+func (s *Store) pageWithSpace(txn uint64, file FileID, need int) (*Page, error) {
+	cands, n := s.spaceCandidates(file, need+slotEntrySize)
+	for _, pid := range cands[:n] {
 		page, err := s.pool.Fetch(pid)
 		if err != nil {
 			return nil, err
@@ -809,11 +819,11 @@ func (s *Store) pageWithSpace(txn uint64, need int) (*Page, error) {
 		s.noteFree(page)
 		s.pool.Unpin(pid, false)
 	}
-	page, err := s.pool.NewPage()
+	page, err := s.pool.NewPage(file)
 	if err != nil {
 		return nil, err
 	}
-	rec := &LogRecord{Type: RecAlloc, Txn: txn, RID: RID{Page: page.ID}}
+	rec := &LogRecord{Type: RecAlloc, Txn: txn, RID: RID{Page: page.ID}, File: file}
 	lsn, err := s.wal.Append(rec)
 	if err != nil {
 		s.pool.Unpin(page.ID, true)
@@ -824,41 +834,45 @@ func (s *Store) pageWithSpace(txn uint64, need int) (*Page, error) {
 	return page, nil
 }
 
-// spaceCandidates returns up to max page ids whose recorded free space is
-// at least need, smallest-class first so existing pages fill before new
-// ones are allocated. In the boundary class (the one containing need)
-// membership doesn't imply a fit, so at most max entries are probed there
-// — pages whose leftover is smaller than the request are deliberately left
-// to fragment rather than rescanned on every insert (bounded at one
-// class width, <256 bytes per page). Every page in a higher class fits by
-// construction. Map iteration order spreads concurrent inserters across a
-// class's candidates instead of funnelling them onto one page.
-func (s *Store) spaceCandidates(need, max int) []PageID {
-	var out []PageID
+// spaceCandidates returns up to spaceProbes pages of file whose recorded
+// free space is at least need, smallest-class first so existing pages fill
+// before new ones are allocated; out[:n] are the candidates. In the
+// boundary class (the one containing need) membership doesn't imply a fit,
+// so at most spaceProbes entries are probed there — pages whose leftover
+// is smaller than the request are deliberately left to fragment rather
+// than rescanned on every insert (bounded at one class width, <256 bytes
+// per page). Every page in a higher class fits by construction. Map
+// iteration order spreads concurrent inserters across a class's candidates
+// instead of funnelling them onto one page.
+func (s *Store) spaceCandidates(file FileID, need int) (out [spaceProbes]PageID, n int) {
 	s.fsmMu.Lock()
+	defer s.fsmMu.Unlock()
+	fs := s.files[file]
+	if fs == nil {
+		return out, 0
+	}
 	s.resMu.Lock()
-	for c := fsClass(need); c < fsClasses && len(out) < max; c++ {
+	defer s.resMu.Unlock()
+	for c := fsClass(need); c < fsClasses && n < spaceProbes; c++ {
 		probes := 0
 		boundary := c == fsClass(need)
-		for pid := range s.free[c] {
+		for pid := range fs.free[c] {
 			avail := s.fsm[pid]
 			if r := s.reserves[pid]; r != nil {
 				avail -= r.bytes
 			}
 			if avail >= need {
-				out = append(out, pid)
-				if len(out) >= max {
+				out[n] = pid
+				if n++; n == spaceProbes {
 					break
 				}
 			}
-			if probes++; boundary && probes >= max {
+			if probes++; boundary && probes >= spaceProbes {
 				break
 			}
 		}
 	}
-	s.resMu.Unlock()
-	s.fsmMu.Unlock()
-	return out
+	return out, n
 }
 
 // reserveUndo sets aside free bytes (and, for deletes, the tombstoned
@@ -962,7 +976,8 @@ func (s *Store) LogIndexOp(id uint64, typ RecType, payload []byte) error {
 // SetApplyHook installs fn to observe, on a follower, every operation of a
 // transaction whose top-level commit record it applies — page operations
 // and logical index-DDL records alike, in LSN order, when the commit
-// record arrives and before it publishes. Operations reach the pages as
+// record arrives and before it publishes, each with TS set to the commit
+// timestamp. Operations reach the pages as
 // they are ingested; the hook sees only committed ones, so upper layers
 // keep in-memory directories — the object catalog and secondary-index
 // directories — in lock-step with committed replicated state; a leader
@@ -1012,8 +1027,8 @@ func (s *Store) View(rid RID, fn func([]byte)) error {
 	return nil
 }
 
-// Update replaces the record at rid, possibly moving it to another page
-// when it no longer fits; the (possibly new) RID is returned.
+// Update replaces the record at rid, possibly moving it to another page of
+// its file when it no longer fits; the (possibly new) RID is returned.
 func (s *Store) Update(id uint64, rid RID, data []byte) (RID, error) {
 	if len(data) > MaxRecordSize {
 		return RID{}, ErrRecordTooBig
@@ -1036,6 +1051,7 @@ func (s *Store) Update(id uint64, rid RID, data []byte) (RID, error) {
 	}
 	before := cloneBytes(old)
 	oldXmin := page.Xmin(rid.Slot)
+	file := page.File() // a moved record stays in its file
 	// An in-place grow may not eat into space reserved for other
 	// transactions' rollbacks; force the move path instead.
 	uerr := ErrNoSpace
@@ -1072,7 +1088,7 @@ func (s *Store) Update(id uint64, rid RID, data []byte) (RID, error) {
 	s.wrote(t, page, delRec, oldXmin, false)
 	s.pool.Unpin(rid.Page, true)
 
-	newPage, err := s.pageWithSpace(id, len(data))
+	newPage, err := s.pageWithSpace(id, file, len(data))
 	if err != nil {
 		return RID{}, err
 	}
@@ -1134,7 +1150,8 @@ func (s *Store) Delete(id uint64, rid RID) error {
 // applies each shipped allocation through here. A redone state is stamped
 // with its record's transaction, frozen once recovery is over; a state a
 // CLR restored is stamped frozen outright, since its creator is not in the
-// record (follower recovery stamps the in-flight ones again).
+// record (follower recovery stamps the in-flight ones again). A redone
+// allocation formats the page with its file and joins the file's pages.
 func (s *Store) redoOp(rec *LogRecord) error {
 	if rec.Type.logical() {
 		return nil // logical record: no page effect to repeat
@@ -1159,7 +1176,8 @@ func (s *Store) redoOp(rec *LogRecord) error {
 	}
 	switch rec.Type {
 	case RecAlloc:
-		page.InitPage()
+		page.InitPage(rec.File)
+		defer s.noteFree(page)
 	case RecInsert:
 		if !page.Live(rec.RID.Slot) {
 			if err := page.InsertAt(rec.RID.Slot, rec.After); err != nil {
@@ -1187,12 +1205,14 @@ func (s *Store) redoOp(rec *LogRecord) error {
 	return nil
 }
 
-// rebuildFSM scans all pages to rebuild the free-space map after open. A
-// leader also formats, and logs the allocation of, every page recovery
-// left unformatted: Allocate extends the file before the RecAlloc record is
+// rebuildFSM scans all pages to rebuild the free-space map, and with it
+// each file's page list, from the page headers after open. A leader also
+// formats, and logs the allocation of, every page recovery left
+// unformatted: Allocate extends the file before the RecAlloc record is
 // appended, so a crash can leave a zeroed page whose allocation died in the
 // log buffer. Unlogged, inserts would fill it as an empty page that no
-// follower has ever heard of.
+// follower has ever heard of. Such an orphan joins file 0. A follower
+// leaves it out until a shipped allocation formats it.
 func (s *Store) rebuildFSM(leader bool) error {
 	n := s.disk.NumPages()
 	for pid := PageID(0); pid < n; pid++ {
@@ -1200,36 +1220,60 @@ func (s *Store) rebuildFSM(leader bool) error {
 		if err != nil {
 			return err
 		}
-		orphan := leader && !page.formatted()
-		if orphan {
+		orphan := !page.formatted()
+		if orphan && leader {
 			lsn, err := s.wal.Append(&LogRecord{Type: RecAlloc, RID: RID{Page: pid}})
 			if err != nil {
 				s.pool.Unpin(pid, false)
 				return err
 			}
-			page.InitPage()
+			page.InitPage(0)
 			page.SetLSN(lsn)
 		}
-		s.noteFree(page)
-		s.pool.Unpin(pid, orphan)
+		if !orphan || leader {
+			s.noteFree(page)
+		}
+		s.pool.Unpin(pid, orphan && leader)
 	}
 	return nil
 }
 
-// noteFree records a page's current free space, moving it between
-// free-space classes. Callers hold the page latch, so the recorded value
-// is exact at the time of the call; fsmMu is a leaf lock.
+// noteFree records a page's current free space, moving it between its
+// file's free-space classes; a page noted for the first time joins its
+// file's page list. Callers hold the page latch, so the recorded value is
+// exact at the time of the call; fsmMu is a leaf lock.
 func (s *Store) noteFree(p *Page) {
 	free := p.FreeSpace()
 	s.fsmMu.Lock()
-	if old, ok := s.fsm[p.ID]; ok {
-		if fsClass(old) != fsClass(free) {
-			delete(s.free[fsClass(old)], p.ID)
+	fs := s.files[p.File()]
+	if fs == nil {
+		fs = &fileSpace{}
+		for c := range fs.free {
+			fs.free[c] = make(map[PageID]struct{})
 		}
+		s.files[p.File()] = fs
+	}
+	if old, ok := s.fsm[p.ID]; !ok {
+		i, _ := slices.BinarySearch(fs.pages, p.ID)
+		fs.pages = slices.Insert(fs.pages, i, p.ID)
+	} else if fsClass(old) != fsClass(free) {
+		delete(fs.free[fsClass(old)], p.ID)
 	}
 	s.fsm[p.ID] = free
-	s.free[fsClass(free)][p.ID] = struct{}{}
+	fs.free[fsClass(free)][p.ID] = struct{}{}
 	s.fsmMu.Unlock()
+}
+
+// FilePages returns the pages of file in ascending order: the pages a scan
+// of the file reads. A page allocated after the call holds only records
+// written after it.
+func (s *Store) FilePages(file FileID) []PageID {
+	s.fsmMu.Lock()
+	defer s.fsmMu.Unlock()
+	if fs := s.files[file]; fs != nil {
+		return slices.Clone(fs.pages)
+	}
+	return nil
 }
 
 // ForEachRecord scans every record in the store under a fresh snapshot:
@@ -1256,33 +1300,63 @@ func (s *Store) ForEachRecordLatest(fn func(RID, []byte) error) error {
 	if s.closed.Load() {
 		return ErrStoreClosed
 	}
+	return s.forEachPage(nil, fn)
+}
+
+// forEachPage calls fn with a copy of every record ViewPage shows on
+// every page of the store, stopping at fn's first error.
+func (s *Store) forEachPage(sn *Snapshot, fn func(RID, []byte) error) error {
+	var ferr error
+	visit := func(rid RID, data []byte) bool {
+		ferr = fn(rid, cloneBytes(data))
+		return ferr == nil
+	}
 	n := s.disk.NumPages()
-	for pid := PageID(0); pid < n; pid++ {
-		page, err := s.pool.Fetch(pid)
-		if err != nil {
+	for pid := PageID(0); pid < n && ferr == nil; pid++ {
+		if err := s.ViewPage(sn, pid, visit); err != nil {
 			return err
 		}
-		for slot := uint16(0); slot < page.NumSlots(); slot++ {
-			if !page.Live(slot) {
+	}
+	return ferr
+}
+
+// ViewPage calls fn, under the page latch, with each record of page pid:
+// under snapshot sn every slot's version visible to it — tombstoned slots
+// included, since an older version may still be visible — and without one
+// (sn nil) each live slot's latest state, the 2PL read. fn must not retain
+// data; returning false stops the walk. It fetches the page once: the
+// page-at-a-time half of a file scan.
+func (s *Store) ViewPage(sn *Snapshot, pid PageID, fn func(RID, []byte) bool) error {
+	page, err := s.pool.Fetch(pid)
+	if err != nil {
+		return err
+	}
+	defer s.pool.Unpin(pid, false)
+	for slot := uint16(0); slot < page.NumSlots(); slot++ {
+		rid := RID{Page: pid, Slot: slot}
+		var data []byte
+		if sn != nil {
+			var exists bool
+			if data, exists = s.readVersion(sn, page, rid); !exists {
 				continue
 			}
-			data, err := page.Read(slot)
-			if err != nil {
-				s.pool.Unpin(pid, false)
-				return err
-			}
-			if err := fn(RID{Page: pid, Slot: slot}, cloneBytes(data)); err != nil {
-				s.pool.Unpin(pid, false)
-				return err
-			}
+			s.readSnapshotN.Add(1)
+		} else if !page.Live(slot) {
+			continue
+		} else if data, err = page.Read(slot); err != nil {
+			return err
+		} else {
+			s.readLockedN.Add(1)
 		}
-		s.pool.Unpin(pid, false)
+		if !fn(rid, data) {
+			return nil
+		}
 	}
 	return nil
 }
 
 // SamePages reports the first page at which follower fst differs from its
-// leader ld — in LSN, slot count or a live slot's bytes — at equal log
+// leader ld — in LSN, file, slot count or a live slot's bytes — at equal log
 // ends: both applied one history, so their pages are equal. A
 // verification aid; neither store may be writing.
 func SamePages(ld, fst *Store) error {
@@ -1312,15 +1386,15 @@ func samePage(ld, fst *Store, pid PageID) error {
 		return err
 	}
 	defer fst.pool.Unpin(pid, false)
-	same := a.LSN() == b.LSN() && a.NumSlots() == b.NumSlots()
+	same := a.LSN() == b.LSN() && a.File() == b.File() && a.NumSlots() == b.NumSlots()
 	for slot := uint16(0); same && slot < a.NumSlots(); slot++ {
 		x, xerr := a.Read(slot)
 		y, yerr := b.Read(slot)
 		same = (xerr == nil) == (yerr == nil) && bytes.Equal(x, y)
 	}
 	if !same {
-		return fmt.Errorf("storage: page %d differs: lsn %d and %d slots on the leader, lsn %d and %d slots on the follower",
-			pid, a.LSN(), a.NumSlots(), b.LSN(), b.NumSlots())
+		return fmt.Errorf("storage: page %d differs: lsn %d, file %d and %d slots on the leader, lsn %d, file %d and %d slots on the follower",
+			pid, a.LSN(), a.File(), a.NumSlots(), b.LSN(), b.File(), b.NumSlots())
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func TestDiskManagerBasics(t *testing.T) {
 	}
 	var p Page
 	p.ID = id
-	p.InitPage()
+	p.InitPage(0)
 	copy(p.Data[100:], "payload")
 	if err := d.WritePage(&p); err != nil {
 		t.Fatal(err)
@@ -66,15 +66,15 @@ func TestBufferPoolEviction(t *testing.T) {
 	}
 	defer d.Close()
 	pool := NewBufferPool(d, 2, nil)
-	p0, err := pool.NewPage()
+	p0, err := pool.NewPage(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s0, _ := p0.Insert([]byte("zero"))
 	pool.Unpin(p0.ID, true)
-	p1, _ := pool.NewPage()
+	p1, _ := pool.NewPage(0)
 	pool.Unpin(p1.ID, true)
-	p2, _ := pool.NewPage() // evicts LRU (page 0), writing it back
+	p2, _ := pool.NewPage(0) // evicts LRU (page 0), writing it back
 	pool.Unpin(p2.ID, true)
 	if pool.Resident() != 2 {
 		t.Fatalf("Resident=%d want 2", pool.Resident())
@@ -96,15 +96,15 @@ func TestBufferPoolAllPinned(t *testing.T) {
 	d, _ := OpenDisk(filepath.Join(dir, "x.db"))
 	defer d.Close()
 	pool := NewBufferPool(d, 1, nil)
-	p0, err := pool.NewPage()
+	p0, err := pool.NewPage(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.NewPage(); !errors.Is(err, ErrPoolFull) {
+	if _, err := pool.NewPage(0); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("want ErrPoolFull, got %v", err)
 	}
 	pool.Unpin(p0.ID, false)
-	if _, err := pool.NewPage(); err != nil {
+	if _, err := pool.NewPage(0); err != nil {
 		t.Fatalf("after unpin: %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestStoreCommitVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := s.Insert(txn, []byte("v1"))
+	rid, err := s.Insert(txn, 0, []byte("v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +254,13 @@ func TestStoreCommitVisible(t *testing.T) {
 func TestStoreAbortUndoes(t *testing.T) {
 	s := openTestStore(t)
 	setup, _ := s.Begin()
-	rid, _ := s.Insert(setup, []byte("keep"))
+	rid, _ := s.Insert(setup, 0, []byte("keep"))
 	if err := s.Commit(setup); err != nil {
 		t.Fatal(err)
 	}
 
 	txn, _ := s.Begin()
-	rid2, err := s.Insert(txn, []byte("temp"))
+	rid2, err := s.Insert(txn, 0, []byte("temp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestStoreAbortUndoes(t *testing.T) {
 func TestStoreDeleteAndAbortRestores(t *testing.T) {
 	s := openTestStore(t)
 	setup, _ := s.Begin()
-	rid, _ := s.Insert(setup, []byte("precious"))
+	rid, _ := s.Insert(setup, 0, []byte("precious"))
 	s.Commit(setup)
 
 	txn, _ := s.Begin()
@@ -305,7 +305,7 @@ func TestStoreUpdateMovesAcrossPages(t *testing.T) {
 	// Nearly fill one page so the grown record must move.
 	var rids []RID
 	for i := 0; i < 3; i++ {
-		r, err := s.Insert(txn, bytes.Repeat([]byte("f"), 1200))
+		r, err := s.Insert(txn, 0, bytes.Repeat([]byte("f"), 1200))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	committedTxn, _ := s.Begin()
-	ridC, err := s.Insert(committedTxn, []byte("committed"))
+	ridC, err := s.Insert(committedTxn, 0, []byte("committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	loser, _ := s.Begin()
-	ridL, err := s.Insert(loser, []byte("uncommitted"))
+	ridL, err := s.Insert(loser, 0, []byte("uncommitted"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestStoreRecoveryAfterRuntimeAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := s.Begin()
-	rid, _ := s.Insert(w, []byte("base"))
+	rid, _ := s.Insert(w, 0, []byte("base"))
 	s.Commit(w)
 
 	a, _ := s.Begin()
@@ -418,13 +418,13 @@ func TestStoreCheckpointThenRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	txn, _ := s.Begin()
-	rid, _ := s.Insert(txn, []byte("pre-ckpt"))
+	rid, _ := s.Insert(txn, 0, []byte("pre-ckpt"))
 	s.Commit(txn)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	txn2, _ := s.Begin()
-	rid2, _ := s.Insert(txn2, []byte("post-ckpt"))
+	rid2, _ := s.Insert(txn2, 0, []byte("post-ckpt"))
 	s.Commit(txn2)
 	if err := s.wal.Flush(^uint64(0)); err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestStoreManyRecordsSpanPages(t *testing.T) {
 	rids := make([]RID, n)
 	for i := 0; i < n; i++ {
 		var err error
-		rids[i], err = s.Insert(txn, []byte(fmt.Sprintf("record-%04d", i)))
+		rids[i], err = s.Insert(txn, 0, []byte(fmt.Sprintf("record-%04d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func TestQuickRecoveryMatchesCommitted(t *testing.T) {
 				return false
 			}
 			val := fmt.Sprintf("v-%d-%d", seed[i], seed[i+1])
-			rid, err := s.Insert(txn, []byte(val))
+			rid, err := s.Insert(txn, 0, []byte(val))
 			if err != nil {
 				return false
 			}

@@ -55,7 +55,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 				var rids []RID
 				for k, n := 0, 1+rng.Intn(4); k < n; k++ {
 					v := fmt.Sprintf("w%d-t%d-k%d", w, i, k)
-					rid, err := s.Insert(id, []byte(v))
+					rid, err := s.Insert(id, 0, []byte(v))
 					if err != nil {
 						errs <- err
 						return
@@ -92,7 +92,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 						return
 					}
 					v := fmt.Sprintf("w%d-t%d-sub", w, i)
-					if _, err := s.Insert(sub, []byte(v)); err != nil {
+					if _, err := s.Insert(sub, 0, []byte(v)); err != nil {
 						errs <- err
 						return
 					}
@@ -221,7 +221,7 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := s.Insert(id, []byte(fmt.Sprintf("f%d-%d", w, i))); err != nil {
+				if _, err := s.Insert(id, 0, []byte(fmt.Sprintf("f%d-%d", w, i))); err != nil {
 					errs <- err
 					return
 				}

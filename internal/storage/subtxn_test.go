@@ -11,7 +11,7 @@ func TestSubtxnCommitMergesIntoParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := s.Insert(sub, []byte("from-sub"))
+	rid, err := s.Insert(sub, 0, []byte("from-sub"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +30,12 @@ func TestSubtxnCommitMergesIntoParent(t *testing.T) {
 func TestSubtxnAbortUndoesOnlyItsOps(t *testing.T) {
 	s := openTestStore(t)
 	top, _ := s.Begin()
-	ridTop, err := s.Insert(top, []byte("parent-data"))
+	ridTop, err := s.Insert(top, 0, []byte("parent-data"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub, _ := s.BeginSub(top)
-	ridSub, err := s.Insert(sub, []byte("child-data"))
+	ridSub, err := s.Insert(sub, 0, []byte("child-data"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestNestedDepthThree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := s.Insert(leaf, []byte("deep"))
+	rid, err := s.Insert(leaf, 0, []byte("deep"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSubtxnCommittedButRootCrashed(t *testing.T) {
 	}
 	top, _ := s.Begin()
 	sub, _ := s.BeginSub(top)
-	rid, err := s.Insert(sub, []byte("sub-committed"))
+	rid, err := s.Insert(sub, 0, []byte("sub-committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSubtxnChainCommittedDurable(t *testing.T) {
 	}
 	top, _ := s.Begin()
 	sub, _ := s.BeginSub(top)
-	rid, _ := s.Insert(sub, []byte("chain"))
+	rid, _ := s.Insert(sub, 0, []byte("chain"))
 	if err := s.Commit(sub); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestTortureLogTruncation(t *testing.T) {
 		var tr txnRec
 		for j := 0; j < 2; j++ {
 			tr.vals[j] = fmt.Sprintf("txn%d-rec%d", i, j)
-			tr.rids[j], err = s.Insert(id, []byte(tr.vals[j]))
+			tr.rids[j], err = s.Insert(id, 0, []byte(tr.vals[j]))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -84,9 +84,10 @@ type LogRecord struct {
 	Type   RecType
 	Txn    uint64
 	Parent uint64 // begin records of subtransactions: the parent txn
-	TS     uint64 // top-level commit records: the transaction's commit timestamp
+	TS     uint64 // top-level commit records, and operations handed to the apply hook: the transaction's commit timestamp
 	CLR    bool
 	RID    RID
+	File   FileID // allocation records: the file the new page belongs to
 	Before []byte
 	After  []byte
 	Active []uint64 // checkpoint only: transactions active at checkpoint
@@ -332,14 +333,14 @@ func (w *WAL) loadManifest() (crcs map[uint64]uint32, err error) {
 // payload:
 //
 //	u8 type | u8 clr | u64 txn | u64 parent | u64 ts | u32 page | u16 slot |
-//	u32 len(before) | before | u32 len(after) | after |
+//	u32 file | u32 len(before) | before | u32 len(after) | after |
 //	u32 len(active) | active u64s
 //
 // marshalRecord builds the full frame (header + payload) in memory; the
 // LSN is an offset assigned at append time and is not part of the frame,
 // so marshalling can happen outside the WAL mutex.
 func marshalRecord(rec *LogRecord) []byte {
-	payload := make([]byte, seglog.FrameHeaderLen, seglog.FrameHeaderLen+44+len(rec.Before)+len(rec.After)+8*len(rec.Active))
+	payload := make([]byte, seglog.FrameHeaderLen, seglog.FrameHeaderLen+48+len(rec.Before)+len(rec.After)+8*len(rec.Active))
 	payload = append(payload, byte(rec.Type))
 	if rec.CLR {
 		payload = append(payload, 1)
@@ -351,6 +352,7 @@ func marshalRecord(rec *LogRecord) []byte {
 	payload = binary.LittleEndian.AppendUint64(payload, rec.TS)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(rec.RID.Page))
 	payload = binary.LittleEndian.AppendUint16(payload, rec.RID.Slot)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(rec.File))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rec.Before)))
 	payload = append(payload, rec.Before...)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rec.After)))
@@ -366,7 +368,7 @@ func marshalRecord(rec *LogRecord) []byte {
 
 // unmarshalRecord decodes one frame payload; lsn is the frame's offset.
 func unmarshalRecord(p []byte, lsn uint64) (*LogRecord, error) {
-	const fixed = 1 + 1 + 8 + 8 + 8 + 4 + 2 // type through slot
+	const fixed = 1 + 1 + 8 + 8 + 8 + 4 + 2 + 4 // type through file
 	if len(p) < fixed {
 		return nil, ErrLogCorrupted
 	}
@@ -374,7 +376,8 @@ func unmarshalRecord(p []byte, lsn uint64) (*LogRecord, error) {
 	rec := &LogRecord{
 		LSN: lsn, Type: RecType(p[0]), CLR: p[1] == 1,
 		Txn: le.Uint64(p[2:]), Parent: le.Uint64(p[10:]), TS: le.Uint64(p[18:]),
-		RID: RID{Page: PageID(le.Uint32(p[26:])), Slot: le.Uint16(p[30:])},
+		RID:  RID{Page: PageID(le.Uint32(p[26:])), Slot: le.Uint16(p[30:])},
+		File: FileID(le.Uint32(p[32:])),
 	}
 	p = p[fixed:]
 	// count reads a u32 element count whose elements (size bytes each) must

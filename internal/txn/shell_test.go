@@ -89,7 +89,7 @@ func TestShellMaterialisesOnFirstUse(t *testing.T) {
 		},
 		"OnFinish": func(sub *Txn) error { sub.OnFinish(func(Status) {}); return nil },
 		"Insert": func(sub *Txn) error {
-			_, err := sub.Insert([]byte("x"))
+			_, err := sub.Insert(0, []byte("x"))
 			return err
 		},
 	}
@@ -174,7 +174,7 @@ func TestShellWriteAbortMatchesEagerSub(t *testing.T) {
 	m := newMgr(t, true)
 	m.Locks().DefaultTimeout = 100 * time.Millisecond
 	top, _ := m.Begin()
-	keep, err := top.Insert([]byte("keep"))
+	keep, err := top.Insert(0, []byte("keep"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestShellWriteAbortMatchesEagerSub(t *testing.T) {
 		if err := sub.Lock(res, lockmgr.Exclusive); err != nil {
 			t.Fatal(err)
 		}
-		lost, err := sub.Insert([]byte("lost"))
+		lost, err := sub.Insert(0, []byte("lost"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestSnapshotTxnZeroLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := w.Insert([]byte("committed"))
+	rid, err := w.Insert(0, []byte("committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSnapshotTxnZeroLocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sn.Insert([]byte("x")); !errors.Is(err, ErrReadOnly) {
+	if _, err := sn.Insert(0, []byte("x")); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Insert on snapshot txn: %v", err)
 	}
 	if _, err := sn.Update(rid, []byte("x")); !errors.Is(err, ErrReadOnly) {
@@ -87,7 +87,7 @@ func TestSnapshotTxnNotBlockedByWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := w.Insert([]byte("old"))
+	rid, err := w.Insert(0, []byte("old"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestUseSnapshotScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := w.Insert([]byte("base"))
+	rid, err := w.Insert(0, []byte("base"))
 	if err != nil {
 		t.Fatal(err)
 	}

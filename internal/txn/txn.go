@@ -487,8 +487,8 @@ func (t *Txn) bypassLocks() bool {
 	return false
 }
 
-// Insert stores a record under this transaction.
-func (t *Txn) Insert(data []byte) (storage.RID, error) {
+// Insert stores a record of file under this transaction.
+func (t *Txn) Insert(file storage.FileID, data []byte) (storage.RID, error) {
 	if t.readOnly || t.snap != nil {
 		return storage.RID{}, ErrReadOnly
 	}
@@ -499,7 +499,7 @@ func (t *Txn) Insert(data []byte) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	return t.mgr.store.Insert(id, data)
+	return t.mgr.store.Insert(id, file, data)
 }
 
 // Read returns the record at rid: through the armed snapshot when one is
@@ -525,6 +525,17 @@ func (t *Txn) View(rid storage.RID, fn func([]byte)) error {
 		return t.mgr.store.ViewSnapshot(sn, rid, fn)
 	}
 	return t.mgr.store.View(rid, fn)
+}
+
+// ViewPage calls fn, under the page latch, with each record of page pid
+// this transaction sees: through the armed snapshot when one is set,
+// otherwise each live record's latest state under the caller's 2PL locks.
+// fn must not retain data; returning false stops the walk.
+func (t *Txn) ViewPage(pid storage.PageID, fn func(storage.RID, []byte) bool) error {
+	if t.mgr.store == nil {
+		return errors.New("txn: no store configured")
+	}
+	return t.mgr.store.ViewPage(t.snap, pid, fn)
 }
 
 // Update replaces the record at rid, returning its possibly-new RID.

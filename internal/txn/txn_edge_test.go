@@ -52,12 +52,12 @@ func TestAbortWithActiveChildrenRejected(t *testing.T) {
 func TestSubtxnStorageRollbackViaManager(t *testing.T) {
 	m := newMgr(t, true)
 	top, _ := m.Begin()
-	keep, err := top.Insert([]byte("keep"))
+	keep, err := top.Insert(0, []byte("keep"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub, _ := top.BeginSub()
-	lost, err := sub.Insert([]byte("lost"))
+	lost, err := sub.Insert(0, []byte("lost"))
 	if err != nil {
 		t.Fatal(err)
 	}

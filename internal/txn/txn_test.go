@@ -83,7 +83,7 @@ func TestPreCommitRunsBeforeCommit(t *testing.T) {
 				t.Errorf("BeginSub during preCommit: %v", err)
 				return
 			}
-			if _, err := sub.Insert([]byte("deferred-write")); err != nil {
+			if _, err := sub.Insert(0, []byte("deferred-write")); err != nil {
 				t.Errorf("Insert in deferred sub: %v", err)
 			}
 			if err := sub.Commit(); err != nil {
@@ -210,7 +210,7 @@ func TestSubtxnAbortReleasesLocks(t *testing.T) {
 func TestStorageIntegrationCommitAbort(t *testing.T) {
 	m := newMgr(t, true)
 	tx, _ := m.Begin()
-	rid, err := tx.Insert([]byte("hello"))
+	rid, err := tx.Insert(0, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestOnFinishCallbacks(t *testing.T) {
 func TestStorelessSubtxnOps(t *testing.T) {
 	m := newMgr(t, false)
 	tx, _ := m.Begin()
-	if _, err := tx.Insert([]byte("x")); err == nil {
+	if _, err := tx.Insert(0, []byte("x")); err == nil {
 		t.Fatal("Insert without store should fail")
 	}
 	if _, err := tx.Read(storage.RID{}); err == nil {
@@ -286,7 +286,7 @@ func TestConcurrentSubtransactions(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := sub.Insert([]byte{byte(i)}); err != nil {
+			if _, err := sub.Insert(0, []byte{byte(i)}); err != nil {
 				errs <- err
 				return
 			}
