@@ -332,6 +332,35 @@ func BenchmarkE4_OnlineVsBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkE4_ChronicleBacklog measures one CHRONICLE pairing of
+// x = e0 ; e1 behind a standing backlog of pending initiators: each op
+// signals one initiator and one terminator, which pairs with the oldest.
+// The head pops in O(1), so the pairing itself costs the same at 100 and
+// at 10 000 pending; what grows is the cache and GC cost of the larger
+// live heap.
+func BenchmarkE4_ChronicleBacklog(b *testing.B) {
+	for _, backlog := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			d, nodes := benchDetector(b, 2)
+			if _, err := d.Seq("x", nodes[0], nodes[1]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.Subscribe("x", detector.Chronicle, drainSub()); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < backlog; i++ {
+				d.SignalMethod("C", "m0", event.End, 1, nil, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.SignalMethod("C", "m0", event.End, 1, nil, 1)
+				d.SignalMethod("C", "m1", event.End, 1, nil, 1)
+			}
+		})
+	}
+}
+
 // BenchmarkE5_Coupling compares immediate vs deferred rule execution for a
 // transaction with 10 triggering events.
 func BenchmarkE5_Coupling(b *testing.B) {

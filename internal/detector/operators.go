@@ -253,9 +253,16 @@ func (n *opCore) terminate(st *seqState, occ *event.Occurrence, ctx Context) {
 			n.emit(compose(n.name, st.left[len(st.left)-1], occ), ctx)
 		}
 	case Chronicle:
+		// The oldest initiator that completed before occ pairs. It is
+		// nearly always the head, which pops in O(1); only a terminator
+		// that overlaps the head shifts the backlog.
 		for i, l := range st.left {
 			if l.Seq < cut {
-				st.left = slices.Delete(st.left, i, i+1)
+				if i == 0 {
+					st.left = st.left.popFront()
+				} else {
+					st.left = slices.Delete(st.left, i, i+1)
+				}
 				n.emit(compose(n.name, l, occ), ctx)
 				return
 			}

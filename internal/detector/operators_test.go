@@ -496,3 +496,46 @@ func TestCompositeParametersOrdered(t *testing.T) {
 		t.Fatalf("OIDs lost: %v %v", leaves[0].Object, leaves[1].Object)
 	}
 }
+
+// CHRONICLE pairs each terminator with the oldest pending initiator, for
+// SEQ and for NOT's terminator alike, however long the backlog: behind
+// 10 000 pending initiators, terminators interleaved with fresh
+// initiators pair in arrival order until the store is empty.
+func TestChronicleBacklogPairsFIFO(t *testing.T) {
+	const backlog = 10000
+	for _, tc := range []struct {
+		name   string
+		define func(r *rig) (Node, error)
+	}{
+		{"seq", func(r *rig) (Node, error) { return r.d.Seq("x", r.n["e1"], r.n["e2"]) }},
+		{"not", func(r *rig) (Node, error) { return r.d.Not("x", r.n["e1"], r.n["e3"], r.n["e2"]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			if _, err := tc.define(r); err != nil {
+				t.Fatal(err)
+			}
+			c := r.sub("x", Chronicle)
+			var pending []int
+			for range backlog {
+				r.sig("e1")
+				pending = append(pending, r.i)
+			}
+			var want [][]int
+			for i := range 2 * backlog {
+				r.sig("e2")
+				want = append(want, []int{pending[0], r.i})
+				pending = pending[1:]
+				if i < backlog {
+					r.sig("e1")
+					pending = append(pending, r.i)
+				}
+			}
+			expectDetections(t, c, want)
+			r.sig("e2") // nothing left to pair
+			if len(c.occs) != len(want) {
+				t.Fatalf("a terminator paired with an empty store: %d detections", len(c.occs))
+			}
+		})
+	}
+}

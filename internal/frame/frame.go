@@ -108,6 +108,23 @@ func (fr *Reader) Read() (kind uint8, payload []byte, err error) {
 	return kind, fr.buf, nil
 }
 
+// Ready reports, without blocking, whether a whole frame is already
+// buffered, and its kind: when ok, the next Read returns that frame
+// without touching the connection. A frame longer than the read buffer
+// (64 KiB) is never ready; Read still takes it.
+func (fr *Reader) Ready() (kind uint8, ok bool) {
+	buffered := fr.r.Buffered()
+	if buffered < 5 {
+		return 0, false
+	}
+	hdr, _ := fr.r.Peek(5) // buffered: Peek neither blocks nor fails
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n > fr.max || uint64(n) > uint64(buffered-5) {
+		return 0, false
+	}
+	return hdr[4], true
+}
+
 // growStep is the smallest growth of a Reader's frame buffer.
 const growStep = 64 << 10
 

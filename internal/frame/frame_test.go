@@ -100,3 +100,83 @@ func TestLargeFrameGrowsAsBytesArrive(t *testing.T) {
 		t.Fatalf("100 bytes of an announced %d grew the buffer to %d", limit, c)
 	}
 }
+
+// chunks hands its reader one chunk per Read call, so a test decides what
+// a bufio.Reader has buffered; reads while blocked fail the test, since
+// Ready must never touch the source.
+type chunks struct {
+	t       *testing.T
+	parts   [][]byte
+	blocked bool
+}
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if c.blocked {
+		c.t.Fatal("Ready read from the connection")
+	}
+	if len(c.parts) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.parts[0])
+	if c.parts[0] = c.parts[0][n:]; len(c.parts[0]) == 0 {
+		c.parts = c.parts[1:]
+	}
+	return n, nil
+}
+
+// Ready reports a frame only when its header and whole body are
+// buffered, and never reads to find out.
+func TestReadyPeeksWholeBufferedFrames(t *testing.T) {
+	var buf bytes.Buffer
+	fw := NewWriter(&buf, testMax)
+	for kind, body := range []string{"first", "second", "third", "fourth"} {
+		if err := fw.Write(uint8(kind+1), []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	all := buf.Bytes()
+	f1, f2, f3 := 5+len("first"), 5+len("second"), 5+len("third")
+	src := &chunks{t: t, parts: [][]byte{
+		all[:f1+f2+3],               // first, second, 3 bytes of third's header
+		all[f1+f2+3 : f1+f2+f3+5+2], // rest of third, fourth's header and 2 body bytes
+		all[f1+f2+f3+5+2:],          // rest of fourth
+	}}
+	fr := NewReader(src, testMax)
+	want := func(kind uint8, body string) {
+		t.Helper()
+		src.blocked = false
+		k, p, err := fr.Read()
+		if err != nil || k != kind || string(p) != body {
+			t.Fatalf("Read = %d %q %v, want %d %q", k, p, err, kind, body)
+		}
+		src.blocked = true
+	}
+	ready := func(kind uint8, ok bool) {
+		t.Helper()
+		if k, got := fr.Ready(); got != ok || (ok && k != kind) {
+			t.Fatalf("Ready = %d %v, want %d %v", k, got, kind, ok)
+		}
+	}
+	want(1, "first")
+	ready(2, true)
+	want(2, "second")
+	ready(0, false) // a partial header
+	want(3, "third")
+	ready(0, false) // a header whose body is partly buffered
+	want(4, "fourth")
+	ready(0, false) // nothing buffered
+
+	var hdr [5]byte
+	binary.LittleEndian.PutUint32(hdr[:4], testMax+1)
+	hdr[4] = 9
+	big := NewReader(bytes.NewReader(append(hdr[:], make([]byte, testMax+1)...)), testMax)
+	if _, err := big.r.Peek(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := big.Ready(); ok {
+		t.Fatal("Ready took a frame over the limit")
+	}
+}

@@ -67,6 +67,39 @@ func BenchmarkGED_Contribute(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkGED_ContributeSingles is ged_fanin's shape: one occurrence
+// per Contribute (one frame each), a Flush every 1 024, the durable log
+// on. The server takes the frames one read buffered as one batch, so
+// appends, graph signals and acks are per batch rather than per frame.
+func BenchmarkGED_ContributeSingles(b *testing.B) {
+	_, addr := benchServer(b, true)
+	cli, err := Dial(addr, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+
+	const flushEvery = 1024
+	occ := event.Occurrence{Name: "order_placed", Params: event.NewParams("pair", int64(0), "amount", int64(42))}
+	b.ResetTimer()
+	for n := 1; n <= b.N; n++ {
+		occ.Params[0].Value = int64(n)
+		if err := cli.Contribute(&occ); err != nil {
+			b.Fatal(err)
+		}
+		if n%flushEvery == 0 {
+			if err := cli.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := cli.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkGED_NotifyFanout measures contribute→notify latency with 8
 // live subscribers: each iteration contributes one event and waits until
 // every subscriber's callback has fired, so ns/op is the end-to-end

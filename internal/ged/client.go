@@ -45,6 +45,7 @@ type Client struct {
 	wmu      sync.Mutex
 	fw       *frame.Writer
 	lastSeq  uint64 // last contribute seq sent (under wmu)
+	wbuf     []byte // contribute payload buffer, reused (under wmu)
 	sendDead bool   // goodbye received or connection failed
 
 	mu         sync.Mutex
@@ -326,7 +327,10 @@ func (c *Client) recvLoop() {
 // Contribute forwards a (primitive) occurrence to the GED. The send is
 // pipelined; call Flush to wait until it is acknowledged.
 func (c *Client) Contribute(occ *event.Occurrence) error {
-	return c.ContributeBatch([]event.Occurrence{*occ})
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	payload, err := event.AppendOccurrence(appendContributeHead(c.wbuf[:0], c.lastSeq+1, 1), occ)
+	return c.sendContribute(payload, err)
 }
 
 // ContributeBatch forwards a slice of primitive occurrences in one wire
@@ -339,13 +343,21 @@ func (c *Client) ContributeBatch(occs []event.Occurrence) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.sendDead {
-		return ErrClosed
-	}
-	seq := c.lastSeq + 1
-	payload, err := encodeContribute(nil, seq, occs)
+	payload, err := encodeContribute(c.wbuf, c.lastSeq+1, occs)
+	return c.sendContribute(payload, err)
+}
+
+// sendContribute sends the contribute frame encoded for seq lastSeq+1
+// (err is its encoding's) and keeps its buffer for the next one: the
+// frame writer has copied the payload by the time Write returns. The
+// caller holds wmu.
+func (c *Client) sendContribute(payload []byte, err error) error {
 	if err != nil {
 		return err
+	}
+	c.wbuf = payload[:0]
+	if c.sendDead {
+		return ErrClosed
 	}
 	if err := c.fw.Write(uint8(frContribute), payload); err != nil {
 		c.sendDead = true
@@ -355,7 +367,7 @@ func (c *Client) ContributeBatch(occs []event.Occurrence) error {
 		c.sendDead = true
 		return err
 	}
-	c.lastSeq = seq
+	c.lastSeq++
 	return nil
 }
 

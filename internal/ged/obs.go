@@ -10,7 +10,7 @@ import (
 // gedserver -debug and embedded servers share one source of truth.
 type serverMetrics struct {
 	connects     obs.Counter // connections accepted over the server's life
-	contribBatch obs.Counter // contribute frames decoded
+	contribBatch obs.Counter // contribute batches: the frames one read buffered
 	contribOccs  obs.Counter // occurrences contributed
 	acksSent     obs.Counter // contribute acks enqueued
 	notifySent   obs.Counter // live notifies enqueued to send queues
@@ -19,7 +19,7 @@ type serverMetrics struct {
 	protoErrors  obs.Counter // connections dropped on malformed frames
 	logAppends   obs.Counter // event-log append batches
 
-	dispatch  *obs.Histogram // contribute decode → detection + notify enqueue + ack enqueue
+	dispatch  *obs.Histogram // batch decode → log append + detection + notify enqueue + ack enqueue
 	queueWait *obs.Histogram // send-queue enqueue → socket write
 	logAppend *obs.Histogram // event-log append batch duration
 }
@@ -40,7 +40,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("sentinel_ged_connects_total",
 		"Client connections accepted by the GED server.", m.connects.Value)
 	r.CounterFunc("sentinel_ged_contribute_batches_total",
-		"Contribute frames decoded.", m.contribBatch.Value)
+		"Contribute batches: each is the run of contribute frames one read buffered, logged, signalled and acked together.", m.contribBatch.Value)
 	r.CounterFunc("sentinel_ged_contribute_occurrences_total",
 		"Occurrences contributed into the global event graph.", m.contribOccs.Value)
 	r.CounterFunc("sentinel_ged_contribute_acks_total",
@@ -57,7 +57,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("sentinel_ged_log_append_batches_total",
 		"Event-log append batches.", m.logAppends.Value)
 	r.RegisterHistogram("sentinel_ged_dispatch_seconds",
-		"Contribute frame decode through detection, notify enqueue, and ack enqueue.",
+		"Contribute batch decode through log append, detection, notify enqueue, and ack enqueue.",
 		m.dispatch)
 	r.RegisterHistogram("sentinel_ged_send_queue_wait_seconds",
 		"Send-queue residency: frame enqueue to socket write.", m.queueWait)

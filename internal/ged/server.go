@@ -24,7 +24,8 @@ type Options struct {
 	// LogSegmentBytes bounds one log segment file (0 = 8 MiB).
 	LogSegmentBytes int64
 	// LogSync fsyncs every contribute batch before it is acknowledged
-	// (at-least-once survives server crashes, at fsync cost per batch).
+	// (at-least-once survives server crashes, at fsync cost per batch; a
+	// batch is the contribute frames one read of the connection buffered).
 	LogSync bool
 	// SendQueue bounds each connection's outbound frame queue (0 = 256).
 	// A full queue sheds live notifies (counted, never blocking the
@@ -290,50 +291,9 @@ func (s *Server) handle(conn net.Conn, fr *frame.Reader, kind uint8, hello []byt
 		}
 		switch kind := frameKind(k); kind {
 		case frContribute:
-			t0 := time.Now()
-			seq, occs, derr := decodeContribute(payload, batch[:0])
-			if derr != nil {
-				c.protoError(derr)
+			var ok bool
+			if batch, ok = s.contribute(c, fr, payload, batch[:0]); !ok {
 				return
-			}
-			batch = occs
-			s.met.contribBatch.Inc()
-			s.met.contribOccs.Add(uint64(len(occs)))
-			offset := uint64(0)
-			if len(occs) > 0 {
-				for i := range occs {
-					occs[i].App = c.app
-					occs[i].Kind = event.KindExplicit
-					occs[i].Constituents = nil
-				}
-				if s.log != nil {
-					la := time.Now()
-					first, aerr := s.log.Append(occs)
-					if errors.Is(aerr, errLogClosed) {
-						// Server draining: the batch was never logged, so
-						// neither ack it (the offset would be a lie) nor
-						// inject it (live subscribers would see records
-						// stream subscribers never will). The client keeps
-						// it in flight and sees the connection close.
-						return
-					}
-					if aerr != nil {
-						c.protoError(fmt.Errorf("ged: log append: %w", aerr))
-						return
-					}
-					s.met.logAppends.Inc()
-					s.met.logAppend.ObserveDuration(time.Since(la))
-					offset = first + uint64(len(occs))
-				}
-				s.contributeBatch(occs)
-			} else if s.log != nil {
-				offset = s.log.End()
-			}
-			s.met.dispatch.ObserveDuration(time.Since(t0))
-			if seq != 0 {
-				if c.enqueue(frContributeAck, encodeContributeAck(seq, offset), false) {
-					s.met.acksSent.Inc()
-				}
 			}
 		case frSubscribe:
 			id, eventName, ctx, mode, from, derr := decodeSubscribe(payload)
@@ -367,6 +327,80 @@ func (s *Server) handle(conn net.Conn, fr *frame.Reader, kind uint8, hello []byt
 			return
 		}
 	}
+}
+
+// contribute takes the contribute frame just read, and every further
+// whole contribute frame already buffered behind it, as one batch: one
+// log append, one SignalBatch and one ack, carrying the batch's highest
+// seq (the client reads an ack as covering every lower seq). The read
+// buffer bounds the batch, and any other frame ends it, so frames keep
+// their order. A frame that does not decode ends the batch too: what
+// came before it is still logged, signalled and acked before the
+// protocol error closes the connection. batch is reused storage for the
+// occurrences; contribute returns it and whether the session goes on.
+func (s *Server) contribute(c *serverConn, fr *frame.Reader, payload []byte, batch []event.Occurrence) ([]event.Occurrence, bool) {
+	t0 := time.Now()
+	var seq uint64
+	var derr error
+	frames := 0
+	for {
+		fseq, occs, err := decodeContribute(payload, batch)
+		if err != nil {
+			derr = err
+			break
+		}
+		batch, seq = occs, max(seq, fseq)
+		frames++
+		if k, ok := fr.Ready(); !ok || frameKind(k) != frContribute {
+			break
+		}
+		_, payload, _ = fr.Read() // whole in the buffer: cannot fail
+	}
+	if frames == 0 {
+		c.protoError(derr)
+		return batch, false
+	}
+	s.met.contribBatch.Inc()
+	s.met.contribOccs.Add(uint64(len(batch)))
+	for i := range batch {
+		batch[i].App = c.app
+		batch[i].Kind = event.KindExplicit
+		batch[i].Constituents = nil
+	}
+	offset := uint64(0)
+	if s.log != nil {
+		la := time.Now()
+		first, err := s.log.Append(batch)
+		if errors.Is(err, errLogClosed) {
+			// Server draining: the batch was never logged, so neither ack
+			// it (the offset would be a lie) nor inject it (live
+			// subscribers would see records stream subscribers never
+			// will). The client keeps it in flight and sees the
+			// connection close.
+			return batch, false
+		}
+		if err != nil {
+			c.protoError(fmt.Errorf("ged: log append: %w", err))
+			return batch, false
+		}
+		if len(batch) > 0 {
+			s.met.logAppends.Inc()
+			s.met.logAppend.ObserveDuration(time.Since(la))
+		}
+		offset = first + uint64(len(batch))
+	}
+	if len(batch) > 0 {
+		s.contributeBatch(batch)
+	}
+	s.met.dispatch.ObserveDuration(time.Since(t0))
+	if seq != 0 && c.enqueue(frContributeAck, encodeContributeAck(seq, offset), false) {
+		s.met.acksSent.Inc()
+	}
+	if derr != nil {
+		c.protoError(derr)
+		return batch, false
+	}
+	return batch, true
 }
 
 // contributeBatch fans a batch of remote occurrences into the global

@@ -133,8 +133,7 @@ func decodeHelloAck(payload []byte) (logEnd uint64, err error) {
 // encodeContribute frames a batch under one client-assigned ack sequence
 // number (0 = no ack requested).
 func encodeContribute(buf []byte, seq uint64, occs []event.Occurrence) ([]byte, error) {
-	b := binary.AppendUvarint(buf[:0], seq)
-	b = binary.AppendUvarint(b, uint64(len(occs)))
+	b := appendContributeHead(buf[:0], seq, len(occs))
 	var err error
 	for i := range occs {
 		if b, err = event.AppendOccurrence(b, &occs[i]); err != nil {
@@ -142,6 +141,12 @@ func encodeContribute(buf []byte, seq uint64, occs []event.Occurrence) ([]byte, 
 		}
 	}
 	return b, nil
+}
+
+// appendContributeHead starts a contribute payload of n occurrences; the
+// occurrences follow it in the event codec.
+func appendContributeHead(b []byte, seq uint64, n int) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, seq), uint64(n))
 }
 
 // decodeContribute appends the batch to dst and returns it with the seq.

@@ -38,6 +38,25 @@ var (
 	ErrNotPersistent  = errors.New("object: registry has no store")
 )
 
+// Error is a failed operation on one object, in the shape of a
+// *fs.PathError: Err is what went wrong (ErrUnknownObject, which errors.Is
+// finds through Unwrap), Op and OID where. The message is formatted only
+// when read, so a miss the caller expects — a follower's visibility poll,
+// a probe re-verifying a stale posting — costs one small allocation.
+type Error struct {
+	Op  string // "load", "write", "persist" or "delete"
+	OID event.OID
+	Err error
+}
+
+func (e *Error) Error() string { return e.Err.Error() + ": " + e.Op + " " + e.OID.String() }
+func (e *Error) Unwrap() error { return e.Err }
+
+// unknownObject reports that op found no object oid.
+func unknownObject(op string, oid event.OID) error {
+	return &Error{Op: op, OID: oid, Err: ErrUnknownObject}
+}
+
 // Self is the receiver handle a method body gets: attribute access plus
 // the transaction, for nested database work.
 type Self struct {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/lockmgr"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -239,5 +240,55 @@ func TestInvokeOnARefusedShell(t *testing.T) {
 	_ = st.Close()
 	if _, err := r.Invoke(&sub, obj, "get_price"); !errors.Is(err, storage.ErrStoreClosed) {
 		t.Fatalf("Invoke on a shell the store refuses: %v, want ErrStoreClosed", err)
+	}
+}
+
+// A miss is an *Error that errors.Is reads as ErrUnknownObject, and it
+// costs one allocation, the error itself: no message is formatted until
+// one is asked for. Both kinds of miss are pinned — an OID the directory
+// does not hold, and an entry whose record carries another object.
+func TestLoadMissAllocatesOnlyItsError(t *testing.T) {
+	r, tm, _ := persistEnv(t)
+	if _, err := r.DefineClass("C", "", false); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := tm.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := r.New(tx, "C", map[string]any{"x": 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.New(tx, "C", map[string]any{"x": 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	refB, _ := r.lookupRef(b.OID)
+	r.oidMu.Lock()
+	r.dir[uint64(a.OID)] = refB // a's entry now names b's record
+	r.oidMu.Unlock()
+
+	snap, err := tm.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = snap.Commit() }()
+	row := map[string]any{}
+	for _, oid := range []event.OID{b.OID + 1000, a.OID} {
+		_, _, err := r.LoadAttrs(snap, oid, []string{"x"}, row)
+		var oe *Error
+		if !errors.Is(err, ErrUnknownObject) || !errors.As(err, &oe) || oe.OID != oid || oe.Op != "load" {
+			t.Fatalf("LoadAttrs(%v) = %v, want an *Error for a load of %v", oid, err, oid)
+		}
+		if msg := err.Error(); !strings.Contains(msg, ErrUnknownObject.Error()) || !strings.Contains(msg, oid.String()) {
+			t.Fatalf("miss message %q names neither the cause nor %v", msg, oid)
+		}
+		if got := testing.AllocsPerRun(200, func() { _, _, _ = r.LoadAttrs(snap, oid, []string{"x"}, row) }); got != 1 {
+			t.Fatalf("a miss of %v allocates %.1f times, want 1", oid, got)
+		}
 	}
 }

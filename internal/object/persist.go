@@ -538,7 +538,7 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 		if obj, ok := r.memObjects[oid]; ok {
 			return obj, nil
 		}
-		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return nil, unknownObject("load", oid)
 	}
 	attrs, c, err := r.LoadAttrs(tx, oid, nil, nil)
 	if err != nil {
@@ -577,7 +577,7 @@ func (r *Registry) LoadAttrs(tx *txn.Txn, oid event.OID, want []string, row map[
 	}
 	ref, ok := r.lookupRef(oid)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return nil, nil, unknownObject("load", oid)
 	}
 	attrs, c, err = r.attrsAt(tx, oid, ref.rid, want, row)
 	if errors.Is(err, ErrUnknownObject) && tx.Snapshot() != nil {
@@ -602,7 +602,7 @@ func (r *Registry) attrsAt(tx *txn.Txn, oid event.OID, rid storage.RID, want []s
 		rd := event.NewReader(data)
 		got, class, ok := readHeader(rd)
 		if !ok || got != uint64(oid) {
-			bad = fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+			bad = unknownObject("load", oid)
 		} else if c = r.classNamed(class); c == nil {
 			bad = fmt.Errorf("%w: %q", ErrUnknownClass, class)
 		} else if attrs, ok = readAttrsInto(rd, &c.names, want, row); !ok {
@@ -610,7 +610,7 @@ func (r *Registry) attrsAt(tx *txn.Txn, oid event.OID, rid storage.RID, want []s
 		}
 	})
 	if errors.Is(err, storage.ErrSlotDeleted) || errors.Is(err, storage.ErrBadSlot) {
-		err = fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		err = unknownObject("load", oid)
 	}
 	if err == nil {
 		err = bad
@@ -647,7 +647,7 @@ func (r *Registry) readBefore(tx *txn.Txn, rid storage.RID, oid event.OID, wantA
 	err := tx.View(rid, func(data []byte) {
 		rd := event.NewReader(data)
 		if got, _, ok := readHeader(rd); !ok || got != uint64(oid) {
-			bad = fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+			bad = unknownObject("write", oid)
 		} else if wantAttrs {
 			if attrs, ok = readAttrs(rd, names); !ok {
 				bad = fmt.Errorf("object: record of %v at %v is malformed", oid, rid)
@@ -655,7 +655,7 @@ func (r *Registry) readBefore(tx *txn.Txn, rid storage.RID, oid event.OID, wantA
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return nil, unknownObject("write", oid)
 	}
 	return attrs, bad
 }
@@ -691,7 +691,7 @@ func (r *Registry) persist(tx *txn.Txn, obj *Instance) error {
 	}
 	ref, ok := r.lookupRef(obj.OID)
 	if !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, obj.OID)
+		return unknownObject("persist", obj.OID)
 	}
 	// The before-image: its header validates the directory entry, and index
 	// maintenance needs the old attribute values.
@@ -735,7 +735,7 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if _, ok := r.memObjects[oid]; !ok {
-			return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+			return unknownObject("delete", oid)
 		}
 		delete(r.memObjects, oid)
 		return nil
@@ -744,13 +744,13 @@ func (r *Registry) Delete(tx *txn.Txn, oid event.OID) error {
 	// take before the object's; the entry itself is re-read under both.
 	ref, ok := r.lookupRef(oid)
 	if !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return unknownObject("delete", oid)
 	}
 	if err := lockWrite(tx, r.classLock(ref.class), oid); err != nil {
 		return err
 	}
 	if ref, ok = r.lookupRef(oid); !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownObject, oid)
+		return unknownObject("delete", oid)
 	}
 	h := r.indexHook(ref.class)
 	attrs, err := r.readBefore(tx, ref.rid, oid, h != nil, nil)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -210,11 +211,13 @@ func (ix *index) eqCandidates(key []byte) []uint64 {
 	var oids []uint64
 	if ix.hash != nil {
 		ix.hmu.RLock()
-		for oid := range ix.hash[string(key)] {
+		posted := ix.hash[string(key)]
+		oids = make([]uint64, 0, len(posted))
+		for oid := range posted {
 			oids = append(oids, oid)
 		}
 		ix.hmu.RUnlock()
-		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+		slices.Sort(oids)
 		return oids
 	}
 	ix.ord.scan(key, prefixEnd(key), func(_ []byte, v skipVal) bool {
