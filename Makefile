@@ -43,8 +43,9 @@ check:
 # through the object + secondary-index stack, each recovery checked
 # against the index≡scan oracle), a -race pass of concurrent index
 # readers vs committers, of concurrent top-level committers against
-# mid-run snapshots (commit timestamps published in log order) and of
-# follower snapshots while the follower applies a stream, and 20
+# mid-run snapshots (commit timestamps published in log order), of
+# follower snapshots while the follower applies a stream and of
+# concurrent WaitDurable callers sharing the log's forces, and 20
 # -race rounds of concurrent writer transactions through the facade
 # (per-object locks, per-family rule scheduling). All three sweeps are one harness
 # (internal/faulttest): each logs its base seed and a per-kill-point crash
@@ -58,7 +59,7 @@ torture:
 		$(GO) test -count=1 -run 'TestCrashTorture|TestTortureHarnessDetectsBrokenRecovery|TestMirrorDetectsDivergence|TestQueryTorture' -v ./internal/faulttest
 	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) SENTINEL_TORTURE_SEED=$(TORTURE_SEED) \
 		$(GO) test -count=1 -run TestReplTorture -v ./internal/faulttest
-	$(GO) test -count=1 -race -run 'TestQueryIndexRaceStress|TestCommitPublishOrder|TestFollowerSnapshotsDuringApply' -v ./internal/faulttest ./internal/storage
+	$(GO) test -count=1 -race -run 'TestQueryIndexRaceStress|TestCommitPublishOrder|TestFollowerSnapshotsDuringApply|TestWaitDurableConcurrentWaiters' -v ./internal/faulttest ./internal/storage ./internal/seglog
 	$(GO) test -count=20 -race -run 'TestConcurrentWriters' .
 
 # fuzz-smoke runs each native fuzz target briefly: long enough to replay

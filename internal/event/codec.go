@@ -364,13 +364,28 @@ func (r *Reader) SkipValue() {
 // meaningful only when Err is nil.
 func (r *Reader) Occurrence() *Occurrence { return r.occurrence(0) }
 
+// OccurrenceInto reads one occurrence and its constituent tree into *occ,
+// a slot the caller owns, and reports whether it decoded; after a failure
+// *occ is partly written and Err says why.
+func (r *Reader) OccurrenceInto(occ *Occurrence) bool { return r.fill(occ, 0) }
+
 func (r *Reader) occurrence(depth int) *Occurrence {
-	if depth > maxDepth {
-		r.fail("occurrence nesting exceeds %d", maxDepth)
+	// Moved to the heap only once decoded: a failed decode allocates none.
+	var occ Occurrence
+	if !r.fill(&occ, depth) {
 		return nil
 	}
-	// Moved to the heap only once decoded: a failed decode allocates none.
-	occ := Occurrence{
+	out := new(Occurrence)
+	*out = occ
+	return out
+}
+
+func (r *Reader) fill(occ *Occurrence, depth int) bool {
+	if depth > maxDepth {
+		r.fail("occurrence nesting exceeds %d", maxDepth)
+		return false
+	}
+	*occ = Occurrence{
 		Name:     r.Str(),
 		Kind:     Kind(r.Byte()),
 		Class:    r.Str(),
@@ -385,7 +400,7 @@ func (r *Reader) occurrence(depth int) *Occurrence {
 	nparams := r.Uvarint()
 	if nparams > maxParams || nparams*minParam > uint64(r.Remaining()) {
 		r.fail("%d parameters exceed limit %d or the payload", nparams, maxParams)
-		return nil
+		return false
 	}
 	if nparams > 0 {
 		occ.Params = make(ParamList, nparams)
@@ -396,20 +411,15 @@ func (r *Reader) occurrence(depth int) *Occurrence {
 	nconst := r.Uvarint()
 	if nconst > maxConstituents || nconst*minOccurrence > uint64(r.Remaining()) {
 		r.fail("%d constituents exceed limit %d or the payload", nconst, maxConstituents)
-		return nil
+		return false
 	}
 	if nconst > 0 {
 		occ.Constituents = make([]*Occurrence, nconst)
 		for i := range occ.Constituents {
 			if occ.Constituents[i] = r.occurrence(depth + 1); r.err != nil {
-				return nil
+				return false
 			}
 		}
 	}
-	if r.err != nil {
-		return nil
-	}
-	out := new(Occurrence)
-	*out = occ
-	return out
+	return r.err == nil
 }

@@ -74,12 +74,12 @@ const (
 	// StoreAbortUndo fires in Store.Abort before each undo step, so
 	// crashes land mid-rollback.
 	StoreAbortUndo Point = "storage.store.abort.undo"
-	// StoreGroupFlush fires in the group-commit flusher goroutine between
-	// collecting a batch of committers and forcing the log for them. A
-	// crash here kills a whole commit batch whose fsync never completed;
-	// every transaction in it must recover all-or-nothing. The flusher
-	// recovers the crash panic, seals the WAL, and re-raises the crash on
-	// each waiting committer's goroutine.
+	// StoreGroupFlush fires once per WAL group-commit force (the store's
+	// seglog.Faults.Force), in the forcing committer between its gather and
+	// the force. A crash here kills a whole commit batch whose fsync never
+	// completed; every transaction in it must recover all-or-nothing. The
+	// log seals before the crash propagates from the forcer, and every
+	// other committer in the batch wakes with ErrWALSealed.
 	StoreGroupFlush Point = "storage.store.groupcommit.flush"
 	// ReplApply fires in a follower store before each shipped log record
 	// is applied, so replication torture can kill the follower mid-batch

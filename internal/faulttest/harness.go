@@ -44,13 +44,13 @@ type killPoint struct {
 // leaderPoints are the kill points a replication follower never passes
 // through, so the replication stack can arm them for its leader: a
 // follower refuses Commit and Abort before their points, forces its log
-// directly rather than through the group-commit flusher, and ingests
+// directly rather than through the log's group commit, and ingests
 // through storage.wal.ingest, not storage.wal.append.
 var leaderPoints = []killPoint{
 	{point: faults.StoreCommit, maxHit: 8},
-	// The group-commit flusher: the crash fires on the flusher goroutine
-	// between batch collection and the force, is re-raised on each waiting
-	// committer, and the batch's commit records may or may not have hit
+	// The group-commit force: the crash fires on the forcing committer
+	// between its gather and the force, the log seals before it
+	// propagates, and the batch's commit records may or may not have hit
 	// disk — every transaction in it must recover all-or-nothing.
 	{point: faults.StoreGroupFlush, maxHit: 12},
 	{point: faults.StoreAbortUndo, maxHit: 8, perRecord: true},

@@ -244,3 +244,39 @@ func TestContributeSendAllocations(t *testing.T) {
 		t.Fatalf("ContributeBatch allocates %.1f times, want 0", got)
 	}
 }
+
+// The server decodes a contribute batch straight into the slots of its
+// reused batch slice: each occurrence costs what its own fields need (the
+// allocations of a heap decode less the Occurrence itself), nothing more.
+func TestDecodeContributeAllocations(t *testing.T) {
+	occ := event.Occurrence{Name: "order_placed", Params: event.NewParams("pair", int64(7), "amount", int64(12))}
+	const n = 16
+	occs := make([]event.Occurrence, n)
+	for i := range occs {
+		occs[i] = occ
+	}
+	payload, err := encodeContribute(nil, 1, occs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := event.AppendOccurrence(nil, &occ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := testing.AllocsPerRun(100, func() {
+		if r := event.NewReader(one); r.Occurrence() == nil {
+			t.Fatal(r.Err())
+		}
+	})
+	dst := make([]event.Occurrence, 0, n)
+	got := testing.AllocsPerRun(100, func() {
+		var err error
+		if _, dst, err = decodeContribute(payload, dst[:0]); err != nil || len(dst) != n {
+			t.Fatalf("decoded %d occurrences (%v), want %d", len(dst), err, n)
+		}
+	})
+	if want := n * (heap - 1); got > want {
+		t.Fatalf("decoding %d occurrences allocates %.0f times, want at most %.0f (%.0f per heap decode, less the Occurrence)",
+			n, got, want, heap)
+	}
+}

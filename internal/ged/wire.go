@@ -157,11 +157,11 @@ func decodeContribute(payload []byte, dst []event.Occurrence) (uint64, []event.O
 		return 0, dst, protoErrf("batch of %d occurrences exceeds limit %d", n, maxBatch)
 	}
 	for i := uint64(0); i < n; i++ {
-		occ := p.Occurrence()
-		if p.Err() != nil {
+		dst = append(dst, event.Occurrence{})
+		if !p.OccurrenceInto(&dst[len(dst)-1]) {
+			dst = dst[:len(dst)-1]
 			break
 		}
-		dst = append(dst, *occ)
 	}
 	if err := done(p); err != nil {
 		return 0, dst, err

@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,8 +48,9 @@ import (
 // anywhere below the flushed watermark it is real damage.
 var ErrCorrupt = errors.New("seglog: log record failed checksum")
 
-// ErrSealed is returned by Append and Flush after any append, flush, or
-// fsync failure. A failed write leaves the log in an unknowable state — the
+// ErrSealed is returned by Append, Flush and WaitDurable after any append,
+// flush, or fsync failure, or a panic inside a force (an injected crash
+// included). A failed write leaves the log in an unknowable state — the
 // in-memory buffer may be partially drained, and after a failed fsync the
 // kernel may have dropped dirty log pages while clearing the error (the
 // "fsyncgate" class of bugs) — so the log fails fast and stays failed
@@ -83,6 +85,9 @@ type Faults struct {
 	// Fsync fires before the fsync (sync mode only); a fired error is
 	// sticky-fatal.
 	Fsync faults.Point
+	// Force fires once per WaitDurable force, after the gather and before
+	// the buffer is written; a fired error seals the log.
+	Force faults.Point
 }
 
 // Config is what a client passes to Open.
@@ -112,15 +117,16 @@ type Segment struct {
 }
 
 // Log is a segmented log. Appends are buffered in memory; Flush forces the
-// buffer to the active segment (and, in sync mode, to stable storage).
+// buffer to the active segment (and, in sync mode, to stable storage), and
+// WaitDurable is the group commit that shares one force among its callers.
 //
 // Two locks split the appender and flusher paths so group commit can
 // pipeline: mu guards the in-memory state (buffer, offsets, seal, segment
 // inventory) and is held only for memcpy-scale work; flushMu serializes
 // the file write, fsync, and segment roll and is held across the I/O. An
 // append never waits on an fsync in progress — it lands in the buffer and
-// is covered by the next force — which is what lets a group-commit flusher
-// build real batches while a force is in flight.
+// is covered by the next force — which is what lets WaitDurable build real
+// batches while a force is in flight.
 type Log struct {
 	cfg Config
 
@@ -130,10 +136,23 @@ type Log struct {
 	end      uint64        // offset where the next record will be written
 	flushed  uint64        // all records below this offset are durable (per cfg.Sync)
 	sealErr  error         // first write failure (or ErrClosed); non-nil seals the log
-	flushCh  chan struct{} // closed when flushed next advances; nil while nobody waits
+	flushCh  chan struct{} // cursors' wake: closed when flushed next advances or the log seals; nil while nobody waits
 	sealed   []Segment
 	archived []Segment
 	actBase  uint64 // base offset of the active segment
+
+	// Group commit (WaitDurable). forceCh is its callers' wake, closed
+	// before flushCh at every advance and seal but apart from it: Ready
+	// closes flushCh early for a lagging cursor, and one shared channel
+	// cost fire_durable 13 % of its txn_p50 (EXPERIMENTS.md, "Group commit
+	// belongs to the log"). forcing is set while a forcer gathers and
+	// forces; joined counts the callers waiting for the next detach
+	// (written under mu, read by the gather without it); lastBatch is the
+	// previous force's batch, the gather's target.
+	forceCh   chan struct{}
+	forcing   bool
+	joined    atomic.Int64
+	lastBatch int
 
 	flushMu    sync.Mutex // serializes file write + fsync + roll; never held under mu
 	f          *os.File   // active segment
@@ -460,28 +479,120 @@ func (l *Log) appendAt(at uint64, point faults.Point, frames []byte, nrecs int) 
 // included — is in flight. When the active segment has reached the size
 // target the flush seals it and rolls to a new one first; batches never
 // split across segments, so every segment ends on a record boundary.
-func (l *Log) Flush(upTo uint64) error { return l.flush(upTo, l.cfg.Sync) }
+func (l *Log) Flush(upTo uint64) error {
+	_, err := l.flush(upTo, l.cfg.Sync, false)
+	return err
+}
 
 // Sync is Flush(everything) followed by an fsync whatever the sync mode —
 // the explicit durability boundary for logs running without per-flush
 // fsync.
-func (l *Log) Sync() error { return l.flush(^uint64(0), true) }
+func (l *Log) Sync() error {
+	_, err := l.flush(^uint64(0), true, false)
+	return err
+}
 
-func (l *Log) flush(upTo uint64, fsync bool) error {
+// WaitDurable blocks until every record below upTo is durable (flushed,
+// and fsynced in sync mode); it is the log's group commit. Records already
+// durable return at once. The first caller that finds no force in flight
+// becomes the forcer: it gathers, then forces the whole buffer, and
+// reports in batch how many callers that force covered (0 for everyone
+// else). Every other caller waits for the watermark to advance or the log
+// to seal, and then re-checks its own records. A sealed log reports its
+// sealing error, covered records or not.
+func (l *Log) WaitDurable(upTo uint64) (batch int, err error) {
+	l.mu.Lock()
+	if l.sealErr == nil && upTo > l.flushed {
+		l.joined.Add(1)
+	}
+	for l.sealErr == nil && upTo > l.flushed && l.forcing {
+		if l.forceCh == nil {
+			l.forceCh = make(chan struct{})
+		}
+		ch := l.forceCh
+		l.mu.Unlock()
+		<-ch
+		l.mu.Lock()
+	}
+	if l.sealErr != nil {
+		err := l.sealErr
+		l.mu.Unlock()
+		return 0, fmt.Errorf("%w: %w", ErrSealed, err)
+	}
+	if upTo <= l.flushed {
+		l.mu.Unlock()
+		return 0, nil
+	}
+	l.forcing = true
+	l.mu.Unlock()
+	l.gather()
+	return l.flush(upTo, l.cfg.Sync, true)
+}
+
+// gatherMaxYields bounds the gather: even under a sustained arrival
+// stream the forcer forces after this many yields, so commit latency stays
+// bounded without a clock.
+const gatherMaxYields = 256
+
+// gather yields the processor while callers keep joining, so the force
+// covers every caller already running toward WaitDurable; a Gosched costs
+// a lone caller well under a microsecond, where a sleep's ~1 ms
+// granularity would dwarf the fsync. The previous batch approximates the
+// caller population: at or past it, two quiet yields in a row force (one
+// can land between a caller's release and its next append); short of it,
+// stragglers are likely mid-append, and only eight quiet yields force —
+// the population shrank, or goroutines that never join keep the run
+// queue busy.
+func (l *Log) gather() {
+	target := int64(l.lastBatch)
+	prev := l.joined.Load()
+	quiet := 0
+	for i := 0; i < gatherMaxYields; i++ {
+		runtime.Gosched()
+		cur := l.joined.Load()
+		if cur == prev {
+			if quiet++; quiet >= 2 && cur >= target || quiet >= 8 {
+				return
+			}
+		} else {
+			quiet = 0
+			prev = cur
+		}
+	}
+}
+
+// flush forces the buffer for Flush, Sync and WaitDurable's forcer, which
+// passes forcer: its Force point fires first, and it hands the force on
+// under the mu hold that publishes its result. batch is the number of
+// WaitDurable callers the detached buffer covers.
+func (l *Log) flush(upTo uint64, fsync, forcer bool) (batch int, err error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
+	defer l.sealOnPanic()
+	if forcer {
+		if err := faults.Check(l.cfg.Faults.Force); err != nil {
+			l.Seal(err)
+			return 0, fmt.Errorf("seglog: force log: %w", err)
+		}
+	}
 	l.mu.Lock()
 	if l.sealErr != nil {
 		err := l.sealErr
 		l.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrSealed, err)
+		return 0, fmt.Errorf("%w: %w", ErrSealed, err)
 	}
 	// Re-checked after taking flushMu: a force we queued behind may have
 	// already covered us.
 	if upTo != ^uint64(0) && upTo <= l.flushed {
+		if forcer {
+			l.handOffLocked(0)
+		}
 		l.mu.Unlock()
-		return nil
+		return 0, nil
 	}
+	// Every caller that joined so far appended first, so the detached
+	// buffer covers it.
+	batch = int(l.joined.Swap(0))
 	buf := l.buf
 	l.buf = l.spare[:0]
 	l.spare = nil
@@ -493,12 +604,12 @@ func (l *Log) flush(upTo uint64, fsync bool) error {
 	if len(buf) > 0 && int64(durable-base) >= l.cfg.SegBytes {
 		if rerr := l.roll(durable); rerr != nil {
 			l.Seal(rerr)
-			return fmt.Errorf("seglog: roll log segment: %w", rerr)
+			return batch, fmt.Errorf("seglog: roll log segment: %w", rerr)
 		}
 		base = durable
 	}
 	at := SegHeaderLen + int64(durable-base)
-	err := faults.CheckIO(l.cfg.Faults.Flush, func(n int) {
+	err = faults.CheckIO(l.cfg.Faults.Flush, func(n int) {
 		if n > len(buf) {
 			n = len(buf)
 		}
@@ -513,7 +624,7 @@ func (l *Log) flush(upTo uint64, fsync bool) error {
 		// be appended after it. The detached buffer is dropped — its bytes
 		// are exactly the tail recovery will treat as lost.
 		l.Seal(err)
-		return fmt.Errorf("seglog: flush log: %w", err)
+		return batch, fmt.Errorf("seglog: flush log: %w", err)
 	}
 	if len(buf) > 0 {
 		l.actCRC = crc32.Update(l.actCRC, crc32.IEEETable, buf)
@@ -529,7 +640,7 @@ func (l *Log) flush(upTo uint64, fsync bool) error {
 			// dropped the dirty pages and cleared the error, so a retry
 			// would "succeed" without the data ever reaching disk.
 			l.Seal(err)
-			return fmt.Errorf("seglog: sync log: %w", err)
+			return batch, fmt.Errorf("seglog: sync log: %w", err)
 		}
 		l.fsyncs.Add(1)
 	}
@@ -541,11 +652,39 @@ func (l *Log) flush(upTo uint64, fsync bool) error {
 		l.flushed = target
 		l.wakeLocked()
 	}
+	if forcer {
+		l.handOffLocked(batch)
+	}
 	if l.spare == nil {
 		l.spare = buf[:0] // recycle the drained buffer for the next force
 	}
 	l.mu.Unlock()
-	return nil
+	return batch, nil
+}
+
+// handOffLocked ends a WaitDurable force: callers that joined after its
+// detach wake to find no force in flight, and one of them forces next.
+// Caller holds mu.
+func (l *Log) handOffLocked(batch int) {
+	l.forcing = false
+	l.lastBatch = batch
+	if l.joined.Load() > 0 {
+		closeWake(&l.forceCh)
+	}
+}
+
+// sealOnPanic seals the log when a force dies by panic (an injected crash
+// or anything else) and lets the panic go on: the detached bytes are in an
+// unknowable state, and the seal releases every waiter.
+func (l *Log) sealOnPanic() {
+	if r := recover(); r != nil {
+		err, ok := r.(error) // an injected *faults.Crash seals the log with itself
+		if !ok {
+			err = fmt.Errorf("seglog: force panicked: %v", r)
+		}
+		l.Seal(err)
+		panic(r)
+	}
 }
 
 // roll seals the active segment at end and starts a new one based there.
@@ -591,23 +730,9 @@ func (l *Log) changed() error {
 	return l.cfg.OnChange()
 }
 
-// Durable reports whether every record below upTo is already flushed (and
-// fsynced when the log is in sync mode). A sealed log reports its sealing
-// error. A group committer uses this as its fast path: a waiter whose
-// records were covered by a previous batch never queues at all.
-func (l *Log) Durable(upTo uint64) (bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealErr != nil {
-		return false, fmt.Errorf("%w: %w", ErrSealed, l.sealErr)
-	}
-	return upTo <= l.flushed, nil
-}
-
 // Seal records err as the log's sealing failure if it is not already
-// sealed. A group-commit flusher uses it when an injected crash kills a
-// flush mid-batch: the "process" died with the buffer state unknowable, so
-// nothing may append or flush afterwards.
+// sealed, and wakes every WaitDurable caller and waiting cursor. Nothing
+// may append or flush afterwards.
 func (l *Log) Seal(err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -617,11 +742,22 @@ func (l *Log) Seal(err error) {
 	}
 }
 
-// wakeLocked releases every cursor waiting in Ready. Caller holds mu.
+// wakeLocked releases every caller waiting in WaitDurable, then every
+// cursor waiting in Ready: the goroutine readied last waits in the
+// waker's next slot until the waker blocks, and the ones before it go to
+// the run queue an idle processor steals from, so a waiter that must
+// force next starts sooner (EXPERIMENTS.md, "Group commit belongs to
+// the log"). Caller holds mu.
 func (l *Log) wakeLocked() {
-	if l.flushCh != nil {
-		close(l.flushCh)
-		l.flushCh = nil
+	closeWake(&l.forceCh)
+	closeWake(&l.flushCh)
+}
+
+// closeWake closes a wake channel that someone waits on.
+func closeWake(ch *chan struct{}) {
+	if *ch != nil {
+		close(*ch)
+		*ch = nil
 	}
 }
 
@@ -880,7 +1016,7 @@ func (c *Cursor) Ready() <-chan struct{} {
 	}
 	ch := l.flushCh
 	if c.pos < l.flushed || l.sealErr != nil {
-		l.wakeLocked()
+		closeWake(&l.flushCh)
 	}
 	return ch
 }

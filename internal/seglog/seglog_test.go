@@ -144,11 +144,15 @@ func TestUnflushedRecordsAreNotRead(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("cursor read %d records (%v), want the 3 flushed ones", n, err)
 	}
-	if ok, err := l.Durable(l.End()); ok || err != nil {
-		t.Fatalf("Durable(end) = %v, %v with a record still buffered", ok, err)
+	if l.Flushed() >= l.End() {
+		t.Fatal("the buffered record is reported flushed")
 	}
-	if ok, _ := l.Durable(offs[2]); !ok {
-		t.Fatal("flushed prefix not reported durable")
+	_, _, flushes, _ := l.Stats()
+	if batch, err := l.WaitDurable(offs[2]); batch != 0 || err != nil {
+		t.Fatalf("WaitDurable of the flushed prefix = %d, %v; want 0, nil", batch, err)
+	}
+	if _, _, f, _ := l.Stats(); f != flushes {
+		t.Fatal("WaitDurable of the flushed prefix forced the log")
 	}
 }
 
@@ -329,8 +333,8 @@ func TestShortWriteSealsLog(t *testing.T) {
 	if err := l.Flush(^uint64(0)); !errors.Is(err, ErrSealed) {
 		t.Fatalf("flush after the failure: %v, want ErrSealed", err)
 	}
-	if _, err := l.Durable(0); !errors.Is(err, ErrSealed) {
-		t.Fatalf("Durable after the failure: %v, want ErrSealed", err)
+	if _, err := l.WaitDurable(0); !errors.Is(err, ErrSealed) {
+		t.Fatalf("WaitDurable after the failure: %v, want ErrSealed", err)
 	}
 	if err := l.Close(); !errors.Is(err, ErrSealed) {
 		t.Fatalf("close of a sealed log: %v, want ErrSealed", err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/lockmgr"
 )
@@ -21,14 +20,7 @@ import (
 // replacement).
 func benchStore(b *testing.B, sync bool) *Store {
 	b.Helper()
-	opts := Options{Dir: b.TempDir(), PoolSize: 1024, SyncWAL: sync}
-	if sync {
-		// A short group-commit window lets writers released by one force
-		// join the next batch instead of splitting into alternating
-		// half-size cohorts; it is cheap next to the fsync it amortizes.
-		opts.GroupCommitInterval = 100 * time.Microsecond
-	}
-	s, err := Open(opts)
+	s, err := Open(Options{Dir: b.TempDir(), PoolSize: 1024, SyncWAL: sync})
 	if err != nil {
 		b.Fatal(err)
 	}

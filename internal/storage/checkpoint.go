@@ -166,7 +166,7 @@ func (s *Store) Checkpoint() error {
 	lastTS := s.lastTS
 	s.commitMu.Unlock()
 	img := s.checkpointImage(b, lastTS)
-	if err := s.gc.waitDurable(b + 1); err != nil {
+	if err := s.waitDurable(b + 1); err != nil {
 		return err
 	}
 	return s.saveCheckpoint(img)

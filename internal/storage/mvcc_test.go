@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // mvccStore opens a store with the background version GC disabled, so the
@@ -284,7 +283,7 @@ func TestVersionGCKeepsCommitWindowEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.gc.waitDurable(lsn + 1); err != nil {
+	if err := s.waitDurable(lsn + 1); err != nil {
 		t.Fatal(err)
 	}
 	s.publishCommits()
@@ -468,10 +467,7 @@ func TestSnapshotRecovery(t *testing.T) {
 // observes an older pair sequence than one taken earlier by the same
 // goroutine.
 func TestSnapshotReadersUnderWriters(t *testing.T) {
-	// A group-commit deadline bounds the flusher's adaptive gather; without
-	// it, spinning readers on a small machine can stretch every gather to
-	// its full yield budget.
-	s, err := Open(Options{Dir: t.TempDir(), PoolSize: 64, GroupCommitInterval: 100 * time.Microsecond})
+	s, err := Open(Options{Dir: t.TempDir(), PoolSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +482,7 @@ func TestSnapshotReadersUnderWriters(t *testing.T) {
 	}
 	// Readers run a fixed iteration budget rather than spinning until the
 	// writers finish: on a single-CPU box an unbounded reader spin loop
-	// starves the writers (and the group-commit flusher) of run time.
+	// starves the writers (and the group-commit forcer) of run time.
 	rrounds := rounds
 
 	type pair struct{ a, b RID }

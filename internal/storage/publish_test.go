@@ -34,7 +34,7 @@ func TestCommitRecordPublishesOnFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flush whatever the commit appended after its force, so the cut
-	// below is this test's and not the flusher's.
+	// below is this test's and not a force's.
 	if err := ld.FlushLog(); err != nil {
 		t.Fatal(err)
 	}

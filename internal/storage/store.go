@@ -23,12 +23,6 @@ type Options struct {
 	// SyncWAL makes every log flush fsync. Durable but slow; benchmarks
 	// and tests leave it off.
 	SyncWAL bool
-	// GroupCommitInterval makes the WAL flusher wait this long after
-	// waking before it collects a commit batch, trading commit latency for
-	// larger batches. Zero (the default) flushes as soon as the flusher is
-	// free; concurrent committers still batch naturally while a force is
-	// in flight.
-	GroupCommitInterval time.Duration
 	// VersionGCInterval is the cadence of the background version garbage
 	// collector that truncates MVCC chains to what the oldest live
 	// snapshot still needs. Zero means the default (one second); a
@@ -161,12 +155,20 @@ func fsClass(free int) int {
 // active-transaction table is lock-striped, page contents are guarded by
 // per-frame latches in the lock-striped buffer pool, the free-space map
 // has its own leaf mutex, and top-level commit durability goes through the
-// group-commit flusher so no lock is ever held across an fsync.
+// log's group commit (seglog.WaitDurable) so no lock is ever held across
+// an fsync.
 type Store struct {
 	disk *DiskManager
 	pool *BufferPool
 	wal  *WAL
-	gc   *groupCommitter
+
+	// Group-commit accounting (waitDurable): forces that covered at least
+	// one waiter, the waiters they covered, and the batch-size and wait
+	// histograms RegisterMetrics attaches.
+	groupForces  atomic.Uint64
+	groupWaiters atomic.Uint64
+	groupBatch   atomic.Pointer[obs.Histogram]
+	groupWait    atomic.Pointer[obs.Histogram]
 
 	nextTxn atomic.Uint64
 	shards  [txnShardCount]txnShard
@@ -279,9 +281,6 @@ func Open(opts Options) (*Store, error) {
 		disk.Close()
 		return nil, err
 	}
-	// The flusher starts only after recovery: recovery's own appends and
-	// flushes are single-threaded and direct.
-	s.gc = newGroupCommitter(wal, opts.GroupCommitInterval)
 	if opts.VersionGCInterval == 0 {
 		opts.VersionGCInterval = time.Second
 	}
@@ -304,7 +303,6 @@ func (s *Store) Close() error {
 		close(s.vgcQuit)
 		<-s.vgcDone
 	}
-	s.gc.stop()
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -438,8 +436,8 @@ func (s *Store) BeginSub(parent uint64) (uint64, error) {
 
 // Commit finishes the transaction. A top-level commit appends its commit
 // record, stamped with the next commit timestamp, and then waits on the
-// group-commit flusher for durability — one force covers every commit
-// that queued while the previous force was in flight — and publishes. A
+// log's group commit for durability — one force covers every commit that
+// joined while the previous force was in flight — and publishes. A
 // subtransaction commit merges its operations into the parent, deferring
 // durability to the top-level outcome.
 func (s *Store) Commit(id uint64) error {
@@ -458,7 +456,7 @@ func (s *Store) Commit(id uint64) error {
 		t.unfinish()
 		return err
 	}
-	if err := s.gc.waitDurable(lsn + 1); err != nil && lsn >= s.wal.Flushed() {
+	if err := s.waitDurable(lsn + 1); err != nil && lsn >= s.wal.Flushed() {
 		// The force failed short of this record, and the log is sealed: it
 		// never will be durable, so take it off the queue. (A record
 		// already covered stands.)
@@ -540,6 +538,30 @@ func (s *Store) appendCommit(t *txnState) (uint64, error) {
 	return lsn, nil
 }
 
+// waitDurable waits for the log's group commit to make every record below
+// upTo durable and keeps the group-commit metrics: a forcer reports the
+// batch it forced, and a caller whose records were not yet durable is
+// timed.
+func (s *Store) waitDurable(upTo uint64) error {
+	var start time.Time
+	wh := s.groupWait.Load()
+	if wh != nil && upTo > s.wal.Flushed() {
+		start = time.Now()
+	}
+	batch, err := s.wal.WaitDurable(upTo)
+	if !start.IsZero() {
+		wh.ObserveDuration(time.Since(start))
+	}
+	if batch > 0 {
+		s.groupForces.Add(1)
+		s.groupWaiters.Add(uint64(batch))
+		if h := s.groupBatch.Load(); h != nil {
+			h.Observe(float64(batch))
+		}
+	}
+	return err
+}
+
 // publishCommits publishes the durable prefix of the commit queue: the
 // stamps of every commit whose record is below the flushed watermark, in
 // queue order, then the clock advanced to the last — so a snapshot never
@@ -595,7 +617,7 @@ func (s *Store) Abort(id uint64) error {
 			p.children--
 			p.mu.Unlock()
 		}
-	} else if err := s.gc.waitDurable(abortLSN + 1); err != nil {
+	} else if err := s.waitDurable(abortLSN + 1); err != nil {
 		t.unfinish()
 		return err
 	}
@@ -1434,7 +1456,7 @@ func (s *Store) LogFlushed() uint64 { return s.wal.Flushed() }
 func (s *Store) LogStart() uint64 { return s.wal.Start() }
 
 // FlushLog forces the whole log buffer (follower ack path; leaders go
-// through the group committer).
+// through the log's group commit).
 func (s *Store) FlushLog() error { return s.wal.Flush(^uint64(0)) }
 
 // LogCursor returns a shipping cursor over the flushed log from LSN from.
@@ -1474,11 +1496,11 @@ func (s *Store) PoolStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// GroupCommitStats returns the flusher's force count and the number of
+// GroupCommitStats returns the group-commit force count and the number of
 // waiters those forces covered; waiters/batches is the mean batch size
 // (tests and EXPERIMENTS.md assertions).
 func (s *Store) GroupCommitStats() (batches, waiters uint64) {
-	return s.gc.batches.Load(), s.gc.served.Load()
+	return s.groupForces.Load(), s.groupWaiters.Load()
 }
 
 // WALStats exposes the WAL activity counters (appends, append bytes,
@@ -1513,14 +1535,14 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(s.wal.End() - s.wal.Start()) })
 	r.CounterFunc("sentinel_storage_group_commit_batches_total",
 		"Group-commit forces issued on behalf of at least one waiter.",
-		s.gc.batches.Load)
+		s.groupForces.Load)
 	r.CounterFunc("sentinel_storage_group_commit_waiters_total",
 		"Committers whose durability wait was covered by a group-commit force.",
-		s.gc.served.Load)
-	s.gc.batchHist.Store(r.Histogram("sentinel_storage_group_commit_batch_size",
+		s.groupWaiters.Load)
+	s.groupBatch.Store(r.Histogram("sentinel_storage_group_commit_batch_size",
 		"Commits covered by one group-commit force.",
 		[]float64{1, 2, 4, 8, 16, 32, 64}))
-	s.gc.waitHist.Store(r.Histogram("sentinel_storage_group_commit_wait_seconds",
+	s.groupWait.Store(r.Histogram("sentinel_storage_group_commit_wait_seconds",
 		"Time a committer waited for its group-commit force.",
 		obs.DurationBuckets()))
 	r.CounterFunc("sentinel_storage_buffer_hits_total",

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestStoreConcurrentStress hammers one store from many goroutines with
@@ -13,7 +12,7 @@ import (
 // subtransactions, then verifies the surviving records against a
 // single-threaded oracle replay of every worker's op log. Run under -race
 // this is the tier-1 proof that the sharded txn table, striped buffer
-// pool, and group-commit flusher compose without data races.
+// pool, and the log's group commit compose without data races.
 func TestStoreConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, PoolSize: 48})
@@ -192,16 +191,11 @@ func TestStoreConcurrentStress(t *testing.T) {
 }
 
 // TestGroupCommitAmortizesFsyncs proves the acceptance criterion directly:
-// with 8 concurrent durable committers, the flusher must issue fewer
-// fsyncs than there are commits — batches amortize the force. It also
-// sanity-checks the batch accounting the metrics export.
+// with 8 concurrent durable committers, the log's group commit must issue
+// fewer fsyncs than there are commits — batches amortize the force. It
+// also sanity-checks the batch accounting the metrics export.
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
-	s, err := Open(Options{
-		Dir:                 t.TempDir(),
-		PoolSize:            128,
-		SyncWAL:             true,
-		GroupCommitInterval: 200 * time.Microsecond,
-	})
+	s, err := Open(Options{Dir: t.TempDir(), PoolSize: 128, SyncWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +238,9 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	if delta >= commits {
 		t.Fatalf("fsyncs-per-commit >= 1: %d fsyncs for %d commits — group commit is not batching", delta, commits)
 	}
-	// Commits either queue with the flusher or return via the Durable fast
-	// path when a pending force already covered their record; both routes
-	// amortize, so only the force count itself is asserted.
+	// Commits either wait for a force or return at once when a previous
+	// force already covered their record; both routes amortize, so only
+	// the force count itself is asserted.
 	batches, waiters := s.GroupCommitStats()
 	if batches == 0 || waiters < batches {
 		t.Fatalf("batch accounting: %d batches, %d waiters", batches, waiters)

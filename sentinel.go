@@ -141,13 +141,6 @@ type Options struct {
 	PoolSize int
 	// SyncWAL fsyncs the log on every flush (durable, slower).
 	SyncWAL bool
-	// GroupCommitInterval widens the group-commit batching window: the WAL
-	// flusher waits this long after waking before forcing a commit batch,
-	// trading single-commit latency for fewer fsyncs under load. 0 (the
-	// default) forces as soon as the flusher is free — concurrent
-	// committers still batch naturally. Negative values are rejected by
-	// Open.
-	GroupCommitInterval time.Duration
 	// Workers bounds concurrent rule execution within a priority class
 	// (default 4).
 	Workers int
@@ -249,9 +242,6 @@ func validateOptions(opts Options) error {
 	if opts.PoolSize < 0 {
 		return fmt.Errorf("sentinel: PoolSize must be >= 0, got %d", opts.PoolSize)
 	}
-	if opts.GroupCommitInterval < 0 {
-		return fmt.Errorf("sentinel: GroupCommitInterval must be >= 0, got %v", opts.GroupCommitInterval)
-	}
 	if opts.Workers < 0 {
 		return fmt.Errorf("sentinel: Workers must be >= 0, got %d", opts.Workers)
 	}
@@ -289,12 +279,11 @@ func Open(opts Options) (*Database, error) {
 	if opts.Dir != "" {
 		var err error
 		store, err = storage.Open(storage.Options{
-			Dir:                 opts.Dir,
-			PoolSize:            opts.PoolSize,
-			SyncWAL:             opts.SyncWAL,
-			GroupCommitInterval: opts.GroupCommitInterval,
-			VersionGCInterval:   opts.VersionGCInterval,
-			Follower:            opts.ReplicaOf != "",
+			Dir:               opts.Dir,
+			PoolSize:          opts.PoolSize,
+			SyncWAL:           opts.SyncWAL,
+			VersionGCInterval: opts.VersionGCInterval,
+			Follower:          opts.ReplicaOf != "",
 		})
 		if err != nil {
 			return nil, err
