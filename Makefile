@@ -44,8 +44,10 @@ check:
 # against the index≡scan oracle), a -race pass of concurrent index
 # readers vs committers, of concurrent top-level committers against
 # mid-run snapshots (commit timestamps published in log order), of
-# follower snapshots while the follower applies a stream and of
-# concurrent WaitDurable callers sharing the log's forces, and 20
+# follower snapshots while the follower applies a stream, of
+# concurrent WaitDurable callers sharing the log's forces and of
+# aborting writers against back-to-back version-GC passes (the
+# settled-stamp mark and the Begin gap), and 20
 # -race rounds of concurrent writer transactions through the facade
 # (per-object locks, per-family rule scheduling). All three sweeps are one harness
 # (internal/faulttest): each logs its base seed and a per-kill-point crash
@@ -59,7 +61,7 @@ torture:
 		$(GO) test -count=1 -run 'TestCrashTorture|TestTortureHarnessDetectsBrokenRecovery|TestMirrorDetectsDivergence|TestQueryTorture' -v ./internal/faulttest
 	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) SENTINEL_TORTURE_SEED=$(TORTURE_SEED) \
 		$(GO) test -count=1 -run TestReplTorture -v ./internal/faulttest
-	$(GO) test -count=1 -race -run 'TestQueryIndexRaceStress|TestCommitPublishOrder|TestFollowerSnapshotsDuringApply|TestWaitDurableConcurrentWaiters' -v ./internal/faulttest ./internal/storage ./internal/seglog
+	$(GO) test -count=1 -race -run 'TestQueryIndexRaceStress|TestCommitPublishOrder|TestFollowerSnapshotsDuringApply|TestWaitDurableConcurrentWaiters|TestSettledMarkUnderChurn' -v ./internal/faulttest ./internal/storage ./internal/seglog
 	$(GO) test -count=20 -race -run 'TestConcurrentWriters' .
 
 # fuzz-smoke runs each native fuzz target briefly: long enough to replay

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/lockmgr"
 )
@@ -103,6 +104,83 @@ func BenchmarkStorage_ReadParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStorage_ReadSettled measures the settled read: one op is a
+// snapshot ViewPage of a page of rows that no transaction has written
+// since the last GC pass, while another transaction updates and commits a
+// row of another file in a loop. Such a read takes no mutex beyond the
+// pool's and the page latch, and allocates nothing.
+func BenchmarkStorage_ReadSettled(b *testing.B) {
+	s := benchStore(b, false)
+	id, err := s.Begin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("s"), 48)
+	var pages []PageID
+	for len(pages) < 8 {
+		rid, err := s.Insert(id, 1, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
+			pages = append(pages, rid.Page)
+		}
+	}
+	hot, err := s.Insert(id, 2, payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Commit(id); err != nil {
+		b.Fatal(err)
+	}
+	s.VersionGC()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		// Paced, so its own allocations stay out of the readers' allocs/op.
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+			wid, err := s.Begin()
+			if err != nil {
+				return
+			}
+			if _, err := s.Update(wid, hot, payload); err != nil {
+				_ = s.Abort(wid)
+			} else if err := s.Commit(wid); err != nil {
+				return
+			}
+		}
+	}()
+	var rows atomic.Uint64
+	var ctr atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		sn := s.Snapshot()
+		defer sn.Close()
+		n := uint64(0)
+		count := func(RID, []byte) bool { n++; return true }
+		for pb.Next() {
+			if err := s.ViewPage(sn, pages[ctr.Add(1)%uint64(len(pages))], count); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rows.Add(n)
+	})
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	if r := rows.Load(); r > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(r), "ns/row")
+	}
 }
 
 // benchmarkMixed95 measures point reads of a hot, pool-resident working

@@ -40,6 +40,24 @@ import (
 // from the op's txn id, table empty), which is exactly right: no snapshot
 // survives a crash. A follower's in-flight writes stay in flight: their
 // transactions are registered again (registerUnresolved).
+//
+// The settled-stamp mark makes "frozen" cheap to decide. Each VersionGC
+// pass publishes settledBelow, the smallest id that may still be
+// unresolved: registered in the active table, holding a commit-table
+// entry, or forwarding through mergedInto. Ids only grow, so an id below
+// the mark has left all three for good, and resolveStamp answers "frozen"
+// for it with one atomic load. The pass computes the mark holding every
+// transaction shard mutex, so no transaction can register or leave the
+// active table while it looks; Begin draws its id before it takes its
+// shard mutex, and a pass that runs in that gap may pass the id, so Begin
+// checks the mark under the shard mutex and draws again if it has. A
+// follower keeps the mark at 0: it cannot see a leader transaction that
+// has shipped nothing yet.
+//
+// A settled row's read takes no mutex at all: chainPages counts, per
+// page-id bucket, the RIDs that have a version chain. A writer pushes a
+// chain under the page latch the reader holds, so a zero read under the
+// latch is exact, and GC removes only chains no live snapshot needs.
 
 // chainEntry is one displaced version of a record: the state a newer write
 // pushed off the page. data/exists describe the displaced state itself
@@ -56,6 +74,15 @@ type chainEntry struct {
 
 // chainShardCount stripes the version-chain table; power of two.
 const chainShardCount = 16
+
+// chainPageBuckets sizes the per-page chain count (chainPages); power of
+// two. Page ids are dense from 0, so a store of up to this many pages
+// counts every page apart.
+const chainPageBuckets = 1 << 13
+
+// chainLenSample is how many snapshot reads share one chain-length
+// observation.
+const chainLenSample = 64
 
 // versionChain is one RID's displaced versions, oldest first: a write
 // appends (amortised O(1)), an abort pops the tail, and pruning drops a
@@ -144,6 +171,21 @@ func (s *Store) chainShard(rid RID) *chainShard {
 	return &s.chains[(uint64(rid.Page)*31+uint64(rid.Slot))%chainShardCount]
 }
 
+// chainCount is the number of RIDs with a version chain in page pid's
+// bucket.
+func (s *Store) chainCount(pid PageID) *atomic.Int32 {
+	return &s.chainPages[pid%chainPageBuckets]
+}
+
+// readLock takes a mutex on the snapshot read path, first calling the
+// test probe when one is set.
+func (s *Store) readLock(mu *sync.Mutex) {
+	if p := s.readLockProbe.Load(); p != nil {
+		(*p)()
+	}
+	mu.Lock()
+}
+
 // pushChain records a displaced version for rid. The caller holds the page
 // latch, so pushes for one RID are ordered exactly like the writes that
 // caused them: appended oldest first, commit timestamps monotone up the
@@ -151,17 +193,25 @@ func (s *Store) chainShard(rid RID) *chainShard {
 func (s *Store) pushChain(rid RID, e chainEntry) {
 	sh := s.chainShard(rid)
 	sh.mu.Lock()
-	c := sh.m[rid]
+	c, had := sh.m[rid]
 	c.entries = append(c.entries, e)
 	if h := s.gcHorizon.Load(); len(c.entries) > pruneChainLen && h != c.prunedAt {
 		c.entries, c.prunedAt = s.pruneChain(c.entries, h), h
 	}
-	if len(c.entries) == 0 {
-		delete(sh.m, rid)
-	} else {
-		sh.m[rid] = c
+	// Never empty: the prune keeps the entry just pushed, whose writer is
+	// still registered.
+	sh.m[rid] = c
+	if !had {
+		s.chainCount(rid.Page).Add(1)
 	}
 	sh.mu.Unlock()
+}
+
+// dropChainLocked deletes rid's chain. Caller holds the chain's shard
+// mutex.
+func (s *Store) dropChainLocked(sh *chainShard, rid RID) {
+	delete(sh.m, rid)
+	s.chainCount(rid.Page).Add(-1)
 }
 
 // priorDeleter returns the writer of rid's newest chain entry — the
@@ -193,7 +243,7 @@ func (s *Store) popChain(rid RID, writer uint64) (xmin uint64, ok bool) {
 	}
 	xmin = c.entries[n-1].xmin
 	if n == 1 {
-		delete(sh.m, rid)
+		s.dropChainLocked(sh, rid)
 		return xmin, true
 	}
 	c.entries[n-1] = chainEntry{}
@@ -211,13 +261,14 @@ func (s *Store) commitTSOf(id uint64) (ts uint64, ok bool) {
 
 // resolveStamp resolves a raw creator stamp: committed at ts
 // (committed=true), or not committed (committed=false — active, finishing,
-// or mid-merge). An id that is neither active, merged, nor in the commit
-// table is frozen: committed at ts 0, visible to everything. final is the
-// id the mergedInto walk ended on — the stamp itself, or its nearest
-// not-yet-merged ancestor; when the stamp is not committed, final is an
-// active transaction, which is what the own-family check in visibleTo must
-// start from (the original creator may be a committed subtransaction the
-// active table has already forgotten). The caller must hold the page latch
+// or mid-merge). An id below the settled-stamp mark, or one that is
+// neither active, merged, nor in the commit table, is frozen: committed at
+// ts 0, visible to everything. final is the id the mergedInto walk ended
+// on — the stamp itself, or its nearest not-yet-merged ancestor; when the
+// stamp is not committed, final is an active transaction, which is what
+// the own-family check in visibleTo must start from (the original creator
+// may be a committed subtransaction the active table has already
+// forgotten). The caller must hold the page latch
 // for the record whose stamp is being resolved (see the package comment
 // for why that closes the abort race).
 //
@@ -233,10 +284,10 @@ func (s *Store) commitTSOf(id uint64) (ts uint64, ok bool) {
 // committing — is closed by re-reading the commit table once.
 func (s *Store) resolveStamp(id uint64) (ts uint64, final uint64, committed bool) {
 	for {
-		if id == 0 {
-			return 0, 0, true // frozen
+		if id < s.settledBelow.Load() || id == 0 {
+			return 0, id, true // frozen
 		}
-		s.tsMu.Lock()
+		s.readLock(&s.tsMu)
 		ts, committed := s.cts[id]
 		parent, merged := s.mergedInto[id]
 		s.tsMu.Unlock()
@@ -251,17 +302,18 @@ func (s *Store) resolveStamp(id uint64) (ts uint64, final uint64, committed bool
 			continue
 		}
 		sh := s.txShard(id)
-		sh.mu.Lock()
+		s.readLock(&sh.mu)
 		_, active := sh.m[id]
 		sh.mu.Unlock()
 		if active {
 			return 0, id, false
 		}
-		// Not committed, not merged, not active: either long-frozen, or it
-		// finished between the two checks. One re-read of the commit table
-		// decides — an aborted transaction never gains a cts entry, and its
-		// page/chain effects were undone under the page latch we hold.
-		s.tsMu.Lock()
+		// Not committed, not merged, not active: either frozen above the
+		// mark, or it finished between the two checks. One re-read of the
+		// commit table decides — an aborted transaction never gains a cts
+		// entry, and its page/chain effects were undone under the page
+		// latch we hold.
+		s.readLock(&s.tsMu)
 		ts, committed = s.cts[id]
 		parent, merged = s.mergedInto[id]
 		s.tsMu.Unlock()
@@ -297,7 +349,7 @@ func (s *Store) visibleTo(sn *Snapshot, creator uint64) bool {
 func (s *Store) rootOf(id uint64) uint64 {
 	for {
 		sh := s.txShard(id)
-		sh.mu.Lock()
+		s.readLock(&sh.mu)
 		t := sh.m[id]
 		sh.mu.Unlock()
 		if t == nil || t.parent == 0 {
@@ -311,15 +363,17 @@ func (s *Store) rootOf(id uint64) uint64 {
 // the chain — and returns the newest state visible to the snapshot, in
 // place: the bytes are valid while the caller holds the page latch.
 // exists=false means the visible state is "record absent" (deleted, not
-// yet inserted, or nothing visible at all).
-func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exists bool) {
-	sh := s.chainShard(rid)
-	sh.mu.Lock()
-	chain := sh.m[rid].entries
-	sh.mu.Unlock()
-	if h := s.chainLenHist.Load(); h != nil {
-		h.Observe(float64(len(chain)))
+// yet inserted, or nothing visible at all). walked is the chain's length.
+// A page with no chains in its bucket skips the chain table.
+func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exists bool, walked int) {
+	var chain []chainEntry
+	if s.chainCount(rid.Page).Load() != 0 {
+		sh := s.chainShard(rid)
+		s.readLock(&sh.mu)
+		chain = sh.m[rid].entries
+		sh.mu.Unlock()
 	}
+	walked = len(chain)
 
 	// Current state and its creator.
 	var cur []byte
@@ -328,7 +382,7 @@ func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exi
 	if curExists {
 		b, err := page.Read(rid.Slot)
 		if err != nil {
-			return nil, false
+			return nil, false, walked
 		}
 		cur = b
 		creator = page.Xmin(rid.Slot)
@@ -340,14 +394,26 @@ func (s *Store) readVersion(sn *Snapshot, page *Page, rid RID) (data []byte, exi
 	for i := len(chain) - 1; ; i-- {
 		if s.visibleTo(sn, creator) {
 			if !curExists {
-				return nil, false
+				return nil, false, walked
 			}
-			return cur, true
+			return cur, true, walked
 		}
 		if i < 0 {
-			return nil, false // record did not exist at the snapshot
+			return nil, false, walked // record did not exist at the snapshot
 		}
 		cur, curExists, creator = chain[i].data, chain[i].exists, chain[i].xmin
+	}
+}
+
+// sampleChainLen observes walked, the chain length of the snapshot read
+// the read counter numbered n, on one read in chainLenSample: the
+// histogram's mean still estimates the mean chain walked per read.
+func (s *Store) sampleChainLen(n uint64, walked int) {
+	if n%chainLenSample != 0 {
+		return
+	}
+	if h := s.chainLenHist.Load(); h != nil {
+		h.Observe(float64(walked))
 	}
 }
 
@@ -368,11 +434,12 @@ func (s *Store) ViewSnapshot(sn *Snapshot, rid RID, fn func([]byte)) error {
 		return err
 	}
 	defer s.pool.Unpin(rid.Page, false)
-	s.readSnapshotN.Add(1)
+	n := s.readSnapshotN.Add(1)
 	if rid.Slot >= page.NumSlots() {
 		return ErrBadSlot
 	}
-	data, exists := s.readVersion(sn, page, rid)
+	data, exists, walked := s.readVersion(sn, page, rid)
+	s.sampleChainLen(n, walked)
 	if !exists {
 		return ErrSlotDeleted
 	}
@@ -449,16 +516,8 @@ func (s *Store) pruneChain(chain []chainEntry, horizon uint64) []chainEntry {
 
 // VersionGC runs one garbage-collection pass: computes the snapshot
 // horizon, truncates every version chain to the suffix some live snapshot
-// may still need, and prunes commit-table entries at or below the horizon
-// (an id pruned from the table resolves as frozen — correct, because its
-// timestamp is ≤ every live snapshot). Entries whose transaction is still
-// registered in the active table are kept: a committer holds its active
-// registration across publication (forget comes after), and pruning
-// inside that window would send resolveStamp's cts miss to the active
-// table, where the committed writer would wrongly resolve as uncommitted —
-// breaking the invariant that a cts miss at snapshot S implies eventual
-// commit ts > S. Returns the number of version entries reclaimed by this
-// pass.
+// may still need, then settles (settle). Returns the number of version
+// entries reclaimed by this pass.
 func (s *Store) VersionGC() uint64 {
 	if s.closed.Load() {
 		return 0
@@ -474,7 +533,7 @@ func (s *Store) VersionGC() uint64 {
 				continue
 			}
 			if c.entries = s.pruneChain(c.entries, horizon); len(c.entries) == 0 {
-				delete(sh.m, rid)
+				s.dropChainLocked(sh, rid)
 			} else {
 				c.prunedAt = horizon
 				sh.m[rid] = c
@@ -482,36 +541,57 @@ func (s *Store) VersionGC() uint64 {
 		}
 		sh.mu.Unlock()
 	}
-	s.tsMu.Lock()
-	stale := make([]uint64, 0, len(s.cts))
-	for id, ts := range s.cts {
-		if ts <= horizon {
-			stale = append(stale, id)
+	s.settle(horizon)
+	return s.gcReclaimed.Load() - before
+}
+
+// settle prunes commit-table entries at or below the horizon (an id
+// pruned from the table resolves as frozen — correct, because its
+// timestamp is ≤ every live snapshot) and, on a leader, publishes the
+// settled-stamp mark: the smallest id still registered, in the commit
+// table, or forwarding through mergedInto, else the next id to be drawn.
+//
+// It holds every transaction shard mutex throughout (tsMu, a leaf, nests
+// under them), so the active table cannot change while it looks: no id
+// registers, and no committer leaves. The active scan comes first and the
+// commit-table scan second; a transaction that commits meanwhile is still
+// registered (forget comes after publication), so one scan or the other
+// sees it. Entries whose transaction is still registered are kept: a
+// committer holds its registration across publication, and pruning inside
+// that window would send resolveStamp's cts miss to the active table,
+// where the committed writer would wrongly resolve as uncommitted. The
+// mark never moves down: ids only grow, and Begin draws again rather than
+// register an id below it.
+func (s *Store) settle(horizon uint64) {
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].mu.Unlock()
 		}
+	}()
+	mark := s.nextTxn.Load() + 1
+	for i := range s.shards {
+		for id := range s.shards[i].m {
+			mark = min(mark, id)
+		}
+	}
+	s.tsMu.Lock()
+	for id, ts := range s.cts {
+		if _, active := s.txShard(id).m[id]; ts <= horizon && !active {
+			delete(s.cts, id)
+		} else {
+			mark = min(mark, id)
+		}
+	}
+	for id := range s.mergedInto {
+		mark = min(mark, id)
 	}
 	s.tsMu.Unlock()
-	// The active-table check runs outside tsMu (tsMu is a leaf lock and
-	// must not nest over the txn shards). No recheck race: an id in cts is
-	// durably committed, so once it leaves the active table it can never
-	// reappear — "not active now" stays true.
-	prunable := stale[:0]
-	for _, id := range stale {
-		sh := s.txShard(id)
-		sh.mu.Lock()
-		_, active := sh.m[id]
-		sh.mu.Unlock()
-		if !active {
-			prunable = append(prunable, id)
-		}
+	if !s.follower.Load() && mark > s.settledBelow.Load() {
+		s.settledBelow.Store(mark)
 	}
-	if len(prunable) > 0 {
-		s.tsMu.Lock()
-		for _, id := range prunable {
-			delete(s.cts, id)
-		}
-		s.tsMu.Unlock()
-	}
-	return s.gcReclaimed.Load() - before
 }
 
 // versionGCLoop is the background GC pass, started by Open unless the

@@ -201,15 +201,18 @@ type Store struct {
 	lastTS      uint64
 	unpublished []pubEntry
 
-	chains    [chainShardCount]chainShard
-	snaps     [snapShardCount]snapShard
-	snapSeq   atomic.Uint64
-	gcHorizon atomic.Uint64 // last horizon computed by VersionGC
+	chains       [chainShardCount]chainShard
+	chainPages   [chainPageBuckets]atomic.Int32 // RIDs with a chain, per page bucket
+	snaps        [snapShardCount]snapShard
+	snapSeq      atomic.Uint64
+	gcHorizon    atomic.Uint64 // last horizon computed by VersionGC
+	settledBelow atomic.Uint64 // settled-stamp mark: every id below is frozen
 
 	readSnapshotN atomic.Uint64
 	readLockedN   atomic.Uint64
 	gcReclaimed   atomic.Uint64
 	chainLenHist  atomic.Pointer[obs.Histogram]
+	readLockProbe atomic.Pointer[func()] // tests: called per read-path mutex acquisition
 
 	vgcTick *time.Ticker
 	vgcQuit chan struct{}
@@ -384,17 +387,32 @@ func (s *Store) Begin() (uint64, error) {
 	if s.follower.Load() {
 		return 0, ErrFollowerReadOnly
 	}
-	id := s.nextTxn.Add(1)
-	sh := s.txShard(id)
-	sh.mu.Lock()
-	lsn, err := s.wal.Append(&LogRecord{Type: RecBegin, Txn: id})
-	if err != nil {
+	return s.register(0)
+}
+
+// register draws a transaction id, appends its begin record and registers
+// it, the last two under the id's shard mutex. A VersionGC pass that ran
+// between the draw and the lock may have settled the id already (its mark
+// is past it), and a write stamped with a settled id would read as
+// frozen; such an id is never used, and a fresh one is drawn.
+func (s *Store) register(parent uint64) (uint64, error) {
+	for {
+		id := s.nextTxn.Add(1)
+		sh := s.txShard(id)
+		sh.mu.Lock()
+		if id < s.settledBelow.Load() {
+			sh.mu.Unlock()
+			continue
+		}
+		lsn, err := s.wal.Append(&LogRecord{Type: RecBegin, Txn: id, Parent: parent})
+		if err != nil {
+			sh.mu.Unlock()
+			return 0, err
+		}
+		sh.m[id] = &txnState{id: id, parent: parent, firstLSN: lsn}
 		sh.mu.Unlock()
-		return 0, err
+		return id, nil
 	}
-	sh.m[id] = &txnState{id: id, firstLSN: lsn}
-	sh.mu.Unlock()
-	return id, nil
 }
 
 // BeginSub starts a subtransaction of parent. Its operations become part
@@ -418,20 +436,13 @@ func (s *Store) BeginSub(parent uint64) (uint64, error) {
 	}
 	p.children++
 	p.mu.Unlock()
-	id := s.nextTxn.Add(1)
-	sh := s.txShard(id)
-	sh.mu.Lock()
-	lsn, err := s.wal.Append(&LogRecord{Type: RecBegin, Txn: id, Parent: parent})
+	id, err := s.register(parent)
 	if err != nil {
-		sh.mu.Unlock()
 		p.mu.Lock()
 		p.children--
 		p.mu.Unlock()
-		return 0, err
 	}
-	sh.m[id] = &txnState{id: id, parent: parent, firstLSN: lsn}
-	sh.mu.Unlock()
-	return id, nil
+	return id, err
 }
 
 // Commit finishes the transaction. A top-level commit appends its commit
@@ -1359,10 +1370,11 @@ func (s *Store) ViewPage(sn *Snapshot, pid PageID, fn func(RID, []byte) bool) er
 		var data []byte
 		if sn != nil {
 			var exists bool
-			if data, exists = s.readVersion(sn, page, rid); !exists {
+			var walked int
+			if data, exists, walked = s.readVersion(sn, page, rid); !exists {
 				continue
 			}
-			s.readSnapshotN.Add(1)
+			s.sampleChainLen(s.readSnapshotN.Add(1), walked)
 		} else if !page.Live(slot) {
 			continue
 		} else if data, err = page.Read(slot); err != nil {
@@ -1591,7 +1603,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		"Version-chain entries reclaimed by the MVCC garbage collector.",
 		s.gcReclaimed.Load)
 	s.chainLenHist.Store(r.Histogram("sentinel_storage_version_chain_length",
-		"Version-chain entries walked per snapshot read.",
+		"Version-chain entries walked per snapshot read, observed on one read in 64.",
 		obs.DepthBuckets()))
 	r.GaugeFunc("sentinel_storage_snapshot_age",
 		"Commit timestamps elapsed since the oldest live snapshot (0 when none open).",
