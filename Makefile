@@ -49,7 +49,10 @@ check:
 # aborting writers against back-to-back version-GC passes (the
 # settled-stamp mark and the Begin gap), and 20
 # -race rounds of concurrent writer transactions through the facade
-# (per-object locks, per-family rule scheduling). All three sweeps are one harness
+# (per-object locks, per-family rule scheduling) and of a Where rule
+# firing while its index is created, dropped and abortively created
+# (each answer checked against an extent walk on the same snapshot).
+# All three sweeps are one harness
 # (internal/faulttest): each logs its base seed and a per-kill-point crash
 # tally, and at 100+ iterations fails if a point it may arm never fired.
 # Reproduce a failure with TORTURE_SEED=<base seed from the log>.
@@ -62,7 +65,7 @@ torture:
 	SENTINEL_REPL_TORTURE_ITERS=$(REPL_TORTURE_ITERS) SENTINEL_TORTURE_SEED=$(TORTURE_SEED) \
 		$(GO) test -count=1 -run TestReplTorture -v ./internal/faulttest
 	$(GO) test -count=1 -race -run 'TestQueryIndexRaceStress|TestCommitPublishOrder|TestFollowerSnapshotsDuringApply|TestWaitDurableConcurrentWaiters|TestSettledMarkUnderChurn' -v ./internal/faulttest ./internal/storage ./internal/seglog
-	$(GO) test -count=20 -race -run 'TestConcurrentWriters' .
+	$(GO) test -count=20 -race -run 'TestConcurrentWriters|TestWhereRuleAcrossIndexDDL' .
 
 # fuzz-smoke runs each native fuzz target briefly: long enough to replay
 # the seed corpus and mutate past it, short enough for every CI run. A

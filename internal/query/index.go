@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,6 +126,13 @@ type index struct {
 	def IndexDef
 	gen atomic.Uint64 // last posting generation handed out
 
+	// creator is the transaction whose CreateIndex made the index, until
+	// its root commits; nil after that and for an index found at open.
+	// createTS is then the commit timestamp the create is visible from (0:
+	// visible to every snapshot). usableBy and aborted read them.
+	creator  atomic.Pointer[txn.Txn]
+	createTS atomic.Uint64
+
 	hmu  sync.RWMutex
 	hash map[string]map[uint64]posting // HashIndex: enc key -> oid -> posting
 
@@ -141,6 +147,39 @@ func makeIndex(def IndexDef) *index {
 		ix.ord = newSkiplist()
 	}
 	return ix
+}
+
+// usableBy reports whether tx may read through ix. No reader may while
+// the create's abort is being undone (aborted). A locked read may
+// otherwise: it holds its class's lock shared and DDL holds it exclusive,
+// so an index it finds is committed or its own family's. A snapshot may only once the
+// index's create is visible to it: the backfill indexed the extent as it
+// stood at the create, so an older snapshot would miss every row deleted
+// or re-keyed since the snapshot began. It takes the extent scan instead.
+func (ix *index) usableBy(tx *txn.Txn) bool {
+	sn := tx.Snapshot()
+	c := ix.creator.Load()
+	if c == nil {
+		return sn == nil || ix.createTS.Load() <= sn.TS()
+	}
+	if ix.aborted() {
+		return false
+	}
+	return sn == nil || c.Root() == tx.Root()
+}
+
+// aborted reports whether the transaction that created ix, or one of its
+// ancestors, has aborted. An abort releases the class lock before its
+// finishers take the backfill's postings back and uninstall the index, so
+// in between nobody may read or maintain it: its entry records are already
+// undone, and their slots may hold other records.
+func (ix *index) aborted() bool {
+	for t := ix.creator.Load(); t != nil; t = t.Parent() {
+		if t.Status() == txn.Aborted {
+			return true
+		}
+	}
+	return false
 }
 
 // okey is the ordered-directory key: attr key + big-endian OID, so equal
@@ -203,28 +242,6 @@ func (ix *index) removeIfGen(key []byte, oid uint64, gen uint64) {
 	if v, ok := ix.ord.get(k); ok && v.gen == gen {
 		ix.ord.del(k)
 	}
-}
-
-// eqCandidates returns the (superset) OIDs posted under exactly key,
-// sorted for deterministic iteration.
-func (ix *index) eqCandidates(key []byte) []uint64 {
-	var oids []uint64
-	if ix.hash != nil {
-		ix.hmu.RLock()
-		posted := ix.hash[string(key)]
-		oids = make([]uint64, 0, len(posted))
-		for oid := range posted {
-			oids = append(oids, oid)
-		}
-		ix.hmu.RUnlock()
-		slices.Sort(oids)
-		return oids
-	}
-	ix.ord.scan(key, prefixEnd(key), func(_ []byte, v skipVal) bool {
-		oids = append(oids, v.oid)
-		return true
-	})
-	return oids
 }
 
 // rangeCandidates returns the (superset) OIDs posted in [lo, hi) of the
@@ -341,7 +358,16 @@ type Manager struct {
 
 	opCount atomic.Uint64
 
+	// version is the catalog version: every install or uninstall of an
+	// index moves it (under mu), and a Prepared plan chosen under an older
+	// one re-plans.
+	version atomic.Uint64
+	// iters pools the source iterators Prepared.Exists probes with, each
+	// keeping its candidate buffer and decode row.
+	iters sync.Pool
+
 	// counters (exported via RegisterMetrics)
+	plans        atomic.Uint64 // access paths chosen (Plan, Prepare, re-plans, Explain)
 	probes       atomic.Uint64 // equality probes served
 	rangeScans   atomic.Uint64 // ordered range scans served
 	extentScans  atomic.Uint64 // queries that fell back to a full extent scan
@@ -496,6 +522,7 @@ func (m *Manager) Bootstrap() error {
 	}
 	m.mu.Lock()
 	m.byID, m.byClass = byID, byClass
+	m.version.Add(1)
 	m.catRID, m.hasCat = catRID, hasCat
 	if maxID > m.nextID {
 		m.nextID = maxID
@@ -534,11 +561,13 @@ func uninstallByClass(byClass map[string]map[string][]*index, ix *index) {
 func (m *Manager) installLocked(ix *index) {
 	m.byID[ix.def.ID] = ix
 	installByClass(m.byClass, ix)
+	m.version.Add(1)
 }
 
 func (m *Manager) uninstallLocked(ix *index) {
 	delete(m.byID, ix.def.ID)
 	uninstallByClass(m.byClass, ix)
+	m.version.Add(1)
 }
 
 // Defs lists the live index definitions, ordered by ID.
@@ -669,7 +698,8 @@ func (m *Manager) maybePrune() {
 	}
 }
 
-// indexesFor returns the live indexes over any attribute of class.
+// indexesFor returns the live indexes over any attribute of class: not
+// those whose create aborted.
 func (m *Manager) indexesFor(class string) []*index {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -679,20 +709,29 @@ func (m *Manager) indexesFor(class string) []*index {
 	}
 	var out []*index
 	for _, list := range attrs {
-		out = append(out, list...)
+		for _, ix := range list {
+			if !ix.aborted() {
+				out = append(out, ix)
+			}
+		}
 	}
 	return out
 }
 
-// lookupIndex finds an index on class.attr, preferring kinds in the order
-// given (first match wins).
+// lookupIndex finds a live index on class.attr, preferring kinds in the
+// order given (first match wins).
 func (m *Manager) lookupIndex(class, attr string, kinds ...IndexKind) *index {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	list := m.byClass[class][attr]
+	return findIndexLocked(m.byClass[class][attr], kinds...)
+}
+
+// findIndexLocked is lookupIndex over one attribute's list; the caller
+// holds mu.
+func findIndexLocked(list []*index, kinds ...IndexKind) *index {
 	for _, k := range kinds {
 		for _, ix := range list {
-			if ix.def.Kind == k {
+			if ix.def.Kind == k && !ix.aborted() {
 				return ix
 			}
 		}
@@ -828,15 +867,14 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 		return IndexDef{}, err
 	}
 	m.mu.Lock()
-	for _, ix := range m.byClass[class][attr] {
-		if ix.def.Kind == kind {
-			m.mu.Unlock()
-			return IndexDef{}, fmt.Errorf("%w: %s", ErrIndexExists, ix.def)
-		}
+	if ix := findIndexLocked(m.byClass[class][attr], kind); ix != nil {
+		m.mu.Unlock()
+		return IndexDef{}, fmt.Errorf("%w: %s", ErrIndexExists, ix.def)
 	}
 	m.nextID++
 	def := IndexDef{ID: m.nextID, Class: class, Attr: attr, Kind: kind}
 	ix := makeIndex(def)
+	ix.creator.Store(tx)
 	m.installLocked(ix)
 	defs := m.defsLocked()
 	m.mu.Unlock()
@@ -845,6 +883,15 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 		m.mu.Lock()
 		m.uninstallLocked(ix)
 		m.mu.Unlock()
+	})
+	// The clock read after the root's commit is at or past its commit
+	// timestamp: a snapshot between the two takes the extent scan, which
+	// is only slower.
+	tx.Root().OnFinish(func(st txn.Status) {
+		if st == txn.Committed {
+			ix.createTS.Store(m.store.CommitTS())
+			ix.creator.Store(nil)
+		}
 	})
 
 	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxCreate, appendDef(nil, def)); err != nil {
@@ -886,13 +933,7 @@ func (m *Manager) DropIndex(tx *txn.Txn, class, attr string, kind IndexKind) err
 		return err
 	}
 	m.mu.Lock()
-	var ix *index
-	for _, cand := range m.byClass[class][attr] {
-		if cand.def.Kind == kind {
-			ix = cand
-			break
-		}
-	}
+	ix := findIndexLocked(m.byClass[class][attr], kind)
 	if ix == nil {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s(%s.%s)", ErrNoIndex, kind, class, attr)
@@ -1037,7 +1078,9 @@ func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 			if old := m.byID[def.ID]; old != nil {
 				m.uninstallLocked(old)
 			}
-			m.installLocked(makeIndex(def))
+			ix := makeIndex(def)
+			ix.createTS.Store(rec.TS)
+			m.installLocked(ix)
 			if def.ID > m.nextID {
 				m.nextID = def.ID
 			}
@@ -1080,6 +1123,8 @@ func (m *Manager) Stats() (probes, rangeScans, extentScans, entryWrites, rowsDro
 
 // RegisterMetrics wires the query engine into a metrics registry.
 func (m *Manager) RegisterMetrics(r *obs.Registry) {
+	r.CounterFunc("sentinel_query_plans_compiled_total",
+		"Access paths chosen: one per query planned or explained, one per prepared condition and per re-plan after index DDL; none per rule firing.", m.plans.Load)
 	r.CounterFunc("sentinel_query_index_probes_total",
 		"Equality probes served from an index directory.", m.probes.Load)
 	r.CounterFunc("sentinel_query_index_range_scans_total",

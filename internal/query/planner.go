@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/lockmgr"
@@ -56,25 +57,29 @@ const (
 	accessRange
 )
 
-// accessPlan is the bound leaf of a compiled query.
+// accessPlan is the bound leaf of a compiled query. It carries no text:
+// explain renders it on demand, so running a query formats nothing.
 type accessPlan struct {
 	mode  accessMode
 	ix    *index
-	eqKey []byte
-	lo    []byte // [lo, hi) over the ordered directory; nil = open
-	hi    []byte
-	desc  string
+	eqKey []byte // accessProbe: the encoded key
+	eqVal any    // accessProbe: the value looked up (explain)
+	lo    []byte // [lo, hi) over the ordered directory; nil = open (a
+	hi    []byte // probe of an ordered index: the okeys of its key)
 }
 
 // chooseAccess binds the best index to Where's conjuncts: an equality
 // conjunct on a hash or ordered index beats a range; range conjuncts on
-// one attribute merge into a single ordered-index scan interval.
+// one attribute merge into a single ordered-index scan interval. Each call
+// counts as one plan compiled.
 func (m *Manager) chooseAccess(q Q) accessPlan {
-	ext := accessPlan{mode: accessExtent, desc: extentDesc(q)}
+	m.plans.Add(1)
+	ext := accessPlan{mode: accessExtent}
 	if q.Subclasses || q.Class == "" {
 		return ext
 	}
-	var bounds []indexBound
+	var buf [4]indexBound // a Where has a few conjuncts: no heap slice
+	bounds := buf[:0]
 	for _, c := range conjuncts(q.Where) {
 		if b, ok := boundOf(c); ok {
 			bounds = append(bounds, b)
@@ -93,10 +98,11 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 		if !ok {
 			continue
 		}
-		return accessPlan{
-			mode: accessProbe, ix: ix, eqKey: key,
-			desc: fmt.Sprintf("IndexProbe(%s = %v)", ix.def, b.eqVal),
+		ap := accessPlan{mode: accessProbe, ix: ix, eqKey: key, eqVal: b.eqVal}
+		if ix.ord != nil {
+			ap.lo, ap.hi = key, prefixEnd(key)
 		}
+		return ap
 	}
 	// Then a range interval on an ordered index, merging every range
 	// conjunct on the chosen attribute.
@@ -109,7 +115,6 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 			continue
 		}
 		var lo, hi []byte
-		var loDesc, hiDesc []string
 		ok := true
 		for _, o := range bounds {
 			if o.attr != b.attr {
@@ -128,7 +133,6 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 				if lo == nil || bytesGreater(k, lo) {
 					lo = k
 				}
-				loDesc = append(loDesc, fmt.Sprintf("%s %v", relDesc(o.loInc, ">="), o.lo))
 			}
 			if o.hasHi {
 				k, kOK := encodeKey(o.hi)
@@ -143,19 +147,24 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 				if k != nil && (hi == nil || bytesGreater(hi, k)) {
 					hi = k
 				}
-				hiDesc = append(hiDesc, fmt.Sprintf("%s %v", relDesc(o.hiInc, "<="), o.hi))
 			}
 		}
 		if !ok || (lo == nil && hi == nil) {
 			continue
 		}
-		return accessPlan{
-			mode: accessRange, ix: ix, lo: lo, hi: hi,
-			desc: fmt.Sprintf("IndexRange(%s %s)", ix.def,
-				strings.Join(append(loDesc, hiDesc...), " and ")),
-		}
+		return accessPlan{mode: accessRange, ix: ix, lo: lo, hi: hi}
 	}
 	return ext
+}
+
+// leaf is the access path tx takes under the plan ap: ap itself, or the
+// extent scan when tx may not read through ap's index (index.usableBy).
+// Plan and Prepared.Exists both go through it.
+func leaf(tx *txn.Txn, ap accessPlan) accessPlan {
+	if ap.ix != nil && !ap.ix.usableBy(tx) {
+		return accessPlan{mode: accessExtent}
+	}
+	return ap
 }
 
 // isStringKey reports whether k encodes a string. String keys are
@@ -177,7 +186,27 @@ func relDesc(inclusive bool, inc string) string {
 	return strings.TrimSuffix(inc, "=")
 }
 
-func extentDesc(q Q) string {
+// describe renders the access path chosen for q.
+func (ap accessPlan) describe(q Q) string {
+	switch ap.mode {
+	case accessProbe:
+		return fmt.Sprintf("IndexProbe(%s = %v)", ap.ix.def, ap.eqVal)
+	case accessRange:
+		var loDesc, hiDesc []string
+		for _, c := range conjuncts(q.Where) {
+			b, ok := boundOf(c)
+			if !ok || b.attr != ap.ix.def.Attr {
+				continue
+			}
+			if b.hasLo {
+				loDesc = append(loDesc, fmt.Sprintf("%s %v", relDesc(b.loInc, ">="), b.lo))
+			}
+			if b.hasHi {
+				hiDesc = append(hiDesc, fmt.Sprintf("%s %v", relDesc(b.hiInc, "<="), b.hi))
+			}
+		}
+		return fmt.Sprintf("IndexRange(%s %s)", ap.ix.def, strings.Join(append(loDesc, hiDesc...), " and "))
+	}
 	if q.Subclasses {
 		return fmt.Sprintf("ExtentScan(%s+subclasses)", q.Class)
 	}
@@ -188,14 +217,17 @@ func extentDesc(q Q) string {
 // The FULL Where re-evaluates on every loaded row — index candidates are
 // optimistic supersets, so pushdown only narrows, never decides. γ (with
 // no join in between) reads only the referenced attributes, in place;
-// every other consumer gets whole rows of its own.
-func (m *Manager) source(tx *txn.Txn, q Q) (Iterator, string) {
-	ap := m.chooseAccess(q)
+// every other consumer gets whole rows of its own. Probe candidates are
+// sorted: a locked query takes its object locks in OID order, and a
+// query's rows come in a deterministic order.
+func (m *Manager) source(tx *txn.Txn, q Q) Iterator {
+	ap := leaf(tx, m.chooseAccess(q))
 	it := &oidIter{m: m, tx: tx, verify: q.Where}
 	switch ap.mode {
 	case accessProbe:
 		m.probes.Add(1)
-		it.oids = ap.ix.eqCandidates(ap.eqKey)
+		it.oids = ap.candidates(nil)
+		slices.Sort(it.oids)
 	case accessRange:
 		m.rangeScans.Add(1)
 		it.oids = ap.ix.rangeCandidates(ap.lo, ap.hi)
@@ -208,7 +240,7 @@ func (m *Manager) source(tx *txn.Txn, q Q) (Iterator, string) {
 	} else {
 		it.own = true
 	}
-	return it, ap.desc
+	return it
 }
 
 // referenced returns the attributes q's Where, group keys and aggregates
@@ -233,22 +265,28 @@ func referenced(q Q) []string {
 	return names
 }
 
+// openExtent makes the checks every read of class makes before it picks a
+// path: the class exists, and a locked read locks its extent
+// (object.Registry.LockExtent) whatever access path it takes — index
+// candidates are re-verified against the extent, and a create of the class
+// must not slip in behind them.
+func (m *Manager) openExtent(tx *txn.Txn, class string, subclasses bool) error {
+	if class == "" {
+		return fmt.Errorf("query: class required")
+	}
+	if _, err := m.reg.Class(class); err != nil {
+		return err
+	}
+	return m.reg.LockExtent(tx, class, subclasses, lockmgr.Shared)
+}
+
 // Plan compiles q into an iterator tree over tx's view of the store
-// (snapshot when armed, 2PL reads otherwise). A locked query locks its
-// extent first (object.Registry.LockExtent), whatever access path it takes:
-// index candidates are re-verified against the extent, and a create of the
-// class must not slip in behind them.
+// (snapshot when armed, 2PL reads otherwise).
 func (m *Manager) Plan(tx *txn.Txn, q Q) (Iterator, error) {
-	if q.Class == "" {
-		return nil, fmt.Errorf("query: class required")
-	}
-	if _, err := m.reg.Class(q.Class); err != nil {
+	if err := m.openExtent(tx, q.Class, q.Subclasses); err != nil {
 		return nil, err
 	}
-	if err := m.reg.LockExtent(tx, q.Class, q.Subclasses, lockmgr.Shared); err != nil {
-		return nil, err
-	}
-	it, _ := m.source(tx, q)
+	it := m.source(tx, q)
 	if q.Join != nil {
 		j := *q.Join
 		if j.LeftAttr == "" || j.RightAttr == "" {
@@ -289,23 +327,18 @@ func (m *Manager) Run(tx *txn.Txn, q Q) ([]Row, error) {
 	return Collect(it)
 }
 
-// Exists reports whether any object of class satisfies pred — the
-// evaluation primitive behind indexed rule conditions. It stops at the
-// first verified row.
+// Exists reports whether any object of class satisfies pred: a one-shot
+// Prepare and probe. A caller that asks the same question repeatedly (a
+// rule condition) prepares it once instead.
 func (m *Manager) Exists(tx *txn.Txn, class string, subclasses bool, pred Pred) (bool, error) {
-	it, err := m.Plan(tx, Q{Class: class, Subclasses: subclasses, Where: pred, Limit: 1})
-	if err != nil {
-		return false, err
-	}
-	defer it.Close()
-	ok := it.Next()
-	return ok, it.Err()
+	return m.Prepare(class, subclasses, pred).Exists(tx)
 }
 
 // Explain renders the plan the compiler would pick, without running it.
-func (m *Manager) Explain(q Q) string {
-	ap := m.chooseAccess(q)
-	parts := []string{ap.desc}
+func (m *Manager) Explain(q Q) string { return explain(m.chooseAccess(q), q) }
+
+func explain(ap accessPlan, q Q) string {
+	parts := []string{ap.describe(q)}
 	if q.Where != nil {
 		parts = append(parts, fmt.Sprintf("Verify(%s)", q.Where))
 	}

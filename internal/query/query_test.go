@@ -496,6 +496,82 @@ func TestCreateIndexAbortUninstalls(t *testing.T) {
 	e.checkOracle(tx, "STOCK", Eq("price", 2))
 }
 
+// TestAbortedCreateIsNotUsed: an abort releases the class lock before its
+// finishers take an aborted create's index back. A writer and a reader
+// that run in that window — here, from a finisher registered after the
+// create, so it runs before the create's own — must neither maintain the
+// index (its entry records are already undone) nor read through it.
+func TestAbortedCreateIsNotUsed(t *testing.T) {
+	e := newEnv(t)
+	e.seedStocks(20, 5)
+	tx := e.begin()
+	var seeded []event.OID
+	if err := e.reg.ForEach(tx, "STOCK", false, func(inst *object.Instance) bool {
+		seeded = append(seeded, inst.OID)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(tx)
+
+	ddl := e.begin()
+	if _, err := e.qm.CreateIndex(ddl, "STOCK", "price", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	var inWindow error
+	ddl.OnFinish(func(txn.Status) {
+		w, err := e.tm.Begin()
+		if err != nil {
+			inWindow = err
+			return
+		}
+		defer w.Commit()
+		for _, oid := range seeded[:5] {
+			inst, err := e.reg.Load(w, oid)
+			if err != nil {
+				inWindow = err
+				return
+			}
+			inst.Attrs()["price"] = 99
+			if err := e.reg.Persist(w, inst); err != nil {
+				inWindow = fmt.Errorf("re-key in the abort's window: %w", err)
+				return
+			}
+		}
+		if ok, err := e.qm.Exists(w, "STOCK", false, Eq("price", 99)); err != nil || !ok {
+			inWindow = fmt.Errorf("Exists(price = 99) in the abort's window = %v, %v", ok, err)
+		}
+	})
+	if err := ddl.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if inWindow != nil {
+		t.Fatal(inWindow)
+	}
+	_, _, _, entries, _ := e.qm.Stats()
+	tx = e.begin()
+	if _, err := e.qm.CreateIndex(tx, "STOCK", "price", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(tx)
+	if _, _, _, after, _ := e.qm.Stats(); after-entries != 20 {
+		t.Fatalf("the re-create wrote %d entries, want 20", after-entries)
+	}
+	tx = e.begin()
+	e.checkOracle(tx, "STOCK", Eq("price", 99))
+	e.checkOracle(tx, "STOCK", Eq("price", 2))
+	e.commit(tx)
+	// Entry records the window's writer might have left for the dead index
+	// are orphans at the next open.
+	e = e.reopen()
+	defer e.close()
+	tx = e.begin()
+	defer e.commit(tx)
+	if n, err := e.qm.SweepOrphans(tx); err != nil || n != 0 {
+		t.Fatalf("%d orphan entry records at reopen (%v)", n, err)
+	}
+}
+
 func TestDropIndex(t *testing.T) {
 	e := newEnv(t)
 	e.seedStocks(50, 10)

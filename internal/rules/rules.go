@@ -224,8 +224,9 @@ type Spec struct {
 // planner binds the predicate to a secondary index when one covers it,
 // turning the condition from an O(extent) closure into an index probe.
 // Class defaults to the spec's owning Class; a nil Pred tests extent
-// non-emptiness. Evaluation runs under the firing transaction, against its
-// MVCC snapshot.
+// non-emptiness. It is planned once, when the rule is defined (Manager.
+// Prepare), and re-planned only after index DDL. Evaluation runs under the
+// firing transaction, against its MVCC snapshot.
 type Where struct {
 	Class      string
 	Subclasses bool
@@ -250,6 +251,7 @@ type Rule struct {
 	eventName string // the event subscribed to (rewritten for deferred)
 	userEvent string // the event the user named
 	cond      Condition
+	where     *query.Prepared // the prepared Where, nil for a Condition rule
 	action    Action
 	ctx       detector.Context
 	coupling  CouplingMode
@@ -276,6 +278,10 @@ func (r *Rule) Name() string { return r.name }
 
 // Event returns the name of the event the user defined the rule on.
 func (r *Rule) Event() string { return r.userEvent }
+
+// Where returns the rule's prepared Where condition, nil when the rule has
+// none (or no query engine compiled it).
+func (r *Rule) Where() *query.Prepared { return r.where }
 
 // Coupling returns the rule's coupling mode.
 func (r *Rule) Coupling() CouplingMode { return r.coupling }
@@ -327,12 +333,12 @@ type Manager struct {
 	// counted, and reported as ErrCascadeShed — instead of recursing
 	// without bound. Zero means unlimited.
 	MaxCascade int
-	// ExistsFn evaluates Where conditions: does any object of class
-	// satisfy pred, as seen by tx? The facade wires it to the query
-	// engine's Exists (set once at startup, before rules run). A rule
-	// whose Where fires with no ExistsFn reports through OnError and
-	// does not run its action.
-	ExistsFn func(tx *txn.Txn, class string, subclasses bool, pred query.Pred) (bool, error)
+	// Prepare compiles a Where condition, once, when its rule is defined:
+	// EXISTS(class WHERE pred), probed on every firing. The facade wires
+	// it to the query engine's Prepare (set once at startup, before rules
+	// are defined). A rule whose Where was defined with no Prepare reports
+	// through OnError when it fires and does not run its action.
+	Prepare func(class string, subclasses bool, pred query.Pred) *query.Prepared
 
 	// OnError receives errors from rule executions (aborted actions,
 	// subtransaction failures). Default: discard.
@@ -433,31 +439,33 @@ func validateSpec(spec Spec) error {
 }
 
 // specCond resolves the spec's condition: the Condition func as given, or
-// a closure compiling Where through the query engine. The closure runs
-// inside evalCondition's snapshot scope, so the probe reads the firing
+// a probe of Where, prepared here through the query engine. The probe runs
+// inside evalCondition's snapshot scope, so it reads the firing
 // transaction's consistent view for free.
-func (m *Manager) specCond(spec *Spec) Condition {
+func (m *Manager) specCond(spec *Spec) (Condition, *query.Prepared) {
 	if spec.Where == nil {
-		return spec.Condition
+		return spec.Condition, nil
 	}
 	w := *spec.Where
 	if w.Class == "" {
 		w.Class = spec.Class
 	}
 	name := spec.Name
-	return func(exec *Execution) bool {
-		fn := m.ExistsFn
-		if fn == nil {
-			m.reportError(name, errors.New("rules: Where condition but no query engine wired (Manager.ExistsFn)"))
+	if m.Prepare == nil {
+		return func(*Execution) bool {
+			m.reportError(name, errors.New("rules: Where condition but no query engine wired (Manager.Prepare)"))
 			return false
-		}
-		ok, err := fn(exec.Txn, w.Class, w.Subclasses, w.Pred)
+		}, nil
+	}
+	p := m.Prepare(w.Class, w.Subclasses, w.Pred)
+	return func(exec *Execution) bool {
+		ok, err := p.Exists(exec.Txn)
 		if err != nil {
 			m.reportError(name, fmt.Errorf("rules: Where condition: %w", err))
 			return false
 		}
 		return ok
-	}
+	}, p
 }
 
 // Define creates, registers and enables one rule: DefineBatch of one.
@@ -539,12 +547,14 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 			} else if err := b.Retain(spec.Event); err != nil {
 				return err
 			}
+			cond, where := m.specCond(spec)
 			r := &Rule{
 				mgr:       m,
 				name:      spec.Name,
 				eventName: eventName,
 				userEvent: spec.Event,
-				cond:      m.specCond(spec),
+				cond:      cond,
+				where:     where,
 				action:    spec.Action,
 				ctx:       spec.Context,
 				coupling:  spec.Coupling,

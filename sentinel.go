@@ -307,13 +307,13 @@ func Open(opts Options) (*Database, error) {
 	rm.MaxCascade = opts.MaxCascadeDepth
 	objects := object.NewRegistry(det, store)
 	// The query engine maintains its secondary indexes through the object
-	// layer's mutation hook and answers declarative rule conditions
-	// (RuleSpec.Where) through the rule manager's Exists hook.
+	// layer's mutation hook and prepares declarative rule conditions
+	// (RuleSpec.Where) through the rule manager's Prepare hook.
 	var queries *query.Manager
 	if store != nil {
 		queries = query.NewManager(store, objects)
 		objects.SetIndexHook(queries)
-		rm.ExistsFn = queries.Exists
+		rm.Prepare = queries.Prepare
 		// Followers keep the object directory and index structures current
 		// by observing committed record traffic as it is applied, in LSN
 		// order; leaders never invoke the hook (they maintain in-line).
@@ -606,6 +606,20 @@ func (db *Database) ExplainQuery(q Q) string {
 		return "unavailable (in-memory database)"
 	}
 	return db.queries.Explain(q)
+}
+
+// ExplainRule renders the prepared plan of a rule's Where condition — the
+// access path its firings take now, re-planned first if index DDL has made
+// it stale.
+func (db *Database) ExplainRule(name string) (string, error) {
+	r, err := db.rules.Get(name)
+	if err != nil {
+		return "", err
+	}
+	if r.Where() == nil {
+		return "", fmt.Errorf("sentinel: rule %q has no prepared Where condition", name)
+	}
+	return r.Where().Explain(), nil
 }
 
 // CreateIndex builds a secondary index on class.attr inside tx: the
