@@ -50,8 +50,9 @@ check:
 # settled-stamp mark and the Begin gap), and 20
 # -race rounds of concurrent writer transactions through the facade
 # (per-object locks, per-family rule scheduling) and of a Where rule
-# firing while its index is created, dropped and abortively created
-# (each answer checked against an extent walk on the same snapshot).
+# firing while its index is created, dropped, abortively created and
+# abortively dropped (each answer checked against an extent walk on the
+# same snapshot).
 # All three sweeps are one harness
 # (internal/faulttest): each logs its base seed and a per-kill-point crash
 # tally, and at 100+ iterations fails if a point it may arm never fired.

@@ -122,8 +122,8 @@ func TestWhereConditionAllocations(t *testing.T) {
 }
 
 // TestWhereRuleAcrossIndexDDL fires a Where rule in a loop while another
-// goroutine creates, drops and abortively creates an index on the probed
-// attribute. In each firing a second rule's condition probes the Where
+// goroutine creates, drops, abortively creates and abortively drops an
+// index on the probed attribute. In each firing a second rule's condition probes the Where
 // rule's prepared plan and walks the extent on the same snapshot; the two
 // must agree, and the Where rule must fire exactly when the walk finds a
 // row. A snapshot opened before the DDL is checked the same way.
@@ -219,6 +219,7 @@ func TestWhereRuleAcrossIndexDDL(t *testing.T) {
 				return err
 			},
 			func(tx *sentinel.Txn) error { return db.DropIndex(tx, "ACCOUNT", "branch", sentinel.HashIndex) },
+			func(tx *sentinel.Txn) error { return db.DropIndex(tx, "ACCOUNT", "branch", sentinel.HashIndex) },
 		}
 		for {
 			select {
@@ -228,8 +229,8 @@ func TestWhereRuleAcrossIndexDDL(t *testing.T) {
 			default:
 			}
 			for i, fn := range ddl {
-				// The ordered create always aborts.
-				if err := attempt(i == 1, fn); err != nil {
+				// The ordered create and the first drop abort.
+				if err := attempt(i == 1 || i == 2, fn); err != nil {
 					ddlDone <- err
 					return
 				}
@@ -261,7 +262,8 @@ func TestWhereRuleAcrossIndexDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At least 150 firings, and at least 20 rounds of DDL beside them.
-	for r := 0; (r < 150 || ddlRounds.Load() < 20) && !t.Failed(); r++ {
+	r := 0
+	for ; (r < 150 || ddlRounds.Load() < 20) && !t.Failed(); r++ {
 		// Committed re-keys, then a firing that writes nothing (DDL may run
 		// beside it); every third firing re-keys in its own transaction.
 		err := attempt(false, rekey)
@@ -296,7 +298,8 @@ func TestWhereRuleAcrossIndexDDL(t *testing.T) {
 	if ruleErr != nil {
 		t.Fatal(ruleErr)
 	}
-	t.Logf("%d firings, %d found a row, %d rounds of DDL", whereFired.Load(), oracleTrue.Load(), ddlRounds.Load())
+	t.Logf("%d ticks: the Where rule fired %d times, the extent walk found a row %d times; %d rounds of DDL",
+		r, whereFired.Load(), oracleTrue.Load(), ddlRounds.Load())
 	if whereFired.Load() != oracleTrue.Load() {
 		t.Fatalf("the Where rule fired %d times, the extent walk found a row %d times", whereFired.Load(), oracleTrue.Load())
 	}

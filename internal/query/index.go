@@ -129,9 +129,12 @@ type index struct {
 	// creator is the transaction whose CreateIndex made the index, until
 	// its root commits; nil after that and for an index found at open.
 	// createTS is then the commit timestamp the create is visible from (0:
-	// visible to every snapshot). usableBy and aborted read them.
+	// visible to every snapshot). dropper is the transaction whose
+	// DropIndex removes it, from the statement until the root's commit
+	// uninstalls it. live and usableBy read them.
 	creator  atomic.Pointer[txn.Txn]
 	createTS atomic.Uint64
+	dropper  atomic.Pointer[txn.Txn]
 
 	hmu  sync.RWMutex
 	hash map[string]map[uint64]posting // HashIndex: enc key -> oid -> posting
@@ -149,32 +152,46 @@ func makeIndex(def IndexDef) *index {
 	return ix
 }
 
-// usableBy reports whether tx may read through ix. No reader may while
-// the create's abort is being undone (aborted). A locked read may
-// otherwise: it holds its class's lock shared and DDL holds it exclusive,
-// so an index it finds is committed or its own family's. A snapshot may only once the
-// index's create is visible to it: the backfill indexed the extent as it
-// stood at the create, so an older snapshot would miss every row deleted
-// or re-keyed since the snapshot began. It takes the extent scan instead.
+// usableBy reports whether tx may read through ix. Nobody may read an
+// index that is not live. A locked read may otherwise: it holds its
+// class's lock shared and DDL holds it exclusive, so an index it finds is
+// committed or its own family's. A snapshot may only once the index's
+// create is visible to it: the backfill indexed the extent as it stood at
+// the create, so an older snapshot would miss every row deleted or
+// re-keyed since the snapshot began. It takes the extent scan instead.
 func (ix *index) usableBy(tx *txn.Txn) bool {
-	sn := tx.Snapshot()
-	c := ix.creator.Load()
-	if c == nil {
-		return sn == nil || ix.createTS.Load() <= sn.TS()
-	}
-	if ix.aborted() {
+	if !ix.live() {
 		return false
 	}
-	return sn == nil || c.Root() == tx.Root()
+	sn := tx.Snapshot()
+	if sn == nil {
+		return true
+	}
+	if c := ix.creator.Load(); c != nil {
+		return c.Root() == tx.Root()
+	}
+	return ix.createTS.Load() <= sn.TS()
 }
 
-// aborted reports whether the transaction that created ix, or one of its
-// ancestors, has aborted. An abort releases the class lock before its
-// finishers take the backfill's postings back and uninstall the index, so
-// in between nobody may read or maintain it: its entry records are already
-// undone, and their slots may hold other records.
-func (ix *index) aborted() bool {
-	for t := ix.creator.Load(); t != nil; t = t.Parent() {
+// live reports whether ix is read and maintained: its create has not
+// aborted, and no drop of it is pending or committed. An abort sets its
+// transaction's status before it releases the class lock, and runs the
+// finishers that uninstall an aborted create (or clear an aborted drop)
+// only after: the status is what makes either index right at once for a
+// writer or reader that gets the lock in between. An aborted create's
+// entry records are already undone (their slots may hold other records);
+// an aborted drop's index must see every write from then on.
+func (ix *index) live() bool {
+	if c := ix.creator.Load(); c != nil && aborted(c) {
+		return false
+	}
+	d := ix.dropper.Load()
+	return d == nil || aborted(d)
+}
+
+// aborted reports whether t or one of its ancestors has aborted.
+func aborted(t *txn.Txn) bool {
+	for ; t != nil; t = t.Parent() {
 		if t.Status() == txn.Aborted {
 			return true
 		}
@@ -574,12 +591,7 @@ func (m *Manager) uninstallLocked(ix *index) {
 func (m *Manager) Defs() []IndexDef {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]IndexDef, 0, len(m.byID))
-	for _, ix := range m.byID {
-		out = append(out, ix.def)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return m.defsLocked()
 }
 
 // SweepOrphans deletes entry records found at boot that belong to no live
@@ -698,8 +710,7 @@ func (m *Manager) maybePrune() {
 	}
 }
 
-// indexesFor returns the live indexes over any attribute of class: not
-// those whose create aborted.
+// indexesFor returns the live indexes over any attribute of class.
 func (m *Manager) indexesFor(class string) []*index {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -707,10 +718,14 @@ func (m *Manager) indexesFor(class string) []*index {
 	if len(attrs) == 0 {
 		return nil
 	}
-	var out []*index
+	n := 0
+	for _, list := range attrs {
+		n += len(list)
+	}
+	out := make([]*index, 0, n)
 	for _, list := range attrs {
 		for _, ix := range list {
-			if !ix.aborted() {
+			if ix.live() {
 				out = append(out, ix)
 			}
 		}
@@ -731,7 +746,7 @@ func (m *Manager) lookupIndex(class, attr string, kinds ...IndexKind) *index {
 func findIndexLocked(list []*index, kinds ...IndexKind) *index {
 	for _, k := range kinds {
 		for _, ix := range list {
-			if ix.def.Kind == k && !ix.aborted() {
+			if ix.def.Kind == k && ix.live() {
 				return ix
 			}
 		}
@@ -938,14 +953,26 @@ func (m *Manager) DropIndex(tx *txn.Txn, class, attr string, kind IndexKind) err
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s(%s.%s)", ErrNoIndex, kind, class, attr)
 	}
-	m.uninstallLocked(ix)
+	// The index stays installed, dead to every reader and writer (live),
+	// until the root's commit uninstalls it; an abort makes it live again
+	// before the class lock is released.
+	ix.dropper.Store(tx)
+	m.version.Add(1)
 	defs := m.defsLocked()
 	m.mu.Unlock()
 
 	onAbortChain(tx, func() {
 		m.mu.Lock()
-		m.installLocked(ix)
+		ix.dropper.CompareAndSwap(tx, nil)
+		m.version.Add(1)
 		m.mu.Unlock()
+	})
+	tx.Root().OnFinish(func(st txn.Status) {
+		if st == txn.Committed && ix.dropper.Load() == tx && !aborted(tx) {
+			m.mu.Lock()
+			m.uninstallLocked(ix)
+			m.mu.Unlock()
+		}
 	})
 
 	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxDrop, appendDef(nil, ix.def)); err != nil {
@@ -991,7 +1018,9 @@ func (m *Manager) lockDDL(tx *txn.Txn, class string) error {
 func (m *Manager) defsLocked() []IndexDef {
 	out := make([]IndexDef, 0, len(m.byID))
 	for _, ix := range m.byID {
-		out = append(out, ix.def)
+		if ix.live() {
+			out = append(out, ix.def)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

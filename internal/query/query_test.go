@@ -496,28 +496,25 @@ func TestCreateIndexAbortUninstalls(t *testing.T) {
 	e.checkOracle(tx, "STOCK", Eq("price", 2))
 }
 
-// TestAbortedCreateIsNotUsed: an abort releases the class lock before its
-// finishers take an aborted create's index back. A writer and a reader
-// that run in that window — here, from a finisher registered after the
-// create, so it runs before the create's own — must neither maintain the
-// index (its entry records are already undone) nor read through it.
-func TestAbortedCreateIsNotUsed(t *testing.T) {
-	e := newEnv(t)
-	e.seedStocks(20, 5)
-	tx := e.begin()
+// abortInWindow aborts ddl after registering a finisher that re-keys five
+// STOCK objects to price 99 in a transaction of its own and probes for
+// them. An abort releases its locks before it runs its finishers, and one
+// registered after the DDL statement runs before the statement's own, so
+// the writer and the probe run in the window between the two.
+func (e *env) abortInWindow(ddl *txn.Txn) {
+	e.t.Helper()
+	snap, err := e.tm.BeginSnapshot() // ddl holds the class lock
+	if err != nil {
+		e.t.Fatal(err)
+	}
 	var seeded []event.OID
-	if err := e.reg.ForEach(tx, "STOCK", false, func(inst *object.Instance) bool {
+	if err := e.reg.ForEach(snap, "STOCK", false, func(inst *object.Instance) bool {
 		seeded = append(seeded, inst.OID)
 		return true
 	}); err != nil {
-		t.Fatal(err)
+		e.t.Fatal(err)
 	}
-	e.commit(tx)
-
-	ddl := e.begin()
-	if _, err := e.qm.CreateIndex(ddl, "STOCK", "price", HashIndex); err != nil {
-		t.Fatal(err)
-	}
+	e.commit(snap)
 	var inWindow error
 	ddl.OnFinish(func(txn.Status) {
 		w, err := e.tm.Begin()
@@ -543,13 +540,26 @@ func TestAbortedCreateIsNotUsed(t *testing.T) {
 		}
 	})
 	if err := ddl.Abort(); err != nil {
-		t.Fatal(err)
+		e.t.Fatal(err)
 	}
 	if inWindow != nil {
-		t.Fatal(inWindow)
+		e.t.Fatal(inWindow)
 	}
+}
+
+// TestAbortedCreateIsNotUsed: in its abort's window an aborted create's
+// index is neither maintained (its entry records are already undone) nor
+// read.
+func TestAbortedCreateIsNotUsed(t *testing.T) {
+	e := newEnv(t)
+	e.seedStocks(20, 5)
+	ddl := e.begin()
+	if _, err := e.qm.CreateIndex(ddl, "STOCK", "price", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	e.abortInWindow(ddl)
 	_, _, _, entries, _ := e.qm.Stats()
-	tx = e.begin()
+	tx := e.begin()
 	if _, err := e.qm.CreateIndex(tx, "STOCK", "price", HashIndex); err != nil {
 		t.Fatal(err)
 	}
@@ -570,6 +580,41 @@ func TestAbortedCreateIsNotUsed(t *testing.T) {
 	if n, err := e.qm.SweepOrphans(tx); err != nil || n != 0 {
 		t.Fatalf("%d orphan entry records at reopen (%v)", n, err)
 	}
+}
+
+// TestAbortedDropIsMaintained: in its abort's window an aborted drop's
+// index is live again, so a write there is posted, the catalog keeps the
+// index, and after the abort the index still answers like the extent.
+func TestAbortedDropIsMaintained(t *testing.T) {
+	e := newEnv(t)
+	e.seedStocks(20, 5)
+	tx := e.begin()
+	if _, err := e.qm.CreateIndex(tx, "STOCK", "price", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(tx)
+	ddl := e.begin()
+	if err := e.qm.DropIndex(ddl, "STOCK", "price", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	e.abortInWindow(ddl)
+	if defs := e.qm.Defs(); len(defs) != 1 {
+		t.Fatalf("after the aborted drop: %v, want the index", defs)
+	}
+	for _, reopen := range []bool{false, true} {
+		if reopen {
+			e = e.reopen()
+		}
+		tx = e.begin()
+		probes, _, _, _, _ := e.qm.Stats()
+		e.checkOracle(tx, "STOCK", Eq("price", 99))
+		e.checkOracle(tx, "STOCK", Eq("price", 2))
+		if now, _, _, _, _ := e.qm.Stats(); now != probes+2 {
+			t.Fatalf("reopen %v: %d probes, want 2", reopen, now-probes)
+		}
+		e.commit(tx)
+	}
+	e.close()
 }
 
 func TestDropIndex(t *testing.T) {

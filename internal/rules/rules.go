@@ -9,6 +9,7 @@ package rules
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -251,7 +252,6 @@ type Rule struct {
 	eventName string // the event subscribed to (rewritten for deferred)
 	userEvent string // the event the user named
 	cond      Condition
-	where     *query.Prepared // the prepared Where, nil for a Condition rule
 	action    Action
 	ctx       detector.Context
 	coupling  CouplingMode
@@ -281,7 +281,11 @@ func (r *Rule) Event() string { return r.userEvent }
 
 // Where returns the rule's prepared Where condition, nil when the rule has
 // none (or no query engine compiled it).
-func (r *Rule) Where() *query.Prepared { return r.where }
+func (r *Rule) Where() *query.Prepared {
+	r.mgr.mu.Lock()
+	defer r.mgr.mu.Unlock()
+	return r.mgr.wheres[r]
+}
 
 // Coupling returns the rule's coupling mode.
 func (r *Rule) Coupling() CouplingMode { return r.coupling }
@@ -315,6 +319,11 @@ type Manager struct {
 	mu       sync.Mutex
 	rules    map[string]*Rule
 	reserved map[string]struct{} // names claimed by in-flight Defines
+	// wheres holds the prepared Where of each rule that has one. It is
+	// kept here, not in Rule, which every firing reads: Rule is 192 bytes,
+	// a size class of its own, and one pointer more would move every rule
+	// to the next for the few that have a Where.
+	wheres   map[*Rule]*query.Prepared
 	detached sync.WaitGroup
 	// chunks holds, per P, the unused tail of a chunk of firings
 	// (newFiring).
@@ -412,6 +421,7 @@ func NewManager(det *detector.Detector, txns *txn.Manager, s *sched.Scheduler) *
 		sched:    s,
 		rules:    make(map[string]*Rule),
 		reserved: make(map[string]struct{}),
+		wheres:   make(map[*Rule]*query.Prepared),
 	}
 }
 
@@ -532,6 +542,7 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 	m.mu.Unlock()
 
 	built := make([]*Rule, 0, len(specs))
+	var wheres map[*Rule]*query.Prepared
 	err := m.det.BulkBuild(func(b *detector.Bulk) error {
 		for i := range specs {
 			spec := &specs[i]
@@ -554,7 +565,6 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 				eventName: eventName,
 				userEvent: spec.Event,
 				cond:      cond,
-				where:     where,
 				action:    spec.Action,
 				ctx:       spec.Context,
 				coupling:  spec.Coupling,
@@ -578,6 +588,12 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 				r.minSeq = b.SeqNow() + 1
 			}
 			built = append(built, r)
+			if where != nil {
+				if wheres == nil {
+					wheres = make(map[*Rule]*query.Prepared)
+				}
+				wheres[r] = where
+			}
 		}
 		return nil
 	})
@@ -598,6 +614,7 @@ func (m *Manager) DefineBatch(specs []Spec) ([]*Rule, error) {
 		delete(m.reserved, r.name)
 		m.rules[r.name] = r
 	}
+	maps.Copy(m.wheres, wheres)
 	m.mu.Unlock()
 	if met := m.met; met != nil {
 		met.enables.Add(uint64(len(built)))
@@ -636,6 +653,7 @@ func (m *Manager) Drop(name string) error {
 	m.mu.Lock()
 	r, ok := m.rules[name]
 	delete(m.rules, name)
+	delete(m.wheres, r)
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRule, name)
