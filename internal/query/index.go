@@ -1170,7 +1170,13 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 		"Live secondary indexes.", func() float64 {
 			m.mu.RLock()
 			defer m.mu.RUnlock()
-			return float64(len(m.byID))
+			n := 0
+			for _, ix := range m.byID {
+				if ix.live() {
+					n++
+				}
+			}
+			return float64(n)
 		})
 	r.GaugeFunc("sentinel_query_index_postings",
 		"Directory postings across all indexes.", func() float64 {
