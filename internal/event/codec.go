@@ -43,25 +43,26 @@ func AppendString(b []byte, s string) []byte {
 
 // Param value type tags. The tag preserves the concrete Go type of the
 // any-typed value (rule conditions type-assert on parameter values, so int
-// must come back as int, not int64). A new tag goes into both Reader.Value
-// and Reader.SkipValue; TestSkipValueMatchesValue fails on one that does not.
+// must come back as int, not int64). A new tag goes into Reader.Value,
+// Reader.SkipValue, Reader.SlotInto, Slot.Box and SlotOf;
+// TestSkipValueMatchesValue fails on one that any of them misses.
 const (
-	tagNil = iota
-	tagBool
-	tagInt
-	tagInt8
-	tagInt16
-	tagInt32
-	tagInt64
-	tagUint
-	tagUint8
-	tagUint16
-	tagUint32
-	tagUint64
-	tagFloat32
-	tagFloat64
-	tagString
-	tagOID
+	TagNil byte = iota
+	TagBool
+	TagInt
+	TagInt8
+	TagInt16
+	TagInt32
+	TagInt64
+	TagUint
+	TagUint8
+	TagUint16
+	TagUint32
+	TagUint64
+	TagFloat32
+	TagFloat64
+	TagString
+	TagOID
 )
 
 // Atomic reports whether v belongs to the atomic value set the paper allows
@@ -83,43 +84,43 @@ func Atomic(v any) bool {
 func AppendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return append(b, tagNil), nil
+		return append(b, TagNil), nil
 	case bool:
 		if x {
-			return append(b, tagBool, 1), nil
+			return append(b, TagBool, 1), nil
 		}
-		return append(b, tagBool, 0), nil
+		return append(b, TagBool, 0), nil
 	case int:
-		return binary.AppendVarint(append(b, tagInt), int64(x)), nil
+		return binary.AppendVarint(append(b, TagInt), int64(x)), nil
 	case int8:
-		return binary.AppendVarint(append(b, tagInt8), int64(x)), nil
+		return binary.AppendVarint(append(b, TagInt8), int64(x)), nil
 	case int16:
-		return binary.AppendVarint(append(b, tagInt16), int64(x)), nil
+		return binary.AppendVarint(append(b, TagInt16), int64(x)), nil
 	case int32:
-		return binary.AppendVarint(append(b, tagInt32), int64(x)), nil
+		return binary.AppendVarint(append(b, TagInt32), int64(x)), nil
 	case int64:
-		return binary.AppendVarint(append(b, tagInt64), x), nil
+		return binary.AppendVarint(append(b, TagInt64), x), nil
 	case uint:
-		return binary.AppendUvarint(append(b, tagUint), uint64(x)), nil
+		return binary.AppendUvarint(append(b, TagUint), uint64(x)), nil
 	case uint8:
-		return binary.AppendUvarint(append(b, tagUint8), uint64(x)), nil
+		return binary.AppendUvarint(append(b, TagUint8), uint64(x)), nil
 	case uint16:
-		return binary.AppendUvarint(append(b, tagUint16), uint64(x)), nil
+		return binary.AppendUvarint(append(b, TagUint16), uint64(x)), nil
 	case uint32:
-		return binary.AppendUvarint(append(b, tagUint32), uint64(x)), nil
+		return binary.AppendUvarint(append(b, TagUint32), uint64(x)), nil
 	case uint64:
-		return binary.AppendUvarint(append(b, tagUint64), x), nil
+		return binary.AppendUvarint(append(b, TagUint64), x), nil
 	case float32:
-		return binary.LittleEndian.AppendUint32(append(b, tagFloat32), math.Float32bits(x)), nil
+		return binary.LittleEndian.AppendUint32(append(b, TagFloat32), math.Float32bits(x)), nil
 	case float64:
-		return binary.LittleEndian.AppendUint64(append(b, tagFloat64), math.Float64bits(x)), nil
+		return binary.LittleEndian.AppendUint64(append(b, TagFloat64), math.Float64bits(x)), nil
 	case string:
 		if len(x) > MaxString {
 			return b, fmt.Errorf("event: string value of %d bytes exceeds limit %d", len(x), MaxString)
 		}
-		return AppendString(append(b, tagString), x), nil
+		return AppendString(append(b, TagString), x), nil
 	case OID:
-		return binary.AppendUvarint(append(b, tagOID), uint64(x)), nil
+		return binary.AppendUvarint(append(b, TagOID), uint64(x)), nil
 	default:
 		return b, fmt.Errorf("event: non-atomic parameter value %T", v)
 	}
@@ -300,37 +301,37 @@ func (r *Reader) StrBytes() []byte {
 // Value reads one tagged parameter value.
 func (r *Reader) Value() any {
 	switch tag := r.Byte(); tag {
-	case tagNil:
+	case TagNil:
 		return nil
-	case tagBool:
+	case TagBool:
 		return r.Byte() != 0
-	case tagInt:
+	case TagInt:
 		return int(r.Varint())
-	case tagInt8:
+	case TagInt8:
 		return int8(r.Varint())
-	case tagInt16:
+	case TagInt16:
 		return int16(r.Varint())
-	case tagInt32:
+	case TagInt32:
 		return int32(r.Varint())
-	case tagInt64:
+	case TagInt64:
 		return r.Varint()
-	case tagUint:
+	case TagUint:
 		return uint(r.Uvarint())
-	case tagUint8:
+	case TagUint8:
 		return uint8(r.Uvarint())
-	case tagUint16:
+	case TagUint16:
 		return uint16(r.Uvarint())
-	case tagUint32:
+	case TagUint32:
 		return uint32(r.Uvarint())
-	case tagUint64:
+	case TagUint64:
 		return r.Uvarint()
-	case tagFloat32:
+	case TagFloat32:
 		return math.Float32frombits(binary.LittleEndian.Uint32(r.fixed(4)))
-	case tagFloat64:
+	case TagFloat64:
 		return math.Float64frombits(binary.LittleEndian.Uint64(r.fixed(8)))
-	case tagString:
+	case TagString:
 		return r.Str()
-	case tagOID:
+	case TagOID:
 		return OID(r.Uvarint())
 	default:
 		r.fail("unknown value tag %d", uint64(tag))
@@ -342,21 +343,65 @@ func (r *Reader) Value() any {
 // without building it.
 func (r *Reader) SkipValue() {
 	switch tag := r.Byte(); tag {
-	case tagNil:
-	case tagBool:
+	case TagNil:
+	case TagBool:
 		r.Byte()
-	case tagInt, tagInt8, tagInt16, tagInt32, tagInt64:
+	case TagInt, TagInt8, TagInt16, TagInt32, TagInt64:
 		r.Varint()
-	case tagUint, tagUint8, tagUint16, tagUint32, tagUint64, tagOID:
+	case TagUint, TagUint8, TagUint16, TagUint32, TagUint64, TagOID:
 		r.Uvarint()
-	case tagFloat32:
+	case TagFloat32:
 		r.fixed(4)
-	case tagFloat64:
+	case TagFloat64:
 		r.fixed(8)
-	case tagString:
+	case TagString:
 		r.StrBytes()
 	default:
 		r.fail("unknown value tag %d", uint64(tag))
+	}
+}
+
+// SlotInto reads one tagged value into *s, unboxed: the same value Value
+// returns (s.Box() is it), failing exactly where Value would. A string
+// slot's bytes alias the input.
+func (r *Reader) SlotInto(s *Slot) {
+	tag := r.Byte()
+	*s = Slot{Tag: tag}
+	switch tag {
+	case TagNil:
+	case TagBool:
+		if r.Byte() != 0 {
+			s.Bits = 1
+		}
+	case TagInt:
+		s.Bits = uint64(int(r.Varint()))
+	case TagInt8:
+		s.Bits = uint64(int8(r.Varint()))
+	case TagInt16:
+		s.Bits = uint64(int16(r.Varint()))
+	case TagInt32:
+		s.Bits = uint64(int32(r.Varint()))
+	case TagInt64:
+		s.Bits = uint64(r.Varint())
+	case TagUint:
+		s.Bits = uint64(uint(r.Uvarint()))
+	case TagUint8:
+		s.Bits = uint64(uint8(r.Uvarint()))
+	case TagUint16:
+		s.Bits = uint64(uint16(r.Uvarint()))
+	case TagUint32:
+		s.Bits = uint64(uint32(r.Uvarint()))
+	case TagUint64, TagOID:
+		s.Bits = r.Uvarint()
+	case TagFloat32:
+		s.Bits = uint64(binary.LittleEndian.Uint32(r.fixed(4)))
+	case TagFloat64:
+		s.Bits = binary.LittleEndian.Uint64(r.fixed(8))
+	case TagString:
+		s.Str = r.StrBytes()
+	default:
+		r.fail("unknown value tag %d", uint64(tag))
+		*s = Slot{}
 	}
 }
 

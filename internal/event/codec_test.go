@@ -57,9 +57,10 @@ func TestOccurrenceCodecRoundTrip(t *testing.T) {
 // The encoder refuses what the decoder would refuse, so nothing it writes
 // into a log is undecodable.
 // TestSkipValueMatchesValue: for every tag byte, under payloads that are
-// valid for some tags and truncated or malformed for others, SkipValue
-// consumes exactly the bytes Value does and fails exactly when it fails.
-// A tag added to one of the two switches and not the other fails here.
+// valid for some tags and truncated or malformed for others, SkipValue and
+// SlotInto consume exactly the bytes Value does and fail exactly when it
+// fails, and the slot boxes to Value's value with its Go type. A tag added
+// to one of the three switches and not the others fails here.
 func TestSkipValueMatchesValue(t *testing.T) {
 	tails := [][]byte{
 		{},
@@ -75,15 +76,40 @@ func TestSkipValueMatchesValue(t *testing.T) {
 	for tag := 0; tag < 256; tag++ {
 		for _, tail := range tails {
 			in := append([]byte{byte(tag)}, tail...)
-			full, skip := NewReader(in), NewReader(in)
-			full.Value()
+			full, skip, slot := NewReader(in), NewReader(in), NewReader(in)
+			v := full.Value()
 			skip.SkipValue()
+			var s Slot
+			slot.SlotInto(&s)
 			if (full.Err() == nil) != (skip.Err() == nil) || full.Remaining() != skip.Remaining() {
 				t.Fatalf("tag %d, payload % x: Value left %d bytes (err %v), SkipValue %d (err %v)",
 					tag, tail, full.Remaining(), full.Err(), skip.Remaining(), skip.Err())
 			}
+			if (full.Err() == nil) != (slot.Err() == nil) || full.Remaining() != slot.Remaining() {
+				t.Fatalf("tag %d, payload % x: Value left %d bytes (err %v), SlotInto %d (err %v)",
+					tag, tail, full.Remaining(), full.Err(), slot.Remaining(), slot.Err())
+			}
+			if full.Err() == nil && !sameValue(s.Box(), v) {
+				t.Fatalf("tag %d, payload % x: slot boxes to %#v (%T), Value is %#v (%T)", tag, tail, s.Box(), s.Box(), v, v)
+			}
+			if back, ok := SlotOf(v); full.Err() == nil && (!ok || !sameValue(back.Box(), v)) {
+				t.Fatalf("tag %d, payload % x: SlotOf(%#v) boxes to %#v", tag, tail, v, back.Box())
+			}
 		}
 	}
+}
+
+// sameValue is == (so the Go types must match) with floats compared bitwise.
+func sameValue(a, b any) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case float32:
+		y, ok := b.(float32)
+		return ok && math.Float32bits(x) == math.Float32bits(y)
+	}
+	return a == b
 }
 
 func TestEncoderEnforcesDecoderLimits(t *testing.T) {

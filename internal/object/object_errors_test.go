@@ -277,17 +277,17 @@ func TestLoadMissAllocatesOnlyItsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = snap.Commit() }()
-	row := map[string]any{}
+	want, slots := []string{"x"}, make([]event.Slot, 1)
 	for _, oid := range []event.OID{b.OID + 1000, a.OID} {
-		_, _, err := r.LoadAttrs(snap, oid, []string{"x"}, row)
+		_, _, err := r.LoadSlots(snap, oid, want, slots, nil)
 		var oe *Error
 		if !errors.Is(err, ErrUnknownObject) || !errors.As(err, &oe) || oe.OID != oid || oe.Op != "load" {
-			t.Fatalf("LoadAttrs(%v) = %v, want an *Error for a load of %v", oid, err, oid)
+			t.Fatalf("LoadSlots(%v) = %v, want an *Error for a load of %v", oid, err, oid)
 		}
 		if msg := err.Error(); !strings.Contains(msg, ErrUnknownObject.Error()) || !strings.Contains(msg, oid.String()) {
 			t.Fatalf("miss message %q names neither the cause nor %v", msg, oid)
 		}
-		if got := testing.AllocsPerRun(200, func() { _, _, _ = r.LoadAttrs(snap, oid, []string{"x"}, row) }); got != 1 {
+		if got := testing.AllocsPerRun(200, func() { _, _, _ = r.LoadSlots(snap, oid, want, slots, nil) }); got != 1 {
 			t.Fatalf("a miss of %v allocates %.1f times, want 1", oid, got)
 		}
 	}

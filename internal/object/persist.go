@@ -540,7 +540,7 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 		}
 		return nil, unknownObject("load", oid)
 	}
-	attrs, c, err := r.LoadAttrs(tx, oid, nil, nil)
+	attrs, c, err := r.LoadAttrs(tx, oid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -550,53 +550,118 @@ func (r *Registry) Load(tx *txn.Txn, oid event.OID) (*Instance, error) {
 // loadAt is Load from a known RID, without the object's lock: the extent
 // scan that found the record holds its class's lock, or reads a snapshot.
 func (r *Registry) loadAt(tx *txn.Txn, oid event.OID, rid storage.RID) (*Instance, error) {
-	attrs, c, err := r.attrsAt(tx, oid, rid, nil, nil)
+	var d recordRead
+	c, err := r.readAt(tx, oid, rid, &d)
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{OID: oid, Class: c, attrs: attrs}, nil
+	return &Instance{OID: oid, Class: c, attrs: d.attrs}, nil
 }
 
 // LoadAttrs is Load for a reader that wants attribute values rather than
-// an Instance (the query layer's scans), and it makes every check Load
-// makes: the object's lock shared (or the snapshot's bypass), the
-// directory entry, the record's visibility, the OID in its header, a
+// an Instance (the query layer's rows handed out), and it makes every
+// check Load makes: the object's lock shared (or the snapshot's bypass),
+// the directory entry, the record's visibility, the OID in its header, a
 // registered class, strictly ordered names and the whole record consumed.
-// It clears row and fills it with the attributes named in want — all of
-// them when want is nil — stepping over the others with the same
-// validation; a nil row gets a fresh map sized to the record. want is
-// meant to be short (a query's referenced attributes). It returns the
-// filled map and the object's class. It needs a store.
-func (r *Registry) LoadAttrs(tx *txn.Txn, oid event.OID, want []string, row map[string]any) (attrs map[string]any, c *Class, err error) {
-	if r.store == nil {
-		return nil, nil, ErrNotPersistent
-	}
+// It clears row and fills it with every attribute; a nil row gets a fresh
+// map sized to the record. It returns the filled map and the object's
+// class. It needs a store.
+func (r *Registry) LoadAttrs(tx *txn.Txn, oid event.OID, row map[string]any) (map[string]any, *Class, error) {
 	clear(row)
-	if err := lockObject(tx, oid, lockmgr.Shared); err != nil {
+	d := recordRead{attrs: row}
+	c, err := r.read(tx, oid, &d)
+	if err != nil {
 		return nil, nil, err
+	}
+	return d.attrs, c, nil
+}
+
+// LoadSlots is LoadAttrs for a row that stays in the engine (a query's
+// verify and γ input, a prepared probe): it makes the same checks, and
+// decodes into slots, slot i holding the attribute want[i] (nil when the
+// object has none), stepping over the others with the same validation.
+// The record is decoded under its page latch, so each string slot's bytes
+// are copied into buf (reused from its start) before the latch is
+// released: no slot views a page. It returns buf, grown as needed, and
+// the object's class.
+func (r *Registry) LoadSlots(tx *txn.Txn, oid event.OID, want []string, slots []event.Slot, buf []byte) ([]byte, *Class, error) {
+	d := recordRead{slotted: true, want: want, slots: slots, buf: buf}
+	c, err := r.read(tx, oid, &d)
+	return d.buf, c, err
+}
+
+// recordRead is what read decodes of an object's record: every attribute
+// into attrs (a map, reused when non-nil), or, slotted, the attributes in
+// want into slots, their string bytes copied into buf.
+type recordRead struct {
+	attrs   map[string]any
+	slotted bool
+	want    []string
+	slots   []event.Slot
+	buf     []byte
+}
+
+// decode runs under the page latch; it reports a malformed record.
+func (d *recordRead) decode(rd *event.Reader, c *Class) (ok bool) {
+	if !d.slotted {
+		d.attrs, ok = readAttrsInto(rd, &c.names, d.attrs)
+		return ok
+	}
+	if !readSlots(rd, d.want, d.slots) {
+		clear(d.slots) // what was read of it may view the page
+		return false
+	}
+	d.buf = ownStrings(d.slots, d.buf[:0])
+	return true
+}
+
+// ownStrings copies the string slots' bytes into buf and points the slots
+// at the copies.
+func ownStrings(slots []event.Slot, buf []byte) []byte {
+	n := 0
+	for _, s := range slots {
+		n += len(s.Str)
+	}
+	buf = slices.Grow(buf, n)
+	for i := range slots {
+		if s := &slots[i]; len(s.Str) > 0 {
+			off := len(buf)
+			buf = append(buf, s.Str...)
+			s.Str = buf[off:len(buf):len(buf)]
+		}
+	}
+	return buf
+}
+
+// read finds oid's record as tx sees it and decodes it into d: LoadAttrs'
+// and LoadSlots' common part.
+func (r *Registry) read(tx *txn.Txn, oid event.OID, d *recordRead) (*Class, error) {
+	if r.store == nil {
+		return nil, ErrNotPersistent
+	}
+	if err := lockObject(tx, oid, lockmgr.Shared); err != nil {
+		return nil, err
 	}
 	ref, ok := r.lookupRef(oid)
 	if !ok {
-		return nil, nil, unknownObject("load", oid)
+		return nil, unknownObject("load", oid)
 	}
-	attrs, c, err = r.attrsAt(tx, oid, ref.rid, want, row)
+	c, err := r.readAt(tx, oid, ref.rid, d)
 	if errors.Is(err, ErrUnknownObject) && tx.Snapshot() != nil {
 		// A snapshot older than a move finds the object where it was.
 		r.oidMu.RLock()
 		past := slices.Clone(r.past[uint64(oid)])
 		r.oidMu.RUnlock()
 		for i := len(past) - 1; i >= 0 && errors.Is(err, ErrUnknownObject); i-- {
-			attrs, c, err = r.attrsAt(tx, oid, past[i], want, row)
+			c, err = r.readAt(tx, oid, past[i], d)
 		}
 	}
-	return attrs, c, err
+	return c, err
 }
 
-// attrsAt is LoadAttrs' read of the record at rid, which must be visible
-// to tx and carry oid in its header.
-func (r *Registry) attrsAt(tx *txn.Txn, oid event.OID, rid storage.RID, want []string, row map[string]any) (attrs map[string]any, c *Class, err error) {
-	// The record is decoded in place: values and names are copied out of
-	// it, so nothing the decode returns aliases the page.
+// readAt is read's look at the record at rid, which must be visible to tx
+// and carry oid in its header.
+func (r *Registry) readAt(tx *txn.Txn, oid event.OID, rid storage.RID, d *recordRead) (c *Class, err error) {
 	var bad error
 	err = tx.View(rid, func(data []byte) {
 		rd := event.NewReader(data)
@@ -605,7 +670,7 @@ func (r *Registry) attrsAt(tx *txn.Txn, oid event.OID, rid storage.RID, want []s
 			bad = unknownObject("load", oid)
 		} else if c = r.classNamed(class); c == nil {
 			bad = fmt.Errorf("%w: %q", ErrUnknownClass, class)
-		} else if attrs, ok = readAttrsInto(rd, &c.names, want, row); !ok {
+		} else if !d.decode(rd, c) {
 			bad = fmt.Errorf("object: record of %v at %v is malformed", oid, rid)
 		}
 	})
@@ -616,9 +681,9 @@ func (r *Registry) attrsAt(tx *txn.Txn, oid event.OID, rid storage.RID, want []s
 		err = bad
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return attrs, c, nil
+	return c, nil
 }
 
 // classNamed looks a class up by the name bytes of a record, without

@@ -120,17 +120,14 @@ func readHeader(rd *event.Reader) (oid uint64, class []byte, ok bool) {
 // readAttrs decodes the attributes after a header, interning names through
 // the class's table (nil: every name is a string of its own).
 func readAttrs(rd *event.Reader, names *nameTable) (map[string]any, bool) {
-	return readAttrsInto(rd, names, nil, nil)
+	return readAttrsInto(rd, names, nil)
 }
 
 // readAttrsInto is readAttrs into row (a map sized to the record when row
-// is nil), keeping only the attributes named in want (all when want is
-// nil; a wanted attribute is keyed by want's own string). The others are
-// stepped over with the same checks, so a record decodes or fails the same
-// whatever is wanted.
-func readAttrsInto(rd *event.Reader, names *nameTable, want []string, row map[string]any) (map[string]any, bool) {
-	n := rd.Uvarint()
-	if n > maxAttrs || n*minAttr > uint64(rd.Remaining()) {
+// is nil). This is the decode of a row handed out: every attribute, boxed.
+func readAttrsInto(rd *event.Reader, names *nameTable, row map[string]any) (map[string]any, bool) {
+	n, ok := attrCount(rd)
+	if !ok {
 		return nil, false
 	}
 	if row == nil {
@@ -143,29 +140,54 @@ func readAttrsInto(rd *event.Reader, names *nameTable, want []string, row map[st
 			return nil, false
 		}
 		prev = name
-		key, ok := wanted(want, name, names)
-		if !ok {
-			rd.SkipValue()
-			continue
-		}
-		row[key] = rd.Value()
+		row[names.intern(name)] = rd.Value()
 	}
 	return row, rd.Err() == nil && rd.Remaining() == 0
 }
 
-// wanted returns the key an attribute is decoded under: its interned name
-// when want is nil, else want's own string equal to it (ok=false: skip it).
-// Referenced sets are a handful of names, so a scan beats hashing.
-func wanted(want []string, name []byte, names *nameTable) (string, bool) {
-	if want == nil {
-		return names.intern(name), true
+// readSlots decodes the attributes after a header into slots, slot i
+// holding the attribute want[i] (nil when the record has none). The others
+// are stepped over with the same checks, so a record decodes or fails the
+// same whatever is wanted. A string slot aliases the record bytes. This is
+// the decode of a row that stays in the engine (DESIGN.md "Rows without
+// boxes"); want is a query's referenced attributes, a handful of names, so
+// a scan of it beats hashing.
+func readSlots(rd *event.Reader, want []string, slots []event.Slot) bool {
+	clear(slots)
+	n, ok := attrCount(rd)
+	if !ok {
+		return false
 	}
-	for _, w := range want {
-		if w == string(name) {
-			return w, true
+	var prev []byte
+	for i := uint64(0); i < n; i++ {
+		name := rd.StrBytes()
+		if i > 0 && bytes.Compare(prev, name) >= 0 {
+			return false
+		}
+		prev = name
+		if j := wantIndex(want, name); j >= 0 {
+			rd.SlotInto(&slots[j])
+		} else {
+			rd.SkipValue()
 		}
 	}
-	return "", false
+	return rd.Err() == nil && rd.Remaining() == 0
+}
+
+func wantIndex(want []string, name []byte) int {
+	for j, w := range want {
+		if w == string(name) {
+			return j
+		}
+	}
+	return -1
+}
+
+// attrCount reads a record's attribute count, ok=false when the rest of
+// the record cannot hold that many.
+func attrCount(rd *event.Reader) (uint64, bool) {
+	n := rd.Uvarint()
+	return n, n <= maxAttrs && n*minAttr <= uint64(rd.Remaining())
 }
 
 // nameTable interns the attribute names decoded from one class's records:

@@ -308,8 +308,9 @@ func FuzzObjectRecord(f *testing.F) {
 
 // TestLoadAttrsRejectsWhatLoadRejects: a directory entry pointing at
 // another object's record (a reused slot), and one whose record's class is
-// not registered here, fail LoadAttrs exactly as they fail Load, whatever
-// attributes are wanted — the decode-only read skips none of Load's checks.
+// not registered here, fail LoadAttrs and LoadSlots exactly as they fail
+// Load, whatever attributes are wanted — the decode-only reads skip none of
+// Load's checks.
 func TestLoadAttrsRejectsWhatLoadRejects(t *testing.T) {
 	r, tm, _ := persistEnv(t)
 	if _, err := r.DefineClass("C", "", false); err != nil {
@@ -343,9 +344,12 @@ func TestLoadAttrsRejectsWhatLoadRejects(t *testing.T) {
 	if _, err := r.Load(tx, a.OID); !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("Load through a stale entry: %v, want ErrUnknownObject", err)
 	}
+	if _, _, err := r.LoadAttrs(tx, a.OID, map[string]any{"x": 9.0}); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("LoadAttrs through a stale entry: %v, want ErrUnknownObject", err)
+	}
 	for _, want := range [][]string{nil, {}, {"x"}} {
-		if _, _, err := r.LoadAttrs(tx, a.OID, want, map[string]any{"x": 9.0}); !errors.Is(err, ErrUnknownObject) {
-			t.Fatalf("LoadAttrs(want=%v) through a stale entry: %v, want ErrUnknownObject", want, err)
+		if _, _, err := r.LoadSlots(tx, a.OID, want, make([]event.Slot, len(want)), nil); !errors.Is(err, ErrUnknownObject) {
+			t.Fatalf("LoadSlots(want=%v) through a stale entry: %v, want ErrUnknownObject", want, err)
 		}
 	}
 
@@ -357,7 +361,10 @@ func TestLoadAttrsRejectsWhatLoadRejects(t *testing.T) {
 	if _, err := other.Load(tx, b.OID); !errors.Is(err, ErrUnknownClass) {
 		t.Fatalf("Load of an unregistered class: %v, want ErrUnknownClass", err)
 	}
-	if _, _, err := other.LoadAttrs(tx, b.OID, []string{"x"}, nil); !errors.Is(err, ErrUnknownClass) {
+	if _, _, err := other.LoadAttrs(tx, b.OID, nil); !errors.Is(err, ErrUnknownClass) {
 		t.Fatalf("LoadAttrs of an unregistered class: %v, want ErrUnknownClass", err)
+	}
+	if _, _, err := other.LoadSlots(tx, b.OID, []string{"x"}, make([]event.Slot, 1), nil); !errors.Is(err, ErrUnknownClass) {
+		t.Fatalf("LoadSlots of an unregistered class: %v, want ErrUnknownClass", err)
 	}
 }

@@ -124,19 +124,35 @@ func (s *ExtentScan) RID() storage.RID { return s.recs[s.pos-1].rid }
 func (s *ExtentScan) Class() *Class { return s.recs[s.pos-1].c }
 
 // Attrs decodes the current record's attributes as LoadAttrs does (not in
-// a keys-only scan): into
-// row (cleared first; a fresh map when nil), only those named in want (all
-// when want is nil), with the same validation.
-func (s *ExtentScan) Attrs(want []string, row map[string]any) (map[string]any, error) {
+// a keys-only scan): into row (cleared first; a fresh map when nil), with
+// the same validation.
+func (s *ExtentScan) Attrs(row map[string]any) (map[string]any, error) {
 	clear(row)
-	rec := s.recs[s.pos-1]
+	rec := &s.recs[s.pos-1]
 	rd := event.NewReader(s.buf[rec.off:rec.end])
 	readHeader(rd)
-	attrs, ok := readAttrsInto(rd, &rec.c.names, want, row)
+	attrs, ok := readAttrsInto(rd, &rec.c.names, row)
 	if !ok {
-		return nil, fmt.Errorf("object: record of %v at %v is malformed", rec.oid, rec.rid)
+		return nil, rec.malformed()
 	}
 	return attrs, nil
+}
+
+// Slots decodes the current record's attributes as LoadSlots does (not in
+// a keys-only scan): slot i holds the attribute want[i]. A string slot
+// views the scan's buffer, so it is valid until the next call to Next.
+func (s *ExtentScan) Slots(want []string, slots []event.Slot) error {
+	rec := &s.recs[s.pos-1]
+	rd := event.NewReader(s.buf[rec.off:rec.end])
+	readHeader(rd)
+	if !readSlots(rd, want, slots) {
+		return rec.malformed()
+	}
+	return nil
+}
+
+func (rec *scanRec) malformed() error {
+	return fmt.Errorf("object: record of %v at %v is malformed", rec.oid, rec.rid)
 }
 
 // Pages returns how many pages the scan has read.

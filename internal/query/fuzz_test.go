@@ -49,7 +49,7 @@ func FuzzKeyOrder(f *testing.F) {
 		if !okA || !okB {
 			t.Fatalf("encodeKey(%#v)=%v encodeKey(%#v)=%v", a, okA, b, okB)
 		}
-		rel, comparable := compareValues(a, b)
+		rel, comparable := compareAny(a, b)
 		if !comparable {
 			if !(ka%5 == 2 && math.IsNaN(fa)) && !(kb%5 == 2 && math.IsNaN(fb)) {
 				t.Fatalf("%#v and %#v not comparable", a, b)
@@ -136,23 +136,18 @@ var fuzzNames = [...]string{"a", "b", "c", "d", "zz"}
 
 func (in *fuzzInput) name() string { return fuzzNames[in.byte()%byte(len(fuzzNames))] }
 
-// opaquePred is a Pred the planner cannot see into.
-type opaquePred struct{ Pred }
-
 func (in *fuzzInput) pred(depth int) Pred {
-	k := in.byte() % 9
+	k := in.byte() % 8
 	if depth >= 3 || k < 5 {
-		return &cmp{attr: in.name(), op: cmpOp(1 + in.byte()%6), val: in.value()}
+		return newCmp(in.name(), cmpOp(1+in.byte()%6), in.value())
 	}
 	switch k {
 	case 5:
 		return And(in.pred(depth+1), in.pred(depth+1))
 	case 6:
 		return Or(in.pred(depth+1), in.pred(depth+1))
-	case 7:
-		return Not(in.pred(depth + 1))
 	}
-	return opaquePred{in.pred(depth + 1)}
+	return Not(in.pred(depth + 1))
 }
 
 // sameValue is == with NaN equal to itself and floats compared bitwise.
@@ -181,12 +176,13 @@ func sameAttrs(a, b map[string]any) bool {
 	return true
 }
 
-// collectThenGroup is the reference γ: the whole input collected first,
-// each row's group key built afresh.
+// collectThenGroup is the reference γ: the whole input collected first as
+// full map rows, each row's group key built afresh from its boxed values,
+// and each aggregate computed from the group's rows afterwards (refAgg).
 func collectThenGroup(in []Row, groupBy []string, aggs []Agg) []Row {
 	type group struct {
 		keyAttrs map[string]any
-		states   []aggState
+		rows     []map[string]any
 	}
 	groups := map[string]*group{}
 	var order []string
@@ -203,16 +199,14 @@ func collectThenGroup(in []Row, groupBy []string, aggs []Agg) []Row {
 		}
 		grp := groups[string(key)]
 		if grp == nil {
-			grp = &group{keyAttrs: keyAttrs, states: make([]aggState, len(aggs))}
+			grp = &group{keyAttrs: keyAttrs}
 			groups[string(key)] = grp
 			order = append(order, string(key))
 		}
-		for i, a := range aggs {
-			grp.states[i].observe(a, r.Attrs)
-		}
+		grp.rows = append(grp.rows, r.Attrs)
 	}
 	if len(groupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{keyAttrs: map[string]any{}, states: make([]aggState, len(aggs))}
+		groups[""] = &group{keyAttrs: map[string]any{}}
 		order = append(order, "")
 	}
 	sort.Strings(order)
@@ -222,26 +216,158 @@ func collectThenGroup(in []Row, groupBy []string, aggs []Agg) []Row {
 		for col, v := range groups[k].keyAttrs {
 			attrs[col] = v
 		}
-		for i, a := range aggs {
-			attrs[a.name()] = groups[k].states[i].result(a)
+		for _, a := range aggs {
+			attrs[a.name()] = refAgg(a, groups[k].rows)
 		}
 		out = append(out, Row{Attrs: attrs})
 	}
 	return out
 }
 
-// FuzzReferencedDecode: decoding only the attributes a plan references is
-// indistinguishable from decoding the whole record. Over random records
-// (every atomic type, NaN, -0, OIDs, absent names), random predicate trees
-// and random group-by/aggregate sets it checks that σ on the LoadAttrs row
-// agrees with σ on the Load map, that a scan returns exactly the objects
-// whose full map passes, whole, and that streaming γ equals collecting
-// every passing row and grouping afterwards.
+// refAgg is one aggregate over a group's rows by its definition: Count
+// counts rows (bare) or non-nil values; Sum adds the numbers (0 for none);
+// Avg is their mean (nil for none); Min and Max keep the first non-nil
+// value and replace it by each later one strictly beyond it in the value
+// order (a NaN is beyond nothing), as a canonical value.
+func refAgg(a Agg, rows []map[string]any) any {
+	if a.Op == Count && a.Attr == "" {
+		return float64(len(rows))
+	}
+	var vals []any
+	for _, r := range rows {
+		if v := r[a.Attr]; v != nil {
+			vals = append(vals, v)
+		}
+	}
+	switch a.Op {
+	case Count:
+		return float64(len(vals))
+	case Sum, Avg:
+		sum, n := 0.0, 0
+		for _, v := range vals {
+			if f, ok := number(v); ok {
+				sum += f
+				n++
+			}
+		}
+		if a.Op == Sum {
+			return sum
+		}
+		if n == 0 {
+			return nil
+		}
+		return sum / float64(n)
+	}
+	var best any
+	for i, v := range vals {
+		if i == 0 {
+			best = v
+			continue
+		}
+		if rel, ok := compareAny(v, best); ok && (a.Op == Min && rel < 0 || a.Op == Max && rel > 0) {
+			best = v
+		}
+	}
+	if f, ok := number(best); ok {
+		return f
+	}
+	return best
+}
+
+// number is a numeric value (an OID included) as a float64.
+func number(v any) (float64, bool) {
+	switch x := v.(type) {
+	case int:
+		return float64(x), true
+	case int8:
+		return float64(x), true
+	case int16:
+		return float64(x), true
+	case int32:
+		return float64(x), true
+	case int64:
+		return float64(x), true
+	case uint:
+		return float64(x), true
+	case uint8:
+		return float64(x), true
+	case uint16:
+		return float64(x), true
+	case uint32:
+		return float64(x), true
+	case uint64:
+		return float64(x), true
+	case float32:
+		return float64(x), true
+	case float64:
+		return x, true
+	case event.OID:
+		return float64(x), true
+	}
+	return 0, false
+}
+
+// Seed values for FuzzReferencedDecode, in the bytes fuzzInput.value
+// reads: the small number (k+2 is k), the kind, and a kind's extra choice.
+func seedInt(k int) []byte  { return []byte{byte(k + 2), 2} }
+func seedInt8(k int) []byte { return []byte{byte(k + 2), 3} }
+func seedOID(k int) []byte  { return []byte{byte(k + 2), 15} } // k in 0..2
+func seedStr(i int) []byte  { return []byte{0, 14, byte(i)} }  // "", "a", "ab", "b", "\x00"
+
+var (
+	seedNaN     = []byte{0, 13, 0}
+	seedNegZero = []byte{0, 13, 1}
+	seedZero    = []byte{2, 13, 3} // float64(0)/2
+)
+
+// fuzzSeed lays out a FuzzReferencedDecode input: records carrying all
+// four attributes, the Where's bytes (one byte 0 mod 4: none), the
+// group-by pick, the aggregates' bytes (count, then op and name each) and
+// the transaction choice (0 locked, 1 snapshot).
+func fuzzSeed(recs [][4][]byte, where []byte, groupBy byte, aggs []byte, snap byte) []byte {
+	b := []byte{byte(len(recs) - 1)}
+	for _, r := range recs {
+		b = append(b, 0x0F)
+		for _, v := range r {
+			b = append(b, v...)
+		}
+	}
+	b = append(b, where...)
+	b = append(append(b, groupBy), aggs...)
+	return append(b, snap)
+}
+
+// FuzzReferencedDecode: decoding only the attributes a plan references,
+// into slots, is indistinguishable from decoding the whole record into a
+// map. Over random records (every atomic type, NaN, -0, OIDs, absent
+// names), random predicate trees and random group-by/aggregate sets it
+// checks that each slot boxes to the Load value with its Go type and that
+// σ on the slot row agrees with σ on the Load map, through the directory
+// (LoadSlots) and through the extent scan; that a scan returns exactly the
+// objects whose full map passes, whole; and that streaming γ equals
+// collecting every passing row's full map and grouping afterwards.
 func FuzzReferencedDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0xFF, 1, 13, 0, 2, 14, 1, 0xFF, 4, 6, 0, 1, 2, 3, 5, 1, 1, 2, 0, 3})
 	f.Add([]byte{7, 0x0F, 3, 13, 0, 4, 8, 2, 12, 9, 15, 5, 6, 7, 1, 13, 2, 2, 0x03, 0x13, 0x21})
 	f.Add([]byte{2, 0x1F, 255, 1, 2, 3, 4, 5, 6, 7, 8, 11, 1, 7, 13, 0, 8, 2, 0x0C, 3, 4, 5})
+	// Group keys that are ints, int8s and OIDs, strings under a Where.
+	f.Add(fuzzSeed([][4][]byte{
+		{seedInt(-1), seedInt8(1), seedOID(2), seedStr(1)},
+		{seedInt(-1), seedInt8(1), seedOID(2), seedStr(2)},
+		{seedInt(2), seedInt8(-2), seedOID(0), seedStr(0)},
+		{seedInt(2), seedInt8(-2), seedOID(1), seedStr(3)},
+		{seedInt(0), seedInt8(1), seedOID(2), seedStr(4)},
+		{seedInt(-1), seedInt8(1), seedOID(2), seedStr(2)},
+	}, []byte{1, 0, 3, 1, 0, 14, 0}, 0x07, []byte{3, 1, 0, 4, 2, 2, 3}, 0))
+	// Group keys that are -0, 0 and NaN floats and strings.
+	f.Add(fuzzSeed([][4][]byte{
+		{seedInt(1), seedInt8(0), seedNegZero, seedStr(1)},
+		{seedInt(2), seedInt8(1), seedZero, seedStr(1)},
+		{seedInt(0), seedInt8(2), seedNaN, seedStr(0)},
+		{seedInt(1), seedInt8(0), seedNaN, seedStr(1)},
+		{seedInt(-2), seedInt8(-1), seedNegZero, seedStr(0)},
+	}, []byte{0}, 0x0C, []byte{3, 2, 2, 3, 2, 4, 2}, 1))
 	dir := f.TempDir()
 	var e *env
 	f.Cleanup(func() {
@@ -297,43 +423,59 @@ func FuzzReferencedDecode(f *testing.F) {
 		}
 		defer func() { _ = tx.Commit() }()
 
-		// σ on the referenced decode agrees with σ on the full one.
-		want := referenced(Q{Where: where})
-		var full []Row
-		var pass []uint64
-		var oids []event.OID
-		if err := e.reg.ForEach(tx, class, false, func(inst *object.Instance) bool {
-			oids = append(oids, inst.OID)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for _, oid := range oids {
-			inst, err := e.reg.Load(tx, oid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row, _, err := e.reg.LoadAttrs(tx, oid, want, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range row {
-				if w, ok := inst.Attrs()[k]; !ok || !sameValue(v, w) {
-					t.Fatalf("%v: referenced decode has %s=%#v, full decode %#v", oid, k, v, w)
+		// σ on the slot row agrees with σ on the full map, and every slot
+		// boxes to the full decode's value.
+		want := referenced(Q{Where: where, GroupBy: groupBy, Aggs: aggs})
+		check := bindPred(where, want)
+		slots := make([]event.Slot, len(want))
+		checkRow := func(how string, inst *object.Instance) bool {
+			full := inst.Attrs()
+			for i, name := range want {
+				if got := slots[i].Box(); !sameValue(got, full[name]) {
+					t.Fatalf("%v: %s slot %s boxes to %#v, full decode %#v", inst.OID, how, name, got, full[name])
 				}
 			}
 			if where == nil {
-				pass = append(pass, uint64(oid))
-				full = append(full, Row{OID: oid, Attrs: inst.Attrs()})
-				continue
+				return true
 			}
-			got, exp := where.Eval(row), where.Eval(inst.Attrs())
+			got, exp := check.eval(slots), where.Eval(full)
 			if got != exp {
-				t.Fatalf("%v: %s is %v on %v (referenced %v) but %v on the full record %v", oid, where, got, row, want, exp, inst.Attrs())
+				t.Fatalf("%v: %s is %v on the %s slot row %v but %v on the full record %v", inst.OID, where, got, how, slots, exp, full)
 			}
-			if exp {
+			return exp
+		}
+		full := map[event.OID]*object.Instance{}
+		scan := e.reg.ScanExtent(tx, class, false)
+		for scan.Next() {
+			inst, err := e.reg.Load(tx, scan.OID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scan.Slots(want, slots); err != nil {
+				t.Fatal(err)
+			}
+			checkRow("scanned", inst)
+			full[inst.OID] = inst
+		}
+		if err := scan.Err(); err != nil {
+			t.Fatal(err)
+		}
+		var oids []event.OID
+		for oid := range full {
+			oids = append(oids, oid)
+		}
+		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+		var rowsPassing []Row
+		var pass []uint64
+		var buf []byte
+		for _, oid := range oids {
+			var err error
+			if buf, _, err = e.reg.LoadSlots(tx, oid, want, slots, buf); err != nil {
+				t.Fatal(err)
+			}
+			if checkRow("loaded", full[oid]) {
 				pass = append(pass, uint64(oid))
-				full = append(full, Row{OID: oid, Attrs: inst.Attrs()})
+				rowsPassing = append(rowsPassing, Row{OID: oid, Attrs: full[oid].Attrs()})
 			}
 		}
 
@@ -348,8 +490,8 @@ func FuzzReferencedDecode(f *testing.F) {
 			t.Fatalf("scan %s returned %v, want %v", where, got, pass)
 		}
 		for i, r := range rows {
-			if !sameAttrs(r.Attrs, full[i].Attrs) {
-				t.Fatalf("scan row %v = %v, full record %v", r.OID, r.Attrs, full[i].Attrs)
+			if !sameAttrs(r.Attrs, rowsPassing[i].Attrs) {
+				t.Fatalf("scan row %v = %v, full record %v", r.OID, r.Attrs, rowsPassing[i].Attrs)
 			}
 		}
 
@@ -358,7 +500,7 @@ func FuzzReferencedDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp := collectThenGroup(full, groupBy, aggs)
+		exp := collectThenGroup(rowsPassing, groupBy, aggs)
 		if len(got) != len(exp) {
 			t.Fatalf("γ by %v: %d groups, reference %d\n got %v\nwant %v", groupBy, len(got), len(exp), got, exp)
 		}

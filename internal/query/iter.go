@@ -3,6 +3,8 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/event"
@@ -51,27 +53,33 @@ func Collect(it Iterator) ([]Row, error) {
 // reads the class's file a page at a time, or from an index's candidate
 // OID list, loaded one by one through the directory (class and visibility
 // checks happen in the load; stale candidates simply fail to load). Each
-// row is re-verified against verify. It decodes the attributes in want
-// (all when nil) into one reused map, so a row σ rejects builds no map.
-// When the consumer hands rows out (own), a surviving row takes that map
-// with it.
+// row is re-verified against the query's Where.
+//
+// A row is decoded one of two ways. A row that stays in the engine (γ's
+// input, a prepared probe) is a slot row: only the attributes in want,
+// unboxed into slots, slot i holding want[i], checked by the Where bound
+// to that layout. A row handed out (own) is decoded whole into a map it
+// takes with it; a row the Where rejects leaves its map for the next.
 type oidIter struct {
-	m      *Manager
-	tx     *txn.Txn
-	scan   *object.ExtentScan // nil: the rows are oids'
-	oids   []uint64
-	verify Pred // may be nil: every loaded row passes
-	want   []string
-	own    bool
-	row    map[string]any // the reused decode map; nil until the first load
-	pos    int
-	cur    Row
-	err    error
+	m     *Manager
+	tx    *txn.Txn
+	scan  *object.ExtentScan // nil: the rows are oids'
+	oids  []uint64
+	pos   int
+	own   bool
+	where Pred           // own: checked on the map (nil: every row passes)
+	row   map[string]any // own: the reused decode map; nil until the first load
+	want  []string       // slot rows: the attributes decoded
+	check bound          // slot rows: Where bound to want (nil: every row passes)
+	slots []event.Slot   // slot rows: the current row
+	strs  []byte         // slot rows: a directory load's string bytes
+	cur   Row
+	err   error
 }
 
 func (s *oidIter) Next() bool {
 	for s.err == nil {
-		oid, attrs, c, err := s.load()
+		oid, c, err := s.load()
 		if oid == 0 {
 			return false
 		}
@@ -83,42 +91,60 @@ func (s *oidIter) Next() bool {
 			s.err = err
 			return false
 		}
-		s.row = attrs
-		if s.verify != nil && !s.verify.Eval(attrs) {
+		if !s.passes() {
 			s.m.rowsDropped.Add(1)
 			continue
 		}
+		s.cur = Row{OID: oid, Class: c.Name}
 		if s.own {
-			s.row = nil // handed out with the row; the next load makes another
+			s.cur.Attrs, s.row = s.row, nil // handed out; the next load makes another
 		}
-		s.cur = Row{OID: oid, Class: c.Name, Attrs: attrs}
 		return true
 	}
 	return false
 }
 
-// load decodes the next candidate into the reused map; oid is 0 when the
-// candidates are exhausted (or the scan failed, which s.err then says).
-func (s *oidIter) load() (oid event.OID, attrs map[string]any, c *object.Class, err error) {
+// passes reports whether the loaded row satisfies the Where.
+func (s *oidIter) passes() bool {
+	if s.own {
+		return s.where == nil || s.where.Eval(s.row)
+	}
+	return s.check == nil || s.check.eval(s.slots)
+}
+
+// load decodes the next candidate; oid is 0 when the candidates are
+// exhausted (or the scan failed, which s.err then says).
+func (s *oidIter) load() (oid event.OID, c *object.Class, err error) {
 	if s.scan != nil {
 		if !s.scan.Next() {
 			s.err = s.scan.Err()
-			return 0, nil, nil, nil
+			return 0, nil, nil
 		}
-		attrs, err = s.scan.Attrs(s.want, s.row)
-		return s.scan.OID(), attrs, s.scan.Class(), err
+		if s.own {
+			s.row, err = s.scan.Attrs(s.row)
+		} else {
+			err = s.scan.Slots(s.want, s.slots)
+		}
+		return s.scan.OID(), s.scan.Class(), err
 	}
 	if s.pos == len(s.oids) {
-		return 0, nil, nil, nil
+		return 0, nil, nil
 	}
 	oid = event.OID(s.oids[s.pos])
 	s.pos++
-	attrs, c, err = s.m.reg.LoadAttrs(s.tx, oid, s.want, s.row)
-	return oid, attrs, c, err
+	if s.own {
+		s.row, c, err = s.m.reg.LoadAttrs(s.tx, oid, s.row)
+	} else {
+		s.strs, c, err = s.m.reg.LoadSlots(s.tx, oid, s.want, s.slots, s.strs)
+	}
+	return oid, c, err
 }
 
 func (s *oidIter) Row() Row   { return s.cur }
 func (s *oidIter) Err() error { return s.err }
+
+// slotRow returns the current slot row.
+func (s *oidIter) slotRow() []event.Slot { return s.slots }
 
 // Close counts the pages an extent scan read.
 func (s *oidIter) Close() {
@@ -129,28 +155,6 @@ func (s *oidIter) Close() {
 }
 
 // ---- relational operators ---------------------------------------------
-
-// selectIter is σ: rows passing the predicate.
-type selectIter struct {
-	in   Iterator
-	pred Pred
-	cur  Row
-}
-
-func (s *selectIter) Next() bool {
-	for s.in.Next() {
-		r := s.in.Row()
-		if s.pred == nil || s.pred.Eval(r.Attrs) {
-			s.cur = r
-			return true
-		}
-	}
-	return false
-}
-
-func (s *selectIter) Row() Row   { return s.cur }
-func (s *selectIter) Err() error { return s.in.Err() }
-func (s *selectIter) Close()     { s.in.Close() }
 
 // projectIter is π: rows narrowed to the named attributes.
 type projectIter struct {
@@ -222,7 +226,7 @@ func (s *sortIter) Next() bool {
 			return false
 		}
 		sort.SliceStable(rows, func(i, j int) bool {
-			rel, ok := compareValues(rows[i].Attrs[s.attr], rows[j].Attrs[s.attr])
+			rel, ok := compareAny(rows[i].Attrs[s.attr], rows[j].Attrs[s.attr])
 			if !ok || rel == 0 {
 				return rows[i].OID < rows[j].OID
 			}
@@ -365,47 +369,42 @@ func (a Agg) name() string {
 	return a.Op.String() + "_" + a.Attr
 }
 
+// aggState is one aggregate of one group, fed normalized values.
 type aggState struct {
-	count   uint64 // rows with a usable value (all rows, for bare Count)
-	sum     float64
-	numeric bool
-	min     any
-	max     any
-	hasMM   bool
+	count uint64     // Count: non-nil values; Avg: numbers
+	sum   float64    // Sum, Avg: of the numbers
+	mm    event.Slot // Min, Max: the extreme so far, its string bytes its own
+	hasMM bool
 }
 
-func (st *aggState) observe(a Agg, attrs map[string]any) {
-	if a.Op == Count && a.Attr == "" {
+func (st *aggState) observe(op AggOp, v event.Slot) {
+	if v.Tag == event.TagNil {
+		return
+	}
+	n := normalize(v)
+	switch op {
+	case Count:
 		st.count++
-		return
-	}
-	v, ok := attrs[a.Attr]
-	if !ok || v == nil {
-		return
-	}
-	n, ok := normalize(v)
-	if !ok {
-		return
-	}
-	st.count++
-	if f, isNum := n.(float64); isNum {
-		st.numeric = true
-		st.sum += f
-	}
-	if !st.hasMM {
-		st.min, st.max, st.hasMM = n, n, true
-		return
-	}
-	if rel, ok := compareValues(n, st.min); ok && rel < 0 {
-		st.min = n
-	}
-	if rel, ok := compareValues(n, st.max); ok && rel > 0 {
-		st.max = n
+	case Sum, Avg:
+		if n.Tag == event.TagFloat64 {
+			st.sum += math.Float64frombits(n.Bits)
+			st.count++
+		}
+	case Min, Max:
+		if st.hasMM {
+			rel, ok := compareNorm(n, st.mm)
+			if !ok || rel == 0 || (rel < 0) != (op == Min) {
+				return
+			}
+		}
+		buf := st.mm.Str[:0] // n's bytes are the row's, which the next row reuses
+		st.mm, st.hasMM = n, true
+		st.mm.Str = append(buf, n.Str...)
 	}
 }
 
-func (st *aggState) result(a Agg) any {
-	switch a.Op {
+func (st *aggState) result(op AggOp) any {
+	switch op {
 	case Count:
 		return float64(st.count)
 	case Sum:
@@ -415,28 +414,74 @@ func (st *aggState) result(a Agg) any {
 			return nil
 		}
 		return st.sum / float64(st.count)
-	case Min:
-		return st.min
-	case Max:
-		return st.max
+	case Min, Max:
+		if st.hasMM {
+			return st.mm.Box()
+		}
 	}
 	return nil
 }
 
+// slotInput is γ's input: rows of slots, slot i holding the attribute
+// names[i] of the layout γ was planned with.
+type slotInput interface {
+	Next() bool
+	slotRow() []event.Slot
+	Err() error
+	Close()
+}
+
+// mapSlots feeds γ from an iterator of map rows (a join's output): each
+// row's attributes are viewed as slots, nothing copied. Its values are
+// decoded ones, so all atomic.
+type mapSlots struct {
+	Iterator
+	names []string
+	slots []event.Slot
+}
+
+func (m *mapSlots) slotRow() []event.Slot {
+	attrs := m.Row().Attrs
+	for i, name := range m.names {
+		m.slots[i], _ = event.SlotOf(attrs[name])
+	}
+	return m.slots
+}
+
 // groupIter is γ: hash aggregation over the group-by attributes,
-// streaming its input — the input row is read in place and never kept. The
-// group key is encoded into one reused buffer; a group's row map, which
-// starts as its key values, is built only when the group is first seen.
-// With no group-by columns it emits exactly one row (global aggregates).
+// streaming its input — each slot row is read in place and never kept.
+// The group key is encoded from the slots into one reused buffer, and
+// numbers are summed unboxed; a group's row map, which starts as its key
+// values boxed, is built only when the group is first seen, so γ
+// allocates per group, not per row. With no group-by columns it emits
+// exactly one row (global aggregates).
 type groupIter struct {
-	in      Iterator
+	in      slotInput
 	groupBy []string
+	keys    []int // the slot of each group-by column
 	aggs    []Agg
+	args    []int // the slot of each aggregate's attribute; -1: bare Count
 
 	rows   []Row
 	loaded bool
 	pos    int
 	err    error
+}
+
+// newGroupIter plans γ over in, whose slot i holds names[i]; names holds
+// every group-by column and aggregate attribute.
+func newGroupIter(in slotInput, names []string, groupBy []string, aggs []Agg) *groupIter {
+	g := &groupIter{in: in, groupBy: groupBy, aggs: aggs, keys: make([]int, len(groupBy)), args: make([]int, len(aggs))}
+	for i, col := range groupBy {
+		g.keys[i] = slices.Index(names, col)
+	}
+	for i, a := range aggs {
+		g.args[i] = -1
+		if a.Attr != "" {
+			g.args[i] = slices.Index(names, a.Attr)
+		}
+	}
+	return g
 }
 
 func (g *groupIter) Next() bool {
@@ -462,25 +507,25 @@ func (g *groupIter) aggregate() bool {
 	groups := make(map[string]*group)
 	var key []byte
 	for g.in.Next() {
-		attrs := g.in.Row().Attrs
+		row := g.in.slotRow()
 		key = key[:0]
-		for _, col := range g.groupBy {
-			var ok bool
-			if key, ok = appendKey(key, attrs[col]); !ok {
-				key = append(key, 0xFE) // ungroupable values form their own bucket kind
-			}
-			key = append(key, 0xFD) // column separator
+		for _, i := range g.keys {
+			key = append(appendKey(key, row[i]), 0xFD) // column separator
 		}
 		grp := groups[string(key)]
 		if grp == nil {
 			grp = &group{attrs: make(map[string]any, len(g.groupBy)+len(g.aggs)), states: make([]aggState, len(g.aggs))}
-			for _, col := range g.groupBy {
-				grp.attrs[col] = attrs[col]
+			for i, col := range g.groupBy {
+				grp.attrs[col] = row[g.keys[i]].Box()
 			}
 			groups[string(key)] = grp
 		}
 		for i, a := range g.aggs {
-			grp.states[i].observe(a, attrs)
+			if j := g.args[i]; j >= 0 {
+				grp.states[i].observe(a.Op, row[j])
+			} else {
+				grp.states[i].count++ // bare Count: every row
+			}
 		}
 	}
 	if g.err = g.in.Err(); g.err != nil {
@@ -498,7 +543,7 @@ func (g *groupIter) aggregate() bool {
 	for _, k := range order {
 		grp := groups[k]
 		for i, a := range g.aggs {
-			grp.attrs[a.name()] = grp.states[i].result(a)
+			grp.attrs[a.name()] = grp.states[i].result(a.Op)
 		}
 		g.rows = append(g.rows, Row{Attrs: grp.attrs})
 	}

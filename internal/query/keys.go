@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -19,54 +20,40 @@ const (
 	kindStr  byte = 0x03
 )
 
-// normalize converts any supported attribute value to its canonical
-// comparable form: nil, bool, float64 or string. ok=false for values the
-// index cannot key (maps, slices, structs...). A value already canonical
-// comes back as the same interface, so the common case never allocates.
-func normalize(v any) (any, bool) {
-	switch x := v.(type) {
-	case nil, bool, float64, string:
-		return v, true
-	case int:
-		return float64(x), true
-	case int8:
-		return float64(x), true
-	case int16:
-		return float64(x), true
-	case int32:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint:
-		return float64(x), true
-	case uint8:
-		return float64(x), true
-	case uint16:
-		return float64(x), true
-	case uint32:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	case event.OID:
-		return float64(x), true
-	case float32:
-		return float64(x), true
+// The one value order is defined on event.Slot, the unboxed value a row
+// that stays in the engine is made of (DESIGN.md "Rows without boxes"); a
+// boxed value — a map row's, a predicate's literal, an index maintenance
+// input — is viewed as a slot (event.SlotOf) first, which does not copy.
+
+// normalize maps a slot to its canonical form, the one the order and the
+// key encoding read: nil, bool, float64 or string.
+func normalize(s event.Slot) event.Slot {
+	switch s.Tag {
+	case event.TagInt, event.TagInt8, event.TagInt16, event.TagInt32, event.TagInt64:
+		return numSlot(float64(int64(s.Bits)))
+	case event.TagUint, event.TagUint8, event.TagUint16, event.TagUint32, event.TagUint64, event.TagOID:
+		return numSlot(float64(s.Bits))
+	case event.TagFloat32:
+		return numSlot(float64(math.Float32frombits(uint32(s.Bits))))
 	}
-	return nil, false
+	return s
 }
 
-// compareValues totally orders two normalized-comparable values.
-// comparable=false when either side fails to normalize or the sides are
-// different kinds except through the cross-type kind order, which IS
-// comparable (null < bool < number < string) — matching key-encoding
-// order so predicate Eval and index scans agree.
-func compareValues(a, b any) (rel int, comparable bool) {
-	na, okA := normalize(a)
-	nb, okB := normalize(b)
-	if !okA || !okB {
-		return 0, false
-	}
-	ka, kb := kindOf(na), kindOf(nb)
+func numSlot(f float64) event.Slot {
+	return event.Slot{Tag: event.TagFloat64, Bits: math.Float64bits(f)}
+}
+
+// compareValues totally orders two values across kinds (null < bool <
+// number < string), matching the key encoding's order so predicate
+// evaluation and index scans agree. comparable=false only when either side
+// is NaN, which is outside the order: equal to nothing.
+func compareValues(a, b event.Slot) (rel int, comparable bool) {
+	return compareNorm(normalize(a), normalize(b))
+}
+
+// compareNorm is compareValues on normalized slots.
+func compareNorm(a, b event.Slot) (rel int, comparable bool) {
+	ka, kb := kindOf(a.Tag), kindOf(b.Tag)
 	if ka != kb {
 		if ka < kb {
 			return -1, true
@@ -74,85 +61,69 @@ func compareValues(a, b any) (rel int, comparable bool) {
 		return 1, true
 	}
 	switch ka {
-	case kindNull:
-		return 0, true
 	case kindBool:
-		ba, bb := na.(bool), nb.(bool)
-		if ba == bb {
-			return 0, true
-		}
-		if !ba {
-			return -1, true
-		}
-		return 1, true
+		return int(a.Bits) - int(b.Bits), true
 	case kindNum:
-		fa, fb := na.(float64), nb.(float64)
-		if math.IsNaN(fa) || math.IsNaN(fb) {
-			return 0, false // NaN is outside the order: equal to nothing
-		}
-		if fa < fb {
+		fa, fb := math.Float64frombits(a.Bits), math.Float64frombits(b.Bits)
+		switch {
+		case math.IsNaN(fa) || math.IsNaN(fb):
+			return 0, false
+		case fa < fb:
 			return -1, true
-		}
-		if fa > fb {
+		case fa > fb:
 			return 1, true
 		}
-		return 0, true
 	case kindStr:
-		sa, sb := na.(string), nb.(string)
-		if sa < sb {
-			return -1, true
-		}
-		if sa > sb {
-			return 1, true
-		}
-		return 0, true
+		return bytes.Compare(a.Str, b.Str), true
 	}
-	return 0, false
+	return 0, true
 }
 
-func kindOf(normalized any) byte {
-	switch normalized.(type) {
-	case nil:
-		return kindNull
-	case bool:
+// compareAny is compareValues on boxed values; comparable=false also when
+// either is not atomic.
+func compareAny(a, b any) (rel int, comparable bool) {
+	sa, okA := event.SlotOf(a)
+	sb, okB := event.SlotOf(b)
+	if !okA || !okB {
+		return 0, false
+	}
+	return compareValues(sa, sb)
+}
+
+// kindOf is the key kind of a normalized slot's tag.
+func kindOf(tag byte) byte {
+	switch tag {
+	case event.TagBool:
 		return kindBool
-	case float64:
+	case event.TagFloat64:
 		return kindNum
-	case string:
+	case event.TagString:
 		return kindStr
 	}
-	return 0xFF
+	return kindNull
 }
 
-// encodeKey renders a normalized-comparable value as an order-preserving
-// byte string: bytewise comparison of encodings matches compareValues.
-// ok=false for unindexable values.
+// encodeKey renders a value as an order-preserving byte string: bytewise
+// comparison of encodings matches compareValues. ok=false for a value that
+// is not atomic.
 func encodeKey(v any) ([]byte, bool) {
-	n := 9 // a number's key; a string's is one byte more than the string
-	if s, ok := v.(string); ok {
-		n = 1 + len(s)
+	s, ok := event.SlotOf(v)
+	if !ok {
+		return nil, false
 	}
-	return appendKey(make([]byte, 0, n), v)
+	return appendKey(make([]byte, 0, 9+len(s.Str)), s), true
 }
 
-// appendKey is encodeKey appending to b; b comes back unchanged when v is
-// unindexable.
-func appendKey(b []byte, v any) ([]byte, bool) {
-	n, ok := normalize(v)
-	if !ok {
-		return b, false
-	}
-	switch x := n.(type) {
-	case nil:
-		return append(b, kindNull), true
-	case bool:
-		if x {
-			return append(b, kindBool, 1), true
-		}
-		return append(b, kindBool, 0), true
-	case float64:
+// appendKey is encodeKey of a slot, appending to b.
+func appendKey(b []byte, s event.Slot) []byte {
+	s = normalize(s)
+	switch s.Tag {
+	case event.TagBool:
+		return append(b, kindBool, byte(s.Bits))
+	case event.TagFloat64:
 		// IEEE-754 order fix: flip all bits of negatives, set the sign bit
 		// of non-negatives; big-endian bytes then sort numerically.
+		x := math.Float64frombits(s.Bits)
 		if x == 0 {
 			x = 0 // -0 compares equal to +0, so it must share its key
 		}
@@ -162,9 +133,9 @@ func appendKey(b []byte, v any) ([]byte, bool) {
 		} else {
 			bits |= 1 << 63
 		}
-		return binary.BigEndian.AppendUint64(append(b, kindNum), bits), true
-	case string:
-		return append(append(b, kindStr), x...), true
+		return binary.BigEndian.AppendUint64(append(b, kindNum), bits)
+	case event.TagString:
+		return append(append(b, kindStr), s.Str...)
 	}
-	return b, false
+	return append(b, kindNull)
 }

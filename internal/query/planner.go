@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/event"
 	"repro/internal/lockmgr"
 	"repro/internal/txn"
 )
@@ -215,14 +216,17 @@ func (ap accessPlan) describe(q Q) string {
 
 // source builds the leaf iterator for q and bumps the matching counter.
 // The FULL Where re-evaluates on every loaded row — index candidates are
-// optimistic supersets, so pushdown only narrows, never decides. γ (with
-// no join in between) reads only the referenced attributes, in place;
-// every other consumer gets whole rows of its own. Probe candidates are
-// sorted: a locked query takes its object locks in OID order, and a
-// query's rows come in a deterministic order.
-func (m *Manager) source(tx *txn.Txn, q Q) Iterator {
+// optimistic supersets, so pushdown only narrows, never decides. With a
+// want (referenced(q)) the rows are slot rows over it, γ's input; without,
+// each row is handed out whole. Probe candidates are sorted: a locked
+// query takes its object locks in OID order, and a query's rows come in a
+// deterministic order.
+func (m *Manager) source(tx *txn.Txn, q Q, want []string) *oidIter {
 	ap := leaf(tx, m.chooseAccess(q))
-	it := &oidIter{m: m, tx: tx, verify: q.Where}
+	it := &oidIter{m: m, tx: tx, own: want == nil, where: q.Where}
+	if !it.own {
+		it.want, it.check, it.slots = want, bindPred(q.Where, want), make([]event.Slot, len(want))
+	}
 	switch ap.mode {
 	case accessProbe:
 		m.probes.Add(1)
@@ -235,32 +239,20 @@ func (m *Manager) source(tx *txn.Txn, q Q) Iterator {
 		m.extentScans.Add(1)
 		it.scan = m.reg.ScanExtent(tx, q.Class, q.Subclasses)
 	}
-	if q.Join == nil && (len(q.GroupBy) > 0 || len(q.Aggs) > 0) {
-		it.want = referenced(q)
-	} else {
-		it.own = true
-	}
 	return it
 }
 
 // referenced returns the attributes q's Where, group keys and aggregates
-// read, or nil — every attribute — when Where cannot be seen into.
+// read, each once: the slot layout of the rows a plan keeps to itself.
 func referenced(q Q) []string {
-	attrs := make(map[string]struct{}, len(q.GroupBy)+len(q.Aggs)+2)
-	if !predAttrs(q.Where, attrs) {
-		return nil
-	}
+	names := predAttrs(q.Where, make([]string, 0, len(q.GroupBy)+len(q.Aggs)+2))
 	for _, col := range q.GroupBy {
-		attrs[col] = struct{}{}
+		names = addName(names, col)
 	}
 	for _, a := range q.Aggs {
 		if a.Attr != "" {
-			attrs[a.Attr] = struct{}{}
+			names = addName(names, a.Attr)
 		}
-	}
-	names := make([]string, 0, len(attrs)) // non-nil even when empty: read nothing
-	for a := range attrs {
-		names = append(names, a)
 	}
 	return names
 }
@@ -286,7 +278,13 @@ func (m *Manager) Plan(tx *txn.Txn, q Q) (Iterator, error) {
 	if err := m.openExtent(tx, q.Class, q.Subclasses); err != nil {
 		return nil, err
 	}
-	it := m.source(tx, q)
+	grouped := len(q.GroupBy) > 0 || len(q.Aggs) > 0
+	if grouped && q.Join == nil {
+		// γ reads the source's slot rows in place.
+		names := referenced(q)
+		return finish(newGroupIter(m.source(tx, q, names), names, q.GroupBy, q.Aggs), q), nil
+	}
+	var it Iterator = m.source(tx, q, nil)
 	if q.Join != nil {
 		j := *q.Join
 		if j.LeftAttr == "" || j.RightAttr == "" {
@@ -303,9 +301,16 @@ func (m *Manager) Plan(tx *txn.Txn, q Q) (Iterator, error) {
 		it = &hashJoinIter{left: it, right: right,
 			leftAttr: j.LeftAttr, rightAttr: j.RightAttr, prefix: prefix}
 	}
-	if len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
-		it = &groupIter{in: it, groupBy: q.GroupBy, aggs: q.Aggs}
+	if grouped {
+		// γ over a join reads its map rows through the same slot layout.
+		names := referenced(Q{GroupBy: q.GroupBy, Aggs: q.Aggs})
+		it = newGroupIter(&mapSlots{Iterator: it, names: names, slots: make([]event.Slot, len(names))}, names, q.GroupBy, q.Aggs)
 	}
+	return finish(it, q), nil
+}
+
+// finish stacks q's sort, limit and projection on it.
+func finish(it Iterator, q Q) Iterator {
 	if q.OrderBy != "" {
 		it = &sortIter{in: it, attr: q.OrderBy, desc: q.Desc}
 	}
@@ -315,7 +320,7 @@ func (m *Manager) Plan(tx *txn.Txn, q Q) (Iterator, error) {
 	if len(q.Project) > 0 {
 		it = &projectIter{in: it, cols: q.Project}
 	}
-	return it, nil
+	return it
 }
 
 // Run compiles and drains q.

@@ -14,17 +14,39 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"repro/internal/event"
 )
 
-// Pred is a predicate over an object's attribute map. Predicates are
+// Pred is a predicate over an object's attributes. Predicates are
 // immutable expression trees the planner can inspect: comparison leaves
-// over one attribute each, combined with And/Or/Not.
+// over one attribute each, combined with And/Or/Not. They are this
+// package's closed set (the constructors below), so a plan always knows
+// which attributes its predicate reads.
 type Pred interface {
 	// Eval reports whether the attributes satisfy the predicate.
 	// Comparisons between incomparable types are false.
 	Eval(attrs map[string]any) bool
 	String() string
+	// bind compiles the predicate against a slot row whose slot i holds
+	// the attribute names[i]; names holds every attribute it reads.
+	bind(names []string) bound
+}
+
+// bound is a predicate bound to a slot row (Pred.bind): each comparison
+// reads its slot by index against its literal, normalized once.
+type bound interface {
+	eval(row []event.Slot) bool
+}
+
+// bindPred is p.bind(names), nil for no predicate.
+func bindPred(p Pred, names []string) bound {
+	if p == nil {
+		return nil
+	}
+	return p.bind(names)
 }
 
 type cmpOp uint8
@@ -56,20 +78,36 @@ func (o cmpOp) String() string {
 	return "?"
 }
 
-// cmp is a comparison leaf: attr OP literal.
+// cmp is a comparison leaf: attr OP literal. norm is the literal as a
+// normalized slot (ok=false: the literal is not atomic, so the comparison
+// is incomparable with everything).
 type cmp struct {
 	attr string
 	op   cmpOp
 	val  any
+	norm event.Slot
+	ok   bool
+}
+
+func newCmp(attr string, op cmpOp, v any) *cmp {
+	s, ok := event.SlotOf(v)
+	return &cmp{attr: attr, op: op, val: v, norm: normalize(s), ok: ok}
 }
 
 func (c *cmp) Eval(attrs map[string]any) bool {
-	v, ok := attrs[c.attr]
+	v, ok := event.SlotOf(attrs[c.attr]) // an absent attribute is nil
 	if !ok {
-		v = nil
+		return c.op == opNe
 	}
-	rel, comparable := compareValues(v, c.val)
-	if !comparable {
+	return c.test(v)
+}
+
+func (c *cmp) bind(names []string) bound { return boundCmp{c: c, slot: slices.Index(names, c.attr)} }
+
+// test compares v with the literal.
+func (c *cmp) test(v event.Slot) bool {
+	rel, comparable := compareNorm(normalize(v), c.norm)
+	if !comparable || !c.ok {
 		return c.op == opNe // incomparable values are unequal, nothing more
 	}
 	switch c.op {
@@ -89,27 +127,34 @@ func (c *cmp) Eval(attrs map[string]any) bool {
 	return false
 }
 
+type boundCmp struct {
+	c    *cmp
+	slot int
+}
+
+func (b boundCmp) eval(row []event.Slot) bool { return b.c.test(row[b.slot]) }
+
 func (c *cmp) String() string {
 	return fmt.Sprintf("%s %s %v", c.attr, c.op, c.val)
 }
 
 // Eq matches attr == v.
-func Eq(attr string, v any) Pred { return &cmp{attr: attr, op: opEq, val: v} }
+func Eq(attr string, v any) Pred { return newCmp(attr, opEq, v) }
 
 // Ne matches attr != v.
-func Ne(attr string, v any) Pred { return &cmp{attr: attr, op: opNe, val: v} }
+func Ne(attr string, v any) Pred { return newCmp(attr, opNe, v) }
 
 // Lt matches attr < v.
-func Lt(attr string, v any) Pred { return &cmp{attr: attr, op: opLt, val: v} }
+func Lt(attr string, v any) Pred { return newCmp(attr, opLt, v) }
 
 // Le matches attr <= v.
-func Le(attr string, v any) Pred { return &cmp{attr: attr, op: opLe, val: v} }
+func Le(attr string, v any) Pred { return newCmp(attr, opLe, v) }
 
 // Gt matches attr > v.
-func Gt(attr string, v any) Pred { return &cmp{attr: attr, op: opGt, val: v} }
+func Gt(attr string, v any) Pred { return newCmp(attr, opGt, v) }
 
 // Ge matches attr >= v.
-func Ge(attr string, v any) Pred { return &cmp{attr: attr, op: opGe, val: v} }
+func Ge(attr string, v any) Pred { return newCmp(attr, opGe, v) }
 
 // Between matches lo <= attr <= hi.
 func Between(attr string, lo, hi any) Pred {
@@ -129,6 +174,19 @@ func (a *andPred) Eval(attrs map[string]any) bool {
 
 func (a *andPred) String() string { return joinPreds(a.kids, " AND ") }
 
+func (a *andPred) bind(names []string) bound { return boundAnd(bindAll(a.kids, names)) }
+
+type boundAnd []bound
+
+func (a boundAnd) eval(row []event.Slot) bool {
+	for _, k := range a {
+		if !k.eval(row) {
+			return false
+		}
+	}
+	return true
+}
+
 type orPred struct{ kids []Pred }
 
 func (o *orPred) Eval(attrs map[string]any) bool {
@@ -142,10 +200,36 @@ func (o *orPred) Eval(attrs map[string]any) bool {
 
 func (o *orPred) String() string { return joinPreds(o.kids, " OR ") }
 
+func (o *orPred) bind(names []string) bound { return boundOr(bindAll(o.kids, names)) }
+
+type boundOr []bound
+
+func (o boundOr) eval(row []event.Slot) bool {
+	for _, k := range o {
+		if k.eval(row) {
+			return true
+		}
+	}
+	return false
+}
+
+func bindAll(ps []Pred, names []string) []bound {
+	out := make([]bound, len(ps))
+	for i, p := range ps {
+		out[i] = p.bind(names)
+	}
+	return out
+}
+
 type notPred struct{ kid Pred }
 
 func (n *notPred) Eval(attrs map[string]any) bool { return !n.kid.Eval(attrs) }
 func (n *notPred) String() string                 { return "NOT (" + n.kid.String() + ")" }
+func (n *notPred) bind(names []string) bound      { return boundNot{n.kid.bind(names)} }
+
+type boundNot struct{ kid bound }
+
+func (n boundNot) eval(row []event.Slot) bool { return !n.kid.eval(row) }
 
 func joinPreds(kids []Pred, sep string) string {
 	parts := make([]string, len(kids))
@@ -190,32 +274,30 @@ func Or(ps ...Pred) Pred {
 // Not negates a predicate.
 func Not(p Pred) Pred { return &notPred{kid: p} }
 
-// predAttrs adds the attributes p reads to into. It reports false for a
-// Pred implementation the planner cannot see into, which may read any.
-func predAttrs(p Pred, into map[string]struct{}) bool {
+// predAttrs appends to names the attributes p reads that it lacks.
+func predAttrs(p Pred, names []string) []string {
 	switch x := p.(type) {
-	case nil:
-		return true
 	case *cmp:
-		into[x.attr] = struct{}{}
-		return true
+		return addName(names, x.attr)
 	case *notPred:
-		return predAttrs(x.kid, into)
+		return predAttrs(x.kid, names)
 	case *andPred:
-		return allAttrs(x.kids, into)
+		for _, k := range x.kids {
+			names = predAttrs(k, names)
+		}
 	case *orPred:
-		return allAttrs(x.kids, into)
-	}
-	return false
-}
-
-func allAttrs(ps []Pred, into map[string]struct{}) bool {
-	for _, p := range ps {
-		if !predAttrs(p, into) {
-			return false
+		for _, k := range x.kids {
+			names = predAttrs(k, names)
 		}
 	}
-	return true
+	return names
+}
+
+func addName(names []string, name string) []string {
+	if slices.Contains(names, name) {
+		return names
+	}
+	return append(names, name)
 }
 
 // conjuncts returns the top-level AND factors of p — the units predicate

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/event"
 	"repro/internal/txn"
 )
 
@@ -14,10 +15,11 @@ import (
 // catalog version it was chosen under; index DDL moves the version, and
 // the next probe re-plans once. Safe for concurrent use.
 type Prepared struct {
-	m    *Manager
-	q    Q        // Class, Subclasses, Where; Limit 1
-	want []string // the attributes Where reads (nil: all)
-	cur  atomic.Pointer[versionedPlan]
+	m     *Manager
+	q     Q        // Class, Subclasses, Where; Limit 1
+	want  []string // the attributes Where reads: a probe's slot row
+	check bound    // Where bound to want
+	cur   atomic.Pointer[versionedPlan]
 }
 
 // versionedPlan is an access path and the catalog version it was chosen
@@ -32,7 +34,8 @@ type versionedPlan struct {
 // reported by Exists, not here: a rule may name a class defined later.
 func (m *Manager) Prepare(class string, subclasses bool, pred Pred) *Prepared {
 	q := Q{Class: class, Subclasses: subclasses, Where: pred, Limit: 1}
-	p := &Prepared{m: m, q: q, want: referenced(q)}
+	want := referenced(q)
+	p := &Prepared{m: m, q: q, want: want, check: bindPred(pred, want)}
 	p.access()
 	return p
 }
@@ -53,7 +56,7 @@ func (p *Prepared) access() accessPlan {
 
 // Exists reports whether any object of the class satisfies the predicate
 // as tx sees it. It stops at the first visible row that passes verify,
-// decoding only the attributes the predicate reads into a reused row. A
+// decoding only the attributes the predicate reads into a reused slot row. A
 // snapshot read takes the candidates in posting order; a locked read
 // sorts them, so it takes its object locks in OID order.
 func (p *Prepared) Exists(tx *txn.Txn) (bool, error) {
@@ -65,7 +68,11 @@ func (p *Prepared) Exists(tx *txn.Txn) (bool, error) {
 	if it == nil {
 		it = &oidIter{}
 	}
-	*it = oidIter{m: m, tx: tx, verify: p.q.Where, want: p.want, oids: it.oids[:0], row: it.row}
+	slots := it.slots
+	if cap(slots) < len(p.want) {
+		slots = make([]event.Slot, len(p.want))
+	}
+	*it = oidIter{m: m, tx: tx, want: p.want, check: p.check, slots: slots[:len(p.want)], oids: it.oids[:0], strs: it.strs}
 	switch ap := leaf(tx, p.access()); ap.mode {
 	case accessExtent:
 		m.extentScans.Add(1)
@@ -84,8 +91,8 @@ func (p *Prepared) Exists(tx *txn.Txn) (bool, error) {
 	ok := it.Next()
 	err := it.Err()
 	it.Close()
-	clear(it.row)
-	it.tx, it.verify, it.cur = nil, nil, Row{}
+	clear(it.slots) // a slot may view the scan's buffer
+	it.tx, it.check, it.cur = nil, nil, Row{}
 	m.iters.Put(it)
 	return ok, err
 }

@@ -163,7 +163,7 @@ func TestKeyEncodingOrderMatchesCompare(t *testing.T) {
 			if !okA || !okB {
 				t.Fatalf("encodeKey failed for %v / %v", a, b)
 			}
-			rel, cmp := compareValues(a, b)
+			rel, cmp := compareAny(a, b)
 			if !cmp {
 				t.Fatalf("compareValues(%v, %v) not comparable", a, b)
 			}
@@ -894,9 +894,9 @@ func TestDuplicateIndexRejected(t *testing.T) {
 	_ = event.OID(0)
 }
 
-// TestCanonicalValuesCompareWithoutAllocating: a value already in canonical
-// form (float64, string, bool) comes out of normalize as the same
-// interface, so evaluating a comparison on it allocates nothing.
+// TestCanonicalValuesCompareWithoutAllocating: evaluating a comparison
+// on a map row views the value as a slot and normalizes it unboxed, so it
+// allocates nothing, whatever the value's type.
 func TestCanonicalValuesCompareWithoutAllocating(t *testing.T) {
 	for _, c := range []struct {
 		p     Pred
@@ -905,6 +905,10 @@ func TestCanonicalValuesCompareWithoutAllocating(t *testing.T) {
 		{Eq("x", 3.0), map[string]any{"x": 3.0}},
 		{Lt("x", "b"), map[string]any{"x": "a"}},
 		{Ne("x", true), map[string]any{"x": false}},
+		{Eq("x", 3.0), map[string]any{"x": 3}},
+		{Gt("x", 2), map[string]any{"x": int64(3)}},
+		{Le("x", 200.0), map[string]any{"x": uint8(200)}},
+		{Eq("x", 7), map[string]any{"x": event.OID(7)}},
 	} {
 		if !c.p.Eval(c.attrs) {
 			t.Fatalf("%s is false on %v", c.p, c.attrs)
@@ -912,5 +916,78 @@ func TestCanonicalValuesCompareWithoutAllocating(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { c.p.Eval(c.attrs) }); n != 0 {
 			t.Fatalf("%s on %v made %v allocations, want 0", c.p, c.attrs, n)
 		}
+	}
+}
+
+// TestAvgCountsNumbersOnly: Avg divides the sum of a group's numbers by
+// how many numbers it has, not by its non-nil values, and is nil for a
+// group with none; Sum over no numbers is 0.
+func TestAvgCountsNumbersOnly(t *testing.T) {
+	e := newEnv(t)
+	defer e.close()
+	tx := e.begin()
+	for _, o := range []map[string]any{
+		{"g": "mixed", "price": 2.0},
+		{"g": "mixed", "price": "x"},
+		{"g": "mixed", "price": 4.0},
+		{"g": "mixed", "price": true},
+		{"g": "mixed"},
+		{"g": "strings", "price": "y"},
+	} {
+		if _, err := e.reg.New(tx, "STOCK", o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.commit(tx)
+	tx = e.begin()
+	defer e.commit(tx)
+	rows, err := e.qm.Run(tx, Q{Class: "STOCK", GroupBy: []string{"g"},
+		Aggs: []Agg{{Op: Avg, Attr: "price"}, {Op: Sum, Attr: "price"}, {Op: Count, Attr: "price"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[any]map[string]any{}
+	for _, r := range rows {
+		got[r.Attrs["g"]] = r.Attrs
+	}
+	if m := got["mixed"]; m["avg_price"] != 3.0 || m["sum_price"] != 6.0 || m["count_price"] != 4.0 {
+		t.Fatalf("mixed group: %v, want avg 3, sum 6, count 4", m)
+	}
+	if s := got["strings"]; s["avg_price"] != nil || s["sum_price"] != 0.0 || s["count_price"] != 1.0 {
+		t.Fatalf("string-only group: %v, want avg nil, sum 0, count 1", s)
+	}
+}
+
+// TestGroupedAggregateAllocatesPerGroup: γ reads slot rows in place, so a
+// grouped Count+Sum over ten times the rows allocates no more than one
+// allocation per group more (plus a small constant for the pages read).
+func TestGroupedAggregateAllocatesPerGroup(t *testing.T) {
+	const groups = 5
+	allocs := func(n int) float64 {
+		e := newEnv(t)
+		defer e.close()
+		tx := e.begin()
+		for i := 0; i < n; i++ {
+			if _, err := e.reg.New(tx, "STOCK", map[string]any{"grp": i % groups, "val": float64(i), "sym": fmt.Sprintf("S%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.commit(tx)
+		snap, err := e.tm.BeginSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = snap.Commit() }()
+		q := Q{Class: "STOCK", GroupBy: []string{"grp"}, Aggs: []Agg{{Op: Count}, {Op: Sum, Attr: "val"}}}
+		return testing.AllocsPerRun(20, func() {
+			if rows, err := e.qm.Run(snap, q); err != nil || len(rows) != groups {
+				t.Fatalf("%d rows, %v", len(rows), err)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(2000)
+	t.Logf("γ allocates %.0f over 200 rows, %.0f over 2000", small, large)
+	if large-small > groups+4 {
+		t.Fatalf("γ over 200 rows allocates %.0f, over 2000 rows %.0f: more than one per group more", small, large)
 	}
 }

@@ -495,7 +495,8 @@ func (l *Log) Sync() error {
 // WaitDurable blocks until every record below upTo is durable (flushed,
 // and fsynced in sync mode); it is the log's group commit. Records already
 // durable return at once. The first caller that finds no force in flight
-// becomes the forcer: it gathers, then forces the whole buffer, and
+// becomes the forcer: it gathers (in sync mode only: without an fsync to
+// amortise, a force is one short write), then forces the whole buffer, and
 // reports in batch how many callers that force covered (0 for everyone
 // else). Every other caller waits for the watermark to advance or the log
 // to seal, and then re-checks its own records. A sealed log reports its
@@ -525,7 +526,9 @@ func (l *Log) WaitDurable(upTo uint64) (batch int, err error) {
 	}
 	l.forcing = true
 	l.mu.Unlock()
-	l.gather()
+	if l.cfg.Sync {
+		l.gather()
+	}
 	return l.flush(upTo, l.cfg.Sync, true)
 }
 
